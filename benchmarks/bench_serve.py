@@ -52,8 +52,8 @@ def test_s2_warm_grid_throughput(benchmark, show):
     server = ReliabilityServer()
     thread = _serving(server)
     try:
-        warm_solves = server.warm(net, DEMAND)
-        assert warm_solves > 0  # the cold build happened here, not below
+        built = server.warm(net, DEMAND)
+        assert built > 0  # the cold build happened here, not below
 
         def round_trip():
             with ReliabilityClient("127.0.0.1", server.port) as client:

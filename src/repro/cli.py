@@ -1098,9 +1098,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(f"serving on {server.address}", file=sys.stderr, flush=True)
             for path, warm_net in zip(args.warm, warm_nets):
                 demand = FlowDemand(args.source, args.sink, args.rate)
-                solves = server.warm(warm_net, demand)
+                built = server.warm(warm_net, demand)
                 print(
-                    f"warmed {path}: {solves} max-flow solves",
+                    f"warmed {path}: {built} columns built",
                     file=sys.stderr,
                     flush=True,
                 )

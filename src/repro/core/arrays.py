@@ -17,6 +17,12 @@ Cost: ``|D| * 2^{|E_side|}`` max-flow solves per side, as the paper
 counts.  Realization is monotone in the alive set for a fixed
 assignment, so the same monotone pruning as the naive algorithm applies
 per bit (enabled by default, reported in the result).
+
+By default :func:`build_side_array` answers the same question without
+a solver: max-flow/min-cut duality turns every column into a ``min``
+over the side's bond family (:mod:`repro.core.certificate`).  The
+max-flow kernels below stay as the fallback — see
+:func:`build_side_array` for the rule.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.certificate import certificate_masks, side_cut_family
 from repro.core.latticewalk import gray_walk_table, popcount_descending_order
 from repro.exceptions import SolverError
 from repro.flow.base import MaxFlowSolver, get_solver
@@ -37,6 +44,7 @@ from repro.obs.progress import progress_ticker
 from repro.obs.recorder import (
     ARRAY_ENTRIES_BUILT,
     AUGMENTING_PATHS_SAVED,
+    CERTIFICATE_CUTS,
     FLOW_REPAIRS,
     FLOW_SOLVES,
     count,
@@ -185,6 +193,16 @@ def build_side_array(
         — instead of cold-solving every entry (``None`` = auto: on
         whenever the solver supports the warm-start contract).  The
         masks are bit-identical either way.
+
+    Kernel choice: with ``solver`` and ``incremental`` both left at
+    ``None`` the columns come from the cut-certificate kernel
+    (:mod:`repro.core.certificate`, zero max-flow solves) unless the
+    side's bond family is over its guard (more free nodes than
+    :data:`~repro.core.certificate.MAX_CERTIFICATE_FREE_NODES` or more
+    cuts than :data:`~repro.core.certificate.MAX_CERTIFICATE_CUTS`).
+    Naming a solver or forcing ``incremental`` selects the max-flow
+    kernel, whose solve accounting those options describe.  The masks
+    are bit-identical on every path.
     """
     net = side.network
     m = net.num_links
@@ -192,6 +210,18 @@ def build_side_array(
     _validate_side_request(
         net, role=role, assignments=assignments, ports=ports, demand=demand
     )
+    if solver is None and incremental is None:
+        family = side_cut_family(net, role=role, terminal=terminal, ports=ports)
+        if family is not None:
+            masks = certificate_masks(family, assignments, demand)
+            count(CERTIFICATE_CUTS, family.size)
+            count(ARRAY_ENTRIES_BUILT, len(assignments) << m)
+            return RealizationArray(
+                masks=masks,
+                probabilities=configuration_probabilities(net),
+                num_assignments=len(assignments),
+                flow_calls=0,
+            )
     template, port_names, s_idx, t_idx = _side_template(
         net, role=role, terminal=terminal, ports=ports, demand=demand
     )

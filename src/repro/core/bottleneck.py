@@ -155,7 +155,11 @@ def bottleneck_reliability(
         repair instead of cold-solving every entry (``None`` = auto: on
         whenever the solver supports the warm-start contract; see
         :mod:`repro.flow.incremental`).  Bit-identical masks and value;
-        only the solve accounting changes.
+        only the solve accounting changes.  With ``solver`` and
+        ``incremental`` both ``None`` the serial and cached builds use
+        the solver-free cut-certificate kernel
+        (:mod:`repro.core.certificate`) wherever its guard admits the
+        side, and report no max-flow solves for those sides.
     block_bits:
         Route the realization builds through the bit-parallel block
         kernel (:mod:`repro.core.bitplane`) with ``2^block_bits``-sized
@@ -235,7 +239,7 @@ def bottleneck_reliability(
                 prune=prune,
                 screen=screen,
                 workers=workers,
-                incremental=use_incremental,
+                incremental=incremental,
                 block_bits=block_bits,
                 cache=cache,
             )
@@ -250,7 +254,7 @@ def bottleneck_reliability(
                 prune=prune,
                 screen=screen,
                 workers=workers,
-                incremental=use_incremental,
+                incremental=incremental,
                 block_bits=block_bits,
                 cache=cache,
             )
@@ -310,7 +314,7 @@ def bottleneck_reliability(
                 demand=demand.rate,
                 solver=solver,
                 prune=prune,
-                incremental=use_incremental,
+                incremental=incremental,
             )
         with span(
             "bottleneck.sink_array",
@@ -326,7 +330,7 @@ def bottleneck_reliability(
                 demand=demand.rate,
                 solver=solver,
                 prune=prune,
-                incremental=use_incremental,
+                incremental=incremental,
             )
     else:
         from repro.core.engine import build_realization_arrays  # local: engine-path only

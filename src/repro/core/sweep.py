@@ -1038,7 +1038,7 @@ def _probability_sweep(
             prune=prune,
             screen=screen,
             workers=workers,
-            incremental=use_incremental,
+            incremental=incremental,
             block_bits=block_bits,
             cache=cache,
         )
@@ -1053,7 +1053,7 @@ def _probability_sweep(
             prune=prune,
             screen=screen,
             workers=workers,
-            incremental=use_incremental,
+            incremental=incremental,
             block_bits=block_bits,
             cache=cache,
         )

@@ -100,9 +100,7 @@ class MaxFlowSolver(ABC):
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         if cls.name:
-            cls._metric_solves = f"solver.{cls.name}.solves"
-            cls._metric_seconds = f"solver.{cls.name}.seconds"
-            cls._metric_paths = f"solver.{cls.name}.paths"
+            _bind_metric_names(cls)
 
     @abstractmethod
     def solve_residual(
@@ -193,18 +191,31 @@ class MaxFlowSolver(ABC):
         )
 
 
+def _bind_metric_names(cls: type[MaxFlowSolver]) -> None:
+    """Format the ``solver.<name>.*`` counter names from ``cls.name``."""
+    cls._metric_solves = f"solver.{cls.name}.solves"
+    cls._metric_seconds = f"solver.{cls.name}.seconds"
+    cls._metric_paths = f"solver.{cls.name}.paths"
+
+
 _REGISTRY: dict[str, Callable[[], MaxFlowSolver]] = {}
 
 DEFAULT_SOLVER = "dinic"
 
 
 def register_solver(name: str) -> Callable[[type], type]:
-    """Class decorator adding a solver to the registry under ``name``."""
+    """Class decorator adding a solver to the registry under ``name``.
+
+    The decorator runs after class creation, so it also binds the
+    ``solver.<name>.*`` counter names (``__init_subclass__`` only sees a
+    name set in the class body).
+    """
 
     def decorate(cls: type) -> type:
         if not issubclass(cls, MaxFlowSolver):
             raise SolverError(f"{cls!r} is not a MaxFlowSolver")
         cls.name = name
+        _bind_metric_names(cls)
         _REGISTRY[name] = cls
         return cls
 

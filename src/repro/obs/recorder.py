@@ -40,6 +40,7 @@ __all__ = [
     "ASSIGNMENTS_ENUMERATED",
     "ARRAY_ENTRIES_BUILT",
     "BLOCK_SCREENED",
+    "CERTIFICATE_CUTS",
     "CONFIGURATIONS_ENUMERATED",
     "SHARD_CLAIMS",
     "SERVE_COALESCED",
@@ -117,6 +118,10 @@ ARRAY_CACHE_BYTES = "array_cache_bytes"
 #: blocks before any per-entry work.  A subset of ``screened_solves``
 #: (the lazy per-configuration connectivity screen makes up the rest).
 BLOCK_SCREENED = "block_screened"
+#: Cuts in the bond families of the sides the cut-certificate kernel
+#: (``repro.core.certificate``) built, summed per side.  A certificate
+#: build spends no max-flow solve: it adds nothing to ``flow_solves``.
+CERTIFICATE_CUTS = "certificate_cuts"
 #: Realization columns claimed (and then built + published) by this
 #: process during a share-nothing sharded build
 #: (``repro.core.shard``): one per ``.claim`` file won atomically.
@@ -164,6 +169,7 @@ KNOWN_COUNTERS = frozenset(
         ARRAY_CACHE_EVICTIONS,
         ARRAY_CACHE_EVICTED_BYTES,
         BLOCK_SCREENED,
+        CERTIFICATE_CUTS,
         SHARD_CLAIMS,
         SERVE_QUERIES,
         SERVE_COALESCED,

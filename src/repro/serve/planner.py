@@ -6,9 +6,11 @@ per point), the whole round is merged by
 fingerprint, terminals and rate collapse into **one** plan: one cut
 search, one cached array build, one vectorized Eq. 2/3 grid — and each
 plan runs as a single :func:`repro.core.sweep.compute_reliability_sweep`
-against the shared :class:`~repro.core.sweep.ArrayCache`.  On a warm
-cache a plan spends **zero** max-flow solves, which is what the
-``warm`` response flag and the ``serve_warm_hits`` counter report.
+against the shared :class:`~repro.core.sweep.ArrayCache`.  A plan that
+misses no cached column is *warm*: that is what the ``warm`` response
+flag and the ``serve_warm_hits`` counter report.  Both read the cache
+misses of the answering plan, not its solve count — a cold column built
+by the cut-certificate kernel spends no max-flow solve either.
 
 Queries that cannot ride a batch — an explicit non-bottleneck method,
 or a topology the sweep engine refuses (no admissible bottleneck cut,
@@ -44,11 +46,16 @@ __all__ = ["answer_queries"]
 
 def _fallback_values(
     query: Query, solver: str | MaxFlowSolver | None, cache: ArrayCache | None
-) -> tuple[list[float], int]:
-    """Answer one query point-by-point through the API dispatch chain."""
+) -> tuple[list[float], int, bool]:
+    """Answer one query point-by-point through the API dispatch chain.
+
+    Returns the values, the solves spent and whether every point was
+    answered from cached realization columns alone.
+    """
     assert query.net is not None and query.demand is not None and query.spec is not None
     values: list[float] = []
     flow_calls = 0
+    warm = is_coalescible(query.method)
     with span("serve.query", method=query.method or "auto", points=len(query.spec)):
         for index in range(len(query.spec)):
             point_net = query.spec.point_network(query.net, index)
@@ -57,11 +64,13 @@ def _fallback_values(
                 query.demand,
                 method=query.method,
                 solver=solver,
-                **({"cache": cache} if is_coalescible(query.method) else {}),
+                **({"cache": cache} if warm else {}),
             )
             values.append(result.value)
             flow_calls += getattr(result, "flow_calls", 0)
-    return values, flow_calls
+            traffic = result.details.get("array_cache")
+            warm = warm and traffic is not None and traffic["misses"] == 0
+    return values, flow_calls, warm
 
 
 def answer_queries(
@@ -98,6 +107,7 @@ def answer_queries(
         plans = plan_batch(flat_points)
         point_values: dict[int, float] = {}
         query_flow_calls: dict[int, int] = {}
+        query_warm: dict[int, bool] = {}
         query_batch: dict[int, tuple[int, int]] = {}
         for plan in plans:
             members = sorted({point_owner[i] for i in plan.indices})
@@ -121,6 +131,7 @@ def answer_queries(
                 count(SERVE_COALESCED, len(members) - 1)
             for qi in members:
                 query_flow_calls[qi] = swept.flow_calls
+                query_warm[qi] = swept.cache_stats["misses"] == 0
                 query_batch[qi] = (len(members), len(plan.indices))
 
         # -- scatter batch answers back per query -------------------------
@@ -133,14 +144,14 @@ def answer_queries(
             flat_index += len(query.spec)
             if qi in fallback:
                 continue
-            flow_calls = query_flow_calls[qi]
-            if flow_calls == 0:
+            if query_warm[qi]:
                 count(SERVE_WARM_HITS, 1)
             batch_queries, batch_points = query_batch[qi]
             payloads[qi] = response_payload(
                 query,
                 [point_values[i] for i in indices],
-                flow_calls=flow_calls,
+                flow_calls=query_flow_calls[qi],
+                warm=query_warm[qi],
                 batch_queries=batch_queries,
                 batch_points=batch_points,
                 method="bottleneck",
@@ -150,17 +161,18 @@ def answer_queries(
         for qi in fallback:
             query = queries[qi]
             try:
-                values, flow_calls = _fallback_values(query, solver, cache)
+                values, flow_calls, warm = _fallback_values(query, solver, cache)
             except ReproError as exc:
                 payloads[qi] = error_payload(ERROR_COMPUTE, str(exc), query.qid)
                 continue
-            if flow_calls == 0 and is_coalescible(query.method):
+            if warm:
                 count(SERVE_WARM_HITS, 1)
             assert query.spec is not None
             payloads[qi] = response_payload(
                 query,
                 values,
                 flow_calls=flow_calls,
+                warm=warm,
                 batch_queries=1,
                 batch_points=len(query.spec),
                 method=query.method or "auto",

@@ -25,8 +25,11 @@ the network's own failure probabilities"):
 
 Responses (``repro.serve/response/v1``) echo ``id`` and carry one
 ``{"x": ..., "reliability": ...}`` pair per point, the max-flow solves
-the answering batch spent (``flow_calls``; 0 on a warm cache —
-``"warm": true``) and the batch shape (``{"queries": n, "points": p}``).
+the answering batch spent (``flow_calls``), whether every realization
+column came from the warm array cache (``"warm": true`` — the batch
+missed nothing; cold columns built by the cut-certificate kernel cost
+no solves, so ``flow_calls`` alone cannot tell) and the batch shape
+(``{"queries": n, "points": p}``).
 Encoding is canonical (sorted keys, compact separators), so identical
 queries produce byte-identical response lines — an invariant the
 property suite pins.
@@ -213,11 +216,15 @@ def response_payload(
     values: list[float],
     *,
     flow_calls: int,
+    warm: bool,
     batch_queries: int,
     batch_points: int,
     method: str,
 ) -> dict[str, Any]:
-    """The success response for one answered query."""
+    """The success response for one answered query.
+
+    ``warm`` says the answering plan missed no array-cache column.
+    """
     spec = query.spec
     assert spec is not None
     points = [
@@ -232,7 +239,7 @@ def response_payload(
         "method": method,
         "points": points,
         "flow_calls": int(flow_calls),
-        "warm": flow_calls == 0,
+        "warm": bool(warm),
         "batch": {"queries": int(batch_queries), "points": int(batch_points)},
     }
 

@@ -150,8 +150,8 @@ class ReliabilityServer:
         One single-point sweep at the network's own probabilities: the
         §III-C columns it builds (or disk-loads) are exactly the ones
         every later probability-axis query on this topology reuses.
-        Returns the max-flow solves spent (0 when the disk tier was
-        already warm).
+        Returns the realization columns it had to build — the cache
+        misses (0 when the disk tier was already warm).
         """
         with span("serve.warm", links=net.num_links, rate=demand.rate):
             swept = compute_reliability_sweep(
@@ -161,7 +161,7 @@ class ReliabilityServer:
                 solver=self.solver,
                 cache=self.cache,
             )
-        return swept.flow_calls
+        return swept.cache_stats["misses"]
 
     # -- the loop ----------------------------------------------------------
 

@@ -16,6 +16,7 @@ from repro.flow.base import (
 from repro.graph.builders import diamond, grid_network, parallel_links, series_chain, two_paths
 from repro.graph.generators import layered_network, random_network
 from repro.graph.network import FlowNetwork
+from repro.obs import record
 
 SOLVERS = ["dinic", "edmonds_karp", "push_relabel", "capacity_scaling"]
 
@@ -175,3 +176,14 @@ class TestResultObject:
     def test_unknown_terminal_rejected(self):
         with pytest.raises(SolverError):
             max_flow(diamond(), "s", "zzz")
+
+
+@pytest.mark.parametrize("name", available_solvers())
+def test_solves_are_counted_under_the_registered_name(name):
+    with record() as recorder:
+        value = get_solver(name).max_flow(diamond(), "s", "t").value
+    totals = recorder.counter_totals()
+    assert value > 0
+    assert totals[f"solver.{name}.solves"] == 1
+    assert f"solver.{name}.seconds" in totals
+    assert not [key for key in totals if key.startswith("solver.unnamed.")]

@@ -21,7 +21,7 @@ from repro.cli import main
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import save
 from repro.obs import MetricsServer, read_events
-from repro.obs.recorder import FLOW_SOLVES, Recorder
+from repro.obs.recorder import ARRAY_ENTRIES_BUILT, FLOW_SOLVES, Recorder
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -45,7 +45,7 @@ class TestEventsFlag:
         assert events[0]["ev"] == "start"
         assert events[0]["meta"]["command"] == "compute"
         assert events[-1]["ev"] == "finish"
-        assert events[-1]["counters"][FLOW_SOLVES] > 0
+        assert events[-1]["counters"][ARRAY_ENTRIES_BUILT] > 0
 
     def test_sweep_workers_spool_worker_files(self, net_file, tmp_path, capsys):
         events_dir = tmp_path / "ev"
@@ -94,7 +94,9 @@ class TestRunLedgerCli:
 
     def test_runs_show_round_trips_record(self, net_file, tmp_path, capsys):
         ledger = str(tmp_path / "runs")
-        assert _compute(net_file, "--ledger-dir", ledger) == 0
+        # --incremental selects the max-flow kernel, whose solves the
+        # record's counters must reconcile with.
+        assert _compute(net_file, "--incremental", "--ledger-dir", ledger) == 0
         capsys.readouterr()
         assert main(["runs", "show", "-1", "--ledger-dir", ledger]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -120,7 +122,7 @@ class TestRunLedgerCli:
         self, net_file, tmp_path, capsys
     ):
         ledger = tmp_path / "runs"
-        assert _compute(net_file, "--ledger-dir", str(ledger)) == 0
+        assert _compute(net_file, "--incremental", "--ledger-dir", str(ledger)) == 0
         capsys.readouterr()
         # Inject a 2x flow_solves regression into a copy of the record.
         [record_path] = [

@@ -3,7 +3,9 @@
 The acceptance bar for the observability layer: the phase tree printed
 by ``repro profile`` on ``fujita_fig4`` must report per-phase
 ``flow_solves`` whose sum equals ``ReliabilityResult.flow_calls``
-exactly — for both exact kernels.
+exactly — for both exact kernels.  The solve-accounting tests force
+``--incremental`` (or name a solver): by default the bottleneck arrays
+come from the solver-free cut-certificate kernel and spend no solves.
 """
 
 import json
@@ -46,7 +48,7 @@ class TestProfileCommand:
     def test_phase_flow_solves_sum_to_flow_calls(self, net_file, capsys, method):
         assert main(
             ["profile", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", method]
+             "--method", method, "--incremental"]
         ) == 0
         out = capsys.readouterr().out
         flow_calls = int(_FLOW_CALLS.search(out).group(1))
@@ -77,7 +79,8 @@ class TestProfileCommand:
         trace_path = tmp_path / "trace.json"
         assert main(
             ["profile", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "bottleneck", "--trace-json", str(trace_path)]
+             "--method", "bottleneck", "--incremental",
+             "--trace-json", str(trace_path)]
         ) == 0
         payload = json.loads(trace_path.read_text(encoding="utf-8"))
         assert payload["schema"] == "repro.obs/trace/v1"
@@ -142,7 +145,9 @@ class TestResultDetails:
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
         with obs.record():
-            result = compute_reliability(net, demand=demand, method=method)
+            result = compute_reliability(
+                net, demand=demand, method=method, solver="dinic"
+            )
         summary = result.details["obs"]
         per_phase = sum(
             p["counters"].get("flow_solves", 0) for p in summary["phases"]

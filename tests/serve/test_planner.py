@@ -7,6 +7,8 @@ from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache, network_fingerprint, plan_batch
 from repro.graph.builders import diamond, fujita_fig4
 from repro.graph.io import to_dict
+from repro.obs import record
+from repro.obs.recorder import SERVE_WARM_HITS
 from repro.serve.planner import answer_queries
 from repro.serve.protocol import QUERY_SCHEMA, decode_query
 
@@ -64,9 +66,23 @@ class TestAnswerQueries:
     def test_warm_cache_answers_with_zero_solves(self):
         cache = ArrayCache()
         first = answer_queries([_query()], cache=cache)
-        assert first[0]["flow_calls"] > 0 and not first[0]["warm"]
+        assert not first[0]["warm"]
         second = answer_queries([_query(availability=[0.9, 0.99])], cache=cache)
         assert second[0]["flow_calls"] == 0 and second[0]["warm"]
+
+    def test_never_seen_topology_answers_cold_without_solves(self):
+        cache = ArrayCache()
+        with record() as recorder:
+            [cold] = answer_queries([_query()], cache=cache)
+        # The cut-certificate kernel built every column without a solve,
+        # yet none came from the cache: the answer is cold.
+        assert cold["flow_calls"] == 0
+        assert cold["warm"] is False
+        assert recorder.counter_total(SERVE_WARM_HITS) == 0
+        with record() as recorder:
+            [warm] = answer_queries([_query()], cache=cache)
+        assert warm["warm"] is True
+        assert recorder.counter_total(SERVE_WARM_HITS) == 1
 
     def test_values_match_fresh_bottleneck_reliability(self):
         cache = ArrayCache()

@@ -137,7 +137,7 @@ class TestEncoding:
     def test_response_payload_shape(self):
         query = decode_query(_encode(_query_payload(id=3, availability=[0.9, 0.95])))
         payload = response_payload(
-            query, [0.5, 0.6], flow_calls=0, batch_queries=4, batch_points=8,
+            query, [0.5, 0.6], flow_calls=0, warm=True, batch_queries=4, batch_points=8,
             method="bottleneck",
         )
         assert payload["schema"] == RESPONSE_SCHEMA
@@ -152,9 +152,10 @@ class TestEncoding:
     def test_cold_response_is_not_warm(self):
         query = decode_query(_encode(_query_payload()))
         payload = response_payload(
-            query, [0.5], flow_calls=69, batch_queries=1, batch_points=1,
+            query, [0.5], flow_calls=0, warm=False, batch_queries=1, batch_points=1,
             method="bottleneck",
         )
+        # A certificate-built cold answer spends no solve and is still cold.
         assert payload["warm"] is False
 
     def test_error_payload_carries_code(self):

@@ -86,7 +86,7 @@ class TestQueries:
         with ReliabilityClient("127.0.0.1", threaded_server.port) as client:
             cold = client.query(net, "s", "t", 2, qid=1)
             warm = client.query(net, "s", "t", 2, qid=2)
-        assert cold["ok"] and cold["flow_calls"] > 0 and not cold["warm"]
+        assert cold["ok"] and not cold["warm"]
         assert warm["ok"] and warm["flow_calls"] == 0 and warm["warm"]
         assert (
             warm["points"][0]["reliability"] == cold["points"][0]["reliability"]
@@ -105,8 +105,8 @@ class TestQueries:
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            solves = server.warm(fujita_fig4(), FlowDemand("s", "t", 2))
-            assert solves > 0
+            built = server.warm(fujita_fig4(), FlowDemand("s", "t", 2))
+            assert built > 0
             with ReliabilityClient("127.0.0.1", server.port) as client:
                 reply = client.query(fujita_fig4(), "s", "t", 2)
             assert reply["warm"] and reply["flow_calls"] == 0
