@@ -4,7 +4,7 @@ The dataflow tier builds a CFG per function and runs up to five
 fixpoint solves over it, so it is structurally slower than the
 single-pass syntax tier; this bench pins the cost of both over the
 shipped ``src/repro`` tree and asserts the CI budget: the *full*
-dataflow tier (CFG construction + every RR201–RR205 solve, all ~100
+dataflow tier (CFG construction + every RR201–RR204 solve, all ~100
 files) must finish well under 30 seconds, or the ``analysis-dataflow``
 CI job starts dominating the pipeline.
 

@@ -104,7 +104,7 @@ MAX_SINK_OVERHEAD_FRACTION = 0.10
 
 #: Kernel runs timed inside one session: the budget polices the
 #: *streaming* cost (per-event encode + bounded-buffer flush), so the
-#: session's fixed setup (mkdir, stale-spool sweep, file open) is
+#: session's fixed setup (mkdir, file open) is
 #: amortised the way a real sweep amortises it over its whole grid.
 SINK_BENCH_RUNS = 30
 

@@ -1,7 +1,7 @@
 """Flow-sensitive analysis infrastructure for the dataflow rule tier.
 
 The syntax tier (RR101–RR110) judges one AST node at a time; the rules
-in the dataflow tier (RR201–RR205) reason about *paths*: does unseeded
+in the dataflow tier (RR201–RR204) reason about *paths*: does unseeded
 randomness reach this ``return``, is a cached array mutated after
 retrieval on some branch, is a span closed on the exception edge too?
 Three layers make that possible:

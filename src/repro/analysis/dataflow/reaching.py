@@ -1,6 +1,6 @@
 """Reaching-definitions / taint building blocks for the dataflow rules.
 
-The RR201–RR205 rules all reduce to one shape: a *source* seeds a set
+The RR201–RR204 rules all reduce to one shape: a *source* seeds a set
 of variable names, assignments propagate or kill membership along CFG
 paths, and a *sink* reached by a member is a finding.  This module
 holds the shared pieces: which names a statement binds, whether an

@@ -9,7 +9,6 @@ Syntax tier (per-node):
 * :mod:`~repro.analysis.rules.numerics` — RR102, RR103
 * :mod:`~repro.analysis.rules.hygiene` — RR104, RR105, RR106
 * :mod:`~repro.analysis.rules.instrumentation` — RR107
-* :mod:`~repro.analysis.rules.parallelism` — RR108
 * :mod:`~repro.analysis.rules.lattices` — RR109
 * :mod:`~repro.analysis.rules.caching` — RR110
 * :mod:`~repro.analysis.rules.serving` — RR113
@@ -22,7 +21,6 @@ Dataflow tier (flow-sensitive, CFG + fixpoint):
 * :mod:`~repro.analysis.rules.df_aliasing` — RR202
 * :mod:`~repro.analysis.rules.df_spans` — RR203
 * :mod:`~repro.analysis.rules.df_domains` — RR204
-* :mod:`~repro.analysis.rules.df_payloads` — RR205
 """
 
 from __future__ import annotations
@@ -33,14 +31,12 @@ from repro.analysis.rules import (
     df_determinism,
     df_domains,
     df_masks,
-    df_payloads,
     df_spans,
     estimators,
     hygiene,
     instrumentation,
     lattices,
     numerics,
-    parallelism,
     randomness,
     serving,
 )
@@ -51,14 +47,12 @@ __all__ = [
     "df_determinism",
     "df_domains",
     "df_masks",
-    "df_payloads",
     "df_spans",
     "estimators",
     "hygiene",
     "instrumentation",
     "lattices",
     "numerics",
-    "parallelism",
     "randomness",
     "serving",
 ]

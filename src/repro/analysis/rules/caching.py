@@ -2,10 +2,9 @@
 
 The §III-C realization arrays are purely combinatorial: the bits depend
 on side topology, capacities, ports and the assignment set — never on
-failure probabilities.  A ``build_side_array`` /
-``build_realization_arrays`` / ``build_side_array_parallel`` call inside
-a loop (the rebuild-per-sweep-point anti-pattern) therefore repeats
-``|D| * 2^{m_side}`` max-flow solves whose answers cannot change.
+failure probabilities.  A ``build_side_array`` call inside a loop (the
+rebuild-per-sweep-point anti-pattern) therefore repeats the
+``|D| * 2^{m_side}`` entries whose answers cannot change.
 Inside :mod:`repro.core`, repeated builds must go through the
 content-addressed cache (:func:`repro.core.sweep.cached_side_array` with
 an :class:`~repro.core.sweep.ArrayCache`) — or carry a
@@ -29,10 +28,8 @@ from repro.analysis.registry import Rule, register_rule
 
 __all__ = ["UncachedArrayRebuild"]
 
-#: The §III-C builders whose output is loop-invariant for a fixed split.
-_BUILDERS = frozenset(
-    {"build_side_array", "build_realization_arrays", "build_side_array_parallel"}
-)
+#: The §III-C builder whose output is loop-invariant for a fixed split.
+_BUILDERS = frozenset({"build_side_array"})
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 

@@ -3,13 +3,13 @@
 The realization kernels' hot currency is the uint64 *mask array*: one
 word per assignment (or per lattice level), one bit per entity.  Every
 primitive a consumer could want — weighting by popcount, per-bit
-gather, lattice transposes, packing — exists vectorized in
+gather, packing — exists vectorized in
 :mod:`repro.probability.bitset` (``mask_weights``, ``bitplanes``,
-``pack_bitplanes``, ``lattice_bitplanes``) or as plain numpy
-(``np.bitwise_count``, broadcast shifts).  A per-element Python loop
-over such an array re-introduces exactly the interpreter overhead the
-bit-parallel kernels exist to remove, and it does so silently: the
-result is still correct, just 100-1000x slower at ``2^m`` scale.
+``pack_bitplanes``) or as plain numpy (``np.bitwise_count``, broadcast
+shifts).  A per-element Python loop over such an array re-introduces
+exactly the interpreter overhead the vectorized kernels exist to
+remove, and it does so silently: the result is still correct, just
+100-1000x slower at ``2^m`` scale.
 
 The rule tracks mask-array values flow-sensitively from their producers
 (:func:`~repro.core.accumulate.restrict_masks`,

@@ -2,8 +2,7 @@
 
 ``obs.span()`` / ``progress_ticker()`` instrumentation left open on an
 exception path corrupts the trace for the rest of the process: gauges
-are never flushed, nested spans mis-parent, and the ``workers=1``
-observability-exactness guarantee silently degrades.  The rule tracks
+are never flushed and nested spans mis-parent.  The rule tracks
 resource handles bound outside a ``with`` and checks — on the CFG,
 including the conservative exception edges — that every path to the
 function exit closes, returns, or hands off the handle.  Both handle

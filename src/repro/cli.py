@@ -42,7 +42,6 @@ from typing import Any, Sequence
 
 from repro._version import __version__
 from repro.core.api import available_methods, compute_reliability
-from repro.core.bitplane import resolve_block_bits
 from repro.core.bounds import reliability_bounds
 from repro.core.demand import FlowDemand
 from repro.core.distribution import flow_value_distribution
@@ -97,17 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_rate:
             p.add_argument("--rate", "-d", type=int, required=True, help="demand d")
 
-    def _add_block_bits_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--block-bits",
-            type=int,
-            default=None,
-            metavar="B",
-            help="walk the realization lattices in vectorized blocks of "
-            "2^B configurations (the bit-parallel kernel; composes with "
-            "--workers; default: scalar kernels)",
-        )
-
     def _add_incremental_flags(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group()
         group.add_argument(
@@ -132,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--events",
             metavar="DIR",
             default=None,
-            help="stream repro.obs/events/v1 JSONL telemetry into DIR "
-            "(parent trace in main.jsonl, one worker-*.jsonl per chunk)",
+            help="stream repro.obs/events/v1 JSONL telemetry into "
+            "DIR/main.jsonl",
         )
         group.add_argument(
             "--metrics-port",
@@ -182,15 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="sample count for --method montecarlo",
     )
-    compute.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --method naive-parallel, bottleneck or auto "
-        "(default: serial)",
-    )
-    _add_block_bits_flag(compute)
     _add_incremental_flags(compute)
     compute.add_argument("--json", action="store_true", help="machine-readable output")
     compute.add_argument(
@@ -295,15 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="sample count for --method montecarlo",
     )
-    profile.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for --method naive-parallel, bottleneck or auto "
-        "(default: serial)",
-    )
-    _add_block_bits_flag(profile)
     _add_incremental_flags(profile)
     profile.add_argument(
         "--progress",
@@ -350,14 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="set link LINK's failure probability to P before sweeping "
         "(repeatable)",
     )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the realization-array build (default: serial)",
-    )
-    _add_block_bits_flag(sweep)
     _add_incremental_flags(sweep)
     sweep.add_argument(
         "--cache-dir",
@@ -372,18 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="bound the array cache: least-recently-used columns are "
-        "evicted (memory + disk, never racing a sharded builder's "
-        ".claim) once tracked bytes exceed BYTES",
-    )
-    sweep.add_argument(
-        "--shard",
-        type=int,
-        default=None,
-        metavar="N",
-        help="share-nothing build: N worker processes claim realization "
-        "columns through --cache-dir (atomic .claim files + .npy "
-        "publication), exchanging nothing but cache files; requires "
-        "--cache-dir",
+        "evicted (memory + disk) once tracked bytes exceed BYTES",
     )
     sweep.add_argument("--json", action="store_true", help="machine-readable output")
     _add_telemetry_flags(sweep)
@@ -420,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="BYTES",
         help="bound the array cache: least-recently-used columns are "
-        "evicted (memory + disk, never racing a sharded builder's "
-        ".claim) once tracked bytes exceed BYTES",
+        "evicted (memory + disk) once tracked bytes exceed BYTES",
     )
     serve.add_argument(
         "--warm",
@@ -500,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser(
         "top",
-        help="in-terminal phase/worker/cache view of a live metrics endpoint",
+        help="in-terminal phase/cache view of a live metrics endpoint",
     )
     top.add_argument("url", help="endpoint base URL, e.g. http://127.0.0.1:9100")
     top.add_argument(
@@ -636,11 +586,7 @@ class _ObsSession:
             # port (``--metrics-port 0``) rides the ``start`` event's
             # meta and the ledger params; the real recorder is swapped
             # in below (handlers read ``server.recorder`` per request).
-            self.server = MetricsServer(
-                Recorder(),
-                port=self.args.metrics_port,
-                spool_dir=self.args.events,
-            )
+            self.server = MetricsServer(Recorder(), port=self.args.metrics_port)
             self.params["metrics_port"] = self.server.port
         if self.args.events is not None:
             self._record_cm = telemetry_session(
@@ -735,8 +681,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     options = {}
     if args.method in ("montecarlo", "montecarlo-stratified"):
         options["num_samples"] = args.samples
-    options.update(_workers_option(args))
-    options.update(_block_bits_option(args))
     options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
@@ -747,8 +691,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         demand=demand,
         params={
             "method": args.method,
-            "workers": args.workers,
-            "block_bits": args.block_bits,
             "incremental": args.incremental,
         },
     )
@@ -876,8 +818,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     options = {}
     if args.method in ("montecarlo", "montecarlo-stratified"):
         options["num_samples"] = args.samples
-    options.update(_workers_option(args))
-    options.update(_block_bits_option(args))
     options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
@@ -945,18 +885,6 @@ def _parse_link_overrides(pairs: list[str]) -> dict[int, float]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     # Eager option validation before load(), like compute/profile.
-    if args.workers is not None and args.workers < 1:
-        raise ReproValueError(f"--workers must be >= 1, got {args.workers}")
-    block_bits = resolve_block_bits(args.block_bits)
-    if args.shard is not None:
-        if args.shard < 1:
-            raise ReproValueError(f"--shard must be >= 1, got {args.shard}")
-        if args.cache_dir is None:
-            raise ReproValueError("--shard requires --cache-dir (the work queue)")
-        if args.workers is not None:
-            raise ReproValueError(
-                "--shard and --workers are different parallelisms; pick one"
-            )
     overrides = _parse_link_overrides(args.override)
     if args.availability is not None:
         spec = SweepSpec.availability(_parse_grid(args.availability, "--availability"))
@@ -989,37 +917,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         params={
             "kind": spec.kind,
             "points": len(spec),
-            "workers": args.workers,
-            "block_bits": block_bits,
-            "shard": args.shard,
             "incremental": args.incremental,
             "cache_dir": args.cache_dir,
             "cache_max_bytes": args.cache_max_bytes,
         },
     )
     with session:
-        if args.shard is not None:
-            from repro.core.shard import sharded_sweep  # local: pools live there
-
-            result = sharded_sweep(
-                net,
-                demand,
-                sweep=spec,
-                shards=args.shard,
-                cache_dir=args.cache_dir,
-                incremental=args.incremental,
-                block_bits=block_bits,
-            )
-        else:
-            result = compute_reliability_sweep(
-                net,
-                demand,
-                sweep=spec,
-                workers=args.workers,
-                incremental=args.incremental,
-                block_bits=block_bits,
-                cache=cache,
-            )
+        result = compute_reliability_sweep(
+            net, demand, sweep=spec, incremental=args.incremental, cache=cache
+        )
         session.complete(flow_calls=result.flow_calls)
     stats = result.cache_stats
     if args.json:
@@ -1240,15 +1146,6 @@ def _render_top_frame(payload: dict[str, Any]) -> str:
             "cache: "
             + ", ".join(f"{k.removeprefix('array_cache_')}={v:g}" for k, v in sorted(cache.items()))
         )
-    workers = payload.get("workers")
-    if workers:
-        lines.append("")
-        lines.append(
-            f"workers: {workers.get('files', 0)} chunk streams, "
-            f"{workers.get('events', 0)} events"
-        )
-        for name, value in sorted((workers.get("counters") or {}).items()):
-            lines.append(f"  worker {name:<21} {value:g}")
     return "\n".join(lines)
 
 
@@ -1325,44 +1222,6 @@ def _cmd_sample_network(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Methods that accept a ``workers=`` option (``auto`` forwards it to
-#: the bottleneck engine when that path wins).
-_WORKERS_METHODS = ("naive-parallel", "bottleneck", "auto")
-
-
-def _workers_option(args: argparse.Namespace) -> dict[str, int]:
-    """Validate ``--workers`` and turn it into a compute option."""
-    if args.workers is None:
-        return {}
-    if args.workers < 1:
-        raise ReproValueError(f"--workers must be >= 1, got {args.workers}")
-    if args.method not in _WORKERS_METHODS:
-        raise ReproValueError(
-            f"--workers is not supported by method {args.method!r}; "
-            f"use one of: {', '.join(_WORKERS_METHODS)}"
-        )
-    return {"workers": args.workers}
-
-
-#: Methods with a bit-parallel block-kernel path (``auto`` forwards the
-#: option to the bottleneck engine when that path wins).
-_BLOCK_BITS_METHODS = ("bottleneck", "auto")
-
-
-def _block_bits_option(args: argparse.Namespace) -> dict[str, int]:
-    """Validate ``--block-bits`` eagerly and turn it into an option."""
-    if args.block_bits is None:
-        return {}
-    resolved = resolve_block_bits(args.block_bits)
-    assert resolved is not None  # non-None in, non-None out
-    if args.method not in _BLOCK_BITS_METHODS:
-        raise ReproValueError(
-            f"--block-bits is not supported by method {args.method!r}; "
-            f"use one of: {', '.join(_BLOCK_BITS_METHODS)}"
-        )
-    return {"block_bits": resolved}
-
-
 #: Methods with a Gray-walk flow-repair path (``auto`` forwards the
 #: toggle to whichever of them wins the dispatch).
 _INCREMENTAL_METHODS = ("naive", "bottleneck", "auto")
@@ -1397,10 +1256,46 @@ _COMMANDS = {
 }
 
 
+#: Build-path flags and methods that no longer exist.  They fail with a
+#: pointer to the measurements behind their removal instead of
+#: argparse's bare "unrecognized arguments" / "invalid choice".
+_REMOVED = {
+    "--workers": "the process-pool array build",
+    "--block-bits": "the bit-plane block kernel",
+    "--shard": "the sharded share-nothing sweep",
+    "naive-parallel": "the process-pool naive scan",
+}
+
+
+def _removed_surface(argv: Sequence[str]) -> str | None:
+    """The name of the first removed flag or method in ``argv``, if any."""
+    for i, token in enumerate(argv):
+        if token == "--":
+            break
+        flag, eq, value = token.partition("=")
+        if flag in _REMOVED:
+            return flag
+        if flag == "--method":
+            method = value if eq else (argv[i + 1] if i + 1 < len(argv) else None)
+            if method in _REMOVED:
+                return f"--method {method}"
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
+    tokens = list(sys.argv[1:] if argv is None else argv)
+    removed = _removed_surface(tokens)
+    if removed is not None:
+        what = _REMOVED[removed.rpartition(" ")[2]]
+        print(
+            f"repro: error: {removed} was removed: {what} never beat the "
+            'serial path; see docs/PERFORMANCE.md "Removed build paths"',
+            file=sys.stderr,
+        )
+        return 2
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(tokens)
     try:
         return _COMMANDS[args.command](args)
     except _Terminated:

@@ -4,13 +4,6 @@ Monte-Carlo and bounds, plus the dispatching :func:`compute_reliability`."""
 from repro.core.accumulate import accumulate, restrict_masks, side_class_probabilities
 from repro.core.api import available_methods, compute_reliability
 from repro.core.arrays import RealizationArray, build_side_array
-from repro.core.bitplane import (
-    DEFAULT_BLOCK_BITS,
-    BlockStats,
-    blocked_side_masks,
-    build_side_array_blocked,
-    resolve_block_bits,
-)
 from repro.core.assignments import (
     classify_by_support,
     count_assignments,
@@ -26,14 +19,6 @@ from repro.core.bounds import cut_upper_bound, reliability_bounds, route_lower_b
 from repro.core.bridge import bridge_reliability
 from repro.core.chain import ChainStructure, analyze_chain, chain_reliability
 from repro.core.demand import FlowDemand
-from repro.core.engine import (
-    LatticePlan,
-    RealizationScreens,
-    build_realization_arrays,
-    build_side_array_parallel,
-    partition_lattice,
-    run_chunked,
-)
 from repro.core.factoring import factoring_reliability
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.frontier import (
@@ -60,7 +45,6 @@ from repro.core.multisink import (
     coverage_distribution,
 )
 from repro.core.naive import feasibility_table, naive_reliability
-from repro.core.parallel import default_workers, parallel_naive_reliability
 from repro.core.paths import minimal_paths, minpath_reliability
 from repro.core.polynomial import ReliabilityPolynomial, reliability_polynomial
 from repro.core.transient import LinkDynamics, availability_at, reliability_over_time
@@ -77,7 +61,6 @@ from repro.core.rare import (
     splitting_reliability,
 )
 from repro.core.result import EstimateResult, ReliabilityResult
-from repro.core.shard import plan_columns, sharded_sweep
 from repro.core.stratified import (
     poisson_binomial,
     poisson_binomial_suffix,
@@ -130,17 +113,6 @@ __all__ = [
     "describe_assignment",
     "RealizationArray",
     "build_side_array",
-    "DEFAULT_BLOCK_BITS",
-    "BlockStats",
-    "blocked_side_masks",
-    "build_side_array_blocked",
-    "resolve_block_bits",
-    "LatticePlan",
-    "RealizationScreens",
-    "build_realization_arrays",
-    "build_side_array_parallel",
-    "partition_lattice",
-    "run_chunked",
     "accumulate",
     "restrict_masks",
     "side_class_probabilities",
@@ -149,8 +121,6 @@ __all__ = [
     "SweepResult",
     "cached_side_array",
     "compute_reliability_sweep",
-    "plan_columns",
-    "sharded_sweep",
     # extensions
     "FlowValueDistribution",
     "flow_value_distribution",
@@ -159,8 +129,6 @@ __all__ = [
     "broadcast_reliability",
     "coverage_curve",
     "coverage_distribution",
-    "default_workers",
-    "parallel_naive_reliability",
     "ReductionReport",
     "reduce_for_unit_demand",
     "series_parallel_reliability",

@@ -9,7 +9,7 @@ Dispatches to the right algorithm:
   outgrows every exact engine's enumeration guard, and to naive only
   for tiny instances where it is just as cheap.
 * explicit ``method`` — any name from :func:`available_methods`:
-  the exact engines (``naive``, ``naive-parallel``, ``bottleneck``,
+  the exact engines (``naive``, ``bottleneck``,
   ``bridge``, ``chain``, ``factoring``, ``series-parallel``,
   ``frontier``, ``frontier-directed``, ``minpaths``) and the
   estimators (``montecarlo``, ``montecarlo-stratified``, ``rare``).
@@ -32,7 +32,7 @@ from repro.core.factoring import factoring_reliability
 from repro.core.montecarlo import montecarlo_reliability
 from repro.core.naive import MAX_NAIVE_BITS, naive_reliability
 from repro.core.result import EstimateResult, ReliabilityResult
-from repro.exceptions import DecompositionError, ReproError
+from repro.exceptions import DecompositionError, ReproError, ReproValueError
 from repro.graph.cuts import find_bottleneck
 from repro.graph.network import FlowNetwork, Node
 from repro.obs.export import phase_summary
@@ -67,6 +67,12 @@ _AUTO_ESTIMATE_LINKS = 24
 #: ``repro.probability.bitset``); beyond it "auto" has no path and the
 #: explicit engines' own guards apply.
 _AUTO_ESTIMATE_MAX_LINKS = 63
+#: Options ``method="auto"`` accepts; it forwards each to whichever
+#: engine wins the dispatch and rejects everything else rather than
+#: dropping it.
+_AUTO_OPTIONS = frozenset(
+    {"solver", "incremental", "cache", "max_cut_size", "seed", "num_samples"}
+)
 
 
 def available_methods() -> list[str]:
@@ -74,7 +80,6 @@ def available_methods() -> list[str]:
     return [
         "auto",
         "naive",
-        "naive-parallel",
         "bottleneck",
         "bridge",
         "factoring",
@@ -106,14 +111,15 @@ def compute_reliability(
 
     ``options`` are forwarded to the chosen algorithm (e.g. ``solver=``,
     ``cut=``, ``strategy=``, ``num_samples=``, ``cuts=`` for chain,
-    ``workers=`` for the parallel engines, ``incremental=`` for the
-    Gray-walk flow-repair kernels, ``block_bits=`` for the bit-parallel
-    block kernel, ``cache=`` an
-    :class:`repro.core.sweep.ArrayCache` for realization-array reuse —
-    in ``auto`` mode the ``workers=``, ``incremental=``,
-    ``block_bits=`` and ``cache=`` options reach the bottleneck engine
-    when that path wins; ``incremental=`` also reaches the naive
-    fallback, and all are dropped by factoring).
+    ``incremental=`` for the Gray-walk flow-repair kernels, ``cache=``
+    an :class:`repro.core.sweep.ArrayCache` for realization-array
+    reuse).  ``method="auto"`` accepts only ``solver=``,
+    ``incremental=``, ``cache=``, ``max_cut_size=``, ``seed=`` and
+    ``num_samples=`` and raises :class:`ReproValueError` for any other
+    option.  It forwards ``solver=`` everywhere; ``incremental=`` and
+    ``cache=`` to the bottleneck engine, ``incremental=`` also to the
+    naive and rare-event fallbacks; ``max_cut_size=`` to the cut
+    search; ``seed=`` and ``num_samples=`` to the rare-event tier.
 
     Examples
     --------
@@ -179,10 +185,6 @@ def _dispatch(
 ) -> ReliabilityResult | EstimateResult:
     if method == "naive":
         return naive_reliability(net, demand, **options)
-    if method == "naive-parallel":
-        from repro.core.parallel import parallel_naive_reliability
-
-        return parallel_naive_reliability(net, demand, **options)
     if method == "bottleneck":
         return bottleneck_reliability(net, demand, **options)
     if method == "bridge":
@@ -226,10 +228,14 @@ def _dispatch(
         )
 
     # --- auto dispatch -------------------------------------------------
+    unknown = sorted(set(options) - _AUTO_OPTIONS)
+    if unknown:
+        raise ReproValueError(
+            f"method='auto' does not accept option(s) {', '.join(unknown)}; "
+            f"accepted: {', '.join(sorted(_AUTO_OPTIONS))}"
+        )
     solver = options.get("solver")
-    workers = options.get("workers")
     incremental = options.get("incremental")
-    block_bits = options.get("block_bits")
     cache = options.get("cache")
     try:
         split = find_bottleneck(
@@ -246,9 +252,7 @@ def _dispatch(
                     demand,
                     cut=split.cut,
                     solver=solver,
-                    workers=workers,
                     incremental=incremental,
-                    block_bits=block_bits,
                     cache=cache,
                 )
             except DecompositionError:

@@ -8,8 +8,10 @@ network with a set of α-bottleneck links in
    (:mod:`repro.graph.cuts`, :mod:`repro.graph.transforms`);
 2. enumerate the assignment set ``D`` (§III-B,
    :mod:`repro.core.assignments`);
-3. build both realization arrays (§III-C, :mod:`repro.core.arrays`) at
-   ``|D| · 2^{|E_side|}`` max-flow solves each;
+3. build both realization arrays (§III-C, :mod:`repro.core.arrays`):
+   ``|D| · 2^{|E_side|}`` entries each, settled by the solver-free
+   cut-certificate kernel (:mod:`repro.core.certificate`) or, past its
+   guard or when a solver is named, by side-local max-flow solves;
 4. for each of the ``2^k`` bottleneck survival patterns ``E'``, weigh
    the ACCUMULATION result over the supported class by the pattern
    probability ``p_{E'}`` (Eq. 2) and sum (Eq. 3,
@@ -26,11 +28,12 @@ source-to-sink) and are not counted.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.arrays import build_side_array
+from repro.core.accumulate import accumulate
+from repro.core.arrays import RealizationArray
 from repro.core.assignments import (
     classify_by_support,
     enumerate_assignments,
@@ -38,17 +41,14 @@ from repro.core.assignments import (
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
+from repro.core.sweep import ArrayCache, cached_side_array
 from repro.exceptions import DecompositionError, ReproValueError
 from repro.flow.base import MaxFlowSolver
 from repro.flow.incremental import resolve_incremental
 from repro.graph.cuts import find_bottleneck, verify_bottleneck
 from repro.graph.network import FlowNetwork
-from repro.graph.transforms import SideSplit
 from repro.obs.recorder import ASSIGNMENTS_ENUMERATED, count, span
 from repro.probability.enumeration import check_enumerable
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.sweep import ArrayCache
 
 __all__ = ["bottleneck_reliability", "pattern_probabilities", "pattern_probability"]
 
@@ -117,11 +117,8 @@ def bottleneck_reliability(
     strategy: str = "auto",
     prune: bool = True,
     max_cut_size: int = 3,
-    workers: int | None = None,
-    screen: bool = True,
     incremental: bool | None = None,
-    block_bits: int | None = None,
-    cache: "ArrayCache | None" = None,
+    cache: ArrayCache | None = None,
 ) -> ReliabilityResult:
     """Exact reliability via the bottleneck decomposition.
 
@@ -139,40 +136,21 @@ def bottleneck_reliability(
         ACCUMULATION strategy: ``"auto"``, ``"zeta"`` or ``"pairs"``.
     prune:
         Monotone pruning inside the realization arrays.
-    workers:
-        ``None`` (default) keeps the serial §III-C builder with its
-        exact historical ``flow_calls`` accounting.  Any ``workers >= 1``
-        routes both side arrays through
-        :func:`repro.core.engine.build_realization_arrays` — chunked,
-        optionally multi-process, bit-identical masks — and enables the
-        pre-solve ``screen``.
-    screen:
-        Engine path only: cheap certain-negative screens (alive port
-        capacity / connectivity) that skip max-flow solves without
-        changing the result.  Ignored when ``workers`` is ``None``.
     incremental:
         Walk the realization lattices in Gray-code order with flow
         repair instead of cold-solving every entry (``None`` = auto: on
         whenever the solver supports the warm-start contract; see
         :mod:`repro.flow.incremental`).  Bit-identical masks and value;
         only the solve accounting changes.  With ``solver`` and
-        ``incremental`` both ``None`` the serial and cached builds use
-        the solver-free cut-certificate kernel
+        ``incremental`` both ``None`` the arrays come from the
+        solver-free cut-certificate kernel
         (:mod:`repro.core.certificate`) wherever its guard admits the
         side, and report no max-flow solves for those sides.
-    block_bits:
-        Route the realization builds through the bit-parallel block
-        kernel (:mod:`repro.core.bitplane`) with ``2^block_bits``-sized
-        blocks — serial, with any ``workers`` count (each chunk runs
-        the kernel over its sub-lattice), or under a ``cache``.
-        Bit-identical masks, value and ``details``; only the solve
-        accounting moves.  ``None`` (default) keeps the scalar kernels.
     cache:
         A :class:`repro.core.sweep.ArrayCache`.  When given, both side
         arrays are resolved per-assignment-column through the
-        content-addressed cache (serial or engine build for the misses,
-        per ``workers``): a warm call spends zero max-flow solves and
-        reports ``flow_calls == 0``.  Value and ``details`` are
+        content-addressed cache: a warm call spends zero max-flow solves
+        and reports ``flow_calls == 0``.  Value and ``details`` are
         unchanged; the cache traffic of this call is reported under
         ``details["array_cache"]``.
 
@@ -184,9 +162,6 @@ def bottleneck_reliability(
     """
     demand.validate_against(net)
     use_incremental = resolve_incremental(solver, incremental)
-    from repro.core.bitplane import resolve_block_bits  # local: avoids cycle
-
-    block_bits = resolve_block_bits(block_bits)
     with span("bottleneck.cut_search", given=cut is not None):
         if cut is None:
             split = find_bottleneck(
@@ -221,145 +196,51 @@ def bottleneck_reliability(
             details={**base_details, "reason": "cut capacity below demand"},
         )
 
-    engine_stats: dict[str, object] | None = None
-    cache_delta: dict[str, int] | None = None
-    if cache is not None:
-        from repro.core.sweep import cached_side_array  # local: avoids cycle
+    def side_array(role: str) -> RealizationArray:
+        source = role == "source"
+        return cached_side_array(
+            split.source_side if source else split.sink_side,
+            role=role,
+            terminal=demand.source if source else demand.sink,
+            ports=split.source_ports if source else split.sink_ports,
+            assignments=assignments,
+            demand=demand.rate,
+            solver=solver,
+            prune=prune,
+            incremental=incremental,
+            cache=cache,
+        )
 
+    cache_delta: dict[str, int] | None = None
+    if cache is None:
+        with span(
+            "bottleneck.source_array",
+            links=len(split.source_side.link_map),
+            assignments=len(assignments),
+        ):
+            source_array = side_array("source")
+        with span(
+            "bottleneck.sink_array",
+            links=len(split.sink_side.link_map),
+            assignments=len(assignments),
+        ):
+            sink_array = side_array("sink")
+    else:
         before = cache.stats()
-        with span("bottleneck.arrays", cached=True, workers=workers or 0):
-            source_array = cached_side_array(
-                split.source_side,
-                role="source",
-                terminal=demand.source,
-                ports=split.source_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                workers=workers,
-                incremental=incremental,
-                block_bits=block_bits,
-                cache=cache,
-            )
-            sink_array = cached_side_array(
-                split.sink_side,
-                role="sink",
-                terminal=demand.sink,
-                ports=split.sink_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                workers=workers,
-                incremental=incremental,
-                block_bits=block_bits,
-                cache=cache,
-            )
+        with span("bottleneck.arrays", cached=True):
+            source_array = side_array("source")
+            sink_array = side_array("sink")
         after = cache.stats()
         cache_delta = {key: after[key] - before[key] for key in after}
-    elif workers is None and block_bits is not None:
-        from repro.core.bitplane import build_side_array_blocked  # local: cycle
-
-        with span(
-            "bottleneck.source_array",
-            links=len(split.source_side.link_map),
-            assignments=len(assignments),
-        ):
-            source_array = build_side_array_blocked(
-                split.source_side,
-                role="source",
-                terminal=demand.source,
-                ports=split.source_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                incremental=use_incremental,
-                block_bits=block_bits,
-            )
-        with span(
-            "bottleneck.sink_array",
-            links=len(split.sink_side.link_map),
-            assignments=len(assignments),
-        ):
-            sink_array = build_side_array_blocked(
-                split.sink_side,
-                role="sink",
-                terminal=demand.sink,
-                ports=split.sink_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                incremental=use_incremental,
-                block_bits=block_bits,
-            )
-    elif workers is None:
-        with span(
-            "bottleneck.source_array",
-            links=len(split.source_side.link_map),
-            assignments=len(assignments),
-        ):
-            source_array = build_side_array(
-                split.source_side,
-                role="source",
-                terminal=demand.source,
-                ports=split.source_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                incremental=incremental,
-            )
-        with span(
-            "bottleneck.sink_array",
-            links=len(split.sink_side.link_map),
-            assignments=len(assignments),
-        ):
-            sink_array = build_side_array(
-                split.sink_side,
-                role="sink",
-                terminal=demand.sink,
-                ports=split.sink_ports,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                incremental=incremental,
-            )
-    else:
-        from repro.core.engine import build_realization_arrays  # local: engine-path only
-
-        with span("bottleneck.arrays", workers=workers, screen=screen):
-            source_array, sink_array, engine_stats = build_realization_arrays(
-                split,
-                source=demand.source,
-                sink=demand.sink,
-                assignments=assignments,
-                demand=demand.rate,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                workers=workers,
-                incremental=use_incremental,
-                block_bits=block_bits,
-            )
 
     # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
     # depends only on the supported class, so identical classes share
     # one accumulation.
-    from repro.core.accumulate import accumulate  # local: avoids cycle at import
-
     check_enumerable(k)
     with span("bottleneck.accumulate", patterns=1 << k, strategy=strategy):
         classes = classify_by_support(assignments, k)
         p_patterns = pattern_probabilities(net, cut_links)
-        cache: dict[tuple[int, ...], float] = {}
+        class_values: dict[tuple[int, ...], float] = {}
         terms: list[float] = []
         for pattern, supported in classes.items():
             if not supported:
@@ -367,20 +248,18 @@ def bottleneck_reliability(
             p_pattern = float(p_patterns[pattern])
             if p_pattern == 0.0:
                 continue
-            r = cache.get(supported)
+            r = class_values.get(supported)
             if r is None:
                 r = accumulate(source_array, sink_array, supported, strategy=strategy)
-                cache[supported] = r
+                class_values[supported] = r
             terms.append(p_pattern * r)
 
     details = {
         **base_details,
         "accumulation_strategy": strategy,
-        "distinct_classes": len(cache),
+        "distinct_classes": len(class_values),
         "incremental": use_incremental,
     }
-    if engine_stats is not None:
-        details["engine"] = engine_stats
     if cache_delta is not None:
         details["array_cache"] = cache_delta
     return ReliabilityResult(

@@ -1,10 +1,9 @@
 """The shared Gray-code lattice walk with two-sided monotone pruning.
 
-All three enumeration kernels (:mod:`repro.core.naive`, the serial
-:mod:`repro.core.arrays` builder and the chunked
-:mod:`repro.core.engine` workers) answer the same shape of question: a
-monotone boolean per mask of a ``2^m`` lattice, where evaluating a mask
-costs a max-flow solve.  Walking the lattice in Gray-code order
+Both max-flow enumeration kernels (:mod:`repro.core.naive` and the
+:mod:`repro.core.arrays` fallback builder) answer the same shape of
+question: a monotone boolean per mask of a ``2^m`` lattice, where
+evaluating a mask costs a max-flow solve.  Walking the lattice in Gray-code order
 (:func:`repro.probability.gray_lattice`) makes consecutive masks differ
 in one link, which is what lets an incremental engine repair the
 previous flow instead of cold-solving — and it unlocks a *two-sided*

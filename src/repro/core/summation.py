@@ -11,7 +11,7 @@ within ``1e-12`` of 0 or 1).  Two tools fix that:
   materialized.
 * :class:`KahanSum` — a Kahan–Babuška–Neumaier running accumulator for
   streaming loops where materializing the term list is undesirable
-  (per-sample Monte-Carlo weights, worker partial sums).
+  (per-sample Monte-Carlo weights, rare-event importance weights).
 
 Lint rule RR102 steers ``core/`` and ``probability/`` code here
 whenever it accumulates probability-typed values.

@@ -16,19 +16,17 @@ This module splits the two phases:
     on-disk tier.  The key fingerprints everything that determines the
     bits — side topology, capacities, directedness, role, terminal,
     ports, and the assignment tuple (the demand is its component sum) —
-    and deliberately **excludes** failure probabilities, solver, prune,
-    screens, the incremental toggle and worker counts: the columns are
-    ground truth ("max-flow ≥ d" per configuration), so every build path
-    produces identical bits (pinned by the engine/incremental property
-    suites).
+    and deliberately **excludes** failure probabilities, solver, prune
+    and the incremental toggle: the columns are ground truth ("max-flow
+    ≥ d" per configuration), so every kernel produces identical bits
+    (pinned by the certificate/incremental property suites).
 
 :func:`cached_side_array`
-    Cache-aware front door to both §III-C builders (serial
-    :func:`repro.core.arrays.build_side_array` and the parallel
-    :func:`repro.core.engine.build_side_array_parallel`): columns are
-    looked up per assignment, only the misses are built (the builders
-    accept assignment subsets), and the result is packed exactly like
-    the direct builders.
+    The one dispatch to the §III-C builder
+    :func:`repro.core.arrays.build_side_array`: columns are looked up
+    per assignment, only the misses are built (the builder accepts
+    assignment subsets), and the result is packed exactly like a direct
+    build.  With no cache it is just ``build_side_array``.
 
 :func:`compute_reliability_sweep`
     One array build, then Eq. 2 + Eq. 3 for a whole grid of per-link
@@ -174,23 +172,19 @@ class ArrayCache:
     named by its key, so later processes (or a second CLI run) start
     warm.  Disk writes are atomic (temp file + ``os.replace``).
 
-    The cache is safe to share across *every* build path — serial,
-    engine, any worker count, screens on/off, incremental on/off —
-    because the columns are ground truth and those knobs are pinned
-    bit-identical by the property suites; none of them is part of the
-    key.
+    The cache is safe to share across every kernel — cut certificate,
+    cold max-flow, incremental Gray walk — because the columns are
+    ground truth and those paths are pinned bit-identical by the
+    property suites; none of them is part of the key.
 
     ``max_bytes`` bounds the resident bytes of tracked columns (packed
     payload; on-disk entries by file size).  When a :meth:`put` or
     :meth:`get` pushes the total past the bound, least-recently-used
     keys are evicted — dropped from memory *and* unlinked from the disk
-    tier — until the total fits again.  Eviction is claim-file-aware:
-    a key with a live ``<key>.claim`` (a PR 8 sharded builder is about
-    to publish or depend on it) is never evicted, so bounded caches and
-    share-nothing sharded builds compose.  The just-touched key is
-    likewise protected, so a single column larger than the bound still
-    serves (the cache degrades to holding one column, it never
-    thrashes the working item).
+    tier — until the total fits again.  The just-touched key is never
+    evicted, so a single column larger than the bound still serves (the
+    cache degrades to holding one column, it never thrashes the working
+    item).
     """
 
     def __init__(
@@ -283,11 +277,8 @@ class ArrayCache:
 
     def _pick_victim(self, protect: str | None) -> str | None:
         for key in self._sizes:  # insertion order == recency order
-            if key == protect:
-                continue
-            if self.directory is not None and self._claim_path(key).exists():
-                continue  # a sharded builder holds this key — never race it
-            return key
+            if key != protect:
+                return key
         return None
 
     def _evict(self, key: str) -> None:
@@ -304,46 +295,6 @@ class ArrayCache:
     def _path(self, key: str) -> Path:
         assert self.directory is not None
         return self.directory / f"{key}.npy"
-
-    def _claim_path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.claim"
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key``'s column is already available (memory or disk).
-
-        Unlike :meth:`get` this never loads, unpacks or counts — it is
-        the cheap pre-claim test of the sharded build loop.
-        """
-        if key in self._memory:
-            return True
-        return self.directory is not None and self._path(key).is_file()
-
-    def try_claim(self, key: str) -> bool:
-        """Atomically claim ``key`` for building (sharded builds).
-
-        Creates ``<key>.claim`` with ``O_CREAT | O_EXCL`` — the
-        filesystem arbitrates, so exactly one process wins no matter how
-        many race.  Claims are advisory work-distribution only: a stale
-        claim (crashed worker) never blocks correctness, because every
-        reader falls back to building unclaimed-but-missing columns
-        itself and publication (:meth:`put`) is idempotent.  Requires a
-        ``directory`` (share-nothing workers have no other channel).
-        """
-        if self.directory is None:
-            raise ReproValueError("claims require a cache directory")
-        try:
-            fd = os.open(self._claim_path(key), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        os.close(fd)
-        return True
-
-    def release_claim(self, key: str) -> None:
-        """Drop a claim taken with :meth:`try_claim` (idempotent)."""
-        if self.directory is None:
-            raise ReproValueError("claims require a cache directory")
-        self._claim_path(key).unlink(missing_ok=True)
 
     def get(self, key: str, num_configurations: int) -> np.ndarray | None:
         """The bool column for ``key`` (length ``num_configurations``), or None.
@@ -394,68 +345,6 @@ class ArrayCache:
         self._touch(key, int(packed.nbytes))
 
 
-def _build_missing(
-    side: SubnetworkView,
-    *,
-    role: str,
-    terminal: Node,
-    ports: Sequence[Node],
-    assignments: Sequence[Sequence[int]],
-    demand: int,
-    solver: str | MaxFlowSolver | None,
-    prune: bool,
-    screen: bool,
-    workers: int | None,
-    incremental: bool | None,
-    block_bits: int | None = None,
-) -> RealizationArray:
-    """Build a (possibly partial) assignment subset through the usual builders."""
-    if workers is None:
-        if block_bits is not None:
-            from repro.core.bitplane import build_side_array_blocked  # local: cycle
-
-            return build_side_array_blocked(
-                side,
-                role=role,
-                terminal=terminal,
-                ports=ports,
-                assignments=assignments,
-                demand=demand,
-                solver=solver,
-                prune=prune,
-                screen=screen,
-                incremental=incremental,
-                block_bits=block_bits,
-            )
-        return build_side_array(
-            side,
-            role=role,
-            terminal=terminal,
-            ports=ports,
-            assignments=assignments,
-            demand=demand,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
-        )
-    from repro.core.engine import build_side_array_parallel  # local: pools live there
-
-    return build_side_array_parallel(
-        side,
-        role=role,
-        terminal=terminal,
-        ports=ports,
-        assignments=assignments,
-        demand=demand,
-        solver=solver,
-        prune=prune,
-        screen=screen,
-        workers=workers,
-        incremental=incremental,
-        block_bits=block_bits,
-    )
-
-
 def cached_side_array(
     side: SubnetworkView,
     *,
@@ -466,24 +355,21 @@ def cached_side_array(
     demand: int,
     solver: str | MaxFlowSolver | None = None,
     prune: bool = True,
-    screen: bool = True,
-    workers: int | None = None,
     incremental: bool | None = None,
-    block_bits: int | None = None,
     cache: ArrayCache | None = None,
 ) -> RealizationArray:
     """§III-C side array with per-assignment column caching.
 
     Every assignment's column is looked up in ``cache`` first; only the
-    misses go through :func:`_build_missing` (columns are independent,
-    so building a subset yields the same bits as building all of them),
-    then the full matrix is packed exactly like the direct builders.
-    ``flow_calls`` counts only the solves spent on misses — a fully warm
-    call reports 0.  With ``cache=None`` this is a plain dispatch to the
-    serial, blocked (``block_bits``) or parallel builder.
+    misses go through :func:`~repro.core.arrays.build_side_array`
+    (columns are independent, so building a subset yields the same bits
+    as building all of them), then the full matrix is packed exactly
+    like a direct build.  ``flow_calls`` counts only the solves spent on
+    misses — a fully warm call reports 0.  With ``cache=None`` this is
+    exactly ``build_side_array``.
     """
     if cache is None:
-        return _build_missing(
+        return build_side_array(
             side,
             role=role,
             terminal=terminal,
@@ -492,10 +378,7 @@ def cached_side_array(
             demand=demand,
             solver=solver,
             prune=prune,
-            screen=screen,
-            workers=workers,
             incremental=incremental,
-            block_bits=block_bits,
         )
     net = side.network
     m = net.num_links
@@ -518,7 +401,7 @@ def cached_side_array(
             else:
                 realized[:, j] = column
         if missing:
-            built = _build_missing(
+            built = build_side_array(
                 side,
                 role=role,
                 terminal=terminal,
@@ -527,10 +410,7 @@ def cached_side_array(
                 demand=demand,
                 solver=solver,
                 prune=prune,
-                screen=screen,
-                workers=workers,
                 incremental=incremental,
-                block_bits=block_bits,
             )
             flow_calls = built.flow_calls
             for local, j in enumerate(missing):
@@ -847,10 +727,7 @@ def compute_reliability_sweep(
     strategy: str = "auto",
     prune: bool = True,
     max_cut_size: int = 3,
-    workers: int | None = None,
-    screen: bool = True,
     incremental: bool | None = None,
-    block_bits: int | None = None,
     cache: ArrayCache | None = None,
 ) -> SweepResult:
     """Reliability at every sweep point for the cost of ~one array build.
@@ -885,10 +762,7 @@ def compute_reliability_sweep(
                 strategy=strategy,
                 prune=prune,
                 max_cut_size=max_cut_size,
-                workers=workers,
-                screen=screen,
                 incremental=incremental,
-                block_bits=block_bits,
                 cache=the_cache,
             )
         else:
@@ -901,10 +775,7 @@ def compute_reliability_sweep(
                 strategy=strategy,
                 prune=prune,
                 max_cut_size=max_cut_size,
-                workers=workers,
-                screen=screen,
                 incremental=incremental,
-                block_bits=block_bits,
                 cache=the_cache,
             )
     after = the_cache.stats()
@@ -928,10 +799,7 @@ def _demand_sweep(
     strategy: str,
     prune: bool,
     max_cut_size: int,
-    workers: int | None,
-    screen: bool,
     incremental: bool | None,
-    block_bits: int | None,
     cache: ArrayCache,
 ) -> SweepResult:
     from repro.core.bottleneck import bottleneck_reliability  # local: avoids cycle
@@ -951,10 +819,7 @@ def _demand_sweep(
             strategy=strategy,
             prune=prune,
             max_cut_size=max_cut_size,
-            workers=workers,
-            screen=screen,
             incremental=incremental,
-            block_bits=block_bits,
             cache=cache,
         )
         flow_calls += point.flow_calls
@@ -978,10 +843,7 @@ def _probability_sweep(
     strategy: str,
     prune: bool,
     max_cut_size: int,
-    workers: int | None,
-    screen: bool,
     incremental: bool | None,
-    block_bits: int | None,
     cache: ArrayCache,
 ) -> SweepResult:
     demand.validate_against(net)
@@ -1036,10 +898,7 @@ def _probability_sweep(
             demand=demand.rate,
             solver=solver,
             prune=prune,
-            screen=screen,
-            workers=workers,
             incremental=incremental,
-            block_bits=block_bits,
             cache=cache,
         )
         sink_array = cached_side_array(
@@ -1051,10 +910,7 @@ def _probability_sweep(
             demand=demand.rate,
             solver=solver,
             prune=prune,
-            screen=screen,
-            workers=workers,
             incremental=incremental,
-            block_bits=block_bits,
             cache=cache,
         )
 
@@ -1236,10 +1092,7 @@ def evaluate_batch(
     strategy: str = "auto",
     prune: bool = True,
     max_cut_size: int = 3,
-    workers: int | None = None,
-    screen: bool = True,
     incremental: bool | None = None,
-    block_bits: int | None = None,
     cache: ArrayCache | None = None,
 ) -> BatchResult:
     """Answer every query through the merged plans of :func:`plan_batch`.
@@ -1267,10 +1120,7 @@ def evaluate_batch(
                 strategy=strategy,
                 prune=prune,
                 max_cut_size=max_cut_size,
-                workers=workers,
-                screen=screen,
                 incremental=incremental,
-                block_bits=block_bits,
                 cache=the_cache,
             )
             plan_flow_calls.append(swept.flow_calls)

@@ -42,7 +42,7 @@ solvers qualify; push–relabel does not and is rejected
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.exceptions import SolverError
 from repro.flow.base import MaxFlowSolver, get_solver
@@ -82,7 +82,6 @@ def plan_gray_order(
     *,
     solver: str | MaxFlowSolver | None = None,
     limit: int | None = None,
-    link_of_bit: Sequence[int] | None = None,
     virtual_capacities: Mapping[str, int] | None = None,
 ) -> list[int]:
     """Choose the bit order for a Gray walk driven by flow repair.
@@ -93,14 +92,10 @@ def plan_gray_order(
     scratch capacity copy identifies the links the flow likes to use;
     they are parked at the high (rarely flipped) positions.  A pure
     heuristic: any permutation keeps the walk exact, this one just makes
-    repairs rare.  ``link_of_bit`` maps walk bits to template link
-    indices when they differ (the chunked engine's low bits); default
-    identity.  The planning solve bypasses the solver registry
+    repairs rare.  Walk bit ``i`` is template link ``i``.  The planning
+    solve bypasses the solver registry
     accounting — it is not part of any kernel's cost model.
     """
-    links = list(link_of_bit) if link_of_bit is not None else list(range(n_bits))
-    if len(links) != n_bits:
-        raise SolverError("link_of_bit must name one link per walk bit")
     if n_bits == 0:
         return []
     scratch = template.configure(
@@ -110,9 +105,9 @@ def plan_gray_order(
     engine.solve_residual(scratch, source, sink, limit=limit)
     cap = scratch.cap
     used = []
-    for bit, link in enumerate(links):
+    for bit in range(n_bits):
         flow = 0
-        for record in template.link_arcs(link):
+        for record in template.link_arcs(bit):
             a = record.arc
             if record.directed:
                 flow += cap[a ^ 1]
@@ -346,18 +341,6 @@ class IncrementalMaxFlow:
             bits ^= low
         self._alive = alive  # include any bits without residual arcs (self-loops)
         return self.flow_value()
-
-    def goto_batch(self, masks: Sequence[int]) -> list[int]:
-        """Evaluate a whole batch of alive bitmasks, returning flow values.
-
-        The batch entry point for array-at-a-time callers (the
-        bit-parallel block kernel hands over every configuration of a
-        block that survived screening and pruning in one call).  Each
-        step is a :meth:`goto` — revives, kills, one deferred augment —
-        so consecutive batch members still repair deltas instead of
-        cold-solving; all repair/saving counters accrue as usual.
-        """
-        return [self.goto(int(mask)) for mask in masks]
 
     def flow_value(self) -> int:
         """The current (limited) max-flow value, augmenting if needed.

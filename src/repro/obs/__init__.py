@@ -46,7 +46,6 @@ from repro.obs.recorder import (
     KNOWN_TICKER_LABELS,
     MC_SAMPLES,
     SAMPLES_VECTORIZED,
-    SCREENED_SOLVES,
     SERVE_COALESCED,
     SERVE_QUERIES,
     SERVE_WARM_HITS,
@@ -61,14 +60,8 @@ from repro.obs.recorder import (
     wallclock,
 )
 from repro.obs.serve import MetricsServer, render_prometheus
-from repro.obs.sink import JsonlSink, SpoolSummary, SpoolTailer, merge_spool, read_events
-from repro.obs.telemetry import (
-    EVENTS_SCHEMA,
-    TelemetryRecorder,
-    current_spool_dir,
-    spool_chunk_events,
-    telemetry_session,
-)
+from repro.obs.sink import JsonlSink, read_events
+from repro.obs.telemetry import EVENTS_SCHEMA, TelemetryRecorder, telemetry_session
 
 __all__ = [
     "ARRAY_ENTRIES_BUILT",
@@ -89,30 +82,24 @@ __all__ = [
     "RunDiff",
     "RunLedger",
     "SAMPLES_VECTORIZED",
-    "SCREENED_SOLVES",
     "SERVE_COALESCED",
     "SERVE_QUERIES",
     "SERVE_WARM_HITS",
     "SPECTRUM_SOLVES",
     "SpanRecord",
-    "SpoolSummary",
-    "SpoolTailer",
     "TelemetryRecorder",
     "count",
     "current_recorder",
-    "current_spool_dir",
     "diff_records",
     "format_tree",
     "gauge",
     "make_run_record",
-    "merge_spool",
     "phase_summary",
     "progress_ticker",
     "read_events",
     "record",
     "render_prometheus",
     "span",
-    "spool_chunk_events",
     "telemetry_session",
     "trace_to_dict",
     "trace_to_json",

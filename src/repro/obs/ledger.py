@@ -278,7 +278,7 @@ def _phase_seconds(record: Mapping[str, Any]) -> dict[str, float]:
     for phase in record.get("phases") or []:
         seconds = phase.get("seconds")
         if isinstance(seconds, (int, float)) and not isinstance(seconds, bool):
-            # Repeated phase names (e.g. engine.chunk) accumulate.
+            # Repeated phase names accumulate.
             name = str(phase.get("name"))
             out[name] = out.get(name, 0.0) + float(seconds)
     return out

@@ -39,10 +39,8 @@ __all__ = [
     "ARRAY_CACHE_MISSES",
     "ASSIGNMENTS_ENUMERATED",
     "ARRAY_ENTRIES_BUILT",
-    "BLOCK_SCREENED",
     "CERTIFICATE_CUTS",
     "CONFIGURATIONS_ENUMERATED",
-    "SHARD_CLAIMS",
     "SERVE_COALESCED",
     "SERVE_QUERIES",
     "SERVE_WARM_HITS",
@@ -51,7 +49,6 @@ __all__ = [
     "AUGMENTING_PATHS_SAVED",
     "MC_SAMPLES",
     "SAMPLES_VECTORIZED",
-    "SCREENED_SOLVES",
     "SPECTRUM_SOLVES",
     "KNOWN_COUNTERS",
     "KNOWN_SPANS",
@@ -90,11 +87,6 @@ ASSIGNMENTS_ENUMERATED = "assignments_enumerated"
 ARRAY_ENTRIES_BUILT = "array_entries_built"
 #: Monte-Carlo samples drawn.
 MC_SAMPLES = "mc_samples"
-#: Realization solves skipped by the engine's pre-solve screens
-#: (``repro.core.engine``): entries proven "not realized" from alive
-#: port capacity or terminal/port connectivity alone, so no max-flow
-#: solve was spent and they do **not** count toward ``flow_solves``.
-SCREENED_SOLVES = "screened_solves"
 #: Flow-crossing repairs performed by the incremental engine
 #: (``repro.flow.incremental``): one per killed/shrunk arc that carried
 #: flow.  The repair solves themselves are counted in ``flow_solves``.
@@ -112,20 +104,10 @@ ARRAY_CACHE_MISSES = "array_cache_misses"
 #: Bytes of bit-packed realization columns moved through the cache
 #: (read on hits + written on stores).
 ARRAY_CACHE_BYTES = "array_cache_bytes"
-#: Realization (configuration, assignment) pairs the bit-parallel block
-#: kernel (``repro.core.bitplane``) settled with its vectorized
-#: block-level budget screen — the matmul that disqualifies whole
-#: blocks before any per-entry work.  A subset of ``screened_solves``
-#: (the lazy per-configuration connectivity screen makes up the rest).
-BLOCK_SCREENED = "block_screened"
 #: Cuts in the bond families of the sides the cut-certificate kernel
 #: (``repro.core.certificate``) built, summed per side.  A certificate
 #: build spends no max-flow solve: it adds nothing to ``flow_solves``.
 CERTIFICATE_CUTS = "certificate_cuts"
-#: Realization columns claimed (and then built + published) by this
-#: process during a share-nothing sharded build
-#: (``repro.core.shard``): one per ``.claim`` file won atomically.
-SHARD_CLAIMS = "shard_claims"
 #: Columns evicted from a bounded :class:`~repro.core.sweep.ArrayCache`
 #: (``max_bytes`` LRU): dropped from memory and unlinked from disk.
 ARRAY_CACHE_EVICTIONS = "array_cache_evictions"
@@ -160,7 +142,6 @@ KNOWN_COUNTERS = frozenset(
         ASSIGNMENTS_ENUMERATED,
         ARRAY_ENTRIES_BUILT,
         MC_SAMPLES,
-        SCREENED_SOLVES,
         FLOW_REPAIRS,
         AUGMENTING_PATHS_SAVED,
         ARRAY_CACHE_HITS,
@@ -168,9 +149,7 @@ KNOWN_COUNTERS = frozenset(
         ARRAY_CACHE_BYTES,
         ARRAY_CACHE_EVICTIONS,
         ARRAY_CACHE_EVICTED_BYTES,
-        BLOCK_SCREENED,
         CERTIFICATE_CUTS,
-        SHARD_CLAIMS,
         SERVE_QUERIES,
         SERVE_COALESCED,
         SERVE_WARM_HITS,
@@ -189,7 +168,6 @@ KNOWN_COUNTERS = frozenset(
 KNOWN_SPANS = frozenset(
     {
         "bench.call",
-        "bitplane.block",
         "bottleneck.accumulate",
         "bottleneck.arrays",
         "bottleneck.assignments",
@@ -198,22 +176,16 @@ KNOWN_SPANS = frozenset(
         "bottleneck.source_array",
         "bounds.cut_upper",
         "bounds.route_lower",
-        "engine.build",
-        "engine.chunk",
-        "engine.sink_array",
-        "engine.source_array",
         "incremental.walk",
         "montecarlo.sample",
         "naive.accumulate",
         "naive.enumerate",
-        "parallel.chunk",
         "probability.table",
         "rare.spectrum",
         "rare.split",
         "serve.batch",
         "serve.query",
         "serve.warm",
-        "shard.build",
         "sweep.accumulate",
         "sweep.array_cache",
         "sweep.arrays",

@@ -14,20 +14,13 @@ Routes
     * ``repro_<counter>_total`` — live trace-wide counter totals;
     * ``repro_<gauge>`` — last-value-wins gauges;
     * ``repro_phase_seconds{phase="..."}`` — wall time per top-level
-      span (still-open phases report elapsed-so-far);
-    * ``repro_worker_<counter>_total`` — counters tailed live from the
-      worker spool files (kept separate from the parent's replayed
-      totals: during a chunked build the worker view runs *ahead* of
-      the parent, and after the merge the two agree — summing them
-      would double-count);
-    * ``repro_worker_files`` / ``repro_worker_events`` — spool tailer
-      progress.
+      span (still-open phases report elapsed-so-far).
 
 ``/trace.json``
     The full live trace (:func:`repro.obs.export.trace_to_dict`) plus
     an ``endpoint`` block (bound host/port — the ephemeral-port
-    contract of ``--metrics-port 0``) and a ``workers`` snapshot — the
-    feed ``repro top`` renders.
+    contract of ``--metrics-port 0``) — the feed ``repro top``
+    renders.
 
 Counter/gauge names are sanitised for Prometheus by mapping every
 non-``[a-zA-Z0-9_]`` character to ``_`` (so ``array_cache_hits`` stays
@@ -40,12 +33,10 @@ import json
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 from typing import Any
 
 from repro.obs.export import trace_to_dict
 from repro.obs.recorder import Recorder
-from repro.obs.sink import SpoolTailer
 
 __all__ = ["MetricsServer", "render_prometheus"]
 
@@ -67,9 +58,7 @@ def _format_value(value: Any) -> str | None:
     return None  # non-numeric gauges have no Prometheus representation
 
 
-def render_prometheus(
-    recorder: Recorder, tailer: SpoolTailer | None = None
-) -> str:
+def render_prometheus(recorder: Recorder) -> str:
     """Render the live state of ``recorder`` as Prometheus text."""
     lines: list[str] = []
 
@@ -98,17 +87,6 @@ def render_prometheus(
                 f"{_format_value(phase.seconds)}"
             )
 
-    if tailer is not None:
-        tailer.poll()
-        for name in sorted(tailer.totals):
-            metric = f"repro_worker_{_metric_name(name)}_total"
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_format_value(tailer.totals[name])}")
-        lines.append("# TYPE repro_worker_files gauge")
-        lines.append(f"repro_worker_files {tailer.files_seen}")
-        lines.append("# TYPE repro_worker_events gauge")
-        lines.append(f"repro_worker_events {tailer.events_seen}")
-
     return "\n".join(lines) + "\n"
 
 
@@ -122,9 +100,6 @@ class MetricsServer:
         this server reads it (reads are snapshot-style dict copies).
     port:
         TCP port; ``0`` binds an ephemeral port (read :attr:`port`).
-    spool_dir:
-        Optional telemetry directory whose worker files are tailed into
-        the ``repro_worker_*`` metrics.
     host:
         Bind address, loopback by default.
     """
@@ -134,7 +109,6 @@ class MetricsServer:
         recorder: Recorder,
         *,
         port: int = 0,
-        spool_dir: str | Path | None = None,
         host: str = "127.0.0.1",
     ) -> None:
         #: Mutable on purpose: the CLI binds the socket *before* the
@@ -142,7 +116,6 @@ class MetricsServer:
         #: ``start`` event) and swaps the real recorder in afterwards.
         #: Handlers read this attribute per request.
         self.recorder = recorder
-        self.tailer = SpoolTailer(spool_dir) if spool_dir is not None else None
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._drained = threading.Event()
@@ -160,7 +133,7 @@ class MetricsServer:
             def _do_GET_inner(self) -> None:
                 path = self.path.split("?", 1)[0]
                 if path in ("/", "/metrics"):
-                    body = render_prometheus(server.recorder, server.tailer)
+                    body = render_prometheus(server.recorder)
                     self._reply(body, "text/plain; version=0.0.4; charset=utf-8")
                 elif path == "/trace.json":
                     payload = trace_to_dict(server.recorder)
@@ -169,9 +142,6 @@ class MetricsServer:
                         "port": server.port,
                         "url": server.url,
                     }
-                    if server.tailer is not None:
-                        server.tailer.poll()
-                        payload["workers"] = server.tailer.snapshot()
                     self._reply(
                         json.dumps(payload, default=str),
                         "application/json; charset=utf-8",

@@ -1,4 +1,4 @@
-"""Streaming event sinks: bounded-buffer JSONL output and spool readers.
+"""Streaming event sinks: bounded-buffer JSONL output and its reader.
 
 The durable half of :mod:`repro.obs`: while the :class:`~repro.obs.recorder.Recorder`
 holds a trace in process memory, a :class:`JsonlSink` streams the same
@@ -16,41 +16,23 @@ Durability contract
   undecodable *final* line is dropped (and reported), an undecodable
   interior line raises, because it means something other than a crash
   wrote the file.
-
-The reading half (:func:`read_events`, :func:`merge_spool`,
-:class:`SpoolTailer`) is what the parent process uses to aggregate the
-per-worker spool files written by :mod:`repro.core.engine` /
-:mod:`repro.core.parallel` chunk workers — live (tailer) or post-hoc
-(merge).  The merge invariant is pinned by
-``tests/properties/test_prop_telemetry.py``: summing the worker files'
-``span_close`` counters reproduces the parent's replayed counter totals
-exactly.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.exceptions import ReproValueError
 
 __all__ = [
     "JsonlSink",
-    "SpoolSummary",
-    "SpoolTailer",
-    "merge_spool",
     "read_events",
-    "WORKER_SPOOL_GLOB",
 ]
 
-#: Filename pattern of the per-worker spool files inside a telemetry
-#: directory (written by the chunk workers, read by the tailer/merge).
-WORKER_SPOOL_GLOB = "worker-*.jsonl"
-
-#: Filename of the parent process's own event stream.
+#: Filename of the event stream inside a telemetry directory.
 PARENT_SPOOL_NAME = "main.jsonl"
 
 
@@ -175,169 +157,3 @@ def read_events(path: str | Path) -> list[dict[str, Any]]:
             ) from exc
     return events
 
-
-def _accumulate_counters(
-    totals: dict[str, int | float], counters: Mapping[str, Any]
-) -> None:
-    for name, value in counters.items():
-        totals[name] = totals.get(name, 0) + value
-
-
-def _stream_counter_totals(events: list[dict[str, Any]]) -> dict[str, int | float]:
-    """Counter totals of one stream: the sum of ``span_close`` own counters.
-
-    ``counters``/``finish`` snapshot events carry *cumulative* totals and
-    are deliberately not summed (they would double-count); they serve as
-    the fallback when a stream died with spans still open.
-    """
-    totals: dict[str, int | float] = {}
-    for event in events:
-        if event.get("ev") == "span_close":
-            _accumulate_counters(totals, event.get("counters", {}))
-    return totals
-
-
-def _last_snapshot(events: list[dict[str, Any]]) -> dict[str, int | float] | None:
-    """The most recent cumulative totals snapshot of a stream, if any."""
-    snapshot: dict[str, int | float] | None = None
-    for event in events:
-        if event.get("ev") in ("counters", "finish"):
-            snapshot = dict(event.get("counters", {}))
-    return snapshot
-
-
-@dataclass
-class SpoolSummary:
-    """Aggregated view of one telemetry directory.
-
-    Attributes
-    ----------
-    worker_files:
-        Number of per-worker spool files found.
-    worker_totals:
-        Counter totals summed over every worker stream's ``span_close``
-        events — by construction exactly the numbers the parent replays
-        onto its ``engine.chunk`` / ``parallel.chunk`` spans.
-    parent_totals:
-        Cumulative totals from the parent stream's final snapshot
-        (``finish`` event, or the last ``counters`` heartbeat of an
-        interrupted run); ``None`` when no parent stream exists.
-    parent_finished:
-        Whether the parent stream recorded a clean ``finish`` event.
-    events:
-        Total events parsed across all streams.
-    """
-
-    directory: Path
-    worker_files: int = 0
-    worker_totals: dict[str, int | float] = field(default_factory=dict)
-    parent_totals: dict[str, int | float] | None = None
-    parent_finished: bool = False
-    events: int = 0
-
-
-def merge_spool(directory: str | Path) -> SpoolSummary:
-    """Merge every event stream under ``directory`` into one summary.
-
-    Worker streams (``worker-*.jsonl``) are summed over their
-    ``span_close`` counters; the parent stream (``main.jsonl``) supplies
-    its final cumulative snapshot.  The headline invariant — worker
-    totals equal the parent's replayed chunk counters bit-exactly — is
-    what makes the spool a faithful live view of a multi-process run.
-    """
-    root = Path(directory)
-    if not root.is_dir():
-        raise ReproValueError(f"telemetry directory {root} does not exist")
-    summary = SpoolSummary(directory=root)
-    for path in sorted(root.glob(WORKER_SPOOL_GLOB)):
-        events = read_events(path)
-        summary.worker_files += 1
-        summary.events += len(events)
-        _accumulate_counters(summary.worker_totals, _stream_counter_totals(events))
-    parent = root / PARENT_SPOOL_NAME
-    if parent.is_file():
-        events = read_events(parent)
-        summary.events += len(events)
-        summary.parent_totals = _last_snapshot(events)
-        summary.parent_finished = any(e.get("ev") == "finish" for e in events)
-    return summary
-
-
-class SpoolTailer:
-    """Incremental reader of the per-worker spool files.
-
-    The parent process polls the telemetry directory while a chunked
-    build runs in worker processes: each :meth:`poll` reads only the
-    bytes appended since the previous poll (never past the last complete
-    line), parses the new events, and folds their ``span_close``
-    counters into :attr:`totals`.  The live metrics endpoint
-    (:mod:`repro.obs.serve`) exposes these as ``repro_worker_*`` so an
-    operator watches chunk completions stream in before the parent's
-    own replay lands.
-    """
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self._offsets: dict[Path, int] = {}
-        self._pending: dict[Path, str] = {}
-        self.totals: dict[str, int | float] = {}
-        self.files_seen = 0
-        self.events_seen = 0
-
-    def poll(self) -> int:
-        """Consume newly appended complete lines; returns new event count."""
-        if not self.directory.is_dir():
-            return 0
-        new_events = 0
-        for path in sorted(self.directory.glob(WORKER_SPOOL_GLOB)):
-            if path not in self._offsets:
-                self._offsets[path] = 0
-                self._pending[path] = ""
-                self.files_seen += 1
-            new_events += self._poll_file(path)
-        return new_events
-
-    def _poll_file(self, path: Path) -> int:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                handle.seek(self._offsets[path])
-                chunk = handle.read()
-                self._offsets[path] = handle.tell()
-        except OSError:
-            return 0
-        if not chunk:
-            return 0
-        text = self._pending[path] + chunk
-        complete, _, remainder = text.rpartition("\n")
-        self._pending[path] = remainder
-        count = 0
-        for line in complete.split("\n"):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a torn write mid-run; the merge pass re-checks
-            count += 1
-            if event.get("ev") == "span_close":
-                _accumulate_counters(self.totals, event.get("counters", {}))
-        self.events_seen += count
-        return count
-
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-ready view for the live endpoint."""
-        return {
-            "files": self.files_seen,
-            "events": self.events_seen,
-            "counters": dict(self.totals),
-        }
-
-
-def iter_worker_streams(
-    directory: str | Path,
-) -> Iterator[tuple[Path, list[dict[str, Any]]]]:
-    """``(path, events)`` for every worker spool file, sorted by name."""
-    root = Path(directory)
-    for path in sorted(root.glob(WORKER_SPOOL_GLOB)):
-        yield path, read_events(path)

@@ -25,57 +25,29 @@ Event vocabulary (``ev`` field), one JSON object per line:
     Final cumulative ``counters`` / ``gauges`` and total ``seconds``.
     Present exactly when the run completed cleanly.
 
-Cross-process spooling
-----------------------
-A telemetry *session* (:func:`telemetry_session`) owns a directory: the
-parent streams to ``main.jsonl`` and publishes the directory through a
-context variable.  Chunk workers in :mod:`repro.core.engine` /
-:mod:`repro.core.parallel` cannot share the parent's recorder (they may
-be separate processes), so each chunk writes its counters as a tiny
-``worker-<pid>-<seq>.jsonl`` stream via :func:`spool_chunk_events` —
-carrying *exactly* the amounts the parent replays onto its
-``engine.chunk`` / ``parallel.chunk`` spans.  That makes the merge
-invariant (worker-file totals == replayed totals, bit-exact) true by
-construction; ``tests/properties/test_prop_telemetry.py`` pins it.
+A telemetry *session* (:func:`telemetry_session`) owns a directory and
+streams the trace to ``main.jsonl`` inside it.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 from repro.obs.recorder import Recorder, SpanRecord, record, wallclock
-from repro.obs.sink import PARENT_SPOOL_NAME, WORKER_SPOOL_GLOB, JsonlSink
+from repro.obs.sink import PARENT_SPOOL_NAME, JsonlSink
 
 __all__ = [
     "EVENTS_SCHEMA",
     "TelemetryRecorder",
-    "current_spool_dir",
-    "spool_chunk_events",
     "telemetry_session",
 ]
 
 #: Schema tag stamped on the ``start`` event of every stream.
 EVENTS_SCHEMA = "repro.obs/events/v1"
-
-#: Per-process sequence for worker spool filenames; combined with the
-#: pid it is unique across the whole worker pool.
-_SPOOL_SEQ = itertools.count()
-
-#: The active telemetry directory, if a session is open.  Read by the
-#: chunked engines when building worker payloads.
-_SPOOL: ContextVar[str | None] = ContextVar("repro_obs_spool_dir", default=None)
-
-
-def current_spool_dir() -> Path | None:
-    """The active session's spool directory, or ``None``."""
-    value = _SPOOL.get()
-    return Path(value) if value is not None else None
 
 
 class TelemetryRecorder(Recorder):
@@ -189,25 +161,18 @@ def telemetry_session(
 ) -> Iterator[TelemetryRecorder]:
     """Open a telemetry directory and record into it.
 
-    Creates ``directory``, streams the parent trace to ``main.jsonl``
-    inside it, installs the recorder (as :func:`repro.obs.record` does)
-    and publishes the directory so the chunked engines spool worker
-    events next to it.  On exit — normal or via exception, including
+    Creates ``directory``, streams the trace to ``main.jsonl`` inside
+    it and installs the recorder (as :func:`repro.obs.record` does).
+    On exit — normal or via exception, including
     the SIGTERM-raised one — the trace is finished and the sink closed,
     so the directory is always left readable.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    # A fresh session truncates main.jsonl; stale worker spools from a
-    # previous run in the same directory would then break the merge
-    # invariant (their totals belong to a trace that no longer exists).
-    for stale in root.glob(WORKER_SPOOL_GLOB):
-        stale.unlink(missing_ok=True)
     sink = JsonlSink(root / PARENT_SPOOL_NAME, capacity=capacity)
     rec = (
         TelemetryRecorder(sink, meta=meta) if recorder is None else recorder
     )
-    token = _SPOOL.set(str(root))
     try:
         with record(rec):
             try:
@@ -219,37 +184,5 @@ def telemetry_session(
                 rec._suppress_finish = True
                 raise
     finally:
-        _SPOOL.reset(token)
         sink.close()
 
-
-def spool_chunk_events(
-    directory: str | Path,
-    name: str,
-    *,
-    attrs: Mapping[str, Any] | None = None,
-    seconds: float,
-    counters: Mapping[str, int | float],
-) -> Path:
-    """Write one chunk's counters as a standalone worker stream.
-
-    Called at the end of a chunk worker (possibly in a separate
-    process).  The file carries a ``start`` header plus a single
-    ``span_close`` whose ``counters`` are exactly what the parent
-    replays for this chunk — the unit of the merge invariant.
-    """
-    path = Path(directory) / f"worker-{os.getpid()}-{next(_SPOOL_SEQ):06d}.jsonl"
-    with JsonlSink(path, capacity=1) as sink:
-        sink.emit({"schema": EVENTS_SCHEMA, "ev": "start", "pid": os.getpid(), "unix": time.time(), "meta": {}})
-        sink.emit(
-            {
-                "ev": "span_close",
-                "name": name,
-                "attrs": dict(attrs or {}),
-                "seconds": seconds,
-                "counters": dict(counters),
-                "gauges": {},
-                "t": seconds,
-            }
-        )
-    return path

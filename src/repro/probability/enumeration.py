@@ -92,7 +92,7 @@ def configuration_probabilities(
 def _probability_table(probs: tuple[float, ...]) -> np.ndarray:
     """Memoised, **read-only** probability table for one prob vector.
 
-    Each side array (and each worker chunk merge) asks for the same
+    Each side array (and each cached-column rebuild) asks for the same
     table; building it once per process and sharing a read-only view
     removes an ``O(2^m)`` rebuild from every repeat caller.
     """

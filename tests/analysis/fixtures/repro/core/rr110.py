@@ -8,16 +8,16 @@ def bad_rebuild_per_point(split, points):
     return arrays
 
 
-def bad_engine_rebuild(split, queue):
+def bad_while_rebuild(split, queue):
     results = []
     while queue:
         queue.pop()
-        results.append(build_realization_arrays(split))
+        results.append(build_side_array(split.sink_side, role="sink"))
     return results
 
 
 def bad_comprehension_rebuild(side, xs):
-    return [build_side_array_parallel(side, workers=2) for _x in xs]
+    return [build_side_array(side) for _x in xs]
 
 
 def ok_single_build(split):

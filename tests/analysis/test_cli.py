@@ -138,7 +138,7 @@ class TestTiers:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "[syntax]" in out and "[dataflow]" in out
-        for code in ("RR201", "RR202", "RR203", "RR204", "RR205"):
+        for code in ("RR201", "RR202", "RR203", "RR204"):
             assert code in out
 
     def test_list_rules_filters_by_tier(self, capsys):

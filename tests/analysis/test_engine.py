@@ -22,7 +22,6 @@ EXPECTED_CODES = [
     "RR105",
     "RR106",
     "RR107",
-    "RR108",
     "RR109",
     "RR110",
     "RR111",
@@ -33,7 +32,6 @@ EXPECTED_CODES = [
     "RR202",
     "RR203",
     "RR204",
-    "RR205",
 ]
 
 

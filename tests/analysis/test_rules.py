@@ -20,7 +20,6 @@ ALL_CODES = (
     "RR105",
     "RR106",
     "RR107",
-    "RR108",
     "RR109",
     "RR110",
     "RR111",
@@ -31,11 +30,10 @@ ALL_CODES = (
     "RR202",
     "RR203",
     "RR204",
-    "RR205",
 )
 
 #: Dataflow-tier rules ship a second, entirely clean fixture module.
-DATAFLOW_CODES = ("RR112", "RR201", "RR202", "RR203", "RR204", "RR205")
+DATAFLOW_CODES = ("RR112", "RR201", "RR202", "RR203", "RR204")
 
 
 @pytest.mark.parametrize("code", ALL_CODES)
@@ -122,17 +120,6 @@ def test_rr107_counts_and_messages():
     assert sum("import of perf_counter" in f.message for f in findings) == 1
 
 
-def test_rr108_counts_and_messages():
-    findings = fixture_findings("RR108")
-    # bad_import_multiprocessing, bad_from_multiprocessing,
-    # bad_process_pool_import (ImportFrom), bad_attribute_pool (Attribute).
-    assert len(findings) == 4
-    assert sum("import of multiprocessing" in f.message for f in findings) == 1
-    assert sum("import from multiprocessing" in f.message for f in findings) == 1
-    assert sum("import of ProcessPoolExecutor" in f.message for f in findings) == 1
-    assert sum("attribute access" in f.message for f in findings) == 1
-
-
 def test_rr109_counts_and_messages():
     findings = fixture_findings("RR109")
     # bad_inline_shift, bad_inline_pow, bad_bound_size.
@@ -144,12 +131,10 @@ def test_rr109_counts_and_messages():
 
 def test_rr110_counts_and_messages():
     findings = fixture_findings("RR110")
-    # bad_rebuild_per_point (for), bad_engine_rebuild (while),
+    # bad_rebuild_per_point (for), bad_while_rebuild (while),
     # bad_comprehension_rebuild (listcomp).
     assert len(findings) == 3
-    assert sum("build_side_array()" in f.message for f in findings) == 1
-    assert sum("build_realization_arrays()" in f.message for f in findings) == 1
-    assert sum("build_side_array_parallel()" in f.message for f in findings) == 1
+    assert all("build_side_array()" in f.message for f in findings)
     assert all("cached_side_array" in f.message for f in findings)
 
 
@@ -235,24 +220,6 @@ def test_rr109_scoped_to_core(tmp_path):
 
     inside = analyze_source(source, str(tmp_path / "repro" / "core" / "mod.py"))
     assert [f for f in inside if f.code == "RR109"]
-
-
-def test_rr108_exempts_engine_and_parallel(tmp_path):
-    """The sanctioned modules are where the pools are supposed to live."""
-    from repro.analysis import analyze_source
-
-    source = "from concurrent.futures import ProcessPoolExecutor\n"
-    for sanctioned in ("engine.py", "parallel.py"):
-        path = str(tmp_path / "repro" / "core" / sanctioned)
-        assert not [f for f in analyze_source(source, path) if f.code == "RR108"]
-
-    elsewhere = analyze_source(
-        source, str(tmp_path / "repro" / "core" / "montecarlo.py")
-    )
-    assert [f for f in elsewhere if f.code == "RR108"]
-    # "engine.py" outside a core package is NOT sanctioned.
-    stray = analyze_source(source, str(tmp_path / "repro" / "graph" / "engine.py"))
-    assert [f for f in stray if f.code == "RR108"]
 
 
 def test_rr107_exempts_the_obs_package(tmp_path):
@@ -466,13 +433,3 @@ def test_rr204_is_flow_sensitive():
     ]
     flagged_lines = {f.line for f in findings}
     assert not flagged_lines.intersection(guarded_sink_lines)
-
-
-def test_rr205_counts_and_messages():
-    findings = fixture_findings("RR205")
-    # lambda→run_chunked, nested def→submit, partial(local)→map,
-    # lambda→submit on an assigned executor.
-    assert len(findings) == 4
-    assert sum("a lambda" in f.message for f in findings) == 2
-    assert sum("locally-defined callable 'worker'" in f.message for f in findings) == 1
-    assert sum("partial over a local callable" in f.message for f in findings) == 1

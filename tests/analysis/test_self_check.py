@@ -66,7 +66,6 @@ def test_fixture_tree_is_deliberately_dirty():
         "RR105",
         "RR106",
         "RR107",
-        "RR108",
         "RR109",
         "RR110",
         "RR111",
@@ -77,5 +76,4 @@ def test_fixture_tree_is_deliberately_dirty():
         "RR202",
         "RR203",
         "RR204",
-        "RR205",
     }

@@ -93,6 +93,34 @@ class TestBuildSideArray:
         # all alive: every assignment deliverable (Fig. 4 design)
         assert set(array.realized_indices((1 << 3) - 1)) == {0, 1, 2}
 
+    @pytest.mark.parametrize("role", ["source", "sink"])
+    @pytest.mark.parametrize("solver", [None, "dinic"])
+    def test_assignment_subset_matches_full_build(self, role, solver):
+        """Columns are independent: building any subset of the
+        assignments yields exactly those columns of a full build, on the
+        certificate kernel and on the max-flow fallback alike (the
+        cache's miss-only builds rely on it)."""
+        _net, split = fig4_split()
+        assignments = enumerate_assignments([2, 2], 2)
+        side = split.source_side if role == "source" else split.sink_side
+        kwargs = dict(
+            role=role,
+            terminal="s" if role == "source" else "t",
+            ports=split.source_ports if role == "source" else split.sink_ports,
+            demand=2,
+            solver=solver,
+        )
+        full = build_side_array(side, assignments=assignments, **kwargs)
+        for subset in ([0], [2], [2, 0], [1, 2]):
+            part = build_side_array(
+                side, assignments=[assignments[j] for j in subset], **kwargs
+            )
+            for local, j in enumerate(subset):
+                np.testing.assert_array_equal(
+                    (part.masks >> np.uint64(local)) & np.uint64(1),
+                    (full.masks >> np.uint64(j)) & np.uint64(1),
+                )
+
     def test_realizes_accessor(self):
         _, array = fig4_source_array()
         assert array.realizes(0b1111, 0)

@@ -7,7 +7,7 @@ from repro.core.bounds import cut_upper_bound, reliability_bounds, route_lower_b
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.core.result import EstimateResult, ReliabilityResult
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, ReproValueError
 from repro.graph.builders import (
     diamond,
     fujita_fig2_bridge,
@@ -157,9 +157,38 @@ class TestComputeReliability:
         result = compute_reliability(net, "s", "t", 2)
         assert result.method == "factoring"
 
+    def test_auto_rejects_options_it_would_drop(self):
+        """``auto`` used to ignore anything it did not forward; a typo
+        such as ``strategy="bogus"`` silently returned a value."""
+        with pytest.raises(ReproValueError, match="cut, prune, strategy"):
+            compute_reliability(
+                fujita_fig4(), "s", "t", 2, strategy="bogus", prune="x", cut=[0]
+            )
+
+    @pytest.mark.parametrize("option", ["workers", "block_bits", "screen"])
+    def test_auto_rejects_removed_build_options(self, option):
+        with pytest.raises(ReproValueError, match=option):
+            compute_reliability(fujita_fig4(), "s", "t", 2, **{option: 2})
+
+    def test_auto_accepts_its_forwarded_options(self):
+        result = compute_reliability(
+            fujita_fig4(),
+            "s",
+            "t",
+            2,
+            solver="dinic",
+            incremental=False,
+            cache=None,
+            max_cut_size=2,
+            seed=0,
+            num_samples=None,
+        )
+        assert f"{result.value:.10f}" == "0.8426357910"
+
     def test_available_methods(self):
         assert "bottleneck" in available_methods()
         assert "auto" in available_methods()
+        assert "naive-parallel" not in available_methods()
 
     def test_float_protocol(self):
         assert 0 < float(compute_reliability(diamond(), "s", "t", 1)) < 1

@@ -1,63 +1,13 @@
-"""Unit tests for the process-parallel enumeration and the broadcast
-(multi-sink) extension."""
+"""Unit tests for the broadcast (multi-sink) extension."""
 
 import pytest
 
 from repro.core.demand import FlowDemand
 from repro.core.multisink import broadcast_reliability, coverage_curve
 from repro.core.naive import naive_reliability
-from repro.core.parallel import default_workers, parallel_naive_reliability
-from repro.exceptions import DemandError, EstimationError
-from repro.graph.builders import diamond, fujita_fig4, parallel_links, two_paths
-from repro.graph.generators import bottlenecked_network
+from repro.exceptions import DemandError
+from repro.graph.builders import fujita_fig4, two_paths
 from repro.graph.network import FlowNetwork
-
-
-class TestParallelNaive:
-    def test_matches_serial_fig4(self):
-        net = fujita_fig4()
-        demand = FlowDemand("s", "t", 2)
-        serial = naive_reliability(net, demand).value
-        for workers in (1, 2, 4):
-            par = parallel_naive_reliability(net, demand, workers=workers)
-            assert par.value == pytest.approx(serial, abs=1e-12), workers
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_serial_random(self, seed):
-        net = bottlenecked_network(
-            source_side_links=5, sink_side_links=5, num_bottlenecks=2, demand=2, seed=seed
-        )
-        demand = FlowDemand("s", "t", 2)
-        serial = naive_reliability(net, demand).value
-        par = parallel_naive_reliability(net, demand, workers=2)
-        assert par.value == pytest.approx(serial, abs=1e-12)
-
-    def test_unpruned_variant(self):
-        net = diamond()
-        demand = FlowDemand("s", "t", 1)
-        par = parallel_naive_reliability(net, demand, workers=2, prune=False)
-        assert par.value == pytest.approx(
-            naive_reliability(net, demand).value, abs=1e-12
-        )
-        assert par.flow_calls == 16  # no pruning: every configuration solved
-
-    def test_chunking_metadata(self):
-        net = diamond()
-        result = parallel_naive_reliability(net, FlowDemand("s", "t", 1), workers=3)
-        assert result.method == "naive-parallel"
-        assert result.details["chunks"] == 4  # next power of two
-
-    def test_worker_validation(self):
-        with pytest.raises(EstimationError):
-            parallel_naive_reliability(diamond(), FlowDemand("s", "t", 1), workers=0)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
-
-    def test_more_workers_than_configurations(self):
-        net = parallel_links(2, 1, 0.1)
-        result = parallel_naive_reliability(net, FlowDemand("s", "t", 1), workers=16)
-        assert result.value == pytest.approx(1 - 0.01)
 
 
 class TestBroadcastReliability:

@@ -198,18 +198,6 @@ class TestArrayCacheBound:
         assert (tmp_path / "new.npy").is_file()
         assert bounded.stats()["evictions"] == 1
 
-    def test_claimed_keys_are_never_evicted(self, tmp_path):
-        cache = ArrayCache(tmp_path, max_bytes=32)
-        cache.put("claimed", _column(16))
-        assert cache.try_claim("claimed")
-        cache.put("b", _column(16, 1))
-        cache.put("c", _column(16, 2))  # over budget; claimed is immune
-        assert (tmp_path / "claimed.npy").is_file()
-        assert not (tmp_path / "b.npy").exists()
-        cache.release_claim("claimed")
-        cache.put("d", _column(16, 3))  # claim released: now evictable
-        assert not (tmp_path / "claimed.npy").exists()
-
     def test_single_oversized_column_still_serves(self):
         # The just-touched key is protected: a column larger than the
         # bound degrades the cache to one entry, it never thrashes it.
@@ -269,17 +257,17 @@ class TestCachedSideArray:
         assert cache.stats()["hits"] == 1
         assert cache.stats()["stores"] == len(assignments)
 
-    def test_cache_shared_between_serial_and_parallel_paths(self):
+    def test_cache_shared_between_certificate_and_maxflow_kernels(self):
         _, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
         kwargs = source_kwargs(split, assignments)
         cache = ArrayCache()
-        serial = cached_side_array(split.source_side, cache=cache, **kwargs)
-        parallel = cached_side_array(
-            split.source_side, cache=cache, workers=2, **kwargs
+        certified = cached_side_array(split.source_side, cache=cache, **kwargs)
+        solved = cached_side_array(
+            split.source_side, cache=cache, solver="dinic", **kwargs
         )
-        assert np.array_equal(serial.masks, parallel.masks)
-        assert parallel.flow_calls == 0
+        assert np.array_equal(certified.masks, solved.masks)
+        assert solved.flow_calls == 0
 
 
 class TestProbabilityGrid:

@@ -219,8 +219,3 @@ class TestPlanGrayOrder:
     def test_zero_bits(self):
         template, s, t = _template_for(diamond())
         assert plan_gray_order(template, s, t, 0, solver=SOLVER) == []
-
-    def test_link_of_bit_must_match_width(self):
-        template, s, t = _template_for(diamond())
-        with pytest.raises(SolverError):
-            plan_gray_order(template, s, t, 2, solver=SOLVER, link_of_bit=[0])

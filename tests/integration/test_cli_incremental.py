@@ -83,26 +83,6 @@ class TestValidationPrecedesLoad:
         assert "--incremental is not supported" in err
         assert "nope.json" not in err
 
-    def test_compute_workers_error_before_load(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.json")
-        assert main(
-            ["compute", missing, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "naive", "--workers", "2"]
-        ) == 1
-        err = capsys.readouterr().err
-        assert "--workers is not supported" in err
-        assert "nope.json" not in err
-
-    def test_profile_workers_error_before_load(self, tmp_path, capsys):
-        missing = str(tmp_path / "nope.json")
-        assert main(
-            ["profile", missing, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "naive", "--workers", "2"]
-        ) == 1
-        err = capsys.readouterr().err
-        assert "--workers is not supported" in err
-        assert "nope.json" not in err
-
     def test_missing_file_still_reported_when_options_valid(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(
@@ -126,12 +106,12 @@ class TestProfileIncremental:
         counted = int(re.search(r"flow_solves = (\d+)", out).group(1))
         assert counted == flow_calls
 
-    def test_profile_incremental_partitions_flow_solves_with_workers(
+    def test_profile_incremental_partitions_flow_solves_bottleneck(
         self, net_file, capsys
     ):
         assert main(
             ["profile", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "bottleneck", "--workers", "2", "--incremental"]
+             "--method", "bottleneck", "--incremental"]
         ) == 0
         out = capsys.readouterr().out
         assert _FIG4_RELIABILITY in out

@@ -1,0 +1,44 @@
+"""CLI integration: removed build-path flags and methods fail with a pointer.
+
+``--workers``, ``--block-bits``, ``--shard`` and ``--method
+naive-parallel`` selected array builders that never beat the serial
+build.  Each now exits 2 with one line naming the removal and pointing
+at docs/PERFORMANCE.md, instead of argparse's bare "unrecognized
+arguments" — and before the network file is even opened.
+"""
+
+import pytest
+
+from repro.cli import main
+
+_DEMAND = ["-s", "s", "-t", "t", "-d", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compute", "net.json", *_DEMAND, "--workers", "2"], "--workers"),
+        (["profile", "net.json", *_DEMAND, "--workers=2"], "--workers"),
+        (["compute", "net.json", *_DEMAND, "--block-bits", "6"], "--block-bits"),
+        (
+            ["sweep", "net.json", *_DEMAND, "--availability", "0.9", "--shard", "2"],
+            "--shard",
+        ),
+        (
+            ["compute", "net.json", *_DEMAND, "--method", "naive-parallel"],
+            "--method naive-parallel",
+        ),
+        (
+            ["profile", "net.json", *_DEMAND, "--method=naive-parallel"],
+            "--method naive-parallel",
+        ),
+    ],
+)
+def test_removed_surface_exits_2_with_pointer(argv, named, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"{named} was removed" in lines[0]
+    assert 'docs/PERFORMANCE.md "Removed build paths"' in lines[0]

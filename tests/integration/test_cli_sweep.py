@@ -75,112 +75,19 @@ class TestSweepCommand:
             p["reliability"] for p in first["points"]
         ]
 
-    def test_workers_two_matches_default(self, net_file, capsys):
+    def test_incremental_matches_default(self, net_file, capsys):
         assert run_sweep(net_file, "--availability", "0.9", "--json") == 0
-        serial = json.loads(capsys.readouterr().out)
+        certified = json.loads(capsys.readouterr().out)
         assert (
-            run_sweep(net_file, "--availability", "0.9", "--workers", "2", "--json")
+            run_sweep(net_file, "--availability", "0.9", "--incremental", "--json")
             == 0
         )
-        engine = json.loads(capsys.readouterr().out)
-        assert serial["points"] == engine["points"]
-
-
-class TestBlockBitsFlag:
-    def test_blocked_sweep_matches_default(self, net_file, capsys):
-        assert run_sweep(net_file, "--availability", "0.8,0.9", "--json") == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert (
-            run_sweep(
-                net_file, "--availability", "0.8,0.9", "--block-bits", "6", "--json"
-            )
-            == 0
-        )
-        blocked = json.loads(capsys.readouterr().out)
-        assert scalar["points"] == blocked["points"]
-
-    def test_block_bits_out_of_range(self, net_file, capsys):
-        assert run_sweep(net_file, "--availability", "0.9", "--block-bits", "0") == 1
-        assert "block_bits" in capsys.readouterr().err
-
-    def test_compute_block_bits_matches_default(self, net_file, capsys):
-        base = ["compute", net_file, "-s", "s", "-t", "t", "-d", "2",
-                "--method", "bottleneck", "--json"]
-        assert main(base) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        assert main(base + ["--block-bits", "6"]) == 0
-        blocked = json.loads(capsys.readouterr().out)
-        assert blocked["reliability"] == scalar["reliability"]
-
-    def test_compute_block_bits_needs_bottleneck_method(self, net_file, capsys):
-        assert (
-            main(
-                ["compute", net_file, "-s", "s", "-t", "t", "-d", "2",
-                 "--method", "naive", "--block-bits", "6"]
-            )
-            == 1
-        )
-        assert "--block-bits" in capsys.readouterr().err
-
-
-class TestShardFlag:
-    def test_sharded_sweep_matches_default(self, net_file, tmp_path, capsys):
-        assert run_sweep(net_file, "--availability", "0.8,0.9", "--json") == 0
-        plain = json.loads(capsys.readouterr().out)
-        cache_dir = str(tmp_path / "arrays")
-        assert (
-            run_sweep(
-                net_file, "--availability", "0.8,0.9",
-                "--cache-dir", cache_dir, "--shard", "2", "--json",
-            )
-            == 0
-        )
-        sharded = json.loads(capsys.readouterr().out)
-        assert plain["points"] == sharded["points"]
-        # a second sharded run finds every column published
-        assert (
-            run_sweep(
-                net_file, "--availability", "0.8,0.9",
-                "--cache-dir", cache_dir, "--shard", "2", "--json",
-            )
-            == 0
-        )
-        warm = json.loads(capsys.readouterr().out)
-        assert warm["flow_calls"] == 0
-        assert warm["points"] == sharded["points"]
-
-    def test_shard_requires_cache_dir(self, net_file, capsys):
-        assert run_sweep(net_file, "--availability", "0.9", "--shard", "2") == 1
-        assert "--cache-dir" in capsys.readouterr().err
-
-    def test_shard_zero_rejected(self, net_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "arrays")
-        assert (
-            run_sweep(
-                net_file, "--availability", "0.9",
-                "--cache-dir", cache_dir, "--shard", "0",
-            )
-            == 1
-        )
-        assert "--shard" in capsys.readouterr().err
-
-    def test_shard_excludes_workers(self, net_file, tmp_path, capsys):
-        cache_dir = str(tmp_path / "arrays")
-        assert (
-            run_sweep(
-                net_file, "--availability", "0.9", "--cache-dir", cache_dir,
-                "--shard", "2", "--workers", "2",
-            )
-            == 1
-        )
-        assert "pick one" in capsys.readouterr().err
+        solved = json.loads(capsys.readouterr().out)
+        assert certified["points"] == solved["points"]
+        assert certified["flow_calls"] == 0 < solved["flow_calls"]
 
 
 class TestSweepValidation:
-    def test_workers_zero_rejected(self, net_file, capsys):
-        assert run_sweep(net_file, "--availability", "0.9", "--workers", "0") == 1
-        assert "--workers must be >= 1" in capsys.readouterr().err
-
     def test_bad_grid_spec(self, net_file, capsys):
         assert run_sweep(net_file, "--availability", "0.8:0.9") == 1
         assert "start:stop:n" in capsys.readouterr().err

@@ -47,36 +47,15 @@ class TestEventsFlag:
         assert events[-1]["ev"] == "finish"
         assert events[-1]["counters"][ARRAY_ENTRIES_BUILT] > 0
 
-    def test_sweep_workers_spool_worker_files(self, net_file, tmp_path, capsys):
+    def test_sweep_writes_only_main_stream(self, net_file, tmp_path, capsys):
         events_dir = tmp_path / "ev"
-        assert (
-            main(
-                [
-                    "sweep",
-                    net_file,
-                    "-s",
-                    "s",
-                    "-t",
-                    "t",
-                    "-d",
-                    "2",
-                    "--availability",
-                    "0.8,0.9",
-                    "--workers",
-                    "2",
-                    "--events",
-                    str(events_dir),
-                    "--no-ledger",
-                ]
-            )
-            == 0
-        )
-        worker_files = list(events_dir.glob("worker-*.jsonl"))
-        assert worker_files, "chunked sweep must spool worker events"
-        for path in worker_files:
-            events = read_events(path)
-            assert events[0]["ev"] == "start"
-            assert any(e["ev"] == "span_close" for e in events)
+        argv = ["sweep", net_file, "-s", "s", "-t", "t", "-d", "2",
+                "--availability", "0.8,0.9", "--events", str(events_dir),
+                "--no-ledger"]
+        assert main(argv) == 0
+        assert [p.name for p in events_dir.iterdir()] == ["main.jsonl"]
+        events = read_events(events_dir / "main.jsonl")
+        assert events[-1]["ev"] == "finish"
 
 
 class TestRunLedgerCli:
@@ -104,6 +83,7 @@ class TestRunLedgerCli:
         assert record["command"] == "compute"
         assert record["counters"][FLOW_SOLVES] == record["flow_calls"] > 0
         assert record["value"] == pytest.approx(0.842635791)
+        assert record["params"] == {"method": "auto", "incremental": True}
 
     def test_no_ledger_suppresses_append(self, net_file, tmp_path, capsys):
         ledger = tmp_path / "runs"

@@ -160,8 +160,9 @@ class TestCounters:
 
     def test_known_span_and_ticker_catalogues(self):
         assert "sweep.run" in obs.KNOWN_SPANS
-        assert "engine.source_array" in obs.KNOWN_SPANS
-        assert "parallel.chunk" in obs.KNOWN_SPANS
+        assert "bottleneck.source_array" in obs.KNOWN_SPANS
+        assert "sweep.arrays" in obs.KNOWN_SPANS
+        assert "engine.chunk" not in obs.KNOWN_SPANS
         assert "arrays.source" in obs.KNOWN_TICKER_LABELS
         assert "naive.configurations" in obs.KNOWN_TICKER_LABELS
 

@@ -7,7 +7,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.obs import MetricsServer, render_prometheus, spool_chunk_events
+from repro.obs import MetricsServer, render_prometheus
 from repro.obs.recorder import FLOW_SOLVES, Recorder
 from repro.obs.serve import _format_value, _metric_name
 
@@ -53,15 +53,6 @@ class TestRenderPrometheus:
         assert "repro_sweep_points_done 4" in text
         assert 'repro_phase_seconds{phase="sweep.run"}' in text
 
-    def test_worker_metrics_from_tailer(self, tmp_path):
-        spool_chunk_events(
-            tmp_path, "engine.chunk", seconds=0.0, counters={FLOW_SOLVES: 6}
-        )
-        with MetricsServer(self._recorder(), spool_dir=tmp_path) as server:
-            text = render_prometheus(server.recorder, server.tailer)
-        assert "repro_worker_flow_solves_total 6" in text
-        assert "repro_worker_files 1" in text
-
     def test_non_numeric_gauges_are_skipped(self):
         rec = Recorder()
         with obs.record(rec):
@@ -100,16 +91,6 @@ class TestMetricsServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _get(server.url + "/nope")
             assert excinfo.value.code == 404
-
-    def test_trace_includes_worker_snapshot(self, tmp_path):
-        spool_chunk_events(
-            tmp_path, "engine.chunk", seconds=0.0, counters={FLOW_SOLVES: 2}
-        )
-        with MetricsServer(Recorder(), spool_dir=tmp_path) as server:
-            _, _, body = _get(server.url + "/trace.json")
-        workers = json.loads(body)["workers"]
-        assert workers["counters"] == {FLOW_SOLVES: 2}
-        assert workers["files"] == 1
 
     def test_stop_is_idempotent_and_frees_port(self):
         server = MetricsServer(Recorder())

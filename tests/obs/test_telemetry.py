@@ -7,18 +7,18 @@ import pytest
 
 from repro import obs
 from repro.exceptions import ReproValueError
+from repro.core.bottleneck import bottleneck_reliability
+from repro.core.demand import FlowDemand
+from repro.graph.builders import fujita_fig4
 from repro.obs import (
     EVENTS_SCHEMA,
     JsonlSink,
     TelemetryRecorder,
-    current_spool_dir,
-    merge_spool,
     read_events,
-    spool_chunk_events,
     telemetry_session,
 )
 from repro.obs.recorder import FLOW_SOLVES
-from repro.obs.sink import PARENT_SPOOL_NAME, SpoolTailer
+from repro.obs.sink import PARENT_SPOOL_NAME
 
 
 class TestJsonlSink:
@@ -181,15 +181,13 @@ class TestTelemetryRecorder:
 
 
 class TestTelemetrySession:
-    def test_session_writes_parent_stream_and_publishes_dir(self, tmp_path):
+    def test_session_writes_main_stream(self, tmp_path):
         spool = tmp_path / "ev"
-        assert current_spool_dir() is None
         with telemetry_session(spool, meta={"command": "t"}) as rec:
-            assert current_spool_dir() == spool
             with obs.span("sweep.run"):
                 obs.count(FLOW_SOLVES, 4)
             assert rec.counter_totals()[FLOW_SOLVES] == 4
-        assert current_spool_dir() is None
+        assert [p.name for p in spool.iterdir()] == [PARENT_SPOOL_NAME]
         events = read_events(spool / PARENT_SPOOL_NAME)
         assert events[0]["ev"] == "start"
         assert events[-1]["ev"] == "finish"
@@ -208,91 +206,20 @@ class TestTelemetrySession:
         assert any(e["ev"] == "counters" for e in events)
         assert not any(e["ev"] == "finish" for e in events)
 
-    def test_fresh_session_clears_stale_worker_spools(self, tmp_path):
-        spool = tmp_path / "ev"
-        spool.mkdir()
-        stale = spool / "worker-999-000000.jsonl"
-        stale.write_text('{"ev":"span_close","name":"x","counters":{"flow_solves":9}}\n')
-        with telemetry_session(spool):
-            pass
-        assert not stale.exists()
-        assert merge_spool(spool).worker_totals == {}
+    def test_session_totals_match_sessionless_run(self, tmp_path):
+        """Telemetry must observe, never perturb: counters are unchanged."""
+        net = fujita_fig4()
+        demand = FlowDemand("s", "t", 2)
+        with obs.record() as rec:
+            bare = bottleneck_reliability(net, demand, solver="dinic")
+        bare_totals = rec.counter_totals()
+        with telemetry_session(tmp_path) as rec:
+            traced = bottleneck_reliability(net, demand, solver="dinic")
+        traced_totals = rec.counter_totals()
+        assert traced.value == bare.value
 
+        def program(totals):  # solver.<name>.seconds is wall time
+            return {k: v for k, v in totals.items() if not k.startswith("solver.")}
 
-class TestSpoolChunkEvents:
-    def test_written_file_round_trips(self, tmp_path):
-        path = spool_chunk_events(
-            tmp_path,
-            "engine.chunk",
-            attrs={"side": "source", "chunk": 3},
-            seconds=0.25,
-            counters={FLOW_SOLVES: 7},
-        )
-        events = read_events(path)
-        assert events[0]["ev"] == "start"
-        assert events[0]["schema"] == EVENTS_SCHEMA
-        close = events[1]
-        assert close["ev"] == "span_close"
-        assert close["name"] == "engine.chunk"
-        assert close["attrs"] == {"side": "source", "chunk": 3}
-        assert close["counters"] == {FLOW_SOLVES: 7}
-
-    def test_filenames_are_unique_per_call(self, tmp_path):
-        paths = {
-            spool_chunk_events(tmp_path, "engine.chunk", seconds=0.0, counters={})
-            for _ in range(5)
-        }
-        assert len(paths) == 5
-
-
-class TestMergeAndTail:
-    def _spool(self, tmp_path, chunks):
-        for counters in chunks:
-            spool_chunk_events(
-                tmp_path, "engine.chunk", seconds=0.0, counters=counters
-            )
-
-    def test_merge_sums_worker_streams(self, tmp_path):
-        self._spool(
-            tmp_path, [{FLOW_SOLVES: 3}, {FLOW_SOLVES: 4, "flow_repairs": 1}]
-        )
-        summary = merge_spool(tmp_path)
-        assert summary.worker_files == 2
-        assert summary.worker_totals == {FLOW_SOLVES: 7, "flow_repairs": 1}
-        assert summary.parent_totals is None
-        assert not summary.parent_finished
-
-    def test_merge_missing_directory_raises(self, tmp_path):
-        with pytest.raises(ReproValueError):
-            merge_spool(tmp_path / "nope")
-
-    def test_merge_reads_parent_snapshot(self, tmp_path):
-        with telemetry_session(tmp_path):
-            with obs.span("sweep.run"):
-                obs.count(FLOW_SOLVES, 5)
-        summary = merge_spool(tmp_path)
-        assert summary.parent_finished
-        assert summary.parent_totals[FLOW_SOLVES] == 5
-
-    def test_tailer_folds_new_events_incrementally(self, tmp_path):
-        tailer = SpoolTailer(tmp_path)
-        assert tailer.poll() == 0
-        self._spool(tmp_path, [{FLOW_SOLVES: 2}])
-        assert tailer.poll() == 2  # start + span_close
-        assert tailer.totals == {FLOW_SOLVES: 2}
-        assert tailer.poll() == 0  # nothing new
-        self._spool(tmp_path, [{FLOW_SOLVES: 3}])
-        tailer.poll()
-        assert tailer.totals == {FLOW_SOLVES: 5}
-        assert tailer.files_seen == 2
-
-    def test_tailer_holds_partial_lines_until_complete(self, tmp_path):
-        path = tmp_path / "worker-1-000000.jsonl"
-        path.write_text('{"ev":"span_close","name":"x","counters":{"flow_solves":1}}\n{"ev":"span_cl')
-        tailer = SpoolTailer(tmp_path)
-        assert tailer.poll() == 1  # only the complete line
-        assert tailer.totals == {"flow_solves": 1}
-        with open(path, "a") as handle:
-            handle.write('ose","name":"y","counters":{"flow_solves":2}}\n')
-        assert tailer.poll() == 1
-        assert tailer.totals == {"flow_solves": 3}
+        assert program(traced_totals) == program(bare_totals)
+        assert traced_totals[FLOW_SOLVES] == traced.flow_calls > 0

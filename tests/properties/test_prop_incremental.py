@@ -2,9 +2,8 @@
 
 The escape hatch (``incremental=``) defaults to the new path only
 because these tests prove equivalence: on the paper's figures and on
-random bottlenecked instances, every kernel — naive table, serial side
-arrays, chunked engine across worker counts and screen settings — must
-produce the *same bits* (feasibility tables, ``uint64`` realization
+random bottlenecked instances, every kernel — naive table and side
+arrays — must produce the *same bits* (feasibility tables, ``uint64`` realization
 masks, ``ReliabilityResult.value``) with the incremental engine on as
 with cold solves.  Not approximately: ``==`` on floats and arrays.
 """
@@ -16,14 +15,12 @@ from repro.core.arrays import build_side_array
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
-from repro.core.engine import build_realization_arrays
 from repro.core.naive import feasibility_table, naive_reliability
 from repro.graph.builders import fujita_fig4
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network
 
 SEEDS = [0, 1, 7, 23, 101]
-WORKERS = (1, 2, 4)
 
 
 def _instance(seed):
@@ -87,42 +84,14 @@ class TestSideArrayBitIdentity:
             )
 
 
-class TestEngineBitIdentity:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_chunked_masks_identical_across_workers_and_screens(self, seed):
-        _, split, assignments = _instance(seed)
-        cold_src = build_side_array(
-            split.source_side, role="source", terminal="s",
-            ports=split.source_ports, assignments=assignments, demand=2,
-            incremental=False,
-        )
-        cold_snk = build_side_array(
-            split.sink_side, role="sink", terminal="t",
-            ports=split.sink_ports, assignments=assignments, demand=2,
-            incremental=False,
-        )
-        for workers in WORKERS:
-            for screen in (True, False):
-                src, snk, stats = build_realization_arrays(
-                    split, source="s", sink="t", assignments=assignments,
-                    demand=2, workers=workers, screen=screen, incremental=True,
-                )
-                assert stats["incremental"] is True
-                np.testing.assert_array_equal(cold_src.masks, src.masks)
-                np.testing.assert_array_equal(cold_snk.masks, snk.masks)
-
-
 class TestReliabilityValueBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bottleneck_value_identical(self, seed):
         net, split, _ = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         cold = bottleneck_reliability(net, demand, cut=split.cut, incremental=False)
-        for workers in (None, *WORKERS):
-            warm = bottleneck_reliability(
-                net, demand, cut=split.cut, workers=workers, incremental=True
-            )
-            assert warm.value == cold.value
+        warm = bottleneck_reliability(net, demand, cut=split.cut, incremental=True)
+        assert warm.value == cold.value
 
     def test_fig4_pinned_value(self):
         net = fujita_fig4()
@@ -141,11 +110,8 @@ class TestObsPartition:
 
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
-        for workers in (None, 2):
-            recorder = Recorder()
-            with record(recorder):
-                result = bottleneck_reliability(
-                    net, demand, workers=workers, incremental=True
-                )
-            totals = recorder.counter_totals()
-            assert totals.get("flow_solves", 0) == result.flow_calls
+        recorder = Recorder()
+        with record(recorder):
+            result = bottleneck_reliability(net, demand, incremental=True)
+        totals = recorder.counter_totals()
+        assert totals.get("flow_solves", 0) == result.flow_calls

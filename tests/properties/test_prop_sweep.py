@@ -3,8 +3,7 @@
 The sweep exists purely as a performance layer — one §III-C array build
 serving a whole grid of Eq. 2 / Eq. 3 evaluations.  These tests pin the
 contract that makes the cache key sound: for every sweep point, for
-every combination of cache state (cold/warm), worker count and
-incremental toggle, ``compute_reliability_sweep`` must reproduce a
+every combination of cache state (cold/warm) and incremental toggle, ``compute_reliability_sweep`` must reproduce a
 fresh :func:`bottleneck_reliability` call on the point network *bit for
 bit* — ``==`` on the float value and ``==`` on ``details`` (modulo the
 solve-accounting keys, which legitimately differ when no solves run).
@@ -23,7 +22,7 @@ SEEDS = [0, 1, 7, 23]
 
 #: details keys that describe *how the solves were accounted*, not what
 #: was computed; the sweep path legitimately reports no per-point solves.
-ACCOUNTING_KEYS = ("engine", "array_cache", "obs")
+ACCOUNTING_KEYS = ("array_cache", "obs")
 
 
 def _scrub(details):
@@ -54,9 +53,8 @@ def assert_point_identical(swept, net, demand, spec, **kwargs):
 
 class TestSweepPointwiseBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("workers", [None, 2])
     @pytest.mark.parametrize("incremental", [False, True])
-    def test_availability_grid(self, seed, workers, incremental):
+    def test_availability_grid(self, seed, incremental):
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         spec = SweepSpec.availability(list(np.linspace(0.7, 0.99, 5)))
@@ -65,7 +63,6 @@ class TestSweepPointwiseBitIdentity:
             net,
             demand,
             sweep=spec,
-            workers=workers,
             incremental=incremental,
             cache=cache,
         )
@@ -73,14 +70,11 @@ class TestSweepPointwiseBitIdentity:
             net,
             demand,
             sweep=spec,
-            workers=workers,
             incremental=incremental,
             cache=cache,
         )
         for swept in (cold, warm):
-            assert_point_identical(
-                swept, net, demand, spec, workers=workers, incremental=incremental
-            )
+            assert_point_identical(swept, net, demand, spec, incremental=incremental)
         assert warm.flow_calls == 0
         assert warm.cache_stats["misses"] == 0
         assert warm.values == cold.values
@@ -95,16 +89,11 @@ class TestSweepPointwiseBitIdentity:
         spec = SweepSpec.availability([0.8, 0.95])
         cache = ArrayCache()
         baseline = compute_reliability_sweep(
-            net, demand, sweep=spec, workers=None, incremental=False, cache=cache
+            net, demand, sweep=spec, incremental=False, cache=cache
         )
-        for workers, incremental in [(None, True), (2, False), (2, True)]:
+        for incremental in (True, None):
             again = compute_reliability_sweep(
-                net,
-                demand,
-                sweep=spec,
-                workers=workers,
-                incremental=incremental,
-                cache=cache,
+                net, demand, sweep=spec, incremental=incremental, cache=cache
             )
             assert again.flow_calls == 0
             assert again.values == baseline.values
