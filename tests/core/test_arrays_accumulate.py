@@ -175,6 +175,102 @@ class TestBuildSideArray:
             )
 
 
+class TestSingleBuildPath:
+    """Every §III-C caller reaches the arrays through one dispatch."""
+
+    def test_pinned_cold_flow_calls(self):
+        """The cold max-flow kernel spends |D| * (2^{|E_s|} + 2^{|E_t|})
+        solves on fig4 without pruning, and reports no engine block."""
+        from repro.core.bottleneck import bottleneck_reliability
+        from repro.core.demand import FlowDemand
+
+        result = bottleneck_reliability(
+            fujita_fig4(), FlowDemand("s", "t", 2), prune=False, incremental=False
+        )
+        assert result.flow_calls == 3 * (2**4 + 2**3)
+        assert "engine" not in result.details
+        assert f"{result.value:.10f}" == "0.8426357910"
+
+    def test_default_build_counts_cuts_not_solves(self):
+        from repro import obs
+        from repro.core.bottleneck import bottleneck_reliability
+        from repro.core.demand import FlowDemand
+        from repro.obs.recorder import CERTIFICATE_CUTS
+
+        with obs.record() as rec:
+            result = bottleneck_reliability(fujita_fig4(), FlowDemand("s", "t", 2))
+        assert result.flow_calls == 0
+        assert rec.counter_total(obs.FLOW_SOLVES) == 0
+        assert rec.counter_total(CERTIFICATE_CUTS) > 0
+        assert rec.counter_total(obs.ARRAY_ENTRIES_BUILT) == 3 * (2**4 + 2**3)
+
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_flow_calls_partition_exactly_through_obs(self, incremental):
+        from repro import obs
+        from repro.core.bottleneck import bottleneck_reliability
+        from repro.core.demand import FlowDemand
+
+        with obs.record() as rec:
+            result = bottleneck_reliability(
+                fujita_fig4(),
+                FlowDemand("s", "t", 2),
+                solver="dinic",
+                incremental=incremental,
+            )
+        assert result.flow_calls > 0
+        assert rec.counter_total(obs.FLOW_SOLVES) == result.flow_calls
+        summary = obs.phase_summary(rec)
+        per_phase = sum(
+            p["counters"].get("flow_solves", 0) for p in summary["phases"]
+        )
+        assert per_phase == result.flow_calls
+
+    @pytest.mark.parametrize("option", ["workers", "screen", "block_bits"])
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            "build_side_array",
+            "cached_side_array",
+            "bottleneck_reliability",
+            "compute_reliability_sweep",
+        ],
+    )
+    def test_no_entry_point_takes_removed_options(self, entry_point, option):
+        from repro.core.bottleneck import bottleneck_reliability
+        from repro.core.demand import FlowDemand
+        from repro.core.sweep import (
+            SweepSpec,
+            cached_side_array,
+            compute_reliability_sweep,
+        )
+
+        net, split = fig4_split()
+        side_kwargs = dict(
+            role="source",
+            terminal="s",
+            ports=split.source_ports,
+            assignments=enumerate_assignments([2, 2], 2),
+            demand=2,
+        )
+        demand = FlowDemand("s", "t", 2)
+        calls = {
+            "build_side_array": lambda **kw: build_side_array(
+                split.source_side, **side_kwargs, **kw
+            ),
+            "cached_side_array": lambda **kw: cached_side_array(
+                split.source_side, **side_kwargs, **kw
+            ),
+            "bottleneck_reliability": lambda **kw: bottleneck_reliability(
+                net, demand, **kw
+            ),
+            "compute_reliability_sweep": lambda **kw: compute_reliability_sweep(
+                net, demand, sweep=SweepSpec.availability([0.9]), **kw
+            ),
+        }
+        with pytest.raises(TypeError, match=option):
+            calls[entry_point](**{option: 2})
+
+
 def toy_array(masks, probs, num_assignments):
     return RealizationArray(
         masks=np.asarray(masks, dtype=np.uint64),

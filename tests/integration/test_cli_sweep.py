@@ -87,6 +87,37 @@ class TestSweepCommand:
         assert certified["flow_calls"] == 0 < solved["flow_calls"]
 
 
+class TestSweepKernelFlags:
+    AXES = {
+        "availability": ("--availability", "0.8,0.9"),
+        "failure-scale": ("--failure-scale", "0.5,1.0"),
+        "rates": ("--rates", "1,2"),
+    }
+
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
+    def test_max_flow_kernels_match_default(self, net_file, capsys, axis, flag):
+        assert run_sweep(net_file, *self.AXES[axis], "--json") == 0
+        certified = json.loads(capsys.readouterr().out)
+        assert certified["flow_calls"] == 0
+        assert run_sweep(net_file, *self.AXES[axis], flag, "--json") == 0
+        solved = json.loads(capsys.readouterr().out)
+        assert solved["points"] == certified["points"]
+        assert solved["flow_calls"] > 0
+
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    def test_disk_cache_serves_other_kernel(self, net_file, tmp_path, capsys, axis):
+        cache_dir = str(tmp_path / "arrays")
+        args = (*self.AXES[axis], "--cache-dir", cache_dir, "--json")
+        assert run_sweep(net_file, *args, "--no-incremental") == 0
+        cold = json.loads(capsys.readouterr().out)
+        assert cold["flow_calls"] > 0
+        assert run_sweep(net_file, *args, "--incremental") == 0
+        warm = json.loads(capsys.readouterr().out)
+        assert warm["flow_calls"] == 0
+        assert warm["points"] == cold["points"]
+
+
 class TestSweepValidation:
     def test_bad_grid_spec(self, net_file, capsys):
         assert run_sweep(net_file, "--availability", "0.8:0.9") == 1
