@@ -241,7 +241,9 @@ def _dispatch(
         split = find_bottleneck(
             net, demand.source, demand.sink, max_size=options.get("max_cut_size", 3)
         )
-    except Exception:
+    except ReproError:
+        # No usable split (e.g. a DecompositionError): fall back to the
+        # whole-graph engines.  A bug in the cut search still raises.
         split = None
     if split is not None:
         side = max(len(split.source_side.link_map), len(split.sink_side.link_map))

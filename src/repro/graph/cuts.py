@@ -6,9 +6,11 @@ connected components, each holding at most ``α|E|`` links.  This module
 finds such sets:
 
 * :func:`bridges_between` — the ``k = 1`` fast path via Tarjan bridges;
-* :func:`minimal_st_cuts` — exhaustive enumeration of minimal cuts up to
-  a size bound (combinatorial in the bound, fine for the constant ``k``
-  the paper assumes);
+* :func:`minimal_st_cuts` — every minimal cut up to a size bound, by
+  branching on the links of one s-t path at a time (at most
+  ``sum(C(|E|, i) for i <= k)`` connectivity probes, and about ``L^k``
+  for shortest-path length ``L``: a few dozen for the constant ``k`` the
+  paper assumes);
 * :func:`minimum_cardinality_cut` — one smallest cut via unit-capacity
   max-flow (Menger), used to seed / lower-bound the search;
 * :func:`find_bottleneck` — picks the admissible cut minimising the
@@ -20,13 +22,14 @@ components of the link-removal graph, independent of link direction.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterable, Sequence
+from collections import deque
+from typing import AbstractSet, Iterable, Sequence
 
-from repro.exceptions import DecompositionError
-from repro.graph.connectivity import bridges, component_of, has_path
+from repro.exceptions import DecompositionError, NodeNotFoundError, ReproValueError
+from repro.graph.connectivity import _undirected_adjacency, bridges, has_path
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SideSplit, split_on_cut
+from repro.obs.recorder import CUT_PROBES, count
 
 __all__ = [
     "is_disconnecting",
@@ -39,29 +42,104 @@ __all__ = [
 ]
 
 
+def _shortest_path(
+    adj: dict[Node, list[tuple[Node, int]]],
+    source: Node,
+    sink: Node,
+    removed: AbstractSet[int],
+) -> tuple[list[int] | None, set[Node]]:
+    """BFS in ``G - removed``: the links of a shortest s-t path, or
+    ``None`` and the whole source component when no path exists."""
+    if source == sink:
+        return [], set()
+    via: dict[Node, tuple[Node, int] | None] = {source: None}
+    queue = deque([source])
+    while queue:
+        node = queue.popleft()
+        for neighbor, index in adj[node]:
+            if neighbor in via or index in removed:
+                continue
+            via[neighbor] = (node, index)
+            if neighbor == sink:
+                path = []
+                step = via[neighbor]
+                while step is not None:
+                    path.append(step[1])
+                    step = via[step[0]]
+                return path, set()
+            queue.append(neighbor)
+    return None, set(via)
+
+
+def _component(
+    adj: dict[Node, list[tuple[Node, int]]],
+    start: Node,
+    removed: AbstractSet[int],
+) -> set[Node]:
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for neighbor, index in adj[node]:
+            if neighbor not in seen and index not in removed:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return seen
+
+
+def _joins_both_sides(
+    net: FlowNetwork,
+    adj: dict[Node, list[tuple[Node, int]]],
+    s_comp: set[Node],
+    sink: Node,
+    cut: AbstractSet[int],
+) -> bool:
+    """Minimality of a disconnecting ``cut``: every cut link has one end
+    in the source component and the other in the sink component of
+    ``G - cut`` — restoring any one link reconnects the terminals."""
+    t_comp = _component(adj, sink, cut)
+    for index in cut:
+        if not 0 <= index < net.num_links:
+            return False
+        tail, head = net.link(index).endpoints
+        if not (
+            (tail in s_comp and head in t_comp) or (tail in t_comp and head in s_comp)
+        ):
+            return False
+    return True
+
+
+def _check_terminals(net: FlowNetwork, source: Node, sink: Node) -> None:
+    for node in (source, sink):
+        if not net.has_node(node):
+            raise NodeNotFoundError(node)
+
+
 def is_disconnecting(
     net: FlowNetwork, source: Node, sink: Node, cut: Iterable[int]
 ) -> bool:
     """Whether removing ``cut`` separates the terminals (undirected)."""
-    cut_set = set(cut)
-    alive = [link.index for link in net.links() if link.index not in cut_set]
-    return not has_path(net, source, sink, alive)
+    _check_terminals(net, source, sink)
+    path, _ = _shortest_path(_undirected_adjacency(net, None), source, sink, set(cut))
+    return path is None
 
 
 def is_minimal_cut(
     net: FlowNetwork, source: Node, sink: Node, cut: Sequence[int]
 ) -> bool:
-    """Whether ``cut`` disconnects s and t and no proper subset does."""
-    cut_list = list(dict.fromkeys(cut))
-    if len(cut_list) != len(cut):
+    """Whether ``cut`` disconnects s and t and no proper subset does.
+
+    Two searches on one adjacency: ``G - cut`` must separate the
+    terminals, and every cut link must join the two terminal components
+    (so no single link can be dropped from the cut).
+    """
+    _check_terminals(net, source, sink)
+    cut_set = set(cut)
+    if len(cut_set) != len(cut):
         return False
-    if not is_disconnecting(net, source, sink, cut_list):
-        return False
-    for index in cut_list:
-        reduced = [c for c in cut_list if c != index]
-        if is_disconnecting(net, source, sink, reduced):
-            return False
-    return True
+    adj = _undirected_adjacency(net, None)
+    path, s_comp = _shortest_path(adj, source, sink, cut_set)
+    return path is None and _joins_both_sides(net, adj, s_comp, sink, cut_set)
 
 
 def bridges_between(net: FlowNetwork, source: Node, sink: Node) -> list[int]:
@@ -135,33 +213,46 @@ def minimal_st_cuts(
 ) -> list[tuple[int, ...]]:
     """All minimal s-t cuts of size at most ``max_size``.
 
-    Enumerates size classes in increasing order and skips any candidate
-    containing an already-found smaller cut (supersets of cuts are never
-    minimal).  Cost is ``O(C(|E|, max_size))`` subsets, each checked in
-    ``O(|V| + |E|)`` — exactly the "constant k" regime of the paper.
+    Path branching: a cut must meet every s-t path, so from a removed
+    set ``R`` (starting empty) whose graph ``G - R`` still joins the
+    terminals, the search branches only on ``R + {e}`` for the links
+    ``e`` of one shortest remaining path.  Every minimal cut ``C`` is
+    reached, since some link of that path lies in ``C - R``.  A
+    disconnecting ``R`` is a leaf: it is kept iff every link of it
+    joins the two terminal components.  Each distinct ``R`` is probed
+    once (one breadth-first search), so a call costs at most
+    ``sum(C(|E|, i) for i <= max_size)`` probes and about ``L^k`` for
+    shortest-path length ``L`` — ``O(|V| + |E|)`` each.  The probe
+    total is counted in ``cut_probes``.
 
-    ``limit`` truncates the result once that many cuts were found.
+    Cuts come sorted by size, then by link indices; ``limit`` keeps the
+    first ``limit`` of them.
     """
-    if max_size < 1:
+    if limit is not None and limit < 0:
+        raise ReproValueError(f"limit must be non-negative, got {limit}")
+    if max_size < 1 or limit == 0:
         return []
+    _check_terminals(net, source, sink)
+    adj = _undirected_adjacency(net, None)
     found: list[tuple[int, ...]] = []
-    found_sets: list[frozenset[int]] = []
-    indices = [link.index for link in net.links()]
-    for size in range(1, max_size + 1):
-        for candidate in combinations(indices, size):
-            cand_set = frozenset(candidate)
-            if any(smaller <= cand_set for smaller in found_sets if len(smaller) < size):
-                continue
-            if not is_disconnecting(net, source, sink, candidate):
-                continue
-            # Disconnecting and not a superset of a smaller cut => check
-            # strict minimality within its own size class.
-            if is_minimal_cut(net, source, sink, candidate):
-                found.append(candidate)
-                found_sets.append(cand_set)
-                if limit is not None and len(found) >= limit:
-                    return found
-    return found
+    empty: frozenset[int] = frozenset()
+    visited = {empty}
+    stack = [empty]
+    while stack:
+        removed = stack.pop()
+        path, s_comp = _shortest_path(adj, source, sink, removed)
+        if path is None:
+            if removed and _joins_both_sides(net, adj, s_comp, sink, removed):
+                found.append(tuple(sorted(removed)))
+        elif len(removed) < max_size:
+            for index in path:
+                grown = removed | {index}
+                if grown not in visited:
+                    visited.add(grown)
+                    stack.append(grown)
+    count(CUT_PROBES, len(visited))
+    found.sort(key=lambda cut: (len(cut), cut))
+    return found if limit is None else found[:limit]
 
 
 def verify_bottleneck(
@@ -199,6 +290,10 @@ def find_bottleneck(
     exists (e.g. the terminals are adjacent through many parallel
     links).
     """
+    if max_candidates < 0:
+        raise ReproValueError(
+            f"max_candidates must be non-negative, got {max_candidates}"
+        )
     candidates: list[tuple[int, ...]] = []
     seen: set[frozenset[int]] = set()
 

@@ -40,6 +40,7 @@ __all__ = [
     "ASSIGNMENTS_ENUMERATED",
     "ARRAY_ENTRIES_BUILT",
     "CERTIFICATE_CUTS",
+    "CUT_PROBES",
     "CONFIGURATIONS_ENUMERATED",
     "SERVE_COALESCED",
     "SERVE_QUERIES",
@@ -108,6 +109,11 @@ ARRAY_CACHE_BYTES = "array_cache_bytes"
 #: (``repro.core.certificate``) built, summed per side.  A certificate
 #: build spends no max-flow solve: it adds nothing to ``flow_solves``.
 CERTIFICATE_CUTS = "certificate_cuts"
+#: s-t connectivity probes (one breadth-first search of ``G - R`` per
+#: distinct removed link set ``R``) spent by one
+#: :func:`repro.graph.cuts.minimal_st_cuts` call, counted once per call
+#: with its total.  At most ``sum(C(|E|, i) for i <= max_size)``.
+CUT_PROBES = "cut_probes"
 #: Columns evicted from a bounded :class:`~repro.core.sweep.ArrayCache`
 #: (``max_bytes`` LRU): dropped from memory and unlinked from disk.
 ARRAY_CACHE_EVICTIONS = "array_cache_evictions"
@@ -150,6 +156,7 @@ KNOWN_COUNTERS = frozenset(
         ARRAY_CACHE_EVICTIONS,
         ARRAY_CACHE_EVICTED_BYTES,
         CERTIFICATE_CUTS,
+        CUT_PROBES,
         SERVE_QUERIES,
         SERVE_COALESCED,
         SERVE_WARM_HITS,

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.core import api
 from repro.core.api import available_methods, compute_reliability
 from repro.core.bounds import cut_upper_bound, reliability_bounds, route_lower_bound
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.core.result import EstimateResult, ReliabilityResult
-from repro.exceptions import ReproError, ReproValueError
+from repro.exceptions import DecompositionError, ReproError, ReproValueError
 from repro.graph.builders import (
     diamond,
     fujita_fig2_bridge,
@@ -150,6 +151,27 @@ class TestComputeReliability:
         result = compute_reliability(parallel_links(5), "s", "t", 2)
         assert result.method in ("naive", "factoring")
         exact = naive_reliability(parallel_links(5), FlowDemand("s", "t", 2)).value
+        assert result.value == pytest.approx(exact)
+
+    def test_auto_propagates_cut_search_bugs(self, monkeypatch):
+        """A programming error in the cut search used to be swallowed and
+        the query silently answered by a whole-graph engine."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("cut search bug")
+
+        monkeypatch.setattr(api, "find_bottleneck", broken)
+        with pytest.raises(RuntimeError, match="cut search bug"):
+            compute_reliability(fujita_fig4(), "s", "t", 2)
+
+    def test_auto_falls_back_on_decomposition_error(self, monkeypatch):
+        def no_split(*args, **kwargs):
+            raise DecompositionError("no admissible cut")
+
+        monkeypatch.setattr(api, "find_bottleneck", no_split)
+        result = compute_reliability(fujita_fig4(), "s", "t", 2)
+        assert result.method == "naive"
+        exact = naive_reliability(fujita_fig4(), FlowDemand("s", "t", 2)).value
         assert result.value == pytest.approx(exact)
 
     def test_auto_factoring_for_larger_cutless_networks(self):
