@@ -17,6 +17,11 @@ network with a set of α-bottleneck links in
    probability ``p_{E'}`` (Eq. 2) and sum (Eq. 3,
    :mod:`repro.core.accumulate`).
 
+Steps 2–4 are one pipeline, :func:`repro.core.sweep.split_reliability`,
+which evaluates Eq. 2/3 for a whole grid of failure vectors over one
+pair of arrays; ``bottleneck_reliability`` is its one-row call and a
+probability sweep its many-row call.
+
 Model note: the assignment machinery routes every sub-stream *forward*
 across the cut.  For directed cut links (all the library's generators)
 this is exact.  An undirected cut link admits pathological networks
@@ -32,23 +37,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.accumulate import accumulate
-from repro.core.arrays import RealizationArray
-from repro.core.assignments import (
-    classify_by_support,
-    enumerate_assignments,
-)
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
-from repro.core.summation import prob_fsum
-from repro.core.sweep import ArrayCache, cached_side_array
-from repro.exceptions import DecompositionError, ReproValueError
+from repro.core.sweep import ArrayCache, bottleneck_split, point_reliability
+from repro.exceptions import ReproValueError
 from repro.flow.base import MaxFlowSolver
-from repro.flow.incremental import resolve_incremental
-from repro.graph.cuts import find_bottleneck, verify_bottleneck
 from repro.graph.network import FlowNetwork
-from repro.obs.recorder import ASSIGNMENTS_ENUMERATED, count, span
-from repro.probability.enumeration import check_enumerable
+from repro.probability.enumeration import probability_grid
 
 __all__ = ["bottleneck_reliability", "pattern_probabilities", "pattern_probability"]
 
@@ -69,43 +64,31 @@ def _validate_cut_indices(net: FlowNetwork, cut: Sequence[int]) -> None:
             )
 
 
-def pattern_probability(net: FlowNetwork, cut: Sequence[int], pattern: int) -> float:
-    """Eq. (2): probability that exactly the cut links in ``pattern``
-    survive (bit ``i`` of ``pattern`` refers to ``cut[i]``)."""
-    _validate_cut_indices(net, cut)
-    k = len(cut)
-    check_enumerable(k)
-    if not 0 <= pattern < 1 << k:
-        raise ReproValueError(
-            f"pattern {pattern} out of range for a {k}-link cut "
-            f"(need 0 <= pattern < 2^{k})"
-        )
-    value = 1.0
-    for i, index in enumerate(cut):
-        link = net.link(index)
-        value *= link.availability if (pattern >> i) & 1 else link.failure_probability
-    return value
-
-
 def pattern_probabilities(net: FlowNetwork, cut: Sequence[int]) -> np.ndarray:
     """Eq. (2) for all ``2^k`` survival patterns at once.
 
-    Built by the same doubling scheme as
-    :func:`repro.probability.configuration_probabilities`: one
-    concatenation per cut link, in cut order.  Entry ``pattern`` is the
-    product ``((1.0 * f_0) * f_1) * ...`` with exactly the left-to-right
-    associativity of :func:`pattern_probability`, so every entry is
-    bit-identical to the scalar — not merely close.
+    Entry ``pattern`` is the probability that exactly the cut links in
+    ``pattern`` survive (bit ``i`` refers to ``cut[i]``): the one-row
+    :func:`repro.probability.enumeration.probability_grid` of the cut
+    links' failure probabilities, multiplied left to right in cut order.
+    The table is memoised and **read-only**.
     """
     _validate_cut_indices(net, cut)
-    check_enumerable(len(cut))
-    table = np.ones(1, dtype=np.float64)
-    for index in cut:
-        link = net.link(index)
-        table = np.concatenate(
-            [table * link.failure_probability, table * link.availability]
+    failures = [net.link(index).failure_probability for index in cut]
+    return probability_grid(np.array(failures, dtype=np.float64).reshape(1, len(cut)))[0]
+
+
+def pattern_probability(net: FlowNetwork, cut: Sequence[int], pattern: int) -> float:
+    """Eq. (2): probability that exactly the cut links in ``pattern``
+    survive (bit ``i`` of ``pattern`` refers to ``cut[i]``) — one entry
+    of :func:`pattern_probabilities`."""
+    table = pattern_probabilities(net, cut)
+    if not 0 <= pattern < len(table):
+        raise ReproValueError(
+            f"pattern {pattern} out of range for a {len(cut)}-link cut "
+            f"(need 0 <= pattern < 2^{len(cut)})"
         )
-    return table
+    return float(table[pattern])
 
 
 def bottleneck_reliability(
@@ -121,6 +104,11 @@ def bottleneck_reliability(
     cache: ArrayCache | None = None,
 ) -> ReliabilityResult:
     """Exact reliability via the bottleneck decomposition.
+
+    The one-point case of the sweep pipeline: one cut search
+    (:func:`repro.core.sweep.bottleneck_split`), then
+    :func:`repro.core.sweep.split_reliability` on the one row of
+    ``net``'s own failure probabilities.
 
     Parameters
     ----------
@@ -150,122 +138,27 @@ def bottleneck_reliability(
         A :class:`repro.core.sweep.ArrayCache`.  When given, both side
         arrays are resolved per-assignment-column through the
         content-addressed cache: a warm call spends zero max-flow solves
-        and reports ``flow_calls == 0``.  Value and ``details`` are
-        unchanged; the cache traffic of this call is reported under
-        ``details["array_cache"]``.
+        and reports ``flow_calls == 0``.  The value and the other
+        ``details`` are unchanged; the cache traffic of this call is
+        reported under ``details["array_cache"]``.
 
     Raises
     ------
     DecompositionError
         If no admissible bottleneck cut exists (or the given one fails
         verification).
+    ReproValueError
+        If ``strategy`` is not one of the accepted names.
     """
     demand.validate_against(net)
-    use_incremental = resolve_incremental(solver, incremental)
-    with span("bottleneck.cut_search", given=cut is not None):
-        if cut is None:
-            split = find_bottleneck(
-                net, demand.source, demand.sink, max_size=max_cut_size
-            )
-            if split is None:
-                raise DecompositionError(
-                    f"no admissible bottleneck cut of size <= {max_cut_size} found"
-                )
-        else:
-            split = verify_bottleneck(net, demand.source, demand.sink, cut)
-
-    cut_links = split.cut
-    k = len(cut_links)
-    capacities = [net.link(i).capacity for i in cut_links]
-    with span("bottleneck.assignments", k=k, demand=demand.rate):
-        assignments = enumerate_assignments(capacities, demand.rate)
-        count(ASSIGNMENTS_ENUMERATED, len(assignments))
-    base_details = {
-        "cut": tuple(cut_links),
-        "alpha": split.alpha,
-        "num_assignments": len(assignments),
-        "source_side_links": len(split.source_side.link_map),
-        "sink_side_links": len(split.sink_side.link_map),
-    }
-    if not assignments:
-        # The cut cannot carry the demand even fully alive (the k = 1
-        # case of this is the paper's "c(e') < d => trivially zero").
-        return ReliabilityResult(
-            value=0.0,
-            method="bottleneck",
-            details={**base_details, "reason": "cut capacity below demand"},
-        )
-
-    def side_array(role: str) -> RealizationArray:
-        source = role == "source"
-        return cached_side_array(
-            split.source_side if source else split.sink_side,
-            role=role,
-            terminal=demand.source if source else demand.sink,
-            ports=split.source_ports if source else split.sink_ports,
-            assignments=assignments,
-            demand=demand.rate,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
-            cache=cache,
-        )
-
-    cache_delta: dict[str, int] | None = None
-    if cache is None:
-        with span(
-            "bottleneck.source_array",
-            links=len(split.source_side.link_map),
-            assignments=len(assignments),
-        ):
-            source_array = side_array("source")
-        with span(
-            "bottleneck.sink_array",
-            links=len(split.sink_side.link_map),
-            assignments=len(assignments),
-        ):
-            sink_array = side_array("sink")
-    else:
-        before = cache.stats()
-        with span("bottleneck.arrays", cached=True):
-            source_array = side_array("source")
-            sink_array = side_array("sink")
-        after = cache.stats()
-        cache_delta = {key: after[key] - before[key] for key in after}
-
-    # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
-    # depends only on the supported class, so identical classes share
-    # one accumulation.
-    check_enumerable(k)
-    with span("bottleneck.accumulate", patterns=1 << k, strategy=strategy):
-        classes = classify_by_support(assignments, k)
-        p_patterns = pattern_probabilities(net, cut_links)
-        class_values: dict[tuple[int, ...], float] = {}
-        terms: list[float] = []
-        for pattern, supported in classes.items():
-            if not supported:
-                continue
-            p_pattern = float(p_patterns[pattern])
-            if p_pattern == 0.0:
-                continue
-            r = class_values.get(supported)
-            if r is None:
-                r = accumulate(source_array, sink_array, supported, strategy=strategy)
-                class_values[supported] = r
-            terms.append(p_pattern * r)
-
-    details = {
-        **base_details,
-        "accumulation_strategy": strategy,
-        "distinct_classes": len(class_values),
-        "incremental": use_incremental,
-    }
-    if cache_delta is not None:
-        details["array_cache"] = cache_delta
-    return ReliabilityResult(
-        value=prob_fsum(terms),
-        method="bottleneck",
-        flow_calls=source_array.flow_calls + sink_array.flow_calls,
-        configurations=len(source_array.masks) + len(sink_array.masks),
-        details=details,
+    split = bottleneck_split(net, demand, cut, max_cut_size)
+    return point_reliability(
+        net,
+        demand,
+        split,
+        solver=solver,
+        strategy=strategy,
+        prune=prune,
+        incremental=incremental,
+        cache=cache,
     )

@@ -35,9 +35,10 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.accumulate import side_class_probabilities
 from repro.core.arrays import build_side_array
 from repro.core.assignments import enumerate_assignments, support_mask
-from repro.core.bottleneck import pattern_probability
+from repro.core.bottleneck import pattern_probabilities
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
@@ -265,18 +266,19 @@ def _build_middle_relation(
 
 def _cross_cut(
     dist: np.ndarray,
-    net: FlowNetwork,
-    cut: Sequence[int],
+    patterns: np.ndarray,
     assignments: Sequence[Sequence[int]],
 ) -> np.ndarray:
-    """Mix the subset distribution over the cut's survival patterns."""
+    """Mix the subset distribution over the cut's survival patterns.
+
+    ``patterns`` is the cut's Eq. (2) table
+    (:func:`repro.core.bottleneck.pattern_probabilities`).
+    """
     q = len(assignments)
-    check_enumerable(len(cut))
     check_enumerable(q)
     supports = [support_mask(a) for a in assignments]
     new = np.zeros_like(dist)
-    for pattern in range(1 << len(cut)):  # repro: noqa[RR109] mask intersection per pattern, no solver state to carry
-        p = pattern_probability(net, cut, pattern)
+    for pattern, p in enumerate(patterns.tolist()):  # repro: noqa[RR109] mask intersection per pattern, no solver state to carry
         if p == 0.0:
             continue
         allowed = 0
@@ -368,12 +370,12 @@ def chain_reliability(
     )
     flow_calls += source_array.flow_calls
     configurations += len(source_array.masks)
-    q1 = len(assignment_sets[0])
-    dist = np.zeros(1 << q1, dtype=np.float64)
-    np.add.at(dist, source_array.masks.astype(np.int64), source_array.probabilities)
+    dist = side_class_probabilities(source_array, range(len(assignment_sets[0])))
 
     # Cross cut 1.
-    dist = _cross_cut(dist, net, structure.cuts[0], assignment_sets[0])
+    dist = _cross_cut(
+        dist, pattern_probabilities(net, structure.cuts[0]), assignment_sets[0]
+    )
 
     # Middle segments and their trailing cuts.
     for j in range(1, r):
@@ -396,7 +398,9 @@ def chain_reliability(
             len(assignment_sets[j - 1]),
             len(assignment_sets[j]),
         )
-        dist = _cross_cut(dist, net, structure.cuts[j], assignment_sets[j])
+        dist = _cross_cut(
+            dist, pattern_probabilities(net, structure.cuts[j]), assignment_sets[j]
+        )
 
     # Final segment: sink-side realization array over A_r.
     sink_array = build_side_array(
@@ -412,8 +416,7 @@ def chain_reliability(
     flow_calls += sink_array.flow_calls
     configurations += len(sink_array.masks)
     qr = len(assignment_sets[r - 1])
-    q_t = np.zeros(1 << qr, dtype=np.float64)
-    np.add.at(q_t, sink_array.masks.astype(np.int64), sink_array.probabilities)
+    q_t = side_class_probabilities(sink_array, range(qr))
     # miss[R] = P(sink realized set ⊆ complement of R) — the no-overlap
     # probability — via a subset-zeta table evaluated at ~R.
     zeta_t = subset_zeta(q_t, inplace=True)

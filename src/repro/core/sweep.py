@@ -1,14 +1,12 @@
-"""Sweep engine: content-addressed array reuse + vectorized multi-point Eq. 2/3.
+"""Sweep engine and the one Eq. 2/3 pipeline of the bottleneck algorithm.
 
 The paper's §III-C realization arrays are purely combinatorial: whether a
 side configuration realizes an assignment is a max-flow question over the
 side topology, capacities, ports and the assignment tuple — link failure
-probabilities never enter.  Yet every :func:`bottleneck_reliability` call
-(and every point of a fig-4-style availability curve) rebuilds both
-``2^{|E_side|}`` arrays from scratch; only Eq. 2 (pattern probabilities)
-and Eq. 3 (the accumulation) change across a probability sweep.
+probabilities never enter.  Only Eq. 2 (pattern probabilities) and
+Eq. 3 (the accumulation) change across a probability sweep.
 
-This module splits the two phases:
+This module holds:
 
 :class:`ArrayCache`
     A content-addressed store of realization *columns* (one assignment's
@@ -28,15 +26,18 @@ This module splits the two phases:
     assignment subsets), and the result is packed exactly like a direct
     build.  With no cache it is just ``build_side_array``.
 
-:func:`compute_reliability_sweep`
-    One array build, then Eq. 2 + Eq. 3 for a whole grid of per-link
-    failure vectors in a vectorized pass: 2-D doubling tables
-    (:func:`probability_grid`), row-wise class aggregation, the batched
-    superset zeta (:func:`repro.probability.zeta.superset_zeta_rows`)
-    and per-point reductions that reuse the *same scalar operations* as
-    :mod:`repro.core.accumulate` on bit-equal inputs — so every sweep
-    point is bit-identical to a fresh pointwise call (a property suite
-    enforces value and ``details`` equality).
+:func:`split_reliability`
+    The paper's algorithm on a resolved split (:func:`bottleneck_split`)
+    for a ``(points x links)`` failure grid: §III-B assignments, both
+    §III-C arrays (once, through :func:`cached_side_array`), then Eq. 2
+    and Eq. 3 per row — row-wise doubling tables
+    (:func:`repro.probability.enumeration.probability_grid`) and the
+    row-wise ACCUMULATION kernels of :mod:`repro.core.accumulate`.
+    :func:`repro.core.bottleneck.bottleneck_reliability` is its one-row
+    call (:func:`point_reliability`); :func:`compute_reliability_sweep`
+    is its many-row call, so every sweep point is bit-identical to a
+    fresh pointwise call (a property suite enforces value and
+    ``details`` equality).
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accumulate import MAX_ZETA_ASSIGNMENTS, restrict_masks
+from repro.core.accumulate import accumulate_rows, check_strategy
 from repro.core.arrays import (
     RealizationArray,
     _validate_side_request,
@@ -60,7 +61,7 @@ from repro.core.assignments import classify_by_support, enumerate_assignments
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
-from repro.exceptions import DecompositionError, IntractableError, ReproValueError
+from repro.exceptions import DecompositionError, ReproValueError
 from repro.flow.base import MaxFlowSolver
 from repro.flow.incremental import resolve_incremental
 from repro.graph.cuts import find_bottleneck, verify_bottleneck
@@ -76,9 +77,12 @@ from repro.obs.recorder import (
     count,
     span,
 )
-from repro.probability.bitset import pack_bitplanes, parity_array
-from repro.probability.enumeration import check_enumerable, configuration_probabilities
-from repro.probability.zeta import superset_zeta_rows
+from repro.probability.bitset import pack_bitplanes
+from repro.probability.enumeration import (
+    check_enumerable,
+    configuration_probabilities,
+    probability_grid,
+)
 
 __all__ = [
     "ArrayCache",
@@ -391,7 +395,6 @@ def cached_side_array(
     digest = side_fingerprint(net, role=role, terminal=terminal, ports=ports)
     keys = [_column_key(digest, a) for a in assignments]
     realized = np.zeros((size, num_assignments), dtype=bool)
-    flow_calls = 0
     with span("sweep.array_cache", role=role, links=m, assignments=num_assignments):
         missing: list[int] = []
         for j, key in enumerate(keys):
@@ -400,7 +403,11 @@ def cached_side_array(
                 missing.append(j)
             else:
                 realized[:, j] = column
-        if missing:
+        if not missing:
+            # The one probability-table request of a fully warm side.
+            probabilities = configuration_probabilities(net)
+            flow_calls = 0
+        else:
             built = build_side_array(
                 side,
                 role=role,
@@ -412,6 +419,8 @@ def cached_side_array(
                 prune=prune,
                 incremental=incremental,
             )
+            # The builder already asked for this side's table.
+            probabilities = built.probabilities
             flow_calls = built.flow_calls
             for local, j in enumerate(missing):
                 column = (
@@ -422,142 +431,10 @@ def cached_side_array(
     masks = pack_bitplanes(realized)
     return RealizationArray(
         masks=masks,
-        probabilities=configuration_probabilities(net),
+        probabilities=probabilities,
         num_assignments=num_assignments,
         flow_calls=flow_calls,
     )
-
-
-# -- the vectorized probability phase -------------------------------------
-
-
-def probability_grid(failure_grid: np.ndarray) -> np.ndarray:
-    """2-D doubling table: row ``s`` is the configuration-probability
-    table of failure vector ``failure_grid[s]``.
-
-    One concatenation per link, dead half first — the same scheme (and
-    the same left-to-right multiply order) as
-    :func:`repro.probability.configuration_probabilities` and the cut
-    table of :func:`repro.core.bottleneck.pattern_probabilities`, so
-    every row is bit-identical to its scalar counterpart.
-    """
-    grid = np.ascontiguousarray(np.asarray(failure_grid, dtype=np.float64))
-    if grid.ndim != 2:
-        raise ReproValueError("failure grid must be two-dimensional (points x links)")
-    if grid.size and (np.any(grid < 0.0) or np.any(grid >= 1.0)):
-        raise ReproValueError("failure probabilities must lie in [0, 1)")
-    points, m = grid.shape
-    check_enumerable(m)
-    table = np.ones((points, 1), dtype=np.float64)
-    for i in range(m):
-        p = grid[:, i : i + 1]
-        table = np.concatenate([table * p, table * (1.0 - p)], axis=1)
-    return table
-
-
-def _class_grid(
-    masks: np.ndarray,
-    probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """Row-wise :func:`repro.core.accumulate.side_class_probabilities`.
-
-    Row ``s`` aggregates ``probability_rows[s]`` by restricted realized
-    mask with the same sequential ``np.add.at`` scatter as the scalar
-    path, so each row is bit-identical to the pointwise aggregate.
-    """
-    q = len(assignment_indices)
-    if q > MAX_ZETA_ASSIGNMENTS:
-        raise IntractableError(
-            f"zeta accumulation over {q} assignments needs 2^{q} table entries",
-            required=q,
-            limit=MAX_ZETA_ASSIGNMENTS,
-        )
-    restricted = restrict_masks(masks, assignment_indices).astype(np.int64)
-    points = probability_rows.shape[0]
-    table = np.zeros((points, 1 << q), dtype=np.float64)
-    for s in range(points):
-        np.add.at(table[s], restricted, probability_rows[s])
-    return table
-
-
-def _zeta_r_grid(
-    source_masks: np.ndarray,
-    sink_masks: np.ndarray,
-    source_probability_rows: np.ndarray,
-    sink_probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """Per-point ``r_{E'}`` via the zeta strategy, one value per grid row."""
-    q = len(assignment_indices)
-    qs = _class_grid(source_masks, source_probability_rows, assignment_indices)
-    qt = _class_grid(sink_masks, sink_probability_rows, assignment_indices)
-    ps = superset_zeta_rows(qs, inplace=True)
-    pt = superset_zeta_rows(qt, inplace=True)
-    signs = -parity_array(q).astype(np.float64)
-    signs[0] = 0.0
-    prod = ps * pt
-    points = prod.shape[0]
-    return np.array(
-        [float(np.dot(signs, prod[s])) for s in range(points)], dtype=np.float64
-    )
-
-
-def _pairs_r_grid(
-    source_masks: np.ndarray,
-    sink_masks: np.ndarray,
-    source_probability_rows: np.ndarray,
-    sink_probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """Per-point ``r_{E'}`` via the pairs strategy, one value per grid row."""
-    restricted_s = restrict_masks(source_masks, assignment_indices)
-    restricted_t = restrict_masks(sink_masks, assignment_indices)
-    values_s, inverse_s = np.unique(restricted_s, return_inverse=True)
-    values_t, inverse_t = np.unique(restricted_t, return_inverse=True)
-    hit = ((values_s[:, None] & values_t[None, :]) != 0).astype(np.float64)
-    points = source_probability_rows.shape[0]
-    out = np.empty(points, dtype=np.float64)
-    for s in range(points):
-        qs = np.bincount(
-            inverse_s, weights=source_probability_rows[s], minlength=len(values_s)
-        )
-        qt = np.bincount(
-            inverse_t, weights=sink_probability_rows[s], minlength=len(values_t)
-        )
-        out[s] = float(qs @ hit @ qt)
-    return out
-
-
-def _r_grid(
-    source: RealizationArray,
-    sink: RealizationArray,
-    assignment_indices: Sequence[int],
-    source_probability_rows: np.ndarray,
-    sink_probability_rows: np.ndarray,
-    strategy: str,
-) -> np.ndarray:
-    """Grid twin of :func:`repro.core.accumulate.accumulate` — same
-    strategy resolution, same per-point arithmetic."""
-    if strategy == "auto":
-        strategy = "zeta" if len(assignment_indices) <= 12 else "pairs"
-    if strategy == "zeta":
-        return _zeta_r_grid(
-            source.masks,
-            sink.masks,
-            source_probability_rows,
-            sink_probability_rows,
-            assignment_indices,
-        )
-    if strategy == "pairs":
-        return _pairs_r_grid(
-            source.masks,
-            sink.masks,
-            source_probability_rows,
-            sink_probability_rows,
-            assignment_indices,
-        )
-    raise ReproValueError(f"unknown accumulation strategy {strategy!r}")
 
 
 # -- the sweep specification ----------------------------------------------
@@ -698,13 +575,19 @@ class SweepResult:
         return iter(self.results)
 
 
-def _resolve_split(
+def bottleneck_split(
     net: FlowNetwork,
     demand: FlowDemand,
     cut: Sequence[int] | None,
     max_cut_size: int,
 ) -> SideSplit:
-    with span("sweep.cut_search", given=cut is not None):
+    """The bottleneck cut search: discover the best admissible cut of
+    size up to ``max_cut_size``, or verify the given one.
+
+    Admissibility is structural (it never reads the demand rate or the
+    failure probabilities), so one search serves every sweep point.
+    """
+    with span("bottleneck.cut_search", given=cut is not None):
         if cut is None:
             split = find_bottleneck(
                 net, demand.source, demand.sink, max_size=max_cut_size
@@ -715,6 +598,175 @@ def _resolve_split(
                 )
             return split
         return verify_bottleneck(net, demand.source, demand.sink, cut)
+
+
+def split_reliability(
+    net: FlowNetwork,
+    demand: FlowDemand,
+    split: SideSplit,
+    failure_grid: np.ndarray,
+    *,
+    solver: str | MaxFlowSolver | None,
+    strategy: str,
+    prune: bool,
+    incremental: bool | None,
+    cache: ArrayCache | None,
+) -> tuple[list[ReliabilityResult], int]:
+    """The paper's §III-B/§III-C/§IV-B pipeline on a resolved split.
+
+    Builds the assignment set and both realization arrays once, then
+    evaluates Eq. 2 and Eq. 3 for every row of the ``(points, links)``
+    ``failure_grid``.  Returns one result per row (each with
+    ``flow_calls=0``) and the max-flow solves the array builds spent.
+    """
+    check_strategy(strategy)
+    use_incremental = resolve_incremental(solver, incremental)
+    num_points = failure_grid.shape[0]
+    cut_links = split.cut
+    k = len(cut_links)
+    capacities = [net.link(i).capacity for i in cut_links]
+    with span("bottleneck.assignments", k=k, demand=demand.rate):
+        assignments = enumerate_assignments(capacities, demand.rate)
+        count(ASSIGNMENTS_ENUMERATED, len(assignments))
+    source_columns = list(split.source_side.link_map)
+    sink_columns = list(split.sink_side.link_map)
+    base_details = {
+        "cut": tuple(cut_links),
+        "alpha": split.alpha,
+        "num_assignments": len(assignments),
+        "source_side_links": len(source_columns),
+        "sink_side_links": len(sink_columns),
+    }
+    if not assignments:
+        # The cut cannot carry the demand even fully alive (the k = 1
+        # case of this is the paper's "c(e') < d => trivially zero").
+        zeros = [
+            ReliabilityResult(
+                value=0.0,
+                method="bottleneck",
+                details={**base_details, "reason": "cut capacity below demand"},
+            )
+            for _ in range(num_points)
+        ]
+        return zeros, 0
+
+    def side_array(role: str) -> RealizationArray:
+        source = role == "source"
+        return cached_side_array(
+            split.source_side if source else split.sink_side,
+            role=role,
+            terminal=demand.source if source else demand.sink,
+            ports=split.source_ports if source else split.sink_ports,
+            assignments=assignments,
+            demand=demand.rate,
+            solver=solver,
+            prune=prune,
+            incremental=incremental,
+            cache=cache,
+        )
+
+    with span(
+        "bottleneck.source_array",
+        links=len(source_columns),
+        assignments=len(assignments),
+    ):
+        source_array = side_array("source")
+    with span(
+        "bottleneck.sink_array",
+        links=len(sink_columns),
+        assignments=len(assignments),
+    ):
+        sink_array = side_array("sink")
+
+    # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
+    # depends only on the supported class, so identical classes share
+    # one accumulation per batch of rows.
+    check_enumerable(k)
+    classes = classify_by_support(assignments, k)
+    configurations = len(source_array.masks) + len(sink_array.masks)
+    batch = max(1, _MAX_GRID_ENTRIES >> max(len(source_columns), len(sink_columns), k))
+    results: list[ReliabilityResult] = []
+    with span(
+        "bottleneck.accumulate", points=num_points, patterns=1 << k, strategy=strategy
+    ):
+        for start in range(0, num_points, batch):
+            rows = failure_grid[start : start + batch]
+            source_rows = probability_grid(rows[:, source_columns])
+            sink_rows = probability_grid(rows[:, sink_columns])
+            pattern_rows = probability_grid(rows[:, list(cut_links)])  # Eq. (2)
+            r_rows: dict[tuple[int, ...], np.ndarray] = {}
+            for local in range(len(rows)):
+                terms: list[float] = []
+                used: set[tuple[int, ...]] = set()
+                for pattern, supported in classes.items():
+                    if not supported:
+                        continue
+                    p_pattern = float(pattern_rows[local, pattern])
+                    if p_pattern == 0.0:
+                        continue
+                    r = r_rows.get(supported)
+                    if r is None:
+                        r = accumulate_rows(
+                            source_array.masks,
+                            sink_array.masks,
+                            source_rows,
+                            sink_rows,
+                            supported,
+                            strategy=strategy,
+                        )
+                        r_rows[supported] = r
+                    used.add(supported)
+                    terms.append(p_pattern * float(r[local]))
+                results.append(
+                    ReliabilityResult(
+                        value=prob_fsum(terms),
+                        method="bottleneck",
+                        configurations=configurations,
+                        details={
+                            **base_details,
+                            "accumulation_strategy": strategy,
+                            "distinct_classes": len(used),
+                            "incremental": use_incremental,
+                        },
+                    )
+                )
+    return results, source_array.flow_calls + sink_array.flow_calls
+
+
+def point_reliability(
+    net: FlowNetwork,
+    demand: FlowDemand,
+    split: SideSplit,
+    *,
+    solver: str | MaxFlowSolver | None,
+    strategy: str,
+    prune: bool,
+    incremental: bool | None,
+    cache: ArrayCache | None,
+) -> ReliabilityResult:
+    """The one-row call of :func:`split_reliability` at ``net``'s own
+    failure probabilities.
+
+    Reports the array builds' solves as ``flow_calls`` and, when a
+    ``cache`` is given, its traffic under ``details["array_cache"]``.
+    """
+    failure_grid = np.asarray(net.failure_probabilities(), dtype=np.float64)
+    before = cache.stats() if cache is not None else {}
+    (result,), flow_calls = split_reliability(
+        net,
+        demand,
+        split,
+        failure_grid.reshape(1, net.num_links),
+        solver=solver,
+        strategy=strategy,
+        prune=prune,
+        incremental=incremental,
+        cache=cache,
+    )
+    if cache is not None:
+        after = cache.stats()
+        result.details["array_cache"] = {key: after[key] - before[key] for key in after}
+    return replace(result, flow_calls=flow_calls)
 
 
 def compute_reliability_sweep(
@@ -732,254 +784,64 @@ def compute_reliability_sweep(
 ) -> SweepResult:
     """Reliability at every sweep point for the cost of ~one array build.
 
-    For the probability kinds the bottleneck cut, the assignment set and
-    both realization arrays are computed once (through ``cache``; a
-    private in-memory :class:`ArrayCache` is used when none is given) and
-    Eq. 2 / Eq. 3 are evaluated for the whole failure grid in batched
-    vectorized passes.  Every point's value and ``details`` are
-    bit-identical to a fresh :func:`bottleneck_reliability` call on
-    :meth:`SweepSpec.point_network` — only the solve accounting differs
-    (the per-point ``flow_calls`` is 0; this call's total is reported on
-    the :class:`SweepResult`).
+    One cut search serves every point.  For the probability kinds the
+    assignment set and both realization arrays are then computed once
+    (through ``cache``; a private in-memory :class:`ArrayCache` is used
+    when none is given) and Eq. 2 / Eq. 3 are evaluated for the whole
+    failure grid by :func:`split_reliability`, the pipeline
+    :func:`bottleneck_reliability` runs on one row.  Every point's value
+    and ``details`` are bit-identical to a fresh
+    :func:`bottleneck_reliability` call on :meth:`SweepSpec.point_network`
+    — only the solve accounting differs (the per-point ``flow_calls`` is
+    0; this call's total is reported on the :class:`SweepResult`).
 
-    Demand sweeps loop the full bottleneck pipeline per rate with the
-    shared cache, so assignment tuples common to several rates are built
-    once.
+    Demand sweeps run the one-point pipeline per rate with the shared
+    cache, so assignment tuples common to several rates are built once.
 
     Parameters mirror :func:`bottleneck_reliability`; ``demand.rate`` is
     ignored (and may be any valid rate) for ``kind="demand"`` sweeps.
     """
+    demand.validate_against(net)
+    # The probability kinds validate their grid before any search.
+    failure_grid = sweep.failure_matrix(net) if sweep.kind != "demand" else None
     the_cache = cache if cache is not None else ArrayCache()
     before = the_cache.stats()
     with span("sweep.run", kind=sweep.kind, points=len(sweep)):
-        if sweep.kind == "demand":
-            result = _demand_sweep(
-                net,
-                demand,
-                sweep=sweep,
-                cut=cut,
-                solver=solver,
-                strategy=strategy,
-                prune=prune,
-                max_cut_size=max_cut_size,
-                incremental=incremental,
-                cache=the_cache,
-            )
+        split = bottleneck_split(net, demand, cut, max_cut_size)
+        if failure_grid is None:
+            points = [
+                point_reliability(
+                    net,
+                    FlowDemand(demand.source, demand.sink, rate),
+                    split,
+                    solver=solver,
+                    strategy=strategy,
+                    prune=prune,
+                    incremental=incremental,
+                    cache=the_cache,
+                )
+                for rate in sweep.values
+            ]
+            flow_calls = sum(point.flow_calls for point in points)
         else:
-            result = _probability_sweep(
+            points, flow_calls = split_reliability(
                 net,
                 demand,
-                sweep=sweep,
-                cut=cut,
+                split,
+                failure_grid,
                 solver=solver,
                 strategy=strategy,
                 prune=prune,
-                max_cut_size=max_cut_size,
                 incremental=incremental,
                 cache=the_cache,
             )
     after = the_cache.stats()
-    delta = {key: after[key] - before[key] for key in after}
-    return SweepResult(
-        kind=result.kind,
-        xs=result.xs,
-        results=result.results,
-        flow_calls=result.flow_calls,
-        cache_stats=delta,
-    )
-
-
-def _demand_sweep(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    *,
-    sweep: SweepSpec,
-    cut: Sequence[int] | None,
-    solver: str | MaxFlowSolver | None,
-    strategy: str,
-    prune: bool,
-    max_cut_size: int,
-    incremental: bool | None,
-    cache: ArrayCache,
-) -> SweepResult:
-    from repro.core.bottleneck import bottleneck_reliability  # local: avoids cycle
-
-    # One structural cut search serves every rate (admissibility does
-    # not depend on the demand); each pointwise call then verifies it,
-    # which yields the same split a fresh discovery would.
-    split = _resolve_split(net, demand, cut, max_cut_size)
-    results: list[ReliabilityResult] = []
-    flow_calls = 0
-    for rate in sweep.values:
-        point = bottleneck_reliability(
-            net,
-            FlowDemand(demand.source, demand.sink, rate),
-            cut=split.cut,
-            solver=solver,
-            strategy=strategy,
-            prune=prune,
-            max_cut_size=max_cut_size,
-            incremental=incremental,
-            cache=cache,
-        )
-        flow_calls += point.flow_calls
-        results.append(point)
     return SweepResult(
         kind=sweep.kind,
         xs=sweep.values,
-        results=tuple(results),
+        results=tuple(points),
         flow_calls=flow_calls,
-        cache_stats={},
-    )
-
-
-def _probability_sweep(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    *,
-    sweep: SweepSpec,
-    cut: Sequence[int] | None,
-    solver: str | MaxFlowSolver | None,
-    strategy: str,
-    prune: bool,
-    max_cut_size: int,
-    incremental: bool | None,
-    cache: ArrayCache,
-) -> SweepResult:
-    demand.validate_against(net)
-    failure_grid = sweep.failure_matrix(net)  # validates the grid up front
-    num_points = len(sweep)
-    use_incremental = resolve_incremental(solver, incremental)
-    split = _resolve_split(net, demand, cut, max_cut_size)
-    cut_links = split.cut
-    k = len(cut_links)
-    capacities = [net.link(i).capacity for i in cut_links]
-    with span("sweep.assignments", k=k, demand=demand.rate):
-        assignments = enumerate_assignments(capacities, demand.rate)
-        count(ASSIGNMENTS_ENUMERATED, len(assignments))
-    base_details = {
-        "cut": tuple(cut_links),
-        "alpha": split.alpha,
-        "num_assignments": len(assignments),
-        "source_side_links": len(split.source_side.link_map),
-        "sink_side_links": len(split.sink_side.link_map),
-    }
-    if not assignments:
-        # Mirrors the pointwise early return (c(cut) < d): identical
-        # details at every point, no arrays, no solves.
-        zero = tuple(
-            ReliabilityResult(
-                value=0.0,
-                method="bottleneck",
-                details={**base_details, "reason": "cut capacity below demand"},
-            )
-            for _ in range(num_points)
-        )
-        return SweepResult(
-            kind=sweep.kind,
-            xs=sweep.values,
-            results=zero,
-            flow_calls=0,
-            cache_stats={},
-        )
-
-    with span(
-        "sweep.arrays",
-        source_links=len(split.source_side.link_map),
-        sink_links=len(split.sink_side.link_map),
-        assignments=len(assignments),
-    ):
-        source_array = cached_side_array(
-            split.source_side,
-            role="source",
-            terminal=demand.source,
-            ports=split.source_ports,
-            assignments=assignments,
-            demand=demand.rate,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
-            cache=cache,
-        )
-        sink_array = cached_side_array(
-            split.sink_side,
-            role="sink",
-            terminal=demand.sink,
-            ports=split.sink_ports,
-            assignments=assignments,
-            demand=demand.rate,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
-            cache=cache,
-        )
-
-    source_columns = list(split.source_side.link_map)
-    sink_columns = list(split.sink_side.link_map)
-    source_fail = failure_grid[:, source_columns]
-    sink_fail = failure_grid[:, sink_columns]
-    cut_fail = failure_grid[:, list(cut_links)]
-
-    check_enumerable(k)
-    classes = classify_by_support(assignments, k)
-    configurations = len(source_array.masks) + len(sink_array.masks)
-    widest = max(
-        len(split.source_side.link_map), len(split.sink_side.link_map), k
-    )
-    batch = max(1, _MAX_GRID_ENTRIES >> widest)
-    results: list[ReliabilityResult] = []
-    with span(
-        "sweep.accumulate", points=num_points, strategy=strategy, patterns=1 << k
-    ):
-        for start in range(0, num_points, batch):
-            stop = min(num_points, start + batch)
-            source_rows = probability_grid(source_fail[start:stop])
-            sink_rows = probability_grid(sink_fail[start:stop])
-            pattern_rows = probability_grid(cut_fail[start:stop])
-            r_grids: dict[tuple[int, ...], np.ndarray] = {}
-            for local in range(stop - start):
-                terms: list[float] = []
-                used: set[tuple[int, ...]] = set()
-                for pattern, supported in classes.items():
-                    if not supported:
-                        continue
-                    p_pattern = float(pattern_rows[local, pattern])
-                    if p_pattern == 0.0:
-                        continue
-                    r_vector = r_grids.get(supported)
-                    if r_vector is None:
-                        r_vector = _r_grid(
-                            source_array,
-                            sink_array,
-                            supported,
-                            source_rows,
-                            sink_rows,
-                            strategy,
-                        )
-                        r_grids[supported] = r_vector
-                    used.add(supported)
-                    terms.append(p_pattern * float(r_vector[local]))
-                details = {
-                    **base_details,
-                    "accumulation_strategy": strategy,
-                    "distinct_classes": len(used),
-                    "incremental": use_incremental,
-                }
-                results.append(
-                    ReliabilityResult(
-                        value=prob_fsum(terms),
-                        method="bottleneck",
-                        flow_calls=0,
-                        configurations=configurations,
-                        details=details,
-                    )
-                )
-    return SweepResult(
-        kind=sweep.kind,
-        xs=sweep.values,
-        results=tuple(results),
-        flow_calls=source_array.flow_calls + sink_array.flow_calls,
-        cache_stats={},
+        cache_stats={key: after[key] - before[key] for key in after},
     )
 
 

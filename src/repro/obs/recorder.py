@@ -176,7 +176,6 @@ KNOWN_SPANS = frozenset(
     {
         "bench.call",
         "bottleneck.accumulate",
-        "bottleneck.arrays",
         "bottleneck.assignments",
         "bottleneck.cut_search",
         "bottleneck.sink_array",
@@ -193,12 +192,8 @@ KNOWN_SPANS = frozenset(
         "serve.batch",
         "serve.query",
         "serve.warm",
-        "sweep.accumulate",
         "sweep.array_cache",
-        "sweep.arrays",
-        "sweep.assignments",
         "sweep.batch",
-        "sweep.cut_search",
         "sweep.plan",
         "sweep.run",
     }

@@ -5,10 +5,11 @@ links (bit ``i`` set means link ``i`` is up).  The probability of
 configuration ``c`` is ``prod_{i alive} (1 - p_i) * prod_{i dead} p_i``
 (the paper's expression below Fig. 1, with ``E'`` the alive set).
 
-:func:`configuration_probabilities` materialises all ``2^m``
-probabilities with a numpy doubling construction — no Python loop over
-configurations — which is the single hottest primitive of the exact
-algorithms.
+:func:`probability_grid` materialises all ``2^m`` probabilities of one
+or many failure vectors with a numpy doubling construction — no Python
+loop over configurations — which is the single hottest primitive of the
+exact algorithms; :func:`configuration_probabilities` is its counted
+one-row case.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "configuration_probabilities",
     "configuration_probability",
     "conditional_configuration_probabilities",
+    "probability_grid",
 ]
 
 #: Refuse to materialise more than ``2**MAX_ENUM_BITS`` configurations
@@ -63,6 +65,67 @@ def _as_failure_probs(source: FlowNetwork | Sequence[float]) -> np.ndarray:
     return probs
 
 
+def probability_grid(failure_grid: np.ndarray) -> np.ndarray:
+    """2-D doubling table: row ``s`` is the configuration-probability
+    table of failure vector ``failure_grid[s]``.
+
+    Start from ``[1.0]`` and, for each link, append the alive-scaled copy
+    after the dead-scaled copy, so that link ``i`` occupies bit ``i``:
+    ``P[s, c] = prod_i (bit_i(c) ? 1 - p_si : p_si)``, multiplied left
+    to right in link order.  ``O(points * 2^m)`` time and memory.  This
+    is the one doubling loop of the library: configuration tables, the
+    Eq. 2 pattern tables of :mod:`repro.core.bottleneck` and the sweep
+    grids all index it.
+
+    A single row of at most ``_PROB_TABLE_CACHE_BITS`` links is served
+    as a ``(1, 2^m)`` view of the memoised **read-only** table, so a
+    pointwise caller never rebuilds a table the array builder already
+    made.  Wider or multi-row grids are built fresh.
+    """
+    grid = np.ascontiguousarray(np.asarray(failure_grid, dtype=np.float64))
+    if grid.ndim != 2:
+        raise ReproValueError("failure grid must be two-dimensional (points x links)")
+    if grid.size and (np.any(grid < 0.0) or np.any(grid >= 1.0)):
+        raise ReproValueError("failure probabilities must lie in [0, 1)")
+    check_enumerable(grid.shape[1])
+    return _table_rows(grid)
+
+
+def _table_rows(grid: np.ndarray) -> np.ndarray:
+    """:func:`probability_grid` on a validated grid: the memo policy."""
+    points, m = grid.shape
+    if points == 1 and m <= _PROB_TABLE_CACHE_BITS:
+        return _probability_table(tuple(grid[0].tolist()))[None, :]
+    return _doubling(grid)
+
+
+def _doubling(grid: np.ndarray) -> np.ndarray:
+    """The doubling construction over ``(points, m)`` factors (unvalidated).
+
+    A factor of exactly 1.0 (used by the conditional tables) makes the
+    dead half an exact copy and the alive half exact zeros.
+    """
+    table = np.ones((grid.shape[0], 1), dtype=np.float64)
+    for i in range(grid.shape[1]):
+        p = grid[:, i : i + 1]
+        table = np.concatenate([table * p, table * (1.0 - p)], axis=1)
+    return table
+
+
+@lru_cache(maxsize=8)
+def _probability_table(probs: tuple[float, ...]) -> np.ndarray:
+    """Memoised, **read-only** probability table for one prob vector.
+
+    Each side array, each cached-column rebuild and the pointwise Eq. 2/3
+    phase ask for the same table; building it once per process and
+    sharing a read-only view removes an ``O(2^m)`` rebuild from every
+    repeat caller.
+    """
+    table = _doubling(np.array(probs, dtype=np.float64)[None, :])[0]
+    table.setflags(write=False)
+    return table
+
+
 def configuration_probabilities(
     source: FlowNetwork | Sequence[float],
 ) -> np.ndarray:
@@ -70,10 +133,8 @@ def configuration_probabilities(
 
     Returns a float64 array ``P`` of length ``2**m`` with
     ``P[c] = prod_i (bit_i(c) ? 1 - p_i : p_i)``.  The array sums to 1.
-
-    Construction: start from ``[1.0]`` and for each link append the
-    alive-scaled copy after the dead-scaled copy, so that link ``i``
-    occupies bit ``i``.  ``O(2^m)`` time and memory.
+    The counted one-row case of :func:`probability_grid` (read-only when
+    memoised).
     """
     probs = _as_failure_probs(source)
     m = len(probs)
@@ -83,32 +144,7 @@ def configuration_probabilities(
         # not — the paper's cost accounting is about the enumeration the
         # algorithm asked for, not this process's memoisation luck.
         count(CONFIGURATIONS_ENUMERATED, 1 << m)
-        if m <= _PROB_TABLE_CACHE_BITS:
-            return _probability_table(tuple(float(p) for p in probs))
-        return _build_probability_table(tuple(float(p) for p in probs))
-
-
-@lru_cache(maxsize=8)
-def _probability_table(probs: tuple[float, ...]) -> np.ndarray:
-    """Memoised, **read-only** probability table for one prob vector.
-
-    Each side array (and each cached-column rebuild) asks for the same
-    table; building it once per process and sharing a read-only view
-    removes an ``O(2^m)`` rebuild from every repeat caller.
-    """
-    table = _build_probability_table(probs)
-    table.setflags(write=False)
-    return table
-
-
-def _build_probability_table(probs: tuple[float, ...]) -> np.ndarray:
-    """The doubling construction (uncached, always a fresh array)."""
-    table = np.ones(1, dtype=np.float64)
-    for p in probs:
-        dead = table * p
-        alive = table * (1.0 - p)
-        table = np.concatenate([dead, alive])
-    return table
+        return _table_rows(probs[None, :])[0]
 
 
 def configuration_probability(
@@ -143,21 +179,9 @@ def conditional_configuration_probabilities(
     overlap = alive_set & dead_set
     if overlap:
         raise ReproValueError(f"links {sorted(overlap)} forced both alive and dead")
-    for i in alive_set:
-        probs[i] = 0.0
-    for i in dead_set:
-        # p = 1 would be rejected by validation; emulate by splitting the
-        # doubling step manually below.
-        pass
-    m = len(probs)
-    check_enumerable(m)
-    table = np.ones(1, dtype=np.float64)
-    for i, p in enumerate(probs):
-        if i in dead_set:
-            dead = table.copy()
-            alive = np.zeros_like(table)
-        else:
-            dead = table * p
-            alive = table * (1.0 - p)
-        table = np.concatenate([dead, alive])
-    return table
+    # Failure probability 0 / 1 pins a link up / down; 1 is outside the
+    # validated range, so the doubling loop is called directly.
+    probs[list(alive_set)] = 0.0
+    probs[list(dead_set)] = 1.0
+    check_enumerable(len(probs))
+    return _doubling(probs[None, :])[0]

@@ -79,9 +79,9 @@ def superset_zeta_rows(values: np.ndarray, *, inplace: bool = False) -> np.ndarr
     Each row is transformed independently with exactly the scalar
     butterfly schedule — the per-row additions pair the same operands
     in the same order — so every output row is bit-identical to
-    ``superset_zeta(values[i])``.  Used by the sweep engine to evaluate
-    the ACCUMULATION step for a whole grid of availability points in
-    one pass.
+    ``superset_zeta(values[i])``.  Used by the row-wise ACCUMULATION
+    kernels (:mod:`repro.core.accumulate`) to evaluate a whole grid of
+    availability points in one pass.
     """
     out = values if inplace else values.copy()
     if out.ndim != 2:

@@ -37,7 +37,7 @@ def bad_recorder_attribute_fstring(recorder, name):
 
 
 def ok_literal_span():
-    with span("bottleneck.arrays", cached=True):
+    with span("bottleneck.source_array", links=4, assignments=3):
         return None
 
 
