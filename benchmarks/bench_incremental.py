@@ -10,7 +10,9 @@ grow while the path work collapses).
 
 Every row is asserted value-identical to the cold baseline (``==`` on
 the float, not approx) before it is reported; the committed snapshot
-lives in ``benchmarks/BENCH_incremental.json`` and the acceptance bar
+lives in ``benchmarks/BENCH_incremental.json`` (its bottleneck rows are
+history: the bottleneck pipeline no longer takes ``incremental=``,
+``prune=`` or ``solver=``) and the acceptance bar
 (>= 2x path-work reduction on fig4) is asserted here so a regression
 fails the bench, not just the JSON diff.
 """
@@ -18,7 +20,6 @@ fails the bench, not just the JSON diff.
 import pytest
 
 from repro.bench.harness import time_call
-from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.graph.builders import fujita_fig4
@@ -140,58 +141,4 @@ def test_i1_naive_random(benchmark, show, seed):
             for r in rows
         ],
         title=f"I1: naive on bottlenecked_network(seed={seed})",
-    )
-
-
-def test_i1_bottleneck_fig4(benchmark, show):
-    """The paper's algorithm end-to-end: both side arrays incremental."""
-    net = fujita_fig4()
-    demand = FlowDemand("s", "t", 2)
-    variants = [
-        ("cold serial", {"incremental": False}),
-        ("incremental serial", {"incremental": True}),
-        ("cold unpruned", {"prune": False, "incremental": False}),
-        ("incremental unpruned", {"prune": False, "incremental": True}),
-    ]
-
-    def sweep():
-        rows = []
-        baseline = {}
-        for label, kwargs in variants:
-            timing, paths, totals = _measured(
-                bottleneck_reliability, net, demand, **kwargs
-            )
-            key = kwargs.get("prune", True)
-            if not kwargs["incremental"]:
-                baseline[key] = paths
-                ratio = 1.0
-            else:
-                ratio = baseline[key] / paths if paths else float("inf")
-            rows.append(
-                {
-                    "configuration": label,
-                    "ms": round(timing.seconds * 1e3, 3),
-                    "value": timing.value.value,
-                    "flow_calls": timing.value.flow_calls,
-                    "augmenting_paths": paths,
-                    "path_work_reduction": round(ratio, 2),
-                }
-            )
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    assert len({r["value"] for r in rows}) == 1
-    show(
-        ["configuration", "ms", "flow calls", "aug. paths", "reduction"],
-        [
-            [
-                r["configuration"],
-                f"{r['ms']:.2f}",
-                r["flow_calls"],
-                r["augmenting_paths"],
-                f"{r['path_work_reduction']:.2f}x",
-            ]
-            for r in rows
-        ],
-        title="I1: bottleneck_reliability on fujita_fig4",
     )

@@ -103,9 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             default=None,
             dest="incremental",
-            help="force the Gray-walk flow-repair kernels for --method "
-            "naive, bottleneck or auto (default: on when the solver "
-            "supports warm starts)",
+            help="force the Gray-walk flow-repair kernels of the naive "
+            "and rare-event engines (default: on when the solver supports "
+            "warm starts)",
         )
         group.add_argument(
             "--no-incremental",
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="set link LINK's failure probability to P before sweeping "
         "(repeatable)",
     )
-    _add_incremental_flags(sweep)
     sweep.add_argument(
         "--cache-dir",
         default=None,
@@ -398,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--solver",
         default=None,
-        help=f"max-flow solver (default: {DEFAULT_SOLVER})",
+        help="max-flow solver for queries with a non-coalescible method "
+        f"(default: {DEFAULT_SOLVER}); bottleneck columns ignore it",
     )
     _add_telemetry_flags(serve)
 
@@ -917,15 +917,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         params={
             "kind": spec.kind,
             "points": len(spec),
-            "incremental": args.incremental,
             "cache_dir": args.cache_dir,
             "cache_max_bytes": args.cache_max_bytes,
         },
     )
     with session:
-        result = compute_reliability_sweep(
-            net, demand, sweep=spec, incremental=args.incremental, cache=cache
-        )
+        result = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
         session.complete(flow_calls=result.flow_calls)
     stats = result.cache_stats
     if args.json:
@@ -1222,9 +1219,9 @@ def _cmd_sample_network(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Methods with a Gray-walk flow-repair path (``auto`` forwards the
-#: toggle to whichever of them wins the dispatch).
-_INCREMENTAL_METHODS = ("naive", "bottleneck", "auto")
+#: Methods that take ``incremental=`` (``auto`` forwards the toggle to
+#: its naive and rare-event fallbacks).
+_INCREMENTAL_METHODS = ("naive", "rare", "auto")
 
 
 def _incremental_option(args: argparse.Namespace) -> dict[str, bool]:
@@ -1232,9 +1229,11 @@ def _incremental_option(args: argparse.Namespace) -> dict[str, bool]:
     if args.incremental is None:
         return {}
     flag = "--incremental" if args.incremental else "--no-incremental"
-    if args.method not in _INCREMENTAL_METHODS:
+    # ``estimate`` has no --method: it always runs the rare-event tier.
+    method = getattr(args, "method", "rare")
+    if method not in _INCREMENTAL_METHODS:
         raise ReproValueError(
-            f"{flag} is not supported by method {args.method!r}; "
+            f"{flag} is not supported by method {method!r}; "
             f"use one of: {', '.join(_INCREMENTAL_METHODS)}"
         )
     return {"incremental": args.incremental}

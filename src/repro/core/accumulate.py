@@ -14,7 +14,7 @@ given the bottleneck pattern):
 
     r_{E'} = Σ_{∅≠X}  (−1)^{|X|+1} P_s(X) P_t(X).
 
-Two exact implementations are provided and ablated in benchmark A1:
+Two exact kernels compute it (benchmark A1 ablates them):
 
 ``zeta``
     Aggregate each side's configuration probabilities by realized mask
@@ -30,9 +30,10 @@ Two exact implementations are provided and ablated in benchmark A1:
     ``1 − P(no side realizes a common assignment)`` computed densely.
     Cost ``O(S · T)`` on distinct-mask counts; immune to large ``q``.
 
-Both return identical values (a property test enforces it); ``auto``
-picks ``zeta`` while ``2^q`` stays small and ``pairs`` otherwise.
-``pairs`` is the only strategy past :data:`MAX_ZETA_ASSIGNMENTS`.
+Both return identical values (a property test enforces it).  The class
+size picks the kernel: ``zeta`` for ``q <= 12`` (faster at the small
+classes the bottleneck pipeline meets), ``pairs`` otherwise — the only
+kernel past :data:`MAX_ZETA_ASSIGNMENTS`.
 
 The kernels are row-wise: one call evaluates ``r_{E'}`` for a whole
 ``(points x 2^{m_side})`` grid of configuration probabilities over the
@@ -56,23 +57,16 @@ from repro.probability.zeta import superset_zeta_rows
 __all__ = [
     "accumulate",
     "accumulate_rows",
-    "check_strategy",
     "class_probability_rows",
     "restrict_masks",
     "side_class_probabilities",
 ]
 
-#: ``zeta`` strategy refuses classes bigger than this many assignments.
+#: The ``zeta`` kernel refuses classes bigger than this many assignments.
 MAX_ZETA_ASSIGNMENTS = 20
 
-#: ``auto`` picks ``zeta`` for classes of at most this many assignments.
-_AUTO_ZETA_ASSIGNMENTS = 12
-
-
-def check_strategy(strategy: str) -> None:
-    """Reject an unknown ACCUMULATION strategy name."""
-    if strategy not in ("auto", "zeta", "pairs"):
-        raise ReproValueError(f"unknown accumulation strategy {strategy!r}")
+#: Classes of at most this many assignments run the ``zeta`` kernel.
+_ZETA_CLASS_LIMIT = 12
 
 
 def restrict_masks(masks: np.ndarray, assignment_indices: Sequence[int]) -> np.ndarray:
@@ -171,23 +165,18 @@ def accumulate_rows(
     source_rows: np.ndarray,
     sink_rows: np.ndarray,
     assignment_indices: Sequence[int],
-    *,
-    strategy: str = "auto",
 ) -> np.ndarray:
     """``r_{E'}`` for the class ``assignment_indices``, one value per row.
 
     ``source_rows[s]`` / ``sink_rows[s]`` are the configuration
     probabilities of the two sides at point ``s``; the masks are shared
-    by every point.  ``strategy`` is ``"zeta"``, ``"pairs"`` or
-    ``"auto"``.
+    by every point.  The class size picks the kernel (``zeta`` up to
+    12 assignments, ``pairs`` beyond).
     """
-    check_strategy(strategy)
     q = len(assignment_indices)
     if q == 0:
         return np.zeros(source_rows.shape[0], dtype=np.float64)
-    if strategy == "auto":
-        strategy = "zeta" if q <= _AUTO_ZETA_ASSIGNMENTS else "pairs"
-    kernel = _zeta_rows if strategy == "zeta" else _pairs_rows
+    kernel = _zeta_rows if q <= _ZETA_CLASS_LIMIT else _pairs_rows
     return kernel(source_masks, sink_masks, source_rows, sink_rows, assignment_indices)
 
 
@@ -195,13 +184,8 @@ def accumulate(
     source: RealizationArray,
     sink: RealizationArray,
     assignment_indices: Sequence[int],
-    *,
-    strategy: str = "auto",
 ) -> float:
-    """``r_{E'}`` for the class given by ``assignment_indices``.
-
-    ``strategy`` is ``"zeta"``, ``"pairs"`` or ``"auto"``.
-    """
+    """``r_{E'}`` for the class given by ``assignment_indices``."""
     if source.num_assignments != sink.num_assignments:
         raise ReproValueError("side arrays disagree on the assignment count")
     for j in assignment_indices:
@@ -214,6 +198,5 @@ def accumulate(
             source.probabilities[None, :],
             sink.probabilities[None, :],
             assignment_indices,
-            strategy=strategy,
         )[0]
     )

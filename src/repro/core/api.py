@@ -2,8 +2,10 @@
 
 Dispatches to the right algorithm:
 
-* ``method="auto"`` — discover a bottleneck cut; if one exists whose
-  sides are enumerable, run the paper's algorithm; otherwise fall back
+* ``method="auto"`` — search for a bottleneck cut once; if one exists
+  whose sides are enumerable, run the paper's algorithm on that split
+  (its kernels are picked by the input, so no engine option reaches
+  it); otherwise fall back
   to factoring (exact on any network) for moderate link counts, to the
   rare-event estimator tier (:mod:`repro.core.rare`) once the network
   outgrows every exact engine's enumeration guard, and to naive only
@@ -32,8 +34,8 @@ from repro.core.factoring import factoring_reliability
 from repro.core.montecarlo import montecarlo_reliability
 from repro.core.naive import MAX_NAIVE_BITS, naive_reliability
 from repro.core.result import EstimateResult, ReliabilityResult
+from repro.core.sweep import bottleneck_split, point_reliability
 from repro.exceptions import DecompositionError, ReproError, ReproValueError
-from repro.graph.cuts import find_bottleneck
 from repro.graph.network import FlowNetwork, Node
 from repro.obs.export import phase_summary
 from repro.obs.recorder import current_recorder
@@ -67,8 +69,8 @@ _AUTO_ESTIMATE_LINKS = 24
 #: ``repro.probability.bitset``); beyond it "auto" has no path and the
 #: explicit engines' own guards apply.
 _AUTO_ESTIMATE_MAX_LINKS = 63
-#: Options ``method="auto"`` accepts; it forwards each to whichever
-#: engine wins the dispatch and rejects everything else rather than
+#: Options ``method="auto"`` accepts; it forwards each to the engines
+#: of the dispatch that take it and rejects everything else rather than
 #: dropping it.
 _AUTO_OPTIONS = frozenset(
     {"solver", "incremental", "cache", "max_cut_size", "seed", "num_samples"}
@@ -109,17 +111,19 @@ def compute_reliability(
     The demand is given either as a :class:`FlowDemand` via ``demand=``
     or as the positional triple ``source, sink, rate``.
 
-    ``options`` are forwarded to the chosen algorithm (e.g. ``solver=``,
-    ``cut=``, ``strategy=``, ``num_samples=``, ``cuts=`` for chain,
-    ``incremental=`` for the Gray-walk flow-repair kernels, ``cache=``
-    an :class:`repro.core.sweep.ArrayCache` for realization-array
-    reuse).  ``method="auto"`` accepts only ``solver=``,
+    ``options`` are forwarded to the chosen algorithm (e.g. ``solver=``
+    for the max-flow engines, ``cut=``, ``num_samples=``, ``cuts=`` for
+    chain, ``incremental=`` for the naive and rare-event Gray-walk
+    kernels, ``cache=`` an :class:`repro.core.sweep.ArrayCache` for
+    realization-array reuse); an engine that does not take an option
+    raises ``TypeError``.  ``method="auto"`` accepts only ``solver=``,
     ``incremental=``, ``cache=``, ``max_cut_size=``, ``seed=`` and
     ``num_samples=`` and raises :class:`ReproValueError` for any other
-    option.  It forwards ``solver=`` everywhere; ``incremental=`` and
-    ``cache=`` to the bottleneck engine, ``incremental=`` also to the
-    naive and rare-event fallbacks; ``max_cut_size=`` to the cut
-    search; ``seed=`` and ``num_samples=`` to the rare-event tier.
+    option.  It forwards ``cache=`` to the bottleneck engine,
+    ``max_cut_size=`` to the cut search, ``solver=`` to the naive,
+    rare-event and factoring fallbacks, ``incremental=`` to the naive
+    and rare-event fallbacks, and ``seed=`` and ``num_samples=`` to the
+    rare-event tier.
 
     Examples
     --------
@@ -236,11 +240,8 @@ def _dispatch(
         )
     solver = options.get("solver")
     incremental = options.get("incremental")
-    cache = options.get("cache")
     try:
-        split = find_bottleneck(
-            net, demand.source, demand.sink, max_size=options.get("max_cut_size", 3)
-        )
+        split = bottleneck_split(net, demand, None, options.get("max_cut_size", 3))
     except ReproError:
         # No usable split (e.g. a DecompositionError): fall back to the
         # whole-graph engines.  A bug in the cut search still raises.
@@ -249,13 +250,8 @@ def _dispatch(
         side = max(len(split.source_side.link_map), len(split.sink_side.link_map))
         if side <= _AUTO_SIDE_BITS:
             try:
-                return bottleneck_reliability(
-                    net,
-                    demand,
-                    cut=split.cut,
-                    solver=solver,
-                    incremental=incremental,
-                    cache=cache,
+                return point_reliability(
+                    net, demand, split, cache=options.get("cache")
                 )
             except DecompositionError:
                 pass

@@ -13,16 +13,14 @@ a virtual terminal, give the port arc for bottleneck link ``l`` capacity
 ``d``, the flow reaches ``d`` iff every port arc is saturated — exactly
 "assignment realized".
 
-Cost: ``|D| * 2^{|E_side|}`` max-flow solves per side, as the paper
-counts.  Realization is monotone in the alive set for a fixed
-assignment, so the same monotone pruning as the naive algorithm applies
-per bit (enabled by default, reported in the result).
-
-By default :func:`build_side_array` answers the same question without
-a solver: max-flow/min-cut duality turns every column into a ``min``
-over the side's bond family (:mod:`repro.core.certificate`).  The
-max-flow kernels below stay as the fallback — see
-:func:`build_side_array` for the rule.
+The array is defined by the side, its ports and the assignment set
+alone, so the input picks how :func:`build_side_array` settles it.
+Max-flow/min-cut duality turns every column into a ``min`` over the
+side's bond family (:mod:`repro.core.certificate`), which needs no
+solver; a side whose bond family is over the certificate guards falls
+back to a max-flow walk of each assignment's lattice in Gray-code order,
+repairing one flow across consecutive entries and pruned by
+monotonicity in the alive set.
 """
 
 from __future__ import annotations
@@ -33,10 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.certificate import certificate_masks, side_cut_family
-from repro.core.latticewalk import gray_walk_table, popcount_descending_order
+from repro.core.latticewalk import gray_walk_table
 from repro.exceptions import SolverError
-from repro.flow.base import MaxFlowSolver, get_solver
-from repro.flow.incremental import IncrementalMaxFlow, plan_gray_order, resolve_incremental
+from repro.flow.base import get_solver
+from repro.flow.incremental import IncrementalMaxFlow, plan_gray_order
 from repro.flow.residual import ResidualTemplate, build_template
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SubnetworkView
@@ -66,7 +64,7 @@ def _validate_side_request(
     ports: Sequence[Node],
     demand: int,
 ) -> None:
-    """Shared §III-C input validation (serial builder and the engine)."""
+    """Shared §III-C input validation (the builder and the column cache)."""
     if role not in ("source", "sink"):
         raise SolverError(f"role must be 'source' or 'sink', got {role!r}")
     check_enumerable(net.num_links)
@@ -152,6 +150,8 @@ class RealizationArray:
         return [j for j in range(self.num_assignments) if (mask >> j) & 1]
 
 
+
+
 def build_side_array(
     side: SubnetworkView,
     *,
@@ -160,9 +160,6 @@ def build_side_array(
     ports: Sequence[Node],
     assignments: Sequence[Sequence[int]],
     demand: int,
-    solver: str | MaxFlowSolver | None = None,
-    prune: bool = True,
-    incremental: bool | None = None,
 ) -> RealizationArray:
     """Build the realization array for one side of the split.
 
@@ -185,24 +182,14 @@ def build_side_array(
         summing to ``demand``.
     demand:
         The paper's ``d``.
-    solver, prune:
-        Max-flow solver choice and monotone pruning toggle.
-    incremental:
-        Walk each assignment's lattice in Gray-code order with flow
-        repair — one long-lived engine, retargeted between assignments
-        — instead of cold-solving every entry (``None`` = auto: on
-        whenever the solver supports the warm-start contract).  The
-        masks are bit-identical either way.
 
-    Kernel choice: with ``solver`` and ``incremental`` both left at
-    ``None`` the columns come from the cut-certificate kernel
-    (:mod:`repro.core.certificate`, zero max-flow solves) unless the
-    side's bond family is over its guard (more free nodes than
-    :data:`~repro.core.certificate.MAX_CERTIFICATE_FREE_NODES` or more
-    cuts than :data:`~repro.core.certificate.MAX_CERTIFICATE_CUTS`).
-    Naming a solver or forcing ``incremental`` selects the max-flow
-    kernel, whose solve accounting those options describe.  The masks
-    are bit-identical on every path.
+    The input picks the kernel: the cut-certificate kernel
+    (:mod:`repro.core.certificate`, zero max-flow solves) builds every
+    side whose bond family is within its two guards
+    (:data:`~repro.core.certificate.MAX_CERTIFICATE_FREE_NODES` free
+    nodes, :data:`~repro.core.certificate.MAX_CERTIFICATE_CUTS` cuts);
+    a side past either guard gets the pruned Gray walk with the default
+    solver.  The masks are bit-identical either way.
     """
     net = side.network
     m = net.num_links
@@ -210,117 +197,52 @@ def build_side_array(
     _validate_side_request(
         net, role=role, assignments=assignments, ports=ports, demand=demand
     )
-    if solver is None and incremental is None:
-        family = side_cut_family(net, role=role, terminal=terminal, ports=ports)
-        if family is not None:
-            masks = certificate_masks(family, assignments, demand)
-            count(CERTIFICATE_CUTS, family.size)
-            count(ARRAY_ENTRIES_BUILT, len(assignments) << m)
-            return RealizationArray(
-                masks=masks,
-                probabilities=configuration_probabilities(net),
-                num_assignments=len(assignments),
-                flow_calls=0,
-            )
-    template, port_names, s_idx, t_idx = _side_template(
-        net, role=role, terminal=terminal, ports=ports, demand=demand
-    )
-
-    engine = get_solver(solver)
-    size = 1 << m
-    num_assignments = len(assignments)
-    realized = np.zeros((size, num_assignments), dtype=bool)
-    flow_calls = 0
-
-    if resolve_incremental(engine, incremental):
-        return _build_side_array_gray(
-            net,
-            template,
-            port_names,
-            s_idx,
-            t_idx,
-            realized,
-            role=role,
-            assignments=assignments,
-            demand=demand,
-            solver=engine,
-            prune=prune,
-        )
-
-    if prune and m > 0:
-        order = [int(x) for x in popcount_descending_order(m)]
+    family = side_cut_family(net, role=role, terminal=terminal, ports=ports)
+    if family is not None:
+        masks = certificate_masks(family, assignments, demand)
+        count(CERTIFICATE_CUTS, family.size)
+        flow_calls = 0
     else:
-        order = list(range(size))
-
-    # A literal ticker label per role (RR111 closes the label vocabulary).
-    ticker_label = "arrays.source" if role == "source" else "arrays.sink"
-    with progress_ticker(ticker_label, total=num_assignments * size) as ticker:
-        for j, assignment in enumerate(assignments):
-            caps = {name: int(a) for name, a in zip(port_names, assignment)}
-            column = realized[:, j]
-            for mask in order:
-                ticker.tick()
-                if prune:
-                    doomed = False
-                    bits = ~mask & (size - 1)
-                    while bits:
-                        low = bits & -bits
-                        if not column[mask | low]:
-                            doomed = True
-                            break
-                        bits ^= low
-                    if doomed:
-                        continue
-                graph = template.configure(alive=mask, virtual_capacities=caps)
-                flow_calls += 1
-                value = engine.solve(graph, s_idx, t_idx, limit=demand)
-                column[mask] = value >= demand
-    count(FLOW_SOLVES, flow_calls)
-    count(ARRAY_ENTRIES_BUILT, num_assignments * size)
-    return _pack_array(net, realized, num_assignments, flow_calls)
-
-
-def _pack_array(
-    net: FlowNetwork, realized: np.ndarray, num_assignments: int, flow_calls: int
-) -> RealizationArray:
-    """uint64-pack the realized matrix and attach probabilities."""
-    masks = pack_bitplanes(realized)
-    probabilities = configuration_probabilities(net)
+        masks, flow_calls = _gray_walk_masks(
+            net, role=role, terminal=terminal, ports=ports,
+            assignments=assignments, demand=demand,
+        )
+    count(ARRAY_ENTRIES_BUILT, len(assignments) << m)
     return RealizationArray(
         masks=masks,
-        probabilities=probabilities,
-        num_assignments=num_assignments,
+        probabilities=configuration_probabilities(net),
+        num_assignments=len(assignments),
         flow_calls=flow_calls,
     )
 
 
-def _build_side_array_gray(
+def _gray_walk_masks(
     net: FlowNetwork,
-    template: ResidualTemplate,
-    port_names: list[str],
-    s_idx: int,
-    t_idx: int,
-    realized: np.ndarray,
     *,
     role: str,
+    terminal: Node,
+    ports: Sequence[Node],
     assignments: Sequence[Sequence[int]],
     demand: int,
-    solver: MaxFlowSolver,
-    prune: bool,
-) -> RealizationArray:
-    """Incremental §III-C build: one repairable flow across all entries.
+) -> tuple[np.ndarray, int]:
+    """The max-flow fallback: one repairable flow across all entries.
 
-    Assignment-outer like the cold path, but each assignment switch is a
+    Each assignment switch is a
     :meth:`~repro.flow.incremental.IncrementalMaxFlow.retarget` (only
     the virtual port arcs move) and each column is filled by the shared
-    Gray walk, so consecutive solves repair a one-link delta instead of
-    starting cold.  The realized matrix is bit-identical to the cold
-    build; ``flow_calls`` counts the engine's solver invocations.
+    pruned Gray walk, so consecutive solves repair a one-link delta
+    instead of starting cold.  Returns the packed masks and the
+    engine's solver invocations.
     """
+    template, port_names, s_idx, t_idx = _side_template(
+        net, role=role, terminal=terminal, ports=ports, demand=demand
+    )
+    solver = get_solver(None)
     m = net.num_links
     check_enumerable(m)
     size = 1 << m
     num_assignments = len(assignments)
+    realized = np.zeros((size, num_assignments), dtype=bool)
     engine = IncrementalMaxFlow(
         template,
         s_idx,
@@ -341,13 +263,11 @@ def _build_side_array_gray(
                     template, s_idx, t_idx, m,
                     solver=solver, limit=demand or None, virtual_capacities=caps,
                 )
-                column = realized[:, j]
                 gray_walk_table(
-                    column,
+                    realized[:, j],
                     m,
                     lambda mask: engine.goto(mask) >= demand,
                     order=order,
-                    prune=prune,
                     tick=ticker.tick,
                 )
     count(FLOW_SOLVES, engine.solver_calls)
@@ -355,5 +275,4 @@ def _build_side_array_gray(
         count(FLOW_REPAIRS, engine.repairs)
     if engine.paths_saved:
         count(AUGMENTING_PATHS_SAVED, engine.paths_saved)
-    count(ARRAY_ENTRIES_BUILT, num_assignments * size)
-    return _pack_array(net, realized, num_assignments, engine.solver_calls)
+    return pack_bitplanes(realized), engine.solver_calls

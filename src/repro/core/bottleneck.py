@@ -10,12 +10,13 @@ network with a set of α-bottleneck links in
    :mod:`repro.core.assignments`);
 3. build both realization arrays (§III-C, :mod:`repro.core.arrays`):
    ``|D| · 2^{|E_side|}`` entries each, settled by the solver-free
-   cut-certificate kernel (:mod:`repro.core.certificate`) or, past its
-   guard or when a solver is named, by side-local max-flow solves;
+   cut-certificate kernel (:mod:`repro.core.certificate`) or, for a
+   side past its guards, by a pruned Gray walk of side-local max-flow
+   solves — the side decides, no option does;
 4. for each of the ``2^k`` bottleneck survival patterns ``E'``, weigh
    the ACCUMULATION result over the supported class by the pattern
    probability ``p_{E'}`` (Eq. 2) and sum (Eq. 3,
-   :mod:`repro.core.accumulate`).
+   :mod:`repro.core.accumulate`, whose kernel the class size picks).
 
 Steps 2–4 are one pipeline, :func:`repro.core.sweep.split_reliability`,
 which evaluates Eq. 2/3 for a whole grid of failure vectors over one
@@ -41,7 +42,6 @@ from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.sweep import ArrayCache, bottleneck_split, point_reliability
 from repro.exceptions import ReproValueError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork
 from repro.probability.enumeration import probability_grid
 
@@ -96,11 +96,7 @@ def bottleneck_reliability(
     demand: FlowDemand,
     *,
     cut: Sequence[int] | None = None,
-    solver: str | MaxFlowSolver | None = None,
-    strategy: str = "auto",
-    prune: bool = True,
     max_cut_size: int = 3,
-    incremental: bool | None = None,
     cache: ArrayCache | None = None,
 ) -> ReliabilityResult:
     """Exact reliability via the bottleneck decomposition.
@@ -108,7 +104,9 @@ def bottleneck_reliability(
     The one-point case of the sweep pipeline: one cut search
     (:func:`repro.core.sweep.bottleneck_split`), then
     :func:`repro.core.sweep.split_reliability` on the one row of
-    ``net``'s own failure probabilities.
+    ``net``'s own failure probabilities.  Every kernel inside is picked
+    by the input; ``flow_calls`` is 0 unless a side is past the
+    cut-certificate guards.
 
     Parameters
     ----------
@@ -118,47 +116,20 @@ def bottleneck_reliability(
         Bottleneck link indices.  When omitted the best admissible cut
         of size up to ``max_cut_size`` is discovered automatically;
         when given it is verified (minimality + two components).
-    solver:
-        Max-flow solver for the realization arrays.
-    strategy:
-        ACCUMULATION strategy: ``"auto"``, ``"zeta"`` or ``"pairs"``.
-    prune:
-        Monotone pruning inside the realization arrays.
-    incremental:
-        Walk the realization lattices in Gray-code order with flow
-        repair instead of cold-solving every entry (``None`` = auto: on
-        whenever the solver supports the warm-start contract; see
-        :mod:`repro.flow.incremental`).  Bit-identical masks and value;
-        only the solve accounting changes.  With ``solver`` and
-        ``incremental`` both ``None`` the arrays come from the
-        solver-free cut-certificate kernel
-        (:mod:`repro.core.certificate`) wherever its guard admits the
-        side, and report no max-flow solves for those sides.
     cache:
         A :class:`repro.core.sweep.ArrayCache`.  When given, both side
         arrays are resolved per-assignment-column through the
-        content-addressed cache: a warm call spends zero max-flow solves
-        and reports ``flow_calls == 0``.  The value and the other
-        ``details`` are unchanged; the cache traffic of this call is
-        reported under ``details["array_cache"]``.
+        content-addressed cache: a warm call builds nothing and reports
+        ``flow_calls == 0``.  The value and the other ``details`` are
+        unchanged; the cache traffic of this call is reported under
+        ``details["array_cache"]``.
 
     Raises
     ------
     DecompositionError
         If no admissible bottleneck cut exists (or the given one fails
         verification).
-    ReproValueError
-        If ``strategy`` is not one of the accepted names.
     """
     demand.validate_against(net)
     split = bottleneck_split(net, demand, cut, max_cut_size)
-    return point_reliability(
-        net,
-        demand,
-        split,
-        solver=solver,
-        strategy=strategy,
-        prune=prune,
-        incremental=incremental,
-        cache=cache,
-    )
+    return point_reliability(net, demand, split, cache=cache)

@@ -36,12 +36,13 @@ max-flow solves:
    first; assignment ``j``'s column is then
    ``min_S(table + offset_j) ≥ d``.
 
-The masks are bit-identical to the max-flow kernels' (the property
-suite ``tests/properties/test_prop_certificate.py`` pins this);
-``flow_calls`` is 0.  :func:`repro.core.arrays.build_side_array` uses
-this kernel by default and keeps the max-flow Gray walk as the fallback
-when the cut family is over its guard or the caller names a solver or
-forces ``incremental=``.
+The masks are bit-identical to one cold max-flow per configuration and
+assignment (the property suite ``tests/properties/test_prop_certificate.py``
+pins this against the reference oracle); ``flow_calls`` is 0.
+:func:`repro.core.arrays.build_side_array` builds every side with this
+kernel unless its bond family is over one of the two guards below; only
+then does it run the pruned max-flow Gray walk.  No caller option
+chooses between them.
 """
 
 from __future__ import annotations
@@ -66,13 +67,13 @@ __all__ = [
 
 #: Guard on the bond enumeration: a side with more non-terminal nodes
 #: than this (nodes no arc touches excluded) falls back to the max-flow
-#: kernel.  Enumeration walks all ``2^free`` node subsets; at 16 free
+#: Gray walk.  Enumeration walks all ``2^free`` node subsets; at 16 free
 #: nodes that is ~13 ms and 0.5 MiB per array (docs/PERFORMANCE.md).
 MAX_CERTIFICATE_FREE_NODES = 16
 
 #: Guard on the family itself: the certificate table costs about a
 #: nanosecond per (configuration, cut), so past this many
-#: inclusion-minimal crossing sets the max-flow kernel is used instead.
+#: inclusion-minimal crossing sets the max-flow Gray walk is used instead.
 #: At 1024 cuts the table is still ~10x faster than the Gray walk on
 #: 14- and 20-link sides (docs/PERFORMANCE.md, "Cut certificates").
 MAX_CERTIFICATE_CUTS = 1024
@@ -298,7 +299,7 @@ def certificate_masks(
 
     Returns the ``uint64`` array of length ``2^{num_links}`` whose entry
     ``c`` has bit ``j`` set iff configuration ``c`` realizes
-    ``assignments[j]`` — the same array the max-flow kernels pack.
+    ``assignments[j]`` — the same array the Gray-walk fallback packs.
     """
     num_links = family.link_weights.shape[0]
     check_enumerable(num_links)

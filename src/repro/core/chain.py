@@ -43,7 +43,7 @@ from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
 from repro.exceptions import DecompositionError, SolverError
-from repro.flow.base import MaxFlowSolver, get_solver
+from repro.flow.base import get_solver
 from repro.flow.residual import build_template
 from repro.graph.connectivity import connected_components
 from repro.graph.network import FlowNetwork, Node
@@ -196,15 +196,15 @@ def _build_middle_relation(
     in_assignments: Sequence[Sequence[int]],
     out_assignments: Sequence[Sequence[int]],
     demand: int,
-    solver: str | MaxFlowSolver | None,
-    prune: bool,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Per-configuration relation matrices for a middle segment.
 
     Returns ``(relation, probabilities, flow_calls)`` with ``relation``
     of shape ``(2^m, |A_in|, |A_out|)``: entry true iff the alive
     subgraph can absorb exactly ``a`` at the in-ports and emit exactly
-    ``b`` at the out-ports.
+    ``b`` at the out-ports.  One default-solver max-flow per entry that
+    monotone pruning (most-alive first, an unrealized one-link superset
+    dooms the entry) cannot settle.
     """
     net = segment.network
     m = net.num_links
@@ -227,16 +227,12 @@ def _build_middle_relation(
         template.add_virtual_arc(name, template.node_index[port], snk, demand)
         out_names.append(name)
 
-    engine = get_solver(solver)
+    engine = get_solver(None)
     size = 1 << m
     relation = np.zeros((size, len(in_assignments), len(out_assignments)), dtype=bool)
     flow_calls = 0
-
-    if prune and m > 0:
-        counts = popcount_array(m)
-        order = [int(x) for x in np.argsort(-counts.astype(np.int16), kind="stable")]
-    else:
-        order = list(range(size))
+    counts = popcount_array(m)
+    order = [int(x) for x in np.argsort(-counts.astype(np.int16), kind="stable")]
 
     for ai, a in enumerate(in_assignments):
         for bi, b in enumerate(out_assignments):
@@ -244,17 +240,16 @@ def _build_middle_relation(
             caps.update({name: int(v) for name, v in zip(out_names, b)})
             cell = relation[:, ai, bi]
             for mask in order:
-                if prune:
-                    doomed = False
-                    bits = ~mask & (size - 1)
-                    while bits:
-                        low = bits & -bits
-                        if not cell[mask | low]:
-                            doomed = True
-                            break
-                        bits ^= low
-                    if doomed:
-                        continue
+                doomed = False
+                bits = ~mask & (size - 1)
+                while bits:
+                    low = bits & -bits
+                    if not cell[mask | low]:
+                        doomed = True
+                        break
+                    bits ^= low
+                if doomed:
+                    continue
                 graph = template.configure(alive=mask, virtual_capacities=caps)
                 flow_calls += 1
                 value = engine.solve(graph, src, snk, limit=demand)
@@ -328,11 +323,13 @@ def chain_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
     cuts: Sequence[Sequence[int]],
-    *,
-    solver: str | MaxFlowSolver | None = None,
-    prune: bool = True,
 ) -> ReliabilityResult:
-    """Exact reliability via the multi-cut chain decomposition."""
+    """Exact reliability via the multi-cut chain decomposition.
+
+    The two end segments are §III-C side arrays, so their kernel is
+    picked by :func:`repro.core.arrays.build_side_array`; middle
+    segments run the pruned max-flow relation build.
+    """
     demand.validate_against(net)
     structure = analyze_chain(net, demand.source, demand.sink, cuts)
     r = len(structure.cuts)
@@ -365,8 +362,6 @@ def chain_reliability(
         ports=structure.out_ports[0],
         assignments=assignment_sets[0],
         demand=demand.rate,
-        solver=solver,
-        prune=prune,
     )
     flow_calls += source_array.flow_calls
     configurations += len(source_array.masks)
@@ -386,8 +381,6 @@ def chain_reliability(
             assignment_sets[j - 1],
             assignment_sets[j],
             demand.rate,
-            solver,
-            prune,
         )
         flow_calls += calls
         configurations += relation.shape[0]
@@ -410,8 +403,6 @@ def chain_reliability(
         ports=structure.in_ports[r - 1],
         assignments=assignment_sets[r - 1],
         demand=demand.rate,
-        solver=solver,
-        prune=prune,
     )
     flow_calls += sink_array.flow_calls
     configurations += len(sink_array.masks)

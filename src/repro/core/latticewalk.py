@@ -7,12 +7,12 @@ evaluating a mask costs a max-flow solve.  Walking the lattice in Gray-code orde
 (:func:`repro.probability.gray_lattice`) makes consecutive masks differ
 in one link, which is what lets an incremental engine repair the
 previous flow instead of cold-solving — and it unlocks a *two-sided*
-prune the cold popcount-order scans cannot use:
+prune that a most-alive-first scan cannot use:
 
 * a **visited** infeasible one-bit superset dooms the mask
   (monotonicity downward), and
 * a **visited** feasible one-bit subset blesses it (monotonicity
-  upward — the popcount order only ever exploits the doom half).
+  upward — a most-alive-first scan only ever exploits the doom half).
 
 Only visited neighbours are consulted, so the filled table is exact for
 any visiting order; the walk order changes nothing but the solve count.
@@ -24,23 +24,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.probability.bitset import gray_lattice, popcount_array
+from repro.probability.bitset import gray_lattice
 from repro.probability.enumeration import check_enumerable
 
-__all__ = ["gray_walk_table", "popcount_descending_order"]
-
-
-def popcount_descending_order(n_bits: int) -> np.ndarray:
-    """Every mask of the ``2^n_bits`` lattice, most-alive first.
-
-    The visiting order that makes the *doom* half of monotone pruning
-    complete: every immediate superset of a mask precedes it, so an
-    unrealized superset settles the mask without a solve.  Stable within
-    a popcount level (ascending numeric order), which is what keeps the
-    cold scans and the block kernel enumerating identically.
-    """
-    counts = popcount_array(n_bits)
-    return np.argsort(-counts.astype(np.int16), kind="stable")
+__all__ = ["gray_walk_table"]
 
 
 def gray_walk_table(

@@ -14,17 +14,18 @@ This module holds:
     on-disk tier.  The key fingerprints everything that determines the
     bits — side topology, capacities, directedness, role, terminal,
     ports, and the assignment tuple (the demand is its component sum) —
-    and deliberately **excludes** failure probabilities, solver, prune
-    and the incremental toggle: the columns are ground truth ("max-flow
-    ≥ d" per configuration), so every kernel produces identical bits
-    (pinned by the certificate/incremental property suites).
+    and deliberately **excludes** failure probabilities: the columns are
+    ground truth ("max-flow ≥ d" per configuration), and the two build
+    kernels produce identical bits (pinned against the reference oracle
+    in ``tests/reference_arrays.py``).
 
 :func:`cached_side_array`
     The one dispatch to the §III-C builder
     :func:`repro.core.arrays.build_side_array`: columns are looked up
     per assignment, only the misses are built (the builder accepts
     assignment subsets), and the result is packed exactly like a direct
-    build.  With no cache it is just ``build_side_array``.
+    build.  With no cache it is just ``build_side_array``.  It takes no
+    tuning option: the side picks its kernel.
 
 :func:`split_reliability`
     The paper's algorithm on a resolved split (:func:`bottleneck_split`)
@@ -51,7 +52,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accumulate import accumulate_rows, check_strategy
+from repro.core.accumulate import accumulate_rows
 from repro.core.arrays import (
     RealizationArray,
     _validate_side_request,
@@ -62,8 +63,6 @@ from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
 from repro.exceptions import DecompositionError, ReproValueError
-from repro.flow.base import MaxFlowSolver
-from repro.flow.incremental import resolve_incremental
 from repro.graph.cuts import find_bottleneck, verify_bottleneck
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SideSplit, SubnetworkView
@@ -176,10 +175,10 @@ class ArrayCache:
     named by its key, so later processes (or a second CLI run) start
     warm.  Disk writes are atomic (temp file + ``os.replace``).
 
-    The cache is safe to share across every kernel — cut certificate,
-    cold max-flow, incremental Gray walk — because the columns are
-    ground truth and those paths are pinned bit-identical by the
-    property suites; none of them is part of the key.
+    The cache is safe to share across both build kernels — the cut
+    certificate and its Gray-walk fallback — because the columns are
+    ground truth and both are pinned bit-identical to the reference
+    oracle; the kernel is not part of the key.
 
     ``max_bytes`` bounds the resident bytes of tracked columns (packed
     payload; on-disk entries by file size).  When a :meth:`put` or
@@ -357,9 +356,6 @@ def cached_side_array(
     ports: Sequence[Node],
     assignments: Sequence[Sequence[int]],
     demand: int,
-    solver: str | MaxFlowSolver | None = None,
-    prune: bool = True,
-    incremental: bool | None = None,
     cache: ArrayCache | None = None,
 ) -> RealizationArray:
     """§III-C side array with per-assignment column caching.
@@ -380,9 +376,6 @@ def cached_side_array(
             ports=ports,
             assignments=assignments,
             demand=demand,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
         )
     net = side.network
     m = net.num_links
@@ -415,9 +408,6 @@ def cached_side_array(
                 ports=ports,
                 assignments=[assignments[j] for j in missing],
                 demand=demand,
-                solver=solver,
-                prune=prune,
-                incremental=incremental,
             )
             # The builder already asked for this side's table.
             probabilities = built.probabilities
@@ -606,10 +596,6 @@ def split_reliability(
     split: SideSplit,
     failure_grid: np.ndarray,
     *,
-    solver: str | MaxFlowSolver | None,
-    strategy: str,
-    prune: bool,
-    incremental: bool | None,
     cache: ArrayCache | None,
 ) -> tuple[list[ReliabilityResult], int]:
     """The paper's §III-B/§III-C/§IV-B pipeline on a resolved split.
@@ -619,8 +605,6 @@ def split_reliability(
     ``failure_grid``.  Returns one result per row (each with
     ``flow_calls=0``) and the max-flow solves the array builds spent.
     """
-    check_strategy(strategy)
-    use_incremental = resolve_incremental(solver, incremental)
     num_points = failure_grid.shape[0]
     cut_links = split.cut
     k = len(cut_links)
@@ -659,9 +643,6 @@ def split_reliability(
             ports=split.source_ports if source else split.sink_ports,
             assignments=assignments,
             demand=demand.rate,
-            solver=solver,
-            prune=prune,
-            incremental=incremental,
             cache=cache,
         )
 
@@ -686,9 +667,7 @@ def split_reliability(
     configurations = len(source_array.masks) + len(sink_array.masks)
     batch = max(1, _MAX_GRID_ENTRIES >> max(len(source_columns), len(sink_columns), k))
     results: list[ReliabilityResult] = []
-    with span(
-        "bottleneck.accumulate", points=num_points, patterns=1 << k, strategy=strategy
-    ):
+    with span("bottleneck.accumulate", points=num_points, patterns=1 << k):
         for start in range(0, num_points, batch):
             rows = failure_grid[start : start + batch]
             source_rows = probability_grid(rows[:, source_columns])
@@ -712,7 +691,6 @@ def split_reliability(
                             source_rows,
                             sink_rows,
                             supported,
-                            strategy=strategy,
                         )
                         r_rows[supported] = r
                     used.add(supported)
@@ -722,12 +700,7 @@ def split_reliability(
                         value=prob_fsum(terms),
                         method="bottleneck",
                         configurations=configurations,
-                        details={
-                            **base_details,
-                            "accumulation_strategy": strategy,
-                            "distinct_classes": len(used),
-                            "incremental": use_incremental,
-                        },
+                        details={**base_details, "distinct_classes": len(used)},
                     )
                 )
     return results, source_array.flow_calls + sink_array.flow_calls
@@ -738,10 +711,6 @@ def point_reliability(
     demand: FlowDemand,
     split: SideSplit,
     *,
-    solver: str | MaxFlowSolver | None,
-    strategy: str,
-    prune: bool,
-    incremental: bool | None,
     cache: ArrayCache | None,
 ) -> ReliabilityResult:
     """The one-row call of :func:`split_reliability` at ``net``'s own
@@ -757,10 +726,6 @@ def point_reliability(
         demand,
         split,
         failure_grid.reshape(1, net.num_links),
-        solver=solver,
-        strategy=strategy,
-        prune=prune,
-        incremental=incremental,
         cache=cache,
     )
     if cache is not None:
@@ -775,11 +740,7 @@ def compute_reliability_sweep(
     *,
     sweep: SweepSpec,
     cut: Sequence[int] | None = None,
-    solver: str | MaxFlowSolver | None = None,
-    strategy: str = "auto",
-    prune: bool = True,
     max_cut_size: int = 3,
-    incremental: bool | None = None,
     cache: ArrayCache | None = None,
 ) -> SweepResult:
     """Reliability at every sweep point for the cost of ~one array build.
@@ -814,10 +775,6 @@ def compute_reliability_sweep(
                     net,
                     FlowDemand(demand.source, demand.sink, rate),
                     split,
-                    solver=solver,
-                    strategy=strategy,
-                    prune=prune,
-                    incremental=incremental,
                     cache=the_cache,
                 )
                 for rate in sweep.values
@@ -829,10 +786,6 @@ def compute_reliability_sweep(
                 demand,
                 split,
                 failure_grid,
-                solver=solver,
-                strategy=strategy,
-                prune=prune,
-                incremental=incremental,
                 cache=the_cache,
             )
     after = the_cache.stats()
@@ -950,11 +903,7 @@ def evaluate_batch(
     queries: Sequence[tuple[FlowNetwork, FlowDemand]],
     *,
     cut: Sequence[int] | None = None,
-    solver: str | MaxFlowSolver | None = None,
-    strategy: str = "auto",
-    prune: bool = True,
     max_cut_size: int = 3,
-    incremental: bool | None = None,
     cache: ArrayCache | None = None,
 ) -> BatchResult:
     """Answer every query through the merged plans of :func:`plan_batch`.
@@ -978,11 +927,7 @@ def evaluate_batch(
                 plan.demand,
                 sweep=plan.spec,
                 cut=cut,
-                solver=solver,
-                strategy=strategy,
-                prune=prune,
                 max_cut_size=max_cut_size,
-                incremental=incremental,
                 cache=the_cache,
             )
             plan_flow_calls.append(swept.flow_calls)

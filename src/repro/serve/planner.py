@@ -17,6 +17,10 @@ or a topology the sweep engine refuses (no admissible bottleneck cut,
 intractable sides) — fall back per point to
 :func:`repro.core.api.dispatch_query`, the same dispatch chain as the
 CLI, so served values stay pinned to the pointwise path either way.
+
+The server's ``solver`` reaches only the fallbacks of non-coalescible
+methods: the bottleneck pipeline picks its own kernels from the input,
+so a named solver never changes how a realization column is built.
 """
 
 from __future__ import annotations
@@ -49,13 +53,16 @@ def _fallback_values(
 ) -> tuple[list[float], int, bool]:
     """Answer one query point-by-point through the API dispatch chain.
 
-    Returns the values, the solves spent and whether every point was
-    answered from cached realization columns alone.
+    A coalescible query (``auto``/``bottleneck`` on a plan the sweep
+    refused) gets the shared ``cache``; any other method gets
+    ``solver``.  Returns the values, the solves spent and whether every
+    point was answered from cached realization columns alone.
     """
     assert query.net is not None and query.demand is not None and query.spec is not None
     values: list[float] = []
     flow_calls = 0
     warm = is_coalescible(query.method)
+    options: dict[str, Any] = {"cache": cache} if warm else {"solver": solver}
     with span("serve.query", method=query.method or "auto", points=len(query.spec)):
         for index in range(len(query.spec)):
             point_net = query.spec.point_network(query.net, index)
@@ -63,8 +70,7 @@ def _fallback_values(
                 point_net,
                 query.demand,
                 method=query.method,
-                solver=solver,
-                **({"cache": cache} if warm else {}),
+                **options,
             )
             values.append(result.value)
             flow_calls += getattr(result, "flow_calls", 0)
@@ -116,7 +122,6 @@ def answer_queries(
                     plan.net,
                     plan.demand,
                     sweep=plan.spec,
-                    solver=solver,
                     cache=cache,
                 )
             except ReproError:

@@ -81,7 +81,9 @@ class ReliabilityServer:
         omitted).  Give it a directory + ``max_bytes`` for a persistent
         bounded tier.
     solver:
-        Max-flow solver forwarded to every computation.
+        Max-flow solver for queries with a non-coalescible method
+        (naive, factoring, ...); the bottleneck pipeline picks its own
+        kernels and never sees it.
     coalesce_window:
         Seconds to keep draining newly-readable sockets after the first
         query of a round arrives, so near-simultaneous queries merge
@@ -158,7 +160,6 @@ class ReliabilityServer:
                 net,
                 demand,
                 sweep=SweepSpec.overrides([{}]),
-                solver=self.solver,
                 cache=self.cache,
             )
         return swept.cache_stats["misses"]

@@ -5,8 +5,12 @@ accumulation) and the Fig. 5 configurations."""
 import numpy as np
 import pytest
 
+from repro.core import certificate
 from repro.core.accumulate import (
+    _pairs_rows,
+    _zeta_rows,
     accumulate,
+    accumulate_rows,
     restrict_masks,
     side_class_probabilities,
 )
@@ -16,6 +20,7 @@ from repro.exceptions import SolverError
 from repro.graph.builders import fujita_fig4
 from repro.graph.transforms import split_on_cut
 from repro.probability.bitset import mask_from_indices
+from tests.reference_arrays import reference_side_masks
 
 
 def fig4_split():
@@ -23,21 +28,20 @@ def fig4_split():
     return net, split_on_cut(net, "s", "t", [0, 1])
 
 
-def fig4_source_array(prune=True):
-    net, split = fig4_split()
-    assignments = enumerate_assignments([2, 2], 2)  # [(0,2), (1,1), (2,0)]
-    return (
-        assignments,
-        build_side_array(
-            split.source_side,
-            role="source",
-            terminal="s",
-            ports=split.source_ports,
-            assignments=assignments,
-            demand=2,
-            prune=prune,
-        ),
+def fig4_source_request():
+    _net, split = fig4_split()
+    return split.source_side, dict(
+        role="source",
+        terminal="s",
+        ports=split.source_ports,
+        assignments=enumerate_assignments([2, 2], 2),  # [(0,2), (1,1), (2,0)]
+        demand=2,
     )
+
+
+def fig4_source_array():
+    side, request = fig4_source_request()
+    return request["assignments"], build_side_array(side, **request)
 
 
 class TestBuildSideArray:
@@ -73,11 +77,16 @@ class TestBuildSideArray:
                 sup = mask | (1 << b)
                 assert int(array.masks[mask]) & ~int(array.masks[sup]) == 0
 
-    def test_prune_equals_noprune(self):
-        _, pruned = fig4_source_array(prune=True)
-        _, plain = fig4_source_array(prune=False)
-        assert np.array_equal(pruned.masks, plain.masks)
-        assert pruned.flow_calls <= plain.flow_calls
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_matches_reference(self, walk, monkeypatch):
+        """Both kernels — the certificate and, past the cut guard, the
+        pruned Gray walk — give the reference oracle's masks."""
+        if walk:
+            monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        side, request = fig4_source_request()
+        built = build_side_array(side, **request)
+        assert (built.flow_calls > 0) is walk
+        assert np.array_equal(built.masks, reference_side_masks(side, **request))
 
     def test_sink_side(self):
         net, split = fig4_split()
@@ -94,12 +103,14 @@ class TestBuildSideArray:
         assert set(array.realized_indices((1 << 3) - 1)) == {0, 1, 2}
 
     @pytest.mark.parametrize("role", ["source", "sink"])
-    @pytest.mark.parametrize("solver", [None, "dinic"])
-    def test_assignment_subset_matches_full_build(self, role, solver):
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_assignment_subset_matches_full_build(self, role, walk, monkeypatch):
         """Columns are independent: building any subset of the
         assignments yields exactly those columns of a full build, on the
-        certificate kernel and on the max-flow fallback alike (the
+        certificate kernel and on the Gray-walk fallback alike (the
         cache's miss-only builds rely on it)."""
+        if walk:
+            monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         _net, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
         side = split.source_side if role == "source" else split.sink_side
@@ -108,7 +119,6 @@ class TestBuildSideArray:
             terminal="s" if role == "source" else "t",
             ports=split.source_ports if role == "source" else split.sink_ports,
             demand=2,
-            solver=solver,
         )
         full = build_side_array(side, assignments=assignments, **kwargs)
         for subset in ([0], [2], [2, 0], [1, 2]):
@@ -178,16 +188,15 @@ class TestBuildSideArray:
 class TestSingleBuildPath:
     """Every §III-C caller reaches the arrays through one dispatch."""
 
-    def test_pinned_cold_flow_calls(self):
-        """The cold max-flow kernel spends |D| * (2^{|E_s|} + 2^{|E_t|})
-        solves on fig4 without pruning, and reports no engine block."""
+    def test_pinned_walk_flow_calls(self, monkeypatch):
+        """Past the cut guard the pruned Gray walk spends 69 solves on
+        fig4 (the certificate kernel 0), and reports no engine block."""
         from repro.core.bottleneck import bottleneck_reliability
         from repro.core.demand import FlowDemand
 
-        result = bottleneck_reliability(
-            fujita_fig4(), FlowDemand("s", "t", 2), prune=False, incremental=False
-        )
-        assert result.flow_calls == 3 * (2**4 + 2**3)
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        result = bottleneck_reliability(fujita_fig4(), FlowDemand("s", "t", 2))
+        assert result.flow_calls == 69
         assert "engine" not in result.details
         assert f"{result.value:.10f}" == "0.8426357910"
 
@@ -204,19 +213,14 @@ class TestSingleBuildPath:
         assert rec.counter_total(CERTIFICATE_CUTS) > 0
         assert rec.counter_total(obs.ARRAY_ENTRIES_BUILT) == 3 * (2**4 + 2**3)
 
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_flow_calls_partition_exactly_through_obs(self, incremental):
+    def test_flow_calls_partition_exactly_through_obs(self, monkeypatch):
         from repro import obs
         from repro.core.bottleneck import bottleneck_reliability
         from repro.core.demand import FlowDemand
 
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         with obs.record() as rec:
-            result = bottleneck_reliability(
-                fujita_fig4(),
-                FlowDemand("s", "t", 2),
-                solver="dinic",
-                incremental=incremental,
-            )
+            result = bottleneck_reliability(fujita_fig4(), FlowDemand("s", "t", 2))
         assert result.flow_calls > 0
         assert rec.counter_total(obs.FLOW_SOLVES) == result.flow_calls
         summary = obs.phase_summary(rec)
@@ -225,7 +229,10 @@ class TestSingleBuildPath:
         )
         assert per_phase == result.flow_calls
 
-    @pytest.mark.parametrize("option", ["workers", "screen", "block_bits"])
+    @pytest.mark.parametrize(
+        "option",
+        ["workers", "screen", "block_bits", "solver", "prune", "incremental", "strategy"],
+    )
     @pytest.mark.parametrize(
         "entry_point",
         [
@@ -233,15 +240,23 @@ class TestSingleBuildPath:
             "cached_side_array",
             "bottleneck_reliability",
             "compute_reliability_sweep",
+            "evaluate_batch",
+            "chain_reliability",
+            "compute_reliability-bottleneck",
+            "accumulate",
+            "accumulate_rows",
         ],
     )
     def test_no_entry_point_takes_removed_options(self, entry_point, option):
+        from repro.core.api import compute_reliability
         from repro.core.bottleneck import bottleneck_reliability
+        from repro.core.chain import chain_reliability
         from repro.core.demand import FlowDemand
         from repro.core.sweep import (
             SweepSpec,
             cached_side_array,
             compute_reliability_sweep,
+            evaluate_batch,
         )
 
         net, split = fig4_split()
@@ -253,6 +268,7 @@ class TestSingleBuildPath:
             demand=2,
         )
         demand = FlowDemand("s", "t", 2)
+        array = toy_array([0b1], [1.0], 1)
         calls = {
             "build_side_array": lambda **kw: build_side_array(
                 split.source_side, **side_kwargs, **kw
@@ -266,9 +282,38 @@ class TestSingleBuildPath:
             "compute_reliability_sweep": lambda **kw: compute_reliability_sweep(
                 net, demand, sweep=SweepSpec.availability([0.9]), **kw
             ),
+            "evaluate_batch": lambda **kw: evaluate_batch([(net, demand)], **kw),
+            "chain_reliability": lambda **kw: chain_reliability(
+                net, demand, [[0, 1]], **kw
+            ),
+            "compute_reliability-bottleneck": lambda **kw: compute_reliability(
+                net, demand=demand, method="bottleneck", **kw
+            ),
+            "accumulate": lambda **kw: accumulate(array, array, [0], **kw),
+            "accumulate_rows": lambda **kw: accumulate_rows(
+                array.masks,
+                array.masks,
+                array.probabilities[None, :],
+                array.probabilities[None, :],
+                [0],
+                **kw,
+            ),
         }
         with pytest.raises(TypeError, match=option):
             calls[entry_point](**{option: 2})
+
+
+def kernel_value(kernel, source, sink, assignment_indices):
+    """One ACCUMULATION kernel on two arrays' own probabilities."""
+    return float(
+        kernel(
+            source.masks,
+            sink.masks,
+            source.probabilities[None, :],
+            sink.probabilities[None, :],
+            assignment_indices,
+        )[0]
+    )
 
 
 def toy_array(masks, probs, num_assignments):
@@ -317,21 +362,23 @@ class TestExample6TableI:
         p_b12 = ps[2] * pt[0]
         return p_b1 + p_b2 - p_b12
 
-    @pytest.mark.parametrize("strategy", ["zeta", "pairs"])
-    def test_uniform_weights(self, strategy):
+    @pytest.mark.parametrize("kernel", [_zeta_rows, _pairs_rows])
+    def test_uniform_weights(self, kernel):
         ps = [0.25] * 4
         pt = [0.25] * 4
         source, sink = self.arrays(ps, pt)
-        value = accumulate(source, sink, [0, 1], strategy=strategy)
+        value = kernel_value(kernel, source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
+        assert accumulate(source, sink, [0, 1]) == pytest.approx(value)
 
-    @pytest.mark.parametrize("strategy", ["zeta", "pairs"])
-    def test_skewed_weights(self, strategy):
+    @pytest.mark.parametrize("kernel", [_zeta_rows, _pairs_rows])
+    def test_skewed_weights(self, kernel):
         ps = [0.1, 0.2, 0.3, 0.4]
         pt = [0.4, 0.3, 0.2, 0.1]
         source, sink = self.arrays(ps, pt)
-        value = accumulate(source, sink, [0, 1], strategy=strategy)
+        value = kernel_value(kernel, source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
+        assert accumulate(source, sink, [0, 1]) == pytest.approx(value)
 
     def test_single_assignment_class(self):
         ps = [0.1, 0.2, 0.3, 0.4]
@@ -343,7 +390,7 @@ class TestExample6TableI:
 
 
 class TestAccumulateGeneral:
-    def test_strategies_agree_random(self):
+    def test_kernels_agree_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n_s, n_t, q = 8, 8, 4
@@ -354,8 +401,8 @@ class TestAccumulateGeneral:
             source = toy_array(rng.integers(0, 1 << q, n_s), ps, q)
             sink = toy_array(rng.integers(0, 1 << q, n_t), pt, q)
             idx = [0, 1, 2, 3]
-            a = accumulate(source, sink, idx, strategy="zeta")
-            b = accumulate(source, sink, idx, strategy="pairs")
+            a = kernel_value(_zeta_rows, source, sink, idx)
+            b = kernel_value(_pairs_rows, source, sink, idx)
             assert a == pytest.approx(b)
 
     def test_empty_class_is_zero(self):
@@ -394,12 +441,6 @@ class TestAccumulateGeneral:
         with pytest.raises(ValueError):
             accumulate(source, sink, [3])
 
-    def test_unknown_strategy_rejected(self):
-        source = toy_array([0], [1.0], 1)
-        sink = toy_array([0], [1.0], 1)
-        with pytest.raises(ValueError):
-            accumulate(source, sink, [0], strategy="quantum")
-
     def test_side_class_probabilities_sum(self):
         source = toy_array([0b01, 0b10, 0b11], [0.2, 0.3, 0.5], 2)
         table = side_class_probabilities(source, [0, 1])
@@ -415,16 +456,17 @@ class TestBudgetGuards:
         with pytest.raises(IntractableError):
             side_class_probabilities(source, list(range(25)))
 
-    def test_accumulate_pairs_handles_large_classes(self):
-        # the pairs strategy has no 2^q table, so q = 25 is fine
+    def test_pairs_kernel_handles_large_classes(self):
+        # the pairs kernel has no 2^q table, so q = 25 is fine
         source = toy_array([0b1, 0b10], [0.5, 0.5], 40)
         sink = toy_array([0b1, 0b11], [0.5, 0.5], 40)
-        value = accumulate(source, sink, list(range(25)), strategy="pairs")
-        assert 0.0 <= value <= 1.0
+        value = kernel_value(_pairs_rows, source, sink, list(range(25)))
+        assert value == pytest.approx(0.75)
+        assert accumulate(source, sink, list(range(25))) == value
 
-    def test_auto_switches_to_pairs_for_large_classes(self):
+    def test_large_classes_run_the_pairs_kernel(self):
         source = toy_array([0b1], [1.0], 40)
         sink = toy_array([0b1], [1.0], 40)
-        # auto must not raise (zeta would): 15 assignments > the 12 cutoff
+        # must not raise (zeta would): 15 assignments > the 12 cutoff
         value = accumulate(source, sink, list(range(15)))
         assert value == pytest.approx(1.0)

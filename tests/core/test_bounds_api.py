@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import api
+from repro import obs
+from repro.core import sweep
 from repro.core.api import available_methods, compute_reliability
 from repro.core.bounds import cut_upper_bound, reliability_bounds, route_lower_bound
 from repro.core.demand import FlowDemand
@@ -160,7 +161,7 @@ class TestComputeReliability:
         def broken(*args, **kwargs):
             raise RuntimeError("cut search bug")
 
-        monkeypatch.setattr(api, "find_bottleneck", broken)
+        monkeypatch.setattr(sweep, "find_bottleneck", broken)
         with pytest.raises(RuntimeError, match="cut search bug"):
             compute_reliability(fujita_fig4(), "s", "t", 2)
 
@@ -168,11 +169,39 @@ class TestComputeReliability:
         def no_split(*args, **kwargs):
             raise DecompositionError("no admissible cut")
 
-        monkeypatch.setattr(api, "find_bottleneck", no_split)
+        monkeypatch.setattr(sweep, "find_bottleneck", no_split)
         result = compute_reliability(fujita_fig4(), "s", "t", 2)
         assert result.method == "naive"
         exact = naive_reliability(fujita_fig4(), FlowDemand("s", "t", 2)).value
         assert result.value == pytest.approx(exact)
+
+    def test_auto_runs_the_cut_search_once(self, monkeypatch):
+        """``auto`` runs the paper's algorithm on the split its one
+        search found, without verifying that cut a second time."""
+        calls = {"find": 0, "verify": 0}
+        find, verify = sweep.find_bottleneck, sweep.verify_bottleneck
+
+        def spy_find(*args, **kwargs):
+            calls["find"] += 1
+            return find(*args, **kwargs)
+
+        def spy_verify(*args, **kwargs):
+            calls["verify"] += 1
+            return verify(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "find_bottleneck", spy_find)
+        monkeypatch.setattr(sweep, "verify_bottleneck", spy_verify)
+        for net in (fujita_fig4(), fujita_fig2_bridge()):
+            calls.update(find=0, verify=0)
+            result = compute_reliability(net, "s", "t", 2)
+            assert result.method == "bottleneck"
+            assert calls == {"find": 1, "verify": 0}
+
+    def test_auto_traces_one_cut_search(self):
+        with obs.record() as rec:
+            compute_reliability(fujita_fig4(), "s", "t", 2)
+        names = [span.name for span in rec.root.iter_spans()]
+        assert names.count("bottleneck.cut_search") == 1
 
     def test_auto_factoring_for_larger_cutless_networks(self):
         net = parallel_links(14, 1, 0.1)

@@ -3,6 +3,7 @@ algorithm."""
 
 import pytest
 
+from repro.core import certificate
 from repro.core.bottleneck import (
     bottleneck_reliability,
     pattern_probabilities,
@@ -178,28 +179,28 @@ class TestBottleneckReliability:
         with pytest.raises(DecompositionError):
             bottleneck_reliability(fujita_fig4(), FlowDemand("s", "t", 2), cut=[0])
 
-    @pytest.mark.parametrize("strategy", ["zeta", "pairs"])
-    def test_strategies_agree(self, strategy):
+    def test_fig4_value(self):
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
-        value = bottleneck_reliability(net, demand, cut=[0, 1], strategy=strategy).value
+        value = bottleneck_reliability(net, demand, cut=[0, 1]).value
         assert value == pytest.approx(0.8426357910000003, abs=1e-12)
 
-    def test_flow_call_count_bound(self):
-        """Cost matches §III-C: at most |D| (2^{|E_s|} + 2^{|E_t|}) solves."""
+    def test_flow_call_count_bound(self, monkeypatch):
+        """Cost matches §III-C: past the certificate guard the max-flow
+        fallback spends at most |D| (2^{|E_s|} + 2^{|E_t|}) solves."""
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = fujita_fig4()
-        result = bottleneck_reliability(
-            net, FlowDemand("s", "t", 2), cut=[0, 1], prune=False, incremental=False
-        )
-        assert result.flow_calls == 3 * (2**4 + 2**3)
+        result = bottleneck_reliability(net, FlowDemand("s", "t", 2), cut=[0, 1])
+        assert 0 < result.flow_calls <= 3 * (2**4 + 2**3)
 
-    def test_prune_does_not_change_value(self):
+    def test_fallback_does_not_change_value(self, monkeypatch):
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
-        a = bottleneck_reliability(net, demand, cut=[0, 1], prune=True)
-        b = bottleneck_reliability(net, demand, cut=[0, 1], prune=False)
+        a = bottleneck_reliability(net, demand, cut=[0, 1])
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        b = bottleneck_reliability(net, demand, cut=[0, 1])
         assert a.value == pytest.approx(b.value, abs=1e-15)
-        assert a.flow_calls <= b.flow_calls
+        assert a.flow_calls == 0 < b.flow_calls
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_bottlenecked_instances(self, seed):

@@ -1,11 +1,10 @@
 """The cut-certificate kernel and the §III-C kernel-choice rule.
 
-``build_side_array`` builds with the certificate kernel unless one of
-three things holds, each pinned by one test here:
-
-* the side's bond family is over a guard (free nodes or cut count);
-* the caller names a solver;
-* the caller forces ``incremental=`` either way.
+``build_side_array`` builds with the certificate kernel unless the
+side's bond family is over a guard (free nodes or cut count); then it
+runs the pruned Gray walk.  No option chooses: each guard is pinned by
+one test here, and both kernels are checked against the reference
+oracle in ``tests/reference_arrays.py``.
 """
 
 import numpy as np
@@ -30,6 +29,7 @@ from repro.graph.network import FlowNetwork
 from repro.graph.transforms import SubnetworkView
 from repro.obs import record
 from repro.obs.recorder import ARRAY_ENTRIES_BUILT, CERTIFICATE_CUTS, FLOW_SOLVES
+from tests.reference_arrays import reference_side_masks
 
 DEMAND = FlowDemand("s", "t", 2)
 
@@ -71,9 +71,8 @@ class TestKernelChoice:
         side, request = _fig4_request()
         with record() as recorder:
             built = build_side_array(side, **request)
-        reference = build_side_array(side, solver="dinic", **request)
-        assert built.flow_calls == 0 and reference.flow_calls > 0
-        assert np.array_equal(built.masks, reference.masks)
+        assert built.flow_calls == 0
+        assert np.array_equal(built.masks, reference_side_masks(side, **request))
         totals = recorder.counter_totals()
         assert totals[CERTIFICATE_CUTS] > 0
         assert FLOW_SOLVES not in totals
@@ -85,9 +84,8 @@ class TestKernelChoice:
         side, request = _wide_side()
         assert side_cut_family(side.network, role="source", terminal="s", ports=["x"]) is None
         built = build_side_array(side, **request)
-        reference = build_side_array(side, solver="dinic", incremental=False, **request)
         assert built.flow_calls > 0
-        assert np.array_equal(built.masks, reference.masks)
+        assert np.array_equal(built.masks, reference_side_masks(side, **request))
 
     def test_cut_count_guard_falls_back_to_max_flow(self, monkeypatch):
         side, request = _fig4_request()
@@ -96,29 +94,24 @@ class TestKernelChoice:
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", family.size - 1)
         built = build_side_array(side, **request)
         assert built.flow_calls > 0
+        assert np.array_equal(built.masks, reference_side_masks(side, **request))
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", family.size)
         assert build_side_array(side, **request).flow_calls == 0
 
-    def test_named_solver_selects_max_flow(self):
-        side, request = _fig4_request()
-        assert build_side_array(side, solver="edmonds_karp", **request).flow_calls > 0
-
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_forced_incremental_selects_max_flow(self, incremental):
-        side, request = _fig4_request()
-        built = build_side_array(side, incremental=incremental, **request)
-        assert built.flow_calls > 0
-
-    @pytest.mark.parametrize(
-        "options, solves",
-        [({}, False), ({"solver": "dinic"}, True), ({"incremental": True}, True),
-         ({"incremental": False}, True)],
-    )
-    def test_bottleneck_reliability_decides_on_raw_arguments(self, options, solves):
+    def test_bottleneck_reliability_kernel_follows_the_guard(self, monkeypatch):
         net = fujita_fig4(failure_probability=0.1)
-        result = bottleneck_reliability(net, DEMAND, **options)
-        assert (result.flow_calls > 0) is solves
-        assert result.value == bottleneck_reliability(net, DEMAND, solver="dinic").value
+        default = bottleneck_reliability(net, DEMAND)
+        assert default.flow_calls == 0
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        walked = bottleneck_reliability(net, DEMAND)
+        assert walked.flow_calls > 0
+        assert walked.value == default.value
+        assert walked.details == default.details
+
+    def test_details_name_no_kernel_or_strategy(self):
+        details = bottleneck_reliability(fujita_fig4(), DEMAND).details
+        assert "incremental" not in details
+        assert "accumulation_strategy" not in details
 
 
 class TestCertificateKernel:

@@ -3,8 +3,8 @@
 ``bottleneck_reliability`` is the one-row call of
 :func:`repro.core.sweep.split_reliability` and a probability sweep its
 many-row call.  These tests pin what that sharing promises: one span
-vocabulary, one probability-table request per side, one strategy check
-ahead of every early return, and one memoised doubling table.
+vocabulary, one probability-table request per side and one memoised
+doubling table.
 """
 
 import numpy as np
@@ -21,9 +21,7 @@ from repro.core.sweep import (
     ArrayCache,
     SweepSpec,
     compute_reliability_sweep,
-    evaluate_batch,
 )
-from repro.exceptions import ReproValueError
 from repro.graph.builders import fujita_fig4
 from repro.graph.generators import bottlenecked_network
 from repro.probability.enumeration import (
@@ -127,46 +125,6 @@ class TestConfigurationsCountedOnce:
             )
         assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == 24
         assert all(r.configurations == 24 for r in swept)
-
-
-class TestStrategyValidatedBeforeEarlyReturn:
-    """fig4's cut carries at most 4, so d = 5 takes the early return."""
-
-    def test_pointwise(self):
-        with pytest.raises(ReproValueError, match="unknown accumulation strategy"):
-            bottleneck_reliability(
-                fujita_fig4(), FlowDemand("s", "t", 5), strategy="bogus"
-            )
-
-    def test_sweep(self):
-        with pytest.raises(ReproValueError, match="unknown accumulation strategy"):
-            compute_reliability_sweep(
-                fujita_fig4(),
-                FlowDemand("s", "t", 5),
-                sweep=SweepSpec.availability([0.8, 0.9]),
-                strategy="bogus",
-            )
-
-    def test_demand_sweep(self):
-        with pytest.raises(ReproValueError, match="unknown accumulation strategy"):
-            compute_reliability_sweep(
-                fujita_fig4(),
-                FlowDemand("s", "t", 2),
-                sweep=SweepSpec.demand_rates([5, 6]),
-                strategy="bogus",
-            )
-
-    def test_evaluate_batch(self):
-        net = fujita_fig4()
-        with pytest.raises(ReproValueError, match="unknown accumulation strategy"):
-            evaluate_batch([(net, FlowDemand("s", "t", 5))], strategy="bogus")
-
-    def test_valid_strategy_still_returns_zero(self):
-        result = bottleneck_reliability(
-            fujita_fig4(), FlowDemand("s", "t", 5), strategy="pairs"
-        )
-        assert result.value == 0.0
-        assert result.details["reason"] == "cut capacity below demand"
 
 
 class TestOneDoublingTable:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import certificate
 from repro.core.arrays import build_side_array
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
@@ -257,17 +258,19 @@ class TestCachedSideArray:
         assert cache.stats()["hits"] == 1
         assert cache.stats()["stores"] == len(assignments)
 
-    def test_cache_shared_between_certificate_and_maxflow_kernels(self):
+    def test_cache_shared_between_certificate_and_maxflow_kernels(self, monkeypatch):
         _, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
         kwargs = source_kwargs(split, assignments)
         cache = ArrayCache()
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        solved = cached_side_array(split.source_side, cache=cache, **kwargs)
+        monkeypatch.undo()
         certified = cached_side_array(split.source_side, cache=cache, **kwargs)
-        solved = cached_side_array(
-            split.source_side, cache=cache, solver="dinic", **kwargs
-        )
+        assert solved.flow_calls > 0
         assert np.array_equal(certified.masks, solved.masks)
-        assert solved.flow_calls == 0
+        assert certified.flow_calls == 0
+        assert cache.stats()["hits"] == len(assignments)
 
 
 class TestProbabilityGrid:
@@ -360,10 +363,8 @@ class TestSweepSpec:
 
 
 class TestComputeReliabilitySweep:
-    def pointwise(self, net, spec, index, **kwargs):
-        return bottleneck_reliability(
-            spec.point_network(net, index), DEMAND, **kwargs
-        )
+    def pointwise(self, net, spec, index):
+        return bottleneck_reliability(spec.point_network(net, index), DEMAND)
 
     def test_availability_sweep_bit_identical_to_pointwise(self):
         net = fujita_fig4(failure_probability=0.1)
@@ -412,28 +413,6 @@ class TestComputeReliabilitySweep:
             swept = compute_reliability_sweep(net, DEMAND, sweep=spec)
             for i, result in enumerate(swept):
                 assert result.value == self.pointwise(net, spec, i).value
-
-    @pytest.mark.parametrize("strategy", ["zeta", "pairs"])
-    def test_explicit_strategies_match_pointwise(self, strategy):
-        net = fujita_fig4(failure_probability=0.15)
-        spec = SweepSpec.availability([0.8, 0.92])
-        swept = compute_reliability_sweep(
-            net, DEMAND, sweep=spec, strategy=strategy
-        )
-        for i, result in enumerate(swept):
-            point = self.pointwise(net, spec, i, strategy=strategy)
-            assert result.value == point.value
-            assert result.details["accumulation_strategy"] == strategy
-
-    def test_unknown_strategy_rejected(self):
-        net = fujita_fig4()
-        with pytest.raises(ReproValueError, match="unknown accumulation strategy"):
-            compute_reliability_sweep(
-                net,
-                DEMAND,
-                sweep=SweepSpec.availability([0.9]),
-                strategy="magic",
-            )
 
     def test_demand_above_cut_capacity_all_zero(self):
         net = fujita_fig4()

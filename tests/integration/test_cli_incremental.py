@@ -8,6 +8,7 @@ exist (previously ``load()`` ran first and its side effects — and
 errors — masked the real problem).
 """
 
+import json
 import re
 
 import pytest
@@ -27,7 +28,7 @@ def net_file(tmp_path):
 
 
 class TestComputeIncremental:
-    @pytest.mark.parametrize("method", ["naive", "bottleneck", "auto"])
+    @pytest.mark.parametrize("method", ["naive", "auto"])
     @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
     def test_value_identical_either_way(self, net_file, capsys, method, flag):
         assert main(
@@ -59,15 +60,31 @@ class TestComputeIncremental:
             )
         assert "not allowed with" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["factoring", "bottleneck"])
     @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
-    def test_rejected_for_unsupported_method(self, net_file, capsys, flag):
+    def test_rejected_for_unsupported_method(self, net_file, capsys, flag, method):
         assert main(
             ["compute", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "factoring", flag]
+             "--method", method, flag]
         ) == 1
         err = capsys.readouterr().err
-        assert f"{flag} is not supported" in err
-        assert "naive, bottleneck, auto" in err
+        assert f"{flag} is not supported by method {method!r}" in err
+        assert "use one of: naive, rare, auto" in err
+
+
+class TestEstimateIncremental:
+    def test_estimate_takes_the_flags(self, net_file, capsys):
+        """``estimate`` has no ``--method``; the flag validation used to
+        crash on the missing attribute."""
+        outputs = []
+        for flag in ("--incremental", "--no-incremental"):
+            assert main(
+                ["estimate", net_file, "-s", "s", "-t", "t", "-d", "2",
+                 "--budget", "500", "--seed", "0", "--json", flag]
+            ) == 0
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0]["reliability"] == outputs[1]["reliability"]
+        assert outputs[0]["interval"] == outputs[1]["interval"]
 
 
 class TestValidationPrecedesLoad:
@@ -102,19 +119,6 @@ class TestProfileIncremental:
         assert _FIG4_RELIABILITY in out
         assert "flow_repairs" in out
         assert "augmenting_paths_saved" in out
-        flow_calls = int(re.search(r"max-flow calls: (\d+)", out).group(1))
-        counted = int(re.search(r"flow_solves = (\d+)", out).group(1))
-        assert counted == flow_calls
-
-    def test_profile_incremental_partitions_flow_solves_bottleneck(
-        self, net_file, capsys
-    ):
-        assert main(
-            ["profile", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "bottleneck", "--incremental"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert _FIG4_RELIABILITY in out
         flow_calls = int(re.search(r"max-flow calls: (\d+)", out).group(1))
         counted = int(re.search(r"flow_solves = (\d+)", out).group(1))
         assert counted == flow_calls

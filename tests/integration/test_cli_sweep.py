@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core import certificate
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import save
 
@@ -75,19 +76,15 @@ class TestSweepCommand:
             p["reliability"] for p in first["points"]
         ]
 
-    def test_incremental_matches_default(self, net_file, capsys):
-        assert run_sweep(net_file, "--availability", "0.9", "--json") == 0
-        certified = json.loads(capsys.readouterr().out)
-        assert (
-            run_sweep(net_file, "--availability", "0.9", "--incremental", "--json")
-            == 0
-        )
-        solved = json.loads(capsys.readouterr().out)
-        assert certified["points"] == solved["points"]
-        assert certified["flow_calls"] == 0 < solved["flow_calls"]
+    @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
+    def test_kernel_flags_are_gone(self, net_file, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            run_sweep(net_file, "--availability", "0.9", flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestSweepKernelFlags:
+class TestSweepKernels:
     AXES = {
         "availability": ("--availability", "0.8,0.9"),
         "failure-scale": ("--failure-scale", "0.5,1.0"),
@@ -95,24 +92,19 @@ class TestSweepKernelFlags:
     }
 
     @pytest.mark.parametrize("axis", sorted(AXES))
-    @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
-    def test_max_flow_kernels_match_default(self, net_file, capsys, axis, flag):
-        assert run_sweep(net_file, *self.AXES[axis], "--json") == 0
-        certified = json.loads(capsys.readouterr().out)
-        assert certified["flow_calls"] == 0
-        assert run_sweep(net_file, *self.AXES[axis], flag, "--json") == 0
-        solved = json.loads(capsys.readouterr().out)
-        assert solved["points"] == certified["points"]
-        assert solved["flow_calls"] > 0
-
-    @pytest.mark.parametrize("axis", sorted(AXES))
-    def test_disk_cache_serves_other_kernel(self, net_file, tmp_path, capsys, axis):
+    def test_disk_cache_serves_other_kernel(
+        self, net_file, tmp_path, capsys, monkeypatch, axis
+    ):
+        """Columns the Gray-walk fallback (a side past the certificate
+        guard) wrote serve a certificate-kernel run with zero solves."""
         cache_dir = str(tmp_path / "arrays")
         args = (*self.AXES[axis], "--cache-dir", cache_dir, "--json")
-        assert run_sweep(net_file, *args, "--no-incremental") == 0
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        assert run_sweep(net_file, *args) == 0
         cold = json.loads(capsys.readouterr().out)
         assert cold["flow_calls"] > 0
-        assert run_sweep(net_file, *args, "--incremental") == 0
+        monkeypatch.undo()
+        assert run_sweep(net_file, *args) == 0
         warm = json.loads(capsys.readouterr().out)
         assert warm["flow_calls"] == 0
         assert warm["points"] == cold["points"]

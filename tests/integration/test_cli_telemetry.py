@@ -18,6 +18,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core import certificate
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import save
 from repro.obs import MetricsServer, read_events
@@ -71,10 +72,13 @@ class TestRunLedgerCli:
         out = capsys.readouterr().out
         assert "compute" in out and "completed" in out
 
-    def test_runs_show_round_trips_record(self, net_file, tmp_path, capsys):
+    def test_runs_show_round_trips_record(
+        self, net_file, tmp_path, capsys, monkeypatch
+    ):
         ledger = str(tmp_path / "runs")
-        # --incremental selects the max-flow kernel, whose solves the
-        # record's counters must reconcile with.
+        # Past the certificate guard the arrays cost max-flow solves,
+        # which the record's counters must reconcile with.
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         assert _compute(net_file, "--incremental", "--ledger-dir", ledger) == 0
         capsys.readouterr()
         assert main(["runs", "show", "-1", "--ledger-dir", ledger]) == 0
@@ -99,10 +103,11 @@ class TestRunLedgerCli:
         assert "no regressions" in capsys.readouterr().out
 
     def test_injected_double_flow_solves_fails_diff(
-        self, net_file, tmp_path, capsys
+        self, net_file, tmp_path, capsys, monkeypatch
     ):
         ledger = tmp_path / "runs"
-        assert _compute(net_file, "--incremental", "--ledger-dir", str(ledger)) == 0
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        assert _compute(net_file, "--ledger-dir", str(ledger)) == 0
         capsys.readouterr()
         # Inject a 2x flow_solves regression into a copy of the record.
         [record_path] = [

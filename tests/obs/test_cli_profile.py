@@ -3,9 +3,11 @@
 The acceptance bar for the observability layer: the phase tree printed
 by ``repro profile`` on ``fujita_fig4`` must report per-phase
 ``flow_solves`` whose sum equals ``ReliabilityResult.flow_calls``
-exactly — for both exact kernels.  The solve-accounting tests force
-``--incremental`` (or name a solver): by default the bottleneck arrays
-come from the solver-free cut-certificate kernel and spend no solves.
+exactly — for both exact kernels.  The bottleneck arrays come from the
+solver-free cut-certificate kernel and spend no solves, so the
+bottleneck solve-accounting tests push fig4's sides past the
+certificate guard (a monkeypatched ``MAX_CERTIFICATE_CUTS``) onto the
+Gray-walk fallback.
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.core import certificate
 from repro.core.api import compute_reliability
 from repro.core.demand import FlowDemand
 from repro.graph.builders import fujita_fig4
@@ -45,10 +48,13 @@ def _phase_flow_solves(profile_output: str) -> list[int]:
 
 class TestProfileCommand:
     @pytest.mark.parametrize("method", ["naive", "bottleneck"])
-    def test_phase_flow_solves_sum_to_flow_calls(self, net_file, capsys, method):
+    def test_phase_flow_solves_sum_to_flow_calls(
+        self, net_file, capsys, monkeypatch, method
+    ):
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         assert main(
             ["profile", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", method, "--incremental"]
+             "--method", method]
         ) == 0
         out = capsys.readouterr().out
         flow_calls = int(_FLOW_CALLS.search(out).group(1))
@@ -75,18 +81,18 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "mc_samples = 2048" in out
 
-    def test_profile_trace_json(self, net_file, tmp_path, capsys):
+    def test_profile_trace_json(self, net_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         trace_path = tmp_path / "trace.json"
         assert main(
             ["profile", net_file, "-s", "s", "-t", "t", "-d", "2",
-             "--method", "bottleneck", "--incremental",
-             "--trace-json", str(trace_path)]
+             "--method", "bottleneck", "--trace-json", str(trace_path)]
         ) == 0
         payload = json.loads(trace_path.read_text(encoding="utf-8"))
         assert payload["schema"] == "repro.obs/trace/v1"
         out = capsys.readouterr().out
         flow_calls = int(_FLOW_CALLS.search(out).group(1))
-        assert payload["counters"]["flow_solves"] == flow_calls
+        assert payload["counters"]["flow_solves"] == flow_calls > 0
 
     def test_profile_progress_heartbeats(self, net_file, capsys):
         assert main(
@@ -141,18 +147,17 @@ class TestComputeTraceFlags:
 
 class TestResultDetails:
     @pytest.mark.parametrize("method", ["naive", "bottleneck"])
-    def test_details_obs_phase_summary(self, method):
+    def test_details_obs_phase_summary(self, method, monkeypatch):
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
         with obs.record():
-            result = compute_reliability(
-                net, demand=demand, method=method, solver="dinic"
-            )
+            result = compute_reliability(net, demand=demand, method=method)
         summary = result.details["obs"]
         per_phase = sum(
             p["counters"].get("flow_solves", 0) for p in summary["phases"]
         )
-        assert per_phase == summary["counters"]["flow_solves"] == result.flow_calls
+        assert per_phase == summary["counters"]["flow_solves"] == result.flow_calls > 0
 
     def test_details_has_no_obs_key_without_recorder(self):
         net = fujita_fig4()

@@ -7,6 +7,7 @@ import pytest
 
 from repro import obs
 from repro.exceptions import ReproValueError
+from repro.core import certificate
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.graph.builders import fujita_fig4
@@ -206,15 +207,17 @@ class TestTelemetrySession:
         assert any(e["ev"] == "counters" for e in events)
         assert not any(e["ev"] == "finish" for e in events)
 
-    def test_session_totals_match_sessionless_run(self, tmp_path):
+    def test_session_totals_match_sessionless_run(self, tmp_path, monkeypatch):
         """Telemetry must observe, never perturb: counters are unchanged."""
+        # Past the certificate guard, so the max-flow counters move too.
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
         with obs.record() as rec:
-            bare = bottleneck_reliability(net, demand, solver="dinic")
+            bare = bottleneck_reliability(net, demand)
         bare_totals = rec.counter_totals()
         with telemetry_session(tmp_path) as rec:
-            traced = bottleneck_reliability(net, demand, solver="dinic")
+            traced = bottleneck_reliability(net, demand)
         traced_totals = rec.counter_totals()
         assert traced.value == bare.value
 

@@ -1,18 +1,20 @@
-"""Property: every way of selecting the §III-C build yields the same bits.
+"""Property: both §III-C build kernels yield the reference bits.
 
 All realization arrays come out of one entry point,
 :func:`repro.core.sweep.cached_side_array`, which without a cache is
-:func:`repro.core.arrays.build_side_array`.  Inside it the options pick
-a kernel: the cut-certificate kernel (no solver, no ``incremental``),
-the cold max-flow build (``incremental=False``, any registered solver)
-or the incremental Gray walk (``incremental=True``).  These tests pin
-the contract that makes the choice a pure performance matter: for every
-seed, role, kernel and pruning setting the masks, the reliability value
-and the result ``details`` (modulo the accounting keys) are
-bit-identical to the default path — and a disk cache filled by any
-kernel serves every other kernel with zero max-flow solves.
+:func:`repro.core.arrays.build_side_array`.  The side picks the kernel:
+the cut-certificate kernel inside its guards, the pruned Gray walk past
+them.  These tests reach the walk through the guard (a monkeypatched
+``MAX_CERTIFICATE_CUTS``), never through an option, and pin the
+contract that makes the choice a pure performance matter: for every
+seed, role and demand rate the masks equal the reference oracle
+(``tests/reference_arrays.py``, itself cross-checked across every
+registered solver), and the reliability value and result ``details`` (modulo the
+accounting keys) are bit-identical across kernels — and a disk cache
+filled by either kernel serves the other with zero max-flow solves.
 """
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import certificate
 from repro.core.arrays import build_side_array
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
@@ -32,26 +35,31 @@ from repro.core.sweep import (
 )
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network
+from repro.probability.enumeration import configuration_probabilities
+from tests.reference_arrays import reference_side_masks
 
 SEEDS = [0, 7, 23]
 
-#: Kernel selections, as the keyword arguments that pick them.
-KERNELS = {
-    "certificate": {},
-    "cold-dinic": {"solver": "dinic", "incremental": False},
-    "cold-edmonds_karp": {"solver": "edmonds_karp", "incremental": False},
-    "cold-capacity_scaling": {"solver": "capacity_scaling", "incremental": False},
-    "cold-push_relabel": {"solver": "push_relabel"},
-    "gray-dinic": {"solver": "dinic", "incremental": True},
-    "gray-edmonds_karp": {"solver": "edmonds_karp", "incremental": True},
-}
+#: The wider instance set the mask properties run over.
+MASK_SEEDS = range(8)
 
-#: The smaller set the slower (whole-pipeline) properties run over.
-PIPELINE_KERNELS = ["certificate", "cold-dinic", "gray-dinic", "cold-push_relabel"]
+KERNELS = ["certificate", "gray-walk"]
+
+#: Solvers the reference oracle cold-solves with.
+ORACLE_SOLVERS = ["dinic", "edmonds_karp", "capacity_scaling", "push_relabel"]
 
 #: details keys that describe *how the solves were accounted*, not what
-#: was computed (``incremental`` names the kernel that ran).
-ACCOUNTING_KEYS = ("incremental", "array_cache", "obs")
+#: was computed.
+ACCOUNTING_KEYS = ("array_cache", "obs")
+
+
+@contextmanager
+def _kernel(name):
+    """Select a kernel the only way there is: through the guard."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "gray-walk":
+            patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        yield
 
 
 def _scrub(details):
@@ -68,11 +76,11 @@ def _instance(seed):
     )
 
 
-def _split(net):
+def _split(net, rate=2):
     split = find_bottleneck(net, "s", "t", max_size=3)
     assert split is not None
     capacities = [net.link(i).capacity for i in split.cut]
-    return split, enumerate_assignments(capacities, 2)
+    return split, enumerate_assignments(capacities, rate)
 
 
 def _side_request(split, role):
@@ -84,41 +92,50 @@ def _side_request(split, role):
 
 
 class TestSideMasksAcrossKernels:
+    @pytest.mark.parametrize("seed", MASK_SEEDS)
+    @pytest.mark.parametrize("role", ["source", "sink"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("rate", [1, 2, 3])
+    def test_masks_match_reference(self, seed, role, kernel, rate):
+        split, assignments = _split(_instance(seed), rate)
+        side, request = _side_request(split, role)
+        with _kernel(kernel):
+            built = build_side_array(
+                side, assignments=assignments, demand=rate, **request
+            )
+        reference = reference_side_masks(
+            side, assignments=assignments, demand=rate, **request
+        )
+        assert built.masks.dtype == np.uint64
+        assert np.array_equal(built.masks, reference)
+        np.testing.assert_array_equal(
+            built.probabilities, configuration_probabilities(side.network)
+        )
+        assert built.num_assignments == len(assignments)
+        if kernel == "certificate" or not assignments:
+            assert built.flow_calls == 0
+        else:
+            assert built.flow_calls > 0
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("role", ["source", "sink"])
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    @pytest.mark.parametrize("prune", [False, True])
-    def test_masks_bit_identical(self, seed, role, kernel, prune):
+    @pytest.mark.parametrize("oracle_solver", ORACLE_SOLVERS)
+    def test_reference_agrees_across_solvers(self, seed, role, oracle_solver):
         split, assignments = _split(_instance(seed))
         side, request = _side_request(split, role)
-        default = build_side_array(
-            side, assignments=assignments, demand=2, **request
+        built = build_side_array(side, assignments=assignments, demand=2, **request)
+        reference = reference_side_masks(
+            side, assignments=assignments, demand=2, solver=oracle_solver, **request
         )
-        chosen = build_side_array(
-            side,
-            assignments=assignments,
-            demand=2,
-            prune=prune,
-            **request,
-            **KERNELS[kernel],
-        )
-        assert chosen.masks.dtype == np.uint64
-        assert np.array_equal(default.masks, chosen.masks)
-        np.testing.assert_array_equal(default.probabilities, chosen.probabilities)
-        assert chosen.num_assignments == default.num_assignments == len(assignments)
-        if kernel == "certificate":
-            assert chosen.flow_calls == 0
-        else:
-            assert chosen.flow_calls > 0
+        assert np.array_equal(built.masks, reference)
 
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=300),
-        kernel=st.sampled_from(sorted(KERNELS)),
+        kernel=st.sampled_from(KERNELS),
         role=st.sampled_from(["source", "sink"]),
-        prune=st.booleans(),
     )
-    def test_arbitrary_instances(self, seed, kernel, role, prune):
+    def test_arbitrary_instances(self, seed, kernel, role):
         net = bottlenecked_network(
             source_side_links=4,
             sink_side_links=3,
@@ -128,65 +145,63 @@ class TestSideMasksAcrossKernels:
         )
         split, assignments = _split(net)
         side, request = _side_request(split, role)
-        default = build_side_array(side, assignments=assignments, demand=2, **request)
-        chosen = build_side_array(
-            side,
-            assignments=assignments,
-            demand=2,
-            prune=prune,
-            **request,
-            **KERNELS[kernel],
+        with _kernel(kernel):
+            built = build_side_array(side, assignments=assignments, demand=2, **request)
+        reference = reference_side_masks(
+            side, assignments=assignments, demand=2, **request
         )
-        assert np.array_equal(default.masks, chosen.masks)
+        assert np.array_equal(built.masks, reference)
 
 
 class TestUncachedDispatch:
     @pytest.mark.parametrize("role", ["source", "sink"])
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_cached_side_array_without_cache_is_build_side_array(self, role, kernel):
         split, assignments = _split(_instance(0))
         side, request = _side_request(split, role)
-        kwargs = dict(assignments=assignments, demand=2, **request, **KERNELS[kernel])
-        direct = build_side_array(side, **kwargs)
-        dispatched = cached_side_array(side, cache=None, **kwargs)
+        kwargs = dict(assignments=assignments, demand=2, **request)
+        with _kernel(kernel):
+            direct = build_side_array(side, **kwargs)
+            dispatched = cached_side_array(side, cache=None, **kwargs)
         assert np.array_equal(direct.masks, dispatched.masks)
+        np.testing.assert_array_equal(direct.probabilities, dispatched.probabilities)
         assert dispatched.flow_calls == direct.flow_calls
         assert dispatched.num_assignments == direct.num_assignments
 
 
 class TestValueAcrossKernels:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", sorted(KERNELS))
-    def test_bottleneck_value_identical(self, seed, kernel):
+    def test_bottleneck_value_identical(self, seed):
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         default = bottleneck_reliability(net, demand)
-        chosen = bottleneck_reliability(net, demand, **KERNELS[kernel])
-        assert chosen.value == default.value
-        assert chosen.configurations == default.configurations
-        assert _scrub(chosen.details) == _scrub(default.details)
-        assert "engine" not in chosen.details
+        with _kernel("gray-walk"):
+            walked = bottleneck_reliability(net, demand)
+        assert default.flow_calls == 0 and walked.flow_calls > 0
+        assert walked.value == default.value
+        assert walked.configurations == default.configurations
+        assert _scrub(walked.details) == _scrub(default.details)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", PIPELINE_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_sweep_matches_pointwise(self, seed, kernel):
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         spec = SweepSpec.availability(list(np.linspace(0.7, 0.99, 4)))
-        swept = compute_reliability_sweep(net, demand, sweep=spec, **KERNELS[kernel])
+        with _kernel(kernel):
+            swept = compute_reliability_sweep(net, demand, sweep=spec)
         for i, result in enumerate(swept):
             point = bottleneck_reliability(spec.point_network(net, i), demand)
             assert result.value == point.value
             assert _scrub(result.details) == _scrub(point.details)
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", PIPELINE_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_demand_sweep_matches_pointwise(self, seed, kernel):
         net = _instance(seed)
         spec = SweepSpec.demand_rates([1, 2, 3])
-        swept = compute_reliability_sweep(
-            net, FlowDemand("s", "t", 2), sweep=spec, **KERNELS[kernel]
-        )
+        with _kernel(kernel):
+            swept = compute_reliability_sweep(net, FlowDemand("s", "t", 2), sweep=spec)
         for rate, result in zip(spec.values, swept):
             point = bottleneck_reliability(net, FlowDemand("s", "t", rate))
             assert result.value == point.value
@@ -195,7 +210,7 @@ class TestValueAcrossKernels:
 
 class TestDiskCacheAcrossKernels:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("kernel", PIPELINE_KERNELS)
+    @pytest.mark.parametrize("kernel", KERNELS)
     def test_warm_rerun_solves_nothing(self, tmp_path, seed, kernel):
         """A fresh cache on the directory a cold sweep filled serves a
         repeat sweep with zero misses and zero max-flow solves, and no
@@ -204,13 +219,14 @@ class TestDiskCacheAcrossKernels:
         demand = FlowDemand("s", "t", 2)
         spec = SweepSpec.availability([0.8, 0.95])
         cache_dir = tmp_path / "cache"
-        cold = compute_reliability_sweep(
-            net, demand, sweep=spec, cache=ArrayCache(cache_dir), **KERNELS[kernel]
-        )
-        assert cold.cache_stats["misses"] > 0
-        warm = compute_reliability_sweep(
-            net, demand, sweep=spec, cache=ArrayCache(cache_dir), **KERNELS[kernel]
-        )
+        with _kernel(kernel):
+            cold = compute_reliability_sweep(
+                net, demand, sweep=spec, cache=ArrayCache(cache_dir)
+            )
+            assert cold.cache_stats["misses"] > 0
+            warm = compute_reliability_sweep(
+                net, demand, sweep=spec, cache=ArrayCache(cache_dir)
+            )
         assert warm.flow_calls == 0
         assert warm.cache_stats["misses"] == 0
         assert warm.values == cold.values
@@ -219,23 +235,21 @@ class TestDiskCacheAcrossKernels:
         assert not list(Path(cache_dir).glob("*.tmp"))
 
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("filler", PIPELINE_KERNELS)
-    def test_columns_from_one_kernel_serve_the_others(self, tmp_path, seed, filler):
+    @pytest.mark.parametrize("filler", KERNELS)
+    def test_columns_from_one_kernel_serve_the_other(self, tmp_path, seed, filler):
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         spec = SweepSpec.availability([0.8, 0.95])
         cache_dir = tmp_path / "cache"
-        filled = compute_reliability_sweep(
-            net, demand, sweep=spec, cache=ArrayCache(cache_dir), **KERNELS[filler]
-        )
-        for kernel in PIPELINE_KERNELS:
-            again = compute_reliability_sweep(
-                net,
-                demand,
-                sweep=spec,
-                cache=ArrayCache(cache_dir),
-                **KERNELS[kernel],
+        with _kernel(filler):
+            filled = compute_reliability_sweep(
+                net, demand, sweep=spec, cache=ArrayCache(cache_dir)
             )
+        for kernel in KERNELS:
+            with _kernel(kernel):
+                again = compute_reliability_sweep(
+                    net, demand, sweep=spec, cache=ArrayCache(cache_dir)
+                )
             assert again.flow_calls == 0
             assert again.cache_stats["misses"] == 0
             assert again.values == filled.values

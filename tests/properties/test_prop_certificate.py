@@ -1,14 +1,15 @@
-"""Property: cut-certificate masks equal the max-flow kernel's masks.
+"""Property: cut-certificate masks equal the reference realization masks.
 
 The certificate kernel (:mod:`repro.core.certificate`) answers every
 §III-C realization question by max-flow/min-cut duality instead of a
-solve.  These tests pin it bit-for-bit against the Dinic kernel on
-generated sides covering every shape the side builder accepts:
-directed, undirected and mixed links; parallel and antiparallel links;
-self-loops and zero-capacity links; repeated ports and a port equal to
-the terminal; both roles; and demands past 255, where the table widens
-from ``uint8``.  A side over a guard falls back to the max-flow kernel
-and must agree too.
+solve.  These tests pin it bit-for-bit against the reference oracle
+(``tests/reference_arrays.py``: one cold max-flow per configuration and
+assignment) on generated sides covering every shape the side builder
+accepts: directed, undirected and mixed links; parallel and antiparallel
+links; self-loops and zero-capacity links; repeated ports and a port
+equal to the terminal; both roles; and demands past 255, where the table
+widens from ``uint8``.  A side over a guard falls back to the Gray-walk
+kernel and must agree too.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.core.arrays import build_side_array
 from repro.core.certificate import certificate_masks, side_cut_family
 from repro.graph.network import FlowNetwork
 from repro.graph.transforms import SubnetworkView
+from tests.reference_arrays import reference_side_masks
 
 
 def _compositions(total, parts):
@@ -71,11 +73,7 @@ def sides(draw, orientation=ORIENTATIONS):
     )
 
 
-def _dinic_masks(side, request):
-    return build_side_array(side, solver="dinic", **request).masks
-
-
-class TestCertificateMatchesMaxFlow:
+class TestCertificateMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(drawn=sides())
     def test_masks_bit_identical(self, drawn):
@@ -89,7 +87,7 @@ class TestCertificateMatchesMaxFlow:
         assert family is not None
         masks = certificate_masks(family, request["assignments"], request["demand"])
         assert masks.dtype == np.uint64
-        assert np.array_equal(masks, _dinic_masks(side, request))
+        assert np.array_equal(masks, reference_side_masks(side, **request))
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=sides())
@@ -97,7 +95,7 @@ class TestCertificateMatchesMaxFlow:
         side, request = drawn
         built = build_side_array(side, **request)
         assert built.flow_calls == 0
-        assert np.array_equal(built.masks, _dinic_masks(side, request))
+        assert np.array_equal(built.masks, reference_side_masks(side, **request))
 
     @settings(max_examples=40, deadline=None)
     @given(drawn=sides(orientation=st.just("mixed")))
@@ -106,7 +104,7 @@ class TestCertificateMatchesMaxFlow:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
             fallback = build_side_array(side, **request)
-        assert np.array_equal(fallback.masks, _dinic_masks(side, request))
+        assert np.array_equal(fallback.masks, reference_side_masks(side, **request))
 
 
 def test_demand_past_255_widens_the_table():
@@ -128,4 +126,4 @@ def test_demand_past_255_widens_the_table():
     built = build_side_array(side, **request)
     assert built.flow_calls == 0
     assert built.masks.any()
-    assert np.array_equal(built.masks, _dinic_masks(side, request))
+    assert np.array_equal(built.masks, reference_side_masks(side, **request))

@@ -1,16 +1,19 @@
 """Property: the incremental Gray-walk kernels are bit-identical.
 
-The escape hatch (``incremental=``) defaults to the new path only
-because these tests prove equivalence: on the paper's figures and on
-random bottlenecked instances, every kernel — naive table and side
-arrays — must produce the *same bits* (feasibility tables, ``uint64`` realization
-masks, ``ReliabilityResult.value``) with the incremental engine on as
-with cold solves.  Not approximately: ``==`` on floats and arrays.
+Naive's escape hatch (``incremental=``) defaults to the Gray walk only
+because these tests prove equivalence: its feasibility tables and
+values are the *same bits* with the incremental engine on as with cold
+solves.  The §III-C side arrays have no such option: their Gray walk is
+the fallback past the cut-certificate guards, reached here through a
+monkeypatched guard and checked against the reference oracle
+(``tests/reference_arrays.py``) and the certificate kernel.  Not
+approximately: ``==`` on floats and arrays.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import certificate
 from repro.core.arrays import build_side_array
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
@@ -19,6 +22,7 @@ from repro.core.naive import feasibility_table, naive_reliability
 from repro.graph.builders import fujita_fig4
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network
+from tests.reference_arrays import reference_side_masks
 
 SEEDS = [0, 1, 7, 23, 101]
 
@@ -61,49 +65,55 @@ class TestNaiveTableBitIdentity:
         assert cold.details["incremental"] is False
 
 
+@pytest.fixture
+def gray_walk(monkeypatch):
+    """Push every side past the cut-count guard onto the Gray walk."""
+    monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+
+
 class TestSideArrayBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_serial_masks_identical(self, seed, prune):
+    def test_walk_masks_match_reference(self, seed, gray_walk):
         _, split, assignments = _instance(seed)
         for role, side, terminal, ports in (
             ("source", split.source_side, "s", split.source_ports),
             ("sink", split.sink_side, "t", split.sink_ports),
         ):
-            cold = build_side_array(
-                side, role=role, terminal=terminal, ports=ports,
-                assignments=assignments, demand=2, prune=prune, incremental=False,
+            request = dict(
+                role=role, terminal=terminal, ports=ports,
+                assignments=assignments, demand=2,
             )
-            warm = build_side_array(
-                side, role=role, terminal=terminal, ports=ports,
-                assignments=assignments, demand=2, prune=prune, incremental=True,
-            )
-            np.testing.assert_array_equal(cold.masks, warm.masks)
-            np.testing.assert_allclose(
-                cold.probabilities, warm.probabilities, rtol=0, atol=0
+            walked = build_side_array(side, **request)
+            assert walked.flow_calls > 0
+            np.testing.assert_array_equal(
+                walked.masks, reference_side_masks(side, **request)
             )
 
 
 class TestReliabilityValueBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_bottleneck_value_identical(self, seed):
+    def test_bottleneck_value_identical(self, seed, monkeypatch):
         net, split, _ = _instance(seed)
         demand = FlowDemand("s", "t", 2)
-        cold = bottleneck_reliability(net, demand, cut=split.cut, incremental=False)
-        warm = bottleneck_reliability(net, demand, cut=split.cut, incremental=True)
-        assert warm.value == cold.value
+        default = bottleneck_reliability(net, demand, cut=split.cut)
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        walked = bottleneck_reliability(net, demand, cut=split.cut)
+        assert walked.flow_calls > 0
+        assert walked.value == default.value
 
-    def test_fig4_pinned_value(self):
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_fig4_pinned_value(self, walk, monkeypatch):
+        if walk:
+            monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = fujita_fig4()
-        demand = FlowDemand("s", "t", 2)
-        for incremental in (False, True):
-            result = bottleneck_reliability(net, demand, incremental=incremental)
-            assert f"{result.value:.10f}" == "0.8426357910"
+        result = bottleneck_reliability(net, FlowDemand("s", "t", 2))
+        assert (result.flow_calls > 0) is walk
+        assert f"{result.value:.10f}" == "0.8426357910"
 
 
 class TestObsPartition:
-    def test_flow_solves_still_partition_flow_calls(self):
-        """The incremental engines report their solver invocations as
+    def test_flow_solves_still_partition_flow_calls(self, gray_walk):
+        """The Gray-walk fallback reports its solver invocations as
         FLOW_SOLVES, so the recorder total must still equal the result's
         ``flow_calls`` exactly."""
         from repro.obs import Recorder, record
@@ -112,6 +122,7 @@ class TestObsPartition:
         demand = FlowDemand("s", "t", 2)
         recorder = Recorder()
         with record(recorder):
-            result = bottleneck_reliability(net, demand, incremental=True)
+            result = bottleneck_reliability(net, demand)
         totals = recorder.counter_totals()
+        assert result.flow_calls > 0
         assert totals.get("flow_solves", 0) == result.flow_calls

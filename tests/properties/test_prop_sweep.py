@@ -3,15 +3,17 @@
 The sweep exists purely as a performance layer — one §III-C array build
 serving a whole grid of Eq. 2 / Eq. 3 evaluations.  These tests pin the
 contract that makes the cache key sound: for every sweep point, for
-every combination of cache state (cold/warm) and incremental toggle, ``compute_reliability_sweep`` must reproduce a
-fresh :func:`bottleneck_reliability` call on the point network *bit for
-bit* — ``==`` on the float value and ``==`` on ``details`` (modulo the
+every combination of cache state (cold/warm) and build kernel
+(certificate, or the Gray walk past a monkeypatched guard),
+``compute_reliability_sweep`` must reproduce a fresh
+:func:`bottleneck_reliability` call on the point network *bit for bit* — ``==`` on the float value and ``==`` on ``details`` (modulo the
 solve-accounting keys, which legitimately differ when no solves run).
 """
 
 import numpy as np
 import pytest
 
+from repro.core import certificate
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache, SweepSpec, compute_reliability_sweep
@@ -39,11 +41,9 @@ def _instance(seed):
     )
 
 
-def assert_point_identical(swept, net, demand, spec, **kwargs):
+def assert_point_identical(swept, net, demand, spec):
     for i, result in enumerate(swept):
-        point = bottleneck_reliability(
-            spec.point_network(net, i), demand, **kwargs
-        )
+        point = bottleneck_reliability(spec.point_network(net, i), demand)
         assert result.value == point.value
         assert result.method == point.method == "bottleneck"
         assert result.configurations == point.configurations
@@ -53,50 +53,39 @@ def assert_point_identical(swept, net, demand, spec, **kwargs):
 
 class TestSweepPointwiseBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("incremental", [False, True])
-    def test_availability_grid(self, seed, incremental):
+    @pytest.mark.parametrize("walk", [False, True])
+    def test_availability_grid(self, seed, walk, monkeypatch):
+        if walk:
+            monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         spec = SweepSpec.availability(list(np.linspace(0.7, 0.99, 5)))
         cache = ArrayCache()
-        cold = compute_reliability_sweep(
-            net,
-            demand,
-            sweep=spec,
-            incremental=incremental,
-            cache=cache,
-        )
-        warm = compute_reliability_sweep(
-            net,
-            demand,
-            sweep=spec,
-            incremental=incremental,
-            cache=cache,
-        )
+        cold = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
+        warm = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
+        assert (cold.flow_calls > 0) is walk
         for swept in (cold, warm):
-            assert_point_identical(swept, net, demand, spec, incremental=incremental)
+            assert_point_identical(swept, net, demand, spec)
         assert warm.flow_calls == 0
         assert warm.cache_stats["misses"] == 0
         assert warm.values == cold.values
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_warm_cache_ignores_build_knobs(self, seed):
-        """Columns cached by one build path must serve every other:
-        solver knobs are excluded from the key because the bits are
-        ground truth."""
+    def test_warm_cache_ignores_build_kernel(self, seed, monkeypatch):
+        """Columns cached by one build kernel must serve the other: the
+        kernel is excluded from the key because the bits are ground
+        truth."""
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         spec = SweepSpec.availability([0.8, 0.95])
         cache = ArrayCache()
-        baseline = compute_reliability_sweep(
-            net, demand, sweep=spec, incremental=False, cache=cache
-        )
-        for incremental in (True, None):
-            again = compute_reliability_sweep(
-                net, demand, sweep=spec, incremental=incremental, cache=cache
-            )
-            assert again.flow_calls == 0
-            assert again.values == baseline.values
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        baseline = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
+        monkeypatch.undo()
+        again = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
+        assert baseline.flow_calls > 0
+        assert again.flow_calls == 0
+        assert again.values == baseline.values
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_failure_scale_grid(self, seed):

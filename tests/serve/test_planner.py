@@ -5,7 +5,7 @@ import json
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache, network_fingerprint, plan_batch
-from repro.graph.builders import diamond, fujita_fig4
+from repro.graph.builders import diamond, fujita_fig4, parallel_links
 from repro.graph.io import to_dict
 from repro.obs import record
 from repro.obs.recorder import SERVE_WARM_HITS
@@ -116,3 +116,34 @@ class TestAnswerQueries:
         # The two fig4 queries merged; diamond rode its own plan.
         assert payloads[0]["batch"]["queries"] == 2
         assert payloads[1]["batch"]["queries"] == 1
+
+
+class TestSolverReachesOnlyNonCoalescibleFallbacks:
+    def test_named_solver_leaves_cold_bottleneck_columns_solver_free(self):
+        """A server solver used to swap the cut-certificate kernel for
+        max-flow on every cold bottleneck column (69 solves on fig4)."""
+        [named] = answer_queries([_query()], cache=ArrayCache(), solver="dinic")
+        [default] = answer_queries([_query()], cache=ArrayCache())
+        assert named["ok"] and not named["warm"]
+        assert named["flow_calls"] == 0
+        assert named["points"] == default["points"]
+
+    def test_non_coalescible_method_gets_the_solver(self):
+        [payload] = answer_queries(
+            [_query(net=diamond(), method="naive", rate=1)],
+            cache=ArrayCache(),
+            solver="no-such-solver",
+        )
+        assert not payload["ok"]
+        assert "no-such-solver" in payload["error"]["message"]
+
+    def test_refused_plan_falls_back_without_the_solver(self):
+        """``auto`` on a topology with no bottleneck cut leaves the sweep
+        and is answered pointwise, still without the server solver."""
+        net = parallel_links(5)
+        [payload] = answer_queries(
+            [_query(net=net, rate=2)], cache=ArrayCache(), solver="no-such-solver"
+        )
+        assert payload["ok"]
+        assert payload["batch"]["queries"] == 1
+
