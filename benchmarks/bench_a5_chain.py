@@ -3,13 +3,19 @@
 The single-cut bottleneck algorithm's exponent is the larger side; a
 series of r cuts drops it to the largest *segment*.  The table shows
 flow-call counts as segments are added at (roughly) constant total
-size — the chain's cost stays near-flat while naive explodes."""
+size — the chain's cost stays near-flat while naive explodes.  Every
+segment, middles included, is settled by the §III-C cut-certificate
+kernel, so chain spends no max-flow solve.  The last row has a
+14-link middle segment at d = 2: naive's 2^26 configurations are out
+of reach, so it is checked against the single-cut bottleneck value."""
 
 import pytest
 
 from repro.bench.harness import time_call
 from repro.bench.workloads import chain_workload
-from repro.core import chain_reliability, naive_reliability
+from repro.core import bottleneck_reliability, chain_reliability, naive_reliability
+from repro.core.demand import FlowDemand
+from repro.graph.generators import chained_network
 
 
 def _chain_rows():
@@ -35,15 +41,37 @@ def _chain_rows():
     return rows
 
 
+def _wide_middle_row():
+    net = chained_network([4, 14, 4], cut_sizes=2, demand=2, seed=1)
+    demand = FlowDemand("s", "t", 2)
+    cuts = net._chain_cut_indices
+    chain = time_call(chain_reliability, net, demand, cuts, repeats=1)
+    bneck = bottleneck_reliability(net, demand, cut=cuts[0])
+    assert chain.value.value == pytest.approx(bneck.value, abs=1e-9)
+    return [
+        "3 ([4,14,4], d=2)",
+        net.num_links,
+        len(cuts),
+        chain.value.flow_calls,
+        "—",
+        f"{chain.seconds * 1e3:.1f}",
+        "—",
+    ]
+
+
 def test_a5_chain_table(benchmark, show):
-    rows = benchmark.pedantic(_chain_rows, rounds=1, iterations=1)
+    rows = benchmark.pedantic(
+        lambda: _chain_rows() + [_wide_middle_row()], rounds=1, iterations=1
+    )
     show(
         ["segments", "|E|", "cuts", "chain calls", "naive calls", "chain ms", "naive ms"],
         rows,
         title="A5: chain decomposition vs naive (segment size 4, cut size 2)",
     )
-    # Shape: naive call count explodes with |E| while chain's stays far below.
-    assert rows[-1][3] < rows[-1][4] / 10
+    # Every segment comes from the cut-certificate kernel: no solves.
+    assert all(row[3] == 0 for row in rows)
+    # Shape: naive's call count explodes with |E|.
+    assert rows[0][4] < rows[1][4] < rows[2][4]
 
 
 def test_a5_chain_benchmark(benchmark):

@@ -11,14 +11,17 @@ Realization of one assignment is a side-local max-flow question: attach
 a virtual terminal, give the port arc for bottleneck link ``l`` capacity
 ``a_l``, and ask for a flow of value ``d``.  Since the port arcs sum to
 ``d``, the flow reaches ``d`` iff every port arc is saturated — exactly
-"assignment realized".
+"assignment realized".  A chain middle segment (:mod:`repro.core.chain`)
+asks the same question with two virtual terminals and a load ``(a, b)``
+over its in- and out-ports.
 
-The array is defined by the side, its ports and the assignment set
-alone, so the input picks how :func:`build_side_array` settles it.
+Every segment is one description — an optional real source terminal
+with in-ports, an optional real sink terminal with out-ports, ``None``
+being a virtual node — settled by one builder, :func:`_realization_masks`.
 Max-flow/min-cut duality turns every column into a ``min`` over the
-side's bond family (:mod:`repro.core.certificate`), which needs no
-solver; a side whose bond family is over the certificate guards falls
-back to a max-flow walk of each assignment's lattice in Gray-code order,
+segment's bond family (:mod:`repro.core.certificate`), which needs no
+solver; a segment whose bond family is over the certificate guards
+falls back to a max-flow walk of each load's lattice in Gray-code order,
 repairing one flow across consecutive entries and pruned by
 monotonicity in the alive set.
 """
@@ -51,9 +54,25 @@ from repro.obs.recorder import (
 from repro.probability.bitset import pack_bitplanes
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
 
-__all__ = ["RealizationArray", "build_side_array"]
+__all__ = ["RealizationArray", "build_segment_relation", "build_side_array"]
 
-_VIRTUAL = "__terminal__"
+_VIRTUAL_IN = "__terminal_in__"
+_VIRTUAL_OUT = "__terminal_out__"
+
+
+def _validate_assignments(
+    assignments: Sequence[Sequence[int]], ports: Sequence[Node], demand: int
+) -> None:
+    """Each load covers every port and sums to ``demand``; ``uint64`` packing."""
+    if len(assignments) > 63:
+        raise SolverError(
+            f"realization masks are uint64-packed; got {len(assignments)} assignments"
+        )
+    for a in assignments:
+        if len(a) != len(ports):
+            raise SolverError("assignment arity does not match the port count")
+        if sum(a) != demand:
+            raise SolverError(f"assignment {tuple(a)} does not sum to demand {demand}")
 
 
 def _validate_side_request(
@@ -68,53 +87,33 @@ def _validate_side_request(
     if role not in ("source", "sink"):
         raise SolverError(f"role must be 'source' or 'sink', got {role!r}")
     check_enumerable(net.num_links)
-    if len(assignments) > 63:
-        raise SolverError(
-            f"realization masks are uint64-packed; got {len(assignments)} assignments"
-        )
-    for a in assignments:
-        if len(a) != len(ports):
-            raise SolverError("assignment arity does not match the port count")
-        if sum(a) != demand:
-            raise SolverError(f"assignment {tuple(a)} does not sum to demand {demand}")
+    _validate_assignments(assignments, ports, demand)
 
 
-def _side_template(
+def _segment_template(
     net: FlowNetwork,
-    *,
-    role: str,
-    terminal: Node,
-    ports: Sequence[Node],
+    source: Node | None,
+    sink: Node | None,
+    in_ports: Sequence[Node],
+    out_ports: Sequence[Node],
     demand: int,
 ) -> tuple[ResidualTemplate, list[str], int, int]:
-    """Residual template with one virtual port arc per cut link.
+    """Residual template with one virtual port arc per port.
 
-    Returns ``(template, port_arc_names, source_index, sink_index)`` —
-    everything a realization solve needs besides the per-instance alive
-    mask and port capacities.
+    Returns ``(template, port_arc_names, source_index, sink_index)``;
+    the arcs follow ``in_ports`` (from the source terminal) then
+    ``out_ports`` (into the sink terminal).  Terminals and ports are
+    already checked by :func:`~repro.core.certificate.side_cut_family`.
     """
-    template = build_template(net, extra_nodes=[_VIRTUAL])
-    virtual = template.node_index[_VIRTUAL]
-    if terminal not in template.node_index:
-        raise SolverError(f"terminal {terminal!r} is not inside this side")
-    port_names: list[str] = []
-    for l, port in enumerate(ports):
-        if port not in template.node_index:
-            raise SolverError(f"port {port!r} is not inside this side")
-        p = template.node_index[port]
-        name = f"port{l}"
-        if role == "source":
-            template.add_virtual_arc(name, p, virtual, demand)
-        else:
-            template.add_virtual_arc(name, virtual, p, demand)
-        port_names.append(name)
-
-    if role == "source":
-        s_idx = template.node_index[terminal]
-        t_idx = virtual
-    else:
-        s_idx = virtual
-        t_idx = template.node_index[terminal]
+    extra = [v for v, real in ((_VIRTUAL_IN, source), (_VIRTUAL_OUT, sink)) if real is None]
+    template = build_template(net, extra_nodes=extra)
+    index = template.node_index
+    s_idx = index[_VIRTUAL_IN if source is None else source]
+    t_idx = index[_VIRTUAL_OUT if sink is None else sink]
+    arcs = [(s_idx, index[p]) for p in in_ports] + [(index[p], t_idx) for p in out_ports]
+    port_names = [f"port{l}" for l in range(len(arcs))]
+    for name, arc in zip(port_names, arcs):
+        template.add_virtual_arc(name, *arc, demand)
     return template, port_names, s_idx, t_idx
 
 
@@ -150,8 +149,6 @@ class RealizationArray:
         return [j for j in range(self.num_assignments) if (mask >> j) & 1]
 
 
-
-
 def build_side_array(
     side: SubnetworkView,
     *,
@@ -183,31 +180,19 @@ def build_side_array(
     demand:
         The paper's ``d``.
 
-    The input picks the kernel: the cut-certificate kernel
-    (:mod:`repro.core.certificate`, zero max-flow solves) builds every
-    side whose bond family is within its two guards
-    (:data:`~repro.core.certificate.MAX_CERTIFICATE_FREE_NODES` free
-    nodes, :data:`~repro.core.certificate.MAX_CERTIFICATE_CUTS` cuts);
-    a side past either guard gets the pruned Gray walk with the default
-    solver.  The masks are bit-identical either way.
+    The side becomes a segment (its terminal plus one virtual terminal)
+    settled by :func:`_realization_masks`: the cut-certificate kernel
+    (:mod:`repro.core.certificate`, zero max-flow solves) inside its two
+    guards, the pruned Gray walk with the default solver past either.
+    The masks are bit-identical either way.
     """
     net = side.network
-    m = net.num_links
-    check_enumerable(m)
     _validate_side_request(
         net, role=role, assignments=assignments, ports=ports, demand=demand
     )
-    family = side_cut_family(net, role=role, terminal=terminal, ports=ports)
-    if family is not None:
-        masks = certificate_masks(family, assignments, demand)
-        count(CERTIFICATE_CUTS, family.size)
-        flow_calls = 0
-    else:
-        masks, flow_calls = _gray_walk_masks(
-            net, role=role, terminal=terminal, ports=ports,
-            assignments=assignments, demand=demand,
-        )
-    count(ARRAY_ENTRIES_BUILT, len(assignments) << m)
+    segment = (terminal, None, (), ports) if role == "source" else (None, terminal, ports, ())
+    masks, flow_calls = _realization_masks(net, *segment, assignments, demand)
+    count(ARRAY_ENTRIES_BUILT, len(assignments) << net.num_links)
     return RealizationArray(
         masks=masks,
         probabilities=configuration_probabilities(net),
@@ -216,33 +201,72 @@ def build_side_array(
     )
 
 
-def _gray_walk_masks(
-    net: FlowNetwork,
+def build_segment_relation(
+    segment: SubnetworkView,
     *,
-    role: str,
-    terminal: Node,
-    ports: Sequence[Node],
-    assignments: Sequence[Sequence[int]],
+    in_ports: Sequence[Node],
+    out_ports: Sequence[Node],
+    in_assignments: Sequence[Sequence[int]],
+    out_assignments: Sequence[Sequence[int]],
     demand: int,
 ) -> tuple[np.ndarray, int]:
-    """The max-flow fallback: one repairable flow across all entries.
+    """The realization relation of a chain middle segment.
 
-    Each assignment switch is a
-    :meth:`~repro.flow.incremental.IncrementalMaxFlow.retarget` (only
-    the virtual port arcs move) and each column is filled by the shared
-    pruned Gray walk, so consecutive solves repair a one-link delta
-    instead of starting cold.  Returns the packed masks and the
-    engine's solver invocations.
+    Returns ``(relation, flow_calls)``: bit ``j`` of ``uint64`` entry
+    ``relation[i, c]`` is set iff configuration ``c`` absorbs exactly
+    ``in_assignments[i]`` at the in-ports while emitting exactly
+    ``out_assignments[j]`` at the out-ports.  Row ``i`` is one
+    :func:`_realization_masks` call with two virtual terminals and the
+    loads ``(in_assignments[i], b)``.
     """
-    template, port_names, s_idx, t_idx = _side_template(
-        net, role=role, terminal=terminal, ports=ports, demand=demand
+    net = segment.network
+    check_enumerable(net.num_links)
+    _validate_assignments(in_assignments, in_ports, demand)
+    _validate_assignments(out_assignments, out_ports, demand)
+    relation = np.empty((len(in_assignments), 1 << net.num_links), dtype=np.uint64)
+    flow_calls = 0
+    for i, a in enumerate(in_assignments):
+        relation[i], calls = _realization_masks(
+            net, None, None, in_ports, out_ports,
+            [(*a, *b) for b in out_assignments], demand,
+        )
+        flow_calls += calls
+    return relation, flow_calls
+
+
+def _realization_masks(
+    net: FlowNetwork,
+    source: Node | None,
+    sink: Node | None,
+    in_ports: Sequence[Node],
+    out_ports: Sequence[Node],
+    loads: Sequence[Sequence[int]],
+    demand: int,
+) -> tuple[np.ndarray, int]:
+    """Every §III-C realization mask of one segment, and the solves spent.
+
+    Bit ``j`` of entry ``c`` is set iff configuration ``c`` carries
+    ``demand`` units with port arc ``l`` capped at ``loads[j][l]`` (the
+    in-ports, then the out-ports).  Inside the certificate guards the
+    bond family answers without a solve.  Past them one repairable flow
+    walks every entry: each load switch is a
+    :meth:`~repro.flow.incremental.IncrementalMaxFlow.retarget` (only
+    the port arcs move) and each column is filled by the shared pruned
+    Gray walk, so consecutive solves repair a one-link delta.
+    """
+    family = side_cut_family(net, source, sink, in_ports, out_ports)
+    if family is not None:
+        count(CERTIFICATE_CUTS, family.size)
+        return certificate_masks(family, loads, demand), 0
+
+    template, port_names, s_idx, t_idx = _segment_template(
+        net, source, sink, in_ports, out_ports, demand
     )
     solver = get_solver(None)
     m = net.num_links
     check_enumerable(m)
     size = 1 << m
-    num_assignments = len(assignments)
-    realized = np.zeros((size, num_assignments), dtype=bool)
+    realized = np.zeros((size, len(loads)), dtype=bool)
     engine = IncrementalMaxFlow(
         template,
         s_idx,
@@ -252,12 +276,17 @@ def _gray_walk_masks(
         alive=0,
         virtual_capacities={name: 0 for name in port_names},
     )
-    # A literal ticker label per role (RR111 closes the label vocabulary).
-    ticker_label = "arrays.source" if role == "source" else "arrays.sink"
-    with progress_ticker(ticker_label, total=num_assignments * size) as ticker:
+    # A literal ticker label per segment kind (RR111 closes the label vocabulary).
+    if source is not None:
+        role, ticker_label = "source", "arrays.source"
+    elif sink is not None:
+        role, ticker_label = "sink", "arrays.sink"
+    else:
+        role, ticker_label = "middle", "arrays.middle"
+    with progress_ticker(ticker_label, total=len(loads) * size) as ticker:
         with span("incremental.walk", kernel="arrays", role=role, links=m):
-            for j, assignment in enumerate(assignments):
-                caps = {name: int(a) for name, a in zip(port_names, assignment)}
+            for j, load in enumerate(loads):
+                caps = {name: int(a) for name, a in zip(port_names, load)}
                 engine.retarget(caps)
                 order = plan_gray_order(
                     template, s_idx, t_idx, m,

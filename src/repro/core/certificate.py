@@ -1,17 +1,17 @@
 """Solver-free §III-C realization columns via cut certificates.
 
-A side configuration realizes assignment ``a`` iff the side-local flow
+A segment configuration realizes load ``a`` iff the segment-local flow
 network (the alive links plus one virtual port arc of capacity ``a_l``
-per bottleneck link, see :mod:`repro.core.arrays`) carries ``d`` units
-between its two terminals.  By max-flow/min-cut duality that holds iff
-**every** cut ``S`` (source terminal inside, sink terminal outside)
-has
+per port, see :mod:`repro.core.arrays`; a side or a chain middle)
+carries ``d`` units between its two terminals.  By max-flow/min-cut
+duality that holds iff **every** cut ``S`` (source terminal inside,
+sink terminal outside) has
 
     ``alive_cap(S → V∖S) + Σ_{l : port arc l leaves S} a_l ≥ d``.
 
 The left-hand side splits into a configuration part that does not
 depend on the assignment and a port *offset* that does not depend on
-the configuration, so the whole column family of one side is two
+the configuration, so the whole column family of one segment is two
 vectorized steps over a small cut family instead of ``|D| · 2^m``
 max-flow solves:
 
@@ -37,9 +37,10 @@ max-flow solves:
    ``min_S(table + offset_j) ≥ d``.
 
 The masks are bit-identical to one cold max-flow per configuration and
-assignment (the property suite ``tests/properties/test_prop_certificate.py``
-pins this against the reference oracle); ``flow_calls`` is 0.
-:func:`repro.core.arrays.build_side_array` builds every side with this
+load (``tests/properties/test_prop_certificate.py`` and
+``test_prop_segment_relation.py`` pin this against the reference
+oracle); ``flow_calls`` is 0.  :mod:`repro.core.arrays` builds every
+segment — both sides of the split and every chain middle — with this
 kernel unless its bond family is over one of the two guards below; only
 then does it run the pruned max-flow Gray walk.  No caller option
 chooses between them.
@@ -153,18 +154,20 @@ def _distinct_rows(matrix: np.ndarray) -> np.ndarray:
 
 def side_cut_family(
     net: FlowNetwork,
-    *,
-    role: str,
-    terminal: Node,
-    ports: Sequence[Node],
+    source: Node | None,
+    sink: Node | None,
+    in_ports: Sequence[Node],
+    out_ports: Sequence[Node],
 ) -> CutFamily | None:
-    """The bond family of one side, or ``None`` when it is over a guard.
+    """The bond family of one segment, or ``None`` when it is over a guard.
 
     The flow network is the one :mod:`repro.core.arrays` solves: the
-    side's links (self-loops and zero-capacity links never cross a cut
-    with positive capacity, so they are left out) plus a virtual node
-    joined to every port — port to virtual for ``role="source"`` (flow
-    runs ``terminal -> ports``), virtual to port for ``role="sink"``.
+    segment's links (self-loops and zero-capacity links never cross a
+    cut with positive capacity, so they are left out) plus one arc from
+    the source terminal to each in-port and one from each out-port to
+    the sink terminal; a ``None`` terminal is a virtual node.  ``G_s``
+    is ``(s, None, (), x-ports)``, ``G_t`` is ``(None, t, y-ports, ())``.
+    ``port_crossing`` rows follow ``in_ports`` then ``out_ports``.
     Every subset of the free nodes is shrunk to its bond (module
     docstring); the distinct crossing sets are reduced to the
     inclusion-minimal ones.  The guards are
@@ -172,12 +175,14 @@ def side_cut_family(
     """
     nodes = net.nodes()
     index = {node: i for i, node in enumerate(nodes)}
-    if terminal not in index:
-        raise SolverError(f"terminal {terminal!r} is not inside this side")
-    for port in ports:
+    for terminal in (source, sink):
+        if terminal is not None and terminal not in index:
+            raise SolverError(f"terminal {terminal!r} is not inside this side")
+    for port in (*in_ports, *out_ports):
         if port not in index:
             raise SolverError(f"port {port!r} is not inside this side")
-    virtual = len(nodes)
+    src = index[source] if source is not None else len(nodes)
+    snk = index[sink] if sink is not None else len(nodes) + 1
 
     # Arc table: the link arcs first, then one arc per port.
     arc_links: list[int] = []
@@ -191,18 +196,13 @@ def side_cut_family(
         tails.append(index[link.tail])
         heads.append(index[link.head])
         undirected.append(not link.directed)
-    for port in ports:
-        if role == "source":
-            tails.append(index[port])
-            heads.append(virtual)
-        else:
-            tails.append(virtual)
-            heads.append(index[port])
-        undirected.append(False)
-    if role == "source":
-        src, snk = index[terminal], virtual
-    else:
-        src, snk = virtual, index[terminal]
+    for port in in_ports:
+        tails.append(src)
+        heads.append(index[port])
+    for port in out_ports:
+        tails.append(index[port])
+        heads.append(snk)
+    undirected += [False] * (len(in_ports) + len(out_ports))
 
     # Bit positions: the source terminal is bit 0, the sink terminal bit
     # 1, the free nodes (every other node some arc touches) bits 2, 3, ...

@@ -19,7 +19,11 @@ assignments still completable from ``s``?"):
   generalised);
 * a middle segment maps ``R`` through its per-configuration relation
   ``M_c ⊆ A_j × A_{j+1}``: the new set is
-  ``{b : ∃ a ∈ R, (a, b) ∈ M_c}``;
+  ``{b : ∃ a ∈ R, (a, b) ∈ M_c}``.  ``(a, b) ∈ M_c`` is the §III-C
+  realization question with two virtual terminals, so the relation comes
+  from the same builder as the end segments' arrays
+  (:func:`repro.core.arrays.build_segment_relation`); the map runs once
+  per distinct relation, not once per configuration;
 * the sink segment closes the chain:
   ``R(G) = Σ_R dist[R] · P(realized sink set intersects R)``, evaluated
   with a subset-zeta table (no pairwise loop).
@@ -36,30 +40,26 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.accumulate import side_class_probabilities
-from repro.core.arrays import build_side_array
+from repro.core.arrays import build_segment_relation, build_side_array
 from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.bottleneck import pattern_probabilities
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
-from repro.exceptions import DecompositionError, SolverError
-from repro.flow.base import get_solver
-from repro.flow.residual import build_template
+from repro.exceptions import DecompositionError
 from repro.graph.connectivity import connected_components
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SubnetworkView, induced_subnetwork
-from repro.obs.recorder import FLOW_SOLVES, count
-from repro.probability.bitset import popcount_array
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
 from repro.probability.zeta import subset_zeta
 
 __all__ = ["chain_reliability", "ChainStructure", "analyze_chain"]
 
-_SRC = "__chain_src__"
-_SNK = "__chain_snk__"
-
 #: Assignment sets per interface are packed into subset-indexed vectors.
 MAX_CHAIN_ASSIGNMENTS = 16
+
+#: Entries of one block of ``_through_segment``'s state-image table.
+_IMAGE_ENTRIES = 1 << 18
 
 
 class ChainStructure:
@@ -189,76 +189,6 @@ def analyze_chain(
     )
 
 
-def _build_middle_relation(
-    segment: SubnetworkView,
-    in_ports: Sequence[Node],
-    out_ports: Sequence[Node],
-    in_assignments: Sequence[Sequence[int]],
-    out_assignments: Sequence[Sequence[int]],
-    demand: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-configuration relation matrices for a middle segment.
-
-    Returns ``(relation, probabilities, flow_calls)`` with ``relation``
-    of shape ``(2^m, |A_in|, |A_out|)``: entry true iff the alive
-    subgraph can absorb exactly ``a`` at the in-ports and emit exactly
-    ``b`` at the out-ports.  One default-solver max-flow per entry that
-    monotone pruning (most-alive first, an unrealized one-link superset
-    dooms the entry) cannot settle.
-    """
-    net = segment.network
-    m = net.num_links
-    check_enumerable(m)
-    template = build_template(net, extra_nodes=[_SRC, _SNK])
-    src = template.node_index[_SRC]
-    snk = template.node_index[_SNK]
-    in_names: list[str] = []
-    out_names: list[str] = []
-    for i, port in enumerate(in_ports):
-        if port not in template.node_index:
-            raise SolverError(f"in-port {port!r} missing from segment")
-        name = f"in{i}"
-        template.add_virtual_arc(name, src, template.node_index[port], demand)
-        in_names.append(name)
-    for i, port in enumerate(out_ports):
-        if port not in template.node_index:
-            raise SolverError(f"out-port {port!r} missing from segment")
-        name = f"out{i}"
-        template.add_virtual_arc(name, template.node_index[port], snk, demand)
-        out_names.append(name)
-
-    engine = get_solver(None)
-    size = 1 << m
-    relation = np.zeros((size, len(in_assignments), len(out_assignments)), dtype=bool)
-    flow_calls = 0
-    counts = popcount_array(m)
-    order = [int(x) for x in np.argsort(-counts.astype(np.int16), kind="stable")]
-
-    for ai, a in enumerate(in_assignments):
-        for bi, b in enumerate(out_assignments):
-            caps = {name: int(v) for name, v in zip(in_names, a)}
-            caps.update({name: int(v) for name, v in zip(out_names, b)})
-            cell = relation[:, ai, bi]
-            for mask in order:
-                doomed = False
-                bits = ~mask & (size - 1)
-                while bits:
-                    low = bits & -bits
-                    if not cell[mask | low]:
-                        doomed = True
-                        break
-                    bits ^= low
-                if doomed:
-                    continue
-                graph = template.configure(alive=mask, virtual_capacities=caps)
-                flow_calls += 1
-                value = engine.solve(graph, src, snk, limit=demand)
-                cell[mask] = value >= demand
-    count(FLOW_SOLVES, flow_calls)
-    probabilities = configuration_probabilities(net)
-    return relation, probabilities, flow_calls
-
-
 def _cross_cut(
     dist: np.ndarray,
     patterns: np.ndarray,
@@ -292,30 +222,36 @@ def _through_segment(
     dist: np.ndarray,
     relation: np.ndarray,
     probabilities: np.ndarray,
-    q_in: int,
     q_out: int,
 ) -> np.ndarray:
-    """Push the subset distribution through a middle segment."""
+    """Push the subset distribution through a middle segment.
+
+    ``relation[a, c]`` is the out-mask in-assignment ``a`` reaches under
+    configuration ``c`` (:func:`repro.core.arrays.build_segment_relation`).
+    Configurations sharing one relation are grouped and their
+    probabilities summed first; each distinct relation then maps every
+    in-state ``R`` to ``⋃_{a ∈ R} relation[a]`` once, by doubling over
+    the in-assignments.
+    """
+    q_in = relation.shape[0]
     check_enumerable(max(q_in, q_out))
+    distinct, inverse = np.unique(relation.T, axis=0, return_inverse=True)
+    weights = np.bincount(inverse.ravel(), weights=probabilities, minlength=len(distinct))
+    states = np.flatnonzero(dist)
     new = np.zeros(1 << q_out, dtype=np.float64)
-    size = relation.shape[0]
-    # Precompute, per configuration, the in-mask that can reach each b.
-    in_weights = (1 << np.arange(q_in)).astype(np.int64)
-    for c in range(size):
-        pc = probabilities[c]
-        if pc == 0.0:
-            continue
-        matrix = relation[c]  # (q_in, q_out) bool
-        col_masks = (in_weights @ matrix.astype(np.int64)).astype(np.int64)  # per b
-        for state in range(1 << q_in):  # repro: noqa[RR109] frontier DP transition, no flow solves inside
-            value = dist[state]
-            if value == 0.0:
-                continue
-            out_state = 0
-            for b in range(q_out):
-                if col_masks[b] & state:
-                    out_state |= 1 << b
-            new[out_state] += value * pc
+    block = max(1, _IMAGE_ENTRIES >> q_in)
+    for start in range(0, len(distinct), block):
+        rows = distinct[start : start + block]
+        # image[r, R] = union of rows[r, a] over the in-assignments a in R.
+        image = np.zeros((len(rows), 1 << q_in), dtype=np.uint64)
+        for a in range(q_in):
+            np.bitwise_or(image[:, : 1 << a], rows[:, a : a + 1], out=image[:, 1 << a : 2 << a])
+        mass = weights[start : start + block, None] * dist[states]
+        new += np.bincount(
+            image[:, states].ravel().astype(np.intp),
+            weights=mass.ravel(),
+            minlength=1 << q_out,
+        )
     return new
 
 
@@ -326,9 +262,11 @@ def chain_reliability(
 ) -> ReliabilityResult:
     """Exact reliability via the multi-cut chain decomposition.
 
-    The two end segments are §III-C side arrays, so their kernel is
-    picked by :func:`repro.core.arrays.build_side_array`; middle
-    segments run the pruned max-flow relation build.
+    The two end segments are §III-C side arrays and every middle
+    segment is a realization relation over its two port sets; all of
+    them are settled by the one §III-C builder of :mod:`repro.core.arrays`
+    — the cut-certificate kernel inside its guards (no max-flow solves),
+    the pruned Gray walk past them.
     """
     demand.validate_against(net)
     structure = analyze_chain(net, demand.source, demand.sink, cuts)
@@ -374,21 +312,21 @@ def chain_reliability(
 
     # Middle segments and their trailing cuts.
     for j in range(1, r):
-        relation, probabilities, calls = _build_middle_relation(
-            structure.segments[j],
-            structure.in_ports[j - 1],
-            structure.out_ports[j],
-            assignment_sets[j - 1],
-            assignment_sets[j],
-            demand.rate,
+        segment = structure.segments[j]
+        relation, calls = build_segment_relation(
+            segment,
+            in_ports=structure.in_ports[j - 1],
+            out_ports=structure.out_ports[j],
+            in_assignments=assignment_sets[j - 1],
+            out_assignments=assignment_sets[j],
+            demand=demand.rate,
         )
         flow_calls += calls
-        configurations += relation.shape[0]
+        configurations += relation.shape[1]
         dist = _through_segment(
             dist,
             relation,
-            probabilities,
-            len(assignment_sets[j - 1]),
+            configuration_probabilities(segment.network),
             len(assignment_sets[j]),
         )
         dist = _cross_cut(

@@ -299,6 +299,31 @@ class ArrayCache:
         assert self.directory is not None
         return self.directory / f"{key}.npy"
 
+    def _load(self, key: str, num_configurations: int) -> np.ndarray | None:
+        """The disk-tier column of ``key``; a damaged file is a miss.
+
+        ``np.unpackbits`` zero-pads a short buffer, so a truncated file
+        would read as "never realized".  Anything but a 1-D ``uint8``
+        array of ``ceil(num_configurations / 8)`` bytes is unlinked and
+        dropped from the LRU accounting.
+        """
+        path = self._path(key)
+        if not path.is_file():
+            return None
+        try:
+            packed = np.load(path)
+        except (OSError, ValueError, EOFError):
+            packed = None
+        if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8 or (
+            packed.shape != (-(-num_configurations // 8),)
+        ):
+            path.unlink(missing_ok=True)
+            self._total_bytes -= self._sizes.pop(key, 0)
+            return None
+        packed.setflags(write=False)
+        self._memory[key] = packed
+        return packed
+
     def get(self, key: str, num_configurations: int) -> np.ndarray | None:
         """The bool column for ``key`` (length ``num_configurations``), or None.
 
@@ -310,11 +335,7 @@ class ArrayCache:
         """
         packed = self._memory.get(key)
         if packed is None and self.directory is not None:
-            path = self._path(key)
-            if path.is_file():
-                packed = np.load(path)
-                packed.setflags(write=False)
-                self._memory[key] = packed
+            packed = self._load(key, num_configurations)
         if packed is None:
             self.misses += 1
             count(ARRAY_CACHE_MISSES, 1)

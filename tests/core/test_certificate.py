@@ -82,15 +82,14 @@ class TestKernelChoice:
 
     def test_free_node_guard_falls_back_to_max_flow(self):
         side, request = _wide_side()
-        assert side_cut_family(side.network, role="source", terminal="s", ports=["x"]) is None
+        assert side_cut_family(side.network, "s", None, (), ["x"]) is None
         built = build_side_array(side, **request)
         assert built.flow_calls > 0
         assert np.array_equal(built.masks, reference_side_masks(side, **request))
 
     def test_cut_count_guard_falls_back_to_max_flow(self, monkeypatch):
         side, request = _fig4_request()
-        family = side_cut_family(side.network, role="source", terminal="s",
-                                 ports=request["ports"])
+        family = side_cut_family(side.network, "s", None, (), request["ports"])
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", family.size - 1)
         built = build_side_array(side, **request)
         assert built.flow_calls > 0
@@ -127,8 +126,7 @@ class TestCertificateKernel:
 
     def test_bond_family_is_small_and_inclusion_minimal(self):
         side, request = _fig4_request()
-        family = side_cut_family(side.network, role="source", terminal="s",
-                                 ports=request["ports"])
+        family = side_cut_family(side.network, "s", None, (), request["ports"])
         crossing = np.vstack([family.link_weights > 0, family.port_crossing])
         assert 0 < family.size <= 1 << side.network.num_nodes
         for i in range(family.size):
@@ -143,15 +141,13 @@ class TestCertificateKernel:
 
     def test_no_assignments_gives_empty_masks(self):
         side, request = _fig4_request()
-        family = side_cut_family(side.network, role="source", terminal="s",
-                                 ports=request["ports"])
+        family = side_cut_family(side.network, "s", None, (), request["ports"])
         masks = certificate_masks(family, [], 2)
         assert masks.shape == (1 << side.network.num_links,) and not masks.any()
 
     def test_blocks_tile_the_lattice(self, monkeypatch):
         side, request = _fig4_request()
-        family = side_cut_family(side.network, role="source", terminal="s",
-                                 ports=request["ports"])
+        family = side_cut_family(side.network, "s", None, (), request["ports"])
         whole = certificate_masks(family, request["assignments"], 2)
         monkeypatch.setattr(certificate, "_BLOCK_ENTRIES", 4)
         blocked = certificate_masks(family, request["assignments"], 2)

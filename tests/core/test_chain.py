@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import certificate
+from repro.core.arrays import build_segment_relation
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.chain import analyze_chain, chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
-from repro.exceptions import DecompositionError
+from repro.exceptions import DecompositionError, SolverError
 from repro.graph.builders import fujita_fig2_bridge, fujita_fig4, series_chain
 from repro.graph.generators import chained_network
 from repro.graph.network import FlowNetwork
@@ -114,6 +116,28 @@ class TestChainReliability:
         naive = naive_reliability(net, demand, prune=False)
         assert chain.flow_calls < naive.flow_calls / 10
 
+    def test_middle_segment_builds_without_solves(self):
+        net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=7)
+        demand = FlowDemand("s", "t", 2)
+        chain = chain_reliability(net, demand, net._chain_cut_indices)
+        assert chain.flow_calls == 0
+        assert chain.value == pytest.approx(
+            naive_reliability(net, demand).value, abs=1e-10
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_walk_fallback_matches_naive(self, seed, monkeypatch):
+        net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=seed)
+        demand = FlowDemand("s", "t", 2)
+        default = chain_reliability(net, demand, net._chain_cut_indices)
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+        walked = chain_reliability(net, demand, net._chain_cut_indices)
+        assert walked.flow_calls > 0
+        assert walked.value == pytest.approx(default.value, abs=1e-12)
+        assert walked.value == pytest.approx(
+            naive_reliability(net, demand).value, abs=1e-10
+        )
+
     def test_details(self):
         net = chained_network([4, 4, 4], cut_sizes=2, demand=1, seed=0)
         result = chain_reliability(net, FlowDemand("s", "t", 1), net._chain_cut_indices)
@@ -123,7 +147,7 @@ class TestChainReliability:
 
 class TestChainGuards:
     def test_interface_assignment_budget(self):
-        from repro.exceptions import DecompositionError
+        from repro.exceptions import DecompositionError, SolverError
         from repro.graph.generators import chained_network
 
         # d=4 over 4-link cuts: |A| = C(7,3) = 35 > the DP budget of 16
@@ -131,3 +155,35 @@ class TestChainGuards:
         demand = FlowDemand("s", "t", 4)
         with pytest.raises(DecompositionError):
             chain_reliability(net, demand, net._chain_cut_indices)
+
+
+class TestSegmentRelation:
+    def _request(self):
+        net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=7)
+        structure = analyze_chain(net, "s", "t", net._chain_cut_indices)
+        return structure.segments[1], dict(
+            in_ports=structure.in_ports[0],
+            out_ports=structure.out_ports[1],
+            in_assignments=[(2, 0), (1, 1), (0, 2)],
+            out_assignments=[(2, 0), (1, 1), (0, 2)],
+            demand=2,
+        )
+
+    def test_all_alive_realizes_every_pair(self):
+        segment, request = self._request()
+        relation, flow_calls = build_segment_relation(segment, **request)
+        assert flow_calls == 0
+        assert relation.shape == (3, 1 << segment.network.num_links)
+        assert (relation[:, -1] == 0b111).all()
+        assert (relation[:, 0] == 0).all()
+
+    @pytest.mark.parametrize("side", ["in_assignments", "out_assignments"])
+    def test_loads_must_sum_to_demand(self, side):
+        segment, request = self._request()
+        with pytest.raises(SolverError, match="does not sum to demand"):
+            build_segment_relation(segment, **{**request, side: [(1, 0)]})
+
+    def test_unknown_port_is_rejected(self):
+        segment, request = self._request()
+        with pytest.raises(SolverError, match="not inside this side"):
+            build_segment_relation(segment, **{**request, "out_ports": ("nowhere", "o1_1")})

@@ -216,6 +216,48 @@ class TestArrayCacheBound:
         assert cache.get("a", 128) is not None
 
 
+class TestCorruptDiskEntries:
+    """A damaged ``.npy`` in the disk tier is a miss, never a wrong answer."""
+
+    @staticmethod
+    def _damage_every_entry(tmp_path, write):
+        net = fujita_fig4(failure_probability=0.1)
+        bottleneck_reliability(net, DEMAND, cache=ArrayCache(tmp_path))
+        paths = sorted(tmp_path.glob("*.npy"))
+        assert paths
+        for path in paths:
+            write(path)
+        return net, paths
+
+    def test_truncated_column_is_rebuilt(self, tmp_path):
+        net, paths = self._damage_every_entry(
+            tmp_path, lambda path: np.save(path, np.zeros(0, dtype=np.uint8))
+        )
+        cache = ArrayCache(tmp_path)
+        value = bottleneck_reliability(net, DEMAND, cache=cache).value
+        assert value == bottleneck_reliability(net, DEMAND).value
+        assert cache.stats()["hits"] == 0
+        # The rebuilt columns replace the damaged files.
+        assert all(np.load(path).size > 0 for path in paths)
+
+    def test_garbage_file_is_a_miss(self, tmp_path):
+        net, _ = self._damage_every_entry(
+            tmp_path, lambda path: path.write_bytes(b"not a numpy file")
+        )
+        cache = ArrayCache(tmp_path)
+        value = bottleneck_reliability(net, DEMAND, cache=cache).value
+        assert value == bottleneck_reliability(net, DEMAND).value
+        assert cache.stats()["hits"] == 0
+
+    def test_damaged_entry_leaves_the_lru_accounting(self, tmp_path):
+        (tmp_path / "k.npy").write_bytes(b"garbage")
+        cache = ArrayCache(tmp_path, max_bytes=1024)
+        assert cache.total_bytes == len(b"garbage")
+        assert cache.get("k", 16) is None
+        assert cache.total_bytes == 0
+        assert not (tmp_path / "k.npy").exists()
+
+
 class TestCachedSideArray:
     def test_no_cache_matches_direct_builder(self):
         _, split = fig4_split()

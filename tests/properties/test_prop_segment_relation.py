@@ -1,0 +1,84 @@
+"""Property: chain middle-segment relations equal the reference oracle.
+
+A chain middle segment asks the §III-C realization question with two
+virtual terminals: does the alive segment absorb exactly ``a`` at its
+in-ports while emitting exactly ``b`` at its out-ports?
+``build_segment_relation`` answers it with the same builder as the end
+sides, so both kernels — the cut certificate and, past its guard, the
+Gray walk — are pinned bit for bit against the segment oracle of
+``tests/reference_arrays.py`` (one cold max-flow per configuration and
+load ``(a, b)``) over generated chains, demands 1–3 and cut sizes 1–3.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from repro.core import certificate
+from repro.core.arrays import build_segment_relation
+from repro.core.assignments import enumerate_assignments
+from repro.core.chain import analyze_chain
+from repro.graph.generators import chained_network
+from tests.reference_arrays import reference_segment_masks
+
+SEEDS = range(3)
+DEMANDS = (1, 2, 3)
+CUT_SIZES = (1, 2, 3)
+
+
+def _middle(seed, demand, cut):
+    """The middle segment of a three-segment chain and its relation request."""
+    net = chained_network(
+        [cut, max(cut * cut, 4), cut], cut_sizes=cut, demand=demand, seed=seed
+    )
+    structure = analyze_chain(net, "s", "t", net._chain_cut_indices)
+    in_cut, out_cut = structure.cuts
+    return structure.segments[1], dict(
+        in_ports=structure.in_ports[0],
+        out_ports=structure.out_ports[1],
+        in_assignments=enumerate_assignments(
+            [net.link(i).capacity for i in in_cut], demand
+        ),
+        out_assignments=enumerate_assignments(
+            [net.link(i).capacity for i in out_cut], demand
+        ),
+        demand=demand,
+    )
+
+
+@lru_cache(maxsize=None)
+def _reference(seed, demand, cut):
+    segment, request = _middle(seed, demand, cut)
+    return np.stack(
+        [
+            reference_segment_masks(
+                segment,
+                source=None,
+                sink=None,
+                in_ports=request["in_ports"],
+                out_ports=request["out_ports"],
+                loads=[(*a, *b) for b in request["out_assignments"]],
+                demand=demand,
+            )
+            for a in request["in_assignments"]
+        ]
+    )
+
+
+@pytest.mark.parametrize("kernel", ["certificate", "walk"])
+@pytest.mark.parametrize("cut", CUT_SIZES)
+@pytest.mark.parametrize("demand", DEMANDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_relation_matches_reference(seed, demand, cut, kernel, monkeypatch):
+    segment, request = _middle(seed, demand, cut)
+    if kernel == "walk":
+        monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+    relation, flow_calls = build_segment_relation(segment, **request)
+    assert relation.dtype == np.uint64
+    assert relation.shape == (
+        len(request["in_assignments"]),
+        1 << segment.network.num_links,
+    )
+    assert (flow_calls == 0) == (kernel == "certificate")
+    assert np.array_equal(relation, _reference(seed, demand, cut))
