@@ -96,24 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_rate:
             p.add_argument("--rate", "-d", type=int, required=True, help="demand d")
 
-    def _add_incremental_flags(p: argparse.ArgumentParser) -> None:
-        group = p.add_mutually_exclusive_group()
-        group.add_argument(
-            "--incremental",
-            action="store_true",
-            default=None,
-            dest="incremental",
-            help="force the Gray-walk flow-repair kernels of the naive "
-            "and rare-event engines (default: on when the solver supports "
-            "warm starts)",
-        )
-        group.add_argument(
-            "--no-incremental",
-            action="store_false",
-            dest="incremental",
-            help="force cold solves for every lattice entry",
-        )
-
     def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
         group = p.add_argument_group("telemetry")
         group.add_argument(
@@ -170,7 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="sample count for --method montecarlo",
     )
-    _add_incremental_flags(compute)
     compute.add_argument("--json", action="store_true", help="machine-readable output")
     compute.add_argument(
         "--trace",
@@ -240,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="L",
         help="splitting levels (default: auto from the time ladder)",
     )
-    _add_incremental_flags(estimate)
     estimate.add_argument(
         "--json", action="store_true", help="machine-readable output"
     )
@@ -274,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="sample count for --method montecarlo",
     )
-    _add_incremental_flags(profile)
     profile.add_argument(
         "--progress",
         action="store_true",
@@ -681,7 +660,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     options = {}
     if args.method in ("montecarlo", "montecarlo-stratified"):
         options["num_samples"] = args.samples
-    options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
     session = _ObsSession(
@@ -689,10 +667,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         command="compute",
         net=net,
         demand=demand,
-        params={
-            "method": args.method,
-            "incremental": args.incremental,
-        },
+        params={"method": args.method},
     )
     with session:
         result = compute_reliability(net, demand=demand, method=args.method, **options)
@@ -746,7 +721,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     )
     if args.target_relative_error is not None:
         options["target_relative_error"] = args.target_relative_error
-    options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
     session = _ObsSession(
@@ -760,7 +734,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "target_relative_error": args.target_relative_error,
             "confidence": args.confidence,
             "seed": args.seed,
-            "incremental": args.incremental,
         },
     )
     with session:
@@ -818,7 +791,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     options = {}
     if args.method in ("montecarlo", "montecarlo-stratified"):
         options["num_samples"] = args.samples
-    options.update(_incremental_option(args))
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
     recorder = Recorder(progress_callback=_print_progress if args.progress else None)
@@ -1219,26 +1191,6 @@ def _cmd_sample_network(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Methods that take ``incremental=`` (``auto`` forwards the toggle to
-#: its naive and rare-event fallbacks).
-_INCREMENTAL_METHODS = ("naive", "rare", "auto")
-
-
-def _incremental_option(args: argparse.Namespace) -> dict[str, bool]:
-    """Validate ``--incremental``/``--no-incremental`` into an option."""
-    if args.incremental is None:
-        return {}
-    flag = "--incremental" if args.incremental else "--no-incremental"
-    # ``estimate`` has no --method: it always runs the rare-event tier.
-    method = getattr(args, "method", "rare")
-    if method not in _INCREMENTAL_METHODS:
-        raise ReproValueError(
-            f"{flag} is not supported by method {method!r}; "
-            f"use one of: {', '.join(_INCREMENTAL_METHODS)}"
-        )
-    return {"incremental": args.incremental}
-
-
 _COMMANDS = {
     "describe": _cmd_describe,
     "compute": _cmd_compute,
@@ -1255,14 +1207,24 @@ _COMMANDS = {
 }
 
 
-#: Build-path flags and methods that no longer exist.  They fail with a
-#: pointer to the measurements behind their removal instead of
+_NEVER_BEAT_SERIAL = (
+    'never beat the serial path; see docs/PERFORMANCE.md "Removed build paths"'
+)
+_SOLVER_DECIDES = (
+    "the solver decides flow repair (warm when it supports warm starts, "
+    'cold otherwise); see docs/PERFORMANCE.md "Incremental repair"'
+)
+
+#: Flags and methods that no longer exist, each with the reason for its
+#: removal and a doc anchor.  They fail with that pointer instead of
 #: argparse's bare "unrecognized arguments" / "invalid choice".
 _REMOVED = {
-    "--workers": "the process-pool array build",
-    "--block-bits": "the bit-plane block kernel",
-    "--shard": "the sharded share-nothing sweep",
-    "naive-parallel": "the process-pool naive scan",
+    "--workers": f"the process-pool array build {_NEVER_BEAT_SERIAL}",
+    "--block-bits": f"the bit-plane block kernel {_NEVER_BEAT_SERIAL}",
+    "--shard": f"the sharded share-nothing sweep {_NEVER_BEAT_SERIAL}",
+    "naive-parallel": f"the process-pool naive scan {_NEVER_BEAT_SERIAL}",
+    "--incremental": _SOLVER_DECIDES,
+    "--no-incremental": _SOLVER_DECIDES,
 }
 
 
@@ -1286,12 +1248,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     tokens = list(sys.argv[1:] if argv is None else argv)
     removed = _removed_surface(tokens)
     if removed is not None:
-        what = _REMOVED[removed.rpartition(" ")[2]]
-        print(
-            f"repro: error: {removed} was removed: {what} never beat the "
-            'serial path; see docs/PERFORMANCE.md "Removed build paths"',
-            file=sys.stderr,
-        )
+        reason = _REMOVED[removed.rpartition(" ")[2]]
+        print(f"repro: error: {removed} was removed: {reason}", file=sys.stderr)
         return 2
     parser = build_parser()
     args = parser.parse_args(tokens)

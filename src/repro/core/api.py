@@ -72,9 +72,7 @@ _AUTO_ESTIMATE_MAX_LINKS = 63
 #: Options ``method="auto"`` accepts; it forwards each to the engines
 #: of the dispatch that take it and rejects everything else rather than
 #: dropping it.
-_AUTO_OPTIONS = frozenset(
-    {"solver", "incremental", "cache", "max_cut_size", "seed", "num_samples"}
-)
+_AUTO_OPTIONS = frozenset({"solver", "cache", "max_cut_size", "seed", "num_samples"})
 
 
 def available_methods() -> list[str]:
@@ -113,17 +111,17 @@ def compute_reliability(
 
     ``options`` are forwarded to the chosen algorithm (e.g. ``solver=``
     for the max-flow engines, ``cut=``, ``num_samples=``, ``cuts=`` for
-    chain, ``incremental=`` for the naive and rare-event Gray-walk
-    kernels, ``cache=`` an :class:`repro.core.sweep.ArrayCache` for
+    chain, ``cache=`` an :class:`repro.core.sweep.ArrayCache` for
     realization-array reuse); an engine that does not take an option
     raises ``TypeError``.  ``method="auto"`` accepts only ``solver=``,
-    ``incremental=``, ``cache=``, ``max_cut_size=``, ``seed=`` and
-    ``num_samples=`` and raises :class:`ReproValueError` for any other
-    option.  It forwards ``cache=`` to the bottleneck engine,
-    ``max_cut_size=`` to the cut search, ``solver=`` to the naive,
-    rare-event and factoring fallbacks, ``incremental=`` to the naive
-    and rare-event fallbacks, and ``seed=`` and ``num_samples=`` to the
-    rare-event tier.
+    ``cache=``, ``max_cut_size=``, ``seed=`` and ``num_samples=`` and
+    raises :class:`ReproValueError` for any other option.  It forwards
+    ``cache=`` to the bottleneck engine, ``max_cut_size=`` to the cut
+    search, ``solver=`` to the naive, rare-event and factoring
+    fallbacks, and ``seed=`` and ``num_samples=`` to the rare-event
+    tier.  Flow repair is the solver's call, never an option: the naive
+    and rare-event engines repair whenever the solver supports warm
+    starts.
 
     Examples
     --------
@@ -239,7 +237,6 @@ def _dispatch(
             f"accepted: {', '.join(sorted(_AUTO_OPTIONS))}"
         )
     solver = options.get("solver")
-    incremental = options.get("incremental")
     try:
         split = bottleneck_split(net, demand, None, options.get("max_cut_size", 3))
     except ReproError:
@@ -256,7 +253,7 @@ def _dispatch(
             except DecompositionError:
                 pass
     if net.num_links <= _AUTO_NAIVE_BITS:
-        return naive_reliability(net, demand, solver=solver, incremental=incremental)
+        return naive_reliability(net, demand, solver=solver)
     if _AUTO_ESTIMATE_LINKS < net.num_links <= _AUTO_ESTIMATE_MAX_LINKS:
         # No enumerable bottleneck split and a state space past every
         # exact engine's guard: estimate instead of grinding factoring
@@ -268,7 +265,6 @@ def _dispatch(
             net,
             demand,
             solver=solver,
-            incremental=incremental,
             seed=options.get("seed", 0),
             num_samples=options.get("num_samples"),
         )

@@ -34,17 +34,21 @@ class FeasibilityOracle:
     solver:
         Registry name or instance; default Dinic.
     incremental:
-        Route :meth:`feasible` queries through a long-lived
+        Repair flow when the solver can: route :meth:`feasible` queries
+        through a long-lived
         :class:`~repro.flow.incremental.IncrementalMaxFlow` that repairs
         the previous flow instead of cold-solving; exact for any query
         sequence, cheapest when consecutive alive sets are Gray-adjacent.
-        Requires a solver supporting the warm-start contract.
+        A solver without the warm-start contract (push–relabel) solves
+        cold instead.
 
     Attributes
     ----------
     calls:
         Number of max-flow solves performed so far (in incremental mode,
         solver invocations by the repair engine — augments and repairs).
+    incremental:
+        Whether queries actually repair flow (``False`` when cold).
     """
 
     def __init__(
@@ -59,6 +63,8 @@ class FeasibilityOracle:
     ) -> None:
         if demand < 0:
             raise SolverError("demand must be non-negative")
+        if source == sink:
+            raise SolverError("source and sink must differ")
         self.net = net
         self.source = source
         self.sink = sink
@@ -71,7 +77,7 @@ class FeasibilityOracle:
         except KeyError as exc:
             raise SolverError(f"terminal {exc.args[0]!r} is not in the network") from exc
         self.calls = 0
-        self.incremental = bool(incremental)
+        self.incremental = bool(incremental) and self.solver.supports_incremental
         self._engine: IncrementalMaxFlow | None = None
         if self.incremental and self.demand > 0:
             self._engine = IncrementalMaxFlow(

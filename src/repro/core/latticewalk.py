@@ -1,9 +1,10 @@
 """The shared Gray-code lattice walk with two-sided monotone pruning.
 
-Both max-flow enumeration kernels (:mod:`repro.core.naive` and the
-:mod:`repro.core.arrays` fallback builder) answer the same shape of
-question: a monotone boolean per mask of a ``2^m`` lattice, where
-evaluating a mask costs a max-flow solve.  Walking the lattice in Gray-code order
+Every max-flow enumeration answers the same shape of question: a
+monotone boolean per mask of a ``2^m`` lattice, where evaluating a mask
+costs a max-flow solve.  The :mod:`repro.core.arrays` fallback builder
+walks here, and so does every boolean feasibility table (naive,
+broadcast, coverage) through :mod:`repro.core.naive`'s one filler.  Walking the lattice in Gray-code order
 (:func:`repro.probability.gray_lattice`) makes consecutive masks differ
 in one link, which is what lets an incremental engine repair the
 previous flow instead of cold-solving — and it unlocks a *two-sided*

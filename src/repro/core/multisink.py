@@ -26,14 +26,13 @@ from typing import Sequence
 from repro.core.api import compute_reliability
 from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
-from repro.core.naive import MAX_NAIVE_BITS
+from repro.core.naive import _lattice_table
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
 from repro.exceptions import DemandError
 from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork, Node
-from repro.probability.bitset import popcount_array
-from repro.probability.enumeration import check_enumerable, configuration_probabilities
+from repro.probability.enumeration import configuration_probabilities
 
 import numpy as np
 
@@ -46,13 +45,30 @@ def _augmented(net: FlowNetwork, sinks: Sequence[Node], rate: int) -> FlowNetwor
     """Copy of ``net`` plus a super-sink drained by every subscriber.
 
     The virtual arcs never fail; the configuration space stays the
-    original links' (virtual arcs occupy the high indices and are
-    always included in the alive mask by the oracle wrapper below).
+    original links' (virtual arcs occupy the high indices and ride
+    every query as the table filler's ``always_alive`` mask).
     """
     aug = net.copy()
     for sink in sinks:
         aug.add_link(sink, _SUPER_SINK, rate, 0.0)
     return aug
+
+
+def _check_subscribers(
+    net: FlowNetwork, source: Node, sinks: Sequence[Node], rate: int
+) -> None:
+    """Reject an empty, duplicated or unservable subscriber set."""
+    if not sinks:
+        raise DemandError("need at least one subscriber")
+    if len(set(sinks)) != len(sinks):
+        raise DemandError("duplicate subscribers")
+    if rate < 1:
+        raise DemandError("rate must be >= 1")
+    for sink in sinks:
+        if not net.has_node(sink):
+            raise DemandError(f"subscriber {sink!r} is not in the network")
+        if sink == source:
+            raise DemandError("the source cannot subscribe to itself")
 
 
 def broadcast_reliability(
@@ -65,55 +81,30 @@ def broadcast_reliability(
 ) -> ReliabilityResult:
     """P(every subscriber receives the full rate simultaneously).
 
-    Exact, by monotone-pruned enumeration over the original links (the
-    virtual super-sink arcs are failure-free).  Subject to the same
-    size budget as the naive algorithm.
+    Exact, by the naive table filler's pruned Gray walk over the
+    original links (the virtual super-sink arcs are failure-free and
+    alive in every query).  Subject to the same size budget as the
+    naive algorithm.
     """
-    if not sinks:
-        raise DemandError("need at least one subscriber")
-    if len(set(sinks)) != len(sinks):
-        raise DemandError("duplicate subscribers")
-    if rate < 1:
-        raise DemandError("rate must be >= 1")
-    for sink in sinks:
-        if not net.has_node(sink):
-            raise DemandError(f"subscriber {sink!r} is not in the network")
-        if sink == source:
-            raise DemandError("the source cannot subscribe to itself")
+    _check_subscribers(net, source, sinks, rate)
     if net.has_node(_SUPER_SINK):
         raise DemandError(f"node name {_SUPER_SINK!r} is reserved")
 
     m = net.num_links
-    check_enumerable(m, limit=MAX_NAIVE_BITS)
     aug = _augmented(net, sinks, rate)
     target = rate * len(sinks)
-    oracle = FeasibilityOracle(aug, source, _SUPER_SINK, target, solver=solver)
+    oracle = FeasibilityOracle(
+        aug, source, _SUPER_SINK, target, solver=solver, incremental=True
+    )
     virtual_mask = ((1 << aug.num_links) - 1) ^ ((1 << m) - 1)
-
-    size = 1 << m
-    feasible = np.zeros(size, dtype=bool)
-    counts = popcount_array(m)
-    order = np.argsort(-counts.astype(np.int16), kind="stable")
-    for mask_np in order:
-        mask = int(mask_np)
-        doomed = False
-        bits = ~mask & (size - 1)
-        while bits:
-            low = bits & -bits
-            if not feasible[mask | low]:
-                doomed = True
-                break
-            bits ^= low
-        if doomed:
-            continue
-        feasible[mask] = oracle.feasible(mask | virtual_mask)
+    feasible = _lattice_table(oracle, m, prune=True, always_alive=virtual_mask)
     probabilities = configuration_probabilities(net)
     value = float(probabilities[feasible].sum())
     return ReliabilityResult(
         value=value,
         method="broadcast",
         flow_calls=oracle.calls,
-        configurations=size,
+        configurations=len(feasible),
         details={"subscribers": list(sinks), "rate": rate},
     )
 
@@ -186,41 +177,19 @@ def coverage_distribution(
     mean recovers :attr:`CoverageReport.expected_coverage` times the
     subscriber count — both pinned by tests.
 
-    Cost: one joint enumeration of the ``2^m`` configurations with one
-    bounded max-flow per (configuration, subscriber); monotone pruning
-    applies per subscriber.
+    Cost: one pruned Gray walk of the ``2^m`` configurations per
+    subscriber (the naive table filler), with at most one bounded
+    max-flow per (configuration, subscriber).
     """
-    if not sinks:
-        raise DemandError("need at least one subscriber")
-    if rate < 1:
-        raise DemandError("rate must be >= 1")
-    for sink in sinks:
-        if not net.has_node(sink):
-            raise DemandError(f"subscriber {sink!r} is not in the network")
-    m = net.num_links
-    check_enumerable(m, limit=MAX_NAIVE_BITS)
-    size = 1 << m
-    counts = popcount_array(m)
-    order = np.argsort(-counts.astype(np.int16), kind="stable")
-
-    served = np.zeros((size, len(sinks)), dtype=bool)
-    for j, sink in enumerate(sinks):
-        oracle = FeasibilityOracle(net, source, sink, rate, solver=solver)
-        column = served[:, j]
-        for mask_np in order:
-            mask = int(mask_np)
-            doomed = False
-            bits = ~mask & (size - 1)
-            while bits:
-                low = bits & -bits
-                if not column[mask | low]:
-                    doomed = True
-                    break
-                bits ^= low
-            if doomed:
-                continue
-            column[mask] = oracle.feasible(mask)
-
+    _check_subscribers(net, source, sinks, rate)
+    served = np.column_stack([
+        _lattice_table(
+            FeasibilityOracle(net, source, sink, rate, solver=solver, incremental=True),
+            net.num_links,
+            prune=True,
+        )
+        for sink in sinks
+    ])
     probabilities = configuration_probabilities(net)
     totals = served.sum(axis=1)
     pmf = np.zeros(len(sinks) + 1, dtype=np.float64)

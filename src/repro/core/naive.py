@@ -5,24 +5,26 @@ max-flow computation whether the alive subgraph admits the demand; sum
 the probabilities of the feasible ones.  ``O(2^|E| |V||E|)`` — the
 baseline the bottleneck algorithm is measured against.
 
-Two refinements, both ablated in benchmark A3:
+Three refinements:
 
 * configuration probabilities come from the vectorized doubling table
   (:func:`repro.probability.configuration_probabilities`) instead of a
   per-configuration product;
-* *monotone pruning*: s-t flow feasibility is monotone in the alive
-  set, so a configuration is infeasible whenever some one-link superset
-  already proved infeasible.  Scanning masks in decreasing popcount
-  order makes every such superset available when needed and skips the
-  max-flow call entirely.
+* the lattice is walked in Gray-code order
+  (:func:`repro.core.latticewalk.gray_walk_table`), and whenever the
+  solver honours the warm-start contract a long-lived
+  :class:`repro.flow.incremental.IncrementalMaxFlow` *repairs* the
+  previous configuration's flow across each one-link step instead of
+  cold-solving (push–relabel solves cold);
+* *monotone pruning* (ablated in benchmark A3): s-t flow feasibility is
+  monotone in the alive set, so a visited infeasible one-link superset
+  dooms a configuration and a visited feasible one-link subset blesses
+  it, skipping the max-flow call entirely.
 
-A third refinement is the default when the solver supports it
-(``incremental=None``): walk the lattice in Gray-code order and let a
-long-lived :class:`repro.flow.incremental.IncrementalMaxFlow` *repair*
-the previous configuration's flow across each one-link step instead of
-cold-solving.  The table is bit-identical either way — only the solve
-accounting changes (pruning then consults only already-visited
-supersets, which keeps it sound in Gray order).
+The table is bit-identical whatever the solver or pruning — only the
+solve accounting changes.  :func:`_lattice_table` is the one filler of
+every ``2^m`` boolean feasibility table (:mod:`repro.core.multisink`
+uses it too).
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from repro.core.feasibility import FeasibilityOracle
 from repro.core.latticewalk import gray_walk_table
 from repro.core.result import ReliabilityResult
 from repro.flow.base import MaxFlowSolver
-from repro.flow.incremental import plan_gray_order, resolve_incremental
+from repro.flow.incremental import plan_gray_order
 from repro.graph.network import FlowNetwork
 from repro.obs.progress import progress_ticker
 from repro.obs.recorder import AUGMENTING_PATHS_SAVED, FLOW_REPAIRS, count, span
-from repro.probability.bitset import popcount_array
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
 
 __all__ = ["naive_reliability", "feasibility_table"]
@@ -55,97 +56,60 @@ def feasibility_table(
     *,
     solver: str | MaxFlowSolver | None = None,
     prune: bool = True,
-    incremental: bool | None = None,
 ) -> tuple[np.ndarray, FeasibilityOracle]:
     """Boolean feasibility of every configuration, plus the oracle used.
 
     ``table[mask]`` is true iff the subgraph of links in ``mask``
     admits the demand.  With ``prune=True`` monotone pruning is applied;
     the oracle's ``calls`` attribute then reports how many max-flow
-    solves were actually needed.  ``incremental`` selects the Gray-walk
-    flow-repair path (``None`` = whenever the solver supports it); the
-    table is identical either way.
+    solves were actually needed.  The table is identical either way.
     """
     demand.validate_against(net)
     m = net.num_links
-    check_enumerable(m, limit=MAX_NAIVE_BITS)
-    use_incremental = resolve_incremental(solver, incremental)
     oracle = FeasibilityOracle(
-        net,
-        demand.source,
-        demand.sink,
-        demand.rate,
-        solver=solver,
-        incremental=use_incremental,
+        net, demand.source, demand.sink, demand.rate, solver=solver, incremental=True
     )
-    size = 1 << m
-    table = np.zeros(size, dtype=bool)
-
-    if use_incremental:
-        return _feasibility_table_gray(table, oracle, m, prune=prune), oracle
-
     with span("naive.enumerate", links=m, prune=bool(prune)):
-        with progress_ticker("naive.configurations", total=size) as ticker:
-            if not prune:
-                for mask in range(size):  # repro: noqa[RR109] cold reference path, kept byte-identical for ablations
-                    ticker.tick()
-                    table[mask] = oracle.feasible(mask)
-                return table, oracle
-
-            counts = popcount_array(m)
-            # Stable argsort on -popcount visits high-popcount masks first, so
-            # every one-bit superset of the current mask is already decided.
-            order = np.argsort(-counts.astype(np.int16), kind="stable")
-            for mask_np in order:
-                mask = int(mask_np)
-                ticker.tick()
-                doomed = False
-                bits = ~mask & (size - 1)  # links missing from this configuration
-                while bits:
-                    low = bits & -bits
-                    if not table[mask | low]:
-                        # Some one-link superset is infeasible, hence so is this
-                        # subset (feasibility is monotone); skip the solve.
-                        doomed = True
-                        break
-                    bits ^= low
-                if not doomed:
-                    table[mask] = oracle.feasible(mask)
+        table = _lattice_table(oracle, m, prune=prune)
     return table, oracle
 
 
-def _feasibility_table_gray(
-    table: np.ndarray, oracle: FeasibilityOracle, m: int, *, prune: bool
+def _lattice_table(
+    oracle: FeasibilityOracle, m: int, *, prune: bool, always_alive: int = 0
 ) -> np.ndarray:
-    """Fill the feasibility table by a Gray-code walk with flow repair.
+    """Fill the ``2^m`` feasibility table of ``oracle`` by one Gray walk.
 
-    Every lattice step flips one link, so the oracle's incremental
-    engine repairs the carried flow instead of cold-solving.  Pruning
-    consults only *visited* neighbours — in Gray order the lattice is
-    not decided in monotone layers, but monotonicity cuts both ways: a
-    visited infeasible one-bit superset dooms the mask, and a visited
-    feasible one-bit subset blesses it (the popcount-order scan only
-    ever exploits the first half).  Either way the table stays exact;
-    only the solve accounting differs from the cold orders.
+    Bit ``i`` of a mask is template link ``i``; ``always_alive`` links
+    (failure-free virtual arcs above bit ``m``) are added to every
+    query.  Consecutive queries differ in one link, so a repairing
+    oracle carries its flow across the whole walk; a cold one solves
+    each query afresh.  Pruning consults only visited neighbours
+    (:func:`~repro.core.latticewalk.gray_walk_table`), so the table is
+    exact either way.
     """
     check_enumerable(m, limit=MAX_NAIVE_BITS)
     size = 1 << m
-    engine = oracle.engine
+    table = np.zeros(size, dtype=bool)
     order = plan_gray_order(
         oracle.template, oracle._s, oracle._t, m,
         solver=oracle.solver, limit=oracle.demand or None,
     )
-    with span("naive.enumerate", links=m, prune=bool(prune)):
-        with span("incremental.walk", kernel="naive", links=m):
-            with progress_ticker("naive.configurations", total=size) as ticker:
-                gray_walk_table(
-                    table, m, oracle.feasible, order=order, prune=prune, tick=ticker.tick
-                )
-            if engine is not None:
-                if engine.repairs:
-                    count(FLOW_REPAIRS, engine.repairs)
-                if engine.paths_saved:
-                    count(AUGMENTING_PATHS_SAVED, engine.paths_saved)
+    with span("incremental.walk", kernel="naive", links=m):
+        with progress_ticker("naive.configurations", total=size) as ticker:
+            gray_walk_table(
+                table,
+                m,
+                lambda mask: oracle.feasible(mask | always_alive),
+                order=order,
+                prune=prune,
+                tick=ticker.tick,
+            )
+        engine = oracle.engine
+        if engine is not None:
+            if engine.repairs:
+                count(FLOW_REPAIRS, engine.repairs)
+            if engine.paths_saved:
+                count(AUGMENTING_PATHS_SAVED, engine.paths_saved)
     return table
 
 
@@ -155,7 +119,6 @@ def naive_reliability(
     *,
     solver: str | MaxFlowSolver | None = None,
     prune: bool = True,
-    incremental: bool | None = None,
 ) -> ReliabilityResult:
     """Exact reliability by full configuration enumeration.
 
@@ -167,16 +130,12 @@ def naive_reliability(
         Max-flow solver (registry name or instance).
     prune:
         Enable monotone pruning (identical result, fewer solves).
-    incremental:
-        Walk the lattice in Gray-code order with flow repair instead of
-        cold-solving each configuration (``None`` = auto: on whenever
-        the solver supports the warm-start contract).  Identical value;
-        ``flow_calls`` then counts the repair engine's solver
-        invocations.
+
+    The solver decides flow repair: with a warm-start solver
+    ``flow_calls`` counts the repair engine's solver invocations and
+    ``details["incremental"]`` is true; push–relabel solves cold.
     """
-    table, oracle = feasibility_table(
-        net, demand, solver=solver, prune=prune, incremental=incremental
-    )
+    table, oracle = feasibility_table(net, demand, solver=solver, prune=prune)
     with span("naive.accumulate"):
         probabilities = configuration_probabilities(net)
         value = float(probabilities[table].sum())

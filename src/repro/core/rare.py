@@ -47,6 +47,9 @@ shape ``(batch, m)``, spectrum conditioning and splitting refreshes are
 batched, and scalar Python only touches the critical-point searches,
 which ride the warm residual-repair path (one single-bit
 :meth:`~repro.flow.incremental.IncrementalMaxFlow.goto` per kill).
+The solver decides the path: every estimator repairs flow when the
+solver honours the warm-start contract and solves cold otherwise
+(push–relabel); there is no option to choose.
 Lint rule RR114 enforces the no-scalar-draws discipline on this module.
 
 Replayability: every estimate derives its random streams from one root
@@ -74,7 +77,6 @@ from repro.core.stratified import poisson_binomial, validate_probabilities
 from repro.core.summation import KahanSum, fsum
 from repro.exceptions import EstimationError
 from repro.flow.base import MaxFlowSolver
-from repro.flow.incremental import resolve_incremental
 from repro.graph.network import FlowNetwork
 from repro.obs.progress import progress_ticker
 from repro.obs.recorder import (
@@ -274,7 +276,6 @@ def destruction_spectrum(
     num_permutations: int = 1000,
     seed: int | np.random.SeedSequence | None = 0,
     solver: str | MaxFlowSolver | None = None,
-    incremental: bool | None = None,
     batch_size: int = 2048,
 ) -> DestructionSpectrum:
     """Sample the destruction spectrum (critical-number distribution).
@@ -288,7 +289,7 @@ def destruction_spectrum(
     _require_estimable(m, num_permutations, batch_size)
     streams, _ = spawn_streams(seed)
     rng = streams["spectrum.permutations"]
-    oracle = _make_oracle(net, demand, solver, incremental)
+    oracle = _make_oracle(net, demand, solver)
     full_mask = (1 << m) - 1
     counts = np.zeros(m + 2, dtype=np.int64)
     queries = 0
@@ -326,14 +327,10 @@ def _require_estimable(m: int, num_samples: int, batch_size: int) -> None:
 
 
 def _make_oracle(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    solver: str | MaxFlowSolver | None,
-    incremental: bool | None,
+    net: FlowNetwork, demand: FlowDemand, solver: str | MaxFlowSolver | None
 ) -> FeasibilityOracle:
-    warm = resolve_incremental(solver, incremental)
     return FeasibilityOracle(
-        net, demand.source, demand.sink, demand.rate, solver=solver, incremental=warm
+        net, demand.source, demand.sink, demand.rate, solver=solver, incremental=True
     )
 
 
@@ -346,7 +343,6 @@ def permutation_montecarlo_reliability(
     confidence: float = 0.95,
     seed: int | np.random.SeedSequence | None = 0,
     solver: str | MaxFlowSolver | None = None,
-    incremental: bool | None = None,
     batch_size: int = 2048,
 ) -> EstimateResult:
     """Permutation/conditional Monte-Carlo estimate of the reliability.
@@ -369,7 +365,7 @@ def permutation_montecarlo_reliability(
     probs = validate_probabilities(net.failure_probabilities())
     streams, entropy = spawn_streams(seed)
     rng = streams["spectrum.permutations"]
-    oracle = _make_oracle(net, demand, solver, incremental)
+    oracle = _make_oracle(net, demand, solver)
     full_mask = (1 << m) - 1
 
     if not oracle.feasible(full_mask):
@@ -555,7 +551,6 @@ def splitting_reliability(
     confidence: float = 0.95,
     seed: int | np.random.SeedSequence | None = 0,
     solver: str | MaxFlowSolver | None = None,
-    incremental: bool | None = None,
 ) -> EstimateResult:
     """Fixed-effort multilevel splitting estimate of the reliability.
 
@@ -577,7 +572,7 @@ def splitting_reliability(
     z = z_quantile(confidence)
     probs = validate_probabilities(net.failure_probabilities())
     streams, entropy = spawn_streams(seed)
-    oracle = _make_oracle(net, demand, solver, incremental)
+    oracle = _make_oracle(net, demand, solver)
     rates = _failure_rates(probs)
     t_initial = _initial_time(rates, probs)
     schedule = _level_schedule(t_initial, num_levels)
@@ -691,7 +686,6 @@ def rare_reliability(
     confidence: float = 0.95,
     seed: int | np.random.SeedSequence | None = 0,
     solver: str | MaxFlowSolver | None = None,
-    incremental: bool | None = None,
     batch_size: int = 2048,
     num_levels: int | None = None,
 ) -> EstimateResult:
@@ -712,7 +706,6 @@ def rare_reliability(
             confidence=confidence,
             seed=seed,
             solver=solver,
-            incremental=incremental,
             batch_size=batch_size,
         )
     if resolved == "splitting":
@@ -729,7 +722,6 @@ def rare_reliability(
             confidence=confidence,
             seed=seed,
             solver=solver,
-            incremental=incremental,
         )
     raise EstimationError(
         f"unknown rare-event variant {variant!r}; "

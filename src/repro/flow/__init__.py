@@ -19,7 +19,7 @@ from repro.flow.capacity_scaling import CapacityScalingSolver
 from repro.flow.decomposition import SubStream, decompose
 from repro.flow.dinic import DinicSolver
 from repro.flow.edmonds_karp import EdmondsKarpSolver
-from repro.flow.incremental import IncrementalMaxFlow, resolve_incremental
+from repro.flow.incremental import IncrementalMaxFlow
 from repro.flow.mincut import min_cut_capacity, min_cut_links, minimum_cut
 from repro.flow.push_relabel import PushRelabelSolver
 from repro.flow.residual import (
@@ -44,7 +44,6 @@ __all__ = [
     "PushRelabelSolver",
     "CapacityScalingSolver",
     "IncrementalMaxFlow",
-    "resolve_incremental",
     "SubStream",
     "decompose",
     "min_cut_capacity",

@@ -36,8 +36,11 @@ arbitrary repair traffic through the terminals.
 The engine requires a solver honouring the warm-start contract of
 :meth:`repro.flow.base.MaxFlowSolver.solve_residual` (return only the
 delta pushed; stop *in-state* at ``limit``).  All augmenting-path
-solvers qualify; push–relabel does not and is rejected
-(:func:`resolve_incremental`).
+solvers qualify; push–relabel does not and is rejected.  Nothing
+chooses the engine but the solver: the oracle
+(:class:`repro.core.feasibility.FeasibilityOracle`) repairs flow
+whenever ``solver.supports_incremental`` holds and solves cold
+otherwise.
 """
 
 from __future__ import annotations
@@ -48,30 +51,7 @@ from repro.exceptions import SolverError
 from repro.flow.base import MaxFlowSolver, get_solver
 from repro.flow.residual import ResidualGraph, ResidualTemplate
 
-__all__ = ["IncrementalMaxFlow", "plan_gray_order", "resolve_incremental"]
-
-
-def resolve_incremental(
-    solver: str | MaxFlowSolver | None, incremental: bool | None
-) -> bool:
-    """Resolve an ``incremental=`` option against a solver's capability.
-
-    ``None`` (the default everywhere) auto-enables the incremental path
-    exactly when the solver supports the warm-start contract; ``True``
-    with an unsupporting solver is an error rather than a silent
-    fallback, because the caller asked for accounting the solver cannot
-    deliver.
-    """
-    resolved = get_solver(solver)
-    if incremental is None:
-        return resolved.supports_incremental
-    if incremental and not resolved.supports_incremental:
-        raise SolverError(
-            f"solver {resolved.name!r} cannot repair flows incrementally "
-            "(it does not honour augmentation limits in-state); "
-            "use an augmenting-path solver or pass incremental=False"
-        )
-    return bool(incremental)
+__all__ = ["IncrementalMaxFlow", "plan_gray_order"]
 
 
 def plan_gray_order(

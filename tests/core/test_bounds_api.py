@@ -216,7 +216,7 @@ class TestComputeReliability:
                 fujita_fig4(), "s", "t", 2, strategy="bogus", prune="x", cut=[0]
             )
 
-    @pytest.mark.parametrize("option", ["workers", "block_bits", "screen"])
+    @pytest.mark.parametrize("option", ["workers", "block_bits", "screen", "incremental"])
     def test_auto_rejects_removed_build_options(self, option):
         with pytest.raises(ReproValueError, match=option):
             compute_reliability(fujita_fig4(), "s", "t", 2, **{option: 2})
@@ -228,7 +228,6 @@ class TestComputeReliability:
             "t",
             2,
             solver="dinic",
-            incremental=False,
             cache=None,
             max_cut_size=2,
             seed=0,

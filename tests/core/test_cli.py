@@ -154,3 +154,18 @@ class TestModuleEntryPoint:
 
         payload = _json.loads(proc.stdout)
         assert abs(payload["reliability"] - 0.842635791) < 1e-9
+
+    def test_distribution_source_equals_sink_exits_1(self, net_file):
+        """Rejected at the oracle boundary, not spun on inside the solver."""
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "distribution", net_file,
+             "-s", "s", "-t", "s"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "source and sink must differ" in proc.stderr

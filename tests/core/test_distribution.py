@@ -8,7 +8,7 @@ from repro.core.distribution import (
     sampled_flow_value_distribution,
 )
 from repro.core.naive import naive_reliability
-from repro.exceptions import EstimationError, IntractableError
+from repro.exceptions import EstimationError, IntractableError, SolverError
 from repro.graph.builders import diamond, fujita_fig4, parallel_links, series_chain
 from repro.graph.network import FlowNetwork
 
@@ -24,6 +24,10 @@ class TestExactDistribution:
         for rate in (1, 2, 3):
             expected = naive_reliability(net, FlowDemand("s", "t", rate)).value
             assert dist.reliability(rate) == pytest.approx(expected, abs=1e-12)
+
+    def test_source_equals_sink_rejected(self):
+        with pytest.raises(SolverError, match="source and sink must differ"):
+            flow_value_distribution(diamond(), "s", "s")
 
     def test_zero_demand_reliability_is_one(self):
         dist = flow_value_distribution(diamond(), "s", "t")

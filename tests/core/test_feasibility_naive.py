@@ -52,6 +52,11 @@ class TestFeasibilityOracle:
         with pytest.raises(SolverError):
             FeasibilityOracle(diamond(), "s", "zzz", 1)
 
+    @pytest.mark.parametrize("demand", [0, 1])
+    def test_source_equals_sink_rejected(self, demand):
+        with pytest.raises(SolverError, match="source and sink must differ"):
+            FeasibilityOracle(diamond(), "s", "s", demand)
+
 
 class TestFeasibilityTable:
     def test_monotone(self):
@@ -70,12 +75,17 @@ class TestFeasibilityTable:
             assert np.array_equal(pruned, plain)
 
     def test_pruning_saves_calls(self):
+        # push_relabel has no warm starts, so the walk solves cold: one
+        # solve per undecided configuration.
         demand = FlowDemand("s", "t", 2)
         net = diamond()
-        _, oracle_pruned = feasibility_table(net, demand, prune=True, incremental=False)
-        _, oracle_plain = feasibility_table(
-            net, demand, prune=False, incremental=False
+        _, oracle_pruned = feasibility_table(
+            net, demand, solver="push_relabel", prune=True
         )
+        _, oracle_plain = feasibility_table(
+            net, demand, solver="push_relabel", prune=False
+        )
+        assert not oracle_pruned.incremental
         assert oracle_pruned.calls < oracle_plain.calls
         assert oracle_plain.calls == 16
 
@@ -140,3 +150,30 @@ class TestNaiveReliability:
             for solver in ("dinic", "edmonds_karp", "push_relabel", "capacity_scaling")
         }
         assert len({round(v, 12) for v in values.values()}) == 1
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        "feasibility_table",
+        "naive_reliability",
+        "destruction_spectrum",
+        "permutation_montecarlo_reliability",
+        "splitting_reliability",
+        "rare_reliability",
+    ],
+)
+def test_no_engine_takes_incremental(entry_point):
+    """The solver decides flow repair; no enumeration engine takes a toggle."""
+    from repro.core import rare
+
+    engines = {
+        "feasibility_table": feasibility_table,
+        "naive_reliability": naive_reliability,
+        "destruction_spectrum": rare.destruction_spectrum,
+        "permutation_montecarlo_reliability": rare.permutation_montecarlo_reliability,
+        "splitting_reliability": rare.splitting_reliability,
+        "rare_reliability": rare.rare_reliability,
+    }
+    with pytest.raises(TypeError, match="incremental"):
+        engines[entry_point](diamond(), FlowDemand("s", "t", 1), incremental=False)

@@ -141,3 +141,70 @@ class TestCoverageDistribution:
             coverage_distribution(self.build(), "s", [], 1)
         with pytest.raises(DemandError):
             coverage_distribution(self.build(), "s", ["t"], 0)
+
+    @pytest.mark.parametrize(
+        "sinks, message",
+        [
+            (["t", "t"], "duplicate subscribers"),
+            (["s"], "cannot subscribe"),
+            (["t", "s"], "cannot subscribe"),
+            (["nope"], "not in the network"),
+        ],
+    )
+    def test_rejects_what_broadcast_rejects(self, sinks, message):
+        """One subscriber validation for both functions: a PMF has one
+        entry per distinct subscriber, and a source subscribing to
+        itself must fail at the boundary, not inside the solver."""
+        from repro.core.multisink import coverage_distribution
+        from repro.graph.builders import diamond
+
+        with pytest.raises(DemandError, match=message):
+            coverage_distribution(diamond(), "s", sinks, 1)
+        with pytest.raises(DemandError, match=message):
+            broadcast_reliability(diamond(), "s", sinks, 1)
+
+
+def _pinned_instances():
+    from repro.graph.generators import bottlenecked_network
+
+    return {
+        "fig4": (fujita_fig4(), ["t", "y1"]),
+        "b54s1": (
+            bottlenecked_network(source_side_links=5, sink_side_links=4, seed=1),
+            ["t", "y0"],
+        ),
+        "b66s2": (
+            bottlenecked_network(source_side_links=6, sink_side_links=6, seed=2),
+            ["t", "tv0"],
+        ),
+    }
+
+
+#: Pinned to the last bit (rate 1): every solver, warm or cold, must
+#: fill the same tables.
+_PINNED_BROADCAST = {
+    "fig4": "0x1.b3a983243fd91p-1",
+    "b54s1": "0x1.93d5051327476p-1",
+    "b66s2": "0x0.0p+0",
+}
+_PINNED_COVERAGE = {
+    "fig4": ("0x1.61c72fd4d9e20p-6", "0x1.8e18544e7aa66p-4", "0x1.c32ebbf789dc6p-1"),
+    "b54s1": ("0x1.c1bdd94ce626cp-4", "0x1.9f99fe19df9e8p-4", "0x1.93d5051327474p-1"),
+    "b66s2": ("0x1.4c0be8c1f76d2p-3", "0x1.acfd05cf8224ap-1", "0x0.0p+0"),
+}
+
+
+@pytest.mark.parametrize("solver", ["dinic", "edmonds_karp", "capacity_scaling", "push_relabel"])
+@pytest.mark.parametrize("name", sorted(_PINNED_BROADCAST))
+class TestPinnedAcrossSolvers:
+    def test_broadcast(self, name, solver):
+        net, sinks = _pinned_instances()[name]
+        value = broadcast_reliability(net, "s", sinks, 1, solver=solver).value
+        assert value.hex() == _PINNED_BROADCAST[name]
+
+    def test_coverage_distribution(self, name, solver):
+        from repro.core.multisink import coverage_distribution
+
+        net, sinks = _pinned_instances()[name]
+        pmf = coverage_distribution(net, "s", sinks, 1, solver=solver)
+        assert tuple(p.hex() for p in pmf) == _PINNED_COVERAGE[name]

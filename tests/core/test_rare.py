@@ -346,10 +346,11 @@ class TestObservability:
     def test_flow_calls_match_oracle_accounting(self, fig4_net):
         demand = FlowDemand("s", "t", 2)
         est = permutation_montecarlo_reliability(
-            fig4_net, demand, num_samples=400, seed=0, incremental=False
+            fig4_net, demand, num_samples=400, seed=0, solver="push_relabel"
         )
-        # Cold oracle: one solve per critical-point query, +1 for the
-        # feasible-at-full-capacity pre-check.  (The incremental oracle
-        # counts repair-engine solver invocations instead, which can
-        # exceed or undercut the query count.)
+        # Cold oracle (push_relabel has no warm starts): one solve per
+        # critical-point query, +1 for the feasible-at-full-capacity
+        # pre-check.  (A repairing oracle counts repair-engine solver
+        # invocations instead, which can exceed or undercut the query
+        # count.)
         assert est.details["flow_calls"] == est.details["spectrum_solves"] + 1

@@ -12,13 +12,10 @@ import random
 import pytest
 
 from repro.core.demand import FlowDemand
+from repro.core.feasibility import FeasibilityOracle
 from repro.exceptions import SolverError
 from repro.flow.base import get_solver
-from repro.flow.incremental import (
-    IncrementalMaxFlow,
-    plan_gray_order,
-    resolve_incremental,
-)
+from repro.flow.incremental import IncrementalMaxFlow, plan_gray_order
 from repro.flow.residual import build_template
 from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4
 from repro.graph.generators import bottlenecked_network
@@ -172,15 +169,18 @@ class TestValidation:
         with pytest.raises(SolverError):
             IncrementalMaxFlow(template, s, t, solver="push_relabel")
 
-    def test_resolve_incremental(self):
-        assert resolve_incremental("dinic", None) is True
-        assert resolve_incremental("edmonds_karp", None) is True
-        assert resolve_incremental("push_relabel", None) is False
-        assert resolve_incremental("push_relabel", False) is False
-        assert resolve_incremental("dinic", False) is False
-        assert resolve_incremental("dinic", True) is True
-        with pytest.raises(SolverError):
-            resolve_incremental("push_relabel", True)
+    @pytest.mark.parametrize(
+        "solver, warm",
+        [("dinic", True), ("edmonds_karp", True), ("capacity_scaling", True),
+         ("push_relabel", False)],
+    )
+    def test_oracle_repairs_when_solver_can(self, solver, warm):
+        net = diamond()
+        oracle = FeasibilityOracle(net, "s", "t", 1, solver=solver, incremental=True)
+        assert oracle.incremental is warm
+        assert (oracle.engine is not None) is warm
+        cold = FeasibilityOracle(net, "s", "t", 1, solver=solver)
+        assert cold.incremental is False and cold.engine is None
 
 
 class TestPlanGrayOrder:

@@ -1,10 +1,12 @@
-"""CLI integration: removed build-path flags and methods fail with a pointer.
+"""CLI integration: removed flags and methods fail with a pointer.
 
 ``--workers``, ``--block-bits``, ``--shard`` and ``--method
 naive-parallel`` selected array builders that never beat the serial
-build.  Each now exits 2 with one line naming the removal and pointing
-at docs/PERFORMANCE.md, instead of argparse's bare "unrecognized
-arguments" — and before the network file is even opened.
+build; ``--incremental`` / ``--no-incremental`` toggled flow repair,
+which the solver now decides.  Each exits 2 with one line naming the
+removal, its reason and its docs/PERFORMANCE.md section, instead of
+argparse's bare "unrecognized arguments" — and before the network file
+is even opened.
 """
 
 import pytest
@@ -42,3 +44,25 @@ def test_removed_surface_exits_2_with_pointer(argv, named, capsys):
     assert len(lines) == 1
     assert f"{named} was removed" in lines[0]
     assert 'docs/PERFORMANCE.md "Removed build paths"' in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "net.json", *_DEMAND, "--method", "naive"],
+        ["estimate", "net.json", *_DEMAND, "--seed", "0"],
+        ["profile", "net.json", *_DEMAND],
+        ["sweep", "net.json", *_DEMAND, "--availability", "0.9"],
+    ],
+    ids=["compute", "estimate", "profile", "sweep"],
+)
+def test_repair_toggle_exits_2_with_pointer(argv, flag, capsys):
+    assert main([*argv, flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"{flag} was removed: the solver decides flow repair" in lines[0]
+    assert 'docs/PERFORMANCE.md "Incremental repair"' in lines[0]
+    assert "never beat the serial path" not in lines[0]

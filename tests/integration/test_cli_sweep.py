@@ -78,10 +78,10 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
     def test_kernel_flags_are_gone(self, net_file, capsys, flag):
-        with pytest.raises(SystemExit) as excinfo:
-            run_sweep(net_file, "--availability", "0.9", flag)
-        assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert run_sweep(net_file, "--availability", "0.9", flag) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} was removed: the solver decides flow repair" in err
+        assert 'docs/PERFORMANCE.md "Incremental repair"' in err
 
 
 class TestSweepKernels:

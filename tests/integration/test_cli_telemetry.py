@@ -79,7 +79,7 @@ class TestRunLedgerCli:
         # Past the certificate guard the arrays cost max-flow solves,
         # which the record's counters must reconcile with.
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-        assert _compute(net_file, "--incremental", "--ledger-dir", ledger) == 0
+        assert _compute(net_file, "--ledger-dir", ledger) == 0
         capsys.readouterr()
         assert main(["runs", "show", "-1", "--ledger-dir", ledger]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -87,7 +87,7 @@ class TestRunLedgerCli:
         assert record["command"] == "compute"
         assert record["counters"][FLOW_SOLVES] == record["flow_calls"] > 0
         assert record["value"] == pytest.approx(0.842635791)
-        assert record["params"] == {"method": "auto", "incremental": True}
+        assert record["params"] == {"method": "auto"}
 
     def test_no_ledger_suppresses_append(self, net_file, tmp_path, capsys):
         ledger = tmp_path / "runs"
@@ -124,6 +124,31 @@ class TestRunLedgerCli:
         out = capsys.readouterr().out
         assert code == 1
         assert "REGRESSION" in out and "flow_solves" in out and "2.00x" in out
+
+    def test_record_with_removed_incremental_param_still_loads_and_diffs(
+        self, net_file, tmp_path, capsys
+    ):
+        """Records written while ``--incremental`` existed carry
+        ``params.incremental``; they must still show and diff."""
+        ledger = tmp_path / "runs"
+        assert _compute(net_file, "--ledger-dir", str(ledger)) == 0
+        capsys.readouterr()
+        [record_path] = [
+            p for p in ledger.glob("*.json") if p.name != "index.jsonl"
+        ]
+        record = json.loads(record_path.read_text())
+        record["params"]["incremental"] = True
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(record))
+
+        assert main(["runs", "show", str(old), "--ledger-dir", str(ledger)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["params"] == {"method": "auto", "incremental": True}
+        code = main(
+            ["runs", "diff", str(old), str(record_path), "--ledger-dir", str(ledger)]
+        )
+        assert code == 0
+        assert "no regressions" in capsys.readouterr().out
 
     def test_diff_json_output(self, net_file, tmp_path, capsys):
         ledger = str(tmp_path / "runs")

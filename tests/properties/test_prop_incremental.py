@@ -1,10 +1,11 @@
 """Property: the incremental Gray-walk kernels are bit-identical.
 
-Naive's escape hatch (``incremental=``) defaults to the Gray walk only
-because these tests prove equivalence: its feasibility tables and
-values are the *same bits* with the incremental engine on as with cold
-solves.  The §III-C side arrays have no such option: their Gray walk is
-the fallback past the cut-certificate guards, reached here through a
+The solver decides whether naive's Gray walk repairs flow: warm-start
+solvers repair, push–relabel solves cold.  These tests prove the choice
+invisible: feasibility tables and values are the *same bits* with the
+repair engine (Dinic) as with cold solves (push–relabel).  The §III-C
+side arrays walk with the default solver; their Gray walk is the
+fallback past the cut-certificate guards, reached here through a
 monkeypatched guard and checked against the reference oracle
 (``tests/reference_arrays.py``) and the certificate kernel.  Not
 approximately: ``==`` on floats and arrays.
@@ -50,16 +51,16 @@ class TestNaiveTableBitIdentity:
             source_side_links=4, sink_side_links=3, num_bottlenecks=2, demand=2, seed=seed
         )
         demand = FlowDemand("s", "t", 2)
-        cold, _ = feasibility_table(net, demand, prune=prune, incremental=False)
-        warm, _ = feasibility_table(net, demand, prune=prune, incremental=True)
+        cold, _ = feasibility_table(net, demand, solver="push_relabel", prune=prune)
+        warm, _ = feasibility_table(net, demand, solver="dinic", prune=prune)
         np.testing.assert_array_equal(cold, warm)
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_fig4_value_identical(self, prune):
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
-        cold = naive_reliability(net, demand, prune=prune, incremental=False)
-        warm = naive_reliability(net, demand, prune=prune, incremental=True)
+        cold = naive_reliability(net, demand, solver="push_relabel", prune=prune)
+        warm = naive_reliability(net, demand, solver="dinic", prune=prune)
         assert warm.value == cold.value
         assert warm.details["incremental"] is True
         assert cold.details["incremental"] is False
