@@ -1,84 +1,140 @@
-"""A1 — ablation: ACCUMULATION kernels (zeta-IE vs distinct-mask pairs).
+"""A1 — ACCUMULATION: the one Eq. 3 kernel against the paper's signed sum.
 
-Both are exact; their cost profiles differ.  zeta scales with 2^|D_E'|
-(the inclusion–exclusion lattice), pairs with the number of *distinct*
-realized masks per side.  The crossover this table shows motivates the
-class-size rule in repro.core.accumulate (zeta up to 12 assignments,
-pairs beyond), so the ablation calls the two private row kernels
-directly: no public entry point lets a caller choose."""
+repro.core.accumulate evaluates r_{E'} as a pair sum over the two
+sides' distinct realization masks.  The paper writes the same quantity
+as inclusion–exclusion over assignment subsets,
+Σ_{∅≠X⊆D_{E'}} (−1)^{|X|+1} P_s(X) P_t(X).  This bench times both on
+the two side shapes of benchmarks/suite (exact-cold: 14 + 14 side
+links; sweep-warm: 12 + 12; k = 2 bottleneck links, d = 2), for every
+class the survival patterns support, and asserts equal values.  "pair
+sum" is the per-class step on sides grouped once (what the pipeline
+pays per class); "accumulate" is the one-shot public call, grouping
+included.  The zeta and pairs kernels this ablation used to compare
+are gone; their last timings are kept in docs/PERFORMANCE.md."""
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import time_call
-from repro.core import RealizationArray
-from repro.core.accumulate import _pairs_rows, _zeta_rows
+from repro.core.accumulate import (
+    accumulate,
+    distinct_masks,
+    distinct_weights,
+    joint_rows,
+)
+from repro.core.arrays import build_side_array
+from repro.core.assignments import classify_by_support, enumerate_assignments
+from repro.graph.cuts import find_bottleneck
+from repro.graph.generators import bottlenecked_network
+from repro.probability.inclusion_exclusion import union_probability_from_intersections
+
+#: (suite workload, side links per side)
+SHAPES = [("exact-cold", 14), ("sweep-warm", 12)]
+DEMAND = 2
 
 
-def synthetic_arrays(num_assignments: int, side_bits: int, seed: int, distinct: int):
-    """Arrays with a controlled number of distinct realized masks."""
-    rng = np.random.default_rng(seed)
-    size = 1 << side_bits
-    pool = rng.integers(0, 1 << num_assignments, size=distinct, dtype=np.uint64)
-    masks = pool[rng.integers(0, distinct, size=size)]
-    probs = rng.random(size)
-    probs /= probs.sum()
-    return RealizationArray(masks.astype(np.uint64), probs, num_assignments, 0)
-
-
-def run_kernel(kernel, src, snk, idx):
-    """One row kernel on the two arrays' own configuration probabilities."""
-    return float(
-        kernel(
-            src.masks,
-            snk.masks,
-            src.probabilities[None, :],
-            snk.probabilities[None, :],
-            idx,
-        )[0]
+def side_arrays(side_links: int, seed: int = 0):
+    """Both §III-C arrays of a bottlenecked net and its supported classes."""
+    net = bottlenecked_network(
+        source_side_links=side_links,
+        sink_side_links=side_links,
+        demand=DEMAND,
+        seed=seed,
     )
+    split = find_bottleneck(net, "s", "t")
+    assert split is not None
+    assignments = enumerate_assignments(
+        [net.link(i).capacity for i in split.cut], DEMAND
+    )
+    arrays = [
+        build_side_array(
+            side,
+            role=role,
+            terminal=terminal,
+            ports=ports,
+            assignments=assignments,
+            demand=DEMAND,
+        )
+        for side, role, terminal, ports in [
+            (split.source_side, "source", "s", split.source_ports),
+            (split.sink_side, "sink", "t", split.sink_ports),
+        ]
+    ]
+    supported = classify_by_support(assignments, len(split.cut)).values()
+    return arrays[0], arrays[1], sorted({c for c in supported if c})
 
 
-CASES = [
-    ("small |D|, many masks", 4, 10, 12),
-    ("large |D|, few masks", 14, 10, 6),
-    ("large |D|, many masks", 14, 10, 200),
-]
+def inclusion_exclusion(source, sink, indices) -> float:
+    """The paper's signed sum, ``p_X = P_s(X) · P_t(X)`` for every ``X``."""
+    table = np.zeros(1 << len(indices))
+    for local in range(1, len(table)):
+        subset = np.uint64(
+            sum(1 << j for i, j in enumerate(indices) if (local >> i) & 1)
+        )
+        p_s = source.probabilities[(source.masks & subset) == subset].sum()
+        p_t = sink.probabilities[(sink.masks & subset) == subset].sum()
+        table[local] = p_s * p_t
+    return union_probability_from_intersections(table)
+
+
+def _grouped(array):
+    distinct, inverse = distinct_masks(array.masks)
+    return distinct, distinct_weights(inverse, array.probabilities[None, :], len(distinct))
 
 
 def _kernel_rows():
     rows = []
-    for name, q, bits, distinct in CASES:
-        src = synthetic_arrays(q, bits, 1, distinct)
-        snk = synthetic_arrays(q, bits, 2, distinct)
-        idx = list(range(q))
-        zeta = time_call(run_kernel, _zeta_rows, src, snk, idx)
-        pairs = time_call(run_kernel, _pairs_rows, src, snk, idx)
-        assert zeta.value == pytest.approx(pairs.value, abs=1e-10)
-        rows.append(
-            [name, q, distinct, f"{zeta.seconds * 1e3:.3f}", f"{pairs.seconds * 1e3:.3f}"]
-        )
+    for name, links in SHAPES:
+        source, sink, classes = side_arrays(links)
+        (ms, ws), (mt, wt) = _grouped(source), _grouped(sink)
+        for indices in classes:
+            within = sum(1 << j for j in indices)
+            pair_sum = time_call(joint_rows, ms, ws, mt, wt, within)
+            one_call = time_call(accumulate, source, sink, indices)
+            oracle = time_call(inclusion_exclusion, source, sink, indices)
+            assert one_call.value == pair_sum.value[0]
+            assert one_call.value == pytest.approx(oracle.value, abs=1e-12)
+            rows.append(
+                [
+                    f"{name} ({links} + {links})",
+                    len(indices),
+                    f"{len(ms)} / {len(mt)}",
+                    f"{pair_sum.seconds * 1e3:.3f}",
+                    f"{one_call.seconds * 1e3:.3f}",
+                    f"{oracle.seconds * 1e3:.3f}",
+                ]
+            )
     return rows
 
 
 def test_a1_kernel_table(benchmark, show):
     rows = benchmark.pedantic(_kernel_rows, rounds=1, iterations=1)
     show(
-        ["case", "|D|", "distinct masks", "zeta ms", "pairs ms"],
+        [
+            "side shape",
+            "|D_E'|",
+            "distinct masks s / t",
+            "pair sum ms",
+            "accumulate ms",
+            "IE ms",
+        ],
         rows,
-        title="A1: accumulation kernels (both exact)",
+        title="A1: Eq. 3 pair sum vs inclusion-exclusion (equal values)",
     )
 
 
-def test_a1_zeta(benchmark):
-    src = synthetic_arrays(4, 12, 1, 12)
-    snk = synthetic_arrays(4, 12, 2, 12)
-    value = benchmark(run_kernel, _zeta_rows, src, snk, [0, 1, 2, 3])
-    assert 0 <= value <= 1
+@pytest.fixture(scope="module")
+def exact_cold_arrays():
+    return side_arrays(dict(SHAPES)["exact-cold"])
 
 
-def test_a1_pairs(benchmark):
-    src = synthetic_arrays(4, 12, 1, 12)
-    snk = synthetic_arrays(4, 12, 2, 12)
-    value = benchmark(run_kernel, _pairs_rows, src, snk, [0, 1, 2, 3])
-    assert 0 <= value <= 1
+def test_a1_pair_sum(benchmark, exact_cold_arrays):
+    source, sink, classes = exact_cold_arrays
+    value = benchmark(accumulate, source, sink, classes[-1])
+    assert value == pytest.approx(inclusion_exclusion(source, sink, classes[-1]), abs=1e-12)
+
+
+def test_a1_inclusion_exclusion(benchmark, exact_cold_arrays):
+    source, sink, classes = exact_cold_arrays
+    value = benchmark(inclusion_exclusion, source, sink, classes[-1])
+    assert 0.0 <= value <= 1.0

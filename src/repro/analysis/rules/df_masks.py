@@ -12,8 +12,7 @@ remove, and it does so silently: the result is still correct, just
 100-1000x slower at ``2^m`` scale.
 
 The rule tracks mask-array values flow-sensitively from their producers
-(:func:`~repro.core.accumulate.restrict_masks`,
-:func:`~repro.probability.sampling.sample_alive_masks`,
+(:func:`~repro.probability.sampling.sample_alive_masks`,
 :func:`~repro.probability.bitset.pack_bitplanes`, a ``.masks``
 attribute read, an ``.astype(np.uint64)`` cast) through direct aliases
 (slices, views, bitwise arithmetic) and flags any Python-level
@@ -39,9 +38,7 @@ from repro.analysis.registry import Rule, register_rule
 __all__ = ["ScalarMaskLoop"]
 
 #: Functions whose return value is a uint64 mask array.
-_SOURCE_FUNCTIONS = frozenset(
-    {"restrict_masks", "sample_alive_masks", "pack_bitplanes"}
-)
+_SOURCE_FUNCTIONS = frozenset({"sample_alive_masks", "pack_bitplanes"})
 
 #: Attribute reads that hand out a mask array.
 _SOURCE_ATTRIBUTES = frozenset({"masks"})

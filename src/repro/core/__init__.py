@@ -1,7 +1,7 @@
 """The paper's algorithms: naive, bridge, bottleneck, chain, factoring,
 Monte-Carlo and bounds, plus the dispatching :func:`compute_reliability`."""
 
-from repro.core.accumulate import accumulate, restrict_masks, side_class_probabilities
+from repro.core.accumulate import accumulate
 from repro.core.api import available_methods, compute_reliability
 from repro.core.arrays import RealizationArray, build_side_array
 from repro.core.assignments import (
@@ -114,8 +114,6 @@ __all__ = [
     "RealizationArray",
     "build_side_array",
     "accumulate",
-    "restrict_masks",
-    "side_class_probabilities",
     "ArrayCache",
     "SweepSpec",
     "SweepResult",

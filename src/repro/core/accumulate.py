@@ -14,33 +14,33 @@ given the bottleneck pattern):
 
     r_{E'} = Σ_{∅≠X}  (−1)^{|X|+1} P_s(X) P_t(X).
 
-Two exact kernels compute it (benchmark A1 ablates them):
+The sides are independent, so the same quantity is a pair sum over the
+two sides' realized masks:
 
-``zeta``
-    Aggregate each side's configuration probabilities by realized mask
-    restricted to ``D_{E'}``, superset-zeta transform to obtain every
-    ``P_side(X)`` simultaneously, then the signed dot product.  Cost
-    ``O(2^{m_side} + q 2^q)`` for ``q = |D_{E'}|`` — the paper's
-    ``2^{d^k}``-flavoured constant.
+    r_{E'} = Σ_{i,j} w_s[i] · w_t[j] · [m_s[i] ∩ m_t[j] ∩ D_{E'} ≠ ∅],
 
-``pairs``
-    Aggregate each side to its *distinct* realized masks (there are at
-    most ``min(2^{m_side}, 2^q)`` of them, usually a handful) and sum
-    ``q_s(m) q_t(m')`` over pairs with ``m ∩ m' ≠ ∅`` — equivalently
-    ``1 − P(no side realizes a common assignment)`` computed densely.
-    Cost ``O(S · T)`` on distinct-mask counts; immune to large ``q``.
+where ``m[i]`` runs over a side's *distinct* full realization masks and
+``w[i]`` is the probability that the side realizes exactly ``m[i]``.
+The sum has no ``2^q`` table, so any class the uint64 packing can hold
+(up to 63 assignments) runs the same kernel.  A property suite pins it
+to the signed sum (:func:`repro.probability.union_probability_from_intersections`).
 
-Both return identical values (a property test enforces it).  The class
-size picks the kernel: ``zeta`` for ``q <= 12`` (faster at the small
-classes the bottleneck pipeline meets), ``pairs`` otherwise — the only
-kernel past :data:`MAX_ZETA_ASSIGNMENTS`.
+The kernel comes in three steps, shared by every caller — the pointwise
+:func:`repro.core.bottleneck.bottleneck_reliability`, the sweep, batch
+and serve paths (all through :func:`repro.core.sweep.split_reliability`),
+chain's closing segment and :func:`accumulate`:
 
-The kernels are row-wise: one call evaluates ``r_{E'}`` for a whole
-``(points x 2^{m_side})`` grid of configuration probabilities over the
-same realization masks (:func:`accumulate_rows`).  The pointwise
-:func:`bottleneck_reliability` and the sweep both run them;
-:func:`accumulate` and :func:`side_class_probabilities` are their
-one-row calls on a :class:`RealizationArray`.
+:func:`distinct_masks`
+    Group one side by its distinct realization masks, once per side.
+:func:`distinct_weights`
+    Row ``s`` is the probability of each distinct mask under the
+    configuration probabilities of point ``s``; one weighted
+    ``np.bincount`` per row, independent of every other row.
+:func:`joint_rows`
+    ``r[s]`` for one class (``within``) from both sides' distinct masks
+    and weights; one ``ws[s] @ hit @ wt[s]`` per row over a hit matrix
+    built once per call, so a row's value does not depend on which
+    batch it rides in.
 """
 
 from __future__ import annotations
@@ -50,134 +50,60 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.arrays import RealizationArray
-from repro.exceptions import IntractableError, ReproValueError
-from repro.probability.bitset import bitplanes, pack_bitplanes, parity_array
-from repro.probability.zeta import superset_zeta_rows
+from repro.exceptions import ReproValueError
+from repro.probability.bitset import mask_from_indices
 
-__all__ = [
-    "accumulate",
-    "accumulate_rows",
-    "class_probability_rows",
-    "restrict_masks",
-    "side_class_probabilities",
-]
-
-#: The ``zeta`` kernel refuses classes bigger than this many assignments.
-MAX_ZETA_ASSIGNMENTS = 20
-
-#: Classes of at most this many assignments run the ``zeta`` kernel.
-_ZETA_CLASS_LIMIT = 12
+__all__ = ["accumulate", "distinct_masks", "distinct_weights", "joint_rows"]
 
 
-def restrict_masks(masks: np.ndarray, assignment_indices: Sequence[int]) -> np.ndarray:
-    """Project realization masks onto a subset of assignment bits.
+def distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct uint64 masks of one side (ascending) and each entry's
+    index into them.
 
-    Bit ``j`` of the output is bit ``assignment_indices[j]`` of the
-    input — the mask over ``D_{E'}`` in class-local numbering.  One
-    bit-plane transpose plus one packing matmul; no per-bit Python loop.
+    When every mask is below the array length (few assignments, the
+    common case) a lookup table replaces ``np.unique``'s sort; both give
+    the same pair.
     """
-    return pack_bitplanes(bitplanes(masks, list(assignment_indices)))
+    words = np.asarray(masks, dtype=np.uint64).reshape(-1)
+    top = int(words.max()) if words.size else 0
+    if top < len(words):
+        index = words.astype(np.intp)
+        distinct = np.flatnonzero(np.bincount(index, minlength=top + 1))
+        lookup = np.empty(top + 1, dtype=np.intp)
+        lookup[distinct] = np.arange(len(distinct))
+        return distinct.astype(np.uint64), lookup[index]
+    distinct, inverse = np.unique(words, return_inverse=True)
+    return distinct, inverse.reshape(-1)
 
 
-def class_probability_rows(
-    masks: np.ndarray,
-    probability_rows: np.ndarray,
-    assignment_indices: Sequence[int],
+def distinct_weights(
+    inverse: np.ndarray, probability_rows: np.ndarray, size: int
 ) -> np.ndarray:
-    """Aggregate one side by restricted realized mask, one row per point.
+    """``(rows, size)`` probability of each distinct mask, one row per point.
 
-    Row ``s`` is ``q[mask] = P_s(realized class-set == mask)`` under the
-    configuration probabilities ``probability_rows[s]``: length ``2^q``,
-    summing to 1.  Each row is one weighted ``np.bincount``, which adds
-    in configuration order, so every row is reproducible bit for bit.
+    Each row is one weighted ``np.bincount``, which adds in
+    configuration order, so every row is reproducible bit for bit.
     """
-    q = len(assignment_indices)
-    if q > MAX_ZETA_ASSIGNMENTS:
-        raise IntractableError(
-            f"zeta accumulation over {q} assignments needs 2^{q} table entries",
-            required=q,
-            limit=MAX_ZETA_ASSIGNMENTS,
-        )
-    restricted = restrict_masks(masks, assignment_indices).astype(np.int64)
-    table = np.empty((probability_rows.shape[0], 1 << q), dtype=np.float64)
+    weights = np.empty((probability_rows.shape[0], size), dtype=np.float64)
     for s, row in enumerate(probability_rows):
-        table[s] = np.bincount(restricted, weights=row, minlength=1 << q)
-    return table
+        weights[s] = np.bincount(inverse, weights=row, minlength=size)
+    return weights
 
 
-def side_class_probabilities(
-    array: RealizationArray, assignment_indices: Sequence[int]
-) -> np.ndarray:
-    """Aggregate one side into ``q[mask] = P(realized class-set == mask)``.
-
-    The output is indexed by masks over the restricted class (length
-    ``2^q``) and sums to 1.
-    """
-    return class_probability_rows(
-        array.masks, array.probabilities[None, :], assignment_indices
-    )[0]
-
-
-def _zeta_rows(
+def joint_rows(
     source_masks: np.ndarray,
+    source_weights: np.ndarray,
     sink_masks: np.ndarray,
-    source_rows: np.ndarray,
-    sink_rows: np.ndarray,
-    assignment_indices: Sequence[int],
+    sink_weights: np.ndarray,
+    within: int,
 ) -> np.ndarray:
-    q = len(assignment_indices)
-    qs = class_probability_rows(source_masks, source_rows, assignment_indices)
-    qt = class_probability_rows(sink_masks, sink_rows, assignment_indices)
-    # P_side(X) = P(realized ⊇ X): superset sums of the aggregates.
-    prod = superset_zeta_rows(qs, inplace=True) * superset_zeta_rows(qt, inplace=True)
-    signs = -parity_array(q).astype(np.float64)  # (−1)^{|X|+1}
-    signs[0] = 0.0
-    return np.array([float(np.dot(signs, row)) for row in prod], dtype=np.float64)
-
-
-def _pairs_rows(
-    source_masks: np.ndarray,
-    sink_masks: np.ndarray,
-    source_rows: np.ndarray,
-    sink_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    # Distinct restricted masks per side; the rows only re-weight them.
-    ms, inverse_s = np.unique(
-        restrict_masks(source_masks, assignment_indices), return_inverse=True
-    )
-    mt, inverse_t = np.unique(
-        restrict_masks(sink_masks, assignment_indices), return_inverse=True
-    )
-    # hit[i, j] = the two realized sets share an assignment.
-    hit = ((ms[:, None] & mt[None, :]) != 0).astype(np.float64)
-    out = np.empty(source_rows.shape[0], dtype=np.float64)
+    """``r[s] = Σ_ij ws[s,i] · wt[s,j] · [ms_i & mt_j & within ≠ 0]``."""
+    restricted = source_masks & np.uint64(within)
+    hit = ((restricted[:, None] & sink_masks[None, :]) != 0).astype(np.float64)
+    out = np.empty(source_weights.shape[0], dtype=np.float64)
     for s in range(len(out)):
-        qs = np.bincount(inverse_s, weights=source_rows[s], minlength=len(ms))
-        qt = np.bincount(inverse_t, weights=sink_rows[s], minlength=len(mt))
-        out[s] = float(qs @ hit @ qt)
+        out[s] = float(source_weights[s] @ hit @ sink_weights[s])
     return out
-
-
-def accumulate_rows(
-    source_masks: np.ndarray,
-    sink_masks: np.ndarray,
-    source_rows: np.ndarray,
-    sink_rows: np.ndarray,
-    assignment_indices: Sequence[int],
-) -> np.ndarray:
-    """``r_{E'}`` for the class ``assignment_indices``, one value per row.
-
-    ``source_rows[s]`` / ``sink_rows[s]`` are the configuration
-    probabilities of the two sides at point ``s``; the masks are shared
-    by every point.  The class size picks the kernel (``zeta`` up to
-    12 assignments, ``pairs`` beyond).
-    """
-    q = len(assignment_indices)
-    if q == 0:
-        return np.zeros(source_rows.shape[0], dtype=np.float64)
-    kernel = _zeta_rows if q <= _ZETA_CLASS_LIMIT else _pairs_rows
-    return kernel(source_masks, sink_masks, source_rows, sink_rows, assignment_indices)
 
 
 def accumulate(
@@ -191,12 +117,14 @@ def accumulate(
     for j in assignment_indices:
         if not (0 <= j < source.num_assignments):
             raise ReproValueError(f"assignment index {j} out of range")
+    ms, inverse_s = distinct_masks(source.masks)
+    mt, inverse_t = distinct_masks(sink.masks)
     return float(
-        accumulate_rows(
-            source.masks,
-            sink.masks,
-            source.probabilities[None, :],
-            sink.probabilities[None, :],
-            assignment_indices,
+        joint_rows(
+            ms,
+            distinct_weights(inverse_s, source.probabilities[None, :], len(ms)),
+            mt,
+            distinct_weights(inverse_t, sink.probabilities[None, :], len(mt)),
+            mask_from_indices(assignment_indices),
         )[0]
     )

@@ -25,8 +25,9 @@ assignments still completable from ``s``?"):
   (:func:`repro.core.arrays.build_segment_relation`); the map runs once
   per distinct relation, not once per configuration;
 * the sink segment closes the chain:
-  ``R(G) = Σ_R dist[R] · P(realized sink set intersects R)``, evaluated
-  with a subset-zeta table (no pairwise loop).
+  ``R(G) = Σ_R dist[R] · P(realized sink set intersects R)``, the
+  Eq. 3 pair sum of :mod:`repro.core.accumulate` over the nonzero
+  states and the sink's distinct realization masks.
 
 Model requirements are those of the single-cut algorithm, per cut:
 every cut link joins consecutive segments (directed ones forward), and
@@ -39,19 +40,17 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.accumulate import side_class_probabilities
+from repro.core.accumulate import distinct_masks, distinct_weights, joint_rows
 from repro.core.arrays import build_segment_relation, build_side_array
 from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.bottleneck import pattern_probabilities
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
-from repro.core.summation import prob_fsum
 from repro.exceptions import DecompositionError
 from repro.graph.connectivity import connected_components
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SubnetworkView, induced_subnetwork
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
-from repro.probability.zeta import subset_zeta
 
 __all__ = ["chain_reliability", "ChainStructure", "analyze_chain"]
 
@@ -202,6 +201,7 @@ def _cross_cut(
     q = len(assignments)
     check_enumerable(q)
     supports = [support_mask(a) for a in assignments]
+    states = np.flatnonzero(dist)
     new = np.zeros_like(dist)
     for pattern, p in enumerate(patterns.tolist()):  # repro: noqa[RR109] mask intersection per pattern, no solver state to carry
         if p == 0.0:
@@ -211,10 +211,9 @@ def _cross_cut(
             if s & ~pattern == 0:
                 allowed |= 1 << j
         # R -> R ∩ allowed for every state R.
-        for state in range(1 << q):  # repro: noqa[RR109] distribution redistribution, one multiply-add per state
-            value = dist[state]
-            if value != 0.0:
-                new[state & allowed] += value * p
+        new += np.bincount(
+            states & allowed, weights=dist[states] * p, minlength=len(dist)
+        )
     return new
 
 
@@ -303,7 +302,11 @@ def chain_reliability(
     )
     flow_calls += source_array.flow_calls
     configurations += len(source_array.masks)
-    dist = side_class_probabilities(source_array, range(len(assignment_sets[0])))
+    ms, inverse = distinct_masks(source_array.masks)
+    dist = np.zeros(1 << len(assignment_sets[0]), dtype=np.float64)
+    dist[ms.astype(np.intp)] = distinct_weights(
+        inverse, source_array.probabilities[None, :], len(ms)
+    )[0]
 
     # Cross cut 1.
     dist = _cross_cut(
@@ -344,21 +347,20 @@ def chain_reliability(
     )
     flow_calls += sink_array.flow_calls
     configurations += len(sink_array.masks)
-    qr = len(assignment_sets[r - 1])
-    q_t = side_class_probabilities(sink_array, range(qr))
-    # miss[R] = P(sink realized set ⊆ complement of R) — the no-overlap
-    # probability — via a subset-zeta table evaluated at ~R.
-    zeta_t = subset_zeta(q_t, inplace=True)
-    full = (1 << qr) - 1
-    terms: list[float] = []
-    for state in range(1 << qr):  # repro: noqa[RR109] zeta-table lookup per state, order-free
-        value = dist[state]
-        if value == 0.0 or state == 0:
-            continue
-        terms.append(value * (1.0 - zeta_t[full & ~state]))
+    # R(G) = Σ_R dist[R] · P(the sink's realized set meets R): the Eq. 3
+    # pair sum with the nonzero states as the source side.
+    states = np.flatnonzero(dist)
+    mt, inverse = distinct_masks(sink_array.masks)
+    value = joint_rows(
+        states.astype(np.uint64),
+        dist[states][None, :],
+        mt,
+        distinct_weights(inverse, sink_array.probabilities[None, :], len(mt)),
+        (1 << len(assignment_sets[r - 1])) - 1,
+    )[0]
 
     return ReliabilityResult(
-        value=prob_fsum(terms),
+        value=float(value),
         method="chain",
         flow_calls=flow_calls,
         configurations=configurations,

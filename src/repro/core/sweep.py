@@ -11,7 +11,8 @@ This module holds:
 :class:`ArrayCache`
     A content-addressed store of realization *columns* (one assignment's
     bool vector over the side lattice), in memory with an optional
-    on-disk tier.  The key fingerprints everything that determines the
+    on-disk tier that tolerates shared directories and failed writes.
+    The key fingerprints everything that determines the
     bits — side topology, capacities, directedness, role, terminal,
     ports, and the assignment tuple (the demand is its component sum) —
     and deliberately **excludes** failure probabilities: the columns are
@@ -32,8 +33,10 @@ This module holds:
     for a ``(points x links)`` failure grid: §III-B assignments, both
     §III-C arrays (once, through :func:`cached_side_array`), then Eq. 2
     and Eq. 3 per row — row-wise doubling tables
-    (:func:`repro.probability.enumeration.probability_grid`) and the
-    row-wise ACCUMULATION kernels of :mod:`repro.core.accumulate`.
+    (:func:`repro.probability.enumeration.probability_grid`) and the one
+    ACCUMULATION kernel of :mod:`repro.core.accumulate`: both sides are
+    grouped by their distinct realization masks once, each row weighs
+    them, and each supported class is one pair sum.
     :func:`repro.core.bottleneck.bottleneck_reliability` is its one-row
     call (:func:`point_reliability`); :func:`compute_reliability_sweep`
     is its many-row call, so every sweep point is bit-identical to a
@@ -46,13 +49,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accumulate import accumulate_rows
+from repro.core.accumulate import distinct_masks, distinct_weights, joint_rows
 from repro.core.arrays import (
     RealizationArray,
     _validate_side_request,
@@ -72,11 +76,12 @@ from repro.obs.recorder import (
     ARRAY_CACHE_EVICTIONS,
     ARRAY_CACHE_HITS,
     ARRAY_CACHE_MISSES,
+    ARRAY_CACHE_WRITE_ERRORS,
     ASSIGNMENTS_ENUMERATED,
     count,
     span,
 )
-from repro.probability.bitset import pack_bitplanes
+from repro.probability.bitset import mask_from_indices, pack_bitplanes
 from repro.probability.enumeration import (
     check_enumerable,
     configuration_probabilities,
@@ -173,7 +178,8 @@ class ArrayCache:
     Columns live bit-packed (``numpy.packbits``) in memory; with a
     ``directory`` every stored column is also written as a ``.npy`` file
     named by its key, so later processes (or a second CLI run) start
-    warm.  Disk writes are atomic (temp file + ``os.replace``).
+    warm.  Disk writes are atomic (a per-write temp file +
+    ``os.replace``), and a failed one leaves the column in memory.
 
     The cache is safe to share across both build kernels — the cut
     certificate and its Gray-walk fallback — because the columns are
@@ -214,6 +220,7 @@ class ArrayCache:
         self.bytes_written = 0
         self.evictions = 0
         self.evicted_bytes = 0
+        self.write_errors = 0
         if self.max_bytes is not None and self.directory is not None:
             self._adopt_disk_tier()
 
@@ -235,6 +242,7 @@ class ArrayCache:
             "bytes_written": self.bytes_written,
             "evictions": self.evictions,
             "evicted_bytes": self.evicted_bytes,
+            "write_errors": self.write_errors,
         }
 
     # -- the LRU bound ------------------------------------------------------
@@ -362,11 +370,28 @@ class ArrayCache:
         if self.directory is not None:
             path = self._path(key)
             if not path.is_file():
-                tmp = path.with_name(path.name + ".tmp")
-                with open(tmp, "wb") as handle:
-                    np.save(handle, packed)
-                os.replace(tmp, path)
+                self._publish(path, packed)
         self._touch(key, int(packed.nbytes))
+
+    def _publish(self, path: Path, packed: np.ndarray) -> None:
+        """Write one column file through this writer's own temp file.
+
+        The temp name is unique per write, so caches sharing a directory
+        never rename each other's half-written file.  A failed write
+        (a full disk, say) removes its temp file and is counted; the
+        column stays served from memory.
+        """
+        tmp: str | None = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            with os.fdopen(fd, "wb") as handle:
+                np.save(handle, packed)
+            os.replace(tmp, path)
+        except OSError:
+            if tmp is not None:
+                Path(tmp).unlink(missing_ok=True)
+            self.write_errors += 1
+            count(ARRAY_CACHE_WRITE_ERRORS, 1)
 
 
 def cached_side_array(
@@ -682,17 +707,24 @@ def split_reliability(
 
     # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
     # depends only on the supported class, so identical classes share
-    # one accumulation per batch of rows.
+    # one accumulation per batch of rows; both sides are grouped by
+    # their distinct realization masks once, before the batches.
     check_enumerable(k)
     classes = classify_by_support(assignments, k)
     configurations = len(source_array.masks) + len(sink_array.masks)
+    ms, inverse_s = distinct_masks(source_array.masks)
+    mt, inverse_t = distinct_masks(sink_array.masks)
     batch = max(1, _MAX_GRID_ENTRIES >> max(len(source_columns), len(sink_columns), k))
     results: list[ReliabilityResult] = []
     with span("bottleneck.accumulate", points=num_points, patterns=1 << k):
         for start in range(0, num_points, batch):
             rows = failure_grid[start : start + batch]
-            source_rows = probability_grid(rows[:, source_columns])
-            sink_rows = probability_grid(rows[:, sink_columns])
+            ws = distinct_weights(
+                inverse_s, probability_grid(rows[:, source_columns]), len(ms)
+            )
+            wt = distinct_weights(
+                inverse_t, probability_grid(rows[:, sink_columns]), len(mt)
+            )
             pattern_rows = probability_grid(rows[:, list(cut_links)])  # Eq. (2)
             r_rows: dict[tuple[int, ...], np.ndarray] = {}
             for local in range(len(rows)):
@@ -706,13 +738,7 @@ def split_reliability(
                         continue
                     r = r_rows.get(supported)
                     if r is None:
-                        r = accumulate_rows(
-                            source_array.masks,
-                            sink_array.masks,
-                            source_rows,
-                            sink_rows,
-                            supported,
-                        )
+                        r = joint_rows(ms, ws, mt, wt, mask_from_indices(supported))
                         r_rows[supported] = r
                     used.add(supported)
                     terms.append(p_pattern * float(r[local]))

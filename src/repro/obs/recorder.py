@@ -37,6 +37,7 @@ __all__ = [
     "ARRAY_CACHE_EVICTIONS",
     "ARRAY_CACHE_HITS",
     "ARRAY_CACHE_MISSES",
+    "ARRAY_CACHE_WRITE_ERRORS",
     "ASSIGNMENTS_ENUMERATED",
     "ARRAY_ENTRIES_BUILT",
     "CERTIFICATE_CUTS",
@@ -119,6 +120,9 @@ CUT_PROBES = "cut_probes"
 ARRAY_CACHE_EVICTIONS = "array_cache_evictions"
 #: Accounted bytes reclaimed by those evictions.
 ARRAY_CACHE_EVICTED_BYTES = "array_cache_evicted_bytes"
+#: Disk-tier column writes that failed (``OSError``, e.g. a full disk);
+#: the column stays served from memory.
+ARRAY_CACHE_WRITE_ERRORS = "array_cache_write_errors"
 #: Queries decoded and answered by the serving daemon
 #: (``repro.serve``): one per protocol ``query`` op.
 SERVE_QUERIES = "serve_queries"
@@ -155,6 +159,7 @@ KNOWN_COUNTERS = frozenset(
         ARRAY_CACHE_BYTES,
         ARRAY_CACHE_EVICTIONS,
         ARRAY_CACHE_EVICTED_BYTES,
+        ARRAY_CACHE_WRITE_ERRORS,
         CERTIFICATE_CUTS,
         CUT_PROBES,
         SERVE_QUERIES,

@@ -1,5 +1,5 @@
 """Probability substrate: configuration enumeration, bit tricks,
-subset-lattice transforms, inclusion–exclusion and sampling."""
+inclusion–exclusion and sampling."""
 
 from repro.probability.bitset import (
     bitplanes,
@@ -28,12 +28,6 @@ from repro.probability.inclusion_exclusion import (
     union_probability_from_intersections,
 )
 from repro.probability.sampling import sample_alive_masks, sample_alive_matrix
-from repro.probability.zeta import (
-    subset_moebius,
-    subset_zeta,
-    superset_moebius,
-    superset_zeta,
-)
 
 __all__ = [
     "bitplanes",
@@ -58,8 +52,4 @@ __all__ = [
     "union_probability_from_intersections",
     "sample_alive_masks",
     "sample_alive_matrix",
-    "subset_moebius",
-    "subset_zeta",
-    "superset_moebius",
-    "superset_zeta",
 ]

@@ -27,8 +27,8 @@ def bad_index_loop(rng, probabilities, num_samples):
     return hits
 
 
-def bad_comprehension(masks, support):
-    restricted = restrict_masks(masks, support)
+def bad_comprehension(realization, support):
+    restricted = realization.masks & support
     return [int(mask).bit_count() for mask in restricted]
 
 
@@ -61,8 +61,8 @@ def ok_rebound_name(realization, labels):
     return realized
 
 
-def ok_derived_scalars(masks, support):
-    counts = np.bitwise_count(restrict_masks(masks, support))
+def ok_derived_scalars(realization, support):
+    counts = np.bitwise_count(realization.masks & support)
     total = 0
     for count in counts.tolist():
         total += count

@@ -13,8 +13,8 @@ def class_probabilities(realization, weights):
     return weights[counts]
 
 
-def gather_columns(masks, support, table):
-    restricted = restrict_masks(masks, support)
+def gather_columns(realization, support, table):
+    restricted = realization.masks & support
     realized = (restricted >> np.uint64(0)) & np.uint64(1)
     return table * realized.astype(np.float64)
 

@@ -6,20 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.accumulate import (
-    _pairs_rows,
-    _zeta_rows,
-    accumulate,
-    accumulate_rows,
-    restrict_masks,
-    side_class_probabilities,
-)
+from repro.core.accumulate import accumulate, distinct_masks, distinct_weights
 from repro.core.arrays import RealizationArray, build_side_array
 from repro.core.assignments import enumerate_assignments
 from repro.exceptions import SolverError
 from repro.graph.builders import fujita_fig4
 from repro.graph.transforms import split_on_cut
 from repro.probability.bitset import mask_from_indices
+from repro.probability.inclusion_exclusion import union_probability_from_intersections
 from tests.reference_arrays import reference_side_masks
 
 
@@ -244,7 +238,6 @@ class TestSingleBuildPath:
             "chain_reliability",
             "compute_reliability-bottleneck",
             "accumulate",
-            "accumulate_rows",
         ],
     )
     def test_no_entry_point_takes_removed_options(self, entry_point, option):
@@ -290,30 +283,9 @@ class TestSingleBuildPath:
                 net, demand=demand, method="bottleneck", **kw
             ),
             "accumulate": lambda **kw: accumulate(array, array, [0], **kw),
-            "accumulate_rows": lambda **kw: accumulate_rows(
-                array.masks,
-                array.masks,
-                array.probabilities[None, :],
-                array.probabilities[None, :],
-                [0],
-                **kw,
-            ),
         }
         with pytest.raises(TypeError, match=option):
             calls[entry_point](**{option: 2})
-
-
-def kernel_value(kernel, source, sink, assignment_indices):
-    """One ACCUMULATION kernel on two arrays' own probabilities."""
-    return float(
-        kernel(
-            source.masks,
-            sink.masks,
-            source.probabilities[None, :],
-            sink.probabilities[None, :],
-            assignment_indices,
-        )[0]
-    )
 
 
 def toy_array(masks, probs, num_assignments):
@@ -325,19 +297,18 @@ def toy_array(masks, probs, num_assignments):
     )
 
 
-class TestRestrictMasks:
-    def test_projection(self):
-        masks = np.array([0b101, 0b011, 0b110], dtype=np.uint64)
-        out = restrict_masks(masks, [0, 2])
-        assert out.tolist() == [0b11, 0b01, 0b10]
+class TestDistinctMasks:
+    def test_grouping(self):
+        masks = np.array([0b101, 0b011, 0b101, 0b000], dtype=np.uint64)
+        distinct, inverse = distinct_masks(masks)
+        assert distinct.tolist() == [0b000, 0b011, 0b101]
+        assert distinct[inverse].tolist() == masks.tolist()
 
-    def test_reordering(self):
-        masks = np.array([0b01], dtype=np.uint64)
-        assert restrict_masks(masks, [1, 0]).tolist() == [0b10]
-
-    def test_empty_selection(self):
-        masks = np.array([0b111], dtype=np.uint64)
-        assert restrict_masks(masks, []).tolist() == [0]
+    def test_weights_sum_per_distinct_mask(self):
+        _, inverse = distinct_masks(np.array([0b1, 0b10, 0b1], dtype=np.uint64))
+        rows = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+        weights = distinct_weights(inverse, rows, 2)
+        assert weights.tolist() == [[0.7, 0.3], [0.9, 0.1]]
 
 
 class TestExample6TableI:
@@ -362,23 +333,19 @@ class TestExample6TableI:
         p_b12 = ps[2] * pt[0]
         return p_b1 + p_b2 - p_b12
 
-    @pytest.mark.parametrize("kernel", [_zeta_rows, _pairs_rows])
-    def test_uniform_weights(self, kernel):
+    def test_uniform_weights(self):
         ps = [0.25] * 4
         pt = [0.25] * 4
         source, sink = self.arrays(ps, pt)
-        value = kernel_value(kernel, source, sink, [0, 1])
+        value = accumulate(source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
-        assert accumulate(source, sink, [0, 1]) == pytest.approx(value)
 
-    @pytest.mark.parametrize("kernel", [_zeta_rows, _pairs_rows])
-    def test_skewed_weights(self, kernel):
+    def test_skewed_weights(self):
         ps = [0.1, 0.2, 0.3, 0.4]
         pt = [0.4, 0.3, 0.2, 0.1]
         source, sink = self.arrays(ps, pt)
-        value = kernel_value(kernel, source, sink, [0, 1])
+        value = accumulate(source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
-        assert accumulate(source, sink, [0, 1]) == pytest.approx(value)
 
     def test_single_assignment_class(self):
         ps = [0.1, 0.2, 0.3, 0.4]
@@ -390,7 +357,7 @@ class TestExample6TableI:
 
 
 class TestAccumulateGeneral:
-    def test_kernels_agree_random(self):
+    def test_matches_inclusion_exclusion_random(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n_s, n_t, q = 8, 8, 4
@@ -398,12 +365,19 @@ class TestAccumulateGeneral:
             ps /= ps.sum()
             pt = rng.random(n_t)
             pt /= pt.sum()
-            source = toy_array(rng.integers(0, 1 << q, n_s), ps, q)
-            sink = toy_array(rng.integers(0, 1 << q, n_t), pt, q)
-            idx = [0, 1, 2, 3]
-            a = kernel_value(_zeta_rows, source, sink, idx)
-            b = kernel_value(_pairs_rows, source, sink, idx)
-            assert a == pytest.approx(b)
+            s_masks = rng.integers(0, 1 << q, n_s)
+            t_masks = rng.integers(0, 1 << q, n_t)
+            source = toy_array(s_masks, ps, q)
+            sink = toy_array(t_masks, pt, q)
+            # p_X = P_s(X) P_t(X), P_side(X) = P(realized set contains X).
+            table = np.array(
+                [
+                    ps[(s_masks & x) == x].sum() * pt[(t_masks & x) == x].sum()
+                    for x in range(1 << q)
+                ]
+            )
+            expected = union_probability_from_intersections(table)
+            assert accumulate(source, sink, [0, 1, 2, 3]) == pytest.approx(expected)
 
     def test_empty_class_is_zero(self):
         source = toy_array([0b1], [1.0], 1)
@@ -441,32 +415,22 @@ class TestAccumulateGeneral:
         with pytest.raises(ValueError):
             accumulate(source, sink, [3])
 
-    def test_side_class_probabilities_sum(self):
-        source = toy_array([0b01, 0b10, 0b11], [0.2, 0.3, 0.5], 2)
-        table = side_class_probabilities(source, [0, 1])
-        assert table.sum() == pytest.approx(1.0)
-        assert table[0b01] == pytest.approx(0.2)
 
-
-class TestBudgetGuards:
-    def test_zeta_refuses_huge_assignment_classes(self):
-        from repro.exceptions import IntractableError
-
-        source = toy_array([0], [1.0], 40)
-        with pytest.raises(IntractableError):
-            side_class_probabilities(source, list(range(25)))
-
-    def test_pairs_kernel_handles_large_classes(self):
-        # the pairs kernel has no 2^q table, so q = 25 is fine
+class TestLargeClasses:
+    def test_large_class_value(self):
+        # no 2^q table is built, so q = 25 is a plain pair sum
         source = toy_array([0b1, 0b10], [0.5, 0.5], 40)
         sink = toy_array([0b1, 0b11], [0.5, 0.5], 40)
-        value = kernel_value(_pairs_rows, source, sink, list(range(25)))
-        assert value == pytest.approx(0.75)
-        assert accumulate(source, sink, list(range(25))) == value
+        assert accumulate(source, sink, list(range(25))) == pytest.approx(0.75)
 
-    def test_large_classes_run_the_pairs_kernel(self):
+    def test_top_assignment_bit(self):
+        top = 1 << 62
+        source = toy_array([top, 0b1], [0.5, 0.5], 63)
+        sink = toy_array([top | 0b10, 0b10], [0.25, 0.75], 63)
+        assert accumulate(source, sink, range(63)) == pytest.approx(0.125)
+        assert accumulate(source, sink, range(62)) == 0.0
+
+    def test_classes_past_twelve_assignments(self):
         source = toy_array([0b1], [1.0], 40)
         sink = toy_array([0b1], [1.0], 40)
-        # must not raise (zeta would): 15 assignments > the 12 cutoff
-        value = accumulate(source, sink, list(range(15)))
-        assert value == pytest.approx(1.0)
+        assert accumulate(source, sink, list(range(15))) == pytest.approx(1.0)

@@ -2,6 +2,7 @@
 the cache-aware side-array builder and the vectorized multi-point
 accumulation (`repro.core.sweep`)."""
 
+import errno
 import os
 
 import numpy as np
@@ -23,8 +24,8 @@ from repro.core.sweep import (
 from repro.exceptions import ReproValueError
 from repro.graph.builders import fujita_fig4
 from repro.graph.transforms import split_on_cut
+from repro.obs.recorder import ARRAY_CACHE_WRITE_ERRORS, record
 from repro.probability.enumeration import configuration_probabilities
-from repro.probability.zeta import superset_zeta, superset_zeta_rows
 
 DEMAND = FlowDemand("s", "t", 2)
 
@@ -258,6 +259,53 @@ class TestCorruptDiskEntries:
         assert not (tmp_path / "k.npy").exists()
 
 
+class TestArrayCacheFaults:
+    """Disk-tier writes that race or fail never fail the computation."""
+
+    def test_two_writers_publish_one_key(self, tmp_path, monkeypatch):
+        # A second cache on the same directory publishes the key while
+        # the first writer is mid-save: both must finish.
+        column = np.arange(16) % 3 == 0
+        first = ArrayCache(tmp_path)
+        second = ArrayCache(tmp_path)
+        save = np.save
+        interleaved = []
+
+        def save_after_rival(handle, array):
+            if not interleaved:
+                interleaved.append(True)
+                second.put("k", column)
+            save(handle, array)
+
+        monkeypatch.setattr(np, "save", save_after_rival)
+        first.put("k", column)
+        monkeypatch.setattr(np, "save", save)
+        assert interleaved
+        assert first.write_errors == 0 and second.write_errors == 0
+        assert not list(tmp_path.glob("*.tmp"))
+        got = ArrayCache(tmp_path).get("k", 16)
+        assert got is not None and np.array_equal(got, column)
+
+    def test_failed_disk_write_serves_from_memory(self, tmp_path, monkeypatch):
+        def full_disk(handle, array):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        net = fujita_fig4(failure_probability=0.1)
+        expected = bottleneck_reliability(net, DEMAND).value
+        monkeypatch.setattr(np, "save", full_disk)
+        cache = ArrayCache(tmp_path)
+        with record() as rec:
+            value = bottleneck_reliability(net, DEMAND, cache=cache).value
+        assert value == expected
+        assert cache.stats()["write_errors"] == cache.stats()["stores"] > 0
+        assert rec.counter_total(ARRAY_CACHE_WRITE_ERRORS) == cache.write_errors
+        assert not list(tmp_path.iterdir())
+        # The columns stay in memory: a second call is fully warm.
+        again = bottleneck_reliability(net, DEMAND, cache=cache)
+        assert again.value == expected
+        assert again.details["array_cache"]["misses"] == 0
+
+
 class TestCachedSideArray:
     def test_no_cache_matches_direct_builder(self):
         _, split = fig4_split()
@@ -334,26 +382,6 @@ class TestProbabilityGrid:
             probability_grid(np.array([[0.1, 1.0]]))
         with pytest.raises(ReproValueError, match=r"\[0, 1\)"):
             probability_grid(np.array([[-0.1, 0.5]]))
-
-
-class TestSupersetZetaRows:
-    def test_matches_scalar_per_row(self):
-        rng = np.random.default_rng(11)
-        values = rng.uniform(size=(6, 8))
-        rows = superset_zeta_rows(values)
-        for s in range(6):
-            assert np.array_equal(rows[s], superset_zeta(values[s]))
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ReproValueError):
-            superset_zeta_rows(np.ones(8))
-        with pytest.raises(ReproValueError):
-            superset_zeta_rows(np.ones((2, 3)))
-
-    def test_inplace(self):
-        values = np.ones((2, 4))
-        out = superset_zeta_rows(values, inplace=True)
-        assert out is values
 
 
 class TestSweepSpec:

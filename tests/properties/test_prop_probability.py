@@ -20,12 +20,6 @@ from repro.probability.inclusion_exclusion import (
     union_probability,
     union_probability_from_intersections,
 )
-from repro.probability.zeta import (
-    subset_moebius,
-    subset_zeta,
-    superset_moebius,
-    superset_zeta,
-)
 
 from tests.conftest import probability_vectors
 
@@ -78,29 +72,6 @@ class TestEnumerationProperties:
         for i in range(m):
             alive_mass = sum(table[c] for c in range(1 << m) if (c >> i) & 1)
             assert alive_mass == pytest.approx(1.0 - probs[i], abs=1e-9)
-
-
-class TestZetaProperties:
-    @given(st.integers(0, 5), st.integers(0, 2**31 - 1))
-    def test_moebius_inverts_zeta(self, n, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=1 << n)
-        assert np.allclose(subset_moebius(subset_zeta(values)), values)
-        assert np.allclose(superset_moebius(superset_zeta(values)), values)
-
-    @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
-    def test_zeta_is_linear(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=1 << n)
-        b = rng.normal(size=1 << n)
-        assert np.allclose(subset_zeta(a + b), subset_zeta(a) + subset_zeta(b))
-
-    @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
-    def test_total_mass_preserved_at_extremes(self, n, seed):
-        rng = np.random.default_rng(seed)
-        values = rng.random(1 << n)
-        assert subset_zeta(values)[(1 << n) - 1] == pytest.approx(values.sum())
-        assert superset_zeta(values)[0] == pytest.approx(values.sum())
 
 
 class TestInclusionExclusionProperties:
