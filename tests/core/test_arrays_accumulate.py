@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.accumulate import accumulate, distinct_masks, distinct_weights
+from repro.core.accumulate import (
+    accumulate,
+    distinct_masks,
+    distinct_weights,
+    joint_rows,
+)
 from repro.core.arrays import RealizationArray, build_side_array
 from repro.core.assignments import enumerate_assignments
 from repro.exceptions import SolverError
@@ -238,6 +243,9 @@ class TestSingleBuildPath:
             "chain_reliability",
             "compute_reliability-bottleneck",
             "accumulate",
+            "split_reliability",
+            "distinct_weights",
+            "joint_rows",
         ],
     )
     def test_no_entry_point_takes_removed_options(self, entry_point, option):
@@ -250,6 +258,7 @@ class TestSingleBuildPath:
             cached_side_array,
             compute_reliability_sweep,
             evaluate_batch,
+            split_reliability,
         )
 
         net, split = fig4_split()
@@ -283,6 +292,25 @@ class TestSingleBuildPath:
                 net, demand=demand, method="bottleneck", **kw
             ),
             "accumulate": lambda **kw: accumulate(array, array, [0], **kw),
+            "split_reliability": lambda **kw: split_reliability(
+                net,
+                demand,
+                split,
+                np.full((1, net.num_links), 0.1),
+                cache=None,
+                **kw,
+            ),
+            "distinct_weights": lambda **kw: distinct_weights(
+                np.zeros(1, dtype=np.intp), np.ones((1, 1)), 1, **kw
+            ),
+            "joint_rows": lambda **kw: joint_rows(
+                array.masks,
+                np.ones((1, 1)),
+                array.masks,
+                np.ones((1, 1)),
+                0b1,
+                **kw,
+            ),
         }
         with pytest.raises(TypeError, match=option):
             calls[entry_point](**{option: 2})
@@ -309,6 +337,128 @@ class TestDistinctMasks:
         rows = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
         weights = distinct_weights(inverse, rows, 2)
         assert weights.tolist() == [[0.7, 0.3], [0.9, 0.1]]
+
+    @pytest.mark.parametrize(
+        "top", [0b111, 1 << 40], ids=["lookup-table", "sorted-unique"]
+    )
+    def test_both_paths_match_numpy_unique(self, top):
+        # Masks below the array length take the lookup table; a larger
+        # mask takes np.unique's sort.  Both give np.unique's pair.
+        rng = np.random.default_rng(3)
+        masks = rng.integers(0, 8, 64).astype(np.uint64)
+        masks[5] = top
+        distinct, inverse = distinct_masks(masks)
+        expected, expected_inverse = np.unique(masks, return_inverse=True)
+        assert distinct.dtype == np.uint64
+        assert np.array_equal(distinct, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
+    def test_empty_side(self):
+        distinct, inverse = distinct_masks(np.zeros(0, dtype=np.uint64))
+        assert len(distinct) == 0 and len(inverse) == 0
+
+    def test_single_configuration(self):
+        distinct, inverse = distinct_masks(np.array([1 << 62], dtype=np.uint64))
+        assert distinct.tolist() == [1 << 62]
+        assert inverse.tolist() == [0]
+
+    def test_unrealized_masks_get_zero_weight_rows(self):
+        # A row with zero probability on a configuration still lists its
+        # mask; the weight is exactly zero, not dropped.
+        _, inverse = distinct_masks(np.array([0b1, 0b10], dtype=np.uint64))
+        weights = distinct_weights(inverse, np.array([[1.0, 0.0]]), 2)
+        assert weights.tolist() == [[1.0, 0.0]]
+
+
+def _pair_sum(s_masks, ps, t_masks, pt, within):
+    """Brute-force Eq. 3 over configuration pairs."""
+    return sum(
+        ps[i] * pt[j]
+        for i in range(len(s_masks))
+        for j in range(len(t_masks))
+        if int(s_masks[i]) & int(t_masks[j]) & within
+    )
+
+
+def _joint(s_masks, s_rows, t_masks, t_rows, within):
+    ms, inverse_s = distinct_masks(np.asarray(s_masks, dtype=np.uint64))
+    mt, inverse_t = distinct_masks(np.asarray(t_masks, dtype=np.uint64))
+    return joint_rows(
+        ms,
+        distinct_weights(inverse_s, np.atleast_2d(s_rows), len(ms)),
+        mt,
+        distinct_weights(inverse_t, np.atleast_2d(t_rows), len(mt)),
+        within,
+    )
+
+
+def _random_side(rng, configurations, q, rows=1):
+    masks = rng.integers(0, 1 << q, configurations, dtype=np.uint64)
+    table = rng.random((rows, configurations))
+    return masks, table / table.sum(axis=1, keepdims=True)
+
+
+class TestJointRows:
+    @pytest.mark.parametrize("q", [1, 2, 3, 5, 8, 63])
+    def test_matches_bruteforce_pair_sum(self, q):
+        rng = np.random.default_rng(q)
+        s_masks, s_rows = _random_side(rng, 12, q, rows=3)
+        t_masks, t_rows = _random_side(rng, 10, q, rows=3)
+        within = (1 << q) - 1
+        got = _joint(s_masks, s_rows, t_masks, t_rows, within)
+        for s in range(3):
+            expected = _pair_sum(s_masks, s_rows[s], t_masks, t_rows[s], within)
+            assert got[s] == pytest.approx(expected, abs=1e-15)
+
+    def test_empty_class_is_zero(self):
+        rng = np.random.default_rng(1)
+        s_masks, s_rows = _random_side(rng, 8, 4, rows=2)
+        t_masks, t_rows = _random_side(rng, 8, 4, rows=2)
+        assert _joint(s_masks, s_rows, t_masks, t_rows, 0).tolist() == [0.0, 0.0]
+
+    def test_disjoint_sides_are_zero(self):
+        # The source only ever realizes b1, the sink only b2.
+        got = _joint([0b01, 0b00], [0.6, 0.4], [0b10, 0b00], [0.7, 0.3], 0b11)
+        assert got.tolist() == [0.0]
+
+    def test_always_realized_class_is_total_mass(self):
+        # Every configuration of both sides realizes b1: r = 1 per row.
+        rng = np.random.default_rng(2)
+        s_masks, s_rows = _random_side(rng, 9, 3, rows=4)
+        t_masks, t_rows = _random_side(rng, 7, 3, rows=4)
+        got = _joint(s_masks | np.uint64(1), s_rows, t_masks | np.uint64(1), t_rows, 0b1)
+        assert got == pytest.approx(np.ones(4), abs=1e-15)
+
+    def test_bits_outside_the_class_are_ignored(self):
+        rng = np.random.default_rng(4)
+        s_masks, s_rows = _random_side(rng, 10, 3, rows=2)
+        t_masks, t_rows = _random_side(rng, 10, 3, rows=2)
+        noise = np.uint64(0b111000)
+        within = 0b101
+        plain = _joint(s_masks, s_rows, t_masks, t_rows, within)
+        noisy = _joint(s_masks | noise, s_rows, t_masks | noise, t_rows, within)
+        assert noisy == pytest.approx(plain, abs=1e-15)
+
+    def test_monotone_and_subadditive_in_the_class(self):
+        # Eq. 3 is the probability of a union over the class's
+        # assignments: it grows with the class and obeys the union bound.
+        rng = np.random.default_rng(5)
+        s_masks, s_rows = _random_side(rng, 16, 4, rows=3)
+        t_masks, t_rows = _random_side(rng, 16, 4, rows=3)
+        low = _joint(s_masks, s_rows, t_masks, t_rows, 0b0011)
+        high = _joint(s_masks, s_rows, t_masks, t_rows, 0b1100)
+        both = _joint(s_masks, s_rows, t_masks, t_rows, 0b1111)
+        assert np.all(both >= np.maximum(low, high) - 1e-15)
+        assert np.all(both <= low + high + 1e-15)
+
+    def test_a_row_alone_equals_the_row_in_a_batch(self):
+        rng = np.random.default_rng(6)
+        s_masks, s_rows = _random_side(rng, 32, 5, rows=5)
+        t_masks, t_rows = _random_side(rng, 32, 5, rows=5)
+        batch = _joint(s_masks, s_rows, t_masks, t_rows, 0b10110)
+        for s in range(5):
+            alone = _joint(s_masks, s_rows[s], t_masks, t_rows[s], 0b10110)
+            assert alone[0] == batch[s]
 
 
 class TestExample6TableI:
@@ -346,6 +496,29 @@ class TestExample6TableI:
         source, sink = self.arrays(ps, pt)
         value = accumulate(source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
+
+    def test_two_points_in_one_batch(self):
+        # Uniform and skewed weights as two rows of one kernel call.
+        rows_s = np.array([[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
+        rows_t = np.array([[0.25] * 4, [0.4, 0.3, 0.2, 0.1]])
+        got = _joint(self.S_MASKS, rows_s, self.T_MASKS, rows_t, 0b11)
+        for s in range(2):
+            assert got[s] == pytest.approx(self.expected(rows_s[s], rows_t[s]))
+
+    @pytest.mark.parametrize(
+        "indices, p_class",
+        [
+            ([0], lambda ps, pt: (ps[0] + ps[2]) * (pt[0] + pt[2])),
+            ([1], lambda ps, pt: (ps[1] + ps[2] + ps[3]) * (pt[0] + pt[1])),
+            ([1, 0], lambda ps, pt: TestExample6TableI().expected(ps, pt)),
+        ],
+        ids=["b1", "b2", "b2-b1"],
+    )
+    def test_every_class_of_table_i(self, indices, p_class):
+        ps = [0.1, 0.2, 0.3, 0.4]
+        pt = [0.4, 0.3, 0.2, 0.1]
+        source, sink = self.arrays(ps, pt)
+        assert accumulate(source, sink, indices) == pytest.approx(p_class(ps, pt))
 
     def test_single_assignment_class(self):
         ps = [0.1, 0.2, 0.3, 0.4]

@@ -1,11 +1,13 @@
 """Unit tests for the chain-decomposition extension."""
 
+import numpy as np
 import pytest
 
 from repro.core import certificate
 from repro.core.arrays import build_segment_relation
 from repro.core.bottleneck import bottleneck_reliability
-from repro.core.chain import analyze_chain, chain_reliability
+from repro.core.assignments import enumerate_assignments, support_mask
+from repro.core.chain import _cross_cut, analyze_chain, chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.exceptions import DecompositionError, SolverError
@@ -187,3 +189,45 @@ class TestSegmentRelation:
         segment, request = self._request()
         with pytest.raises(SolverError, match="not inside this side"):
             build_segment_relation(segment, **{**request, "out_ports": ("nowhere", "o1_1")})
+
+
+class TestCrossCut:
+    """The per-pattern bincount mixes the subset distribution exactly as
+    the per-state redistribution ``new[R & allowed] += dist[R] · p``."""
+
+    @staticmethod
+    def _reference(dist, patterns, assignments):
+        supports = [support_mask(a) for a in assignments]
+        new = np.zeros_like(dist)
+        for pattern, p in enumerate(patterns):
+            allowed = sum(
+                1 << j for j, support in enumerate(supports) if support & ~pattern == 0
+            )
+            for state, value in enumerate(dist):
+                new[state & allowed] += value * p
+        return new
+
+    @staticmethod
+    def _inputs(seed, capacities, demand):
+        rng = np.random.default_rng(seed)
+        assignments = enumerate_assignments(capacities, demand)
+        dist = rng.random(1 << len(assignments))
+        dist[rng.random(len(dist)) < 0.3] = 0.0
+        dist /= dist.sum()
+        patterns = rng.random(1 << len(capacities))
+        patterns[0] = 0.0
+        return dist, patterns / patterns.sum(), assignments
+
+    @pytest.mark.parametrize(
+        "seed, capacities, demand",
+        [(0, [1, 1], 1), (1, [2, 2], 2), (2, [2, 1, 1], 2), (3, [3, 2, 2], 3)],
+    )
+    def test_matches_per_state_redistribution(self, seed, capacities, demand):
+        dist, patterns, assignments = self._inputs(seed, capacities, demand)
+        got = _cross_cut(dist, patterns, assignments)
+        expected = self._reference(dist, patterns, assignments)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_mass_is_conserved(self):
+        dist, patterns, assignments = self._inputs(5, [2, 2, 1], 2)
+        assert _cross_cut(dist, patterns, assignments).sum() == pytest.approx(1.0)

@@ -306,6 +306,57 @@ class TestArrayCacheFaults:
         assert again.details["array_cache"]["misses"] == 0
 
 
+    def test_put_leaves_only_the_column_file(self, tmp_path):
+        ArrayCache(tmp_path).put("k", np.arange(16) % 2 == 0)
+        assert [path.name for path in tmp_path.iterdir()] == ["k.npy"]
+
+    def test_partial_write_leaves_no_column(self, tmp_path, monkeypatch):
+        # The disk fills after a few bytes: neither a temp file nor a
+        # truncated column is left for a later reader.
+        def partial_then_full(handle, array):
+            handle.write(b"\x93NUMPY")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        column = np.arange(16) % 3 == 0
+        monkeypatch.setattr(np, "save", partial_then_full)
+        cache = ArrayCache(tmp_path)
+        cache.put("k", column)
+        assert cache.write_errors == 1
+        assert np.array_equal(cache.get("k", 16), column)
+        assert not list(tmp_path.iterdir())
+        assert ArrayCache(tmp_path).get("k", 16) is None
+
+    def test_write_after_a_failure_publishes(self, tmp_path, monkeypatch):
+        save = np.save
+        failures = []
+
+        def fail_once(handle, array):
+            if not failures:
+                failures.append(True)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            save(handle, array)
+
+        monkeypatch.setattr(np, "save", fail_once)
+        cache = ArrayCache(tmp_path)
+        cache.put("a", np.ones(16, dtype=bool))
+        cache.put("b", np.zeros(16, dtype=bool))
+        assert cache.write_errors == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["b.npy"]
+        # Another cache on the directory publishes the failed key later.
+        ArrayCache(tmp_path).put("a", np.ones(16, dtype=bool))
+        assert ArrayCache(tmp_path).get("a", 16).all()
+
+    def test_memory_only_cache_counts_no_write_errors(self, monkeypatch):
+        def full_disk(handle, array):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(np, "save", full_disk)
+        cache = ArrayCache()
+        cache.put("k", np.ones(16, dtype=bool))
+        assert cache.stats()["write_errors"] == 0
+        assert cache.get("k", 16).all()
+
+
 class TestCachedSideArray:
     def test_no_cache_matches_direct_builder(self):
         _, split = fig4_split()
