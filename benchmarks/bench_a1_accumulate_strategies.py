@@ -9,13 +9,21 @@ links; sweep-warm: 12 + 12; k = 2 bottleneck links, d = 2), for every
 class the survival patterns support, and asserts equal values.  "pair
 sum" is the per-class step on sides grouped once (what the pipeline
 pays per class); "accumulate" is the one-shot public call, grouping
-included.  The zeta and pairs kernels this ablation used to compare
-are gone; their last timings are kept in docs/PERFORMANCE.md."""
+included.  A second table times the corner cases on synthetic arrays:
+the inputs the retired zeta / pairs ablation used, a small class on a
+side with many distinct full masks, and chain's closing pair sum at
+the chain's 16-assignment limit.  The zeta and pairs kernels are gone;
+their last timings sit beside these in docs/PERFORMANCE.md.
+
+Run with ``python -m pytest benchmarks/bench_a1_accumulate_strategies.py
+--benchmark-only`` from the repo root (the oracle is imported from
+``tests``)."""
 
 import numpy as np
 import pytest
 
 from repro.bench.harness import time_call
+from repro.core import RealizationArray
 from repro.core.accumulate import (
     accumulate,
     distinct_masks,
@@ -26,7 +34,7 @@ from repro.core.arrays import build_side_array
 from repro.core.assignments import classify_by_support, enumerate_assignments
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network
-from repro.probability.inclusion_exclusion import union_probability_from_intersections
+from tests.reference_accumulate import inclusion_exclusion as reference_inclusion_exclusion
 
 #: (suite workload, side links per side)
 SHAPES = [("exact-cold", 14), ("sweep-warm", 12)]
@@ -65,16 +73,10 @@ def side_arrays(side_links: int, seed: int = 0):
 
 
 def inclusion_exclusion(source, sink, indices) -> float:
-    """The paper's signed sum, ``p_X = P_s(X) · P_t(X)`` for every ``X``."""
-    table = np.zeros(1 << len(indices))
-    for local in range(1, len(table)):
-        subset = np.uint64(
-            sum(1 << j for i, j in enumerate(indices) if (local >> i) & 1)
-        )
-        p_s = source.probabilities[(source.masks & subset) == subset].sum()
-        p_t = sink.probabilities[(sink.masks & subset) == subset].sum()
-        table[local] = p_s * p_t
-    return union_probability_from_intersections(table)
+    """The paper's signed sum on two side arrays."""
+    return reference_inclusion_exclusion(
+        source.masks, source.probabilities, sink.masks, sink.probabilities, indices
+    )
 
 
 def _grouped(array):
@@ -120,6 +122,90 @@ def test_a1_kernel_table(benchmark, show):
         ],
         rows,
         title="A1: Eq. 3 pair sum vs inclusion-exclusion (equal values)",
+    )
+
+
+#: (case, |D|, side bits, distinct full masks a side, class size)
+SYNTHETIC = [
+    ("small |D|, many masks", 4, 10, 12, 4),
+    ("large |D|, few masks", 14, 10, 6, 14),
+    ("large |D|, many masks", 14, 10, 200, 14),
+    ("large |D|, many masks, class of 2", 20, 14, 4000, 2),
+]
+
+#: Distinct sink masks of the synthetic chain closings (q = 16).
+CLOSING_SINK_MASKS = [50, 1000, 8000]
+
+
+def synthetic_array(num_assignments, side_bits, seed, distinct):
+    """A side array with a controlled number of distinct realized masks."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 1 << num_assignments, size=distinct, dtype=np.uint64)
+    masks = pool[rng.integers(0, distinct, size=1 << side_bits)]
+    probabilities = rng.random(1 << side_bits)
+    probabilities /= probabilities.sum()
+    return RealizationArray(masks, probabilities, num_assignments, 0)
+
+
+def chain_closing(dist, sink):
+    """Chain's closing step: ``Σ_R dist[R] · P(sink meets R)``."""
+    states = np.flatnonzero(dist)
+    mt, inverse = distinct_masks(sink.masks)
+    return joint_rows(
+        states.astype(np.uint64),
+        dist[states][None, :],
+        mt,
+        distinct_weights(inverse, sink.probabilities[None, :], len(mt)),
+        (1 << sink.num_assignments) - 1,
+    )[0]
+
+
+def closing_by_misses(dist, sink):
+    """The same sum through ``1 − P(sink misses R)``, one sink mask at a time."""
+    states = np.flatnonzero(dist).astype(np.uint64)
+    mt, inverse = distinct_masks(sink.masks)
+    weights = np.bincount(inverse, weights=sink.probabilities, minlength=len(mt))
+    miss = np.zeros(len(states))
+    for mask, weight in zip(mt, weights):
+        miss += weight * ((states & mask) == 0)
+    return float(dist[states.astype(np.intp)] @ (1.0 - miss))
+
+
+def _corner_rows():
+    rows = []
+    for name, q, bits, distinct, size in SYNTHETIC:
+        source = synthetic_array(q, bits, 1, distinct)
+        sink = synthetic_array(q, bits, 2, distinct)
+        indices = list(range(size))
+        one_call = time_call(accumulate, source, sink, indices)
+        oracle = time_call(inclusion_exclusion, source, sink, indices, repeats=1)
+        assert one_call.value == pytest.approx(oracle.value, abs=1e-12)
+        rows.append(
+            [name, q, size, distinct, f"{one_call.seconds * 1e3:.3f}",
+             f"{oracle.seconds * 1e3:.1f}"]
+        )
+    q = 16
+    dist = np.random.default_rng(3).random(1 << q)
+    dist /= dist.sum()
+    for distinct in CLOSING_SINK_MASKS:
+        sink = synthetic_array(q, 14, 4, distinct)
+        closing = time_call(chain_closing, dist, sink)
+        reference = time_call(closing_by_misses, dist, sink, repeats=1)
+        assert closing.value == pytest.approx(reference.value, abs=1e-12)
+        rows.append(
+            [f"chain closing, {1 << q} states", q, q, distinct,
+             f"{closing.seconds * 1e3:.3f}", f"{reference.seconds * 1e3:.1f}"]
+        )
+    return rows
+
+
+def test_a1_corner_cases(benchmark, show):
+    rows = benchmark.pedantic(_corner_rows, rounds=1, iterations=1)
+    show(
+        ["case", "|D|", "class", "distinct masks a side", "accumulate ms",
+         "oracle ms"],
+        rows,
+        title="A1: Eq. 3 corner cases on synthetic arrays (equal values)",
     )
 
 

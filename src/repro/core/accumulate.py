@@ -38,8 +38,9 @@ chain's closing segment and :func:`accumulate`:
     ``np.bincount`` per row, independent of every other row.
 :func:`joint_rows`
     ``r[s]`` for one class (``within``) from both sides' distinct masks
-    and weights; one ``ws[s] @ hit @ wt[s]`` per row over a hit matrix
-    built once per call, so a row's value does not depend on which
+    and weights, regrouped by the class's bits; one ``ws[s] @ hit @
+    wt[s]`` per row over a hit matrix built once per call (in blocks
+    under a fixed entry cap), so a row's value does not depend on which
     batch it rides in.
 """
 
@@ -55,24 +56,16 @@ from repro.probability.bitset import mask_from_indices
 
 __all__ = ["accumulate", "distinct_masks", "distinct_weights", "joint_rows"]
 
+#: Largest hit matrix :func:`joint_rows` holds at once (entries).
+_HIT_ENTRIES = 1 << 18
+
 
 def distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct uint64 masks of one side (ascending) and each entry's
-    index into them.
-
-    When every mask is below the array length (few assignments, the
-    common case) a lookup table replaces ``np.unique``'s sort; both give
-    the same pair.
-    """
-    words = np.asarray(masks, dtype=np.uint64).reshape(-1)
-    top = int(words.max()) if words.size else 0
-    if top < len(words):
-        index = words.astype(np.intp)
-        distinct = np.flatnonzero(np.bincount(index, minlength=top + 1))
-        lookup = np.empty(top + 1, dtype=np.intp)
-        lookup[distinct] = np.arange(len(distinct))
-        return distinct.astype(np.uint64), lookup[index]
-    distinct, inverse = np.unique(words, return_inverse=True)
+    index into them."""
+    distinct, inverse = np.unique(
+        np.asarray(masks, dtype=np.uint64), return_inverse=True
+    )
     return distinct, inverse.reshape(-1)
 
 
@@ -90,6 +83,23 @@ def distinct_weights(
     return weights
 
 
+def _restrict(
+    masks: np.ndarray, weights: np.ndarray, within: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Regroup distinct masks by their part inside ``within``.
+
+    Returns the distinct restricted masks and the ``(rows, size)``
+    weights folded onto them: one weighted ``np.bincount`` whose bins
+    are disjoint per row and filled in mask order, so a row's folded
+    weights do not depend on the other rows.
+    """
+    restricted, inverse = np.unique(masks & np.uint64(within), return_inverse=True)
+    rows, size = weights.shape[0], len(restricted)
+    bins = np.arange(rows)[:, None] * size + inverse.reshape(-1)
+    folded = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rows * size)
+    return restricted, folded.reshape(rows, size)
+
+
 def joint_rows(
     source_masks: np.ndarray,
     source_weights: np.ndarray,
@@ -97,12 +107,24 @@ def joint_rows(
     sink_weights: np.ndarray,
     within: int,
 ) -> np.ndarray:
-    """``r[s] = Σ_ij ws[s,i] · wt[s,j] · [ms_i & mt_j & within ≠ 0]``."""
-    restricted = source_masks & np.uint64(within)
-    hit = ((restricted[:, None] & sink_masks[None, :]) != 0).astype(np.float64)
-    out = np.empty(source_weights.shape[0], dtype=np.float64)
-    for s in range(len(out)):
-        out[s] = float(source_weights[s] @ hit @ sink_weights[s])
+    """``r[s] = Σ_ij ws[s,i] · wt[s,j] · [ms_i & mt_j & within ≠ 0]``.
+
+    Both sides are first regrouped by their masks' part inside the
+    class (:func:`_restrict`), so a small class costs at most
+    ``2^|class|`` masks a side however many full masks there are.  The
+    hit matrix is then built in blocks of source masks of at most
+    :data:`_HIT_ENTRIES` entries; the blocks depend only on the masks,
+    never on the rows, so a row's value is the same in any batch.
+    """
+    ms, ws = _restrict(source_masks, source_weights, within)
+    mt, wt = _restrict(sink_masks, sink_weights, within)
+    out = np.zeros(ws.shape[0], dtype=np.float64)
+    block = max(1, _HIT_ENTRIES // len(mt))
+    for start in range(0, len(ms), block):
+        stop = start + block
+        hit = ((ms[start:stop, None] & mt[None, :]) != 0).astype(np.float64)
+        for s in range(len(out)):
+            out[s] += float(ws[s, start:stop] @ hit @ wt[s])
     return out
 
 

@@ -46,10 +46,11 @@ This module holds:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
+import uuid
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -313,7 +314,8 @@ class ArrayCache:
         ``np.unpackbits`` zero-pads a short buffer, so a truncated file
         would read as "never realized".  Anything but a 1-D ``uint8``
         array of ``ceil(num_configurations / 8)`` bytes is unlinked and
-        dropped from the LRU accounting.
+        dropped from the LRU accounting; a file this writer may not
+        remove (another user's, in a sticky directory) is left in place.
         """
         path = self._path(key)
         if not path.is_file():
@@ -325,7 +327,8 @@ class ArrayCache:
         if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8 or (
             packed.shape != (-(-num_configurations // 8),)
         ):
-            path.unlink(missing_ok=True)
+            with contextlib.suppress(OSError):
+                path.unlink(missing_ok=True)
             self._total_bytes -= self._sizes.pop(key, 0)
             return None
         packed.setflags(write=False)
@@ -377,19 +380,19 @@ class ArrayCache:
         """Write one column file through this writer's own temp file.
 
         The temp name is unique per write, so caches sharing a directory
-        never rename each other's half-written file.  A failed write
-        (a full disk, say) removes its temp file and is counted; the
-        column stays served from memory.
+        never rename each other's half-written file; it is created by a
+        plain ``open``, so the published file gets the usual umask mode
+        and other users sharing the directory can read it.  A failed
+        write (a full disk, say) removes its temp file and is counted;
+        the column stays served from memory.
         """
-        tmp: str | None = None
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
         try:
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
+            with open(tmp, "xb") as handle:
                 np.save(handle, packed)
             os.replace(tmp, path)
         except OSError:
-            if tmp is not None:
-                Path(tmp).unlink(missing_ok=True)
+            tmp.unlink(missing_ok=True)
             self.write_errors += 1
             count(ARRAY_CACHE_WRITE_ERRORS, 1)
 

@@ -2,6 +2,8 @@
 including Example 2 (array semantics), Example 6 / Table I (the worked
 accumulation) and the Fig. 5 configurations."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from repro.exceptions import SolverError
 from repro.graph.builders import fujita_fig4
 from repro.graph.transforms import split_on_cut
 from repro.probability.bitset import mask_from_indices
-from repro.probability.inclusion_exclusion import union_probability_from_intersections
+from tests.reference_accumulate import inclusion_exclusion
 from tests.reference_arrays import reference_side_masks
 
 
@@ -243,9 +245,6 @@ class TestSingleBuildPath:
             "chain_reliability",
             "compute_reliability-bottleneck",
             "accumulate",
-            "split_reliability",
-            "distinct_weights",
-            "joint_rows",
         ],
     )
     def test_no_entry_point_takes_removed_options(self, entry_point, option):
@@ -258,7 +257,6 @@ class TestSingleBuildPath:
             cached_side_array,
             compute_reliability_sweep,
             evaluate_batch,
-            split_reliability,
         )
 
         net, split = fig4_split()
@@ -292,25 +290,6 @@ class TestSingleBuildPath:
                 net, demand=demand, method="bottleneck", **kw
             ),
             "accumulate": lambda **kw: accumulate(array, array, [0], **kw),
-            "split_reliability": lambda **kw: split_reliability(
-                net,
-                demand,
-                split,
-                np.full((1, net.num_links), 0.1),
-                cache=None,
-                **kw,
-            ),
-            "distinct_weights": lambda **kw: distinct_weights(
-                np.zeros(1, dtype=np.intp), np.ones((1, 1)), 1, **kw
-            ),
-            "joint_rows": lambda **kw: joint_rows(
-                array.masks,
-                np.ones((1, 1)),
-                array.masks,
-                np.ones((1, 1)),
-                0b1,
-                **kw,
-            ),
         }
         with pytest.raises(TypeError, match=option):
             calls[entry_point](**{option: 2})
@@ -338,20 +317,14 @@ class TestDistinctMasks:
         weights = distinct_weights(inverse, rows, 2)
         assert weights.tolist() == [[0.7, 0.3], [0.9, 0.1]]
 
-    @pytest.mark.parametrize(
-        "top", [0b111, 1 << 40], ids=["lookup-table", "sorted-unique"]
-    )
-    def test_both_paths_match_numpy_unique(self, top):
-        # Masks below the array length take the lookup table; a larger
-        # mask takes np.unique's sort.  Both give np.unique's pair.
+    def test_inverse_rebuilds_the_masks(self):
         rng = np.random.default_rng(3)
         masks = rng.integers(0, 8, 64).astype(np.uint64)
-        masks[5] = top
+        masks[5] = 1 << 40
         distinct, inverse = distinct_masks(masks)
-        expected, expected_inverse = np.unique(masks, return_inverse=True)
         assert distinct.dtype == np.uint64
-        assert np.array_equal(distinct, expected)
-        assert np.array_equal(inverse, expected_inverse.reshape(-1))
+        assert distinct.tolist() == sorted(set(masks.tolist()))
+        assert np.array_equal(distinct[inverse], masks)
 
     def test_empty_side(self):
         distinct, inverse = distinct_masks(np.zeros(0, dtype=np.uint64))
@@ -460,6 +433,34 @@ class TestJointRows:
             alone = _joint(s_masks, s_rows[s], t_masks, t_rows[s], 0b10110)
             assert alone[0] == batch[s]
 
+    def test_blocked_hit_matrix(self, monkeypatch):
+        # A cap of 8 entries splits the hit matrix into many blocks; the
+        # value stays the pair sum and a row stays batch-independent.
+        rng = np.random.default_rng(7)
+        s_masks, s_rows = _random_side(rng, 40, 6, rows=3)
+        t_masks, t_rows = _random_side(rng, 40, 6, rows=3)
+        whole = _joint(s_masks, s_rows, t_masks, t_rows, 0b111111)
+        # The package re-exports the function under the module's name.
+        monkeypatch.setattr(sys.modules["repro.core.accumulate"], "_HIT_ENTRIES", 8)
+        batch = _joint(s_masks, s_rows, t_masks, t_rows, 0b111111)
+        assert batch == pytest.approx(whole, abs=1e-15)
+        for s in range(3):
+            alone = _joint(s_masks, s_rows[s], t_masks, t_rows[s], 0b111111)
+            assert alone[0] == batch[s]
+
+    def test_small_class_over_many_full_masks(self):
+        # 400 distinct full masks a side, a class of two assignments:
+        # the sides regroup onto at most four masks each.
+        rng = np.random.default_rng(8)
+        s_masks, s_rows = _random_side(rng, 400, 40, rows=2)
+        t_masks, t_rows = _random_side(rng, 400, 40, rows=2)
+        got = _joint(s_masks, s_rows, t_masks, t_rows, 0b11 << 20)
+        for s in range(2):
+            expected = inclusion_exclusion(
+                s_masks, s_rows[s], t_masks, t_rows[s], [20, 21]
+            )
+            assert got[s] == pytest.approx(expected, abs=1e-15)
+
 
 class TestExample6TableI:
     """Paper Example 6 / Table I, with symbolic configuration weights.
@@ -542,14 +543,7 @@ class TestAccumulateGeneral:
             t_masks = rng.integers(0, 1 << q, n_t)
             source = toy_array(s_masks, ps, q)
             sink = toy_array(t_masks, pt, q)
-            # p_X = P_s(X) P_t(X), P_side(X) = P(realized set contains X).
-            table = np.array(
-                [
-                    ps[(s_masks & x) == x].sum() * pt[(t_masks & x) == x].sum()
-                    for x in range(1 << q)
-                ]
-            )
-            expected = union_probability_from_intersections(table)
+            expected = inclusion_exclusion(s_masks, ps, t_masks, pt, range(q))
             assert accumulate(source, sink, [0, 1, 2, 3]) == pytest.approx(expected)
 
     def test_empty_class_is_zero(self):

@@ -4,6 +4,7 @@ accumulation (`repro.core.sweep`)."""
 
 import errno
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,10 +306,18 @@ class TestArrayCacheFaults:
         assert again.value == expected
         assert again.details["array_cache"]["misses"] == 0
 
-
     def test_put_leaves_only_the_column_file(self, tmp_path):
         ArrayCache(tmp_path).put("k", np.arange(16) % 2 == 0)
         assert [path.name for path in tmp_path.iterdir()] == ["k.npy"]
+
+    def test_published_column_has_the_plain_open_mode(self, tmp_path):
+        # Other users sharing the directory must be able to read the
+        # column, exactly as if it had been written by a plain open().
+        columns, plain = tmp_path / "columns", tmp_path / "plain"
+        ArrayCache(columns).put("k", np.arange(16) % 2 == 0)
+        with open(plain, "wb"):
+            pass
+        assert (columns / "k.npy").stat().st_mode == plain.stat().st_mode
 
     def test_partial_write_leaves_no_column(self, tmp_path, monkeypatch):
         # The disk fills after a few bytes: neither a temp file nor a
@@ -345,6 +354,22 @@ class TestArrayCacheFaults:
         # Another cache on the directory publishes the failed key later.
         ArrayCache(tmp_path).put("a", np.ones(16, dtype=bool))
         assert ArrayCache(tmp_path).get("a", 16).all()
+
+    def test_damaged_entry_this_writer_cannot_remove_is_a_miss(
+        self, tmp_path, monkeypatch
+    ):
+        # Another user's damaged column in a sticky directory: the
+        # unlink is refused, the lookup is still a plain miss.
+        (tmp_path / "k.npy").write_bytes(b"garbage")
+
+        def refuse(self, missing_ok=False):
+            raise PermissionError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        cache = ArrayCache(tmp_path)
+        assert cache.get("k", 16) is None
+        cache.put("k", np.ones(16, dtype=bool))
+        assert cache.get("k", 16).all()
 
     def test_memory_only_cache_counts_no_write_errors(self, monkeypatch):
         def full_disk(handle, array):
