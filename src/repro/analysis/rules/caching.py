@@ -1,12 +1,12 @@
-"""RR110 — realization arrays must not be rebuilt inside loops.
+"""RR110 — realization arrays and side covers must not be rebuilt inside loops.
 
-The §III-C realization arrays are purely combinatorial: the bits depend
+The §III-C realization masks are purely combinatorial: the bits depend
 on side topology, capacities, ports and the assignment set — never on
-failure probabilities.  A ``build_side_array`` call inside a loop (the
-rebuild-per-sweep-point anti-pattern) therefore repeats the
-``|D| * 2^{m_side}`` entries whose answers cannot change.
+failure probabilities.  A ``build_side_array`` or ``build_side_cover``
+call inside a loop (the rebuild-per-sweep-point anti-pattern) therefore
+repeats work whose answers cannot change.
 Inside :mod:`repro.core`, repeated builds must go through the
-content-addressed cache (:func:`repro.core.sweep.cached_side_array` with
+content-addressed cache (:func:`repro.core.sweep.cached_side_cover` with
 an :class:`~repro.core.sweep.ArrayCache`) — or carry a
 ``# repro: noqa[RR110] <why>`` justifying why the rebuild is real work
 (e.g. the topology or assignment set genuinely changes per iteration).
@@ -28,8 +28,8 @@ from repro.analysis.registry import Rule, register_rule
 
 __all__ = ["UncachedArrayRebuild"]
 
-#: The §III-C builder whose output is loop-invariant for a fixed split.
-_BUILDERS = frozenset({"build_side_array"})
+#: The §III-C builders whose output is loop-invariant for a fixed split.
+_BUILDERS = frozenset({"build_side_array", "build_side_cover"})
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -47,10 +47,10 @@ class UncachedArrayRebuild(Rule):
     code = "RR110"
     name = "uncached-array-rebuild"
     rationale = (
-        "rebuilding a realization array inside a loop repeats |D| * 2^m "
-        "max-flow solves whose bits cannot change; route repeated builds "
-        "through repro.core.sweep.cached_side_array / ArrayCache (or noqa "
-        "with justification)"
+        "rebuilding a realization array or side cover inside a loop repeats "
+        "work whose bits cannot change; route repeated builds through "
+        "repro.core.sweep.cached_side_cover / ArrayCache (or noqa with "
+        "justification)"
     )
 
     def applies_to(self, ctx: ModuleContext) -> bool:
@@ -75,5 +75,5 @@ class UncachedArrayRebuild(Rule):
                     self.code,
                     f"{name}() called inside a loop; the realization bits are "
                     "loop-invariant for a fixed split — hoist the build or go "
-                    "through repro.core.sweep.cached_side_array",
+                    "through repro.core.sweep.cached_side_cover",
                 )

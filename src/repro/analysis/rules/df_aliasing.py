@@ -1,7 +1,8 @@
 """RR202 — cache-owned arrays must not be mutated in place (dataflow tier).
 
-The content-addressed :class:`~repro.core.sweep.ArrayCache`, the
-:func:`~repro.core.sweep.cached_side_array` fast path, and the memoised
+The content-addressed :class:`~repro.core.sweep.ArrayCache` (its cube
+arrays), the :func:`~repro.core.sweep.cached_side_cover` dispatch that
+serves them, and the memoised
 :func:`~repro.probability.bitset.popcount_array` table all hand the
 *same* numpy buffer to every caller.  An in-place store through any
 alias silently poisons every later cache hit — the worst possible
@@ -28,7 +29,7 @@ from repro.analysis.registry import Rule, register_rule
 __all__ = ["CacheAliasMutation"]
 
 #: Functions whose return value is a shared, cache-owned buffer.
-_SOURCE_FUNCTIONS = frozenset({"cached_side_array", "popcount_array"})
+_SOURCE_FUNCTIONS = frozenset({"cached_side_cover", "popcount_array"})
 
 #: ndarray methods that return a *view* of the receiver (alias survives).
 _VIEW_METHODS = frozenset({"view", "reshape", "ravel", "transpose", "squeeze"})
@@ -40,9 +41,10 @@ _MUTATING_METHODS = frozenset(
 
 
 def _is_cache_get(node: ast.AST) -> bool:
-    """``<cache>.get(key, size)`` — the two-argument ArrayCache read
-    (dict-style one-argument ``.get(key)`` probes are not arrays)."""
-    if not isinstance(node, ast.Call) or len(node.args) != 2:
+    """``<cache>.get(key, num_links, num_assignments)`` — the
+    three-argument ArrayCache read (dict-style ``.get(key)`` and
+    ``.get(key, default)`` probes are not arrays)."""
+    if not isinstance(node, ast.Call) or len(node.args) != 3:
         return False
     func = node.func
     return (
@@ -118,7 +120,7 @@ class CacheAliasMutation(Rule):
     name = "cache-alias-mutation"
     tier = "dataflow"
     rationale = (
-        "arrays from ArrayCache.get / cached_side_array / popcount_array are "
+        "arrays from ArrayCache.get / cached_side_cover / popcount_array are "
         "shared buffers; mutating one in place poisons every later cache hit "
         "— call .copy() first to get a private writable array"
     )

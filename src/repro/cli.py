@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="bound the array cache: least-recently-used columns are "
+        help="bound the array cache: least-recently-used side covers are "
         "evicted (memory + disk) once tracked bytes exceed BYTES",
     )
     sweep.add_argument("--json", action="store_true", help="machine-readable output")
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="bound the array cache: least-recently-used columns are "
+        help="bound the array cache: least-recently-used side covers are "
         "evicted (memory + disk) once tracked bytes exceed BYTES",
     )
     serve.add_argument(
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         default=None,
         help="max-flow solver for queries with a non-coalescible method "
-        f"(default: {DEFAULT_SOLVER}); bottleneck columns ignore it",
+        f"(default: {DEFAULT_SOLVER}); bottleneck side covers ignore it",
     )
     _add_telemetry_flags(serve)
 
@@ -975,7 +975,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 demand = FlowDemand(args.source, args.sink, args.rate)
                 built = server.warm(warm_net, demand)
                 print(
-                    f"warmed {path}: {built} columns built",
+                    f"warmed {path}: {built} side covers built",
                     file=sys.stderr,
                     flush=True,
                 )

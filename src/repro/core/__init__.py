@@ -72,7 +72,7 @@ from repro.core.sweep import (
     ArrayCache,
     SweepResult,
     SweepSpec,
-    cached_side_array,
+    cached_side_cover,
     compute_reliability_sweep,
 )
 
@@ -117,7 +117,7 @@ __all__ = [
     "ArrayCache",
     "SweepSpec",
     "SweepResult",
-    "cached_side_array",
+    "cached_side_cover",
     "compute_reliability_sweep",
     # extensions
     "FlowValueDistribution",

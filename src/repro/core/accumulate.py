@@ -25,23 +25,27 @@ The sum has no ``2^q`` table, so any class the uint64 packing can hold
 (up to 63 assignments) runs the same kernel.  A property suite pins it
 to the signed sum (:func:`repro.probability.union_probability_from_intersections`).
 
-The kernel comes in three steps, shared by every caller — the pointwise
+Every caller runs :func:`joint_rows` on two sides' distinct masks and
+their weights.  The pointwise
 :func:`repro.core.bottleneck.bottleneck_reliability`, the sweep, batch
-and serve paths (all through :func:`repro.core.sweep.split_reliability`),
-chain's closing segment and :func:`accumulate`:
+and serve paths (all through :func:`repro.core.sweep.split_reliability`)
+and chain's end segments read both from the sides' cube covers
+(:class:`repro.core.cover.SideCover`: ``distinct`` and ``weights``), so
+they never hold a ``2^m`` array.  The paper's explicit array is kept
+for :func:`accumulate`, which groups it with the two ``2^m`` helpers:
 
 :func:`distinct_masks`
-    Group one side by its distinct realization masks, once per side.
+    Group one side array by its distinct realization masks.
 :func:`distinct_weights`
     Row ``s`` is the probability of each distinct mask under the
     configuration probabilities of point ``s``; one weighted
     ``np.bincount`` per row, independent of every other row.
 :func:`joint_rows`
     ``r[s]`` for one class (``within``) from both sides' distinct masks
-    and weights, regrouped by the class's bits; one ``ws[s] @ hit @
-    wt[s]`` per row over a hit matrix built once per call (in blocks
-    under a fixed entry cap), so a row's value does not depend on which
-    batch it rides in.
+    and weights, regrouped by the class's bits; each row's pair
+    products are summed on their own over a hit matrix built once per
+    call (in blocks under a fixed entry cap), so a row's value does not
+    depend on which batch it rides in.
 """
 
 from __future__ import annotations
@@ -114,17 +118,25 @@ def joint_rows(
     ``2^|class|`` masks a side however many full masks there are.  The
     hit matrix is then built in blocks of source masks of at most
     :data:`_HIT_ENTRIES` entries; the blocks depend only on the masks,
-    never on the rows, so a row's value is the same in any batch.
+    never on the rows.  Within a block every row's pair products are
+    summed on their own (a per-row reduction over one contiguous row,
+    the rows taken a bounded slab at a time), so a row's value is the
+    same in any batch.
     """
     ms, ws = _restrict(source_masks, source_weights, within)
     mt, wt = _restrict(sink_masks, sink_weights, within)
-    out = np.zeros(ws.shape[0], dtype=np.float64)
+    rows = ws.shape[0]
+    out = np.zeros(rows, dtype=np.float64)
     block = max(1, _HIT_ENTRIES // len(mt))
     for start in range(0, len(ms), block):
         stop = start + block
-        hit = ((ms[start:stop, None] & mt[None, :]) != 0).astype(np.float64)
-        for s in range(len(out)):
-            out[s] += float(ws[s, start:stop] @ hit @ wt[s])
+        hit = (ms[start:stop, None] & mt[None, :]) != 0
+        row_block = max(1, _HIT_ENTRIES // hit.size)
+        for first in range(0, rows, row_block):
+            last = first + row_block
+            pairs = ws[first:last, start:stop, None] * wt[first:last, None, :]
+            pairs *= hit
+            out[first:last] += pairs.reshape(len(pairs), -1).sum(axis=1)
     return out
 
 

@@ -24,6 +24,16 @@ solver; a segment whose bond family is over the certificate guards
 falls back to a max-flow walk of each load's lattice in Gray-code order,
 repairing one flow across consecutive entries and pruned by
 monotonicity in the alive set.
+
+Eq. 3 never needs the ``2^m`` array itself, only its distinct masks and
+their weights, so the bottleneck, sweep, batch and serve paths and
+chain's end segments describe a side as a disjoint cube cover instead
+(:func:`build_side_cover`, :mod:`repro.core.cover`): a few dozen cubes
+factored from the same bond family, or from the same Gray-walk table
+past the guards.  :func:`build_side_array` stays as the paper's
+explicit array — :func:`repro.core.accumulate.accumulate` and the
+worked examples use it, and the covers are tested against it — and
+chain's middle segments still build :func:`build_segment_relation`.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.certificate import certificate_masks, side_cut_family
+from repro.core.certificate import certificate_cover, certificate_masks, side_cut_family
+from repro.core.cover import SideCover, table_cover
 from repro.core.latticewalk import gray_walk_table
 from repro.exceptions import SolverError
 from repro.flow.base import get_solver
@@ -46,6 +57,7 @@ from repro.obs.recorder import (
     ARRAY_ENTRIES_BUILT,
     AUGMENTING_PATHS_SAVED,
     CERTIFICATE_CUTS,
+    COVER_CUBES_BUILT,
     FLOW_REPAIRS,
     FLOW_SOLVES,
     count,
@@ -54,7 +66,12 @@ from repro.obs.recorder import (
 from repro.probability.bitset import pack_bitplanes
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
 
-__all__ = ["RealizationArray", "build_segment_relation", "build_side_array"]
+__all__ = [
+    "RealizationArray",
+    "build_segment_relation",
+    "build_side_array",
+    "build_side_cover",
+]
 
 _VIRTUAL_IN = "__terminal_in__"
 _VIRTUAL_OUT = "__terminal_out__"
@@ -83,7 +100,7 @@ def _validate_side_request(
     ports: Sequence[Node],
     demand: int,
 ) -> None:
-    """Shared §III-C input validation (the builder and the column cache)."""
+    """Shared §III-C input validation (the builders and the cover cache)."""
     if role not in ("source", "sink"):
         raise SolverError(f"role must be 'source' or 'sink', got {role!r}")
     check_enumerable(net.num_links)
@@ -201,6 +218,47 @@ def build_side_array(
     )
 
 
+def build_side_cover(
+    side: SubnetworkView,
+    *,
+    role: str,
+    terminal: Node,
+    ports: Sequence[Node],
+    assignments: Sequence[Sequence[int]],
+    demand: int,
+) -> SideCover:
+    """The realization masks of one side as a disjoint cube cover.
+
+    Parameters are those of :func:`build_side_array`, and expanding the
+    cover gives its ``masks`` bit for bit.  Inside the certificate
+    guards the cover is factored on the side's cut family
+    (:func:`~repro.core.certificate.certificate_cover`, no solve); past
+    them it is factored on the table the pruned Gray walk fills.  The
+    branching reads masks only, so both give the same cubes.
+    """
+    net = side.network
+    _validate_side_request(
+        net, role=role, assignments=assignments, ports=ports, demand=demand
+    )
+    segment = (terminal, None, (), ports) if role == "source" else (None, terminal, ports, ())
+    capacities = [link.capacity for link in net.links()]
+    family = side_cut_family(net, *segment)
+    if family is not None:
+        count(CERTIFICATE_CUTS, family.size)
+        cubes = certificate_cover(family, assignments, demand, capacities)
+        flow_calls = 0
+    else:
+        masks, flow_calls = _gray_walk_masks(net, *segment, assignments, demand)
+        cubes = table_cover(masks, capacities)
+    count(COVER_CUBES_BUILT, len(cubes))
+    return SideCover(
+        cubes=cubes,
+        num_links=net.num_links,
+        num_assignments=len(assignments),
+        flow_calls=flow_calls,
+    )
+
+
 def build_segment_relation(
     segment: SubnetworkView,
     *,
@@ -224,6 +282,7 @@ def build_segment_relation(
     _validate_assignments(in_assignments, in_ports, demand)
     _validate_assignments(out_assignments, out_ports, demand)
     relation = np.empty((len(in_assignments), 1 << net.num_links), dtype=np.uint64)
+    count(ARRAY_ENTRIES_BUILT, len(in_assignments) * len(out_assignments) << net.num_links)
     flow_calls = 0
     for i, a in enumerate(in_assignments):
         relation[i], calls = _realization_masks(
@@ -258,7 +317,19 @@ def _realization_masks(
     if family is not None:
         count(CERTIFICATE_CUTS, family.size)
         return certificate_masks(family, loads, demand), 0
+    return _gray_walk_masks(net, source, sink, in_ports, out_ports, loads, demand)
 
+
+def _gray_walk_masks(
+    net: FlowNetwork,
+    source: Node | None,
+    sink: Node | None,
+    in_ports: Sequence[Node],
+    out_ports: Sequence[Node],
+    loads: Sequence[Sequence[int]],
+    demand: int,
+) -> tuple[np.ndarray, int]:
+    """:func:`_realization_masks` past the certificate guards: the walk."""
     template, port_names, s_idx, t_idx = _segment_template(
         net, source, sink, in_ports, out_ports, demand
     )

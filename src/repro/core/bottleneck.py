@@ -118,8 +118,8 @@ def bottleneck_reliability(
         when given it is verified (minimality + two components).
     cache:
         A :class:`repro.core.sweep.ArrayCache`.  When given, both side
-        arrays are resolved per-assignment-column through the
-        content-addressed cache: a warm call builds nothing and reports
+        covers are looked up in the content-addressed cache: a warm
+        call builds nothing and reports
         ``flow_calls == 0``.  The value and the other ``details`` are
         unchanged; the cache traffic of this call is reported under
         ``details["array_cache"]``.

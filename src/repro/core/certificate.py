@@ -36,6 +36,11 @@ max-flow solves:
    first; assignment ``j``'s column is then
    ``min_S(table + offset_j) ≥ d``.
 
+:func:`certificate_cover` asks the same question per factoring node of
+a side's cube cover (:mod:`repro.core.cover`) instead of per
+configuration: a node carries its bonds' clipped capacities, so the
+whole ``2^m`` table is never built.
+
 The masks are bit-identical to one cold max-flow per configuration and
 load (``tests/properties/test_prop_certificate.py`` and
 ``test_prop_segment_relation.py`` pin this against the reference
@@ -53,15 +58,16 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core.cover import factor_cover
 from repro.exceptions import SolverError
 from repro.graph.network import FlowNetwork, Node
-from repro.probability.bitset import pack_bitplanes
 from repro.probability.enumeration import check_enumerable
 
 __all__ = [
     "MAX_CERTIFICATE_CUTS",
     "MAX_CERTIFICATE_FREE_NODES",
     "CutFamily",
+    "certificate_cover",
     "certificate_masks",
     "side_cut_family",
 ]
@@ -277,7 +283,7 @@ def _doubling_table(weights: np.ndarray, cap: np.unsignedinteger) -> np.ndarray:
     return table
 
 
-def _threshold_lookup(need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_lookup(need: Sequence[int]) -> tuple[list[int], list[int]]:
     """Per-pattern ``(thresholds, bits)`` for one column of ``need``.
 
     ``thresholds`` are the distinct needs, ascending; ``bits[i]`` is the
@@ -285,11 +291,77 @@ def _threshold_lookup(need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (``bits[0] = 0``), so ``bits[searchsorted(thresholds, v, "right")]``
     is the set of assignments a cheapest capacity ``v`` satisfies.
     """
-    thresholds = np.array(sorted(set(need.tolist())), dtype=need.dtype)
-    bits = np.zeros(len(thresholds) + 1, dtype=np.uint64)
-    for i, t in enumerate(thresholds):
-        bits[i + 1] = pack_bitplanes((need <= t)[None, :])[0]
+    thresholds = sorted(set(need))
+    bits = [0]
+    for t in thresholds:
+        bits.append(sum(1 << j for j, n in enumerate(need) if n <= t))
     return thresholds, bits
+
+
+@dataclass(frozen=True)
+class _Lookup:
+    """Every pattern group's :func:`_threshold_lookup`, searched at once.
+
+    Group ``g``'s thresholds and capacities are shifted up by
+    ``g * (demand + 1)`` (``shift``), so one ``searchsorted`` over the
+    concatenated thresholds lands inside group ``g``'s run; ``skip``
+    (``g``) accounts for the extra ``bits`` entry of every earlier group.
+    """
+
+    thresholds: np.ndarray
+    bits: np.ndarray
+    shift: np.ndarray
+    skip: np.ndarray
+
+
+def _pattern_groups(
+    family: CutFamily, assignments: Sequence[Sequence[int]], demand: int
+) -> tuple[np.ndarray, np.ndarray, _Lookup | None]:
+    """The cuts some assignment needs capacity from, grouped by pattern.
+
+    Returns ``(order, bounds, lookup)``: ``order`` lists the cuts group
+    after group and group ``g`` is ``order[bounds[g]:bounds[g + 1]]``.
+    Cuts sharing one port-crossing pattern share one offset per
+    assignment.  A pattern no assignment needs anything from (e.g. every
+    port crosses) is satisfied by every configuration and left out;
+    ``lookup`` is ``None`` when every pattern is.
+    """
+    by_pattern: dict[tuple[bool, ...], list[int]] = {}
+    for cut, pattern in enumerate(family.port_crossing.T.tolist()):
+        by_pattern.setdefault(tuple(pattern), []).append(cut)
+    loads = [list(map(int, load)) for load in assignments]
+    groups: list[list[int]] = []
+    thresholds: list[int] = []
+    bits: list[int] = []
+    for pattern, cuts in by_pattern.items():
+        need = [
+            min(max(demand - sum(a for a, crosses in zip(load, pattern) if crosses), 0), demand)
+            for load in loads
+        ]
+        if any(need):
+            group_thresholds, group_bits = _threshold_lookup(need)
+            thresholds += [t + len(groups) * (demand + 1) for t in group_thresholds]
+            bits += group_bits
+            groups.append(cuts)
+    order = np.array([cut for cuts in groups for cut in cuts], dtype=np.intp)
+    bounds = np.cumsum([0] + [len(g) for g in groups])
+    if not groups:
+        return order, bounds, None
+    index = np.arange(len(groups), dtype=np.int64)[:, None]
+    lookup = _Lookup(
+        thresholds=np.array(thresholds, dtype=np.int64),
+        bits=np.array(bits, dtype=np.uint64),
+        shift=index * (demand + 1),
+        skip=index,
+    )
+    return order, bounds, lookup
+
+
+def _realized(cheapest: np.ndarray, lookup: _Lookup) -> np.ndarray:
+    """Masks from each group's cheapest clipped capacity (one row a group)."""
+    shifted = cheapest.astype(np.int64, copy=False) + lookup.shift
+    index = np.searchsorted(lookup.thresholds, shifted, side="right") + lookup.skip
+    return np.bitwise_and.reduce(lookup.bits[index], axis=0)
 
 
 def certificate_masks(
@@ -311,24 +383,9 @@ def certificate_masks(
 
     dtype = _table_dtype(demand)
     cap = dtype(demand)
-    # Fold the cuts by port-crossing pattern: one offset per pattern.
-    by_pattern: dict[tuple[bool, ...], list[int]] = {}
-    for cut, pattern in enumerate(family.port_crossing.T.tolist()):
-        by_pattern.setdefault(tuple(pattern), []).append(cut)
-    loads = np.asarray(assignments, dtype=np.int64)
-    groups: list[list[int]] = []
-    lookups: list[tuple[np.ndarray, np.ndarray]] = []
-    for pattern, cuts in by_pattern.items():
-        need = np.clip(demand - loads @ np.asarray(pattern, dtype=np.int64), 0, demand)
-        # A pattern no assignment needs anything from (e.g. every port
-        # crosses) is satisfied by every configuration.
-        if need.any():
-            groups.append(cuts)
-            lookups.append(_threshold_lookup(need.astype(dtype)))
-    if not groups:
+    order, bounds, lookup = _pattern_groups(family, assignments, demand)
+    if lookup is None:
         return masks
-    order = np.concatenate(groups)
-    bounds = np.cumsum([0] + [len(g) for g in groups])
 
     weights = np.minimum(family.link_weights[:, order], demand).astype(dtype)
     low_bits = num_links
@@ -341,8 +398,46 @@ def certificate_masks(
         h = start >> low_bits
         alive = np.add(low, high[:, h : h + 1])
         np.minimum(alive, cap, out=alive)
-        out = masks[start : start + block]
-        for (thresholds, bits), lo, hi in zip(lookups, bounds[:-1], bounds[1:]):
-            cheapest = alive[lo:hi].min(axis=0)
-            out &= bits[np.searchsorted(thresholds, cheapest, side="right")]
+        cheapest = np.minimum.reduceat(alive, bounds[:-1], axis=0)
+        masks[start : start + block] = _realized(cheapest, lookup)
     return masks
+
+
+def certificate_cover(
+    family: CutFamily,
+    assignments: Sequence[Sequence[int]],
+    demand: int,
+    capacities: Sequence[int],
+) -> np.ndarray:
+    """The cube cover (:mod:`repro.core.cover`) of one side from its cut family.
+
+    Every mask :func:`~repro.core.cover.factor_cover` asks for is
+    :func:`certificate_masks`' threshold lookup on clipped cut
+    capacities: a node's own ``lo`` and ``hi``, and the same with one
+    link's weights added to ``lo`` or taken off ``hi`` for each link.
+    ``capacities`` are the side's link capacities (the tie-break of the
+    branching rule).  Expanding the cover reproduces
+    :func:`certificate_masks` bit for bit.
+    """
+    num_links = family.link_weights.shape[0]
+    full = np.uint64((1 << len(assignments)) - 1)
+    order, bounds, lookup = _pattern_groups(family, assignments, demand)
+    if lookup is None:
+        return np.array([[0, 0, full]], dtype=np.uint64)
+    weights = np.minimum(family.link_weights[:, order], demand)
+    starts = bounds[:-1]
+    block = max(1, _BLOCK_ENTRIES // ((2 + 2 * num_links) * len(order)))
+
+    def evaluate(links: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        parts = []
+        for first in range(0, len(caps), block):
+            node = caps[first : first + block]
+            every = np.concatenate(
+                [node, node[:, :1] + weights, node[:, 1:] - weights], axis=1
+            )
+            np.minimum(every, demand, out=every)
+            cheapest = np.minimum.reduceat(every.reshape(-1, len(order)), starts, axis=1)
+            parts.append(_realized(cheapest.T, lookup).reshape(len(node), -1))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return factor_cover(num_links, capacities, evaluate, weights, demand)

@@ -13,21 +13,22 @@ The DP state after interface ``j`` is a probability vector over subsets
 ``R ⊆ A_j`` ("with what probability is exactly this set of cut-``j``
 assignments still completable from ``s``?"):
 
-* segment 0 initialises the vector from its §III-C realization array;
+* segment 0 initialises the vector from its §III-C side cover
+  (:class:`repro.core.cover.SideCover`: the weight of each distinct
+  realization mask);
 * crossing cut ``j`` mixes over the ``2^{|C_j|}`` survival patterns,
   intersecting ``R`` with the supported class of each pattern (Eq. 2/3
   generalised);
 * a middle segment maps ``R`` through its per-configuration relation
   ``M_c ⊆ A_j × A_{j+1}``: the new set is
   ``{b : ∃ a ∈ R, (a, b) ∈ M_c}``.  ``(a, b) ∈ M_c`` is the §III-C
-  realization question with two virtual terminals, so the relation comes
-  from the same builder as the end segments' arrays
-  (:func:`repro.core.arrays.build_segment_relation`); the map runs once
-  per distinct relation, not once per configuration;
+  realization question with two virtual terminals, answered for every
+  configuration by :func:`repro.core.arrays.build_segment_relation`;
+  the map runs once per distinct relation, not once per configuration;
 * the sink segment closes the chain:
   ``R(G) = Σ_R dist[R] · P(realized sink set intersects R)``, the
   Eq. 3 pair sum of :mod:`repro.core.accumulate` over the nonzero
-  states and the sink's distinct realization masks.
+  states and the sink cover's distinct realization masks.
 
 Model requirements are those of the single-cut algorithm, per cut:
 every cut link joins consecutive segments (directed ones forward), and
@@ -40,8 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.accumulate import distinct_masks, distinct_weights, joint_rows
-from repro.core.arrays import build_segment_relation, build_side_array
+from repro.core.accumulate import joint_rows
+from repro.core.arrays import build_segment_relation, build_side_cover
 from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.bottleneck import pattern_probabilities
 from repro.core.demand import FlowDemand
@@ -188,6 +189,11 @@ def analyze_chain(
     )
 
 
+def _failure_row(segment: SubnetworkView) -> np.ndarray:
+    """The ``(1, links)`` failure row of one segment, in its link order."""
+    return np.asarray([segment.network.failure_probabilities()], dtype=np.float64)
+
+
 def _cross_cut(
     dist: np.ndarray,
     patterns: np.ndarray,
@@ -261,11 +267,12 @@ def chain_reliability(
 ) -> ReliabilityResult:
     """Exact reliability via the multi-cut chain decomposition.
 
-    The two end segments are §III-C side arrays and every middle
-    segment is a realization relation over its two port sets; all of
-    them are settled by the one §III-C builder of :mod:`repro.core.arrays`
-    — the cut-certificate kernel inside its guards (no max-flow solves),
-    the pruned Gray walk past them.
+    The two end segments are §III-C side covers
+    (:func:`repro.core.arrays.build_side_cover`) and every middle
+    segment is a realization relation over its two port sets
+    (:func:`repro.core.arrays.build_segment_relation`), a ``2^m`` table.
+    All of them are settled by the cut-certificate kernel inside its
+    guards (no max-flow solves) and by the pruned Gray walk past them.
     """
     demand.validate_against(net)
     structure = analyze_chain(net, demand.source, demand.sink, cuts)
@@ -291,8 +298,8 @@ def chain_reliability(
     flow_calls = 0
     configurations = 0
 
-    # Segment 0: source-side realization array over A_1.
-    source_array = build_side_array(
+    # Segment 0: the source-side cover over A_1.
+    source_cover = build_side_cover(
         structure.segments[0],
         role="source",
         terminal=demand.source,
@@ -300,12 +307,11 @@ def chain_reliability(
         assignments=assignment_sets[0],
         demand=demand.rate,
     )
-    flow_calls += source_array.flow_calls
-    configurations += len(source_array.masks)
-    ms, inverse = distinct_masks(source_array.masks)
+    flow_calls += source_cover.flow_calls
+    configurations += 1 << source_cover.num_links
     dist = np.zeros(1 << len(assignment_sets[0]), dtype=np.float64)
-    dist[ms.astype(np.intp)] = distinct_weights(
-        inverse, source_array.probabilities[None, :], len(ms)
+    dist[source_cover.distinct.astype(np.intp)] = source_cover.weights(
+        _failure_row(structure.segments[0])
     )[0]
 
     # Cross cut 1.
@@ -336,8 +342,8 @@ def chain_reliability(
             dist, pattern_probabilities(net, structure.cuts[j]), assignment_sets[j]
         )
 
-    # Final segment: sink-side realization array over A_r.
-    sink_array = build_side_array(
+    # Final segment: the sink-side cover over A_r.
+    sink_cover = build_side_cover(
         structure.segments[r],
         role="sink",
         terminal=demand.sink,
@@ -345,17 +351,16 @@ def chain_reliability(
         assignments=assignment_sets[r - 1],
         demand=demand.rate,
     )
-    flow_calls += sink_array.flow_calls
-    configurations += len(sink_array.masks)
+    flow_calls += sink_cover.flow_calls
+    configurations += 1 << sink_cover.num_links
     # R(G) = Σ_R dist[R] · P(the sink's realized set meets R): the Eq. 3
     # pair sum with the nonzero states as the source side.
     states = np.flatnonzero(dist)
-    mt, inverse = distinct_masks(sink_array.masks)
     value = joint_rows(
         states.astype(np.uint64),
         dist[states][None, :],
-        mt,
-        distinct_weights(inverse, sink_array.probabilities[None, :], len(mt)),
+        sink_cover.distinct,
+        sink_cover.weights(_failure_row(structure.segments[r])),
         (1 << len(assignment_sets[r - 1])) - 1,
     )[0]
 

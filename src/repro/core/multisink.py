@@ -83,8 +83,9 @@ def broadcast_reliability(
 
     Exact, by the naive table filler's pruned Gray walk over the
     original links (the virtual super-sink arcs are failure-free and
-    alive in every query).  Subject to the same size budget as the
-    naive algorithm.
+    alive in every query).  A net whose every link is alive and still
+    misses the target answers 0 after that one solve.  Subject to the
+    same size budget as the naive algorithm.
     """
     _check_subscribers(net, source, sinks, rate)
     if net.has_node(_SUPER_SINK):
@@ -96,6 +97,17 @@ def broadcast_reliability(
     oracle = FeasibilityOracle(
         aug, source, _SUPER_SINK, target, solver=solver, incremental=True
     )
+    details = {"subscribers": list(sinks), "rate": rate}
+    # Feasibility is monotone in the alive set: when the all-alive net
+    # misses the target, every configuration does.
+    if not oracle.feasible((1 << aug.num_links) - 1):
+        return ReliabilityResult(
+            value=0.0,
+            method="broadcast",
+            flow_calls=oracle.calls,
+            configurations=1 << m,
+            details=details,
+        )
     virtual_mask = ((1 << aug.num_links) - 1) ^ ((1 << m) - 1)
     feasible = _lattice_table(oracle, m, prune=True, always_alive=virtual_mask)
     probabilities = configuration_probabilities(net)
@@ -105,7 +117,7 @@ def broadcast_reliability(
         method="broadcast",
         flow_calls=oracle.calls,
         configurations=len(feasible),
-        details={"subscribers": list(sinks), "rate": rate},
+        details=details,
     )
 
 

@@ -1,6 +1,6 @@
 """Sweep engine and the one Eq. 2/3 pipeline of the bottleneck algorithm.
 
-The paper's §III-C realization arrays are purely combinatorial: whether a
+The paper's §III-C realization masks are purely combinatorial: whether a
 side configuration realizes an assignment is a max-flow question over the
 side topology, capacities, ports and the assignment tuple — link failure
 probabilities never enter.  Only Eq. 2 (pattern probabilities) and
@@ -9,34 +9,31 @@ Eq. 3 (the accumulation) change across a probability sweep.
 This module holds:
 
 :class:`ArrayCache`
-    A content-addressed store of realization *columns* (one assignment's
-    bool vector over the side lattice), in memory with an optional
-    on-disk tier that tolerates shared directories and failed writes.
-    The key fingerprints everything that determines the
-    bits — side topology, capacities, directedness, role, terminal,
-    ports, and the assignment tuple (the demand is its component sum) —
-    and deliberately **excludes** failure probabilities: the columns are
-    ground truth ("max-flow ≥ d" per configuration), and the two build
-    kernels produce identical bits (pinned against the reference oracle
-    in ``tests/reference_arrays.py``).
+    A content-addressed store of side *covers* (the disjoint cube
+    covers of :mod:`repro.core.cover`, a few dozen ``(alive, dead,
+    mask)`` rows instead of ``2^m`` masks), in memory with an optional
+    on-disk tier that tolerates shared directories, failed writes and
+    damaged files.  The key fingerprints everything that determines
+    the masks — side topology, capacities, directedness, role,
+    terminal, ports, and the assignment list (the demand is its
+    component sum) — and deliberately **excludes** failure
+    probabilities: a cover is ground truth ("max-flow ≥ d" per
+    configuration, pinned against the explicit array).
 
-:func:`cached_side_array`
-    The one dispatch to the §III-C builder
-    :func:`repro.core.arrays.build_side_array`: columns are looked up
-    per assignment, only the misses are built (the builder accepts
-    assignment subsets), and the result is packed exactly like a direct
-    build.  With no cache it is just ``build_side_array``.  It takes no
-    tuning option: the side picks its kernel.
+:func:`cached_side_cover`
+    The one dispatch to the side-cover builder
+    :func:`repro.core.arrays.build_side_cover`: a side's cover is looked
+    up in the cache and built only on a miss.  With no cache it is just
+    ``build_side_cover``.  It takes no tuning option: the side picks
+    its kernel.
 
 :func:`split_reliability`
     The paper's algorithm on a resolved split (:func:`bottleneck_split`)
     for a ``(points x links)`` failure grid: §III-B assignments, both
-    §III-C arrays (once, through :func:`cached_side_array`), then Eq. 2
-    and Eq. 3 per row — row-wise doubling tables
-    (:func:`repro.probability.enumeration.probability_grid`) and the one
-    ACCUMULATION kernel of :mod:`repro.core.accumulate`: both sides are
-    grouped by their distinct realization masks once, each row weighs
-    them, and each supported class is one pair sum.
+    side covers (once, through :func:`cached_side_cover`), then Eq. 2
+    and Eq. 3 per row — each cover weighs its distinct masks under the
+    row (:meth:`repro.core.cover.SideCover.weights`) and each supported
+    class is one pair sum of :mod:`repro.core.accumulate`.
     :func:`repro.core.bottleneck.bottleneck_reliability` is its one-row
     call (:func:`point_reliability`); :func:`compute_reliability_sweep`
     is its many-row call, so every sweep point is bit-identical to a
@@ -57,13 +54,10 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accumulate import distinct_masks, distinct_weights, joint_rows
-from repro.core.arrays import (
-    RealizationArray,
-    _validate_side_request,
-    build_side_array,
-)
+from repro.core.accumulate import joint_rows
+from repro.core.arrays import _validate_side_request, build_side_cover
 from repro.core.assignments import classify_by_support, enumerate_assignments
+from repro.core.cover import SideCover, is_partition
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
@@ -82,12 +76,8 @@ from repro.obs.recorder import (
     count,
     span,
 )
-from repro.probability.bitset import mask_from_indices, pack_bitplanes
-from repro.probability.enumeration import (
-    check_enumerable,
-    configuration_probabilities,
-    probability_grid,
-)
+from repro.probability.bitset import mask_from_indices
+from repro.probability.enumeration import check_enumerable, probability_grid
 
 __all__ = [
     "ArrayCache",
@@ -95,7 +85,7 @@ __all__ = [
     "BatchResult",
     "SweepSpec",
     "SweepResult",
-    "cached_side_array",
+    "cached_side_cover",
     "compute_reliability_sweep",
     "evaluate_batch",
     "network_fingerprint",
@@ -104,11 +94,12 @@ __all__ = [
     "side_fingerprint",
 ]
 
-#: Bump when the fingerprint payload layout changes (invalidates disk caches).
-_FINGERPRINT_VERSION = 1
+#: Bump when the fingerprint payload or the cache entry layout changes
+#: (invalidates disk caches).
+_FINGERPRINT_VERSION = 2
 
-#: Grid batches are sized so ``batch_points * 2^{m_side}`` table entries
-#: stay below this budget (the 2-D doubling tables are the peak).
+#: Grid batches are sized so ``batch_points * cubes`` cube probabilities
+#: (and ``batch_points * 2^k`` Eq. 2 entries) stay below this budget.
 _MAX_GRID_ENTRIES = 1 << 22
 
 
@@ -146,7 +137,7 @@ def network_fingerprint(net: FlowNetwork) -> str:
     The full-network twin of :func:`side_fingerprint`: node list plus
     every link's endpoints, capacity and directedness in link-index
     order.  Failure probabilities are deliberately excluded — two
-    networks with the same fingerprint share every realization column,
+    networks with the same fingerprint share every side cover,
     which is exactly the merge test :func:`plan_batch` groups queries
     by (a probability difference is expressible as an ``overrides``
     sweep point on either network).
@@ -163,37 +154,39 @@ def network_fingerprint(net: FlowNetwork) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _column_key(side_digest: str, assignment: Sequence[int]) -> str:
-    """Key of one realization column: the side digest + the assignment.
+def _cover_key(side_digest: str, assignments: Sequence[Sequence[int]]) -> str:
+    """Key of one side cover: the side digest + the assignment list.
 
-    The demand rate is implied (it is the component sum), so demand
-    sweeps sharing assignment tuples across rates reuse columns too.
+    The demand rate is implied (it is each assignment's component sum).
     """
-    tail = ",".join(str(int(a)) for a in assignment)
+    tail = ";".join(",".join(str(int(a)) for a in assignment) for assignment in assignments)
     return hashlib.sha256(f"{side_digest}|{tail}".encode("utf-8")).hexdigest()
 
 
 class ArrayCache:
-    """Content-addressed store of §III-C realization columns.
+    """Content-addressed store of §III-C side covers.
 
-    Columns live bit-packed (``numpy.packbits``) in memory; with a
-    ``directory`` every stored column is also written as a ``.npy`` file
-    named by its key, so later processes (or a second CLI run) start
-    warm.  Disk writes are atomic (a per-write temp file +
-    ``os.replace``), and a failed one leaves the column in memory.
+    An entry is one side's cube array (:class:`repro.core.cover.SideCover`
+    ``cubes``, an ``(n, 3)`` ``uint64`` array); with a ``directory``
+    every stored entry is also written as a ``.npy`` file named by its
+    key, so later processes (or a second CLI run) start warm.  Disk
+    writes are atomic (a per-write temp file + ``os.replace``), and a
+    failed one leaves the entry in memory.  A disk entry that is not a
+    partition of the side's lattice (:func:`repro.core.cover.is_partition`)
+    is a miss.
 
     The cache is safe to share across both build kernels — the cut
-    certificate and its Gray-walk fallback — because the columns are
-    ground truth and both are pinned bit-identical to the reference
-    oracle; the kernel is not part of the key.
+    certificate and its Gray-walk fallback — because every cover
+    expands to the same ground-truth masks; the kernel is not part of
+    the key.
 
-    ``max_bytes`` bounds the resident bytes of tracked columns (packed
+    ``max_bytes`` bounds the resident bytes of tracked entries (array
     payload; on-disk entries by file size).  When a :meth:`put` or
     :meth:`get` pushes the total past the bound, least-recently-used
     keys are evicted — dropped from memory *and* unlinked from the disk
     tier — until the total fits again.  The just-touched key is never
-    evicted, so a single column larger than the bound still serves (the
-    cache degrades to holding one column, it never thrashes the working
+    evicted, so a single entry larger than the bound still serves (the
+    cache degrades to holding one entry, it never thrashes the working
     item).
     """
 
@@ -230,7 +223,7 @@ class ArrayCache:
 
     @property
     def total_bytes(self) -> int:
-        """Accounted bytes of every tracked column (memory + disk)."""
+        """Accounted bytes of every tracked entry (memory + disk)."""
         return self._total_bytes
 
     def stats(self) -> dict[str, int]:
@@ -308,88 +301,85 @@ class ArrayCache:
         assert self.directory is not None
         return self.directory / f"{key}.npy"
 
-    def _load(self, key: str, num_configurations: int) -> np.ndarray | None:
-        """The disk-tier column of ``key``; a damaged file is a miss.
+    def _load(self, key: str, num_links: int, num_assignments: int) -> np.ndarray | None:
+        """The disk-tier cover of ``key``; a damaged file is a miss.
 
-        ``np.unpackbits`` zero-pads a short buffer, so a truncated file
-        would read as "never realized".  Anything but a 1-D ``uint8``
-        array of ``ceil(num_configurations / 8)`` bytes is unlinked and
-        dropped from the LRU accounting; a file this writer may not
-        remove (another user's, in a sticky directory) is left in place.
+        A truncated or edited file could still parse as an array, so
+        anything but a partition of the side's ``2^num_links``
+        configurations into cubes whose masks fit ``num_assignments``
+        bits is unlinked and dropped from the LRU accounting; a file
+        this writer may not remove (another user's, in a sticky
+        directory) is left in place.
         """
         path = self._path(key)
         if not path.is_file():
             return None
         try:
-            packed = np.load(path)
+            cubes = np.load(path)
         except (OSError, ValueError, EOFError):
-            packed = None
-        if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8 or (
-            packed.shape != (-(-num_configurations // 8),)
-        ):
+            cubes = None
+        if not is_partition(cubes, num_links, num_assignments):
             with contextlib.suppress(OSError):
                 path.unlink(missing_ok=True)
             self._total_bytes -= self._sizes.pop(key, 0)
             return None
-        packed.setflags(write=False)
-        self._memory[key] = packed
-        return packed
+        cubes.setflags(write=False)
+        self._memory[key] = cubes
+        return cubes
 
-    def get(self, key: str, num_configurations: int) -> np.ndarray | None:
-        """The bool column for ``key`` (length ``num_configurations``), or None.
+    def get(self, key: str, num_links: int, num_assignments: int) -> np.ndarray | None:
+        """The cube array stored under ``key``, or None.
 
-        The returned array is **read-only** (``writeable=False``): the
-        packed buffer is shared by every later hit, so an in-place store
-        must fail loudly instead of silently poisoning the next sweep
-        point.  Callers that need a private writable column take a
-        ``.copy()`` — the invariant lint rule RR202 checks statically.
+        ``num_links`` and ``num_assignments`` are the side's dimensions,
+        against which a disk entry is checked.  The returned array is
+        **read-only** (``writeable=False``): it is shared by every later
+        hit, so an in-place store must fail loudly instead of silently
+        poisoning the next sweep point.  Callers that need a private
+        writable array take a ``.copy()`` — the invariant lint rule
+        RR202 checks statically.
         """
-        packed = self._memory.get(key)
-        if packed is None and self.directory is not None:
-            packed = self._load(key, num_configurations)
-        if packed is None:
+        cubes = self._memory.get(key)
+        if cubes is None and self.directory is not None:
+            cubes = self._load(key, num_links, num_assignments)
+        if cubes is None:
             self.misses += 1
             count(ARRAY_CACHE_MISSES, 1)
             return None
         self.hits += 1
-        self.bytes_read += int(packed.nbytes)
+        self.bytes_read += int(cubes.nbytes)
         count(ARRAY_CACHE_HITS, 1)
-        count(ARRAY_CACHE_BYTES, int(packed.nbytes))
-        self._touch(key, int(packed.nbytes))
-        column = np.unpackbits(
-            packed, count=num_configurations, bitorder="little"
-        ).astype(bool)
-        column.setflags(write=False)
-        return column
+        count(ARRAY_CACHE_BYTES, int(cubes.nbytes))
+        self._touch(key, int(cubes.nbytes))
+        return cubes
 
-    def put(self, key: str, column: np.ndarray) -> None:
-        """Store one bool column under ``key`` (memory + optional disk)."""
-        packed = np.packbits(np.asarray(column, dtype=bool), bitorder="little")
-        packed.setflags(write=False)
-        self._memory[key] = packed
+    def put(self, key: str, cubes: np.ndarray) -> None:
+        """Store one cube array under ``key`` (memory + optional disk)."""
+        stored = np.array(cubes, dtype=np.uint64).reshape(-1, 3)
+        stored.setflags(write=False)
+        self._memory[key] = stored
         self.stores += 1
-        self.bytes_written += int(packed.nbytes)
-        count(ARRAY_CACHE_BYTES, int(packed.nbytes))
+        self.bytes_written += int(stored.nbytes)
+        count(ARRAY_CACHE_BYTES, int(stored.nbytes))
         if self.directory is not None:
             path = self._path(key)
             if not path.is_file():
-                self._publish(path, packed)
-        self._touch(key, int(packed.nbytes))
+                self._publish(path, stored)
+        self._touch(key, int(stored.nbytes))
 
-    def _publish(self, path: Path, packed: np.ndarray) -> None:
-        """Write one column file through this writer's own temp file.
+    def _publish(self, path: Path, cubes: np.ndarray) -> None:
+        """Write one entry file through this writer's own temp file.
 
         The temp name is unique per write, so caches sharing a directory
         never rename each other's half-written file; it is created by a
         plain ``open``, so the published file gets the usual umask mode
         and other users sharing the directory can read it.  A failed
         write (a full disk, say) removes its temp file and is counted;
-        the column stays served from memory.
+        the entry stays served from memory.
         """
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp")
         try:
             with open(tmp, "xb") as handle:
-                np.save(handle, packed)
+                np.save(handle, cubes)
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)
@@ -397,7 +387,7 @@ class ArrayCache:
             count(ARRAY_CACHE_WRITE_ERRORS, 1)
 
 
-def cached_side_array(
+def cached_side_cover(
     side: SubnetworkView,
     *,
     role: str,
@@ -406,74 +396,36 @@ def cached_side_array(
     assignments: Sequence[Sequence[int]],
     demand: int,
     cache: ArrayCache | None = None,
-) -> RealizationArray:
-    """§III-C side array with per-assignment column caching.
+) -> SideCover:
+    """§III-C side cover, looked up in ``cache`` and built on a miss.
 
-    Every assignment's column is looked up in ``cache`` first; only the
-    misses go through :func:`~repro.core.arrays.build_side_array`
-    (columns are independent, so building a subset yields the same bits
-    as building all of them), then the full matrix is packed exactly
-    like a direct build.  ``flow_calls`` counts only the solves spent on
-    misses — a fully warm call reports 0.  With ``cache=None`` this is
-    exactly ``build_side_array``.
+    One entry per side and assignment list: a hit returns the stored
+    cubes with ``flow_calls`` 0; a miss goes through
+    :func:`~repro.core.arrays.build_side_cover` and stores its cubes.
+    With ``cache=None`` this is exactly ``build_side_cover``.
     """
+    build = dict(
+        role=role, terminal=terminal, ports=ports, assignments=assignments, demand=demand
+    )
     if cache is None:
-        return build_side_array(
-            side,
-            role=role,
-            terminal=terminal,
-            ports=ports,
-            assignments=assignments,
-            demand=demand,
-        )
+        return build_side_cover(side, **build)
     net = side.network
-    m = net.num_links
-    check_enumerable(m)
     _validate_side_request(
         net, role=role, assignments=assignments, ports=ports, demand=demand
     )
-    size = 1 << m
-    num_assignments = len(assignments)
     digest = side_fingerprint(net, role=role, terminal=terminal, ports=ports)
-    keys = [_column_key(digest, a) for a in assignments]
-    realized = np.zeros((size, num_assignments), dtype=bool)
-    with span("sweep.array_cache", role=role, links=m, assignments=num_assignments):
-        missing: list[int] = []
-        for j, key in enumerate(keys):
-            column = cache.get(key, size)
-            if column is None:
-                missing.append(j)
-            else:
-                realized[:, j] = column
-        if not missing:
-            # The one probability-table request of a fully warm side.
-            probabilities = configuration_probabilities(net)
-            flow_calls = 0
-        else:
-            built = build_side_array(
-                side,
-                role=role,
-                terminal=terminal,
-                ports=ports,
-                assignments=[assignments[j] for j in missing],
-                demand=demand,
+    key = _cover_key(digest, assignments)
+    with span(
+        "sweep.array_cache", role=role, links=net.num_links, assignments=len(assignments)
+    ):
+        cubes = cache.get(key, net.num_links, len(assignments))
+        if cubes is not None:
+            return SideCover(
+                cubes=cubes, num_links=net.num_links, num_assignments=len(assignments)
             )
-            # The builder already asked for this side's table.
-            probabilities = built.probabilities
-            flow_calls = built.flow_calls
-            for local, j in enumerate(missing):
-                column = (
-                    (built.masks >> np.uint64(local)) & np.uint64(1)
-                ).astype(bool)
-                realized[:, j] = column
-                cache.put(keys[j], column)
-    masks = pack_bitplanes(realized)
-    return RealizationArray(
-        masks=masks,
-        probabilities=probabilities,
-        num_assignments=num_assignments,
-        flow_calls=flow_calls,
-    )
+        cover = build_side_cover(side, **build)
+        cache.put(key, cover.cubes)
+    return cover
 
 
 # -- the sweep specification ----------------------------------------------
@@ -492,8 +444,8 @@ class SweepSpec:
     * :meth:`overrides` — per-point ``{link_index: failure_probability}``
       patches on top of the base probabilities;
     * :meth:`demand_rates` — the probabilities stay fixed and the demand
-      ``d`` varies (arrays are rebuilt per rate, but shared assignment
-      tuples reuse cached columns).
+      ``d`` varies (each rate has its own assignment list, so its own
+      side covers).
     """
 
     kind: str
@@ -546,36 +498,36 @@ class SweepSpec:
             raise ReproValueError("demand sweeps do not define a failure matrix")
         base = np.asarray(net.failure_probabilities(), dtype=np.float64)
         m = len(base)
-        rows: list[np.ndarray] = []
         if self.kind == "availability":
-            for v in self.values:
-                rows.append(np.full(m, 1.0 - v, dtype=np.float64))
-        elif self.kind == "failure-scale":
-            for f in self.values:
-                row = base * f
-                if row.size and float(row.max()) >= 1.0:
+            points = np.asarray(self.values, dtype=np.float64)
+            return np.repeat(1.0 - points[:, None], m, axis=1)
+        if self.kind == "failure-scale":
+            grid = np.asarray(self.values, dtype=np.float64)[:, None] * base[None, :]
+            over = (grid >= 1.0).any(axis=1)
+            if over.any():
+                f = self.values[int(np.argmax(over))]
+                raise ReproValueError(
+                    f"failure scale factor {f} pushes a link failure "
+                    "probability to 1 or beyond"
+                )
+            return grid
+        rows: list[np.ndarray] = []
+        for mapping in self.values:
+            row = base.copy()
+            for index, p in mapping.items():
+                i = int(index)
+                if not 0 <= i < m:
                     raise ReproValueError(
-                        f"failure scale factor {f} pushes a link failure "
-                        "probability to 1 or beyond"
+                        f"override link index {i} out of range for a "
+                        f"network with {m} links"
                     )
-                rows.append(row)
-        else:  # overrides
-            for mapping in self.values:
-                row = base.copy()
-                for index, p in mapping.items():
-                    i = int(index)
-                    if not 0 <= i < m:
-                        raise ReproValueError(
-                            f"override link index {i} out of range for a "
-                            f"network with {m} links"
-                        )
-                    p = float(p)
-                    if not 0.0 <= p < 1.0:
-                        raise ReproValueError(
-                            f"override failure probability {p} outside [0, 1)"
-                        )
-                    row[i] = p
-                rows.append(row)
+                p = float(p)
+                if not 0.0 <= p < 1.0:
+                    raise ReproValueError(
+                        f"override failure probability {p} outside [0, 1)"
+                    )
+                row[i] = p
+            rows.append(row)
         return np.array(rows, dtype=np.float64).reshape(len(self.values), m)
 
     def point_network(self, net: FlowNetwork, index: int) -> FlowNetwork:
@@ -649,10 +601,10 @@ def split_reliability(
 ) -> tuple[list[ReliabilityResult], int]:
     """The paper's §III-B/§III-C/§IV-B pipeline on a resolved split.
 
-    Builds the assignment set and both realization arrays once, then
+    Builds the assignment set and both side covers once, then
     evaluates Eq. 2 and Eq. 3 for every row of the ``(points, links)``
     ``failure_grid``.  Returns one result per row (each with
-    ``flow_calls=0``) and the max-flow solves the array builds spent.
+    ``flow_calls=0``) and the max-flow solves the cover builds spent.
     """
     num_points = failure_grid.shape[0]
     cut_links = split.cut
@@ -683,9 +635,9 @@ def split_reliability(
         ]
         return zeros, 0
 
-    def side_array(role: str) -> RealizationArray:
+    def side_cover(role: str) -> SideCover:
         source = role == "source"
-        return cached_side_array(
+        return cached_side_cover(
             split.source_side if source else split.sink_side,
             role=role,
             terminal=demand.source if source else demand.sink,
@@ -700,60 +652,56 @@ def split_reliability(
         links=len(source_columns),
         assignments=len(assignments),
     ):
-        source_array = side_array("source")
+        source_cover = side_cover("source")
     with span(
         "bottleneck.sink_array",
         links=len(sink_columns),
         assignments=len(assignments),
     ):
-        sink_array = side_array("sink")
+        sink_cover = side_cover("sink")
 
     # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
-    # depends only on the supported class, so identical classes share
-    # one accumulation per batch of rows; both sides are grouped by
-    # their distinct realization masks once, before the batches.
+    # depends only on the supported class, so the patterns sharing a
+    # class share one accumulation per batch of rows; each cover weighs
+    # its distinct realization masks once per batch.  A row's value is
+    # the exactly rounded sum of its pattern terms, so terms of
+    # probability 0 (and the order of the terms) leave it unchanged.
     check_enumerable(k)
-    classes = classify_by_support(assignments, k)
-    configurations = len(source_array.masks) + len(sink_array.masks)
-    ms, inverse_s = distinct_masks(source_array.masks)
-    mt, inverse_t = distinct_masks(sink_array.masks)
-    batch = max(1, _MAX_GRID_ENTRIES >> max(len(source_columns), len(sink_columns), k))
+    by_class: dict[tuple[int, ...], list[int]] = {}
+    for pattern, supported in classify_by_support(assignments, k).items():
+        if supported:
+            by_class.setdefault(supported, []).append(pattern)
+    configurations = (1 << len(source_columns)) + (1 << len(sink_columns))
+    ms, mt = source_cover.distinct, sink_cover.distinct
+    widest = max(len(source_cover.cubes), len(sink_cover.cubes), 1 << k)
+    batch = max(1, _MAX_GRID_ENTRIES // widest)
     results: list[ReliabilityResult] = []
     with span("bottleneck.accumulate", points=num_points, patterns=1 << k):
         for start in range(0, num_points, batch):
             rows = failure_grid[start : start + batch]
-            ws = distinct_weights(
-                inverse_s, probability_grid(rows[:, source_columns]), len(ms)
-            )
-            wt = distinct_weights(
-                inverse_t, probability_grid(rows[:, sink_columns]), len(mt)
-            )
+            ws = source_cover.weights(rows[:, source_columns])
+            wt = sink_cover.weights(rows[:, sink_columns])
             pattern_rows = probability_grid(rows[:, list(cut_links)])  # Eq. (2)
-            r_rows: dict[tuple[int, ...], np.ndarray] = {}
-            for local in range(len(rows)):
-                terms: list[float] = []
-                used: set[tuple[int, ...]] = set()
-                for pattern, supported in classes.items():
-                    if not supported:
-                        continue
-                    p_pattern = float(pattern_rows[local, pattern])
-                    if p_pattern == 0.0:
-                        continue
-                    r = r_rows.get(supported)
-                    if r is None:
-                        r = joint_rows(ms, ws, mt, wt, mask_from_indices(supported))
-                        r_rows[supported] = r
-                    used.add(supported)
-                    terms.append(p_pattern * float(r[local]))
+            terms = np.zeros((len(rows), 1 << k), dtype=np.float64)
+            used = np.zeros(len(rows), dtype=np.int64)
+            for supported, patterns in by_class.items():
+                p_patterns = pattern_rows[:, patterns]
+                live = (p_patterns != 0.0).any(axis=1)
+                if not live.any():
+                    continue
+                r = joint_rows(ms, ws, mt, wt, mask_from_indices(supported))
+                terms[:, patterns] = p_patterns * r[:, None]
+                used += live
+            for row_terms, classes_used in zip(terms.tolist(), used.tolist()):
                 results.append(
                     ReliabilityResult(
-                        value=prob_fsum(terms),
+                        value=prob_fsum(row_terms),
                         method="bottleneck",
                         configurations=configurations,
-                        details={**base_details, "distinct_classes": len(used)},
+                        details={**base_details, "distinct_classes": classes_used},
                     )
                 )
-    return results, source_array.flow_calls + sink_array.flow_calls
+    return results, source_cover.flow_calls + sink_cover.flow_calls
 
 
 def point_reliability(
@@ -766,7 +714,7 @@ def point_reliability(
     """The one-row call of :func:`split_reliability` at ``net``'s own
     failure probabilities.
 
-    Reports the array builds' solves as ``flow_calls`` and, when a
+    Reports the cover builds' solves as ``flow_calls`` and, when a
     ``cache`` is given, its traffic under ``details["array_cache"]``.
     """
     failure_grid = np.asarray(net.failure_probabilities(), dtype=np.float64)
@@ -793,10 +741,10 @@ def compute_reliability_sweep(
     max_cut_size: int = 3,
     cache: ArrayCache | None = None,
 ) -> SweepResult:
-    """Reliability at every sweep point for the cost of ~one array build.
+    """Reliability at every sweep point for the cost of ~one cover build.
 
     One cut search serves every point.  For the probability kinds the
-    assignment set and both realization arrays are then computed once
+    assignment set and both side covers are then computed once
     (through ``cache``; a private in-memory :class:`ArrayCache` is used
     when none is given) and Eq. 2 / Eq. 3 are evaluated for the whole
     failure grid by :func:`split_reliability`, the pipeline
@@ -807,7 +755,7 @@ def compute_reliability_sweep(
     0; this call's total is reported on the :class:`SweepResult`).
 
     Demand sweeps run the one-point pipeline per rate with the shared
-    cache, so assignment tuples common to several rates are built once.
+    cache, so a rate seen before is not built again.
 
     Parameters mirror :func:`bottleneck_reliability`; ``demand.rate`` is
     ignored (and may be any valid rate) for ``kind="demand"`` sweeps.
@@ -908,7 +856,7 @@ def plan_batch(
     """Merge query points into per-topology sweep plans.
 
     Queries sharing a topology fingerprint, terminals and demand rate
-    collapse into **one** plan — one cut search, one cached array
+    collapse into **one** plan — one cut search, one cached cover
     build, one vectorized Eq. 2/3 grid — no matter how their failure
     probabilities differ: each member becomes one ``overrides`` sweep
     point carrying its full failure vector.  This is the serving

@@ -41,6 +41,7 @@ __all__ = [
     "ASSIGNMENTS_ENUMERATED",
     "ARRAY_ENTRIES_BUILT",
     "CERTIFICATE_CUTS",
+    "COVER_CUBES_BUILT",
     "CUT_PROBES",
     "CONFIGURATIONS_ENUMERATED",
     "SERVE_COALESCED",
@@ -80,12 +81,16 @@ wallclock = time.perf_counter
 #: which appear under ``solver.<name>.solves`` instead).
 FLOW_SOLVES = "flow_solves"
 #: Failure configurations whose probability was materialised
-#: (``2^m`` per probability-table build).
+#: (``2^m`` per probability-table build), a side cover's cube counting
+#: as one each time the cover is weighed (``repro.core.cover``).
 CONFIGURATIONS_ENUMERATED = "configurations_enumerated"
 #: Assignment tuples produced by the §III-B enumeration.
 ASSIGNMENTS_ENUMERATED = "assignments_enumerated"
-#: Realization-array entries evaluated (``|D| * 2^{m_side}`` per side
-#: before pruning).
+#: Realization-array entries evaluated: ``|D| * 2^{m_side}`` per
+#: explicit side array (``build_side_array``) and ``|A_in| * |A_out| *
+#: 2^{m}`` per chain middle-segment relation, before pruning.  The
+#: bottleneck, sweep, batch and serve paths build side covers instead
+#: (``cover_cubes_built``), so there it counts only middle segments.
 ARRAY_ENTRIES_BUILT = "array_entries_built"
 #: Monte-Carlo samples drawn.
 MC_SAMPLES = "mc_samples"
@@ -97,41 +102,45 @@ FLOW_REPAIRS = "flow_repairs"
 #: configuration — augmenting-path work a cold solve would have redone
 #: from scratch.  The headline saving of the Gray-code walk.
 AUGMENTING_PATHS_SAVED = "augmenting_paths_saved"
-#: Realization columns served from the content-addressed
-#: :class:`repro.core.sweep.ArrayCache` — each hit replaces a full
-#: ``2^{m_side}`` column build (and its max-flow solves) with a lookup.
+#: Side covers served from the content-addressed
+#: :class:`repro.core.sweep.ArrayCache` — each hit replaces a side's
+#: cover build (and any max-flow solves it needs) with a lookup.
 ARRAY_CACHE_HITS = "array_cache_hits"
-#: Realization columns the cache had to build (and then stored).
+#: Side covers the cache had to build (and then stored).
 ARRAY_CACHE_MISSES = "array_cache_misses"
-#: Bytes of bit-packed realization columns moved through the cache
-#: (read on hits + written on stores).
+#: Bytes of side-cover cube arrays moved through the cache (read on
+#: hits + written on stores).
 ARRAY_CACHE_BYTES = "array_cache_bytes"
 #: Cuts in the bond families of the sides the cut-certificate kernel
 #: (``repro.core.certificate``) built, summed per side.  A certificate
 #: build spends no max-flow solve: it adds nothing to ``flow_solves``.
 CERTIFICATE_CUTS = "certificate_cuts"
+#: Cubes in the side covers (``repro.core.cover``) built for the
+#: bottleneck, sweep, batch, serve and chain end-segment paths, summed
+#: per side; a cache hit builds none.
+COVER_CUBES_BUILT = "cover_cubes_built"
 #: s-t connectivity probes (one breadth-first search of ``G - R`` per
 #: distinct removed link set ``R``) spent by one
 #: :func:`repro.graph.cuts.minimal_st_cuts` call, counted once per call
 #: with its total.  At most ``sum(C(|E|, i) for i <= max_size)``.
 CUT_PROBES = "cut_probes"
-#: Columns evicted from a bounded :class:`~repro.core.sweep.ArrayCache`
+#: Entries evicted from a bounded :class:`~repro.core.sweep.ArrayCache`
 #: (``max_bytes`` LRU): dropped from memory and unlinked from disk.
 ARRAY_CACHE_EVICTIONS = "array_cache_evictions"
 #: Accounted bytes reclaimed by those evictions.
 ARRAY_CACHE_EVICTED_BYTES = "array_cache_evicted_bytes"
-#: Disk-tier column writes that failed (``OSError``, e.g. a full disk);
-#: the column stays served from memory.
+#: Disk-tier entry writes that failed (``OSError``, e.g. a full disk);
+#: the entry stays served from memory.
 ARRAY_CACHE_WRITE_ERRORS = "array_cache_write_errors"
 #: Queries decoded and answered by the serving daemon
 #: (``repro.serve``): one per protocol ``query`` op.
 SERVE_QUERIES = "serve_queries"
 #: Queries answered by a merged batch beyond the first member — for a
 #: plan covering ``n`` queries, ``n - 1`` of them rode along on one cut
-#: search / array build / Eq. 2-3 grid.
+#: search / cover build / Eq. 2-3 grid.
 SERVE_COALESCED = "serve_coalesced"
-#: Queries answered with **zero** max-flow solves (every realization
-#: column came from the warm :class:`~repro.core.sweep.ArrayCache`).
+#: Queries answered with **zero** max-flow solves (every side cover
+#: came from the warm :class:`~repro.core.sweep.ArrayCache`).
 SERVE_WARM_HITS = "serve_warm_hits"
 #: Feasibility queries spent on the rare-event tier's critical-point
 #: searches (``repro.core.rare``): one per kill walked along a sampled
@@ -161,6 +170,7 @@ KNOWN_COUNTERS = frozenset(
         ARRAY_CACHE_EVICTED_BYTES,
         ARRAY_CACHE_WRITE_ERRORS,
         CERTIFICATE_CUTS,
+        COVER_CUBES_BUILT,
         CUT_PROBES,
         SERVE_QUERIES,
         SERVE_COALESCED,

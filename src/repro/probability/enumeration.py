@@ -116,8 +116,8 @@ def _doubling(grid: np.ndarray) -> np.ndarray:
 def _probability_table(probs: tuple[float, ...]) -> np.ndarray:
     """Memoised, **read-only** probability table for one prob vector.
 
-    Each side array, each cached-column rebuild and the pointwise Eq. 2/3
-    phase ask for the same table; building it once per process and
+    Each explicit side array and each repeat caller ask for the same
+    table; building it once per process and
     sharing a read-only view removes an ``O(2^m)`` rebuild from every
     repeat caller.
     """

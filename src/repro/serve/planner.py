@@ -4,12 +4,12 @@ Every query expands to its sweep points (one ``(network, demand)`` pair
 per point), the whole round is merged by
 :func:`repro.core.sweep.plan_batch` — queries sharing a topology
 fingerprint, terminals and rate collapse into **one** plan: one cut
-search, one cached array build, one vectorized Eq. 2/3 grid — and each
+search, one cached cover build, one vectorized Eq. 2/3 grid — and each
 plan runs as a single :func:`repro.core.sweep.compute_reliability_sweep`
 against the shared :class:`~repro.core.sweep.ArrayCache`.  A plan that
-misses no cached column is *warm*: that is what the ``warm`` response
+misses no cached side cover is *warm*: that is what the ``warm`` response
 flag and the ``serve_warm_hits`` counter report.  Both read the cache
-misses of the answering plan, not its solve count — a cold column built
+misses of the answering plan, not its solve count — a cold cover built
 by the cut-certificate kernel spends no max-flow solve either.
 
 Queries that cannot ride a batch — an explicit non-bottleneck method,
@@ -20,7 +20,7 @@ CLI, so served values stay pinned to the pointwise path either way.
 
 The server's ``solver`` reaches only the fallbacks of non-coalescible
 methods: the bottleneck pipeline picks its own kernels from the input,
-so a named solver never changes how a realization column is built.
+so a named solver never changes how a side cover is built.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def _fallback_values(
     A coalescible query (``auto``/``bottleneck`` on a plan the sweep
     refused) gets the shared ``cache``; any other method gets
     ``solver``.  Returns the values, the solves spent and whether every
-    point was answered from cached realization columns alone.
+    point was answered from cached side covers alone.
     """
     assert query.net is not None and query.demand is not None and query.spec is not None
     values: list[float] = []

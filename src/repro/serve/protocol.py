@@ -25,9 +25,9 @@ the network's own failure probabilities"):
 
 Responses (``repro.serve/response/v1``) echo ``id`` and carry one
 ``{"x": ..., "reliability": ...}`` pair per point, the max-flow solves
-the answering batch spent (``flow_calls``), whether every realization
-column came from the warm array cache (``"warm": true`` — the batch
-missed nothing; cold columns built by the cut-certificate kernel cost
+the answering batch spent (``flow_calls``), whether every side cover
+came from the warm array cache (``"warm": true`` — the batch
+missed nothing; cold covers built by the cut-certificate kernel cost
 no solves, so ``flow_calls`` alone cannot tell) and the batch shape
 (``{"queries": n, "points": p}``).
 Encoding is canonical (sorted keys, compact separators), so identical
@@ -223,7 +223,7 @@ def response_payload(
 ) -> dict[str, Any]:
     """The success response for one answered query.
 
-    ``warm`` says the answering plan missed no array-cache column.
+    ``warm`` says the answering plan missed no array-cache entry.
     """
     spec = query.spec
     assert spec is not None

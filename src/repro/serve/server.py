@@ -147,13 +147,13 @@ class ReliabilityServer:
     # -- warming -----------------------------------------------------------
 
     def warm(self, net: FlowNetwork, demand: FlowDemand) -> int:
-        """Pre-build the realization arrays for ``(net, demand)``.
+        """Pre-build the side covers for ``(net, demand)``.
 
         One single-point sweep at the network's own probabilities: the
-        §III-C columns it builds (or disk-loads) are exactly the ones
+        §III-C covers it builds (or disk-loads) are exactly the ones
         every later probability-axis query on this topology reuses.
-        Returns the realization columns it had to build — the cache
-        misses (0 when the disk tier was already warm).
+        Returns the side covers it had to build — the cache misses (0
+        when the disk tier was already warm).
         """
         with span("serve.warm", links=net.num_links, rate=demand.rate):
             swept = compute_reliability_sweep(

@@ -1,4 +1,5 @@
-"""RR110 fixture: realization-array rebuilds in loops — positives, negatives, noqa."""
+"""RR110 fixture: realization-array and side-cover rebuilds in loops —
+positives, negatives, noqa."""
 
 
 def bad_rebuild_per_point(split, points):
@@ -29,7 +30,7 @@ def ok_single_build(split):
 def ok_cached_in_loop(split, points, cache):
     curves = []
     for _point in points:
-        curves.append(cached_side_array(split.source_side, cache=cache))
+        curves.append(cached_side_cover(split.source_side, cache=cache))
     return curves
 
 

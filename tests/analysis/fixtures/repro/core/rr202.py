@@ -4,10 +4,10 @@ negatives, noqa."""
 import numpy as np
 
 
-def bad_store_into_hit(cache, key, size):
-    column = cache.get(key, size)
-    column[0] = True
-    return column
+def bad_store_into_hit(cache, key, links, assignments):
+    cubes = cache.get(key, links, assignments)
+    cubes[0] = 0
+    return cubes
 
 
 def bad_mutation_through_view(n_bits):
@@ -17,28 +17,28 @@ def bad_mutation_through_view(n_bits):
     return counts
 
 
-def bad_inplace_sort(cache, key, size):
-    data = cache.get(key, size)
+def bad_inplace_sort(cache, key, links, assignments):
+    data = cache.get(key, links, assignments)
     data.sort()
     return data
 
 
-def bad_out_kwarg(cache, key, size, other):
-    hit = cache.get(key, size)
+def bad_out_kwarg(cache, key, links, assignments, other):
+    hit = cache.get(key, links, assignments)
     np.logical_and(hit, other, out=hit)
     return hit
 
 
-def bad_cached_side_array_fill(split, point_cache):
-    arr = cached_side_array(split.source_side, cache=point_cache)
+def bad_cached_side_cover_fill(split, point_cache):
+    arr = cached_side_cover(split.source_side, cache=point_cache)
     arr.fill(0)
     return arr
 
 
-def ok_copy_then_mutate(cache, key, size):
-    column = cache.get(key, size).copy()
-    column[0] = True
-    return column
+def ok_copy_then_mutate(cache, key, links, assignments):
+    cubes = cache.get(key, links, assignments).copy()
+    cubes[0] = 0
+    return cubes
 
 
 def ok_fresh_derived_array(n_bits):
@@ -47,13 +47,13 @@ def ok_fresh_derived_array(n_bits):
     return signs
 
 
-def ok_read_only_use(cache, key, size, realized, j):
-    column = cache.get(key, size)
-    realized[:, j] = column
+def ok_read_only_use(cache, key, links, assignments, realized, j):
+    cubes = cache.get(key, links, assignments)
+    realized[:, j] = cubes
     return realized
 
 
-def suppressed(cache, key, size):
-    column = cache.get(key, size)
-    column[0] = True  # repro: noqa[RR202] cache instance private to this scope
-    return column
+def suppressed(cache, key, links, assignments):
+    cubes = cache.get(key, links, assignments)
+    cubes[0] = 0  # repro: noqa[RR202] cache instance private to this scope
+    return cubes

@@ -3,19 +3,19 @@
 import numpy as np
 
 
-def accumulate_from_hits(cache, keys, size):
-    total = np.zeros(size, dtype=np.int64)
+def accumulate_from_hits(cache, keys, links, assignments):
+    total = np.zeros((0, 3), dtype=np.uint64)
     for key in keys:
-        column = cache.get(key, size)
-        if column is not None:
-            total = total + column
+        cubes = cache.get(key, links, assignments)
+        if cubes is not None:
+            total = np.concatenate([total, cubes])
     return total
 
 
-def private_writable_copy(cache, key, size):
-    column = cache.get(key, size)
-    scratch = column.copy()
-    scratch[0] = False
+def private_writable_copy(cache, key, links, assignments):
+    cubes = cache.get(key, links, assignments)
+    scratch = cubes.copy()
+    scratch[0] = 0
     return scratch
 
 

@@ -135,7 +135,7 @@ def test_rr110_counts_and_messages():
     # bad_comprehension_rebuild (listcomp).
     assert len(findings) == 3
     assert all("build_side_array()" in f.message for f in findings)
-    assert all("cached_side_array" in f.message for f in findings)
+    assert all("cached_side_cover" in f.message for f in findings)
 
 
 def test_rr111_counts_and_messages():

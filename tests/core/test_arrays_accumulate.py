@@ -14,7 +14,7 @@ from repro.core.accumulate import (
     distinct_weights,
     joint_rows,
 )
-from repro.core.arrays import RealizationArray, build_side_array
+from repro.core.arrays import RealizationArray, build_side_array, build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.exceptions import SolverError
 from repro.graph.builders import fujita_fig4
@@ -205,14 +205,16 @@ class TestSingleBuildPath:
         from repro import obs
         from repro.core.bottleneck import bottleneck_reliability
         from repro.core.demand import FlowDemand
-        from repro.obs.recorder import CERTIFICATE_CUTS
+        from repro.obs.recorder import CERTIFICATE_CUTS, COVER_CUBES_BUILT
 
         with obs.record() as rec:
             result = bottleneck_reliability(fujita_fig4(), FlowDemand("s", "t", 2))
         assert result.flow_calls == 0
         assert rec.counter_total(obs.FLOW_SOLVES) == 0
         assert rec.counter_total(CERTIFICATE_CUTS) > 0
-        assert rec.counter_total(obs.ARRAY_ENTRIES_BUILT) == 3 * (2**4 + 2**3)
+        # The split builds two side covers, never a 2^m array.
+        assert rec.counter_total(obs.ARRAY_ENTRIES_BUILT) == 0
+        assert 2 <= rec.counter_total(COVER_CUBES_BUILT) < 2**4 + 2**3
 
     def test_flow_calls_partition_exactly_through_obs(self, monkeypatch):
         from repro import obs
@@ -238,7 +240,8 @@ class TestSingleBuildPath:
         "entry_point",
         [
             "build_side_array",
-            "cached_side_array",
+            "build_side_cover",
+            "cached_side_cover",
             "bottleneck_reliability",
             "compute_reliability_sweep",
             "evaluate_batch",
@@ -254,7 +257,7 @@ class TestSingleBuildPath:
         from repro.core.demand import FlowDemand
         from repro.core.sweep import (
             SweepSpec,
-            cached_side_array,
+            cached_side_cover,
             compute_reliability_sweep,
             evaluate_batch,
         )
@@ -273,7 +276,10 @@ class TestSingleBuildPath:
             "build_side_array": lambda **kw: build_side_array(
                 split.source_side, **side_kwargs, **kw
             ),
-            "cached_side_array": lambda **kw: cached_side_array(
+            "build_side_cover": lambda **kw: build_side_cover(
+                split.source_side, **side_kwargs, **kw
+            ),
+            "cached_side_cover": lambda **kw: cached_side_cover(
                 split.source_side, **side_kwargs, **kw
             ),
             "bottleneck_reliability": lambda **kw: bottleneck_reliability(

@@ -1,5 +1,9 @@
 """Unit tests for the broadcast (multi-sink) extension."""
 
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.core.demand import FlowDemand
@@ -8,6 +12,15 @@ from repro.core.naive import naive_reliability
 from repro.exceptions import DemandError
 from repro.graph.builders import fujita_fig4, two_paths
 from repro.graph.network import FlowNetwork
+
+
+def _suite_inputs():
+    """The end-to-end benchmark suite's input builders (``inputs.py``)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "suite" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("suite_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestBroadcastReliability:
@@ -34,6 +47,16 @@ class TestBroadcastReliability:
         thin.add_link("hub", "u", 1, 0.1)
         thin.add_link("hub", "v", 1, 0.1)
         assert broadcast_reliability(thin, "s", ["u", "v"], 1).value == 0.0
+
+    def test_unservable_target_costs_one_solve(self):
+        """The all-alive net cannot carry 9 units to both subscribers, so
+        no configuration can: one solve answers 0 instead of a walk."""
+        rng = np.random.default_rng([0, 1])
+        net = _suite_inputs().bottlenecked(rng, 6, 6, "broadcast")
+        result = broadcast_reliability(net, "s", ["t", "y0"], 9)
+        assert result.value == 0.0
+        assert result.flow_calls == 1
+        assert result.configurations == 1 << net.num_links
 
     def test_single_subscriber_equals_paper_quantity(self):
         net = fujita_fig4()

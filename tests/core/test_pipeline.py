@@ -3,7 +3,7 @@
 ``bottleneck_reliability`` is the one-row call of
 :func:`repro.core.sweep.split_reliability` and a probability sweep its
 many-row call.  These tests pin what that sharing promises: one span
-vocabulary, one probability-table request per side and one memoised
+vocabulary, one weighing of each side cover per call and one memoised
 doubling table.
 """
 
@@ -16,12 +16,15 @@ from repro.core.bottleneck import (
     pattern_probabilities,
     pattern_probability,
 )
+from repro.core.assignments import enumerate_assignments
 from repro.core.demand import FlowDemand
 from repro.core.sweep import (
     ArrayCache,
     SweepSpec,
+    cached_side_cover,
     compute_reliability_sweep,
 )
+from repro.graph.cuts import find_bottleneck
 from repro.graph.builders import fujita_fig4
 from repro.graph.generators import bottlenecked_network
 from repro.probability.enumeration import (
@@ -83,8 +86,23 @@ class TestSpanVocabulary:
         assert name not in obs.KNOWN_SPANS
 
 
+def _cubes(net, demand):
+    """Cubes in the two side covers of ``net``'s bottleneck split."""
+    split = find_bottleneck(net, demand.source, demand.sink)
+    capacities = [net.link(i).capacity for i in split.cut]
+    request = dict(assignments=enumerate_assignments(capacities, demand.rate), demand=2)
+    source = cached_side_cover(
+        split.source_side, role="source", terminal="s", ports=split.source_ports, **request
+    )
+    sink = cached_side_cover(
+        split.sink_side, role="sink", terminal="t", ports=split.sink_ports, **request
+    )
+    return len(source.cubes) + len(sink.cubes)
+
+
 class TestConfigurationsCountedOnce:
-    """Each side's probability table is requested once per call."""
+    """Each side cover is weighed once per call, one term per cube; the
+    result still reports every configuration of both sides."""
 
     @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
     def test_fig4_counter_equals_result_configurations(self, cache_state):
@@ -96,7 +114,7 @@ class TestConfigurationsCountedOnce:
         with obs.record() as rec:
             result = bottleneck_reliability(net, demand, cache=cache)
         assert result.configurations == 24
-        assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == 24
+        assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == _cubes(net, demand)
 
     @pytest.mark.parametrize("cache_state", ["none", "cold", "warm"])
     def test_bottlenecked_net_counter_equals_result_configurations(self, cache_state):
@@ -113,17 +131,18 @@ class TestConfigurationsCountedOnce:
             bottleneck_reliability(net, demand, cache=cache)
         with obs.record() as rec:
             result = bottleneck_reliability(net, demand, cache=cache)
-        assert result.configurations > 0
-        assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == result.configurations
+        assert result.configurations == 2**6 + 2**5
+        assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == _cubes(net, demand)
 
     def test_cold_sweep_counts_each_side_once(self):
+        net, demand = fujita_fig4(), FlowDemand("s", "t", 2)
         with obs.record() as rec:
             swept = compute_reliability_sweep(
-                fujita_fig4(),
-                FlowDemand("s", "t", 2),
+                net,
+                demand,
                 sweep=SweepSpec.availability(list(np.linspace(0.7, 0.99, 33))),
             )
-        assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == 24
+        assert rec.counter_total(obs.CONFIGURATIONS_ENUMERATED) == _cubes(net, demand)
         assert all(r.configurations == 24 for r in swept)
 
 

@@ -1,6 +1,6 @@
-"""Unit tests for the sweep engine: the content-addressed ArrayCache,
-the cache-aware side-array builder and the vectorized multi-point
-accumulation (`repro.core.sweep`)."""
+"""Unit tests for the sweep engine: the content-addressed ArrayCache of
+side covers, the cache-aware side-cover dispatch and the vectorized
+multi-point accumulation (`repro.core.sweep`)."""
 
 import errno
 import os
@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.arrays import build_side_array
+from repro.core.arrays import build_side_array, build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import (
     ArrayCache,
     SweepSpec,
-    cached_side_array,
+    cached_side_cover,
     compute_reliability_sweep,
     probability_grid,
     side_fingerprint,
@@ -89,37 +89,55 @@ class TestSideFingerprint:
         )
 
 
+def _cover(cubes: int = 2, phase: int = 0) -> np.ndarray:
+    """A valid cover entry: ``cubes`` cubes partitioning ``cubes - 1``
+    links (``24 * cubes`` bytes), masks over two assignments.
+
+    Cube ``j`` is "links below ``j`` dead, link ``j`` alive"; the last
+    cube has every link dead.
+    """
+    links = cubes - 1
+    rows = [[1 << j, (1 << j) - 1, (j + phase) % 4] for j in range(links)]
+    rows.append([0, (1 << links) - 1, phase % 4])
+    return np.array(rows, dtype=np.uint64)
+
+
+def _get(cache, key, cubes=2):
+    """``cache.get`` with the dimensions of a :func:`_cover` entry."""
+    return cache.get(key, cubes - 1, 2)
+
+
 class TestArrayCache:
     def test_memory_round_trip(self):
         cache = ArrayCache()
-        column = np.array([True, False, True, True, False], dtype=bool)
-        cache.put("k", column)
+        cover = _cover(3)
+        cache.put("k", cover)
         assert len(cache) == 1
-        got = cache.get("k", 5)
-        assert got is not None and got.dtype == bool
-        assert np.array_equal(got, column)
+        got = _get(cache, "k", 3)
+        assert got is not None and got.dtype == np.uint64
+        assert np.array_equal(got, cover)
 
     def test_miss_counts(self):
         cache = ArrayCache()
-        assert cache.get("absent", 4) is None
+        assert _get(cache, "absent") is None
         stats = cache.stats()
         assert stats["misses"] == 1 and stats["hits"] == 0
 
     def test_disk_persistence_across_instances(self, tmp_path):
-        column = np.arange(16) % 3 == 0
+        cover = _cover(5)
         first = ArrayCache(tmp_path)
-        first.put("k", column)
+        first.put("k", cover)
         assert first.bytes_written > 0
         # a brand-new instance (fresh process stand-in) starts warm
         second = ArrayCache(tmp_path)
         assert len(second) == 0
-        got = second.get("k", 16)
-        assert got is not None and np.array_equal(got, column)
+        got = _get(second, "k", 5)
+        assert got is not None and np.array_equal(got, cover)
         assert second.stats()["hits"] == 1 and second.bytes_read > 0
 
     def test_disk_files_are_content_addressed(self, tmp_path):
         cache = ArrayCache(tmp_path)
-        cache.put("deadbeef", np.ones(4, dtype=bool))
+        cache.put("deadbeef", _cover())
         assert (tmp_path / "deadbeef.npy").is_file()
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -127,33 +145,30 @@ class TestArrayCache:
         # An in-place store into a cache hit must raise instead of
         # silently poisoning the buffer the next sweep point reads.
         cache = ArrayCache()
-        cache.put("k", np.array([True, False, True, False], dtype=bool))
-        got = cache.get("k", 4)
+        cache.put("k", _cover(3))
+        got = _get(cache, "k", 3)
         assert got is not None and not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            got[0] = False
-        again = cache.get("k", 4)
+            got[0, 2] = 0
+        again = _get(cache, "k", 3)
         assert again is not None
-        assert np.array_equal(again, [True, False, True, False])
+        assert np.array_equal(again, _cover(3))
 
     def test_warm_disk_hit_is_read_only(self, tmp_path):
-        column = np.arange(8) % 2 == 0
-        ArrayCache(tmp_path).put("k", column)
+        cover = _cover(4)
+        ArrayCache(tmp_path).put("k", cover)
         warm = ArrayCache(tmp_path)  # fresh instance: served from disk
-        got = warm.get("k", 8)
+        got = _get(warm, "k", 4)
         assert got is not None and not got.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            got[:2] = False
-        again = warm.get("k", 8)
-        assert again is not None and np.array_equal(again, column)
-
-
-def _column(packed_bytes: int, phase: int = 0) -> np.ndarray:
-    """A bool column whose packbits payload is exactly ``packed_bytes``."""
-    return (np.arange(packed_bytes * 8) + phase) % 3 == 0
+            got[:2] = 0
+        again = _get(warm, "k", 4)
+        assert again is not None and np.array_equal(again, cover)
 
 
 class TestArrayCacheBound:
+    """Every entry here is a two-cube cover: 48 bytes."""
+
     def test_max_bytes_must_be_positive(self):
         with pytest.raises(ReproValueError):
             ArrayCache(max_bytes=0)
@@ -163,35 +178,35 @@ class TestArrayCacheBound:
     def test_unbounded_cache_never_evicts(self):
         cache = ArrayCache()
         for i in range(8):
-            cache.put(f"k{i}", _column(16, i))
+            cache.put(f"k{i}", _cover(2, i))
         assert cache.stats()["evictions"] == 0
         assert cache.total_bytes == 0  # accounting only runs when bounded
 
     def test_lru_eviction_prefers_least_recently_used(self):
-        cache = ArrayCache(max_bytes=32)
-        cache.put("a", _column(16))
-        cache.put("b", _column(16, 1))
-        assert cache.get("a", 128) is not None  # a becomes most recent
-        cache.put("c", _column(16, 2))  # 48 bytes tracked: evict b, not a
-        assert cache.get("b", 128) is None
-        assert cache.get("a", 128) is not None
-        assert cache.get("c", 128) is not None
+        cache = ArrayCache(max_bytes=96)
+        cache.put("a", _cover())
+        cache.put("b", _cover(2, 1))
+        assert _get(cache, "a") is not None  # a becomes most recent
+        cache.put("c", _cover(2, 2))  # 144 bytes tracked: evict b, not a
+        assert _get(cache, "b") is None
+        assert _get(cache, "a") is not None
+        assert _get(cache, "c") is not None
         stats = cache.stats()
-        assert stats["evictions"] == 1 and stats["evicted_bytes"] == 16
-        assert cache.total_bytes <= 32
+        assert stats["evictions"] == 1 and stats["evicted_bytes"] == 48
+        assert cache.total_bytes <= 96
 
     def test_eviction_unlinks_the_disk_file(self, tmp_path):
-        cache = ArrayCache(tmp_path, max_bytes=32)
-        cache.put("a", _column(16))
-        cache.put("b", _column(16, 1))
-        cache.put("c", _column(16, 2))
+        cache = ArrayCache(tmp_path, max_bytes=96)
+        cache.put("a", _cover())
+        cache.put("b", _cover(2, 1))
+        cache.put("c", _cover(2, 2))
         assert not (tmp_path / "a.npy").exists()
         assert (tmp_path / "b.npy").is_file() and (tmp_path / "c.npy").is_file()
 
     def test_adopts_preexisting_disk_tier_oldest_first(self, tmp_path):
         unbounded = ArrayCache(tmp_path)
         for i, key in enumerate(("old", "mid", "new")):
-            unbounded.put(key, _column(16, i))
+            unbounded.put(key, _cover(2, i))
         sizes = {p.stem: p.stat().st_size for p in tmp_path.glob("*.npy")}
         for i, key in enumerate(("old", "mid", "new")):
             os.utime(tmp_path / f"{key}.npy", (1000 + i, 1000 + i))
@@ -202,20 +217,20 @@ class TestArrayCacheBound:
         assert bounded.stats()["evictions"] == 1
 
     def test_single_oversized_column_still_serves(self):
-        # The just-touched key is protected: a column larger than the
+        # The just-touched key is protected: an entry larger than the
         # bound degrades the cache to one entry, it never thrashes it.
         cache = ArrayCache(max_bytes=8)
-        cache.put("big", _column(16))
-        assert cache.get("big", 128) is not None
+        cache.put("big", _cover())
+        assert _get(cache, "big") is not None
         assert cache.stats()["evictions"] == 0
 
     def test_evicted_key_rebuilds_on_demand(self, tmp_path):
-        cache = ArrayCache(tmp_path, max_bytes=16)
-        cache.put("a", _column(16))
-        cache.put("b", _column(16, 1))  # evicts a
-        assert cache.get("a", 128) is None
-        cache.put("a", _column(16))  # rebuild and re-publish
-        assert cache.get("a", 128) is not None
+        cache = ArrayCache(tmp_path, max_bytes=48)
+        cache.put("a", _cover())
+        cache.put("b", _cover(2, 1))  # evicts a
+        assert _get(cache, "a") is None
+        cache.put("a", _cover())  # rebuild and re-publish
+        assert _get(cache, "a") is not None
 
 
 class TestCorruptDiskEntries:
@@ -233,13 +248,13 @@ class TestCorruptDiskEntries:
 
     def test_truncated_column_is_rebuilt(self, tmp_path):
         net, paths = self._damage_every_entry(
-            tmp_path, lambda path: np.save(path, np.zeros(0, dtype=np.uint8))
+            tmp_path, lambda path: np.save(path, np.zeros((0, 3), dtype=np.uint64))
         )
         cache = ArrayCache(tmp_path)
         value = bottleneck_reliability(net, DEMAND, cache=cache).value
         assert value == bottleneck_reliability(net, DEMAND).value
         assert cache.stats()["hits"] == 0
-        # The rebuilt columns replace the damaged files.
+        # The rebuilt covers replace the damaged files.
         assert all(np.load(path).size > 0 for path in paths)
 
     def test_garbage_file_is_a_miss(self, tmp_path):
@@ -255,7 +270,7 @@ class TestCorruptDiskEntries:
         (tmp_path / "k.npy").write_bytes(b"garbage")
         cache = ArrayCache(tmp_path, max_bytes=1024)
         assert cache.total_bytes == len(b"garbage")
-        assert cache.get("k", 16) is None
+        assert _get(cache, "k") is None
         assert cache.total_bytes == 0
         assert not (tmp_path / "k.npy").exists()
 
@@ -266,7 +281,7 @@ class TestArrayCacheFaults:
     def test_two_writers_publish_one_key(self, tmp_path, monkeypatch):
         # A second cache on the same directory publishes the key while
         # the first writer is mid-save: both must finish.
-        column = np.arange(16) % 3 == 0
+        cover = _cover(5)
         first = ArrayCache(tmp_path)
         second = ArrayCache(tmp_path)
         save = np.save
@@ -275,17 +290,17 @@ class TestArrayCacheFaults:
         def save_after_rival(handle, array):
             if not interleaved:
                 interleaved.append(True)
-                second.put("k", column)
+                second.put("k", cover)
             save(handle, array)
 
         monkeypatch.setattr(np, "save", save_after_rival)
-        first.put("k", column)
+        first.put("k", cover)
         monkeypatch.setattr(np, "save", save)
         assert interleaved
         assert first.write_errors == 0 and second.write_errors == 0
         assert not list(tmp_path.glob("*.tmp"))
-        got = ArrayCache(tmp_path).get("k", 16)
-        assert got is not None and np.array_equal(got, column)
+        got = _get(ArrayCache(tmp_path), "k", 5)
+        assert got is not None and np.array_equal(got, cover)
 
     def test_failed_disk_write_serves_from_memory(self, tmp_path, monkeypatch):
         def full_disk(handle, array):
@@ -301,39 +316,39 @@ class TestArrayCacheFaults:
         assert cache.stats()["write_errors"] == cache.stats()["stores"] > 0
         assert rec.counter_total(ARRAY_CACHE_WRITE_ERRORS) == cache.write_errors
         assert not list(tmp_path.iterdir())
-        # The columns stay in memory: a second call is fully warm.
+        # The covers stay in memory: a second call is fully warm.
         again = bottleneck_reliability(net, DEMAND, cache=cache)
         assert again.value == expected
         assert again.details["array_cache"]["misses"] == 0
 
     def test_put_leaves_only_the_column_file(self, tmp_path):
-        ArrayCache(tmp_path).put("k", np.arange(16) % 2 == 0)
+        ArrayCache(tmp_path).put("k", _cover())
         assert [path.name for path in tmp_path.iterdir()] == ["k.npy"]
 
     def test_published_column_has_the_plain_open_mode(self, tmp_path):
         # Other users sharing the directory must be able to read the
-        # column, exactly as if it had been written by a plain open().
-        columns, plain = tmp_path / "columns", tmp_path / "plain"
-        ArrayCache(columns).put("k", np.arange(16) % 2 == 0)
+        # entry, exactly as if it had been written by a plain open().
+        covers, plain = tmp_path / "covers", tmp_path / "plain"
+        ArrayCache(covers).put("k", _cover())
         with open(plain, "wb"):
             pass
-        assert (columns / "k.npy").stat().st_mode == plain.stat().st_mode
+        assert (covers / "k.npy").stat().st_mode == plain.stat().st_mode
 
     def test_partial_write_leaves_no_column(self, tmp_path, monkeypatch):
         # The disk fills after a few bytes: neither a temp file nor a
-        # truncated column is left for a later reader.
+        # truncated entry is left for a later reader.
         def partial_then_full(handle, array):
             handle.write(b"\x93NUMPY")
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        column = np.arange(16) % 3 == 0
+        cover = _cover(5)
         monkeypatch.setattr(np, "save", partial_then_full)
         cache = ArrayCache(tmp_path)
-        cache.put("k", column)
+        cache.put("k", cover)
         assert cache.write_errors == 1
-        assert np.array_equal(cache.get("k", 16), column)
+        assert np.array_equal(_get(cache, "k", 5), cover)
         assert not list(tmp_path.iterdir())
-        assert ArrayCache(tmp_path).get("k", 16) is None
+        assert _get(ArrayCache(tmp_path), "k", 5) is None
 
     def test_write_after_a_failure_publishes(self, tmp_path, monkeypatch):
         save = np.save
@@ -347,18 +362,18 @@ class TestArrayCacheFaults:
 
         monkeypatch.setattr(np, "save", fail_once)
         cache = ArrayCache(tmp_path)
-        cache.put("a", np.ones(16, dtype=bool))
-        cache.put("b", np.zeros(16, dtype=bool))
+        cache.put("a", _cover(2, 1))
+        cache.put("b", _cover(2, 2))
         assert cache.write_errors == 1
         assert [path.name for path in tmp_path.iterdir()] == ["b.npy"]
         # Another cache on the directory publishes the failed key later.
-        ArrayCache(tmp_path).put("a", np.ones(16, dtype=bool))
-        assert ArrayCache(tmp_path).get("a", 16).all()
+        ArrayCache(tmp_path).put("a", _cover(2, 1))
+        assert np.array_equal(_get(ArrayCache(tmp_path), "a"), _cover(2, 1))
 
     def test_damaged_entry_this_writer_cannot_remove_is_a_miss(
         self, tmp_path, monkeypatch
     ):
-        # Another user's damaged column in a sticky directory: the
+        # Another user's damaged entry in a sticky directory: the
         # unlink is refused, the lookup is still a plain miss.
         (tmp_path / "k.npy").write_bytes(b"garbage")
 
@@ -367,9 +382,9 @@ class TestArrayCacheFaults:
 
         monkeypatch.setattr(Path, "unlink", refuse)
         cache = ArrayCache(tmp_path)
-        assert cache.get("k", 16) is None
-        cache.put("k", np.ones(16, dtype=bool))
-        assert cache.get("k", 16).all()
+        assert _get(cache, "k") is None
+        cache.put("k", _cover())
+        assert np.array_equal(_get(cache, "k"), _cover())
 
     def test_memory_only_cache_counts_no_write_errors(self, monkeypatch):
         def full_disk(handle, array):
@@ -377,52 +392,80 @@ class TestArrayCacheFaults:
 
         monkeypatch.setattr(np, "save", full_disk)
         cache = ArrayCache()
-        cache.put("k", np.ones(16, dtype=bool))
+        cache.put("k", _cover())
         assert cache.stats()["write_errors"] == 0
-        assert cache.get("k", 16).all()
+        assert np.array_equal(_get(cache, "k"), _cover())
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["alive", "dead"])
+    def test_flipped_link_bit_is_a_miss(self, tmp_path, column):
+        # One flipped alive/dead bit makes two cubes overlap (or leaves
+        # configurations uncovered): the entry is no partition, so it
+        # is unlinked and rebuilt, never served.
+        cover = _cover(4).copy()
+        cover[0, column] ^= np.uint64(0b10)
+        np.save(tmp_path / "k.npy", cover)
+        cache = ArrayCache(tmp_path)
+        assert cache.get("k", 3, 2) is None
+        assert not (tmp_path / "k.npy").exists()
+        assert cache.stats()["misses"] == 1
+
+    def test_flipped_bits_in_real_entries_are_rebuilt(self, tmp_path):
+        net = fujita_fig4(failure_probability=0.1)
+        expected = bottleneck_reliability(net, DEMAND).value
+        bottleneck_reliability(net, DEMAND, cache=ArrayCache(tmp_path))
+        for path in tmp_path.glob("*.npy"):
+            cubes = np.load(path)
+            cubes[0, 0] ^= np.uint64(1)
+            np.save(path, cubes)
+        cache = ArrayCache(tmp_path)
+        assert bottleneck_reliability(net, DEMAND, cache=cache).value == expected
+        assert cache.stats()["hits"] == 0
 
 
-class TestCachedSideArray:
+class TestCachedSideCover:
     def test_no_cache_matches_direct_builder(self):
         _, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
         kwargs = source_kwargs(split, assignments)
-        direct = build_side_array(split.source_side, **kwargs)
-        dispatched = cached_side_array(split.source_side, **kwargs)
-        assert np.array_equal(direct.masks, dispatched.masks)
+        direct = build_side_cover(split.source_side, **kwargs)
+        dispatched = cached_side_cover(split.source_side, **kwargs)
+        assert np.array_equal(direct.cubes, dispatched.cubes)
         assert direct.flow_calls == dispatched.flow_calls
+        array = build_side_array(split.source_side, **kwargs)
+        assert np.array_equal(dispatched.expand(), array.masks)
 
     def test_cold_then_warm_bit_identity(self):
         _, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
         kwargs = source_kwargs(split, assignments)
-        direct = build_side_array(split.source_side, **kwargs)
+        direct = build_side_cover(split.source_side, **kwargs)
         cache = ArrayCache()
-        cold = cached_side_array(split.source_side, cache=cache, **kwargs)
-        warm = cached_side_array(split.source_side, cache=cache, **kwargs)
+        cold = cached_side_cover(split.source_side, cache=cache, **kwargs)
+        warm = cached_side_cover(split.source_side, cache=cache, **kwargs)
         for built in (cold, warm):
-            assert np.array_equal(built.masks, direct.masks)
-            assert np.array_equal(built.probabilities, direct.probabilities)
+            assert np.array_equal(built.cubes, direct.cubes)
+            assert built.num_links == direct.num_links
             assert built.num_assignments == direct.num_assignments
-        assert cache.stats()["misses"] == len(assignments)
+        # One entry per side and assignment list.
+        assert cache.stats()["misses"] == 1
         assert warm.flow_calls == 0
-        assert cache.stats()["hits"] == len(assignments)
+        assert cache.stats()["hits"] == 1
 
-    def test_partial_warm_builds_only_missing_columns(self):
+    def test_assignment_list_is_part_of_the_key(self):
         _, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
         kwargs = source_kwargs(split, assignments)
         cache = ArrayCache()
-        cached_side_array(
+        cached_side_cover(
             split.source_side,
             cache=cache,
             **{**kwargs, "assignments": assignments[:1]},
         )
-        full = cached_side_array(split.source_side, cache=cache, **kwargs)
-        direct = build_side_array(split.source_side, **kwargs)
-        assert np.array_equal(full.masks, direct.masks)
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["stores"] == len(assignments)
+        full = cached_side_cover(split.source_side, cache=cache, **kwargs)
+        direct = build_side_cover(split.source_side, **kwargs)
+        assert np.array_equal(full.cubes, direct.cubes)
+        assert cache.stats()["hits"] == 0
+        assert cache.stats()["stores"] == 2
 
     def test_cache_shared_between_certificate_and_maxflow_kernels(self, monkeypatch):
         _, split = fig4_split()
@@ -430,13 +473,16 @@ class TestCachedSideArray:
         kwargs = source_kwargs(split, assignments)
         cache = ArrayCache()
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-        solved = cached_side_array(split.source_side, cache=cache, **kwargs)
+        solved = cached_side_cover(split.source_side, cache=cache, **kwargs)
         monkeypatch.undo()
-        certified = cached_side_array(split.source_side, cache=cache, **kwargs)
+        certified = cached_side_cover(split.source_side, cache=cache, **kwargs)
         assert solved.flow_calls > 0
-        assert np.array_equal(certified.masks, solved.masks)
+        assert np.array_equal(certified.cubes, solved.cubes)
+        assert np.array_equal(
+            certified.cubes, build_side_cover(split.source_side, **kwargs).cubes
+        )
         assert certified.flow_calls == 0
-        assert cache.stats()["hits"] == len(assignments)
+        assert cache.stats()["hits"] == 1
 
 
 class TestProbabilityGrid:

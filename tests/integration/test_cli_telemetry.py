@@ -22,7 +22,7 @@ from repro.core import certificate
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import save
 from repro.obs import MetricsServer, read_events
-from repro.obs.recorder import ARRAY_ENTRIES_BUILT, FLOW_SOLVES, Recorder
+from repro.obs.recorder import COVER_CUBES_BUILT, FLOW_SOLVES, Recorder
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -46,7 +46,7 @@ class TestEventsFlag:
         assert events[0]["ev"] == "start"
         assert events[0]["meta"]["command"] == "compute"
         assert events[-1]["ev"] == "finish"
-        assert events[-1]["counters"][ARRAY_ENTRIES_BUILT] > 0
+        assert events[-1]["counters"][COVER_CUBES_BUILT] > 0
 
     def test_sweep_writes_only_main_stream(self, net_file, tmp_path, capsys):
         events_dir = tmp_path / "ev"

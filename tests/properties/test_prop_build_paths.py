@@ -1,17 +1,20 @@
 """Property: both §III-C build kernels yield the reference bits.
 
-All realization arrays come out of one entry point,
-:func:`repro.core.sweep.cached_side_array`, which without a cache is
-:func:`repro.core.arrays.build_side_array`.  The side picks the kernel:
+Every side comes out of one of two builders over one kernel choice:
+the paper's explicit array (:func:`repro.core.arrays.build_side_array`)
+and the side cover every Eq. 3 caller reads
+(:func:`repro.core.sweep.cached_side_cover`, which without a cache is
+:func:`repro.core.arrays.build_side_cover`).  The side picks the kernel:
 the cut-certificate kernel inside its guards, the pruned Gray walk past
 them.  These tests reach the walk through the guard (a monkeypatched
 ``MAX_CERTIFICATE_CUTS``), never through an option, and pin the
 contract that makes the choice a pure performance matter: for every
 seed, role and demand rate the masks equal the reference oracle
 (``tests/reference_arrays.py``, itself cross-checked across every
-registered solver), and the reliability value and result ``details`` (modulo the
-accounting keys) are bit-identical across kernels — and a disk cache
-filled by either kernel serves the other with zero max-flow solves.
+registered solver), both kernels' covers expand to those masks, the
+reliability value and result ``details`` (modulo the accounting keys)
+are bit-identical across kernels — and a disk cache filled by either
+kernel serves the other with zero max-flow solves.
 """
 
 from contextlib import contextmanager
@@ -23,14 +26,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import certificate
-from repro.core.arrays import build_side_array
+from repro.core.arrays import build_side_array, build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import (
     ArrayCache,
     SweepSpec,
-    cached_side_array,
+    cached_side_cover,
     compute_reliability_sweep,
 )
 from repro.graph.cuts import find_bottleneck
@@ -156,16 +159,17 @@ class TestSideMasksAcrossKernels:
 class TestUncachedDispatch:
     @pytest.mark.parametrize("role", ["source", "sink"])
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_cached_side_array_without_cache_is_build_side_array(self, role, kernel):
+    def test_cached_side_cover_without_cache_is_build_side_cover(self, role, kernel):
         split, assignments = _split(_instance(0))
         side, request = _side_request(split, role)
         kwargs = dict(assignments=assignments, demand=2, **request)
         with _kernel(kernel):
-            direct = build_side_array(side, **kwargs)
-            dispatched = cached_side_array(side, cache=None, **kwargs)
-        assert np.array_equal(direct.masks, dispatched.masks)
-        np.testing.assert_array_equal(direct.probabilities, dispatched.probabilities)
-        assert dispatched.flow_calls == direct.flow_calls
+            direct = build_side_cover(side, **kwargs)
+            dispatched = cached_side_cover(side, cache=None, **kwargs)
+            array = build_side_array(side, **kwargs)
+        assert np.array_equal(direct.cubes, dispatched.cubes)
+        assert np.array_equal(dispatched.expand(), array.masks)
+        assert dispatched.flow_calls == direct.flow_calls == array.flow_calls
         assert dispatched.num_assignments == direct.num_assignments
 
 
@@ -230,8 +234,8 @@ class TestDiskCacheAcrossKernels:
         assert warm.flow_calls == 0
         assert warm.cache_stats["misses"] == 0
         assert warm.values == cold.values
-        _, assignments = _split(net)
-        assert len(list(Path(cache_dir).glob("*.npy"))) == 2 * len(assignments)
+        # One cover entry per side.
+        assert len(list(Path(cache_dir).glob("*.npy"))) == 2
         assert not list(Path(cache_dir).glob("*.tmp"))
 
     @pytest.mark.parametrize("seed", SEEDS)
