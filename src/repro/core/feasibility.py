@@ -128,6 +128,57 @@ class FeasibilityOracle:
             return value >= self.demand
         return self.flow_value(alive, limit=self.demand) >= self.demand
 
+    def certify(self, alive: int) -> tuple[bool, tuple[int, ...]]:
+        """Answer one feasibility query together with its certificate.
+
+        * Feasible: the *support* of a flow of value ``>= demand``, the
+          links carrying flow.  Every alive set containing it is
+          feasible.
+        * Infeasible: the *cut*, every link (alive or dead) crossing out
+          of the residual-reachable source shore; undirected links cross
+          in either direction.  Every alive set whose alive part of the
+          cut has capacity below the demand is infeasible.
+
+        Costs exactly what :meth:`feasible` costs plus one scan of the
+        solver state, read from the repair engine's residual when
+        incremental and from the template's otherwise (push–relabel
+        leaves a genuine max-flow state).  Each certificate is checked
+        against the queried alive set before it is returned: a support
+        must be alive, a cut's alive capacity must fall short of the
+        demand.  A solver state that fails either check raises
+        :class:`~repro.exceptions.SolverError`.
+        """
+        if self.demand == 0:
+            return True, ()
+        if self._engine is not None:
+            feasible = self.feasible(alive)
+            graph, link_flow = self._engine.graph, self._engine.link_flow
+        else:
+            feasible = self.flow_value(alive, limit=self.demand) >= self.demand
+            graph, link_flow = self.template.graph, self.template.link_flow
+        links = self.net.links()
+        if feasible:
+            support = tuple(link.index for link in links if link_flow(link.index) != 0)
+            if any(not (alive >> i) & 1 for i in support):
+                raise SolverError("flow support uses a dead link")
+            return True, support
+        shore = graph.residual_reachable(self._s)
+        if shore[self._t]:
+            raise SolverError("infeasible query left a residual source-sink path")
+        index = self.template.node_index
+        cut = []
+        for link in links:
+            tail = shore[index[link.tail]]
+            head = shore[index[link.head]]
+            if (tail and not head) or (head and not tail and not link.directed):
+                cut.append(link.index)
+        alive_capacity = sum(links[i].capacity for i in cut if (alive >> i) & 1)
+        if alive_capacity >= self.demand:
+            raise SolverError(
+                f"cut capacity {alive_capacity} does not certify demand {self.demand}"
+            )
+        return False, tuple(cut)
+
     def used_links(
         self, alive: int | Iterable[int] | None, *, limit: int | None = None
     ) -> list[int]:

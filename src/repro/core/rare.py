@@ -8,10 +8,9 @@ two variance-reduction methods whose relative error stays bounded as
 ``U -> 0``:
 
 **Permutation / conditional Monte-Carlo** (the destruction-spectrum
-estimator).  Sample a random *order* in which the links fail, walk the
-kills through a warm :class:`~repro.flow.incremental.IncrementalMaxFlow`
-residual until the demand first becomes infeasible (the *critical
-number* ``B``), then integrate the failure probabilities out
+estimator).  Sample a random *order* in which the links fail, find the
+number of kills after which the demand first becomes infeasible (the
+*critical number* ``B``), then integrate the failure probabilities out
 analytically: conditioned on the order, the network is down exactly
 when at least ``B`` links failed, so the sample contributes
 
@@ -41,15 +40,24 @@ from their conditional law given the level's failed set (truncated
 exponentials — pure vectorized inverse-CDF, no MCMC), and the product
 of the per-level conditional probabilities estimates ``U``.
 
+Critical numbers come from certificates learned along the way, not
+from one max-flow query per kill.  A feasible query yields a flow
+*support*: no prefix that spares its links can fail, so it bounds ``B``
+from below.  An infeasible query yields a *cut*: a prefix that kills
+enough of it must fail.  A batch checks the bounds in numpy, and only
+the orders they leave open query the oracle, each at its lower bound
+(one :meth:`~repro.core.feasibility.FeasibilityOracle.certify`), learning
+one more certificate per query.  Every critical number equals the
+one-kill-at-a-time walk's, with at most the walk's queries per order.
+
 Vectorization contract: all inner loops are array-at-a-time numpy —
 permutation batches are drawn as ``argsort`` of exponential matrices of
-shape ``(batch, m)``, spectrum conditioning and splitting refreshes are
-batched, and scalar Python only touches the critical-point searches,
-which ride the warm residual-repair path (one single-bit
-:meth:`~repro.flow.incremental.IncrementalMaxFlow.goto` per kill).
-The solver decides the path: every estimator repairs flow when the
-solver honours the warm-start contract and solves cold otherwise
-(push–relabel); there is no option to choose.
+shape ``(batch, m)``, spectrum conditioning, certificate checks and
+splitting refreshes are batched, and scalar Python only touches the
+orders the certificates leave open.  The solver decides the path: every
+estimator repairs flow when the solver honours the warm-start contract
+and solves cold otherwise (push–relabel); there is no option to
+choose.
 Lint rule RR114 enforces the no-scalar-draws discipline on this module.
 
 Replayability: every estimate derives its random streams from one root
@@ -69,6 +77,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.core import certificate
 from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.montecarlo import z_quantile
@@ -82,6 +91,7 @@ from repro.obs.progress import progress_ticker
 from repro.obs.recorder import (
     MC_SAMPLES,
     SAMPLES_VECTORIZED,
+    SPECTRUM_CERTIFIED,
     SPECTRUM_SOLVES,
     count,
     span,
@@ -160,29 +170,122 @@ def sample_failure_orders(
     return np.argsort(clocks, axis=1, kind="stable")
 
 
-def _critical_numbers(
-    oracle: FeasibilityOracle, orders: np.ndarray, full_mask: int
-) -> tuple[np.ndarray, int]:
-    """Critical number per failure order: the count of kills at which
-    the demand first becomes infeasible (``m + 1`` = never).
+#: Failure orders settled together: the chunk's certificate checks are
+#: ``(rows x certificates)`` arrays, so this bounds their memory.
+_CHUNK_ROWS = 256
 
-    The only scalar loop of the estimator, and it rides the warm
-    residual-repair path: consecutive queries differ in one link, so an
-    incremental oracle repairs rather than re-solves; the jump back to
-    the all-alive mask between orders is revive-only (free).
+#: ``uint8`` entries per support-check block (``rows x supports x m``),
+#: 256 KiB of temporaries.
+_BLOCK_ENTRIES = 1 << 18
+
+
+class _Certificates:
+    """The supports and cuts one estimate call has learned.
+
+    A *support* (links carrying a flow of value ``>= d``) keeps every
+    prefix that kills none of its links feasible, so an order's
+    critical number is at least the step at which it first kills one of
+    them.  A *cut* (links crossing out of a source shore) stores each
+    link's capacity clipped to ``d``; a prefix whose alive part of some
+    cut sums below ``d`` is infeasible.  Cuts are learned only while
+    ``m * d < 2^53``, so their float64 sums of clipped integers are
+    exact.  Each kind stops growing at
+    :data:`repro.core.certificate.MAX_CERTIFICATE_CUTS`; rows then
+    settle by queries alone, with the same values.
+    """
+
+    def __init__(self, net: FlowNetwork, demand: int) -> None:
+        m = net.num_links
+        self.demand = demand
+        self.limit = certificate.MAX_CERTIFICATE_CUTS
+        self.clipped = np.array(
+            [min(link.capacity, demand) for link in net.links()], dtype=np.float64
+        )
+        self.learn_cuts = m * demand < 1 << 53
+        self.supports = np.zeros((0, m), dtype=bool)
+        self.cuts = np.zeros((0, m), dtype=np.float64)
+
+    def add(self, feasible: bool, links: tuple[int, ...]) -> None:
+        if feasible:
+            if len(self.supports) < self.limit:
+                row = np.zeros((1, self.supports.shape[1]), dtype=bool)
+                row[0, list(links)] = True
+                self.supports = np.concatenate([self.supports, row])
+        elif self.learn_cuts and len(self.cuts) < self.limit:
+            row = np.zeros((1, self.cuts.shape[1]))
+            row[0, list(links)] = self.clipped[list(links)]
+            self.cuts = np.concatenate([self.cuts, row])
+
+    def raise_bounds(self, pos: np.ndarray, lo: np.ndarray, since: int) -> None:
+        """Raise ``lo`` in place to the first kill of each support from
+        index ``since`` on (``m + 1`` for a support the order never kills)."""
+        m = pos.shape[1]
+        block = max(1, _BLOCK_ENTRIES // pos.size)
+        for start in range(since, len(self.supports), block):
+            part = self.supports[start : start + block]
+            first = np.where(part[None, :, :], pos[:, None, :], m + 1).min(axis=2)
+            np.maximum(lo, first.max(axis=1), out=lo)
+
+    def cut_at(self, pos: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """Rows whose prefix ``lo`` leaves some cut below the demand."""
+        if not len(self.cuts):
+            return np.zeros(pos.shape[0], dtype=bool)
+        alive = (pos > lo[:, None]).astype(np.float64)
+        return np.any(alive @ self.cuts.T < self.demand, axis=1)
+
+
+def _critical_numbers(
+    oracle: FeasibilityOracle, orders: np.ndarray, certificates: _Certificates
+) -> tuple[np.ndarray, np.ndarray]:
+    """Critical number per failure order: the count of kills at which
+    the demand first becomes infeasible (``m + 1`` = never), and the
+    feasibility queries each order spent.
+
+    Every row starts from the bound ``lo = 1`` raised by the learned
+    supports, and is settled with no query when a learned cut already
+    fails at prefix ``lo``.  A row the certificates leave open queries
+    the oracle at prefix ``lo`` (one :meth:`FeasibilityOracle.certify`):
+    an infeasible answer settles ``B = lo`` and teaches a cut; a
+    feasible one teaches a support, which lifts ``lo`` past the queried
+    prefix, and the row checks again against everything learned since
+    its chunk was checked.  Queries land on distinct prefixes at most
+    ``B``, so a row never makes more than the ``min(B, m)`` queries of
+    the one-kill-at-a-time walk, and every value equals the walk's.
     """
     batch, m = orders.shape
-    criticals = np.full(batch, m + 1, dtype=np.int64)
-    queries = 0
-    order_lists = orders.tolist()  # scalar loop: stay off numpy scalars
-    for row, order in enumerate(order_lists):
-        mask = full_mask
-        for killed, link in enumerate(order, start=1):
-            mask &= ~(1 << link)
-            queries += 1
-            if not oracle.feasible(mask):
-                criticals[row] = killed
-                break
+    full_mask = (1 << m) - 1
+    steps = np.arange(1, m + 1, dtype=np.uint8)
+    criticals = np.empty(batch, dtype=np.int64)
+    queries = np.zeros(batch, dtype=np.int64)
+    for start in range(0, batch, _CHUNK_ROWS):
+        chunk = orders[start : start + _CHUNK_ROWS]
+        rows = chunk.shape[0]
+        # pos[b, e]: the step (from 1) at which order b kills link e.
+        pos = np.empty((rows, m), dtype=np.uint8)
+        pos[np.arange(rows)[:, None], chunk] = steps
+        lo = np.ones(rows, dtype=np.int64)
+        certificates.raise_bounds(pos, lo, 0)
+        settled = certificates.cut_at(pos, lo)
+        checked = len(certificates.supports)
+        for row in np.flatnonzero(~settled).tolist():
+            row_pos = pos[row : row + 1]
+            row_lo = lo[row : row + 1]
+            order = chunk[row].tolist()  # scalar loop: stay off numpy scalars
+            while True:
+                certificates.raise_bounds(row_pos, row_lo, checked)
+                prefix = int(row_lo[0])
+                if prefix > m or certificates.cut_at(row_pos, row_lo)[0]:
+                    break
+                dead = 0
+                for link in order[:prefix]:
+                    dead |= 1 << link
+                queries[start + row] += 1
+                feasible, links = oracle.certify(full_mask & ~dead)
+                certificates.add(feasible, links)
+                if not feasible:
+                    break
+                row_lo[0] = min((int(row_pos[0, e]) for e in links), default=m + 1)
+        criticals[start : start + rows] = lo
     return criticals, queries
 
 
@@ -259,6 +362,7 @@ class DestructionSpectrum:
     num_permutations: int
     queries: int
     flow_calls: int
+    certified: int
 
     def pmf(self) -> np.ndarray:
         """Empirical spectrum ``f(b) = P(B = b)``; sums to 1."""
@@ -290,26 +394,30 @@ def destruction_spectrum(
     streams, _ = spawn_streams(seed)
     rng = streams["spectrum.permutations"]
     oracle = _make_oracle(net, demand, solver)
-    full_mask = (1 << m) - 1
+    certificates = _Certificates(net, demand.rate)
     counts = np.zeros(m + 2, dtype=np.int64)
     queries = 0
+    certified = 0
     drawn = 0
     with span("rare.spectrum", permutations=num_permutations, batch_size=batch_size):
         while drawn < num_permutations:
             batch = min(batch_size, num_permutations - drawn)
             orders = sample_failure_orders(m, batch, rng)
             count(SAMPLES_VECTORIZED, batch)
-            criticals, batch_queries = _critical_numbers(oracle, orders, full_mask)
+            criticals, row_queries = _critical_numbers(oracle, orders, certificates)
             counts += np.bincount(criticals, minlength=m + 2)
-            queries += batch_queries
+            queries += int(row_queries.sum())
+            certified += int(np.count_nonzero(row_queries == 0))
             drawn += batch
         count(SPECTRUM_SOLVES, queries)
+        count(SPECTRUM_CERTIFIED, certified)
         count(MC_SAMPLES, drawn)
     return DestructionSpectrum(
         counts=counts,
         num_permutations=num_permutations,
         queries=queries,
         flow_calls=oracle.calls,
+        certified=certified,
     )
 
 
@@ -393,8 +501,10 @@ def permutation_montecarlo_reliability(
     log_binom = _log_binomials(m)
     weight_sum = KahanSum()
     weight_sq_sum = KahanSum()
+    certificates = _Certificates(net, demand.rate)
     counts = np.zeros(m + 2, dtype=np.int64)
     queries = 0
+    certified = 0
     drawn = 0
     batches = 0
     stopped_early = False
@@ -404,8 +514,8 @@ def permutation_montecarlo_reliability(
                 batch = min(batch_size, num_samples - drawn)
                 orders = sample_failure_orders(m, batch, rng)
                 count(SAMPLES_VECTORIZED, batch)
-                criticals, batch_queries = _critical_numbers(
-                    oracle, orders, full_mask
+                criticals, row_queries = _critical_numbers(
+                    oracle, orders, certificates
                 )
                 weights = _spectrum_weights(
                     orders,
@@ -417,7 +527,8 @@ def permutation_montecarlo_reliability(
                 weight_sum.add(fsum(weights.tolist()))
                 weight_sq_sum.add(fsum((weights * weights).tolist()))
                 counts += np.bincount(criticals, minlength=m + 2)
-                queries += batch_queries
+                queries += int(row_queries.sum())
+                certified += int(np.count_nonzero(row_queries == 0))
                 drawn += batch
                 batches += 1
                 ticker.tick(batch)
@@ -430,6 +541,7 @@ def permutation_montecarlo_reliability(
                     stopped_early = True
                     break
         count(SPECTRUM_SOLVES, queries)
+        count(SPECTRUM_CERTIFIED, certified)
         count(MC_SAMPLES, drawn)
 
     unreliability = weight_sum.value / drawn
@@ -462,6 +574,7 @@ def permutation_montecarlo_reliability(
             "critical_max": int(nonzero[-1]) if observed.size else 0,
             "homogeneous": failure_tail is not None,
             "spectrum_solves": queries,
+            "spectrum_certified": certified,
             "flow_calls": oracle.calls,
             "batches": batches,
             "stopped_early": stopped_early,

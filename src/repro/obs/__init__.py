@@ -49,6 +49,7 @@ from repro.obs.recorder import (
     SERVE_COALESCED,
     SERVE_QUERIES,
     SERVE_WARM_HITS,
+    SPECTRUM_CERTIFIED,
     SPECTRUM_SOLVES,
     Recorder,
     SpanRecord,
@@ -85,6 +86,7 @@ __all__ = [
     "SERVE_COALESCED",
     "SERVE_QUERIES",
     "SERVE_WARM_HITS",
+    "SPECTRUM_CERTIFIED",
     "SPECTRUM_SOLVES",
     "SpanRecord",
     "TelemetryRecorder",

@@ -52,6 +52,7 @@ __all__ = [
     "AUGMENTING_PATHS_SAVED",
     "MC_SAMPLES",
     "SAMPLES_VECTORIZED",
+    "SPECTRUM_CERTIFIED",
     "SPECTRUM_SOLVES",
     "KNOWN_COUNTERS",
     "KNOWN_SPANS",
@@ -142,11 +143,16 @@ SERVE_COALESCED = "serve_coalesced"
 #: Queries answered with **zero** max-flow solves (every side cover
 #: came from the warm :class:`~repro.core.sweep.ArrayCache`).
 SERVE_WARM_HITS = "serve_warm_hits"
-#: Feasibility queries spent on the rare-event tier's critical-point
-#: searches (``repro.core.rare``): one per kill walked along a sampled
-#: failure order.  A subset of ``flow_solves`` territory but counted
-#: separately so benches can report solves-per-permutation.
+#: Feasibility queries spent on the rare-event tier's critical-number
+#: searches (``repro.core.rare``): one per oracle query of an order the
+#: learned cut and support certificates left open.  A subset of
+#: ``flow_solves`` territory but counted separately so benches can
+#: report solves-per-permutation.
 SPECTRUM_SOLVES = "spectrum_solves"
+#: Sampled failure orders whose critical number the learned
+#: certificates settled with no oracle query; with the orders that
+#: queried, it sums to the permutations drawn.
+SPECTRUM_CERTIFIED = "spectrum_certified"
 #: Samples produced by a single array-at-a-time draw in the estimator
 #: tier (permutation batches, splitting populations/refreshes) — the
 #: vectorization contract's observable: ``samples_vectorized`` should
@@ -176,6 +182,7 @@ KNOWN_COUNTERS = frozenset(
         SERVE_COALESCED,
         SERVE_WARM_HITS,
         SPECTRUM_SOLVES,
+        SPECTRUM_CERTIFIED,
         SAMPLES_VECTORIZED,
     }
 )

@@ -58,6 +58,75 @@ class TestFeasibilityOracle:
             FeasibilityOracle(diamond(), "s", "s", demand)
 
 
+SOLVERS = ["dinic", "edmonds_karp", "capacity_scaling", "push_relabel"]
+
+
+def _mixed_net():
+    """Directed and undirected links, a parallel pair and a self-loop."""
+    net = FlowNetwork()
+    net.add_link("s", "a", 2, 0.1)
+    net.add_link("s", "b", 1, 0.1, directed=False)
+    net.add_link("a", "b", 1, 0.1, directed=False)
+    net.add_link("a", "t", 1, 0.1)
+    net.add_link("a", "t", 1, 0.1)
+    net.add_link("b", "t", 2, 0.1, directed=False)
+    net.add_link("b", "b", 3, 0.1)
+    return net
+
+
+class TestCertify:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("demand", [1, 2, 3])
+    def test_certificates_hold_on_every_alive_set(self, solver, demand):
+        net = _mixed_net()
+        full = (1 << net.num_links) - 1
+        oracle = FeasibilityOracle(net, "s", "t", demand, solver=solver, incremental=True)
+        reference = FeasibilityOracle(net, "s", "t", demand, solver="push_relabel")
+        for alive in range(full + 1):
+            feasible, links = oracle.certify(alive)
+            assert feasible == reference.feasible(alive)
+            mask = sum(1 << i for i in links)
+            if feasible:
+                assert mask & ~alive == 0
+                assert reference.feasible(mask)
+            else:
+                alive_capacity = sum(net.link(i).capacity for i in links if (alive >> i) & 1)
+                assert alive_capacity < demand
+                assert not reference.feasible(full & ~mask)
+
+    @pytest.mark.parametrize("solver", ["dinic", "push_relabel"])
+    def test_one_solve_per_query_when_cold(self, solver):
+        oracle = FeasibilityOracle(diamond(), "s", "t", 2, solver=solver)
+        oracle.certify(0b1111)
+        oracle.certify(0b0111)
+        assert oracle.calls == 2
+
+    def test_zero_demand_certified_by_empty_support(self):
+        oracle = FeasibilityOracle(diamond(), "s", "t", 0, incremental=True)
+        assert oracle.certify(0) == (True, ())
+        assert oracle.calls == 0
+
+    def test_support_on_dead_link_rejected(self, monkeypatch):
+        oracle = FeasibilityOracle(diamond(), "s", "t", 1, incremental=True)
+        monkeypatch.setattr(oracle.engine, "link_flow", lambda index: 1)
+        with pytest.raises(SolverError, match="dead link"):
+            oracle.certify(0b0101)
+
+    def test_cut_at_or_above_demand_rejected(self, monkeypatch):
+        from repro.flow.residual import ResidualGraph
+
+        oracle = FeasibilityOracle(diamond(), "s", "t", 2, incremental=True)
+
+        def source_only(graph, source):
+            return [node == source for node in range(graph.num_nodes)]
+
+        monkeypatch.setattr(ResidualGraph, "residual_reachable", source_only)
+        # Both source links alive, both sink links dead: the source-only
+        # shore's alive capacity is 2, which certifies nothing.
+        with pytest.raises(SolverError, match="does not certify"):
+            oracle.certify(0b0011)
+
+
 class TestFeasibilityTable:
     def test_monotone(self):
         table, _ = feasibility_table(diamond(), FlowDemand("s", "t", 1))

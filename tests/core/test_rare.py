@@ -170,6 +170,62 @@ class TestPermutationEstimator:
             permutation_montecarlo_reliability(fig4_net, demand, batch_size=0)
 
 
+def _suite_chained_net():
+    """The estimate-rare workload's net: six segments joined by five
+    2-link cuts, every link of capacity 2 at p = 1e-5 (30 links)."""
+    net = FlowNetwork(name="chained-6")
+    for j in range(5):
+        for i in range(2):
+            net.add_link(f"o{j}_{i}", f"n{j}_{i}", 2, 1e-5)
+    for seg in range(6):
+        entry = ["s"] if seg == 0 else [f"n{seg - 1}_{i}" for i in range(2)]
+        exits = ["t"] if seg == 5 else [f"o{seg}_{i}" for i in range(2)]
+        for a in entry:
+            for b in exits:
+                net.add_link(a, b, 2, 1e-5)
+    return net
+
+
+class TestGoldenPins:
+    """Values taken from the one-kill-at-a-time walk, before critical
+    numbers were settled by learned certificates; only the query and
+    solve counts may differ."""
+
+    def test_fig4(self, fig4_net):
+        est = permutation_montecarlo_reliability(
+            fig4_net, FlowDemand("s", "t", 2), num_samples=4000, seed=0
+        )
+        assert est.value.hex() == "0x1.af44536aeb7fdp-1"
+        assert est.low.hex() == "0x1.ac61e4af0f660p-1"
+        assert est.high.hex() == "0x1.b226c226c799ap-1"
+        assert est.details["spectrum_counts"] == [
+            0, 438, 1247, 1421, 752, 117, 25, 0, 0, 0, 0
+        ]
+
+    def test_chained_net_at_the_suite_seed(self):
+        net = _suite_chained_net()
+        assert net.num_links == 30
+        seed = int(np.random.SeedSequence(0).generate_state(1)[0])
+        est = rare_reliability(
+            net,
+            FlowDemand("s", "t", 2),
+            variant="permutation",
+            target_relative_error=0.2,
+            num_samples=65536,
+            seed=seed,
+        )
+        assert est.details["unreliability"].hex() == "0x1.29c5854bc8278p-30"
+        assert est.num_samples == 4096
+        assert est.details["batches"] == 2
+        assert est.details["stopped_early"] is True
+        assert est.value.hex() == "0x1.fffffff6b1d3dp-1"
+        assert est.low.hex() == "0x1.fffffff4e95e9p-1"
+        assert est.high.hex() == "0x1.fffffff87a492p-1"
+        # Settled from certificates: far fewer queries than the walk's
+        # ~28,000 at this seed.
+        assert est.details["spectrum_solves"] < 1000
+
+
 class TestSplittingEstimator:
     @pytest.mark.parametrize("seed", [0, 7, 23])
     def test_matches_exact_within_interval(self, fig4_net, seed):
@@ -354,3 +410,41 @@ class TestObservability:
         # invocations instead, which can exceed or undercut the query
         # count.)
         assert est.details["flow_calls"] == est.details["spectrum_solves"] + 1
+
+    @pytest.mark.parametrize("solver", ["dinic", "push_relabel"])
+    def test_certified_and_queried_orders_sum_to_drawn(
+        self, fig4_net, monkeypatch, solver
+    ):
+        from repro.core import rare
+        from repro.core.feasibility import FeasibilityOracle
+        from repro.obs import record
+
+        demand = FlowDemand("s", "t", 2)
+        queried_rows = []
+        settle = rare._critical_numbers
+
+        def counting(oracle, orders, certificates):
+            criticals, row_queries = settle(oracle, orders, certificates)
+            queried_rows.append(int(np.count_nonzero(row_queries)))
+            return criticals, row_queries
+
+        certify_calls = []
+        certify = FeasibilityOracle.certify
+
+        def counting_certify(oracle, alive):
+            certify_calls.append(alive)
+            return certify(oracle, alive)
+
+        monkeypatch.setattr(rare, "_critical_numbers", counting)
+        monkeypatch.setattr(FeasibilityOracle, "certify", counting_certify)
+        with record() as rec:
+            est = permutation_montecarlo_reliability(
+                fig4_net, demand, num_samples=1500, seed=4, batch_size=512,
+                solver=solver,
+            )
+        totals = rec.counter_totals()
+        assert totals["spectrum_certified"] == est.details["spectrum_certified"]
+        assert est.details["spectrum_certified"] + sum(queried_rows) == est.num_samples
+        assert totals["spectrum_solves"] == est.details["spectrum_solves"]
+        assert est.details["spectrum_solves"] == len(certify_calls)
+        assert est.details["spectrum_certified"] > 0
