@@ -365,15 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate", "-d", type=int, default=None, help="warm-demand rate d"
     )
     serve.add_argument(
-        "--coalesce-window",
-        type=float,
-        default=0.005,
-        metavar="SECONDS",
-        help="after the first query of a round arrives, keep draining "
-        "newly-readable sockets this long so near-simultaneous queries "
-        "merge into one batch (default: 0.005)",
-    )
-    serve.add_argument(
         "--solver",
         default=None,
         help="max-flow solver for queries with a non-coalescible method "
@@ -945,7 +936,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         cache=cache,
         solver=args.solver,
-        coalesce_window=args.coalesce_window,
     )
     session = _ObsSession(
         args,
@@ -964,7 +954,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "port": server.port,
             "cache_dir": args.cache_dir,
             "cache_max_bytes": args.cache_max_bytes,
-            "coalesce_window": args.coalesce_window,
             "warm": len(args.warm) or None,
         },
     )
@@ -1225,6 +1214,10 @@ _REMOVED = {
     "naive-parallel": f"the process-pool naive scan {_NEVER_BEAT_SERIAL}",
     "--incremental": _SOLVER_DECIDES,
     "--no-incremental": _SOLVER_DECIDES,
+    "--coalesce-window": (
+        "the daemon answers what is ready at once and still merges queries "
+        'that arrive together; see docs/SERVING.md "Coalescing"'
+    ),
 }
 
 

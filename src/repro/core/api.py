@@ -116,7 +116,8 @@ def compute_reliability(
     raises ``TypeError``.  ``method="auto"`` accepts only ``solver=``,
     ``cache=``, ``max_cut_size=``, ``seed=`` and ``num_samples=`` and
     raises :class:`ReproValueError` for any other option.  It forwards
-    ``cache=`` to the bottleneck engine, ``max_cut_size=`` to the cut
+    ``cache=`` to the bottleneck engine and its cut-search memo,
+    ``max_cut_size=`` to the cut
     search, ``solver=`` to the naive, rare-event and factoring
     fallbacks, and ``seed=`` and ``num_samples=`` to the rare-event
     tier.  Flow repair is the solver's call, never an option: the naive
@@ -237,8 +238,11 @@ def _dispatch(
             f"accepted: {', '.join(sorted(_AUTO_OPTIONS))}"
         )
     solver = options.get("solver")
+    cache = options.get("cache")
     try:
-        split = bottleneck_split(net, demand, None, options.get("max_cut_size", 3))
+        split = bottleneck_split(
+            net, demand, None, options.get("max_cut_size", 3), cache=cache
+        )
     except ReproError:
         # No usable split (e.g. a DecompositionError): fall back to the
         # whole-graph engines.  A bug in the cut search still raises.
@@ -247,9 +251,7 @@ def _dispatch(
         side = max(len(split.source_side.link_map), len(split.sink_side.link_map))
         if side <= _AUTO_SIDE_BITS:
             try:
-                return point_reliability(
-                    net, demand, split, cache=options.get("cache")
-                )
+                return point_reliability(net, demand, split, cache=cache)
             except DecompositionError:
                 pass
     if net.num_links <= _AUTO_NAIVE_BITS:

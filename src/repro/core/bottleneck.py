@@ -122,7 +122,8 @@ def bottleneck_reliability(
         call builds nothing and reports
         ``flow_calls == 0``.  The value and the other ``details`` are
         unchanged; the cache traffic of this call is reported under
-        ``details["array_cache"]``.
+        ``details["array_cache"]``.  A discovered cut is memoized there
+        too, so a later call on the same topology skips the cut search.
 
     Raises
     ------
@@ -131,5 +132,5 @@ def bottleneck_reliability(
         verification).
     """
     demand.validate_against(net)
-    split = bottleneck_split(net, demand, cut, max_cut_size)
+    split = bottleneck_split(net, demand, cut, max_cut_size, cache=cache)
     return point_reliability(net, demand, split, cache=cache)

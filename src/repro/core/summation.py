@@ -20,7 +20,7 @@ whenever it accumulates probability-typed values.
 from __future__ import annotations
 
 from math import fsum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = ["KahanSum", "fsum", "prob_fsum"]
 
@@ -86,12 +86,8 @@ class KahanSum:
 def prob_fsum(terms: Iterable[float]) -> float:
     """Exactly-rounded sum of probability terms.
 
-    Thin, intention-revealing wrapper over :func:`math.fsum`; the
-    iterator is materialized by ``fsum`` itself.
+    Thin, intention-revealing wrapper over :func:`math.fsum`, which
+    materializes the iterator and converts each term with ``__float__``
+    itself.
     """
-    return fsum(_as_floats(terms))
-
-
-def _as_floats(terms: Iterable[float]) -> Iterator[float]:
-    for term in terms:
-        yield float(term)
+    return fsum(terms)

@@ -73,6 +73,7 @@ from repro.obs.recorder import (
     ARRAY_CACHE_MISSES,
     ARRAY_CACHE_WRITE_ERRORS,
     ASSIGNMENTS_ENUMERATED,
+    SPLIT_CACHE_HITS,
     count,
     span,
 )
@@ -97,6 +98,11 @@ __all__ = [
 #: Bump when the fingerprint payload or the cache entry layout changes
 #: (invalidates disk caches).
 _FINGERPRINT_VERSION = 2
+
+#: Accounted bytes per link of a memoized cut search (its two side
+#: networks and link maps): tracemalloc measures about 6.4 KB for a
+#: split of a 20-link net.
+_SPLIT_BYTES_PER_LINK = 320
 
 #: Grid batches are sized so ``batch_points * cubes`` cube probabilities
 #: (and ``batch_points * 2^k`` Eq. 2 entries) stay below this budget.
@@ -188,6 +194,13 @@ class ArrayCache:
     evicted, so a single entry larger than the bound still serves (the
     cache degrades to holding one entry, it never thrashes the working
     item).
+
+    The cache also memoizes found cut searches (:meth:`get_split` /
+    :meth:`put_split`, filled by :func:`bottleneck_split`).  A memo
+    entry lives in memory only, is accounted at
+    ``_SPLIT_BYTES_PER_LINK`` per link under the same LRU bound, and is
+    not a cover: ``len()``, :meth:`stats` and the eviction counters
+    count covers only.
     """
 
     def __init__(
@@ -199,6 +212,7 @@ class ArrayCache:
         if max_bytes is not None and max_bytes <= 0:
             raise ReproValueError("max_bytes must be a positive byte count")
         self._memory: dict[str, np.ndarray] = {}
+        self._splits: dict[str, SideSplit] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -289,6 +303,8 @@ class ArrayCache:
     def _evict(self, key: str) -> None:
         size = self._sizes.pop(key)
         self._total_bytes -= size
+        if self._splits.pop(key, None) is not None:
+            return  # a memoized cut search: memory-only, not a cover
         self._memory.pop(key, None)
         if self.directory is not None:
             self._path(key).unlink(missing_ok=True)
@@ -365,6 +381,19 @@ class ArrayCache:
             if not path.is_file():
                 self._publish(path, stored)
         self._touch(key, int(stored.nbytes))
+
+    def get_split(self, key: str) -> SideSplit | None:
+        """The cut search memoized under ``key``, or None."""
+        split = self._splits.get(key)
+        if split is not None:
+            self._touch(key, self._sizes.get(key, 0))
+        return split
+
+    def put_split(self, key: str, split: SideSplit) -> None:
+        """Memoize one found cut search (memory only, never on disk)."""
+        self._splits[key] = split
+        links = len(split.cut) + len(split.source_side.link_map) + len(split.sink_side.link_map)
+        self._touch(key, _SPLIT_BYTES_PER_LINK * links)
 
     def _publish(self, path: Path, cubes: np.ndarray) -> None:
         """Write one entry file through this writer's own temp file.
@@ -566,18 +595,44 @@ class SweepResult:
         return iter(self.results)
 
 
+def _split_key(net: FlowNetwork, demand: FlowDemand, max_cut_size: int) -> str:
+    return "|".join(
+        (
+            "split",
+            network_fingerprint(net),
+            repr(demand.source),
+            repr(demand.sink),
+            str(int(max_cut_size)),
+        )
+    )
+
+
 def bottleneck_split(
     net: FlowNetwork,
     demand: FlowDemand,
     cut: Sequence[int] | None,
     max_cut_size: int,
+    *,
+    cache: ArrayCache | None = None,
 ) -> SideSplit:
     """The bottleneck cut search: discover the best admissible cut of
     size up to ``max_cut_size``, or verify the given one.
 
     Admissibility is structural (it never reads the demand rate or the
-    failure probabilities), so one search serves every sweep point.
+    failure probabilities), so one search serves every sweep point —
+    and, through ``cache``, every later call on the same topology and
+    terminals: a found split is memoized under the network fingerprint,
+    the terminals and ``max_cut_size``, and a memo hit opens no
+    ``bottleneck.cut_search`` span.  A given ``cut`` and a failed
+    search bypass the memo.
     """
+    key = None
+    if cut is None and cache is not None:
+        key = _split_key(net, demand, max_cut_size)
+        memo = cache.get_split(key)
+        if memo is not None:
+            count(SPLIT_CACHE_HITS, 1)
+            return memo
     with span("bottleneck.cut_search", given=cut is not None):
         if cut is None:
             split = find_bottleneck(
@@ -587,6 +642,8 @@ def bottleneck_split(
                 raise DecompositionError(
                     f"no admissible bottleneck cut of size <= {max_cut_size} found"
                 )
+            if cache is not None and key is not None:
+                cache.put_split(key, split)
             return split
         return verify_bottleneck(net, demand.source, demand.sink, cut)
 
@@ -743,7 +800,8 @@ def compute_reliability_sweep(
 ) -> SweepResult:
     """Reliability at every sweep point for the cost of ~one cover build.
 
-    One cut search serves every point.  For the probability kinds the
+    One cut search serves every point, memoized in ``cache`` when one
+    is given (:func:`bottleneck_split`).  For the probability kinds the
     assignment set and both side covers are then computed once
     (through ``cache``; a private in-memory :class:`ArrayCache` is used
     when none is given) and Eq. 2 / Eq. 3 are evaluated for the whole
@@ -766,7 +824,7 @@ def compute_reliability_sweep(
     the_cache = cache if cache is not None else ArrayCache()
     before = the_cache.stats()
     with span("sweep.run", kind=sweep.kind, points=len(sweep)):
-        split = bottleneck_split(net, demand, cut, max_cut_size)
+        split = bottleneck_split(net, demand, cut, max_cut_size, cache=cache)
         if failure_grid is None:
             points = [
                 point_reliability(

@@ -51,6 +51,7 @@ from repro.obs.recorder import (
     SERVE_WARM_HITS,
     SPECTRUM_CERTIFIED,
     SPECTRUM_SOLVES,
+    SPLIT_CACHE_HITS,
     Recorder,
     SpanRecord,
     count,
@@ -88,6 +89,7 @@ __all__ = [
     "SERVE_WARM_HITS",
     "SPECTRUM_CERTIFIED",
     "SPECTRUM_SOLVES",
+    "SPLIT_CACHE_HITS",
     "SpanRecord",
     "TelemetryRecorder",
     "count",

@@ -47,6 +47,7 @@ __all__ = [
     "SERVE_COALESCED",
     "SERVE_QUERIES",
     "SERVE_WARM_HITS",
+    "SPLIT_CACHE_HITS",
     "FLOW_REPAIRS",
     "FLOW_SOLVES",
     "AUGMENTING_PATHS_SAVED",
@@ -143,6 +144,10 @@ SERVE_COALESCED = "serve_coalesced"
 #: Queries answered with **zero** max-flow solves (every side cover
 #: came from the warm :class:`~repro.core.sweep.ArrayCache`).
 SERVE_WARM_HITS = "serve_warm_hits"
+#: Cut searches answered from an :class:`~repro.core.sweep.ArrayCache`
+#: memo (:func:`repro.core.sweep.bottleneck_split`): each hit replaces
+#: one ``bottleneck.cut_search`` on a topology already searched.
+SPLIT_CACHE_HITS = "split_cache_hits"
 #: Feasibility queries spent on the rare-event tier's critical-number
 #: searches (``repro.core.rare``): one per oracle query of an order the
 #: learned cut and support certificates left open.  A subset of
@@ -181,6 +186,7 @@ KNOWN_COUNTERS = frozenset(
         SERVE_QUERIES,
         SERVE_COALESCED,
         SERVE_WARM_HITS,
+        SPLIT_CACHE_HITS,
         SPECTRUM_SOLVES,
         SPECTRUM_CERTIFIED,
         SAMPLES_VECTORIZED,

@@ -4,7 +4,8 @@ Every query expands to its sweep points (one ``(network, demand)`` pair
 per point), the whole round is merged by
 :func:`repro.core.sweep.plan_batch` — queries sharing a topology
 fingerprint, terminals and rate collapse into **one** plan: one cut
-search, one cached cover build, one vectorized Eq. 2/3 grid — and each
+search (none once the shared cache memoizes the topology's split), one
+cached cover build, one vectorized Eq. 2/3 grid — and each
 plan runs as a single :func:`repro.core.sweep.compute_reliability_sweep`
 against the shared :class:`~repro.core.sweep.ArrayCache`.  A plan that
 misses no cached side cover is *warm*: that is what the ``warm`` response

@@ -7,10 +7,12 @@ bearing twice over:
 
 * the :class:`~repro.core.sweep.ArrayCache` and the obs recorder are
   touched without locks;
-* queries that arrive together are *answered* together — every select
-  wake drains all readable sockets (plus a short coalesce window) and
-  hands the whole round to :func:`repro.serve.planner.answer_queries`,
-  so concurrent queries on one topology merge into one sweep batch.
+* queries that arrive together are *answered* together — after a
+  select wake the loop keeps draining with zero-timeout polls until no
+  socket is readable, then hands the whole round to
+  :func:`repro.serve.planner.answer_queries`, so concurrent queries on
+  one topology merge into one sweep batch.  Nothing waits for company:
+  queries that arrive while a round computes form the next round.
 
 Blocking calls inside the handler path would stall every connected
 client at once; lint rule RR113 statically rejects ``time.sleep``,
@@ -84,10 +86,6 @@ class ReliabilityServer:
         Max-flow solver for queries with a non-coalescible method
         (naive, factoring, ...); the bottleneck pipeline picks its own
         kernels and never sees it.
-    coalesce_window:
-        Seconds to keep draining newly-readable sockets after the first
-        query of a round arrives, so near-simultaneous queries merge
-        into one batch.  ``0`` answers each wake immediately.
     max_line_bytes:
         Per-line request cap; beyond it the connection gets an
         ``oversized`` error and is closed.
@@ -100,17 +98,13 @@ class ReliabilityServer:
         port: int = 0,
         cache: ArrayCache | None = None,
         solver: str | MaxFlowSolver | None = None,
-        coalesce_window: float = 0.005,
         max_line_bytes: int = MAX_LINE_BYTES,
         backlog: int = 128,
     ) -> None:
-        if coalesce_window < 0:
-            raise ReproValueError("coalesce_window must be non-negative")
         if max_line_bytes <= 0:
             raise ReproValueError("max_line_bytes must be positive")
         self.cache = cache if cache is not None else ArrayCache()
         self.solver = solver
-        self.coalesce_window = coalesce_window
         self.max_line_bytes = max_line_bytes
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -118,6 +112,11 @@ class ReliabilityServer:
         listener.listen(backlog)
         listener.setblocking(False)
         self._listener = listener
+        # request_shutdown() writes a byte here so a blocked select()
+        # wakes at once instead of after its poll interval.
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_reader.setblocking(False)
+        self._wake_writer.setblocking(False)
         self._conns: dict[socket.socket, _Connection] = {}
         self._shutdown_requested = False
         self._closed = False
@@ -167,8 +166,15 @@ class ReliabilityServer:
     # -- the loop ----------------------------------------------------------
 
     def request_shutdown(self) -> None:
-        """Ask the loop to exit after flushing (thread-safe flag set)."""
+        """Ask the loop to exit after flushing; wakes a blocked ``select``.
+
+        Safe to call from another thread.
+        """
         self._shutdown_requested = True
+        try:
+            self._wake_writer.send(b"\0")
+        except OSError:  # full (a wake is already pending) or closed
+            pass
 
     def serve_forever(self, *, poll_interval: float = 0.25) -> None:
         """Run until a ``shutdown`` op (or :meth:`request_shutdown`).
@@ -192,20 +198,17 @@ class ReliabilityServer:
         Public so tests (and the in-process bench harness) can drive
         the loop deterministically without a thread.
         """
-        queries = self._collect(timeout)
+        queries, _ = self._collect(timeout)
         if not queries:
             self._flush_writable(0.0)
             return 0
-        if self.coalesce_window > 0.0:
-            deadline = wallclock() + self.coalesce_window
-            while True:
-                remaining = deadline - wallclock()
-                if remaining <= 0:
-                    break
-                more = self._collect(remaining)
-                if not more:
-                    break
-                queries.extend(more)
+        # Natural batching: take whatever the connections already hold,
+        # without waiting for more.
+        while True:
+            more, readable = self._collect(0.0)
+            queries.extend(more)
+            if not readable:
+                break
         self.rounds += 1
         self._answer(queries)
         self._flush_writable(0.0)
@@ -213,9 +216,15 @@ class ReliabilityServer:
 
     # -- readiness plumbing -------------------------------------------------
 
-    def _collect(self, timeout: float) -> list[tuple[_Connection, Query]]:
-        """One ``select`` wake: accept, read, parse complete lines."""
-        readers: list[socket.socket] = [self._listener]
+    def _collect(self, timeout: float) -> tuple[list[tuple[_Connection, Query]], bool]:
+        """One ``select`` wake: accept, read, parse complete lines.
+
+        Returns the parsed queries and whether any connection was
+        readable.  The listener does not count: a pending connection
+        that ``accept`` cannot take (``EMFILE``) stays readable, and
+        counting it would keep :meth:`step` draining forever.
+        """
+        readers: list[socket.socket] = [self._listener, self._wake_reader]
         readers.extend(
             conn.sock for conn in self._conns.values() if not conn.close_after_flush
         )
@@ -226,14 +235,26 @@ class ReliabilityServer:
             if conn is not None:
                 self._write(conn)
         queries: list[tuple[_Connection, Query]] = []
+        read_any = False
         for sock in readable:
             if sock is self._listener:
                 self._accept()
                 continue
+            if sock is self._wake_reader:
+                self._drain_wake()
+                continue
             conn = self._conns.get(sock)
             if conn is not None:
+                read_any = True
                 queries.extend(self._read(conn))
-        return queries
+        return queries, read_any
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_reader.recv(_RECV_CHUNK):
+                pass
+        except OSError:  # BlockingIOError: drained
+            pass
 
     def _accept(self) -> None:
         while True:
@@ -364,10 +385,11 @@ class ReliabilityServer:
         self._closed = True
         for conn in list(self._conns.values()):
             self._drop(conn, torn=False)
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close races
-            pass
+        for sock in (self._listener, self._wake_reader, self._wake_writer):
+            try:
+                sock.close()
+            except OSError:  # pragma: no cover - close races
+                pass
 
     def __enter__(self) -> "ReliabilityServer":
         return self

@@ -1,6 +1,7 @@
 """Unit tests for the sweep engine: the content-addressed ArrayCache of
-side covers, the cache-aware side-cover dispatch and the vectorized
-multi-point accumulation (`repro.core.sweep`)."""
+side covers and its cut-search memo, the cache-aware side-cover
+dispatch and the vectorized multi-point accumulation
+(`repro.core.sweep`)."""
 
 import errno
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import certificate
+from repro.core import certificate, sweep
+from repro.core.api import compute_reliability
 from repro.core.arrays import build_side_array, build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
@@ -22,10 +24,10 @@ from repro.core.sweep import (
     probability_grid,
     side_fingerprint,
 )
-from repro.exceptions import ReproValueError
-from repro.graph.builders import fujita_fig4
+from repro.exceptions import DecompositionError, ReproValueError
+from repro.graph.builders import fujita_fig4, parallel_links
 from repro.graph.transforms import split_on_cut
-from repro.obs.recorder import ARRAY_CACHE_WRITE_ERRORS, record
+from repro.obs.recorder import ARRAY_CACHE_WRITE_ERRORS, SPLIT_CACHE_HITS, record
 from repro.probability.enumeration import configuration_probabilities
 
 DEMAND = FlowDemand("s", "t", 2)
@@ -648,3 +650,122 @@ class TestComputeReliabilitySweep:
         assert warm.flow_calls == 0
         assert warm.details["array_cache"]["misses"] == 0
         assert warm.details["array_cache"]["hits"] > 0
+
+
+def _cut_searches(rec):
+    return [
+        span.attrs for span in rec.root.iter_spans() if span.name == "bottleneck.cut_search"
+    ]
+
+
+class TestSplitMemo:
+    """A caller's ArrayCache memoizes found cut searches per topology."""
+
+    def test_second_sweep_on_topology_skips_the_cut_search(self):
+        cache = ArrayCache()
+        first = fujita_fig4(failure_probability=0.1)
+        compute_reliability_sweep(
+            first, DEMAND, sweep=SweepSpec.availability([0.8, 0.9]), cache=cache
+        )
+        # Same topology, other probabilities and another sweep.
+        second = fujita_fig4(failure_probability=0.3)
+        spec = SweepSpec.failure_scale([0.5, 1.0, 1.5])
+        with record() as rec:
+            swept = compute_reliability_sweep(second, DEMAND, sweep=spec, cache=cache)
+        assert _cut_searches(rec) == []
+        assert rec.counter_total(SPLIT_CACHE_HITS) == 1
+        fresh = compute_reliability_sweep(second, DEMAND, sweep=spec)
+        assert swept.values == fresh.values
+        assert [r.details for r in swept] == [r.details for r in fresh]
+
+    def test_auto_with_a_cache_searches_once(self):
+        net = fujita_fig4(failure_probability=0.1)
+        cache = ArrayCache()
+        with record() as rec:
+            first = compute_reliability(net, demand=DEMAND, cache=cache)
+            second = compute_reliability(
+                fujita_fig4(failure_probability=0.2), demand=DEMAND, cache=cache
+            )
+        assert _cut_searches(rec) == [{"given": False}]
+        assert first.value == compute_reliability(net, demand=DEMAND).value
+        assert second.value == compute_reliability(
+            fujita_fig4(failure_probability=0.2), demand=DEMAND
+        ).value
+
+    def test_memo_ignores_the_rate(self):
+        net = fujita_fig4(failure_probability=0.1)
+        cache = ArrayCache()
+        bottleneck_reliability(net, FlowDemand("s", "t", 1), cache=cache)
+        with record() as rec:
+            memo = bottleneck_reliability(net, DEMAND, cache=cache)
+        assert _cut_searches(rec) == []
+        assert memo.value == bottleneck_reliability(net, DEMAND).value
+
+    def test_memo_entries_are_not_covers(self):
+        cache = ArrayCache()
+        bottleneck_reliability(fujita_fig4(), DEMAND, cache=cache)
+        assert len(cache) == 2
+        assert cache.stats()["stores"] == 2
+
+    def test_given_cut_bypasses_the_memo(self):
+        net = fujita_fig4(failure_probability=0.1)
+        cache = ArrayCache()
+        with record() as rec:
+            given = bottleneck_reliability(net, DEMAND, cut=[0, 1], cache=cache)
+            searched = bottleneck_reliability(net, DEMAND, cache=cache)
+            again = bottleneck_reliability(net, DEMAND, cut=[0, 1], cache=cache)
+        # The given cut stored nothing, so the search ran; the memo it
+        # filled is not consulted for a given cut, which is verified.
+        assert _cut_searches(rec) == [{"given": True}, {"given": False}, {"given": True}]
+        assert rec.counter_total(SPLIT_CACHE_HITS) == 0
+        assert given.value == searched.value == again.value
+
+    def test_failed_search_is_not_memoized(self):
+        net = parallel_links(5)
+        cache = ArrayCache()
+        with record() as rec:
+            for _ in range(2):
+                with pytest.raises(DecompositionError):
+                    bottleneck_reliability(net, FlowDemand("s", "t", 1), cache=cache)
+        assert _cut_searches(rec) == [{"given": False}, {"given": False}]
+
+    def test_max_bytes_eviction_drops_memo_entries(self):
+        # One byte holds only the just-touched entry: the memoized split
+        # is evicted by the covers stored after it.
+        net = fujita_fig4(failure_probability=0.1)
+        cache = ArrayCache(max_bytes=1)
+        with record() as rec:
+            first = bottleneck_reliability(net, DEMAND, cache=cache)
+            second = bottleneck_reliability(net, DEMAND, cache=cache)
+        assert _cut_searches(rec) == [{"given": False}, {"given": False}]
+        assert rec.counter_total(SPLIT_CACHE_HITS) == 0
+        assert second.value == first.value
+        assert len(cache) == 1
+        # Only the covers' evictions are counted.
+        assert cache.stats()["evictions"] == 3
+
+    def test_memo_entry_counts_toward_max_bytes(self):
+        searched = ArrayCache(max_bytes=1 << 20)
+        cut = bottleneck_reliability(fujita_fig4(), DEMAND, cache=searched).details["cut"]
+        given = ArrayCache(max_bytes=1 << 20)
+        bottleneck_reliability(fujita_fig4(), DEMAND, cut=cut, cache=given)
+        assert len(searched) == len(given) == 2
+        assert searched.total_bytes > given.total_bytes
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net: compute_reliability(net, demand=DEMAND, method="auto").value,
+            lambda net: bottleneck_reliability(net, DEMAND).value,
+            lambda net: compute_reliability_sweep(
+                net, DEMAND, sweep=SweepSpec.availability([0.9])
+            ).values[0],
+        ],
+        ids=["auto", "bottleneck", "sweep"],
+    )
+    def test_no_cache_never_fingerprints(self, monkeypatch, call):
+        def forbidden(net):
+            raise AssertionError("fingerprinted without a caller's cache")
+
+        monkeypatch.setattr(sweep, "network_fingerprint", forbidden)
+        assert 0.0 < call(fujita_fig4()) < 1.0

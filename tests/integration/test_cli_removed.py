@@ -3,10 +3,11 @@
 ``--workers``, ``--block-bits``, ``--shard`` and ``--method
 naive-parallel`` selected array builders that never beat the serial
 build; ``--incremental`` / ``--no-incremental`` toggled flow repair,
-which the solver now decides.  Each exits 2 with one line naming the
-removal, its reason and its docs/PERFORMANCE.md section, instead of
-argparse's bare "unrecognized arguments" — and before the network file
-is even opened.
+which the solver now decides; ``repro serve --coalesce-window`` held
+every round open for a fixed wait, where the daemon now answers what
+is ready at once.  Each exits 2 with one line naming the removal, its
+reason and its docs section, instead of argparse's bare "unrecognized
+arguments" — and before the network file is even opened.
 """
 
 import pytest
@@ -66,3 +67,20 @@ def test_repair_toggle_exits_2_with_pointer(argv, flag, capsys):
     assert f"{flag} was removed: the solver decides flow repair" in lines[0]
     assert 'docs/PERFORMANCE.md "Incremental repair"' in lines[0]
     assert "never beat the serial path" not in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--port", "0", "--coalesce-window", "0.005"],
+        ["serve", "--coalesce-window=0"],
+    ],
+)
+def test_coalesce_window_exits_2_with_pointer(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "--coalesce-window was removed" in lines[0]
+    assert 'docs/SERVING.md "Coalescing"' in lines[0]

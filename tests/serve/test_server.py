@@ -8,8 +8,10 @@ without races.
 """
 
 import json
+import select
 import socket
 import threading
+import time
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache
 from repro.exceptions import ReproValueError
 from repro.graph.builders import fujita_fig4
+from repro.graph.io import to_dict
 from repro.serve.client import ReliabilityClient
 from repro.serve.protocol import QUERY_SCHEMA, encode_line
 from repro.serve.server import ReliabilityServer
@@ -24,7 +27,7 @@ from repro.serve.server import ReliabilityServer
 
 @pytest.fixture
 def threaded_server():
-    server = ReliabilityServer(coalesce_window=0.0)
+    server = ReliabilityServer()
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -53,8 +56,6 @@ def _recv_line(sock, buffer=None):
 class TestLifecycle:
     def test_constructor_validation(self):
         with pytest.raises(ReproValueError):
-            ReliabilityServer(coalesce_window=-1.0)
-        with pytest.raises(ReproValueError):
             ReliabilityServer(max_line_bytes=0)
 
     def test_ephemeral_port_and_idempotent_close(self):
@@ -65,7 +66,7 @@ class TestLifecycle:
         server.close()
 
     def test_shutdown_op_stops_serve_forever(self):
-        server = ReliabilityServer(coalesce_window=0.0)
+        server = ReliabilityServer()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         with ReliabilityClient("127.0.0.1", server.port) as client:
@@ -73,6 +74,24 @@ class TestLifecycle:
         assert ack["ok"] is True and ack["op"] == "shutdown"
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_request_shutdown_wakes_a_blocked_loop(self):
+        server = ReliabilityServer()
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 5.0}, daemon=True
+        )
+        thread.start()
+        # A ping round trip proves the loop is up; the idle connection
+        # stays open so nothing but the wake can end its next select.
+        with ReliabilityClient("127.0.0.1", server.port) as client:
+            assert client.ping()["ok"]
+            time.sleep(0.1)  # let the loop block in select again
+            asked = time.perf_counter()
+            server.request_shutdown()
+            thread.join(timeout=5)
+            stopped = time.perf_counter() - asked
+        assert not thread.is_alive()
+        assert stopped < 0.5
 
 
 class TestQueries:
@@ -101,7 +120,7 @@ class TestQueries:
         assert values == sorted(values)  # higher availability, higher reliability
 
     def test_warm_prebuild_makes_first_query_warm(self):
-        server = ReliabilityServer(coalesce_window=0.0)
+        server = ReliabilityServer()
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -125,6 +144,91 @@ class TestQueries:
         second.close()
 
 
+def _query_line(qid):
+    return encode_line(
+        {
+            "schema": QUERY_SCHEMA,
+            "op": "query",
+            "id": qid,
+            "network": to_dict(fujita_fig4()),
+            "source": "s",
+            "sink": "t",
+            "rate": 2,
+            "availability": [0.9],
+        }
+    )
+
+
+class TestNaturalBatching:
+    """Deterministic single-thread driving: a round is what is ready."""
+
+    def _connected(self, server, n):
+        socks = [
+            socket.create_connection(("127.0.0.1", server.port), timeout=5) for _ in range(n)
+        ]
+        for _ in range(20):
+            server.step(timeout=0.01)  # accept, answer nothing
+        return socks
+
+    def test_ready_queries_form_one_round(self):
+        with ReliabilityServer() as server:
+            socks = self._connected(server, 2)
+            for qid, sock in enumerate(socks):
+                sock.sendall(_query_line(qid))
+            assert server.step(timeout=1.0) == 2
+            replies = [_recv_line(sock) for sock in socks]
+            for sock in socks:
+                sock.close()
+        assert server.rounds == 1
+        assert [r["id"] for r in replies] == [0, 1]
+        assert all(r["ok"] and r["batch"]["queries"] == 2 for r in replies)
+        assert replies[0]["points"] == replies[1]["points"]
+
+    def test_only_the_first_select_of_a_round_waits(self, monkeypatch):
+        timeouts = []
+        real_select = select.select
+
+        def spy(readers, writers, errors, timeout):
+            timeouts.append(timeout)
+            return real_select(readers, writers, errors, timeout)
+
+        with ReliabilityServer() as server:
+            socks = self._connected(server, 2)
+            for qid, sock in enumerate(socks):
+                sock.sendall(_query_line(qid))
+            monkeypatch.setattr(select, "select", spy)
+            answered = server.step(timeout=1.0)
+            monkeypatch.undo()
+            for sock in socks:
+                _recv_line(sock)
+                sock.close()
+        assert answered == 2
+        assert timeouts[0] == 1.0
+        assert len(timeouts) >= 2  # the drain polled at least once
+        assert all(t == 0.0 for t in timeouts[1:])
+
+
+    def test_a_connection_accept_cannot_take_ends_the_drain(self, monkeypatch):
+        # accept() failing with EMFILE leaves the listener readable; the
+        # round must still end once the connections are drained.
+        with ReliabilityServer() as server:
+            (sock,) = self._connected(server, 1)
+            monkeypatch.setattr(server, "_accept", lambda: None)
+            pending = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+            sock.sendall(encode_line({"schema": QUERY_SCHEMA, "op": "ping"}))
+            answered = []
+            worker = threading.Thread(
+                target=lambda: answered.append(server.step(timeout=1.0)), daemon=True
+            )
+            worker.start()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+            assert answered == [1]
+            assert _recv_line(sock)["op"] == "ping"
+            sock.close()
+            pending.close()
+
+
 class TestProtocolErrorPaths:
     """Deterministic single-thread driving: the test owns step()."""
 
@@ -134,7 +238,7 @@ class TestProtocolErrorPaths:
         return sock
 
     def test_bad_schema_line_gets_error_response(self):
-        with ReliabilityServer(coalesce_window=0.0) as server:
+        with ReliabilityServer() as server:
             sock = self._connect(server)
             sock.sendall(encode_line({"schema": "nope", "op": "query"}))
             for _ in range(20):
@@ -146,7 +250,7 @@ class TestProtocolErrorPaths:
 
     def test_bad_json_then_good_ping_on_same_connection(self):
         """Per-line errors are not connection-fatal."""
-        with ReliabilityServer(coalesce_window=0.0) as server:
+        with ReliabilityServer() as server:
             sock = self._connect(server)
             sock.sendall(b"{not json}\n")
             sock.sendall(encode_line({"schema": QUERY_SCHEMA, "op": "ping"}))
@@ -160,7 +264,7 @@ class TestProtocolErrorPaths:
         assert second["ok"] is True and second["op"] == "ping"
 
     def test_oversized_line_is_connection_fatal(self):
-        with ReliabilityServer(coalesce_window=0.0, max_line_bytes=128) as server:
+        with ReliabilityServer(max_line_bytes=128) as server:
             sock = self._connect(server)
             sock.sendall(b"x" * 512)  # no newline: an unbounded line
             for _ in range(20):
@@ -174,7 +278,7 @@ class TestProtocolErrorPaths:
             sock.close()
 
     def test_torn_request_is_counted_and_dropped(self):
-        with ReliabilityServer(coalesce_window=0.0) as server:
+        with ReliabilityServer() as server:
             sock = self._connect(server)
             sock.sendall(b'{"schema": "repro.serve/query/v1", "op"')  # no newline
             for _ in range(20):
@@ -188,7 +292,7 @@ class TestProtocolErrorPaths:
             assert server.queries_served == 0
 
     def test_clean_disconnect_is_not_torn(self):
-        with ReliabilityServer(coalesce_window=0.0) as server:
+        with ReliabilityServer() as server:
             sock = self._connect(server)
             sock.sendall(encode_line({"schema": QUERY_SCHEMA, "op": "ping"}))
             for _ in range(20):
