@@ -1,4 +1,4 @@
-"""R1 — rare-event estimation: permutation MC vs crude MC vs splitting.
+"""R1 — rare-event estimation: permutation MC vs crude MC.
 
 Crude Monte-Carlo needs ``~1/U`` samples to *see* a single failure, so
 at five-nines availability a realistic budget returns ``U = 0`` and a
@@ -13,27 +13,26 @@ Two workloads:
   (``p = 1e-5``), where naive enumeration still yields the exact value.
   Asserted bar: permutation MC's observed relative error is >= 100x
   smaller than crude MC's at the *equal* budget.
-* **beyond exact reach** — a 30-link chained network (the paper's
+* **beyond enumeration** — a 30-link chained network (the paper's
   topology: segments joined by 2-link bottleneck cuts; ``2^30``
-  configurations, exact enumeration out of reach) at ``p = 1e-5``,
-  with a relative-error-vs-budget curve for crude MC, permutation MC,
-  and fixed-effort splitting.  Asserted bar: <= 10% CI relative error
-  at the committed budget for both rare-event estimators, plus
-  cross-validation that their confidence intervals overlap.
+  configurations, out of naive enumeration's reach) at ``p = 1e-5``,
+  with a relative-error-vs-budget curve for crude MC and permutation
+  MC.  Asserted bar: <= 10% CI relative error at the committed budget,
+  and an interval that contains the chain engine's exact value.
 
-The committed snapshot lives in ``benchmarks/BENCH_rare.json``.
+The committed snapshot lives in ``benchmarks/BENCH_rare.json``; its
+splitting rows are the last ones measured before fixed-effort
+splitting was removed (docs/PERFORMANCE.md "Removed engines").
 """
 
 import pytest
 
 from repro.bench.harness import time_call
+from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.montecarlo import montecarlo_reliability
 from repro.core.naive import naive_reliability
-from repro.core.rare import (
-    permutation_montecarlo_reliability,
-    splitting_reliability,
-)
+from repro.core.rare import permutation_montecarlo_reliability
 from repro.graph.builders import fujita_fig4
 from repro.graph.generators import chained_network
 
@@ -42,15 +41,14 @@ from repro.graph.generators import chained_network
 FIG4_BUDGET = 4000
 FIG4_SEED = 7
 
-#: Committed budget at which the rare-event estimators must reach
-#: <= 10% relative error on the beyond-exact-reach workload.
+#: Committed budget at which permutation MC must reach <= 10% relative
+#: error on the beyond-enumeration workload.
 CHAIN_BUDGET = 32_000
 CHAIN_CURVE = [2000, 8000, 32_000]
 
 _ESTIMATORS = [
     ("crude MC", montecarlo_reliability),
     ("permutation MC", permutation_montecarlo_reliability),
-    ("splitting", splitting_reliability),
 ]
 
 
@@ -143,7 +141,7 @@ def test_r1_five_nines_fig4(benchmark, show):
 
 @pytest.mark.parametrize("budget", CHAIN_CURVE)
 def test_r1_beyond_exact_reach_curve(benchmark, show, budget):
-    """30-link chained net: relative error vs budget, no exact value."""
+    """30-link chained net: relative error vs budget."""
     net = _chain_net()
     assert net.num_links == 30
     demand = FlowDemand("s", "t", 2)
@@ -158,10 +156,9 @@ def test_r1_beyond_exact_reach_curve(benchmark, show, budget):
     )
     by = {r["estimator"]: r for r in rows}
     # Crude MC sees nothing at any of these budgets (U ~ 1e-9); the
-    # rare estimators must resolve the event at every budget.
+    # permutation estimator must resolve the event at every budget.
     assert by["crude MC"]["unreliability"] == 0.0
     assert by["permutation MC"]["unreliability"] > 0.0
-    assert by["splitting"]["unreliability"] > 0.0
 
     show(
         ["estimator", "ms", "unreliability", "CI rel. err", "flow calls"],
@@ -180,31 +177,32 @@ def test_r1_beyond_exact_reach_curve(benchmark, show, budget):
 
 
 def test_r1_beyond_exact_reach_committed_budget(benchmark, show):
-    """The <=10% bar on the beyond-exact-reach workload, asserted."""
+    """The <=10% bar on the beyond-enumeration workload, asserted."""
     net = _chain_net()
     demand = FlowDemand("s", "t", 2)
 
     def measure():
-        perm = permutation_montecarlo_reliability(
+        return permutation_montecarlo_reliability(
             net, demand, num_samples=CHAIN_BUDGET, seed=0
         )
-        split = splitting_reliability(net, demand, num_samples=CHAIN_BUDGET, seed=0)
-        return perm, split
 
-    perm, split = benchmark.pedantic(measure, rounds=1, iterations=1)
+    perm = benchmark.pedantic(measure, rounds=1, iterations=1)
+    exact = chain_reliability(net, demand, net._chain_cut_indices).value
 
     # Acceptance bar: <= 10% relative error at the committed budget.
     assert _ci_relative_error(perm) <= 0.10
-    assert _ci_relative_error(split) <= 0.10
-    # Cross-validation: two independent methods, overlapping intervals.
-    assert perm.details["unreliability_low"] <= split.details["unreliability_high"]
-    assert split.details["unreliability_low"] <= perm.details["unreliability_high"]
+    # Cross-validation against the exact chain engine.
+    assert perm.low <= exact <= perm.high
 
     show(
         ["estimator", "unreliability", "CI rel. err"],
         [
-            [label, f"{_unreliability(est):.3e}", f"{_ci_relative_error(est):.4f}"]
-            for label, est in [("permutation MC", perm), ("splitting", split)]
+            [
+                "permutation MC",
+                f"{_unreliability(perm):.3e}",
+                f"{_ci_relative_error(perm):.4f}",
+            ],
+            ["chain (exact)", f"{1.0 - exact:.3e}", "-"],
         ],
         title=f"R1: committed budget {CHAIN_BUDGET} on the 30-link chained net",
     )

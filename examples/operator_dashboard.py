@@ -7,8 +7,9 @@ Built on the paper's reliability machinery:
    surviving max-flow (``flow_value_distribution``).
 2. *"Do BOTH premium subscribers get the stream at once?"* — broadcast
    reliability with capacity contention (``broadcast_reliability``).
-3. *"My network is too big to enumerate — now what?"* — series-parallel
-   reduction first, stratified sampling after.
+3. *"My network is too big to enumerate — now what?"* — ``auto``
+   picks an exact engine while one fits; past that, stratified
+   sampling.
 4. *"Where does the computation spend its time?"* — a traced run and
    the per-phase accounting from ``result.details["obs"]``.
 
@@ -21,8 +22,6 @@ from repro.core import (
     coverage_curve,
     flow_value_distribution,
     montecarlo_reliability,
-    naive_reliability,
-    reduce_for_unit_demand,
     stratified_montecarlo_reliability,
 )
 
@@ -75,16 +74,16 @@ def main() -> None:
     weakest, value = report.weakest
     print(f"  weakest subscriber: {weakest} at {value:.4f}")
 
-    # 3. shrink-then-estimate for a single subscriber at unit rate
+    # 3. exact-then-estimate for a single subscriber at unit rate
     demand = FlowDemand("origin", "sub2", 1)
-    reduced = reduce_for_unit_demand(net, demand)
-    exact = naive_reliability(net, demand).value
+    auto = compute_reliability(net, demand=demand)
+    exact = auto.value
     plain = montecarlo_reliability(net, demand, num_samples=2000, seed=0)
     strat = stratified_montecarlo_reliability(net, demand, num_samples=2000, seed=0)
     print_table(
         ["approach", "value", "abs error"],
         [
-            [f"SP-reduce ({net.num_links} -> {reduced.network.num_links} links) + exact", exact, 0.0],
+            [f"auto ({auto.method}, exact)", exact, 0.0],
             ["plain Monte-Carlo (2k)", plain.value, abs(plain.value - exact)],
             ["stratified Monte-Carlo (2k)", strat.value, abs(strat.value - exact)],
         ],

@@ -37,12 +37,18 @@ def figure_2() -> None:
     net = fujita_fig2_bridge()
     demand = FlowDemand("s", "t", 2)
     result = bridge_reliability(net, demand)
-    d = result.details
-    print(f"bridge link: e{d['bridge'] + 1} (paper's e9)")
-    print(f"r(G_s) = {d['source_side_reliability']:.6f}")
-    print(f"1-p(e') = {d['bridge_availability']:.6f}")
-    print(f"r(G_t) = {d['sink_side_reliability']:.6f}")
-    print(f"Eq.(1) product  r = {result.value:.6f}")
+    bridge = result.details["bridge"]
+    split = split_on_cut(net, "s", "t", [bridge])
+    x, y = split.source_ports[0], split.sink_ports[0]
+    r_s = naive_reliability(split.source_side.network, FlowDemand("s", x, 2)).value
+    r_t = naive_reliability(split.sink_side.network, FlowDemand(y, "t", 2)).value
+    availability = net.link(bridge).availability
+    print(f"bridge link: e{bridge + 1} (paper's e9)")
+    print(f"r(G_s) = {r_s:.6f}  (naive on the source side)")
+    print(f"1-p(e') = {availability:.6f}")
+    print(f"r(G_t) = {r_t:.6f}  (naive on the sink side)")
+    print(f"Eq.(1) product  r = {r_s * availability * r_t:.6f}")
+    print(f"bridge method   r = {result.value:.6f}")
     print(f"naive reference r = {naive_reliability(net, demand).value:.6f}")
 
 

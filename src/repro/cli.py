@@ -168,22 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser(
         "estimate",
-        help="rare-event reliability estimation (permutation MC / splitting)",
+        help="rare-event reliability estimation (permutation MC)",
     )
     add_demand_args(estimate)
-    estimate.add_argument(
-        "--variant",
-        default="auto",
-        choices=["auto", "permutation", "spectrum", "splitting"],
-        help="estimator variant (default: auto = permutation)",
-    )
     estimate.add_argument(
         "--budget",
         type=int,
         default=None,
         metavar="N",
-        help="sample budget: permutations for the spectrum estimator, "
-        "per-level population for splitting (default: variant-specific)",
+        help="permutation budget (default: 10000)",
     )
     estimate.add_argument(
         "--target-relative-error",
@@ -191,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RE",
         help="stop early once the unreliability's relative error at the "
-        "chosen confidence reaches RE (permutation variant; budget "
-        "permitting)",
+        "chosen confidence reaches RE (budget permitting)",
     )
     estimate.add_argument(
         "--confidence",
@@ -213,13 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=2048,
         metavar="N",
         help="permutations drawn per vectorized batch (default: 2048)",
-    )
-    estimate.add_argument(
-        "--levels",
-        type=int,
-        default=None,
-        metavar="L",
-        help="splitting levels (default: auto from the time ladder)",
     )
     estimate.add_argument(
         "--json", action="store_true", help="machine-readable output"
@@ -698,17 +683,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     # Eager option validation before load(), like compute.
     if args.budget is not None and args.budget < 1:
         raise ReproValueError("--budget must be positive")
-    if args.target_relative_error is not None and args.variant == "splitting":
-        raise ReproValueError(
-            "--target-relative-error applies to the permutation variant only"
-        )
     options: dict[str, Any] = dict(
-        variant=args.variant,
         num_samples=args.budget,
         confidence=args.confidence,
         seed=args.seed,
         batch_size=args.batch_size,
-        num_levels=args.levels,
     )
     if args.target_relative_error is not None:
         options["target_relative_error"] = args.target_relative_error
@@ -720,7 +699,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         net=net,
         demand=demand,
         params={
-            "variant": args.variant,
             "budget": args.budget,
             "target_relative_error": args.target_relative_error,
             "confidence": args.confidence,
@@ -1204,6 +1182,8 @@ _SOLVER_DECIDES = (
     'cold otherwise); see docs/PERFORMANCE.md "Incremental repair"'
 )
 
+_NEVER_WON = 'won no measured row; see docs/PERFORMANCE.md "Removed engines"'
+
 #: Flags and methods that no longer exist, each with the reason for its
 #: removal and a doc anchor.  They fail with that pointer instead of
 #: argparse's bare "unrecognized arguments" / "invalid choice".
@@ -1214,6 +1194,13 @@ _REMOVED = {
     "naive-parallel": f"the process-pool naive scan {_NEVER_BEAT_SERIAL}",
     "--incremental": _SOLVER_DECIDES,
     "--no-incremental": _SOLVER_DECIDES,
+    "series-parallel": f"the series-parallel reduction engine {_NEVER_WON}",
+    "minpaths": f"minpath inclusion-exclusion {_NEVER_WON}",
+    "--levels": f"fixed-effort multilevel splitting {_NEVER_WON}",
+    "--variant": (
+        "permutation MC is the only rare-event estimator left (splitting "
+        f"{_NEVER_WON})"
+    ),
     "--coalesce-window": (
         "the daemon answers what is ready at once and still merges queries "
         'that arrive together; see docs/SERVING.md "Coalescing"'

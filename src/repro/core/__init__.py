@@ -45,20 +45,13 @@ from repro.core.multisink import (
     coverage_distribution,
 )
 from repro.core.naive import feasibility_table, naive_reliability
-from repro.core.paths import minimal_paths, minpath_reliability
 from repro.core.polynomial import ReliabilityPolynomial, reliability_polynomial
 from repro.core.transient import LinkDynamics, availability_at, reliability_over_time
-from repro.core.reductions import (
-    ReductionReport,
-    reduce_for_unit_demand,
-    series_parallel_reliability,
-)
 from repro.core.rare import (
     DestructionSpectrum,
     destruction_spectrum,
     permutation_montecarlo_reliability,
     rare_reliability,
-    splitting_reliability,
 )
 from repro.core.result import EstimateResult, ReliabilityResult
 from repro.core.stratified import (
@@ -99,7 +92,6 @@ __all__ = [
     "destruction_spectrum",
     "permutation_montecarlo_reliability",
     "rare_reliability",
-    "splitting_reliability",
     "cut_upper_bound",
     "route_lower_bound",
     "reliability_bounds",
@@ -127,9 +119,6 @@ __all__ = [
     "broadcast_reliability",
     "coverage_curve",
     "coverage_distribution",
-    "ReductionReport",
-    "reduce_for_unit_demand",
-    "series_parallel_reliability",
     "poisson_binomial",
     "poisson_binomial_suffix",
     "sample_with_alive_count",
@@ -140,8 +129,6 @@ __all__ = [
     "LinkImportance",
     "link_importances",
     "most_important_link",
-    "minimal_paths",
-    "minpath_reliability",
     "ReliabilityPolynomial",
     "reliability_polynomial",
     "LinkDynamics",

@@ -11,10 +11,12 @@ Dispatches to the right algorithm:
   outgrows every exact engine's enumeration guard, and to naive only
   for tiny instances where it is just as cheap.
 * explicit ``method`` — any name from :func:`available_methods`:
-  the exact engines (``naive``, ``bottleneck``,
-  ``bridge``, ``chain``, ``factoring``, ``series-parallel``,
-  ``frontier``, ``frontier-directed``, ``minpaths``) and the
-  estimators (``montecarlo``, ``montecarlo-stratified``, ``rare``).
+  the exact engines (``naive``, ``bottleneck``, ``bridge``,
+  ``chain``, ``factoring``, ``frontier``, ``frontier-directed``) and
+  the estimators (``montecarlo``, ``montecarlo-stratified``, ``rare``).
+  ``series-parallel`` and ``minpaths`` were removed and raise
+  :class:`ReproValueError` with a pointer to the table that removed
+  them.
 
 All exact methods return a
 :class:`~repro.core.result.ReliabilityResult`; the estimators return an
@@ -73,6 +75,11 @@ _AUTO_ESTIMATE_MAX_LINKS = 63
 #: of the dispatch that take it and rejects everything else rather than
 #: dropping it.
 _AUTO_OPTIONS = frozenset({"solver", "cache", "max_cut_size", "seed", "num_samples"})
+#: Deleted exact engines, by their former method name.
+_REMOVED_METHODS = {
+    "series-parallel": "the series-parallel reduction engine",
+    "minpaths": "minpath inclusion-exclusion",
+}
 
 
 def available_methods() -> list[str]:
@@ -84,10 +91,8 @@ def available_methods() -> list[str]:
         "bridge",
         "factoring",
         "chain",
-        "series-parallel",
         "frontier",
         "frontier-directed",
-        "minpaths",
         "montecarlo",
         "montecarlo-stratified",
         "rare",
@@ -194,10 +199,6 @@ def _dispatch(
         return bridge_reliability(net, demand, **options)
     if method == "factoring":
         return factoring_reliability(net, demand, **options)
-    if method == "series-parallel":
-        from repro.core.reductions import series_parallel_reliability
-
-        return series_parallel_reliability(net, demand, **options)
     if method == "frontier":
         from repro.core.frontier import frontier_reliability
 
@@ -206,10 +207,6 @@ def _dispatch(
         from repro.core.frontier import directed_frontier_reliability
 
         return directed_frontier_reliability(net, demand, **options)
-    if method == "minpaths":
-        from repro.core.paths import minpath_reliability
-
-        return minpath_reliability(net, demand, **options)
     if method == "montecarlo":
         return montecarlo_reliability(net, demand, **options)
     if method == "montecarlo-stratified":
@@ -225,6 +222,11 @@ def _dispatch(
         if cuts is None:
             raise ReproError("method='chain' requires cuts=[[...], ...]")
         return chain_reliability(net, demand, cuts, **options)
+    if method in _REMOVED_METHODS:
+        raise ReproValueError(
+            f"method {method!r} was removed: {_REMOVED_METHODS[method]} never "
+            'beat frontier-directed; see docs/PERFORMANCE.md "Removed engines"'
+        )
     if method != "auto":
         raise ReproError(
             f"unknown method {method!r}; available: {available_methods()}"

@@ -5,40 +5,26 @@ If a single link ``e' = (x, y)`` separates ``s`` from ``t``, then
     r(G) = r(G_s) · (1 − p(e')) · r(G_t)
 
 where ``r(G_s)`` is the reliability of the source side for demand
-``(s, x, d)`` and ``r(G_t)`` that of the sink side for ``(y, t, d)`` —
-three independent events, so the product is exact (no accumulation
-machinery needed).  If ``c(e') < d`` the reliability is trivially zero.
-
-The side reliabilities are computed by the naive algorithm, giving the
-``O(2^{α|E|} |V||E|)`` total of §III-A.
+``(s, x, d)`` and ``r(G_t)`` that of the sink side for ``(y, t, d)``.
+With one bottleneck link the assignment set of Eq. 3 is the single
+assignment ``(d)`` (or empty when ``c(e') < d``, making the reliability
+zero), so Eq. 3 over the cut ``[e']`` *is* Eq. 1.  This module finds
+the bridge and runs the bottleneck pipeline on it; Eq. 1's product
+stays a test identity.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
-from repro.core.naive import naive_reliability
 from repro.core.result import ReliabilityResult
 from repro.exceptions import DecompositionError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.cuts import bridges_between
 from repro.graph.network import FlowNetwork
-from repro.graph.transforms import SideSplit, split_on_cut
 
 __all__ = ["bridge_reliability"]
-
-
-def _side_reliability(
-    side_net: FlowNetwork,
-    source,
-    sink,
-    rate: int,
-    solver,
-) -> ReliabilityResult:
-    if source == sink:
-        # The terminal sits directly on the bridge endpoint; the side
-        # imposes no constraint.
-        return ReliabilityResult(value=1.0, method="naive", configurations=1)
-    return naive_reliability(side_net, FlowDemand(source, sink, rate), solver=solver)
 
 
 def bridge_reliability(
@@ -46,13 +32,14 @@ def bridge_reliability(
     demand: FlowDemand,
     *,
     bridge: int | None = None,
-    solver: str | MaxFlowSolver | None = None,
 ) -> ReliabilityResult:
-    """Exact reliability via Eq. (1).
+    """Exact reliability via Eq. (1): ``bottleneck_reliability`` on the
+    one-link cut ``[bridge]``, relabelled ``method="bridge"``.
 
     ``bridge`` names the separating link; when omitted the first
     s-t-separating bridge (Tarjan) is used.  Raises
-    :class:`DecompositionError` when the network has none.
+    :class:`DecompositionError` when the network has none (or the given
+    link does not separate the terminals).
     """
     demand.validate_against(net)
     if bridge is None:
@@ -60,31 +47,7 @@ def bridge_reliability(
         if not candidates:
             raise DecompositionError("network has no s-t separating bridge")
         bridge = candidates[0]
-    link = net.link(bridge)
-    split: SideSplit = split_on_cut(net, demand.source, demand.sink, [bridge])
-
-    if link.capacity < demand.rate:
-        return ReliabilityResult(
-            value=0.0,
-            method="bridge",
-            details={"bridge": bridge, "reason": "bridge capacity below demand"},
-        )
-
-    x = split.source_ports[0]
-    y = split.sink_ports[0]
-    r_s = _side_reliability(split.source_side.network, demand.source, x, demand.rate, solver)
-    r_t = _side_reliability(split.sink_side.network, y, demand.sink, demand.rate, solver)
-    value = r_s.value * link.availability * r_t.value
-    return ReliabilityResult(
-        value=value,
-        method="bridge",
-        flow_calls=r_s.flow_calls + r_t.flow_calls,
-        configurations=r_s.configurations + r_t.configurations,
-        details={
-            "bridge": bridge,
-            "alpha": split.alpha,
-            "source_side_reliability": r_s.value,
-            "sink_side_reliability": r_t.value,
-            "bridge_availability": link.availability,
-        },
+    result = bottleneck_reliability(net, demand, cut=[bridge])
+    return dataclasses.replace(
+        result, method="bridge", details={**result.details, "bridge": bridge}
     )

@@ -1,10 +1,10 @@
-"""Rare-event reliability estimation: permutation MC and splitting.
+"""Rare-event reliability estimation: permutation Monte-Carlo.
 
 Crude Monte-Carlo (:mod:`repro.core.montecarlo`) needs ``~1/U`` samples
 to see a single failure, so at per-link availability ``0.99999`` —
 unreliability ``U ~ 1e-9``, the regime CDN-grade SLAs quote — it is
 useless.  This module grows the estimator tier into that regime with
-two variance-reduction methods whose relative error stays bounded as
+a variance-reduction method whose relative error stays bounded as
 ``U -> 0``:
 
 **Permutation / conditional Monte-Carlo** (the destruction-spectrum
@@ -28,18 +28,6 @@ uniformly in the availability (Botev, L'Ecuyer & Tuffin 2016 extend
 exactly this construction to flow demands; Karger's FPRAS supplies the
 ``epsilon``-approximation framing).
 
-**Fixed-effort multilevel splitting** for demand-threshold events.
-Embed the static model in the standard destruction process: link ``i``
-fails by time ``t`` iff ``E_i < lambda_i * t`` with ``E_i ~ Exp(1)``
-and ``lambda_i = -ln(1 - p_i)``, so ``t = 1`` reproduces the target
-probabilities and *down at t* is monotone in ``t``.  The rare event
-``{down at 1}`` is reached through a decreasing time ladder
-``t_0 > t_1 > ... > 1``: at each level the surviving trajectories are
-bootstrapped back to the fixed population size and *exactly* refreshed
-from their conditional law given the level's failed set (truncated
-exponentials — pure vectorized inverse-CDF, no MCMC), and the product
-of the per-level conditional probabilities estimates ``U``.
-
 Critical numbers come from certificates learned along the way, not
 from one max-flow query per kill.  A feasible query yields a flow
 *support*: no prefix that spares its links can fail, so it bounds ``B``
@@ -52,12 +40,11 @@ one-kill-at-a-time walk's, with at most the walk's queries per order.
 
 Vectorization contract: all inner loops are array-at-a-time numpy —
 permutation batches are drawn as ``argsort`` of exponential matrices of
-shape ``(batch, m)``, spectrum conditioning, certificate checks and
-splitting refreshes are batched, and scalar Python only touches the
-orders the certificates leave open.  The solver decides the path: every
-estimator repairs flow when the solver honours the warm-start contract
-and solves cold otherwise (push–relabel); there is no option to
-choose.
+shape ``(batch, m)``, spectrum conditioning and certificate checks are
+batched, and scalar Python only touches the orders the certificates
+leave open.  The solver decides the path: the estimator repairs flow
+when the solver honours the warm-start contract and solves cold
+otherwise (push–relabel); there is no option to choose.
 Lint rule RR114 enforces the no-scalar-draws discipline on this module.
 
 Replayability: every estimate derives its random streams from one root
@@ -73,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
 
 import numpy as np
 
@@ -84,7 +70,7 @@ from repro.core.montecarlo import z_quantile
 from repro.core.result import EstimateResult
 from repro.core.stratified import poisson_binomial, validate_probabilities
 from repro.core.summation import KahanSum, fsum
-from repro.exceptions import EstimationError
+from repro.exceptions import EstimationError, ReproValueError
 from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork
 from repro.obs.progress import progress_ticker
@@ -96,7 +82,6 @@ from repro.obs.recorder import (
     count,
     span,
 )
-from repro.probability.bitset import pack_bitplanes
 
 __all__ = [
     "DestructionSpectrum",
@@ -105,17 +90,11 @@ __all__ = [
     "rare_reliability",
     "sample_failure_orders",
     "spawn_streams",
-    "splitting_reliability",
 ]
 
 #: Named child streams spawned (in this order) from the root seed —
 #: the stable vocabulary that makes every estimate bit-replayable.
-STREAM_NAMES = (
-    "spectrum.permutations",
-    "split.population",
-    "split.resample",
-    "split.refresh",
-)
+STREAM_NAMES = ("spectrum.permutations",)
 
 #: Bitmask-packing width limit shared with the crude sampler.
 _MAX_LINKS = 63
@@ -600,195 +579,6 @@ def _relative_error(total: KahanSum, total_sq: KahanSum, n: int, z: float) -> fl
     return z * _std_error(total, total_sq, n) / mean
 
 
-def _failure_rates(probs: np.ndarray) -> np.ndarray:
-    """Exponential-clock rates ``lambda_i = -ln(1 - p_i)``.
-
-    ``p = 0`` maps to rate 0 (never fails), ``p = 1`` to ``inf``
-    (failed at any positive time) — both flow through the comparisons
-    below without special cases.
-    """
-    with np.errstate(divide="ignore"):
-        return -np.log1p(-probs)
-
-
-def _initial_time(rates: np.ndarray, probs: np.ndarray) -> float:
-    """The easy end of the time ladder: the smallest ``t`` at which the
-    mean link-failure probability reaches ~0.5 (capped to the
-    achievable limit when some links never fail)."""
-    finite = np.isfinite(rates)
-    limit = float(np.mean(np.where(probs > 0.0, 1.0, 0.0)))
-    target = min(0.5, 0.95 * limit) if limit > 0.0 else 0.0
-    if target <= 0.0:
-        return 1.0
-
-    def mean_failure(t: float) -> float:
-        with np.errstate(over="ignore"):
-            q = -np.expm1(-np.where(finite, rates, np.inf) * t)
-        return float(np.mean(np.where(probs > 0.0, q, 0.0)))
-
-    if mean_failure(1.0) >= target:
-        return 1.0
-    lo, hi = 1.0, 2.0
-    while mean_failure(hi) < target and hi < 1e15:
-        lo, hi = hi, hi * 2.0
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if mean_failure(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _level_schedule(t_initial: float, num_levels: int | None) -> list[float]:
-    """Geometric time ladder ``t_0 > ... > t_L = 1`` (log-uniform)."""
-    if t_initial <= 1.0:
-        return [1.0]
-    if num_levels is None:
-        # One e-fold of time per level: with a min-cut of c links the
-        # per-level conditional probability lands near exp(-c), deep
-        # enough to make progress and shallow enough to keep survivors.
-        num_levels = max(1, math.ceil(math.log(t_initial)))
-    if num_levels < 1:
-        raise EstimationError("num_levels must be positive")
-    exponents = np.linspace(1.0, 0.0, num_levels + 1)
-    return [float(t_initial**e) for e in exponents]
-
-
-def splitting_reliability(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    *,
-    num_samples: int = 1000,
-    num_levels: int | None = None,
-    confidence: float = 0.95,
-    seed: int | np.random.SeedSequence | None = 0,
-    solver: str | MaxFlowSolver | None = None,
-) -> EstimateResult:
-    """Fixed-effort multilevel splitting estimate of the reliability.
-
-    ``num_samples`` is the per-level population size.  Trajectories are
-    exponential-clock matrices; each level conditions on "down at
-    ``t_k``", bootstraps the survivors back to the population size and
-    refreshes every clock exactly from its truncated conditional
-    distribution (vectorized inverse CDF — no MCMC, no scalar draws).
-    Feasibility work per level is one solve per *distinct* failed mask
-    (masks dedup through ``np.unique`` and a cross-level verdict
-    cache).  The product of per-level conditional probabilities
-    estimates the unreliability; the interval is a delta-method
-    log-normal interval treating levels as independent (slightly
-    optimistic, as is standard for fixed-effort splitting).
-    """
-    demand.validate_against(net)
-    m = net.num_links
-    _require_estimable(m, num_samples, num_samples)
-    z = z_quantile(confidence)
-    probs = validate_probabilities(net.failure_probabilities())
-    streams, entropy = spawn_streams(seed)
-    oracle = _make_oracle(net, demand, solver)
-    rates = _failure_rates(probs)
-    t_initial = _initial_time(rates, probs)
-    schedule = _level_schedule(t_initial, num_levels)
-    population = num_samples
-
-    verdicts: dict[int, bool] = {}
-
-    def down_fractions(clocks: np.ndarray, t: float) -> tuple[np.ndarray, int]:
-        """Down indicator per trajectory at time ``t`` + distinct solves."""
-        failed = clocks < rates[None, :] * t
-        alive_masks = pack_bitplanes(~failed)
-        distinct, inverse = np.unique(alive_masks, return_inverse=True)
-        distinct_down = np.empty(distinct.shape[0], dtype=bool)
-        solved = 0
-        for idx, alive_np in enumerate(distinct):
-            alive = int(alive_np)
-            verdict = verdicts.get(alive)
-            if verdict is None:
-                verdict = not oracle.feasible(alive)
-                verdicts[alive] = verdict
-                solved += 1
-            distinct_down[idx] = verdict
-        return distinct_down[inverse], solved
-
-    levels: list[dict[str, Any]] = []
-    log_variance = 0.0
-    unreliability = 1.0
-    starved_level: int | None = None
-    with span("rare.split", levels=len(schedule), population=population):
-        clocks = streams["split.population"].standard_exponential((population, m))
-        count(SAMPLES_VECTORIZED, population)
-        count(MC_SAMPLES, population * len(schedule))
-        previous_t: float | None = None
-        for index, t in enumerate(schedule):
-            if previous_t is not None:
-                resample = streams["split.resample"]
-                refresh = streams["split.refresh"]
-                picks = resample.integers(0, clocks.shape[0], size=population)
-                base = clocks[picks]
-                failed_before = base < rates[None, :] * previous_t
-                uniforms = refresh.random((population, m))
-                ceiling = rates * previous_t
-                with np.errstate(over="ignore", invalid="ignore"):
-                    below = -np.log1p(-uniforms * (-np.expm1(-ceiling)))
-                    above = ceiling - np.log1p(-uniforms)
-                clocks = np.where(failed_before, below, above)
-                count(SAMPLES_VECTORIZED, population)
-            down, solved = down_fractions(clocks, t)
-            survivors = int(np.count_nonzero(down))
-            conditional = survivors / float(clocks.shape[0])
-            levels.append(
-                {
-                    "t": float(t),
-                    "conditional": conditional,
-                    "survivors": survivors,
-                    "distinct_solves": solved,
-                }
-            )
-            unreliability *= conditional
-            if survivors == 0:
-                starved_level = index
-                break
-            log_variance += (1.0 - conditional) / (population * conditional)
-            clocks = clocks[down]
-            previous_t = t
-
-    sigma = math.sqrt(log_variance)
-    if unreliability > 0.0:
-        low_u = unreliability * math.exp(-z * sigma)
-        high_u = min(1.0, unreliability * math.exp(z * sigma))
-    else:
-        low_u = 0.0
-        high_u = 1.0  # a starved run bounds nothing from above
-    total_samples = population * len(levels)
-    value = min(1.0, max(0.0, 1.0 - unreliability))
-    details: dict[str, Any] = {
-        "variant": "splitting",
-        "unreliability": float(unreliability),
-        "unreliability_low": float(low_u),
-        "unreliability_high": float(high_u),
-        "relative_error": float(z * sigma) if unreliability > 0.0 else math.inf,
-        "levels": levels,
-        "t_initial": float(t_initial),
-        "population": population,
-        "distinct_configurations": len(verdicts),
-        "flow_calls": oracle.calls,
-        "seed": entropy,
-        "streams": list(STREAM_NAMES),
-    }
-    if starved_level is not None:
-        details["starved_level"] = starved_level
-    return EstimateResult(
-        value=value,
-        low=min(1.0, max(0.0, 1.0 - high_u)),
-        high=min(1.0, max(0.0, 1.0 - low_u)),
-        confidence=confidence,
-        num_samples=total_samples,
-        hits=int(round(value * total_samples)),
-        method="rare-splitting",
-        details=details,
-    )
-
-
 def rare_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
@@ -800,43 +590,34 @@ def rare_reliability(
     seed: int | np.random.SeedSequence | None = 0,
     solver: str | MaxFlowSolver | None = None,
     batch_size: int = 2048,
-    num_levels: int | None = None,
 ) -> EstimateResult:
     """Front door of the rare-event tier (``method="rare"``).
 
-    ``variant`` selects the estimator: ``"permutation"`` (alias
-    ``"spectrum"``) for the destruction-spectrum conditional MC,
-    ``"splitting"`` for fixed-effort multilevel splitting, ``"auto"``
-    for permutation — the bounded-relative-error default.
+    Runs :func:`permutation_montecarlo_reliability` with a default
+    budget of 10 000 permutations.  ``variant`` names the estimator:
+    ``"auto"``, ``"permutation"`` and ``"spectrum"`` all pick it.
+    ``"splitting"`` (fixed-effort multilevel splitting) was removed
+    because it lost every measured row to permutation MC, and raises
+    :class:`ReproValueError`.
     """
-    resolved = {"auto": "permutation", "spectrum": "permutation"}.get(variant, variant)
-    if resolved == "permutation":
-        return permutation_montecarlo_reliability(
-            net,
-            demand,
-            num_samples=10_000 if num_samples is None else num_samples,
-            target_relative_error=target_relative_error,
-            confidence=confidence,
-            seed=seed,
-            solver=solver,
-            batch_size=batch_size,
+    if variant == "splitting":
+        raise ReproValueError(
+            "rare-event variant 'splitting' was removed: permutation MC "
+            'reached equal accuracy faster on every measured net; see '
+            'docs/PERFORMANCE.md "Removed engines"'
         )
-    if resolved == "splitting":
-        if target_relative_error is not None:
-            raise EstimationError(
-                "target_relative_error is a permutation-variant option; "
-                "splitting uses a fixed per-level population"
-            )
-        return splitting_reliability(
-            net,
-            demand,
-            num_samples=1000 if num_samples is None else num_samples,
-            num_levels=num_levels,
-            confidence=confidence,
-            seed=seed,
-            solver=solver,
+    if variant not in ("auto", "permutation", "spectrum"):
+        raise EstimationError(
+            f"unknown rare-event variant {variant!r}; "
+            "choose auto, permutation or spectrum"
         )
-    raise EstimationError(
-        f"unknown rare-event variant {variant!r}; "
-        "choose auto, permutation, spectrum or splitting"
+    return permutation_montecarlo_reliability(
+        net,
+        demand,
+        num_samples=10_000 if num_samples is None else num_samples,
+        target_relative_error=target_relative_error,
+        confidence=confidence,
+        seed=seed,
+        solver=solver,
+        batch_size=batch_size,
     )

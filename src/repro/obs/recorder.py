@@ -159,7 +159,7 @@ SPECTRUM_SOLVES = "spectrum_solves"
 #: queried, it sums to the permutations drawn.
 SPECTRUM_CERTIFIED = "spectrum_certified"
 #: Samples produced by a single array-at-a-time draw in the estimator
-#: tier (permutation batches, splitting populations/refreshes) — the
+#: tier (permutation batches of failure orders) — the
 #: vectorization contract's observable: ``samples_vectorized`` should
 #: track ``mc_samples`` without a per-sample Python draw in sight.
 SAMPLES_VECTORIZED = "samples_vectorized"
@@ -216,7 +216,6 @@ KNOWN_SPANS = frozenset(
         "naive.enumerate",
         "probability.table",
         "rare.spectrum",
-        "rare.split",
         "serve.batch",
         "serve.query",
         "serve.warm",

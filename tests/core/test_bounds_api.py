@@ -144,6 +144,15 @@ class TestComputeReliability:
         with pytest.raises(ReproError):
             compute_reliability(diamond(), "s", "t", 1, method="magic")
 
+    @pytest.mark.parametrize(
+        "method, options",
+        [("series-parallel", {}), ("minpaths", {}), ("rare", {"variant": "splitting"})],
+    )
+    def test_removed_engines_raise_with_pointer(self, method, options):
+        assert method == "rare" or method not in available_methods()
+        with pytest.raises(ReproValueError, match='"Removed engines"'):
+            compute_reliability(diamond(), "s", "t", 1, method=method, **options)
+
     def test_auto_prefers_bottleneck(self):
         net = fujita_fig2_bridge()
         assert compute_reliability(net, "s", "t", 2).method == "bottleneck"

@@ -22,6 +22,7 @@ from repro.graph.builders import (
 )
 from repro.graph.generators import bottlenecked_network
 from repro.graph.network import FlowNetwork
+from repro.graph.transforms import split_on_cut
 
 
 class TestPatternProbability:
@@ -84,21 +85,66 @@ class TestPatternProbability:
             pattern_probabilities(net, (0.5,))
 
 
+def _eq1(net, demand, bridge):
+    """Eq. (1) from its three factors: naive on each ``split_on_cut``
+    side (a side whose terminal is the bridge endpoint imposes no
+    constraint) times the bridge's availability."""
+    split = split_on_cut(net, demand.source, demand.sink, [bridge])
+
+    def side(side_net, source, sink):
+        if source == sink:
+            return 1.0
+        return naive_reliability(side_net, FlowDemand(source, sink, demand.rate)).value
+
+    x, y = split.source_ports[0], split.sink_ports[0]
+    r_s = side(split.source_side.network, demand.source, x)
+    r_t = side(split.sink_side.network, y, demand.sink)
+    return r_s * net.link(bridge).availability * r_t
+
+
+#: (network factory, demand, bridge) — every bridge fixture below.
+BRIDGE_FIXTURES = [
+    (lambda: fujita_fig2_bridge(), FlowDemand("s", "t", 2), 8),
+    (lambda: fujita_fig2_bridge(), FlowDemand("s", "t", 1), 8),
+    (
+        lambda: fujita_fig2_bridge(
+            failure_probability=0.2, bridge_failure_probability=0.3
+        ),
+        FlowDemand("s", "t", 1),
+        8,
+    ),
+    (lambda: fujita_fig2_bridge(bridge_capacity=1), FlowDemand("s", "t", 2), 8),
+    (lambda: series_chain(3, capacity=1, failure_probability=0.1), FlowDemand("s", "t", 1), 1),
+    (lambda: series_chain(1, capacity=2, failure_probability=0.25), FlowDemand("s", "t", 1), 0),
+]
+
+
 class TestBridgeReliability:
     def test_fig2_matches_naive(self):
         net = fujita_fig2_bridge()
         demand = FlowDemand("s", "t", 2)
         assert bridge_reliability(net, demand).value == pytest.approx(
-            naive_reliability(net, demand).value
+            naive_reliability(net, demand).value, abs=1e-12
         )
 
     def test_eq1_product_structure(self):
         net = fujita_fig2_bridge(failure_probability=0.2, bridge_failure_probability=0.3)
         demand = FlowDemand("s", "t", 1)
         result = bridge_reliability(net, demand)
-        d = result.details
+        assert result.value == pytest.approx(_eq1(net, demand, 8), abs=1e-12)
+
+    @pytest.mark.parametrize("factory, demand, bridge", BRIDGE_FIXTURES)
+    def test_is_bottleneck_on_the_bridge(self, factory, demand, bridge):
+        """Hex-identical to Eq. 3 on the one-link cut, and equal to naive."""
+        net = factory()
+        result = bridge_reliability(net, demand, bridge=bridge)
+        reference = bottleneck_reliability(net, demand, cut=[bridge])
+        assert result.value.hex() == reference.value.hex()
+        assert result.method == "bridge"
+        assert result.details["bridge"] == bridge
+        assert result.details["alpha"] == reference.details["alpha"]
         assert result.value == pytest.approx(
-            d["source_side_reliability"] * d["bridge_availability"] * d["sink_side_reliability"]
+            naive_reliability(net, demand).value, abs=1e-12
         )
 
     def test_capacity_below_demand_trivially_zero(self):
@@ -121,13 +167,13 @@ class TestBridgeReliability:
         net = series_chain(3, capacity=1, failure_probability=0.1)
         demand = FlowDemand("s", "t", 1)
         result = bridge_reliability(net, demand, bridge=1)
-        assert result.value == pytest.approx(0.9**3)
+        assert result.value == pytest.approx(0.9**3, abs=1e-12)
 
     def test_terminal_on_bridge_endpoint(self):
         # s -> t single link: both sides are trivial
         net = series_chain(1, capacity=2, failure_probability=0.25)
         result = bridge_reliability(net, FlowDemand("s", "t", 1))
-        assert result.value == pytest.approx(0.75)
+        assert result.value == pytest.approx(0.75, abs=1e-12)
 
 
 class TestBottleneckReliability:

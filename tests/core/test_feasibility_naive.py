@@ -228,7 +228,6 @@ class TestNaiveReliability:
         "naive_reliability",
         "destruction_spectrum",
         "permutation_montecarlo_reliability",
-        "splitting_reliability",
         "rare_reliability",
     ],
 )
@@ -241,7 +240,6 @@ def test_no_engine_takes_incremental(entry_point):
         "naive_reliability": naive_reliability,
         "destruction_spectrum": rare.destruction_spectrum,
         "permutation_montecarlo_reliability": rare.permutation_montecarlo_reliability,
-        "splitting_reliability": rare.splitting_reliability,
         "rare_reliability": rare.rare_reliability,
     }
     with pytest.raises(TypeError, match="incremental"):

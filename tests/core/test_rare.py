@@ -16,7 +16,6 @@ from repro.core.rare import (
     rare_reliability,
     sample_failure_orders,
     spawn_streams,
-    splitting_reliability,
 )
 from repro.core.result import EstimateResult
 from repro.exceptions import EstimationError
@@ -226,49 +225,6 @@ class TestGoldenPins:
         assert est.details["spectrum_solves"] < 1000
 
 
-class TestSplittingEstimator:
-    @pytest.mark.parametrize("seed", [0, 7, 23])
-    def test_matches_exact_within_interval(self, fig4_net, seed):
-        demand = FlowDemand("s", "t", 2)
-        exact = naive_reliability(fig4_net, demand).value
-        est = splitting_reliability(fig4_net, demand, num_samples=800, seed=seed)
-        assert est.method == "rare-splitting"
-        assert est.low <= exact <= est.high
-
-    def test_five_nines_reaches_the_event(self):
-        net = fujita_fig4(failure_probability=1e-5)
-        demand = FlowDemand("s", "t", 2)
-        exact_u = 1.0 - naive_reliability(net, demand).value
-        est = splitting_reliability(net, demand, num_samples=1500, seed=4)
-        u = est.details["unreliability"]
-        assert u > 0.0  # crude MC at this budget would see nothing
-        assert est.details["unreliability_low"] <= exact_u
-        assert exact_u <= est.details["unreliability_high"]
-
-    def test_replay_is_bit_identical(self, fig4_net):
-        demand = FlowDemand("s", "t", 2)
-        a = splitting_reliability(fig4_net, demand, num_samples=400, seed=8)
-        b = splitting_reliability(fig4_net, demand, num_samples=400, seed=8)
-        assert a.value == b.value
-        assert a.details == b.details
-
-    def test_level_conditionals_multiply_to_estimate(self, fig4_net):
-        demand = FlowDemand("s", "t", 2)
-        est = splitting_reliability(fig4_net, demand, num_samples=500, seed=6)
-        product = 1.0
-        for level in est.details["levels"]:
-            product *= level["conditional"]
-        assert est.details["unreliability"] == pytest.approx(product)
-
-    def test_explicit_level_count(self, fig4_net):
-        demand = FlowDemand("s", "t", 2)
-        est = splitting_reliability(
-            fujita_fig4(failure_probability=1e-4), demand, num_samples=400,
-            num_levels=5, seed=2,
-        )
-        assert len(est.details["levels"]) <= 6  # L+1 evaluations, early stop allowed
-
-
 class TestFrontDoor:
     def test_variant_aliases(self, fig4_net):
         demand = FlowDemand("s", "t", 2)
@@ -276,24 +232,14 @@ class TestFrontDoor:
         spec = rare_reliability(
             fig4_net, demand, variant="spectrum", num_samples=300, seed=1
         )
-        assert perm.value == spec.value
-        split = rare_reliability(
-            fig4_net, demand, variant="splitting", num_samples=300, seed=1
+        named = rare_reliability(
+            fig4_net, demand, variant="permutation", num_samples=300, seed=1
         )
-        assert split.method == "rare-splitting"
+        assert perm.value == spec.value == named.value
 
     def test_unknown_variant_rejected(self, fig4_net):
         with pytest.raises(EstimationError, match="variant"):
             rare_reliability(fig4_net, FlowDemand("s", "t", 2), variant="quantum")
-
-    def test_splitting_rejects_target_relative_error(self, fig4_net):
-        with pytest.raises(EstimationError, match="permutation-variant"):
-            rare_reliability(
-                fig4_net,
-                FlowDemand("s", "t", 2),
-                variant="splitting",
-                target_relative_error=0.1,
-            )
 
     def test_too_many_links_rejected(self):
         net = parallel_links(64, capacity=1, failure_probability=0.1)
@@ -390,14 +336,6 @@ class TestObservability:
         assert totals["samples_vectorized"] == 600
         assert totals["spectrum_solves"] == est.details["spectrum_solves"]
         assert any(child.name == "rare.spectrum" for child in rec.root.children)
-
-    def test_split_span_recorded(self, fig4_net):
-        from repro.obs import record
-
-        demand = FlowDemand("s", "t", 2)
-        with record() as rec:
-            splitting_reliability(fig4_net, demand, num_samples=300, seed=0)
-        assert any(child.name == "rare.split" for child in rec.root.children)
 
     def test_flow_calls_match_oracle_accounting(self, fig4_net):
         demand = FlowDemand("s", "t", 2)

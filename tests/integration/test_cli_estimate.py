@@ -58,15 +58,6 @@ class TestEstimateCommand:
         assert low <= payload["reliability"] <= high
         assert payload["flow_calls"] > 0
 
-    def test_splitting_variant(self, net_file, capsys):
-        assert (
-            _estimate(net_file, "--variant", "splitting", "--budget", "400",
-                      "--json", "--no-ledger")
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["method"] == "rare-splitting"
-
     def test_five_nines_with_target_relative_error(self, five_nines_file, capsys):
         assert (
             _estimate(
@@ -94,18 +85,6 @@ class TestEstimateCommand:
     def test_budget_must_be_positive(self, net_file, capsys):
         assert _estimate(net_file, "--budget", "0", "--no-ledger") == 1
         assert "--budget must be positive" in capsys.readouterr().err
-
-    def test_splitting_rejects_target_relative_error(self, net_file, capsys):
-        assert (
-            _estimate(
-                net_file,
-                "--variant", "splitting",
-                "--target-relative-error", "0.1",
-                "--no-ledger",
-            )
-            == 1
-        )
-        assert "permutation variant" in capsys.readouterr().err
 
 
 class TestLedgerRoundTrip:

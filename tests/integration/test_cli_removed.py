@@ -5,7 +5,10 @@ naive-parallel`` selected array builders that never beat the serial
 build; ``--incremental`` / ``--no-incremental`` toggled flow repair,
 which the solver now decides; ``repro serve --coalesce-window`` held
 every round open for a fixed wait, where the daemon now answers what
-is ready at once.  Each exits 2 with one line naming the removal, its
+is ready at once.  ``--method series-parallel`` / ``minpaths`` and
+``repro estimate --levels`` / ``--variant`` named engines that won no
+measured row (multilevel splitting was the only other rare-event
+variant).  Each exits 2 with one line naming the removal, its
 reason and its docs section, instead of argparse's bare "unrecognized
 arguments" — and before the network file is even opened.
 """
@@ -84,3 +87,30 @@ def test_coalesce_window_exits_2_with_pointer(argv, capsys):
     assert len(lines) == 1
     assert "--coalesce-window was removed" in lines[0]
     assert 'docs/SERVING.md "Coalescing"' in lines[0]
+
+
+_ESTIMATE = ["estimate", "net.json", *_DEMAND, "--seed", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compute", "net.json", *_DEMAND, "--method", "series-parallel"],
+         "--method series-parallel"),
+        (["compute", "net.json", *_DEMAND, "--method=minpaths"], "--method minpaths"),
+        (["profile", "net.json", *_DEMAND, "--method", "minpaths"], "--method minpaths"),
+        ([*_ESTIMATE, "--levels", "3"], "--levels"),
+        ([*_ESTIMATE, "--variant", "splitting"], "--variant"),
+        ([*_ESTIMATE, "--variant", "permutation"], "--variant"),
+        ([*_ESTIMATE, "--variant=spectrum"], "--variant"),
+        ([*_ESTIMATE, "--variant", "auto"], "--variant"),
+    ],
+)
+def test_removed_engine_exits_2_with_pointer(argv, named, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert f"{named} was removed" in lines[0]
+    assert 'docs/PERFORMANCE.md "Removed engines"' in lines[0]

@@ -20,6 +20,7 @@ from repro.core.naive import naive_reliability
 from repro.graph.builders import fujita_fig2_bridge, fujita_fig4
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network, chained_network
+from repro.graph.network import FlowNetwork
 from tests.conftest import random_small_network
 
 TOL = 1e-10
@@ -149,19 +150,20 @@ class TestAutoDiscovery:
         assert value == pytest.approx(naive_reliability(net, demand).value, abs=TOL)
 
 
-class TestSixWayUnitDemandAgreement:
-    """For d = 1 the library has SIX independent exact engines: naive
-    enumeration, factoring, bottleneck (when a cut exists), directed
-    frontier, minpath inclusion-exclusion, and series-parallel (when
-    reducible).  One instance agreeing across all of them is the
-    strongest correctness statement the suite makes."""
+class TestUnitDemandAgreement:
+    """For d = 1 the library has five independent exact engines: naive
+    enumeration, factoring, bottleneck (when a cut exists), and the
+    directed and undirected frontiers.  One instance agreeing across
+    all of them is the strongest correctness statement the suite
+    makes; the undirected frontier runs on the same net with every
+    link made undirected, against naive on that net."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_all_engines_agree(self, seed):
-        from repro.core.frontier import directed_frontier_reliability
-        from repro.core.paths import minpath_reliability
-        from repro.core.reductions import series_parallel_reliability
-        from repro.exceptions import IntractableError, ReproError
+        from repro.core.frontier import (
+            directed_frontier_reliability,
+            frontier_reliability,
+        )
 
         net = random_small_network(seed)
         demand = FlowDemand("s", "t", 1)
@@ -170,14 +172,6 @@ class TestSixWayUnitDemandAgreement:
             "factoring": factoring_reliability(net, demand).value,
             "frontier-directed": directed_frontier_reliability(net, demand).value,
         }
-        try:
-            values["minpaths"] = minpath_reliability(net, demand, max_paths=18).value
-        except IntractableError:
-            pass
-        try:
-            values["series-parallel"] = series_parallel_reliability(net, demand).value
-        except ReproError:
-            pass
         split = find_bottleneck(net, "s", "t", max_size=2)
         if split is not None:
             try:
@@ -187,4 +181,22 @@ class TestSixWayUnitDemandAgreement:
             except Exception:
                 pass
         for name, value in values.items():
+            assert value == pytest.approx(reference, abs=TOL), f"{name} seed={seed}"
+
+        undirected = FlowNetwork(name=f"{net.name}-undirected")
+        undirected.add_nodes(net.nodes())
+        for link in net.links():
+            undirected.add_link(
+                link.tail,
+                link.head,
+                link.capacity,
+                link.failure_probability,
+                directed=False,
+            )
+        reference = naive_reliability(undirected, demand).value
+        for name, engine in (
+            ("frontier", frontier_reliability),
+            ("frontier-directed", directed_frontier_reliability),
+        ):
+            value = engine(undirected, demand).value
             assert value == pytest.approx(reference, abs=TOL), f"{name} seed={seed}"

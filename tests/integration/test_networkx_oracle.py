@@ -1,15 +1,12 @@
 """Integration: structural graph algorithms vs networkx oracles.
 
 networkx never appears in library code; here it independently verifies
-bridges, connectivity, minimum cuts and simple-path enumeration on
-randomized instances.
+bridges, connectivity and minimum cuts on randomized instances.
 """
 
 import networkx as nx
 import pytest
 
-from repro.core.paths import minimal_paths
-from repro.exceptions import IntractableError
 from repro.flow.base import max_flow
 from repro.flow.mincut import min_cut_capacity
 from repro.graph.connectivity import bridges, connected_components, is_connected
@@ -109,25 +106,3 @@ class TestCutOracles:
         result = max_flow(net, "s", "t")
         assert min_cut_capacity(net, result) == result.value
         assert result.value == nx.maximum_flow_value(to_digraph(net), "s", "t")
-
-
-class TestPathOracles:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_simple_path_count_matches(self, seed):
-        net = random_small_network(seed)
-        try:
-            ours = minimal_paths(net, "s", "t", max_paths=200)
-        except IntractableError:
-            return
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(net.nodes())
-        for link in net.links():
-            if link.tail == link.head:
-                continue
-            g.add_edge(link.tail, link.head, key=link.index)
-            if not link.directed:
-                g.add_edge(link.head, link.tail, key=link.index)
-        theirs = list(nx.all_simple_edge_paths(g, "s", "t"))
-        # networkx counts undirected links twice only when both
-        # orientations appear in distinct simple paths, as we do
-        assert len(ours) == len(theirs)

@@ -9,7 +9,6 @@ from repro.core.demand import FlowDemand
 from repro.core.distribution import flow_value_distribution
 from repro.core.multisink import broadcast_reliability
 from repro.core.naive import naive_reliability
-from repro.core.reductions import reduce_for_unit_demand
 from repro.core.stratified import poisson_binomial, sample_with_alive_count
 from repro.probability.bitset import popcount
 from repro.probability.enumeration import configuration_probabilities
@@ -38,26 +37,6 @@ class TestDistributionProperties:
         values = [dist.reliability(v) for v in range(len(dist.pmf) + 2)]
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
-
-
-class TestReductionProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(small_networks())
-    def test_reduction_preserves_unit_reliability(self, net):
-        demand = FlowDemand("s", "t", 1)
-        expected = naive_reliability(net, demand).value
-        report = reduce_for_unit_demand(net, demand)
-        if report.network.num_links == 0:
-            assert expected == pytest.approx(0.0, abs=1e-12)
-        else:
-            value = naive_reliability(report.network, demand).value
-            assert value == pytest.approx(expected, abs=1e-9)
-
-    @settings(max_examples=30, deadline=None)
-    @given(small_networks())
-    def test_reduction_never_grows(self, net):
-        report = reduce_for_unit_demand(net, FlowDemand("s", "t", 1))
-        assert report.network.num_links <= net.num_links
 
 
 class TestStratifiedProperties:

@@ -2,12 +2,13 @@
 
 Two contracts, pinned across seeds and topologies:
 
-* **agreement** — on every small fixture the exact value (naive /
-  bottleneck) lies inside the estimator's reported confidence interval,
-  and homogeneous spectrum weights collapse to the Poisson-binomial
-  failure tail;
+* **agreement** — on every small fixture, and on a strongly
+  heterogeneous 30-link chained net, the exact value (naive /
+  bottleneck / chain) lies inside the estimator's reported confidence
+  interval, and homogeneous spectrum weights collapse to the
+  Poisson-binomial failure tail;
 * **replayability** — same seed + inputs reproduce the estimate
-  bit-for-bit, value *and* details, for both variants.
+  bit-for-bit, value *and* details.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bottleneck import bottleneck_reliability
+from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.core.rare import (
@@ -27,7 +29,6 @@ from repro.core.rare import (
     permutation_montecarlo_reliability,
     rare_reliability,
     sample_failure_orders,
-    splitting_reliability,
 )
 from repro.core.stratified import poisson_binomial
 from repro.graph.builders import (
@@ -36,6 +37,7 @@ from repro.graph.builders import (
     fujita_fig4,
     parallel_links,
 )
+from repro.graph.generators import chained_network
 
 SEEDS = [0, 7, 23, 101]
 
@@ -66,18 +68,21 @@ def test_permutation_interval_contains_exact(name, factory, demand, seed):
     )
 
 
-@pytest.mark.parametrize("name,factory,demand", FIXTURES)
-@pytest.mark.parametrize("seed", SEEDS[:2])
-def test_splitting_interval_contains_exact(name, factory, demand, seed):
-    net = factory()
-    exact = naive_reliability(net, demand).value
-    est = splitting_reliability(net, demand, num_samples=1200, seed=seed)
-    assert est.low - _ULP_SLACK <= exact <= est.high + _ULP_SLACK, (
-        name, seed, exact, est,
+@pytest.mark.parametrize("seed", SEEDS)
+def test_permutation_interval_contains_exact_on_heterogeneous_chain(seed):
+    """Link failure probabilities spread over four decades, 30 links:
+    the exact value comes from the chain engine on the generator's cuts."""
+    net = chained_network(
+        [2, 4, 4, 4, 4, 2], cut_sizes=2, demand=2, seed=5, p_range=(1e-6, 1e-2)
     )
+    demand = FlowDemand("s", "t", 2)
+    exact = chain_reliability(net, demand, net._chain_cut_indices).value
+    est = permutation_montecarlo_reliability(net, demand, num_samples=4096, seed=seed)
+    assert not est.details["homogeneous"]
+    assert est.low <= exact <= est.high, (seed, exact, est)
 
 
-@pytest.mark.parametrize("variant", ["permutation", "splitting"])
+@pytest.mark.parametrize("variant", ["permutation"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_replay_bit_identical(variant, seed):
     net = fujita_fig4()
