@@ -1,12 +1,17 @@
 """Integration: structural graph algorithms vs networkx oracles.
 
 networkx never appears in library code; here it independently verifies
-bridges, connectivity and minimum cuts on randomized instances.
+bridges, connectivity, minimum cuts and unit-demand reliability on
+randomized instances.
 """
+
+import itertools
 
 import networkx as nx
 import pytest
 
+from repro.core.demand import FlowDemand
+from repro.core.frontier import directed_frontier_reliability, frontier_reliability
 from repro.flow.base import max_flow
 from repro.flow.mincut import min_cut_capacity
 from repro.graph.connectivity import bridges, connected_components, is_connected
@@ -106,3 +111,49 @@ class TestCutOracles:
         result = max_flow(net, "s", "t")
         assert min_cut_capacity(net, result) == result.value
         assert result.value == nx.maximum_flow_value(to_digraph(net), "s", "t")
+
+
+def _networkx_unit_reliability(net: FlowNetwork) -> float:
+    """P(t reachable from s) by enumerating every link state and asking
+    networkx for a path in the surviving subgraph."""
+    total = 0.0
+    links = list(net.links())
+    for states in itertools.product((False, True), repeat=len(links)):
+        g = nx.DiGraph()
+        g.add_nodes_from(net.nodes())
+        probability = 1.0
+        for link, alive in zip(links, states):
+            p = link.failure_probability
+            probability *= (1.0 - p) if alive else p
+            if not alive or link.capacity <= 0 or link.tail == link.head:
+                continue
+            g.add_edge(link.tail, link.head)
+            if not link.directed:
+                g.add_edge(link.head, link.tail)
+        if nx.has_path(g, "s", "t"):
+            total += probability
+    return total
+
+
+def _undirected_copy(net: FlowNetwork) -> FlowNetwork:
+    copy = FlowNetwork(name=f"{net.name}-undirected")
+    copy.add_nodes(net.nodes())
+    for link in net.links():
+        copy.add_link(
+            link.tail, link.head, link.capacity, link.failure_probability, directed=False
+        )
+    return copy
+
+
+class TestReliabilityOracles:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_directed_unit_reliability_matches(self, seed):
+        net = random_small_network(seed)
+        value = directed_frontier_reliability(net, FlowDemand("s", "t", 1)).value
+        assert value == pytest.approx(_networkx_unit_reliability(net), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_undirected_unit_reliability_matches(self, seed):
+        net = _undirected_copy(random_small_network(seed))
+        value = frontier_reliability(net, FlowDemand("s", "t", 1)).value
+        assert value == pytest.approx(_networkx_unit_reliability(net), abs=1e-12)

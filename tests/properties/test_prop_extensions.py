@@ -107,6 +107,27 @@ class TestFrontierProperties:
         shuffled = directed_frontier_reliability(net, demand, order=order).value
         assert shuffled == pytest.approx(base, abs=1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(small_networks())
+    def test_undirected_frontier_matches_naive(self, net):
+        from repro.core.frontier import frontier_reliability
+        from repro.graph.network import FlowNetwork
+
+        undirected = FlowNetwork()
+        undirected.add_nodes(net.nodes())
+        for link in net.links():
+            undirected.add_link(
+                link.tail,
+                link.head,
+                link.capacity,
+                link.failure_probability,
+                directed=False,
+            )
+        demand = FlowDemand("s", "t", 1)
+        expected = naive_reliability(undirected, demand).value
+        value = frontier_reliability(undirected, demand).value
+        assert value == pytest.approx(expected, abs=1e-9)
+
 
 class TestImportanceProperties:
     @settings(max_examples=20, deadline=None)

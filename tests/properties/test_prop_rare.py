@@ -8,7 +8,7 @@ Two contracts, pinned across seeds and topologies:
   interval, and homogeneous spectrum weights collapse to the
   Poisson-binomial failure tail;
 * **replayability** — same seed + inputs reproduce the estimate
-  bit-for-bit, value *and* details.
+  bit-for-bit, value *and* details, under every accepted variant name.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def test_permutation_interval_contains_exact_on_heterogeneous_chain(seed):
     assert est.low <= exact <= est.high, (seed, exact, est)
 
 
-@pytest.mark.parametrize("variant", ["permutation"])
+@pytest.mark.parametrize("variant", ["auto", "permutation", "spectrum"])
 @pytest.mark.parametrize("seed", SEEDS)
 def test_replay_bit_identical(variant, seed):
     net = fujita_fig4()
