@@ -4,8 +4,7 @@ Three tables, each cell the best of ``REPEATS`` calls:
 
 * **d = 1 engines** on X1's directed ladders (8 / 16 / 40 / 200 links)
   and X4's undirected ladders (12 / 50 / 200 / 800 links) and 3x4 /
-  4x12 grids.  Every name in ``D1_ENGINES`` that
-  :func:`repro.core.api.available_methods` still lists is timed through
+  4x12 grids.  Every name in ``D1_ENGINES`` is timed through
   ``compute_reliability``; an engine that refuses the input (wrong link
   kind, no bridge, past its own guard) gets a ``refused`` cell, and one
   past ``CAPS`` is not run at all (naive and factoring grow as
@@ -13,12 +12,9 @@ Three tables, each cell the best of ``REPEATS`` calls:
 * **k = 1 nets**: ``bridge``, ``bottleneck`` on the discovered bridge
   and ``factoring`` on ``bottlenecked_network(num_bottlenecks=1,
   demand=2)`` with 6 / 9 / 12-link sides, seeds 0-2.
-* **Rare-event estimators at equal accuracy**: permutation MC stops at
-  ``TARGET_RE`` CI relative error; fixed-effort splitting, where the
-  library still has it, doubles its population until its reported CI
-  relative error reaches the same target.  Inputs: fig4 at p = 1e-5,
-  the 30-link chained net of R1, and that net with
-  ``p_range=(1e-6, 1e-2)``.
+* **Rare-event estimator at a stated accuracy**: permutation MC stops
+  at ``TARGET_RE`` CI relative error on fig4 at p = 1e-5, the 30-link
+  chained net of R1, and that net with ``p_range=(1e-6, 1e-2)``.
 
 Every value an engine returns is checked against ``naive`` where naive
 runs (to 1e-12), except the bottleneck path on undirected links: its
@@ -27,10 +23,14 @@ model note in :mod:`repro.core.bottleneck`), so the 3x4 grid reads
 lower there and the row carries the difference.
 
 Run standalone to print the JSON rows (``PYTHONPATH=src python
-benchmarks/bench_x8_engines.py``); the committed snapshot, taken before
-``series-parallel``, ``minpaths`` and splitting were deleted, lives in
-``benchmarks/BENCH_engines.json`` and docs/PERFORMANCE.md ("Removed
-engines").
+benchmarks/bench_x8_engines.py``).  The committed snapshot
+(``benchmarks/BENCH_engines.json``, tabled in docs/PERFORMANCE.md
+"Removed engines") was recorded against the source of commit b54c5ac,
+the last with ``series-parallel``, ``minpaths`` and rare-event
+splitting.  That run had both names in ``D1_ENGINES`` and one more
+rare-event row per net: ``splitting_reliability`` with its per-level
+population doubled from 250 until its reported CI relative error
+reached ``TARGET_RE``, and that population timed best of ``REPEATS``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from bench_x1_ladders import ladder
 from bench_x4_frontier import undirected_grid, undirected_ladder
 
 from repro.core import rare
-from repro.core.api import available_methods, compute_reliability
+from repro.core.api import compute_reliability
 from repro.core.demand import FlowDemand
 from repro.exceptions import ReproError
 from repro.graph.builders import fujita_fig4
@@ -55,10 +55,8 @@ D1_ENGINES = (
     "factoring",
     "bottleneck",
     "bridge",
-    "series-parallel",
     "frontier",
     "frontier-directed",
-    "minpaths",
     "auto",
 )
 #: Largest net (links) each engine is run on; the rest run everywhere.
@@ -68,7 +66,6 @@ FORWARD_MODEL = ("bottleneck", "auto")
 BRIDGE_SIDES = (6, 9, 12)
 BRIDGE_SEEDS = (0, 1, 2)
 TARGET_RE = 0.10
-SPLITTING_POPULATIONS = tuple(250 * 2**i for i in range(10))
 
 
 def _best(fn):
@@ -95,11 +92,10 @@ def _undirected(net) -> bool:
 
 def measure_d1() -> list[dict]:
     demand = FlowDemand("s", "t", 1)
-    engines = [name for name in D1_ENGINES if name in available_methods()]
     rows = []
     for net in d1_nets():
         naive = None
-        for engine in engines:
+        for engine in D1_ENGINES:
             cell = {"net": net.name, "links": net.num_links, "engine": engine}
             rows.append(cell)
             if net.num_links > CAPS.get(engine, net.num_links):
@@ -191,7 +187,6 @@ def _estimate_row(estimator, estimate, ms) -> dict:
 
 def measure_rare() -> list[dict]:
     demand = FlowDemand("s", "t", 2)
-    splitting = getattr(rare, "splitting_reliability", None)
     rows = []
     for name, net in rare_nets():
         perm, ms = _best(
@@ -200,17 +195,7 @@ def measure_rare() -> list[dict]:
             )
         )
         assert perm.details["relative_error"] <= TARGET_RE
-        row = {"net": name, "rows": [_estimate_row("permutation", perm, ms)]}
-        if splitting is not None:
-            for population in SPLITTING_POPULATIONS:
-                split = splitting(net, demand, num_samples=population, seed=0)
-                if split.details["relative_error"] <= TARGET_RE:
-                    break
-            split, ms = _best(
-                lambda: splitting(net, demand, num_samples=population, seed=0)
-            )
-            row["rows"].append(_estimate_row("splitting", split, ms))
-        rows.append(row)
+        rows.append({"net": name, "rows": [_estimate_row("permutation", perm, ms)]})
     return rows
 
 
@@ -270,7 +255,7 @@ def test_x8_rare_equal_accuracy(benchmark, show):
             for r in rows
             for e in r["rows"]
         ],
-        title=f"X8: rare-event estimators at {TARGET_RE:.0%} CI relative error",
+        title=f"X8: permutation MC to {TARGET_RE:.0%} CI relative error",
     )
 
 

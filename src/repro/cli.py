@@ -41,7 +41,12 @@ from datetime import datetime
 from typing import Any, Sequence
 
 from repro._version import __version__
-from repro.core.api import available_methods, compute_reliability
+from repro.core.api import (
+    REMOVED_METHODS,
+    REMOVED_POINTER,
+    available_methods,
+    compute_reliability,
+)
 from repro.core.bounds import reliability_bounds
 from repro.core.demand import FlowDemand
 from repro.core.distribution import flow_value_distribution
@@ -1182,7 +1187,7 @@ _SOLVER_DECIDES = (
     'cold otherwise); see docs/PERFORMANCE.md "Incremental repair"'
 )
 
-_NEVER_WON = 'won no measured row; see docs/PERFORMANCE.md "Removed engines"'
+_NEVER_WON = f"won no measured row; {REMOVED_POINTER}"
 
 #: Flags and methods that no longer exist, each with the reason for its
 #: removal and a doc anchor.  They fail with that pointer instead of
@@ -1194,8 +1199,7 @@ _REMOVED = {
     "naive-parallel": f"the process-pool naive scan {_NEVER_BEAT_SERIAL}",
     "--incremental": _SOLVER_DECIDES,
     "--no-incremental": _SOLVER_DECIDES,
-    "series-parallel": f"the series-parallel reduction engine {_NEVER_WON}",
-    "minpaths": f"minpath inclusion-exclusion {_NEVER_WON}",
+    **{name: f"{engine} {_NEVER_WON}" for name, engine in REMOVED_METHODS.items()},
     "--levels": f"fixed-effort multilevel splitting {_NEVER_WON}",
     "--variant": (
         "permutation MC is the only rare-event estimator left (splitting "

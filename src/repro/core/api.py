@@ -44,6 +44,9 @@ from repro.obs.recorder import current_recorder
 
 __all__ = [
     "COALESCIBLE_METHODS",
+    "REMOVED_METHODS",
+    "REMOVED_POINTER",
+    "SOLVER_METHODS",
     "available_methods",
     "compute_reliability",
     "dispatch_query",
@@ -56,6 +59,14 @@ __all__ = [
 #: probability phase, which is what :func:`repro.core.sweep.plan_batch`
 #: exploits.  ``None`` (no explicit method) coalesces as ``"auto"``.
 COALESCIBLE_METHODS = frozenset({"auto", "bottleneck"})
+#: Methods whose engine takes ``solver=``: the max-flow engines and the
+#: estimators built on them.  Every other engine raises ``TypeError``
+#: for it, so the serving daemon forwards its solver only to these.
+SOLVER_METHODS = frozenset(
+    {"auto", "naive", "factoring", "montecarlo", "montecarlo-stratified", "rare"}
+)
+#: Where a removed engine's error points: the table that removed it.
+REMOVED_POINTER = 'see docs/PERFORMANCE.md "Removed engines"'
 
 #: "auto" only picks naive below this many links (it is never *better*
 #: than factoring, just simpler to predict).
@@ -75,8 +86,9 @@ _AUTO_ESTIMATE_MAX_LINKS = 63
 #: of the dispatch that take it and rejects everything else rather than
 #: dropping it.
 _AUTO_OPTIONS = frozenset({"solver", "cache", "max_cut_size", "seed", "num_samples"})
-#: Deleted exact engines, by their former method name.
-_REMOVED_METHODS = {
+#: Deleted exact engines, by their former method name (the CLI's
+#: ``--method`` pointers are built from this table too).
+REMOVED_METHODS = {
     "series-parallel": "the series-parallel reduction engine",
     "minpaths": "minpath inclusion-exclusion",
 }
@@ -222,10 +234,10 @@ def _dispatch(
         if cuts is None:
             raise ReproError("method='chain' requires cuts=[[...], ...]")
         return chain_reliability(net, demand, cuts, **options)
-    if method in _REMOVED_METHODS:
+    if method in REMOVED_METHODS:
         raise ReproValueError(
-            f"method {method!r} was removed: {_REMOVED_METHODS[method]} never "
-            'beat frontier-directed; see docs/PERFORMANCE.md "Removed engines"'
+            f"method {method!r} was removed: {REMOVED_METHODS[method]} never "
+            f"beat frontier-directed; {REMOVED_POINTER}"
         )
     if method != "auto":
         raise ReproError(

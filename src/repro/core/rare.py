@@ -64,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core import certificate
+from repro.core.api import REMOVED_POINTER
 from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.montecarlo import z_quantile
@@ -603,8 +604,7 @@ def rare_reliability(
     if variant == "splitting":
         raise ReproValueError(
             "rare-event variant 'splitting' was removed: permutation MC "
-            'reached equal accuracy faster on every measured net; see '
-            'docs/PERFORMANCE.md "Removed engines"'
+            f"reached equal accuracy faster on every measured net; {REMOVED_POINTER}"
         )
     if variant not in ("auto", "permutation", "spectrum"):
         raise EstimationError(

@@ -20,15 +20,16 @@ intractable sides) — fall back per point to
 CLI, so served values stay pinned to the pointwise path either way.
 
 The server's ``solver`` reaches only the fallbacks of non-coalescible
-methods: the bottleneck pipeline picks its own kernels from the input,
-so a named solver never changes how a side cover is built.
+methods whose engine takes one: the bottleneck pipeline (``bridge``
+included) and the frontier sweeps pick their own kernels from the
+input, so a named solver never changes how they compute.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.core.api import dispatch_query, is_coalescible
+from repro.core.api import SOLVER_METHODS, dispatch_query, is_coalescible
 from repro.core.sweep import ArrayCache, compute_reliability_sweep, plan_batch
 from repro.exceptions import ReproError
 from repro.flow.base import MaxFlowSolver
@@ -55,15 +56,20 @@ def _fallback_values(
     """Answer one query point-by-point through the API dispatch chain.
 
     A coalescible query (``auto``/``bottleneck`` on a plan the sweep
-    refused) gets the shared ``cache``; any other method gets
-    ``solver``.  Returns the values, the solves spent and whether every
+    refused) gets the shared ``cache``; a method whose engine takes a
+    solver (:data:`repro.core.api.SOLVER_METHODS`) gets ``solver``; any
+    other (``bridge``, ``frontier``, ...) gets neither.  Returns the values, the solves spent and whether every
     point was answered from cached side covers alone.
     """
     assert query.net is not None and query.demand is not None and query.spec is not None
     values: list[float] = []
     flow_calls = 0
     warm = is_coalescible(query.method)
-    options: dict[str, Any] = {"cache": cache} if warm else {"solver": solver}
+    options: dict[str, Any] = {}
+    if warm:
+        options["cache"] = cache
+    elif query.method in SOLVER_METHODS:
+        options["solver"] = solver
     with span("serve.query", method=query.method or "auto", points=len(query.spec)):
         for index in range(len(query.spec)):
             point_net = query.spec.point_network(query.net, index)

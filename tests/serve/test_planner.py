@@ -2,10 +2,19 @@
 
 import json
 
+import pytest
+
+from repro.core.api import (
+    COALESCIBLE_METHODS,
+    SOLVER_METHODS,
+    available_methods,
+    compute_reliability,
+)
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache, network_fingerprint, plan_batch
-from repro.graph.builders import diamond, fujita_fig4, parallel_links
+from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4, parallel_links
+from repro.graph.network import FlowNetwork
 from repro.graph.io import to_dict
 from repro.obs import record
 from repro.obs.recorder import SERVE_WARM_HITS
@@ -147,3 +156,40 @@ class TestSolverReachesOnlyNonCoalescibleFallbacks:
         assert payload["ok"]
         assert payload["batch"]["queries"] == 1
 
+
+
+def _undirected_diamond() -> FlowNetwork:
+    net = FlowNetwork(name="undirected-diamond")
+    for tail, head in [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t"), ("a", "b")]:
+        net.add_link(tail, head, 1, 0.1, directed=False)
+    return net
+
+
+#: Served methods whose engine takes no ``solver=`` (``chain`` also
+#: needs ``cuts=``, which the protocol cannot carry).
+_SOLVER_FREE = sorted(
+    set(available_methods()) - SOLVER_METHODS - COALESCIBLE_METHODS - {"chain"}
+)
+
+
+class TestSolverFreeEngines:
+    def test_every_served_method_is_classified(self):
+        assert _SOLVER_FREE == ["bridge", "frontier", "frontier-directed"]
+
+    @pytest.mark.parametrize("method", _SOLVER_FREE)
+    def test_answered_without_the_server_solver(self, method):
+        """These engines raise ``TypeError`` for ``solver=``; the fallback
+        must not hand them the server's, or the round dies with it."""
+        if method == "frontier":
+            net, rate = _undirected_diamond(), 1
+        else:
+            net, rate = fujita_fig2_bridge(), 2 if method == "bridge" else 1
+        [payload] = answer_queries(
+            [_query(net=net, method=method, rate=rate)],
+            cache=ArrayCache(),
+            solver="dinic",
+        )
+        assert payload["ok"], payload
+        expected = compute_reliability(net, "s", "t", rate, method=method)
+        assert payload["points"][0]["reliability"] == expected.value
+        assert payload["method"] == method

@@ -15,10 +15,11 @@ import time
 
 import pytest
 
+from repro.core.api import compute_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache
 from repro.exceptions import ReproValueError
-from repro.graph.builders import fujita_fig4
+from repro.graph.builders import fujita_fig2_bridge, fujita_fig4
 from repro.graph.io import to_dict
 from repro.serve.client import ReliabilityClient
 from repro.serve.protocol import QUERY_SCHEMA, encode_line
@@ -110,6 +111,17 @@ class TestQueries:
         assert (
             warm["points"][0]["reliability"] == cold["points"][0]["reliability"]
         )
+
+    def test_bridge_query_is_answered_and_the_daemon_lives_on(self, threaded_server):
+        """``bridge`` takes no ``solver=``: the fallback must not pass it one."""
+        net = fujita_fig2_bridge()
+        with ReliabilityClient("127.0.0.1", threaded_server.port) as client:
+            reply = client.query(net, "s", "t", 2, method="bridge", qid=1)
+            after = client.query(fujita_fig4(), "s", "t", 2, qid=2)
+        assert reply["ok"] and reply["method"] == "bridge"
+        expected = compute_reliability(net, "s", "t", 2, method="bridge")
+        assert reply["points"][0]["reliability"] == expected.value
+        assert after["ok"]
 
     def test_axis_grid_round_trip(self, threaded_server):
         net = fujita_fig4()
