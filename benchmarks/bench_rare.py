@@ -32,7 +32,7 @@ from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.montecarlo import montecarlo_reliability
 from repro.core.naive import naive_reliability
-from repro.core.rare import permutation_montecarlo_reliability
+from repro.core.rare import rare_reliability
 from repro.graph.builders import fujita_fig4
 from repro.graph.generators import chained_network
 
@@ -48,7 +48,7 @@ CHAIN_CURVE = [2000, 8000, 32_000]
 
 _ESTIMATORS = [
     ("crude MC", montecarlo_reliability),
-    ("permutation MC", permutation_montecarlo_reliability),
+    ("permutation MC", rare_reliability),
 ]
 
 
@@ -182,7 +182,7 @@ def test_r1_beyond_exact_reach_committed_budget(benchmark, show):
     demand = FlowDemand("s", "t", 2)
 
     def measure():
-        return permutation_montecarlo_reliability(
+        return rare_reliability(
             net, demand, num_samples=CHAIN_BUDGET, seed=0
         )
 

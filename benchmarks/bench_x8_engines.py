@@ -16,11 +16,13 @@ Three tables, each cell the best of ``REPEATS`` calls:
   at ``TARGET_RE`` CI relative error on fig4 at p = 1e-5, the 30-link
   chained net of R1, and that net with ``p_range=(1e-6, 1e-2)``.
 
-Every value an engine returns is checked against ``naive`` where naive
-runs (to 1e-12), except the bottleneck path on undirected links: its
-assignment model routes every sub-stream forward across the cut (the
-model note in :mod:`repro.core.bottleneck`), so the 3x4 grid reads
-lower there and the row carries the difference.
+Every exact value an engine returns is checked against ``naive`` where
+naive runs (to 1e-12), the bottleneck path on undirected links
+included: the cut search skips a cut of three or more links with an
+undirected one (the model note in :mod:`repro.core.bottleneck`), so on
+the 3x4 grid ``bottleneck`` and ``auto`` split on a two-link cut.  The
+committed snapshot predates that and records their forward-model gap
+there as ``minus_naive``.
 
 Run standalone to print the JSON rows (``PYTHONPATH=src python
 benchmarks/bench_x8_engines.py``).  The committed snapshot
@@ -42,9 +44,9 @@ import time
 from bench_x1_ladders import ladder
 from bench_x4_frontier import undirected_grid, undirected_ladder
 
-from repro.core import rare
 from repro.core.api import compute_reliability
 from repro.core.demand import FlowDemand
+from repro.core.rare import rare_reliability
 from repro.exceptions import ReproError
 from repro.graph.builders import fujita_fig4
 from repro.graph.generators import bottlenecked_network, chained_network
@@ -61,8 +63,6 @@ D1_ENGINES = (
 )
 #: Largest net (links) each engine is run on; the rest run everywhere.
 CAPS = {"naive": 17, "factoring": 17, "bottleneck": 50, "auto": 50}
-#: Engines whose value on undirected links is the forward-routing model's.
-FORWARD_MODEL = ("bottleneck", "auto")
 BRIDGE_SIDES = (6, 9, 12)
 BRIDGE_SEEDS = (0, 1, 2)
 TARGET_RE = 0.10
@@ -84,10 +84,6 @@ def d1_nets():
         + [undirected_ladder(sections) for sections in (6, 25, 100, 400)]
         + [undirected_grid(3, 4), undirected_grid(4, 12)]
     )
-
-
-def _undirected(net) -> bool:
-    return any(not link.directed for link in net.links())
 
 
 def measure_d1() -> list[dict]:
@@ -114,10 +110,7 @@ def measure_d1() -> list[dict]:
             if engine == "naive":
                 naive = value.value
             elif naive is not None and cell.get("exact"):
-                if engine in FORWARD_MODEL and _undirected(net):
-                    cell["minus_naive"] = value.value - naive
-                else:
-                    assert abs(value.value - naive) <= 1e-12, cell
+                assert abs(value.value - naive) <= 1e-12, cell
     return rows
 
 
@@ -190,7 +183,7 @@ def measure_rare() -> list[dict]:
     rows = []
     for name, net in rare_nets():
         perm, ms = _best(
-            lambda: rare.permutation_montecarlo_reliability(
+            lambda: rare_reliability(
                 net, demand, num_samples=1 << 20, target_relative_error=TARGET_RE, seed=0
             )
         )

@@ -16,7 +16,7 @@ from repro.core import (
     directed_frontier_reliability,
     factoring_reliability,
     frontier_reliability,
-    stratified_montecarlo_reliability,
+    rare_reliability,
 )
 from repro.graph import bottlenecked_network
 
@@ -103,15 +103,15 @@ def main() -> None:
     rows.append([net.name, net.num_links, "factoring", f"{timed.seconds * 1e3:.1f}",
                  timed.value.value])
 
-    # 6. too big for anything exact: stratified Monte-Carlo
+    # 6. too big for anything exact: permutation Monte-Carlo
     big = bottlenecked_network(
         source_side_links=30, sink_side_links=30, num_bottlenecks=3, demand=2, seed=9
     )
     timed = time_call(
-        stratified_montecarlo_reliability, big, FlowDemand("s", "t", 2),
+        rare_reliability, big, FlowDemand("s", "t", 2),
         num_samples=2000, seed=0, repeats=1,
     )
-    rows.append([big.name, big.num_links, "stratified MC (estimate)",
+    rows.append([big.name, big.num_links, "permutation MC (estimate)",
                  f"{timed.seconds * 1e3:.1f}", timed.value.value])
 
     print_table(
@@ -123,7 +123,7 @@ def main() -> None:
         "Rules of thumb: a frontier sweep for d = 1 on elongated topologies\n"
         "(the undirected one on undirected links), the paper's bottleneck\n"
         "algorithm when a small cut splits the graph, factoring for everything\n"
-        "exact, stratified sampling when nothing exact fits."
+        "exact, permutation Monte-Carlo (method=\"rare\") when nothing exact fits."
     )
 
 

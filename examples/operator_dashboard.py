@@ -8,8 +8,8 @@ Built on the paper's reliability machinery:
 2. *"Do BOTH premium subscribers get the stream at once?"* — broadcast
    reliability with capacity contention (``broadcast_reliability``).
 3. *"My network is too big to enumerate — now what?"* — ``auto``
-   picks an exact engine while one fits; past that, stratified
-   sampling.
+   picks an exact engine while one fits; past that, permutation
+   Monte-Carlo (``method="rare"``).
 4. *"Where does the computation spend its time?"* — a traced run and
    the per-phase accounting from ``result.details["obs"]``.
 
@@ -22,7 +22,7 @@ from repro.core import (
     coverage_curve,
     flow_value_distribution,
     montecarlo_reliability,
-    stratified_montecarlo_reliability,
+    rare_reliability,
 )
 
 
@@ -79,13 +79,13 @@ def main() -> None:
     auto = compute_reliability(net, demand=demand)
     exact = auto.value
     plain = montecarlo_reliability(net, demand, num_samples=2000, seed=0)
-    strat = stratified_montecarlo_reliability(net, demand, num_samples=2000, seed=0)
+    perm = rare_reliability(net, demand, num_samples=2000, seed=0)
     print_table(
         ["approach", "value", "abs error"],
         [
             [f"auto ({auto.method}, exact)", exact, 0.0],
             ["plain Monte-Carlo (2k)", plain.value, abs(plain.value - exact)],
-            ["stratified Monte-Carlo (2k)", strat.value, abs(strat.value - exact)],
+            ["permutation Monte-Carlo (2k)", perm.value, abs(perm.value - exact)],
         ],
         title="Unit-rate reliability to sub2, three ways",
     )

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=10_000,
-        help="sample count for --method montecarlo",
+        help="sample count for --method montecarlo or rare (default: 10000)",
     )
     compute.add_argument("--json", action="store_true", help="machine-readable output")
     compute.add_argument(
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples",
         type=int,
         default=10_000,
-        help="sample count for --method montecarlo",
+        help="sample count for --method montecarlo or rare (default: 10000)",
     )
     profile.add_argument(
         "--progress",
@@ -639,7 +639,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     # Validate the option/method pairing before load(): a bad pairing
     # must not be masked by (or ordered after) file-system side effects.
     options = {}
-    if args.method in ("montecarlo", "montecarlo-stratified"):
+    if args.method in ("montecarlo", "rare"):
         options["num_samples"] = args.samples
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
@@ -763,7 +763,7 @@ def _json_safe(value: Any) -> Any:
 def _cmd_profile(args: argparse.Namespace) -> int:
     # Same eager option validation as compute: fail before load().
     options = {}
-    if args.method in ("montecarlo", "montecarlo-stratified"):
+    if args.method in ("montecarlo", "rare"):
         options["num_samples"] = args.samples
     net = load(args.network)
     demand = FlowDemand(args.source, args.sink, args.rate)
@@ -1199,7 +1199,7 @@ _REMOVED = {
     "naive-parallel": f"the process-pool naive scan {_NEVER_BEAT_SERIAL}",
     "--incremental": _SOLVER_DECIDES,
     "--no-incremental": _SOLVER_DECIDES,
-    **{name: f"{engine} {_NEVER_WON}" for name, engine in REMOVED_METHODS.items()},
+    **{name: f"{reason}; {REMOVED_POINTER}" for name, reason in REMOVED_METHODS.items()},
     "--levels": f"fixed-effort multilevel splitting {_NEVER_WON}",
     "--variant": (
         "permutation MC is the only rare-event estimator left (splitting "

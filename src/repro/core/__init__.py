@@ -50,17 +50,11 @@ from repro.core.transient import LinkDynamics, availability_at, reliability_over
 from repro.core.rare import (
     DestructionSpectrum,
     destruction_spectrum,
-    permutation_montecarlo_reliability,
-    rare_reliability,
-)
-from repro.core.result import EstimateResult, ReliabilityResult
-from repro.core.stratified import (
     poisson_binomial,
-    poisson_binomial_suffix,
-    sample_with_alive_count,
-    stratified_montecarlo_reliability,
+    rare_reliability,
     validate_probabilities,
 )
+from repro.core.result import EstimateResult, ReliabilityResult
 from repro.core.sweep import (
     ArrayCache,
     SweepResult,
@@ -90,7 +84,6 @@ __all__ = [
     "z_quantile",
     "DestructionSpectrum",
     "destruction_spectrum",
-    "permutation_montecarlo_reliability",
     "rare_reliability",
     "cut_upper_bound",
     "route_lower_bound",
@@ -120,9 +113,6 @@ __all__ = [
     "coverage_curve",
     "coverage_distribution",
     "poisson_binomial",
-    "poisson_binomial_suffix",
-    "sample_with_alive_count",
-    "stratified_montecarlo_reliability",
     "validate_probabilities",
     "frontier_reliability",
     "directed_frontier_reliability",

@@ -13,9 +13,9 @@ Dispatches to the right algorithm:
 * explicit ``method`` — any name from :func:`available_methods`:
   the exact engines (``naive``, ``bottleneck``, ``bridge``,
   ``chain``, ``factoring``, ``frontier``, ``frontier-directed``) and
-  the estimators (``montecarlo``, ``montecarlo-stratified``, ``rare``).
-  ``series-parallel`` and ``minpaths`` were removed and raise
-  :class:`ReproValueError` with a pointer to the table that removed
+  the estimators (``montecarlo``, ``rare``).  ``series-parallel``,
+  ``minpaths`` and ``montecarlo-stratified`` were removed and raise
+  :class:`ReproValueError` with a pointer to the tables that removed
   them.
 
 All exact methods return a
@@ -51,6 +51,7 @@ __all__ = [
     "compute_reliability",
     "dispatch_query",
     "is_coalescible",
+    "removed_method_message",
 ]
 
 #: Methods the serving daemon (:mod:`repro.serve`) may merge into one
@@ -62,10 +63,8 @@ COALESCIBLE_METHODS = frozenset({"auto", "bottleneck"})
 #: Methods whose engine takes ``solver=``: the max-flow engines and the
 #: estimators built on them.  Every other engine raises ``TypeError``
 #: for it, so the serving daemon forwards its solver only to these.
-SOLVER_METHODS = frozenset(
-    {"auto", "naive", "factoring", "montecarlo", "montecarlo-stratified", "rare"}
-)
-#: Where a removed engine's error points: the table that removed it.
+SOLVER_METHODS = frozenset({"auto", "naive", "factoring", "montecarlo", "rare"})
+#: Where a removed engine's error points: the tables that removed it.
 REMOVED_POINTER = 'see docs/PERFORMANCE.md "Removed engines"'
 
 #: "auto" only picks naive below this many links (it is never *better*
@@ -86,12 +85,21 @@ _AUTO_ESTIMATE_MAX_LINKS = 63
 #: of the dispatch that take it and rejects everything else rather than
 #: dropping it.
 _AUTO_OPTIONS = frozenset({"solver", "cache", "max_cut_size", "seed", "num_samples"})
-#: Deleted exact engines, by their former method name (the CLI's
-#: ``--method`` pointers are built from this table too).
+#: Deleted engines, by their former method name, each with the reason
+#: its table gave (the CLI's ``--method`` pointers and the serving
+#: daemon's ``bad-request`` are built from this table too).
 REMOVED_METHODS = {
-    "series-parallel": "the series-parallel reduction engine",
-    "minpaths": "minpath inclusion-exclusion",
+    "series-parallel": "the series-parallel reduction engine never beat "
+    "frontier-directed",
+    "minpaths": "minpath inclusion-exclusion never beat frontier-directed",
+    "montecarlo-stratified": "stratified Monte-Carlo was never the first "
+    "to a 10% CI relative error on U",
 }
+
+
+def removed_method_message(method: str) -> str:
+    """Why ``method`` is gone and where its table lives."""
+    return f"method {method!r} was removed: {REMOVED_METHODS[method]}; {REMOVED_POINTER}"
 
 
 def available_methods() -> list[str]:
@@ -106,7 +114,6 @@ def available_methods() -> list[str]:
         "frontier",
         "frontier-directed",
         "montecarlo",
-        "montecarlo-stratified",
         "rare",
     ]
 
@@ -221,10 +228,6 @@ def _dispatch(
         return directed_frontier_reliability(net, demand, **options)
     if method == "montecarlo":
         return montecarlo_reliability(net, demand, **options)
-    if method == "montecarlo-stratified":
-        from repro.core.stratified import stratified_montecarlo_reliability
-
-        return stratified_montecarlo_reliability(net, demand, **options)
     if method == "rare":
         from repro.core.rare import rare_reliability
 
@@ -235,10 +238,7 @@ def _dispatch(
             raise ReproError("method='chain' requires cuts=[[...], ...]")
         return chain_reliability(net, demand, cuts, **options)
     if method in REMOVED_METHODS:
-        raise ReproValueError(
-            f"method {method!r} was removed: {REMOVED_METHODS[method]} never "
-            f"beat frontier-directed; {REMOVED_POINTER}"
-        )
+        raise ReproValueError(removed_method_message(method))
     if method != "auto":
         raise ReproError(
             f"unknown method {method!r}; available: {available_methods()}"

@@ -25,10 +25,15 @@ probability sweep its many-row call.
 
 Model note: the assignment machinery routes every sub-stream *forward*
 across the cut.  For directed cut links (all the library's generators)
-this is exact.  An undirected cut link admits pathological networks
-where flow crosses the cut backwards to shortcut through the far side;
-such routings are outside the paper's model (sub-streams are pushed
-source-to-sink) and are not counted.
+this is exact, and so it is on any cut of at most two links: split into
+unit paths, a flow crosses each cut link at most once, so with two cut
+links neither carries net flow backwards.  From three links on, an
+undirected cut link admits networks where flow crosses the cut
+backwards to shortcut through the far side, which the assignments do
+not count.  Such a cut is refused
+(:func:`repro.graph.transforms.check_forward_cut`): a given one raises
+:class:`ReproValueError`, the cut search skips it, and ``auto`` falls
+back to a whole-graph engine when no other cut is admissible.
 """
 
 from __future__ import annotations

@@ -50,7 +50,7 @@ from repro.core.result import ReliabilityResult
 from repro.exceptions import DecompositionError
 from repro.graph.connectivity import connected_components
 from repro.graph.network import FlowNetwork, Node
-from repro.graph.transforms import SubnetworkView, induced_subnetwork
+from repro.graph.transforms import SubnetworkView, check_forward_cut, induced_subnetwork
 from repro.probability.enumeration import check_enumerable, configuration_probabilities
 
 __all__ = ["chain_reliability", "ChainStructure", "analyze_chain"]
@@ -107,13 +107,17 @@ def analyze_chain(
 
     Raises :class:`DecompositionError` when the cuts overlap, do not
     yield one extra component per cut, are out of order, point
-    backwards, or leave a segment straddling an interface.
+    backwards, or leave a segment straddling an interface, and
+    :class:`ReproValueError` for a cut the assignment model cannot
+    count exactly (:func:`repro.graph.transforms.check_forward_cut`).
     """
     if not cuts:
         raise DecompositionError("need at least one cut")
     flat: list[int] = [i for cut in cuts for i in cut]
     if len(set(flat)) != len(flat):
         raise DecompositionError("cuts share link indices")
+    for cut in cuts:
+        check_forward_cut(net, cut)
     cut_set = set(flat)
     alive = [link.index for link in net.links() if link.index not in cut_set]
     components = connected_components(net, alive)

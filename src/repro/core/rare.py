@@ -20,8 +20,8 @@ when at least ``B`` links failed, so the sample contributes
 uniform random permutation ``E[W]`` equals the unreliability *exactly*,
 for heterogeneous link probabilities included; with equal link
 probabilities ``W`` collapses to the Poisson-binomial failure tail
-``P(#failed >= B)`` — the machinery of
-:func:`repro.core.stratified.poisson_binomial`.  Randomness only enters
+``P(#failed >= B)``, read off :func:`poisson_binomial`'s exact
+distribution.  Randomness only enters
 through the combinatorial order, so the estimator's variance is a
 property of the topology, not of ``p``: the relative error is bounded
 uniformly in the availability (Botev, L'Ecuyer & Tuffin 2016 extend
@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -69,7 +70,6 @@ from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.montecarlo import z_quantile
 from repro.core.result import EstimateResult
-from repro.core.stratified import poisson_binomial, validate_probabilities
 from repro.core.summation import KahanSum, fsum
 from repro.exceptions import EstimationError, ReproValueError
 from repro.flow.base import MaxFlowSolver
@@ -87,10 +87,11 @@ from repro.obs.recorder import (
 __all__ = [
     "DestructionSpectrum",
     "destruction_spectrum",
-    "permutation_montecarlo_reliability",
+    "poisson_binomial",
     "rare_reliability",
     "sample_failure_orders",
     "spawn_streams",
+    "validate_probabilities",
 ]
 
 #: Named child streams spawned (in this order) from the root seed —
@@ -103,6 +104,46 @@ _MAX_LINKS = 63
 #: Minimum permutations drawn before the target-relative-error stopping
 #: rule is consulted (a tiny pilot keeps the variance estimate honest).
 _MIN_STOP_SAMPLES = 256
+
+
+def validate_probabilities(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Coerce ``values`` to a float64 vector and enforce the ``[0, 1]`` domain.
+
+    The single validation gate shared by :func:`poisson_binomial` and
+    the spectrum conditioning below — one code path, so the RR204
+    domain discipline holds wherever raw probabilities enter Eq. 2/3-style
+    accumulation.  Raises :class:`~repro.exceptions.ReproValueError` on
+    any entry outside ``[0, 1]`` (NaN included).
+    """
+    probs = np.asarray(values, dtype=np.float64)
+    if probs.ndim != 1:
+        raise ReproValueError(
+            f"probability vector must be one-dimensional, got shape {probs.shape}"
+        )
+    if probs.size and not bool(np.all((probs >= 0.0) & (probs <= 1.0))):
+        bad = probs[~((probs >= 0.0) & (probs <= 1.0))][:3]
+        raise ReproValueError(
+            f"probabilities outside [0, 1]: {bad.tolist()} ..."
+        )
+    return probs
+
+
+def poisson_binomial(failure_probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Exact distribution of the number of *alive* links.
+
+    ``result[j] = P(exactly j of the m links are up)``; standard
+    ``O(m^2)`` convolution DP.  Inputs are validated to ``[0, 1]``
+    (:class:`~repro.exceptions.ReproValueError` otherwise).
+    """
+    probs = validate_probabilities(failure_probabilities)
+    dist = np.array([1.0])
+    for p in probs:
+        alive = 1.0 - p
+        new = np.zeros(len(dist) + 1)
+        new[: len(dist)] += dist * p
+        new[1:] += dist * alive
+        dist = new
+    return dist
 
 
 def spawn_streams(
@@ -422,20 +463,22 @@ def _make_oracle(
     )
 
 
-def permutation_montecarlo_reliability(
+def rare_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
     *,
-    num_samples: int = 10_000,
+    variant: str = "auto",
+    num_samples: int | None = None,
     target_relative_error: float | None = None,
     confidence: float = 0.95,
     seed: int | np.random.SeedSequence | None = 0,
     solver: str | MaxFlowSolver | None = None,
     batch_size: int = 2048,
 ) -> EstimateResult:
-    """Permutation/conditional Monte-Carlo estimate of the reliability.
+    """Permutation/conditional Monte-Carlo estimate of the reliability
+    (``method="rare"``).
 
-    ``num_samples`` is the permutation budget; with
+    ``num_samples`` is the permutation budget (``None``: 10 000); with
     ``target_relative_error`` set, sampling stops at the end of the
     first batch whose estimated relative error (at ``confidence``) on
     the *unreliability* meets the target, budget permitting.  The
@@ -443,7 +486,25 @@ def permutation_montecarlo_reliability(
     relative error is bounded in the availability — the five-nines
     workhorse.  Deterministic per seed: the batch schedule, stream
     derivation and compensated accumulation order are all fixed.
+
+    ``variant`` names the estimator: ``"auto"``, ``"permutation"`` and
+    ``"spectrum"`` all pick permutation MC.  ``"splitting"``
+    (fixed-effort multilevel splitting) was removed because it lost
+    every measured row to permutation MC, and raises
+    :class:`ReproValueError`.
     """
+    if variant == "splitting":
+        raise ReproValueError(
+            "rare-event variant 'splitting' was removed: permutation MC "
+            f"reached equal accuracy faster on every measured net; {REMOVED_POINTER}"
+        )
+    if variant not in ("auto", "permutation", "spectrum"):
+        raise EstimationError(
+            f"unknown rare-event variant {variant!r}; "
+            "choose auto, permutation or spectrum"
+        )
+    if num_samples is None:
+        num_samples = 10_000
     demand.validate_against(net)
     m = net.num_links
     _require_estimable(m, num_samples, batch_size)
@@ -579,45 +640,3 @@ def _relative_error(total: KahanSum, total_sq: KahanSum, n: int, z: float) -> fl
         return math.inf
     return z * _std_error(total, total_sq, n) / mean
 
-
-def rare_reliability(
-    net: FlowNetwork,
-    demand: FlowDemand,
-    *,
-    variant: str = "auto",
-    num_samples: int | None = None,
-    target_relative_error: float | None = None,
-    confidence: float = 0.95,
-    seed: int | np.random.SeedSequence | None = 0,
-    solver: str | MaxFlowSolver | None = None,
-    batch_size: int = 2048,
-) -> EstimateResult:
-    """Front door of the rare-event tier (``method="rare"``).
-
-    Runs :func:`permutation_montecarlo_reliability` with a default
-    budget of 10 000 permutations.  ``variant`` names the estimator:
-    ``"auto"``, ``"permutation"`` and ``"spectrum"`` all pick it.
-    ``"splitting"`` (fixed-effort multilevel splitting) was removed
-    because it lost every measured row to permutation MC, and raises
-    :class:`ReproValueError`.
-    """
-    if variant == "splitting":
-        raise ReproValueError(
-            "rare-event variant 'splitting' was removed: permutation MC "
-            f"reached equal accuracy faster on every measured net; {REMOVED_POINTER}"
-        )
-    if variant not in ("auto", "permutation", "spectrum"):
-        raise EstimationError(
-            f"unknown rare-event variant {variant!r}; "
-            "choose auto, permutation or spectrum"
-        )
-    return permutation_montecarlo_reliability(
-        net,
-        demand,
-        num_samples=10_000 if num_samples is None else num_samples,
-        target_relative_error=target_relative_error,
-        confidence=confidence,
-        seed=seed,
-        solver=solver,
-        batch_size=batch_size,
-    )

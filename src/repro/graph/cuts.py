@@ -284,8 +284,10 @@ def find_bottleneck(
     Strategy: collect bridge cuts (size 1), the minimum-cardinality cut,
     and every minimal cut up to ``max_size`` (capped at
     ``max_candidates``); keep the candidates whose split satisfies the
-    two-component condition; return the one minimising
-    ``max(|E_s|, |E_t|)``, breaking ties towards fewer cut links.
+    two-component condition and the forward assignment model
+    (:func:`~repro.graph.transforms.check_forward_cut`); return the one
+    minimising ``max(|E_s|, |E_t|)``, breaking ties towards fewer cut
+    links.
     Returns ``None`` when no admissible cut of size <= ``max_size``
     exists (e.g. the terminals are adjacent through many parallel
     links).
@@ -316,7 +318,9 @@ def find_bottleneck(
     for cut in candidates:
         try:
             split = split_on_cut(net, source, sink, cut)
-        except DecompositionError:
+        except (DecompositionError, ReproValueError):
+            # Not a two-component split, or a cut the assignment model
+            # cannot count exactly (k >= 3 with an undirected link).
             continue
         side = max(len(split.source_side.link_map), len(split.sink_side.link_map))
         key = (side, len(cut))

@@ -11,11 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.exceptions import DecompositionError
+from repro.exceptions import DecompositionError, ReproValueError
 from repro.graph.connectivity import connected_components
 from repro.graph.network import FlowNetwork, Link, Node
 
-__all__ = ["SubnetworkView", "alive_subnetwork", "induced_subnetwork", "SideSplit", "split_on_cut"]
+__all__ = [
+    "SubnetworkView",
+    "alive_subnetwork",
+    "induced_subnetwork",
+    "SideSplit",
+    "check_forward_cut",
+    "split_on_cut",
+]
 
 
 @dataclass(frozen=True)
@@ -108,6 +115,28 @@ class SideSplit:
         return max(len(self.source_side.link_map), len(self.sink_side.link_map)) / total
 
 
+def check_forward_cut(net: FlowNetwork, cut: Sequence[int]) -> None:
+    """Refuse a cut whose flow the forward assignment model can miss.
+
+    §III-B routes every sub-stream forward across the cut.  Split into
+    unit paths, a flow crosses each cut link at most once, so on a cut
+    of at most two links no link carries net flow backwards; from three
+    links on, an undirected cut link can (the model note in
+    :mod:`repro.core.bottleneck`).  Raises :class:`ReproValueError` for
+    a cut of three or more links with an undirected one.
+    """
+    if len(cut) < 3:
+        return
+    undirected = [index for index in cut if not net.link(index).directed]
+    if undirected:
+        raise ReproValueError(
+            f"cut {tuple(cut)} has {len(cut)} links and undirected link(s) "
+            f"{undirected}: the forward assignment model is exact only on cuts "
+            "of at most two links or of directed links (see the model note in "
+            "repro.core.bottleneck)"
+        )
+
+
 def split_on_cut(
     net: FlowNetwork,
     source: Node,
@@ -122,11 +151,13 @@ def split_on_cut(
     (isolated leftover nodes with no remaining links are tolerated and
     assigned to neither side — they cannot carry flow).  Each cut link
     must join the two sides.  Raises :class:`DecompositionError`
-    otherwise.
+    otherwise, and :class:`ReproValueError` for a cut the assignment
+    model cannot count exactly (:func:`check_forward_cut`).
     """
     cut_set = set(cut)
     if len(cut_set) != len(cut):
         raise DecompositionError("cut contains duplicate link indices")
+    check_forward_cut(net, cut)
     alive = [link.index for link in net.links() if link.index not in cut_set]
     components = connected_components(net, alive)
     nonsingleton = [c for c in components if len(c) > 1]

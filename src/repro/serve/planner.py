@@ -27,6 +27,8 @@ input, so a named solver never changes how they compute.
 
 from __future__ import annotations
 
+import sys
+import traceback
 from typing import Any, Sequence
 
 from repro.core.api import SOLVER_METHODS, dispatch_query, is_coalescible
@@ -42,6 +44,7 @@ from repro.obs.recorder import (
 )
 from repro.serve.protocol import (
     ERROR_COMPUTE,
+    ERROR_INTERNAL,
     Query,
     error_payload,
     response_payload,
@@ -94,10 +97,12 @@ def answer_queries(
 ) -> list[dict[str, Any]]:
     """Answer one round of ``op="query"`` queries, preserving order.
 
-    Returns one response payload per query (success or
-    ``compute-error``); protocol-level errors never reach this function.
-    A failing merged plan degrades to per-query fallback instead of
-    failing its batch siblings.
+    Returns one response payload per query (success,
+    ``compute-error`` for a :class:`~repro.exceptions.ReproError` or
+    ``internal`` for any other exception, whose traceback goes to
+    stderr); protocol-level errors never reach this function.  A
+    failing merged plan, whatever it raises, degrades to per-query
+    fallback instead of failing its batch siblings.
     """
     count(SERVE_QUERIES, len(queries))
     payloads: list[dict[str, Any] | None] = [None] * len(queries)
@@ -131,10 +136,10 @@ def answer_queries(
                     sweep=plan.spec,
                     cache=cache,
                 )
-            except ReproError:
+            except Exception:
                 # The whole plan is un-sweepable (no admissible cut,
-                # intractable sides): its members fall back individually
-                # without poisoning the rest of the round.
+                # intractable sides) or hit a bug: its members fall back
+                # individually without poisoning the rest of the round.
                 fallback.extend(members)
                 continue
             for position, result in zip(plan.indices, swept.results):
@@ -176,6 +181,11 @@ def answer_queries(
                 values, flow_calls, warm = _fallback_values(query, solver, cache)
             except ReproError as exc:
                 payloads[qi] = error_payload(ERROR_COMPUTE, str(exc), query.qid)
+                continue
+            except Exception as exc:  # one bad query must not end the daemon
+                traceback.print_exc(file=sys.stderr)
+                message = f"{type(exc).__name__}: {exc}"
+                payloads[qi] = error_payload(ERROR_INTERNAL, message, query.qid)
                 continue
             if warm:
                 count(SERVE_WARM_HITS, 1)

@@ -36,7 +36,10 @@ property suite pins.
 
 Errors are per-line, never connection-fatal except ``oversized``:
 ``bad-json``, ``unsupported-schema``, ``bad-request``, ``oversized``,
-``compute-error``.
+``compute-error`` (the engine refused the query) and ``internal`` (the
+engine failed unexpectedly; the daemon logs the traceback and keeps
+serving).  A query naming a removed method gets a ``bad-request`` that
+says why it was removed and where its table is.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.core.api import available_methods
+from repro.core.api import REMOVED_METHODS, available_methods, removed_method_message
 from repro.core.demand import FlowDemand
 from repro.core.sweep import SweepSpec
 from repro.exceptions import ReproError
@@ -57,6 +60,7 @@ __all__ = [
     "ERROR_BAD_REQUEST",
     "ERROR_BAD_VERSION",
     "ERROR_COMPUTE",
+    "ERROR_INTERNAL",
     "ERROR_OVERSIZED",
     "MAX_LINE_BYTES",
     "ProtocolError",
@@ -83,6 +87,7 @@ ERROR_BAD_VERSION = "unsupported-schema"
 ERROR_BAD_REQUEST = "bad-request"
 ERROR_OVERSIZED = "oversized"
 ERROR_COMPUTE = "compute-error"
+ERROR_INTERNAL = "internal"
 
 
 class ProtocolError(ReproError):
@@ -195,6 +200,8 @@ def decode_query(line: bytes) -> Query:
     except (ReproError, TypeError, ValueError) as exc:
         raise ProtocolError(ERROR_BAD_REQUEST, f"bad demand: {exc}") from exc
     method = data.get("method")
+    if isinstance(method, str) and method in REMOVED_METHODS:
+        raise ProtocolError(ERROR_BAD_REQUEST, removed_method_message(method))
     if method is not None and method not in available_methods():
         raise ProtocolError(
             ERROR_BAD_REQUEST,

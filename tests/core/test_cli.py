@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.api import compute_reliability
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import save
 
@@ -69,6 +70,31 @@ class TestCommands:
             ]
         ) == 0
         assert "interval" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["compute", "profile"])
+    def test_samples_reach_rare(self, net_file, command, capsys):
+        """``--samples`` is the permutation budget of ``--method rare``:
+        two budgets give two intervals, each the API's at that budget."""
+        demand = ["-s", "s", "-t", "t", "-d", "2", "--method", "rare"]
+        intervals = []
+        for samples in (500, 20_000):
+            argv = [command, net_file, *demand, "--samples", str(samples)]
+            if command == "compute":
+                argv.append("--json")
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            expected = compute_reliability(
+                fujita_fig4(), "s", "t", 2, method="rare", num_samples=samples
+            )
+            if command == "compute":
+                payload = json.loads(out)
+                assert payload["interval"] == [expected.low, expected.high]
+                intervals.append(tuple(payload["interval"]))
+            else:
+                assert f"reliability = {expected.value:.10f}" in out
+                assert f"mc_samples = {samples}" in out
+                intervals.append(expected.value)
+        assert intervals[0] != intervals[1]
 
     def test_bounds(self, net_file, capsys):
         assert main(["bounds", net_file, "-s", "s", "-t", "t", "-d", "2"]) == 0

@@ -227,7 +227,6 @@ class TestNaiveReliability:
         "feasibility_table",
         "naive_reliability",
         "destruction_spectrum",
-        "permutation_montecarlo_reliability",
         "rare_reliability",
     ],
 )
@@ -239,7 +238,6 @@ def test_no_engine_takes_incremental(entry_point):
         "feasibility_table": feasibility_table,
         "naive_reliability": naive_reliability,
         "destruction_spectrum": rare.destruction_spectrum,
-        "permutation_montecarlo_reliability": rare.permutation_montecarlo_reliability,
         "rare_reliability": rare.rare_reliability,
     }
     with pytest.raises(TypeError, match="incremental"):

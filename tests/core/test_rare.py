@@ -12,15 +12,60 @@ from repro.core.naive import naive_reliability
 from repro.core.rare import (
     STREAM_NAMES,
     destruction_spectrum,
-    permutation_montecarlo_reliability,
+    poisson_binomial,
     rare_reliability,
     sample_failure_orders,
     spawn_streams,
+    validate_probabilities,
 )
 from repro.core.result import EstimateResult
-from repro.exceptions import EstimationError
+from repro.exceptions import EstimationError, ReproValueError
 from repro.graph.builders import fujita_fig4, parallel_links
 from repro.graph.network import FlowNetwork
+from repro.probability.bitset import popcount
+from repro.probability.enumeration import configuration_probabilities
+
+
+class TestPoissonBinomial:
+    def test_sums_to_one(self):
+        dist = poisson_binomial([0.1, 0.2, 0.3, 0.4])
+        assert dist.sum() == pytest.approx(1.0)
+
+    def test_uniform_half_is_binomial(self):
+        dist = poisson_binomial([0.5] * 4)
+        assert dist.tolist() == pytest.approx([1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16])
+
+    def test_matches_enumeration(self):
+        probs = [0.1, 0.35, 0.6]
+        table = configuration_probabilities(probs)
+        dist = poisson_binomial(probs)
+        for j in range(4):
+            expected = sum(table[m] for m in range(8) if popcount(m) == j)
+            assert dist[j] == pytest.approx(expected)
+
+    def test_empty(self):
+        assert poisson_binomial([]).tolist() == [1.0]
+
+
+class TestValidateProbabilities:
+    def test_passes_through_valid_vectors(self):
+        out = validate_probabilities([0.0, 0.5, 1.0])
+        assert out.dtype == np.float64
+        assert out.tolist() == [0.0, 0.5, 1.0]
+        assert validate_probabilities([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[1.5], [-0.1], [0.2, float("nan")], [2.0, 0.5]])
+    def test_rejects_out_of_domain(self, bad):
+        with pytest.raises(ReproValueError, match=r"outside \[0, 1\]"):
+            validate_probabilities(bad)
+
+    def test_rejects_non_vector(self):
+        with pytest.raises(ReproValueError, match="one-dimensional"):
+            validate_probabilities([[0.1, 0.2]])
+
+    def test_poisson_binomial_shares_the_gate(self):
+        with pytest.raises(ReproValueError):
+            poisson_binomial([0.1, 1.0001])
 
 
 class TestSpawnStreams:
@@ -96,7 +141,7 @@ class TestPermutationEstimator:
     def test_matches_exact_within_interval(self, fig4_net, seed):
         demand = FlowDemand("s", "t", 2)
         exact = naive_reliability(fig4_net, demand).value
-        est = permutation_montecarlo_reliability(
+        est = rare_reliability(
             fig4_net, demand, num_samples=4000, seed=seed
         )
         assert est.low <= exact <= est.high
@@ -112,7 +157,7 @@ class TestPermutationEstimator:
         net.add_link("b", "t", 1, 0.3)
         demand = FlowDemand("s", "t", 1)
         exact = naive_reliability(net, demand).value
-        est = permutation_montecarlo_reliability(net, demand, num_samples=6000, seed=1)
+        est = rare_reliability(net, demand, num_samples=6000, seed=1)
         assert est.details["homogeneous"] is False
         assert est.low <= exact <= est.high
 
@@ -122,22 +167,22 @@ class TestPermutationEstimator:
         net = fujita_fig4(failure_probability=1e-5)
         demand = FlowDemand("s", "t", 2)
         exact_u = 1.0 - naive_reliability(net, demand).value
-        est = permutation_montecarlo_reliability(net, demand, num_samples=4000, seed=7)
+        est = rare_reliability(net, demand, num_samples=4000, seed=7)
         u = est.details["unreliability"]
         assert abs(u - exact_u) / exact_u < 0.10
         assert est.details["relative_error"] < 0.10
 
     def test_replay_is_bit_identical(self, fig4_net):
         demand = FlowDemand("s", "t", 2)
-        a = permutation_montecarlo_reliability(fig4_net, demand, num_samples=1500, seed=9)
-        b = permutation_montecarlo_reliability(fig4_net, demand, num_samples=1500, seed=9)
+        a = rare_reliability(fig4_net, demand, num_samples=1500, seed=9)
+        b = rare_reliability(fig4_net, demand, num_samples=1500, seed=9)
         assert a.value == b.value
         assert a.low == b.low and a.high == b.high
         assert a.details == b.details
 
     def test_target_relative_error_stops_early(self, fig4_net):
         demand = FlowDemand("s", "t", 2)
-        est = permutation_montecarlo_reliability(
+        est = rare_reliability(
             fig4_net,
             demand,
             num_samples=50_000,
@@ -151,7 +196,7 @@ class TestPermutationEstimator:
 
     def test_infeasible_demand_short_circuits(self):
         net = parallel_links(2, capacity=1, failure_probability=0.1)
-        est = permutation_montecarlo_reliability(
+        est = rare_reliability(
             net, FlowDemand("s", "t", 3), num_samples=100, seed=0
         )
         assert est.value == 0.0
@@ -160,13 +205,13 @@ class TestPermutationEstimator:
     def test_input_validation(self, fig4_net):
         demand = FlowDemand("s", "t", 2)
         with pytest.raises(EstimationError):
-            permutation_montecarlo_reliability(fig4_net, demand, num_samples=0)
+            rare_reliability(fig4_net, demand, num_samples=0)
         with pytest.raises(EstimationError):
-            permutation_montecarlo_reliability(
+            rare_reliability(
                 fig4_net, demand, target_relative_error=-0.1
             )
         with pytest.raises(EstimationError):
-            permutation_montecarlo_reliability(fig4_net, demand, batch_size=0)
+            rare_reliability(fig4_net, demand, batch_size=0)
 
 
 def _suite_chained_net():
@@ -191,7 +236,7 @@ class TestGoldenPins:
     solve counts may differ."""
 
     def test_fig4(self, fig4_net):
-        est = permutation_montecarlo_reliability(
+        est = rare_reliability(
             fig4_net, FlowDemand("s", "t", 2), num_samples=4000, seed=0
         )
         assert est.value.hex() == "0x1.af44536aeb7fdp-1"
@@ -328,7 +373,7 @@ class TestObservability:
 
         demand = FlowDemand("s", "t", 2)
         with record() as rec:
-            est = permutation_montecarlo_reliability(
+            est = rare_reliability(
                 fig4_net, demand, num_samples=600, seed=0
             )
         totals = rec.counter_totals()
@@ -339,7 +384,7 @@ class TestObservability:
 
     def test_flow_calls_match_oracle_accounting(self, fig4_net):
         demand = FlowDemand("s", "t", 2)
-        est = permutation_montecarlo_reliability(
+        est = rare_reliability(
             fig4_net, demand, num_samples=400, seed=0, solver="push_relabel"
         )
         # Cold oracle (push_relabel has no warm starts): one solve per
@@ -376,7 +421,7 @@ class TestObservability:
         monkeypatch.setattr(rare, "_critical_numbers", counting)
         monkeypatch.setattr(FeasibilityOracle, "certify", counting_certify)
         with record() as rec:
-            est = permutation_montecarlo_reliability(
+            est = rare_reliability(
                 fig4_net, demand, num_samples=1500, seed=4, batch_size=512,
                 solver=solver,
             )

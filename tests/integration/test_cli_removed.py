@@ -5,10 +5,10 @@ naive-parallel`` selected array builders that never beat the serial
 build; ``--incremental`` / ``--no-incremental`` toggled flow repair,
 which the solver now decides; ``repro serve --coalesce-window`` held
 every round open for a fixed wait, where the daemon now answers what
-is ready at once.  ``--method series-parallel`` / ``minpaths`` and
-``repro estimate --levels`` / ``--variant`` named engines that won no
-measured row (multilevel splitting was the only other rare-event
-variant).  Each exits 2 with one line naming the removal, its
+is ready at once.  ``--method series-parallel`` / ``minpaths`` /
+``montecarlo-stratified`` and ``repro estimate --levels`` /
+``--variant`` named engines that won no measured row (multilevel
+splitting was the only other rare-event variant).  Each exits 2 with one line naming the removal, its
 reason and its docs section, instead of argparse's bare "unrecognized
 arguments" — and before the network file is even opened.
 """
@@ -99,6 +99,12 @@ _ESTIMATE = ["estimate", "net.json", *_DEMAND, "--seed", "0"]
          "--method series-parallel"),
         (["compute", "net.json", *_DEMAND, "--method=minpaths"], "--method minpaths"),
         (["profile", "net.json", *_DEMAND, "--method", "minpaths"], "--method minpaths"),
+        (["compute", "net.json", *_DEMAND, "--method", "montecarlo-stratified"],
+         "--method montecarlo-stratified"),
+        (["compute", "net.json", *_DEMAND, "--method=montecarlo-stratified"],
+         "--method montecarlo-stratified"),
+        (["profile", "net.json", *_DEMAND, "--method", "montecarlo-stratified"],
+         "--method montecarlo-stratified"),
         ([*_ESTIMATE, "--levels", "3"], "--levels"),
         ([*_ESTIMATE, "--variant", "splitting"], "--variant"),
         ([*_ESTIMATE, "--variant", "permutation"], "--variant"),
@@ -114,3 +120,13 @@ def test_removed_engine_exits_2_with_pointer(argv, named, capsys):
     assert len(lines) == 1
     assert f"{named} was removed" in lines[0]
     assert 'docs/PERFORMANCE.md "Removed engines"' in lines[0]
+
+
+def test_removed_method_line_carries_its_own_reason(capsys):
+    from repro.core.api import REMOVED_METHODS
+
+    argv = ["compute", "net.json", *_DEMAND, "--method", "montecarlo-stratified"]
+    assert main(argv) == 2
+    line = capsys.readouterr().err.strip()
+    assert REMOVED_METHODS["montecarlo-stratified"] in line
+    assert "frontier-directed" not in line

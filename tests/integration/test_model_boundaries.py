@@ -1,11 +1,13 @@
 """Model boundaries, documented as executable facts.
 
 The paper's algorithm models delivery as sub-streams pushed forward
-across the bottleneck.  With *undirected* cut links there exist
-networks where a max-flow routes through the far side and back —
-crossing the cut backwards — which the assignment model deliberately
-does not count.  This module pins the canonical counterexample, so the
-boundary is a tested, documented property rather than a surprise.
+across the bottleneck.  With *undirected* cut links of three or more
+there exist networks where a max-flow routes through the far side and
+back — crossing the cut backwards — which the assignment model does not
+count.  This module pins the canonical counterexample: the cut is
+refused (``check_forward_cut``), so the bottleneck engine raises instead
+of returning the sub-stream model's value, and ``auto`` answers with a
+whole-graph engine.
 
 (The library's generators only produce forward cut links; README's
 "Model notes" states the restriction; `split_on_cut` rejects *directed*
@@ -14,9 +16,11 @@ backward cut links outright.)
 
 import pytest
 
+from repro.core.api import compute_reliability
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
+from repro.exceptions import ReproValueError
 from repro.flow.base import max_flow_value
 from repro.graph.cuts import is_minimal_cut
 from repro.graph.network import FlowNetwork
@@ -46,26 +50,32 @@ def back_routing_network() -> FlowNetwork:
 
 
 class TestBackRoutingBoundary:
-    def test_cut_is_a_valid_bottleneck_set(self):
+    def test_cut_is_minimal_but_refused(self):
         net = back_routing_network()
         assert is_minimal_cut(net, "s", "t", [0, 1, 2])
-        split = split_on_cut(net, "s", "t", [0, 1, 2])
-        assert len(split.source_side.link_map) == 3
-        assert len(split.sink_side.link_map) == 3
+        with pytest.raises(ReproValueError, match="model note"):
+            split_on_cut(net, "s", "t", [0, 1, 2])
 
     def test_true_max_flow_uses_back_routing(self):
         assert max_flow_value(back_routing_network(), "s", "t") == 1
 
-    def test_models_diverge_exactly_here(self):
-        """Naive (true max-flow semantics) sees positive reliability;
-        the forward-sub-stream model sees zero.  Both are correct for
-        their own semantics — this test pins the gap."""
+    def test_bottleneck_refuses_where_the_models_diverge(self):
+        """Naive (true max-flow semantics) sees positive reliability,
+        where the forward-sub-stream model would see zero: the
+        bottleneck engine refuses the cut instead of answering."""
         net = back_routing_network()
         demand = FlowDemand("s", "t", 1)
-        flow_semantics = naive_reliability(net, demand).value
-        substream_semantics = bottleneck_reliability(net, demand, cut=[0, 1, 2]).value
-        assert flow_semantics > 0.3  # every link alive w.p. 0.9, 9 links
-        assert substream_semantics == 0.0
+        assert naive_reliability(net, demand).value > 0.3  # 9 links at p = 0.1
+        with pytest.raises(ReproValueError, match="model note"):
+            bottleneck_reliability(net, demand, cut=[0, 1, 2])
+
+    def test_auto_follows_flow_semantics(self):
+        net = back_routing_network()
+        demand = FlowDemand("s", "t", 1)
+        auto = compute_reliability(net, demand=demand)
+        assert auto.value == pytest.approx(
+            naive_reliability(net, demand).value, abs=1e-12
+        )
 
     def test_orienting_the_cut_forward_restores_agreement(self):
         """The same topology with forward-directed cut links has no

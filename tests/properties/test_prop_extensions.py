@@ -9,7 +9,7 @@ from repro.core.demand import FlowDemand
 from repro.core.distribution import flow_value_distribution
 from repro.core.multisink import broadcast_reliability
 from repro.core.naive import naive_reliability
-from repro.core.stratified import poisson_binomial, sample_with_alive_count
+from repro.core.rare import poisson_binomial
 from repro.probability.bitset import popcount
 from repro.probability.enumeration import configuration_probabilities
 from tests.conftest import probability_vectors, small_networks
@@ -39,7 +39,7 @@ class TestDistributionProperties:
             assert b <= a + 1e-12
 
 
-class TestStratifiedProperties:
+class TestPoissonBinomialProperties:
     @settings(max_examples=50)
     @given(probability_vectors(max_size=8))
     def test_poisson_binomial_matches_enumeration(self, probs):
@@ -49,18 +49,6 @@ class TestStratifiedProperties:
         for j in range(m + 1):
             expected = sum(table[mask] for mask in range(1 << m) if popcount(mask) == j)
             assert dist[j] == pytest.approx(expected, abs=1e-9)
-
-    @settings(max_examples=30)
-    @given(probability_vectors(min_size=2, max_size=6), st.integers(0, 2**31 - 1))
-    def test_conditional_sampling_popcount(self, probs, seed):
-        # avoid zero-probability strata by keeping probs interior
-        probs = [min(max(p, 0.05), 0.9) for p in probs]
-        rng = np.random.default_rng(seed)
-        dist = poisson_binomial(probs)
-        count = int(np.argmax(dist))  # the most likely stratum is never empty
-        for _ in range(10):
-            mask = sample_with_alive_count(probs, count, rng)
-            assert popcount(mask) == count
 
 
 class TestBroadcastProperties:

@@ -26,11 +26,10 @@ from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.core.rare import (
     destruction_spectrum,
-    permutation_montecarlo_reliability,
+    poisson_binomial,
     rare_reliability,
     sample_failure_orders,
 )
-from repro.core.stratified import poisson_binomial
 from repro.graph.builders import (
     diamond,
     fujita_fig2_bridge,
@@ -62,7 +61,7 @@ FIXTURES = [
 def test_permutation_interval_contains_exact(name, factory, demand, seed):
     net = factory()
     exact = naive_reliability(net, demand).value
-    est = permutation_montecarlo_reliability(net, demand, num_samples=3000, seed=seed)
+    est = rare_reliability(net, demand, num_samples=3000, seed=seed)
     assert est.low - _ULP_SLACK <= exact <= est.high + _ULP_SLACK, (
         name, seed, exact, est,
     )
@@ -77,7 +76,7 @@ def test_permutation_interval_contains_exact_on_heterogeneous_chain(seed):
     )
     demand = FlowDemand("s", "t", 2)
     exact = chain_reliability(net, demand, net._chain_cut_indices).value
-    est = permutation_montecarlo_reliability(net, demand, num_samples=4096, seed=seed)
+    est = rare_reliability(net, demand, num_samples=4096, seed=seed)
     assert not est.details["homogeneous"]
     assert est.low <= exact <= est.high, (seed, exact, est)
 
@@ -100,7 +99,7 @@ def test_agreement_against_bottleneck_engine():
     net = fujita_fig4()
     demand = FlowDemand("s", "t", 2)
     exact = bottleneck_reliability(net, demand).value
-    est = permutation_montecarlo_reliability(net, demand, num_samples=4000, seed=13)
+    est = rare_reliability(net, demand, num_samples=4000, seed=13)
     assert est.low <= exact <= est.high
 
 
@@ -206,7 +205,7 @@ def test_exact_value_on_series_min_cut_one():
     degenerate here)."""
     net = parallel_links(1, capacity=2, failure_probability=0.3)
     demand = FlowDemand("s", "t", 1)
-    est = permutation_montecarlo_reliability(net, demand, num_samples=50, seed=0)
+    est = rare_reliability(net, demand, num_samples=50, seed=0)
     assert est.value == pytest.approx(0.7, abs=1e-12)
     assert est.details["relative_error"] == pytest.approx(0.0, abs=1e-12)
     assert math.isclose(est.details["unreliability"], 0.3, rel_tol=1e-12)

@@ -19,7 +19,7 @@ from repro.graph.io import to_dict
 from repro.obs import record
 from repro.obs.recorder import SERVE_WARM_HITS
 from repro.serve.planner import answer_queries
-from repro.serve.protocol import QUERY_SCHEMA, decode_query
+from repro.serve.protocol import ERROR_INTERNAL, QUERY_SCHEMA, decode_query
 
 
 def _query(net=None, qid=None, **extra):
@@ -193,3 +193,61 @@ class TestSolverFreeEngines:
         expected = compute_reliability(net, "s", "t", rate, method=method)
         assert payload["points"][0]["reliability"] == expected.value
         assert payload["method"] == method
+
+
+def _engine_bug(*args, **kwargs):
+    raise RuntimeError("engine bug")
+
+
+class TestUnexpectedFailures:
+    """An exception that is not a ``ReproError`` fails one query or one
+    plan, never the round."""
+
+    def test_failing_engine_answers_internal_and_spares_the_round(
+        self, monkeypatch, capsys
+    ):
+        import repro.core.api as api
+
+        monkeypatch.setattr(api, "factoring_reliability", _engine_bug)
+        net = fujita_fig4()
+        broken, auto, naive = answer_queries(
+            [
+                _query(net=net, method="factoring", qid=1),
+                _query(net=net, qid=2),
+                _query(net=net, method="naive", qid=3),
+            ],
+            cache=ArrayCache(),
+        )
+        assert broken["ok"] is False and broken["id"] == 1
+        assert broken["error"] == {
+            "code": ERROR_INTERNAL,
+            "message": "RuntimeError: engine bug",
+        }
+        demand = FlowDemand("s", "t", 2)
+        assert auto["ok"] and auto["points"][0]["reliability"] == (
+            bottleneck_reliability(net, demand).value
+        )
+        assert naive["ok"] and naive["points"][0]["reliability"] == (
+            compute_reliability(net, demand=demand, method="naive").value
+        )
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: engine bug" in err
+
+    def test_failing_plan_falls_back_per_query(self, monkeypatch):
+        import repro.serve.planner as planner
+
+        monkeypatch.setattr(planner, "compute_reliability_sweep", _engine_bug)
+        net = fujita_fig4()
+        payloads = answer_queries(
+            [_query(net=net, qid=1), _query(net=net, qid=2, availability=0.95)],
+            cache=ArrayCache(),
+        )
+        assert [p["ok"] for p in payloads] == [True, True]
+        assert payloads[0]["points"][0]["reliability"] == (
+            compute_reliability(net, "s", "t", 2).value
+        )
+        assert payloads[1]["points"][0]["reliability"] == (
+            compute_reliability(
+                net.with_failure_probabilities([1 - 0.95] * net.num_links), "s", "t", 2
+            ).value
+        )

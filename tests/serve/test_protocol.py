@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.core.api import REMOVED_METHODS, REMOVED_POINTER
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import to_dict
 from repro.serve.protocol import (
@@ -116,6 +117,20 @@ class TestDecodeErrors:
             self._code(_encode(_query_payload(method="quantum")))
             == ERROR_BAD_REQUEST
         )
+
+    @pytest.mark.parametrize("method", sorted(REMOVED_METHODS))
+    def test_removed_method_points_at_its_table(self, method):
+        with pytest.raises(ProtocolError) as excinfo:
+            decode_query(_encode(_query_payload(method=method)))
+        assert excinfo.value.code == ERROR_BAD_REQUEST
+        message = str(excinfo.value)
+        assert f"method {method!r} was removed" in message
+        assert REMOVED_METHODS[method] in message
+        assert REMOVED_POINTER in message
+        assert "unknown method" not in message
+
+    def test_unhashable_method_is_a_bad_request(self):
+        assert self._code(_encode(_query_payload(method=["auto"]))) == ERROR_BAD_REQUEST
 
     def test_two_axes_rejected(self):
         payload = _query_payload(availability=[0.9], failure_scale=[1.0])

@@ -15,14 +15,19 @@ import time
 
 import pytest
 
-from repro.core.api import compute_reliability
+from repro.core.api import REMOVED_METHODS, REMOVED_POINTER, compute_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache
 from repro.exceptions import ReproValueError
 from repro.graph.builders import fujita_fig2_bridge, fujita_fig4
 from repro.graph.io import to_dict
 from repro.serve.client import ReliabilityClient
-from repro.serve.protocol import QUERY_SCHEMA, encode_line
+from repro.serve.protocol import (
+    ERROR_BAD_REQUEST,
+    ERROR_INTERNAL,
+    QUERY_SCHEMA,
+    encode_line,
+)
 from repro.serve.server import ReliabilityServer
 
 
@@ -122,6 +127,36 @@ class TestQueries:
         expected = compute_reliability(net, "s", "t", 2, method="bridge")
         assert reply["points"][0]["reliability"] == expected.value
         assert after["ok"]
+
+    def test_engine_bug_answers_internal_and_the_daemon_lives_on(
+        self, threaded_server, monkeypatch
+    ):
+        import repro.core.api as api
+
+        def engine_bug(*args, **kwargs):
+            raise RuntimeError("engine bug")
+
+        monkeypatch.setattr(api, "factoring_reliability", engine_bug)
+        net = fujita_fig4()
+        with ReliabilityClient("127.0.0.1", threaded_server.port) as client:
+            broken = client.query(net, "s", "t", 2, method="factoring", qid=1)
+            after = client.query(net, "s", "t", 2, qid=2)
+            ack = client.ping()
+        assert broken["ok"] is False
+        assert broken["error"]["code"] == ERROR_INTERNAL
+        assert after["ok"]
+        assert after["points"][0]["reliability"] == (
+            compute_reliability(net, "s", "t", 2).value
+        )
+        assert ack["ok"] is True and ack["op"] == "ping"
+
+    @pytest.mark.parametrize("method", sorted(REMOVED_METHODS))
+    def test_removed_method_gets_the_pointer(self, threaded_server, method):
+        with ReliabilityClient("127.0.0.1", threaded_server.port) as client:
+            reply = client.query(fujita_fig4(), "s", "t", 2, method=method, qid=1)
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == ERROR_BAD_REQUEST
+        assert REMOVED_POINTER in reply["error"]["message"]
 
     def test_axis_grid_round_trip(self, threaded_server):
         net = fujita_fig4()
