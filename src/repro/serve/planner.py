@@ -27,7 +27,6 @@ input, so a named solver never changes how they compute.
 
 from __future__ import annotations
 
-import sys
 import traceback
 from typing import Any, Sequence
 
@@ -183,7 +182,7 @@ def answer_queries(
                 payloads[qi] = error_payload(ERROR_COMPUTE, str(exc), query.qid)
                 continue
             except Exception as exc:  # one bad query must not end the daemon
-                traceback.print_exc(file=sys.stderr)
+                traceback.print_exc()
                 message = f"{type(exc).__name__}: {exc}"
                 payloads[qi] = error_payload(ERROR_INTERNAL, message, query.qid)
                 continue
