@@ -512,6 +512,7 @@ class _ObsSession:
         self._old_sigterm: Any = None
         self._value: Any = None
         self._flow_calls: int | None = None
+        self._interval: dict[str, Any] | None = None
         self._completed = False
         # The input fingerprint covers the network and the demand, not
         # the method/options: diffing "same computation, different
@@ -565,10 +566,17 @@ class _ObsSession:
             self._old_sigterm = None
         return self
 
-    def complete(self, *, value: Any = None, flow_calls: int | None = None) -> None:
+    def complete(
+        self,
+        *,
+        value: Any = None,
+        flow_calls: int | None = None,
+        interval: dict[str, Any] | None = None,
+    ) -> None:
         """Mark the run completed and stash its headline outcome."""
         self._value = value
         self._flow_calls = flow_calls
+        self._interval = interval
         self._completed = True
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
@@ -608,6 +616,7 @@ class _ObsSession:
             value=self._value,
             flow_calls=self._flow_calls,
             solver=DEFAULT_SOLVER,
+            interval=self._interval,
         )
         run_id = RunLedger(self.args.ledger_dir).append(run_record)
         print(f"run {run_id} recorded ({status})", file=sys.stderr)
@@ -713,7 +722,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     with session:
         result = rare_reliability(net, demand, **options)
         session.complete(
-            value=result.value, flow_calls=result.details.get("flow_calls")
+            value=result.value,
+            flow_calls=result.details.get("flow_calls"),
+            interval={
+                "low": result.low,
+                "high": result.high,
+                "num_samples": result.num_samples,
+                "confidence": result.confidence,
+            },
         )
     recorder = session.recorder
     if args.trace and recorder is not None:

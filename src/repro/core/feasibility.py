@@ -16,7 +16,7 @@ from typing import Iterable
 from repro.exceptions import SolverError
 from repro.flow.base import MaxFlowSolver, get_solver
 from repro.flow.incremental import IncrementalMaxFlow
-from repro.flow.residual import build_template
+from repro.flow.residual import ResidualGraph, build_template
 from repro.graph.network import FlowNetwork, Node
 from repro.obs.recorder import FLOW_SOLVES, count
 from repro.probability.bitset import mask_from_indices
@@ -76,6 +76,13 @@ class FeasibilityOracle:
             self._t = self.template.node_index[sink]
         except KeyError as exc:
             raise SolverError(f"terminal {exc.args[0]!r} is not in the network") from exc
+        index = self.template.node_index
+        # Per link: index, template tail and head, directedness; capacity.
+        self._ends = [
+            (link.index, index[link.tail], index[link.head], link.directed)
+            for link in net.links()
+        ]
+        self._capacity = [link.capacity for link in net.links()]
         self.calls = 0
         self.incremental = bool(incremental) and self.solver.supports_incremental
         self._engine: IncrementalMaxFlow | None = None
@@ -135,17 +142,23 @@ class FeasibilityOracle:
           links carrying flow.  Every alive set containing it is
           feasible.
         * Infeasible: the *cut*, every link (alive or dead) crossing out
-          of the residual-reachable source shore; undirected links cross
-          in either direction.  Every alive set whose alive part of the
-          cut has capacity below the demand is infeasible.
+          of a shore that holds the source but not the sink; undirected
+          links cross in either direction.  Every alive set whose alive
+          part of the cut has capacity below the demand is infeasible.
+          Two shores are tried, the nodes the source reaches in the
+          residual graph and the nodes that do not reach the sink, and
+          the cut with fewer links is returned (the source shore's on a
+          tie): each carries every dead link leaving its shore, and the
+          fewer links a cut has, the more failure orders it settles.
 
-        Costs exactly what :meth:`feasible` costs plus one scan of the
+        Costs exactly what :meth:`feasible` costs plus a scan of the
         solver state, read from the repair engine's residual when
         incremental and from the template's otherwise (push–relabel
         leaves a genuine max-flow state).  Each certificate is checked
         against the queried alive set before it is returned: a support
-        must be alive, a cut's alive capacity must fall short of the
-        demand.  A solver state that fails either check raises
+        must be alive, each shore must keep source and sink apart, each
+        cut's alive capacity must fall short of the demand.  A solver
+        state that fails a check raises
         :class:`~repro.exceptions.SolverError`.
         """
         if self.demand == 0:
@@ -165,19 +178,29 @@ class FeasibilityOracle:
         shore = graph.residual_reachable(self._s)
         if shore[self._t]:
             raise SolverError("infeasible query left a residual source-sink path")
-        index = self.template.node_index
-        cut = []
-        for link in links:
-            tail = shore[index[link.tail]]
-            head = shore[index[link.head]]
-            if (tail and not head) or (head and not tail and not link.directed):
-                cut.append(link.index)
-        alive_capacity = sum(links[i].capacity for i in cut if (alive >> i) & 1)
+        cut = self._shore_cut(alive, shore)
+        reaching = _reaching(graph, self._t)
+        if reaching[self._s]:
+            raise SolverError("infeasible query left a residual source-sink path")
+        sink_cut = self._shore_cut(alive, [not reaches for reaches in reaching])
+        return False, tuple(sink_cut if len(sink_cut) < len(cut) else cut)
+
+    def _shore_cut(self, alive: int, shore: list[bool]) -> list[int]:
+        """The links crossing out of ``shore`` (flags per template node),
+        checked to leave less than the demand alive at ``alive``."""
+        cut = [
+            i
+            for i, tail, head, directed in self._ends
+            if (shore[tail] and not shore[head])
+            or (shore[head] and not shore[tail] and not directed)
+        ]
+        capacity = self._capacity
+        alive_capacity = sum(capacity[i] for i in cut if (alive >> i) & 1)
         if alive_capacity >= self.demand:
             raise SolverError(
                 f"cut capacity {alive_capacity} does not certify demand {self.demand}"
             )
-        return False, tuple(cut)
+        return cut
 
     def used_links(
         self, alive: int | Iterable[int] | None, *, limit: int | None = None
@@ -199,3 +222,21 @@ class FeasibilityOracle:
             if self.template.link_flow(link.index) != 0:
                 used.append(link.index)
         return used
+
+
+def _reaching(graph: ResidualGraph, sink: int) -> list[bool]:
+    """Nodes with a positive-residual path to ``sink``: arc ``a ^ 1``
+    runs from ``head[a]`` back into the node ``a`` leaves."""
+    seen = [False] * graph.num_nodes
+    seen[sink] = True
+    stack = [sink]
+    cap = graph.cap
+    head = graph.head
+    adj = graph.adj
+    while stack:
+        v = stack.pop()
+        for a in adj[v]:
+            if cap[a ^ 1] > 0 and not seen[head[a]]:
+                seen[head[a]] = True
+                stack.append(head[a])
+    return seen

@@ -31,18 +31,24 @@ exactly this construction to flow demands; Karger's FPRAS supplies the
 Critical numbers come from certificates learned along the way, not
 from one max-flow query per kill.  A feasible query yields a flow
 *support*: no prefix that spares its links can fail, so it bounds ``B``
-from below.  An infeasible query yields a *cut*: a prefix that kills
-enough of it must fail.  A batch checks the bounds in numpy, and only
-the orders they leave open query the oracle, each at its lower bound
-(one :meth:`~repro.core.feasibility.FeasibilityOracle.certify`), learning
-one more certificate per query.  Every critical number equals the
-one-kill-at-a-time walk's, with at most the walk's queries per order.
+from below.  An infeasible query yields a *cut*, the smaller of the two
+residual min-cuts around ``s`` and around ``t``: a prefix that kills
+enough of it must fail.  Each chunk of orders checks every certificate
+at once in numpy (one gather of kill steps for the supports, one
+matrix product for the cuts), and only the orders they leave open
+query the oracle, each at its lower bound (one
+:meth:`~repro.core.feasibility.FeasibilityOracle.certify`), learning one
+more certificate per query.  An open order's own bookkeeping is plain
+Python on bitmasks: before each query it checks only the certificates
+learned since its last check, and every cut again only when its bound
+has moved.  Every critical number equals the one-kill-at-a-time walk's,
+with at most the walk's queries per order.
 
 Vectorization contract: all inner loops are array-at-a-time numpy —
 permutation batches are drawn as ``argsort`` of exponential matrices of
-shape ``(batch, m)``, spectrum conditioning and certificate checks are
-batched, and scalar Python only touches the orders the certificates
-leave open.  The solver decides the path: the estimator repairs flow
+shape ``(batch, m)``, spectrum conditioning and chunk certificate
+checks are batched, and scalar Python only touches the orders the
+certificates leave open.  The solver decides the path: the estimator repairs flow
 when the solver honours the warm-start contract and solves cold
 otherwise (push–relabel); there is no option to choose.
 Lint rule RR114 enforces the no-scalar-draws discipline on this module.
@@ -58,7 +64,9 @@ round-trip pin.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,6 +91,7 @@ from repro.obs.recorder import (
     count,
     span,
 )
+from repro.probability.bitset import mask_from_indices
 
 __all__ = [
     "DestructionSpectrum",
@@ -195,8 +204,8 @@ def sample_failure_orders(
 #: ``(rows x certificates)`` arrays, so this bounds their memory.
 _CHUNK_ROWS = 256
 
-#: ``uint8`` entries per support-check block (``rows x supports x m``),
-#: 256 KiB of temporaries.
+#: ``uint8`` entries per support-check block (``rows x supports x
+#: width``), 256 KiB of temporaries.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -206,53 +215,100 @@ class _Certificates:
     A *support* (links carrying a flow of value ``>= d``) keeps every
     prefix that kills none of its links feasible, so an order's
     critical number is at least the step at which it first kills one of
-    them.  A *cut* (links crossing out of a source shore) stores each
-    link's capacity clipped to ``d``; a prefix whose alive part of some
-    cut sums below ``d`` is infeasible.  Cuts are learned only while
-    ``m * d < 2^53``, so their float64 sums of clipped integers are
-    exact.  Each kind stops growing at
+    them.  A *cut* (links crossing out of a shore around ``s``) stores
+    each link's capacity clipped to ``d``; a prefix whose alive part of
+    some cut sums below ``d`` is infeasible.  Cuts are learned only
+    while ``m * d < 2^53``, so their float64 sums of clipped integers
+    are exact.  Each kind stops growing at
     :data:`repro.core.certificate.MAX_CERTIFICATE_CUTS`; rows then
     settle by queries alone, with the same values.
+
+    :meth:`add` appends to plain lists, which the per-order loop reads
+    directly: a support as its links and their bitmask, a cut as the
+    bitmask of its links with positive clipped capacity, their
+    ``(link, clipped)`` pairs, and whether every one is clipped to
+    ``d`` (then any alive link meets the demand).  The chunk checks
+    read numpy copies, extended once per chunk by what was learned
+    since: supports as link indices padded with ``m`` (a step column
+    that reads ``m + 1``, never killed), cuts as dense rows of clipped
+    capacities.
     """
 
     def __init__(self, net: FlowNetwork, demand: int) -> None:
         m = net.num_links
+        self.num_links = m
         self.demand = demand
         self.limit = certificate.MAX_CERTIFICATE_CUTS
-        self.clipped = np.array(
-            [min(link.capacity, demand) for link in net.links()], dtype=np.float64
-        )
+        self.clipped = [min(link.capacity, demand) for link in net.links()]
         self.learn_cuts = m * demand < 1 << 53
-        self.supports = np.zeros((0, m), dtype=bool)
-        self.cuts = np.zeros((0, m), dtype=np.float64)
+        self.supports: list[tuple[tuple[int, ...], int]] = []
+        self.cuts: list[tuple[int, tuple[tuple[int, int], ...], bool]] = []
+        self._support_index = np.zeros((0, m), dtype=np.intp)
+        self._width = 1
+        self._cut_rows = np.zeros((0, m))
 
     def add(self, feasible: bool, links: tuple[int, ...]) -> None:
         if feasible:
             if len(self.supports) < self.limit:
-                row = np.zeros((1, self.supports.shape[1]), dtype=bool)
-                row[0, list(links)] = True
-                self.supports = np.concatenate([self.supports, row])
+                self.supports.append((links, mask_from_indices(links)))
         elif self.learn_cuts and len(self.cuts) < self.limit:
-            row = np.zeros((1, self.cuts.shape[1]))
-            row[0, list(links)] = self.clipped[list(links)]
-            self.cuts = np.concatenate([self.cuts, row])
+            capacities = tuple((e, self.clipped[e]) for e in links if self.clipped[e])
+            uniform = all(c == self.demand for _, c in capacities)
+            self.cuts.append((mask_from_indices(e for e, _ in capacities), capacities, uniform))
 
-    def raise_bounds(self, pos: np.ndarray, lo: np.ndarray, since: int) -> None:
-        """Raise ``lo`` in place to the first kill of each support from
-        index ``since`` on (``m + 1`` for a support the order never kills)."""
-        m = pos.shape[1]
-        block = max(1, _BLOCK_ENTRIES // pos.size)
-        for start in range(since, len(self.supports), block):
-            part = self.supports[start : start + block]
-            first = np.where(part[None, :, :], pos[:, None, :], m + 1).min(axis=2)
+    def cut_fails(self, alive: int, since: int) -> bool:
+        """Whether a cut from index ``since`` on leaves less than the
+        demand in the alive-set bitmask ``alive``."""
+        demand = self.demand
+        for mask, capacities, uniform in itertools.islice(self.cuts, since, None):
+            hit = mask & alive
+            if not hit or (
+                not uniform and sum(c for e, c in capacities if hit >> e & 1) < demand
+            ):
+                return True
+        return False
+
+    def _sync(self) -> None:
+        """Extend the numpy copies by the certificates learned since."""
+        m = self.num_links
+        new = [links for links, _ in self.supports[len(self._support_index) :]]
+        if new:
+            pad = (m,) * m
+            rows = np.array([links + pad[len(links) :] for links in new], dtype=np.intp)
+            self._support_index = np.concatenate([self._support_index, rows])
+            self._width = max(self._width, *map(len, new))
+        dense = []
+        for _, capacities, _ in self.cuts[len(self._cut_rows) :]:
+            row = [0] * m
+            for e, c in capacities:
+                row[e] = c
+            dense.append(row)
+        if dense:
+            rows = np.array(dense, dtype=np.float64)
+            self._cut_rows = np.concatenate([self._cut_rows, rows])
+
+    def bounds(self, pos: np.ndarray) -> np.ndarray:
+        """Per row, ``1`` raised to the first kill of each support.
+
+        ``pos`` holds each row's kill step per link plus a last column
+        of ``m + 1``, which the padding of shorter supports gathers.
+        """
+        self._sync()
+        rows = pos.shape[0]
+        lo = np.ones(rows, dtype=np.int64)
+        index = self._support_index[:, : self._width]
+        block = max(1, _BLOCK_ENTRIES // (rows * self._width))
+        for start in range(0, len(index), block):
+            first = pos[:, index[start : start + block]].min(axis=2)
             np.maximum(lo, first.max(axis=1), out=lo)
+        return lo
 
     def cut_at(self, pos: np.ndarray, lo: np.ndarray) -> np.ndarray:
         """Rows whose prefix ``lo`` leaves some cut below the demand."""
-        if not len(self.cuts):
+        if not len(self._cut_rows):
             return np.zeros(pos.shape[0], dtype=bool)
         alive = (pos > lo[:, None]).astype(np.float64)
-        return np.any(alive @ self.cuts.T < self.demand, axis=1)
+        return np.any(alive @ self._cut_rows.T < self.demand, axis=1)
 
 
 def _critical_numbers(
@@ -264,12 +320,14 @@ def _critical_numbers(
 
     Every row starts from the bound ``lo = 1`` raised by the learned
     supports, and is settled with no query when a learned cut already
-    fails at prefix ``lo``.  A row the certificates leave open queries
-    the oracle at prefix ``lo`` (one :meth:`FeasibilityOracle.certify`):
-    an infeasible answer settles ``B = lo`` and teaches a cut; a
-    feasible one teaches a support, which lifts ``lo`` past the queried
-    prefix, and the row checks again against everything learned since
-    its chunk was checked.  Queries land on distinct prefixes at most
+    fails at prefix ``lo``; both checks run on the whole chunk at once.
+    A row the certificates leave open queries the oracle at prefix
+    ``lo`` (one :meth:`FeasibilityOracle.certify`): an infeasible
+    answer settles ``B = lo`` and teaches a cut; a feasible one teaches
+    a support, which lifts ``lo`` past the queried prefix.  Before each
+    query an open row checks, in plain Python, the supports learned
+    since its last check, then the cuts learned since — or every cut,
+    when ``lo`` has moved.  Queries land on distinct prefixes at most
     ``B``, so a row never makes more than the ``min(B, m)`` queries of
     the one-kill-at-a-time walk, and every value equals the walk's.
     """
@@ -278,34 +336,55 @@ def _critical_numbers(
     steps = np.arange(1, m + 1, dtype=np.uint8)
     criticals = np.empty(batch, dtype=np.int64)
     queries = np.zeros(batch, dtype=np.int64)
+    supports, cuts = certificates.supports, certificates.cuts
     for start in range(0, batch, _CHUNK_ROWS):
         chunk = orders[start : start + _CHUNK_ROWS]
         rows = chunk.shape[0]
-        # pos[b, e]: the step (from 1) at which order b kills link e.
-        pos = np.empty((rows, m), dtype=np.uint8)
+        # pos[b, e]: the step (from 1) at which order b kills link e;
+        # pos[b, m] = m + 1 pads the support gather.
+        pos = np.empty((rows, m + 1), dtype=np.uint8)
+        pos[:, m] = m + 1
         pos[np.arange(rows)[:, None], chunk] = steps
-        lo = np.ones(rows, dtype=np.int64)
-        certificates.raise_bounds(pos, lo, 0)
-        settled = certificates.cut_at(pos, lo)
-        checked = len(certificates.supports)
-        for row in np.flatnonzero(~settled).tolist():
-            row_pos = pos[row : row + 1]
-            row_lo = lo[row : row + 1]
-            order = chunk[row].tolist()  # scalar loop: stay off numpy scalars
+        lo = certificates.bounds(pos)
+        open_rows = np.flatnonzero(~certificates.cut_at(pos[:, :m], lo))
+        checked_supports, checked_cuts = len(supports), len(cuts)
+        open_bounds = []
+        open_queries = []
+        # Scalar loop: stay off numpy scalars and 1-row arrays.
+        for order, row_pos, bound in zip(
+            chunk[open_rows].tolist(),
+            pos[open_rows].tolist(),
+            lo[open_rows].tolist(),
+        ):
+            # dead[k]: bitmask of the links the first k kills take;
+            # dead[m + 1], every link, serves the never-killed bound.
+            dead = list(
+                itertools.accumulate(map((1).__lshift__, order), operator.or_, initial=0)
+            )
+            dead.append(full_mask)
+            seen_supports, seen_cuts, cut_bound = checked_supports, checked_cuts, bound
+            spent = 0
             while True:
-                certificates.raise_bounds(row_pos, row_lo, checked)
-                prefix = int(row_lo[0])
-                if prefix > m or certificates.cut_at(row_pos, row_lo)[0]:
+                for links, support in itertools.islice(supports, seen_supports, None):
+                    if not support & dead[bound]:
+                        bound = min((row_pos[e] for e in links), default=m + 1)
+                seen_supports = len(supports)
+                if bound > m:
                     break
-                dead = 0
-                for link in order[:prefix]:
-                    dead |= 1 << link
-                queries[start + row] += 1
-                feasible, links = oracle.certify(full_mask & ~dead)
+                alive = full_mask & ~dead[bound]
+                if certificates.cut_fails(alive, seen_cuts if bound == cut_bound else 0):
+                    break
+                seen_cuts, cut_bound = len(cuts), bound
+                spent += 1
+                feasible, links = oracle.certify(alive)
                 certificates.add(feasible, links)
                 if not feasible:
                     break
-                row_lo[0] = min((int(row_pos[0, e]) for e in links), default=m + 1)
+                bound = min((row_pos[e] for e in links), default=m + 1)
+            open_bounds.append(bound)
+            open_queries.append(spent)
+        lo[open_rows] = open_bounds
+        queries[start + open_rows] = open_queries
         criticals[start : start + rows] = lo
     return criticals, queries
 

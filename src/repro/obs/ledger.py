@@ -103,20 +103,23 @@ def make_run_record(
     flow_calls: int | None = None,
     solver: str | None = None,
     meta: Mapping[str, Any] | None = None,
+    interval: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble one schema-versioned run record (not yet persisted).
 
     ``status`` is ``"completed"`` for a clean run or ``"interrupted"``
     when the process was terminated mid-computation — the kill-safety
     contract is that a SIGTERM'd sweep still appends a well-formed
-    record with this status.
+    record with this status.  An estimate passes its confidence
+    ``interval`` (``low``, ``high``, ``num_samples``, ``confidence``),
+    recorded under that key; other records do not carry it.
     """
     if status not in ("completed", "interrupted", "failed"):
         raise ReproValueError(f"unknown run status {status!r}")
     env = env_fingerprint()
     if solver is not None:
         env["solver"] = solver
-    return {
+    record: dict[str, Any] = {
         "schema": RUN_SCHEMA,
         "command": command,
         "input": input_fingerprint,
@@ -130,6 +133,9 @@ def make_run_record(
         "env": env,
         "unix": time.time(),
     }
+    if interval is not None:
+        record["interval"] = dict(interval)
+    return record
 
 
 class RunLedger:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import feasibility
 from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.naive import feasibility_table, naive_reliability
@@ -74,6 +75,20 @@ def _mixed_net():
     return net
 
 
+def _source_shore_cut(oracle):
+    """The links crossing out of the residual-reachable source shore of
+    the oracle's current solver state."""
+    graph = oracle.engine.graph if oracle.engine is not None else oracle.template.graph
+    index = oracle.template.node_index
+    shore = graph.residual_reachable(index[oracle.source])
+    return [
+        link.index
+        for link in oracle.net.links()
+        if (shore[index[link.tail]] and not shore[index[link.head]])
+        or (shore[index[link.head]] and not shore[index[link.tail]] and not link.directed)
+    ]
+
+
 class TestCertify:
     @pytest.mark.parametrize("solver", SOLVERS)
     @pytest.mark.parametrize("demand", [1, 2, 3])
@@ -93,6 +108,29 @@ class TestCertify:
                 alive_capacity = sum(net.link(i).capacity for i in links if (alive >> i) & 1)
                 assert alive_capacity < demand
                 assert not reference.feasible(full & ~mask)
+                assert len(links) <= len(_source_shore_cut(oracle))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("incremental", [False, True])
+    def test_sink_shore_cut_when_smaller(self, solver, incremental):
+        """Dead links out of ``s`` into dead ends cross the source
+        shore's cut but not the cut around the nodes that reach ``t``."""
+        net = FlowNetwork()
+        net.add_link("s", "a", 1, 0.1)
+        net.add_link("a", "t", 1, 0.1)
+        net.add_link("s", "b", 1, 0.1)
+        net.add_link("s", "c", 1, 0.1, directed=False)
+        oracle = FeasibilityOracle(net, "s", "t", 1, solver=solver, incremental=incremental)
+        assert oracle.certify(0b0001) == (False, (1,))
+        assert _source_shore_cut(oracle) == [1, 2, 3]
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_equal_cuts_keep_the_source_shore(self, solver):
+        # Both links dead: the cut around {s} and the cut around {t}
+        # are the two links each way; the source shore's is returned.
+        net = series_chain(2)
+        oracle = FeasibilityOracle(net, "s", "t", 1, solver=solver, incremental=True)
+        assert oracle.certify(0b00) == (False, (0,))
 
     @pytest.mark.parametrize("solver", ["dinic", "push_relabel"])
     def test_one_solve_per_query_when_cold(self, solver):
@@ -125,6 +163,26 @@ class TestCertify:
         # shore's alive capacity is 2, which certifies nothing.
         with pytest.raises(SolverError, match="does not certify"):
             oracle.certify(0b0011)
+
+    def test_sink_cut_at_or_above_demand_rejected(self, monkeypatch):
+        oracle = FeasibilityOracle(diamond(), "s", "t", 2, incremental=True)
+
+        def sink_only(graph, sink):
+            return [node == sink for node in range(graph.num_nodes)]
+
+        monkeypatch.setattr(feasibility, "_reaching", sink_only)
+        # Both source links dead, both sink links alive: the sink-only
+        # shore's alive capacity is 2, which certifies nothing.
+        with pytest.raises(SolverError, match="does not certify"):
+            oracle.certify(0b1100)
+
+    def test_sink_shore_holding_the_source_rejected(self, monkeypatch):
+        oracle = FeasibilityOracle(diamond(), "s", "t", 2, incremental=True)
+        monkeypatch.setattr(
+            feasibility, "_reaching", lambda graph, sink: [True] * graph.num_nodes
+        )
+        with pytest.raises(SolverError, match="residual source-sink path"):
+            oracle.certify(0b1100)
 
 
 class TestFeasibilityTable:

@@ -21,6 +21,7 @@ from repro.core.rare import (
 from repro.core.result import EstimateResult
 from repro.exceptions import EstimationError, ReproValueError
 from repro.graph.builders import fujita_fig4, parallel_links
+from repro.graph.generators import chained_network
 from repro.graph.network import FlowNetwork
 from repro.probability.bitset import popcount
 from repro.probability.enumeration import configuration_probabilities
@@ -268,6 +269,17 @@ class TestGoldenPins:
         # Settled from certificates: far fewer queries than the walk's
         # ~28,000 at this seed.
         assert est.details["spectrum_solves"] < 1000
+
+    def test_ci_smoke_net_query_ceiling(self):
+        """CI's rare-smoke net: certificates settle 4096 orders with
+        231 queries, the count since ``certify`` returns the smaller of
+        its two residual cuts (316 with the source-shore cut alone)."""
+        net = chained_network(
+            [2, 4, 4, 4, 4, 2], cut_sizes=2, demand=2, seed=5, p_range=(1e-5, 1e-5)
+        )
+        est = rare_reliability(net, FlowDemand("s", "t", 2), num_samples=4096, seed=0)
+        assert est.value.hex() == "0x1.fffffff76c9b3p-1"
+        assert est.details["spectrum_solves"] <= 231
 
 
 class TestFrontDoor:

@@ -113,6 +113,10 @@ class TestLedgerRoundTrip:
         assert record["counters"]["mc_samples"] == 900
         assert record["counters"]["samples_vectorized"] == 900
         assert record["counters"]["spectrum_solves"] > 0
+        interval = record["interval"]
+        assert interval["num_samples"] == 900
+        assert interval["confidence"] == 0.95
+        assert interval["low"] <= record["value"] <= interval["high"]
 
         # Replay from the ledger record alone.
         assert (
@@ -127,6 +131,9 @@ class TestLedgerRoundTrip:
         )
         replay = json.loads(capsys.readouterr().out)
         assert replay["reliability"] == record["value"]
+        assert replay["interval"] == [interval["low"], interval["high"]]
+        assert replay["num_samples"] == interval["num_samples"]
+        assert replay["confidence"] == interval["confidence"]
 
     def test_identical_estimates_diff_clean(self, net_file, tmp_path, capsys):
         ledger = str(tmp_path / "runs")

@@ -9,6 +9,12 @@ the numbers must equal the one-kill-at-a-time walk of
 ``tests/reference_spectrum.py`` row for row, and no order may spend more
 queries than the walk's ``min(B, m)``.  A certificate store capped at 2
 per kind must give the same numbers.
+
+The bookkeeping itself is pinned against the earlier all-numpy one kept
+in ``tests/reference_spectrum.py``: under the same ``certify`` both must
+settle every row to the same number with the same queries, also when a
+batch spans several chunks, when the clipped capacities within one cut
+differ and when the store is capped.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import certificate
+from repro.core import certificate, rare
 from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.rare import (
@@ -30,13 +36,14 @@ from repro.core.rare import (
 )
 from repro.graph.builders import fujita_fig4, parallel_links
 from repro.graph.network import FlowNetwork
+from tests import reference_spectrum
 from tests.reference_spectrum import critical_numbers
 
 SOLVERS = ["dinic", "edmonds_karp", "capacity_scaling", "push_relabel"]
 
 
 @st.composite
-def nets(draw, max_nodes=6, max_links=12):
+def nets(draw, max_nodes=6, max_links=12, capacities=st.integers(0, 3)):
     """Multigraphs on 2-6 nodes, mixed directions, capacities 0-3."""
     num_nodes = draw(st.integers(2, max_nodes))
     nodes = ["s", "t"] + [f"v{i}" for i in range(num_nodes - 2)]
@@ -47,7 +54,7 @@ def nets(draw, max_nodes=6, max_links=12):
         net.add_link(
             draw(endpoint),
             draw(endpoint),
-            draw(st.integers(0, 3)),
+            draw(capacities),
             0.1,
             directed=draw(st.booleans()),
         )
@@ -165,3 +172,43 @@ def test_zero_demand_never_fails(solver):
     assert np.all(settled == m + 1)
     assert walk_queries == 40 * m
     assert int(row_queries.sum()) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    net=nets(capacities=st.integers(1, 3)),
+    rate=st.integers(2, 3),
+    solver=st.sampled_from(SOLVERS),
+    seed=st.integers(0, 2**16),
+    batch_size=st.integers(1, 12),
+    chunk_rows=st.integers(1, 4),
+    block_entries=st.sampled_from([1, 7, 1 << 18]),
+    capped=st.booleans(),
+)
+def test_bookkeeping_equals_reference(
+    net, rate, solver, seed, batch_size, chunk_rows, block_entries, capped
+):
+    """Same critical numbers and per-row queries as the all-numpy
+    bookkeeping, batch after batch over one store per side."""
+    m = net.num_links
+    rng = spawn_streams(seed)[0]["spectrum.permutations"]
+    reference_oracle = FeasibilityOracle(net, "s", "t", rate, solver=solver, incremental=True)
+    oracle = FeasibilityOracle(net, "s", "t", rate, solver=solver, incremental=True)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (rare, reference_spectrum):
+            patch.setattr(module, "_CHUNK_ROWS", chunk_rows)
+            patch.setattr(module, "_BLOCK_ENTRIES", block_entries)
+        if capped:
+            patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 2)
+        reference_store = reference_spectrum._Certificates(net, rate)
+        store = _Certificates(net, rate)
+        for _ in range(3):
+            orders = sample_failure_orders(m, batch_size, rng)
+            expected, expected_queries = reference_spectrum._critical_numbers(
+                reference_oracle, orders, reference_store
+            )
+            settled, row_queries = _critical_numbers(oracle, orders, store)
+            np.testing.assert_array_equal(settled, expected)
+            np.testing.assert_array_equal(row_queries, expected_queries)
+            assert np.all(row_queries <= np.minimum(settled, m))
+    assert oracle.calls == reference_oracle.calls
