@@ -5,9 +5,11 @@ series of r cuts drops it to the largest *segment*.  The table shows
 flow-call counts as segments are added at (roughly) constant total
 size — the chain's cost stays near-flat while naive explodes.  Every
 segment, middles included, is settled by the §III-C cut-certificate
-kernel, so chain spends no max-flow solve.  The last row has a
-14-link middle segment at d = 2: naive's 2^26 configurations are out
-of reach, so it is checked against the single-cut bottleneck value."""
+kernel, so chain spends no max-flow solve.  The last rows have wide
+middle segments at d = 2 (14, 16 + 16 and 18 links), each a relation
+cover of a few dozen cubes: naive's 2^26+ configurations are out of
+reach, so they are checked against the single-cut bottleneck value on
+the middle cut."""
 
 import pytest
 
@@ -41,27 +43,36 @@ def _chain_rows():
     return rows
 
 
-def _wide_middle_row():
-    net = chained_network([4, 14, 4], cut_sizes=2, demand=2, seed=1)
-    demand = FlowDemand("s", "t", 2)
-    cuts = net._chain_cut_indices
-    chain = time_call(chain_reliability, net, demand, cuts, repeats=1)
-    bneck = bottleneck_reliability(net, demand, cut=cuts[0])
-    assert chain.value.value == pytest.approx(bneck.value, abs=1e-9)
-    return [
-        "3 ([4,14,4], d=2)",
-        net.num_links,
-        len(cuts),
-        chain.value.flow_calls,
-        "—",
-        f"{chain.seconds * 1e3:.1f}",
-        "—",
-    ]
+#: Chains with wide middle segments (d = 2, cut size 2).
+WIDE_MIDDLES = ([4, 14, 4], [4, 16, 16, 4], [4, 18, 4])
+
+
+def _wide_middle_rows():
+    rows = []
+    for sizes in WIDE_MIDDLES:
+        net = chained_network(sizes, cut_sizes=2, demand=2, seed=1)
+        demand = FlowDemand("s", "t", 2)
+        cuts = net._chain_cut_indices
+        chain = time_call(chain_reliability, net, demand, cuts)
+        bneck = bottleneck_reliability(net, demand, cut=cuts[len(cuts) // 2])
+        assert chain.value.value == pytest.approx(bneck.value, abs=1e-9)
+        rows.append(
+            [
+                f"{len(sizes)} ({sizes}, d=2)",
+                net.num_links,
+                len(cuts),
+                chain.value.flow_calls,
+                "—",
+                f"{chain.seconds * 1e3:.1f}",
+                "—",
+            ]
+        )
+    return rows
 
 
 def test_a5_chain_table(benchmark, show):
     rows = benchmark.pedantic(
-        lambda: _chain_rows() + [_wide_middle_row()], rounds=1, iterations=1
+        lambda: _chain_rows() + _wide_middle_rows(), rounds=1, iterations=1
     )
     show(
         ["segments", "|E|", "cuts", "chain calls", "naive calls", "chain ms", "naive ms"],

@@ -5,18 +5,20 @@ paper prints (Fujita, IPDPSW 2017).
 Run:  python examples/paper_walkthrough.py
 """
 
+import numpy as np
+
 from repro import FlowDemand
 from repro.core import (
-    accumulate,
     bottleneck_reliability,
     bridge_reliability,
-    build_side_array,
+    build_side_cover,
     classify_by_support,
     describe_assignment,
     enumerate_assignments,
     naive_reliability,
     pattern_probability,
 )
+from repro.core.accumulate import joint_rows
 from repro.graph import fujita_fig2_bridge, fujita_fig4, split_on_cut
 
 
@@ -60,7 +62,7 @@ def figures_4_and_5() -> None:
     assignments = enumerate_assignments([2, 2], 2)
     print(f"assignment set D = {assignments}")
 
-    array = build_side_array(
+    cover = build_side_cover(
         split.source_side,
         role="source",
         terminal="s",
@@ -68,11 +70,14 @@ def figures_4_and_5() -> None:
         assignments=assignments,
         demand=2,
     )
+    print(f"G_s cover: {len(cover.cubes)} cubes for 2^{cover.num_links} configurations")
+    masks = cover.expand()  # the paper's 2^|E_s| array
     label = {0b1101: "Fig 5(a): e4 failed",
              0b0101: "Fig 5(b): e4, e6 failed",
              0b1111: "Fig 5(c): all alive"}
-    for mask, name in label.items():
-        realized = [assignments[i] for i in array.realized_indices(mask)]
+    for configuration, name in label.items():
+        mask = int(masks[configuration])
+        realized = [a for i, a in enumerate(assignments) if (mask >> i) & 1]
         print(f"  {name:<26} realizes {realized}")
 
     exact = bottleneck_reliability(net, demand, cut=[0, 1])
@@ -98,15 +103,14 @@ def example_5() -> None:
 
 def example_6() -> None:
     section("Example 6 / Table I (SIV-B): ACCUMULATION by inclusion-exclusion")
-    import numpy as np
 
-    from repro.core import RealizationArray
+    def distinct(masks):
+        """A side's distinct masks and their weights, 1/4 a configuration."""
+        values, inverse = np.unique(np.array(masks, dtype=np.uint64), return_inverse=True)
+        return values, np.bincount(inverse, weights=np.full(len(masks), 0.25))[None, :]
 
-    s_masks = np.array([0b01, 0b10, 0b11, 0b10], dtype=np.uint64)
-    t_masks = np.array([0b11, 0b10, 0b01, 0b00], dtype=np.uint64)
-    quarter = np.full(4, 0.25)
-    source = RealizationArray(s_masks, quarter, 2, 0)
-    sink = RealizationArray(t_masks, quarter, 2, 0)
+    source = distinct([0b01, 0b10, 0b11, 0b10])
+    sink = distinct([0b11, 0b10, 0b01, 0b00])
     print("Table I realized sets (c1..c4 source side, c5..c8 sink side):")
     print("  c1:{b1}  c2:{b2}  c3:{b1,b2}  c4:{b2}")
     print("  c5:{b1,b2}  c6:{b2}  c7:{b1}  c8:{}")
@@ -117,7 +121,7 @@ def example_6() -> None:
     print(f"p_(b2)      = {p_b2:.6f}")
     print(f"p_(b1,b2)   = {p_b12:.6f}")
     print(f"r_E' = p_b1 + p_b2 - p_b1b2 = {p_b1 + p_b2 - p_b12:.6f}")
-    print(f"ACCUMULATION (library)      = {accumulate(source, sink, [0, 1]):.6f}")
+    print(f"ACCUMULATION (library)      = {joint_rows(*source, *sink, 0b11)[0]:.6f}")
 
 
 def equations_2_and_3() -> None:

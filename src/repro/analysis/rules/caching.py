@@ -1,8 +1,8 @@
-"""RR110 — realization arrays and side covers must not be rebuilt inside loops.
+"""RR110 — side and relation covers must not be rebuilt inside loops.
 
 The §III-C realization masks are purely combinatorial: the bits depend
-on side topology, capacities, ports and the assignment set — never on
-failure probabilities.  A ``build_side_array`` or ``build_side_cover``
+on segment topology, capacities, ports and the assignment set — never on
+failure probabilities.  A ``build_side_cover`` or ``build_relation_cover``
 call inside a loop (the rebuild-per-sweep-point anti-pattern) therefore
 repeats work whose answers cannot change.
 Inside :mod:`repro.core`, repeated builds must go through the
@@ -29,7 +29,7 @@ from repro.analysis.registry import Rule, register_rule
 __all__ = ["UncachedArrayRebuild"]
 
 #: The §III-C builders whose output is loop-invariant for a fixed split.
-_BUILDERS = frozenset({"build_side_array", "build_side_cover"})
+_BUILDERS = frozenset({"build_side_cover", "build_relation_cover"})
 
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -47,7 +47,7 @@ class UncachedArrayRebuild(Rule):
     code = "RR110"
     name = "uncached-array-rebuild"
     rationale = (
-        "rebuilding a realization array or side cover inside a loop repeats "
+        "rebuilding a side or relation cover inside a loop repeats "
         "work whose bits cannot change; route repeated builds through "
         "repro.core.sweep.cached_side_cover / ArrayCache (or noqa with "
         "justification)"

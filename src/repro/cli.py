@@ -74,6 +74,10 @@ from repro.obs.ledger import DEFAULT_LEDGER_DIR, content_hash
 
 __all__ = ["main", "build_parser"]
 
+#: ``--method`` choices: every engine but ``chain``, which needs an
+#: ordered cut sequence the command line has no way to pass.
+_CLI_METHODS = [m for m in available_methods() if m != "chain"]
+
 _SAMPLES = {
     "diamond": lambda: diamond(),
     "fig2": lambda: fujita_fig2_bridge(),
@@ -148,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--method",
         default="auto",
-        choices=available_methods(),
+        choices=_CLI_METHODS,
         help="algorithm (default: auto)",
     )
     compute.add_argument(
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--method",
         default="auto",
-        choices=available_methods(),
+        choices=_CLI_METHODS,
         help="algorithm (default: auto)",
     )
     profile.add_argument(

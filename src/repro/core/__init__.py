@@ -1,9 +1,8 @@
 """The paper's algorithms: naive, bridge, bottleneck, chain, factoring,
 Monte-Carlo and bounds, plus the dispatching :func:`compute_reliability`."""
 
-from repro.core.accumulate import accumulate
 from repro.core.api import available_methods, compute_reliability
-from repro.core.arrays import RealizationArray, build_side_array
+from repro.core.arrays import build_relation_cover, build_side_cover
 from repro.core.assignments import (
     classify_by_support,
     count_assignments,
@@ -96,9 +95,8 @@ __all__ = [
     "classify_by_support",
     "iter_support_classes",
     "describe_assignment",
-    "RealizationArray",
-    "build_side_array",
-    "accumulate",
+    "build_side_cover",
+    "build_relation_cover",
     "ArrayCache",
     "SweepSpec",
     "SweepResult",

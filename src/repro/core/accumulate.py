@@ -1,7 +1,7 @@
 """The ACCUMULATION procedure (paper §IV-B).
 
-Given the two realization arrays and a class ``D_{E'}`` of assignments
-supported by the surviving bottleneck pattern, compute
+Given the two sides' realization masks and a class ``D_{E'}`` of
+assignments supported by the surviving bottleneck pattern, compute
 
     r_{E'} = P( the G_s configuration and the G_t configuration jointly
                realize at least one assignment in D_{E'} ).
@@ -26,65 +26,27 @@ The sum has no ``2^q`` table, so any class the uint64 packing can hold
 to the signed sum (:func:`repro.probability.union_probability_from_intersections`).
 
 Every caller runs :func:`joint_rows` on two sides' distinct masks and
-their weights.  The pointwise
-:func:`repro.core.bottleneck.bottleneck_reliability`, the sweep, batch
-and serve paths (all through :func:`repro.core.sweep.split_reliability`)
-and chain's end segments read both from the sides' cube covers
-(:class:`repro.core.cover.SideCover`: ``distinct`` and ``weights``), so
-they never hold a ``2^m`` array.  The paper's explicit array is kept
-for :func:`accumulate`, which groups it with the two ``2^m`` helpers:
-
-:func:`distinct_masks`
-    Group one side array by its distinct realization masks.
-:func:`distinct_weights`
-    Row ``s`` is the probability of each distinct mask under the
-    configuration probabilities of point ``s``; one weighted
-    ``np.bincount`` per row, independent of every other row.
-:func:`joint_rows`
-    ``r[s]`` for one class (``within``) from both sides' distinct masks
-    and weights, regrouped by the class's bits; each row's pair
-    products are summed on their own over a hit matrix built once per
-    call (in blocks under a fixed entry cap), so a row's value does not
-    depend on which batch it rides in.
+their weights, read from the sides' cube covers
+(:class:`repro.core.cover.SideCover`: ``distinct`` and ``weights``): the
+pointwise :func:`repro.core.bottleneck.bottleneck_reliability`, the
+sweep, batch and serve paths (all through
+:func:`repro.core.sweep.split_reliability`) and chain's closing, so no
+caller holds a ``2^m`` array.  :func:`joint_rows` gives ``r[s]`` for one
+class (``within``), regrouped by the class's bits; each row's pair
+products are summed on their own over a hit matrix built once per call
+(in blocks under a fixed entry cap), so a row's value does not depend
+on which batch it rides in.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
 
 import numpy as np
 
-from repro.core.arrays import RealizationArray
-from repro.exceptions import ReproValueError
-from repro.probability.bitset import mask_from_indices
-
-__all__ = ["accumulate", "distinct_masks", "distinct_weights", "joint_rows"]
+__all__ = ["joint_rows"]
 
 #: Largest hit matrix :func:`joint_rows` holds at once (entries).
 _HIT_ENTRIES = 1 << 18
-
-
-def distinct_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct uint64 masks of one side (ascending) and each entry's
-    index into them."""
-    distinct, inverse = np.unique(
-        np.asarray(masks, dtype=np.uint64), return_inverse=True
-    )
-    return distinct, inverse.reshape(-1)
-
-
-def distinct_weights(
-    inverse: np.ndarray, probability_rows: np.ndarray, size: int
-) -> np.ndarray:
-    """``(rows, size)`` probability of each distinct mask, one row per point.
-
-    Each row is one weighted ``np.bincount``, which adds in
-    configuration order, so every row is reproducible bit for bit.
-    """
-    weights = np.empty((probability_rows.shape[0], size), dtype=np.float64)
-    for s, row in enumerate(probability_rows):
-        weights[s] = np.bincount(inverse, weights=row, minlength=size)
-    return weights
 
 
 def _restrict(
@@ -138,27 +100,3 @@ def joint_rows(
             pairs *= hit
             out[first:last] += pairs.reshape(len(pairs), -1).sum(axis=1)
     return out
-
-
-def accumulate(
-    source: RealizationArray,
-    sink: RealizationArray,
-    assignment_indices: Sequence[int],
-) -> float:
-    """``r_{E'}`` for the class given by ``assignment_indices``."""
-    if source.num_assignments != sink.num_assignments:
-        raise ReproValueError("side arrays disagree on the assignment count")
-    for j in assignment_indices:
-        if not (0 <= j < source.num_assignments):
-            raise ReproValueError(f"assignment index {j} out of range")
-    ms, inverse_s = distinct_masks(source.masks)
-    mt, inverse_t = distinct_masks(sink.masks)
-    return float(
-        joint_rows(
-            ms,
-            distinct_weights(inverse_s, source.probabilities[None, :], len(ms)),
-            mt,
-            distinct_weights(inverse_t, sink.probabilities[None, :], len(mt)),
-            mask_from_indices(assignment_indices),
-        )[0]
-    )

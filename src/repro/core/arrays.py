@@ -1,11 +1,11 @@
-"""Realization arrays (paper §III-C).
+"""Realization covers (paper §III-C).
 
-For one side of the split (``G_s`` or ``G_t``), the data structure is an
-array of length ``2^{|E_side|}``: the entry for failure configuration
-``i`` is a ``|D|``-bit value whose ``j``-th bit says whether that
-configuration *realizes* assignment ``j`` — i.e. the alive subgraph of
-the side can route exactly ``a_l`` sub-streams to/from the ``l``-th
-bottleneck port for every ``l`` (Example 2's binary sequences).
+For one side of the split (``G_s`` or ``G_t``), the paper's data
+structure is an array of length ``2^{|E_side|}``: the entry for failure
+configuration ``i`` is a ``|D|``-bit value whose ``j``-th bit says
+whether that configuration *realizes* assignment ``j`` — i.e. the alive
+subgraph of the side can route exactly ``a_l`` sub-streams to/from the
+``l``-th bottleneck port for every ``l`` (Example 2's binary sequences).
 
 Realization of one assignment is a side-local max-flow question: attach
 a virtual terminal, give the port arc for bottleneck link ``l`` capacity
@@ -15,35 +15,27 @@ a virtual terminal, give the port arc for bottleneck link ``l`` capacity
 asks the same question with two virtual terminals and a load ``(a, b)``
 over its in- and out-ports.
 
-Every segment is one description — an optional real source terminal
-with in-ports, an optional real sink terminal with out-ports, ``None``
-being a virtual node — settled by one builder, :func:`_realization_masks`.
-Max-flow/min-cut duality turns every column into a ``min`` over the
+Eq. 3 never needs the ``2^m`` array itself, only its distinct masks and
+their weights, so every segment is built as a disjoint cube cover
+(:mod:`repro.core.cover`): :func:`build_side_cover` for ``G_s`` and
+``G_t``, :func:`build_relation_cover` for a chain middle, whose cubes
+carry one mask word per in-assignment.  Both go through one builder:
+max-flow/min-cut duality turns every mask into a ``min`` over the
 segment's bond family (:mod:`repro.core.certificate`), which needs no
 solver; a segment whose bond family is over the certificate guards
 falls back to a max-flow walk of each load's lattice in Gray-code order,
 repairing one flow across consecutive entries and pruned by
-monotonicity in the alive set.
-
-Eq. 3 never needs the ``2^m`` array itself, only its distinct masks and
-their weights, so the bottleneck, sweep, batch and serve paths and
-chain's end segments describe a side as a disjoint cube cover instead
-(:func:`build_side_cover`, :mod:`repro.core.cover`): a few dozen cubes
-factored from the same bond family, or from the same Gray-walk table
-past the guards.  :func:`build_side_array` stays as the paper's
-explicit array — :func:`repro.core.accumulate.accumulate` and the
-worked examples use it, and the covers are tested against it — and
-chain's middle segments still build :func:`build_segment_relation`.
+monotonicity in the alive set, and the cover is factored on that table.
+The branching reads masks only, so both kernels give the same cubes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.core.certificate import certificate_cover, certificate_masks, side_cut_family
+from repro.core.certificate import certificate_cover, side_cut_family
 from repro.core.cover import SideCover, table_cover
 from repro.core.latticewalk import gray_walk_table
 from repro.exceptions import SolverError
@@ -54,7 +46,6 @@ from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SubnetworkView
 from repro.obs.progress import progress_ticker
 from repro.obs.recorder import (
-    ARRAY_ENTRIES_BUILT,
     AUGMENTING_PATHS_SAVED,
     CERTIFICATE_CUTS,
     COVER_CUBES_BUILT,
@@ -64,14 +55,9 @@ from repro.obs.recorder import (
     span,
 )
 from repro.probability.bitset import pack_bitplanes
-from repro.probability.enumeration import check_enumerable, configuration_probabilities
+from repro.probability.enumeration import check_enumerable
 
-__all__ = [
-    "RealizationArray",
-    "build_segment_relation",
-    "build_side_array",
-    "build_side_cover",
-]
+__all__ = ["build_relation_cover", "build_side_cover"]
 
 _VIRTUAL_IN = "__terminal_in__"
 _VIRTUAL_OUT = "__terminal_out__"
@@ -134,39 +120,7 @@ def _segment_template(
     return template, port_names, s_idx, t_idx
 
 
-@dataclass(frozen=True)
-class RealizationArray:
-    """The §III-C array for one side.
-
-    Attributes
-    ----------
-    masks:
-        ``uint64`` array of length ``2^{m}``; entry ``i`` has bit ``j``
-        set iff side configuration ``i`` realizes assignment ``j``.
-    probabilities:
-        Probability of each side configuration (sums to 1).
-    num_assignments:
-        ``|D|`` — how many bits of each mask are meaningful.
-    flow_calls:
-        Max-flow solves spent building the array.
-    """
-
-    masks: np.ndarray
-    probabilities: np.ndarray
-    num_assignments: int
-    flow_calls: int
-
-    def realizes(self, configuration: int, assignment_index: int) -> bool:
-        """Whether one configuration realizes one assignment."""
-        return bool((int(self.masks[configuration]) >> assignment_index) & 1)
-
-    def realized_indices(self, configuration: int) -> list[int]:
-        """Assignment indices realized by one configuration."""
-        mask = int(self.masks[configuration])
-        return [j for j in range(self.num_assignments) if (mask >> j) & 1]
-
-
-def build_side_array(
+def build_side_cover(
     side: SubnetworkView,
     *,
     role: str,
@@ -174,8 +128,8 @@ def build_side_array(
     ports: Sequence[Node],
     assignments: Sequence[Sequence[int]],
     demand: int,
-) -> RealizationArray:
-    """Build the realization array for one side of the split.
+) -> SideCover:
+    """The realization masks of one side as a disjoint cube cover.
 
     Parameters
     ----------
@@ -196,70 +150,16 @@ def build_side_array(
         summing to ``demand``.
     demand:
         The paper's ``d``.
-
-    The side becomes a segment (its terminal plus one virtual terminal)
-    settled by :func:`_realization_masks`: the cut-certificate kernel
-    (:mod:`repro.core.certificate`, zero max-flow solves) inside its two
-    guards, the pruned Gray walk with the default solver past either.
-    The masks are bit-identical either way.
     """
     net = side.network
     _validate_side_request(
         net, role=role, assignments=assignments, ports=ports, demand=demand
     )
     segment = (terminal, None, (), ports) if role == "source" else (None, terminal, ports, ())
-    masks, flow_calls = _realization_masks(net, *segment, assignments, demand)
-    count(ARRAY_ENTRIES_BUILT, len(assignments) << net.num_links)
-    return RealizationArray(
-        masks=masks,
-        probabilities=configuration_probabilities(net),
-        num_assignments=len(assignments),
-        flow_calls=flow_calls,
-    )
+    return _segment_cover(net, segment, assignments, 1, demand)
 
 
-def build_side_cover(
-    side: SubnetworkView,
-    *,
-    role: str,
-    terminal: Node,
-    ports: Sequence[Node],
-    assignments: Sequence[Sequence[int]],
-    demand: int,
-) -> SideCover:
-    """The realization masks of one side as a disjoint cube cover.
-
-    Parameters are those of :func:`build_side_array`, and expanding the
-    cover gives its ``masks`` bit for bit.  Inside the certificate
-    guards the cover is factored on the side's cut family
-    (:func:`~repro.core.certificate.certificate_cover`, no solve); past
-    them it is factored on the table the pruned Gray walk fills.  The
-    branching reads masks only, so both give the same cubes.
-    """
-    net = side.network
-    _validate_side_request(
-        net, role=role, assignments=assignments, ports=ports, demand=demand
-    )
-    segment = (terminal, None, (), ports) if role == "source" else (None, terminal, ports, ())
-    capacities = [link.capacity for link in net.links()]
-    family = side_cut_family(net, *segment)
-    if family is not None:
-        count(CERTIFICATE_CUTS, family.size)
-        cubes = certificate_cover(family, assignments, demand, capacities)
-        flow_calls = 0
-    else:
-        masks, flow_calls = _gray_walk_masks(net, *segment, assignments, demand)
-        cubes = table_cover(masks, capacities)
-    count(COVER_CUBES_BUILT, len(cubes))
-    return SideCover(
-        cubes=cubes,
-        num_links=net.num_links,
-        num_assignments=len(assignments),
-        flow_calls=flow_calls,
-    )
-
-
-def build_segment_relation(
+def build_relation_cover(
     segment: SubnetworkView,
     *,
     in_ports: Sequence[Node],
@@ -267,57 +167,57 @@ def build_segment_relation(
     in_assignments: Sequence[Sequence[int]],
     out_assignments: Sequence[Sequence[int]],
     demand: int,
-) -> tuple[np.ndarray, int]:
-    """The realization relation of a chain middle segment.
+) -> SideCover:
+    """The realization relation of a chain middle segment as a cube cover.
 
-    Returns ``(relation, flow_calls)``: bit ``j`` of ``uint64`` entry
-    ``relation[i, c]`` is set iff configuration ``c`` absorbs exactly
-    ``in_assignments[i]`` at the in-ports while emitting exactly
-    ``out_assignments[j]`` at the out-ports.  Row ``i`` is one
-    :func:`_realization_masks` call with two virtual terminals and the
-    loads ``(in_assignments[i], b)``.
+    Each cube has one mask word per in-assignment: bit ``b`` of word
+    ``a`` is set iff the cube's configurations absorb exactly
+    ``in_assignments[a]`` at the in-ports while emitting exactly
+    ``out_assignments[b]`` at the out-ports, the load ``(a, b)`` between
+    two virtual terminals.
     """
     net = segment.network
     check_enumerable(net.num_links)
+    if not in_assignments:
+        raise SolverError("a relation needs at least one in-assignment")
     _validate_assignments(in_assignments, in_ports, demand)
     _validate_assignments(out_assignments, out_ports, demand)
-    relation = np.empty((len(in_assignments), 1 << net.num_links), dtype=np.uint64)
-    count(ARRAY_ENTRIES_BUILT, len(in_assignments) * len(out_assignments) << net.num_links)
-    flow_calls = 0
-    for i, a in enumerate(in_assignments):
-        relation[i], calls = _realization_masks(
-            net, None, None, in_ports, out_ports,
-            [(*a, *b) for b in out_assignments], demand,
-        )
-        flow_calls += calls
-    return relation, flow_calls
+    loads = [(*a, *b) for a in in_assignments for b in out_assignments]
+    return _segment_cover(
+        net, (None, None, in_ports, out_ports), loads, len(in_assignments), demand
+    )
 
 
-def _realization_masks(
+def _segment_cover(
     net: FlowNetwork,
-    source: Node | None,
-    sink: Node | None,
-    in_ports: Sequence[Node],
-    out_ports: Sequence[Node],
+    segment: tuple[Node | None, Node | None, Sequence[Node], Sequence[Node]],
     loads: Sequence[Sequence[int]],
+    words: int,
     demand: int,
-) -> tuple[np.ndarray, int]:
-    """Every §III-C realization mask of one segment, and the solves spent.
+) -> SideCover:
+    """One segment ``(source, sink, in_ports, out_ports)`` as a cover whose
+    masks pack ``loads`` into ``words`` words.
 
-    Bit ``j`` of entry ``c`` is set iff configuration ``c`` carries
-    ``demand`` units with port arc ``l`` capped at ``loads[j][l]`` (the
-    in-ports, then the out-ports).  Inside the certificate guards the
-    bond family answers without a solve.  Past them one repairable flow
-    walks every entry: each load switch is a
-    :meth:`~repro.flow.incremental.IncrementalMaxFlow.retarget` (only
-    the port arcs move) and each column is filled by the shared pruned
-    Gray walk, so consecutive solves repair a one-link delta.
+    Inside the certificate guards the cover is factored on the segment's
+    cut family (:func:`~repro.core.certificate.certificate_cover`, no
+    solve); past them on the table the pruned Gray walk fills.
     """
-    family = side_cut_family(net, source, sink, in_ports, out_ports)
+    capacities = [link.capacity for link in net.links()]
+    family = side_cut_family(net, *segment)
     if family is not None:
         count(CERTIFICATE_CUTS, family.size)
-        return certificate_masks(family, loads, demand), 0
-    return _gray_walk_masks(net, source, sink, in_ports, out_ports, loads, demand)
+        cubes = certificate_cover(family, loads, demand, capacities, words)
+        flow_calls = 0
+    else:
+        masks, flow_calls = _gray_walk_masks(net, *segment, loads, demand, words)
+        cubes = table_cover(masks, capacities)
+    count(COVER_CUBES_BUILT, len(cubes))
+    return SideCover(
+        cubes=cubes,
+        num_links=net.num_links,
+        num_assignments=len(loads) // words,
+        flow_calls=flow_calls,
+    )
 
 
 def _gray_walk_masks(
@@ -328,8 +228,19 @@ def _gray_walk_masks(
     out_ports: Sequence[Node],
     loads: Sequence[Sequence[int]],
     demand: int,
+    words: int,
 ) -> tuple[np.ndarray, int]:
-    """:func:`_realization_masks` past the certificate guards: the walk."""
+    """The ``(2^m, words)`` mask table past the certificate guards, and
+    the solves spent.
+
+    With ``width = len(loads) // words``, bit ``j`` of word ``w`` of
+    entry ``c`` is set iff configuration ``c`` carries ``demand`` units
+    with port arc ``l`` capped at component ``l`` of load
+    ``w * width + j`` (the in-ports, then the out-ports).  One repairable flow walks every entry: each load switch
+    is a :meth:`~repro.flow.incremental.IncrementalMaxFlow.retarget`
+    (only the port arcs move) and each column is filled by the shared
+    pruned Gray walk, so consecutive solves repair a one-link delta.
+    """
     template, port_names, s_idx, t_idx = _segment_template(
         net, source, sink, in_ports, out_ports, demand
     )
@@ -375,4 +286,6 @@ def _gray_walk_masks(
         count(FLOW_REPAIRS, engine.repairs)
     if engine.paths_saved:
         count(AUGMENTING_PATHS_SAVED, engine.paths_saved)
-    return pack_bitplanes(realized), engine.solver_calls
+    width = len(loads) // words
+    packed = pack_bitplanes(realized.reshape(size * words, width)).reshape(size, words)
+    return packed, engine.solver_calls

@@ -8,19 +8,20 @@ network with a set of α-bottleneck links in
    (:mod:`repro.graph.cuts`, :mod:`repro.graph.transforms`);
 2. enumerate the assignment set ``D`` (§III-B,
    :mod:`repro.core.assignments`);
-3. build both realization arrays (§III-C, :mod:`repro.core.arrays`):
-   ``|D| · 2^{|E_side|}`` entries each, settled by the solver-free
+3. describe both sides' realization masks (§III-C, the paper's
+   ``|D| · 2^{|E_side|}``-entry arrays) as cube covers
+   (:mod:`repro.core.arrays`), settled by the solver-free
    cut-certificate kernel (:mod:`repro.core.certificate`) or, for a
    side past its guards, by a pruned Gray walk of side-local max-flow
    solves — the side decides, no option does;
 4. for each of the ``2^k`` bottleneck survival patterns ``E'``, weigh
    the ACCUMULATION result over the supported class by the pattern
-   probability ``p_{E'}`` (Eq. 2) and sum (Eq. 3,
-   :mod:`repro.core.accumulate`, whose kernel the class size picks).
+   probability ``p_{E'}`` (Eq. 2) and sum (Eq. 3, one pair sum of
+   :mod:`repro.core.accumulate`).
 
 Steps 2–4 are one pipeline, :func:`repro.core.sweep.split_reliability`,
 which evaluates Eq. 2/3 for a whole grid of failure vectors over one
-pair of arrays; ``bottleneck_reliability`` is its one-row call and a
+pair of covers; ``bottleneck_reliability`` is its one-row call and a
 probability sweep its many-row call.
 
 Model note: the assignment machinery routes every sub-stream *forward*

@@ -1,4 +1,4 @@
-"""Solver-free §III-C realization columns via cut certificates.
+"""Solver-free §III-C realization masks via cut certificates.
 
 A segment configuration realizes load ``a`` iff the segment-local flow
 network (the alive links plus one virtual port arc of capacity ``a_l``
@@ -11,9 +11,8 @@ sink terminal outside) has
 
 The left-hand side splits into a configuration part that does not
 depend on the assignment and a port *offset* that does not depend on
-the configuration, so the whole column family of one segment is two
-vectorized steps over a small cut family instead of ``|D| · 2^m``
-max-flow solves:
+the configuration, so every mask of one segment is a lookup over a
+small cut family instead of ``|D|`` max-flow solves:
 
 1. **The cut family** (:func:`side_cut_family`).  Every cut ``S`` can be
    shrunk to a *bond* — both shores connected in the undirected side
@@ -26,25 +25,22 @@ max-flow solves:
    assignment.  Only the inclusion-minimal crossing sets are kept.
    This is the minimal-cut family of the capacity-factor theory of a
    point-to-point network (Li, Zhao & Kan).
-2. **The certificate table** (:func:`certificate_masks`).  The alive
-   capacity of every (configuration, cut) pair, clipped at ``d``, is
-   built with the dead-half-first doubling of
-   :func:`repro.probability.configuration_probabilities` (bit ``i`` is
-   link ``i``), blocked over the lattice so a 20-link side stays within
-   a fixed memory budget.  Cuts sharing one port-crossing pattern share
-   one offset per assignment, so they are folded by a row-wise ``min``
-   first; assignment ``j``'s column is then
-   ``min_S(table + offset_j) ≥ d``.
+2. **The threshold lookup** (:func:`_pattern_groups`).  Cuts sharing
+   one port-crossing pattern share one offset per assignment, so they
+   are folded by a ``min`` over their clipped alive capacities first;
+   assignment ``j`` is then realized iff ``min_S(capacity + offset_j)
+   ≥ d``, one ``searchsorted`` per pattern group.
 
-:func:`certificate_cover` asks the same question per factoring node of
-a side's cube cover (:mod:`repro.core.cover`) instead of per
-configuration: a node carries its bonds' clipped capacities, so the
-whole ``2^m`` table is never built.
+:func:`certificate_cover` asks that question per factoring node of a
+segment's cube cover (:mod:`repro.core.cover`): a node carries its
+bonds' clipped capacities, so no ``2^m`` table is ever built.  A chain
+middle's loads are ``(a, b)`` pairs, packed one word per in-assignment
+``a``.
 
-The masks are bit-identical to one cold max-flow per configuration and
-load (``tests/properties/test_prop_certificate.py`` and
+The covers expand bit for bit to one cold max-flow per configuration
+and load (``tests/properties/test_prop_certificate.py`` and
 ``test_prop_segment_relation.py`` pin this against the reference
-oracle); ``flow_calls`` is 0.  :mod:`repro.core.arrays` builds every
+oracle); ``flow_calls`` is 0.  :mod:`repro.core.arrays` covers every
 segment — both sides of the split and every chain middle — with this
 kernel unless its bond family is over one of the two guards below; only
 then does it run the pruned max-flow Gray walk.  No caller option
@@ -61,27 +57,25 @@ import numpy as np
 from repro.core.cover import factor_cover
 from repro.exceptions import SolverError
 from repro.graph.network import FlowNetwork, Node
-from repro.probability.enumeration import check_enumerable
 
 __all__ = [
     "MAX_CERTIFICATE_CUTS",
     "MAX_CERTIFICATE_FREE_NODES",
     "CutFamily",
     "certificate_cover",
-    "certificate_masks",
     "side_cut_family",
 ]
 
 #: Guard on the bond enumeration: a side with more non-terminal nodes
 #: than this (nodes no arc touches excluded) falls back to the max-flow
 #: Gray walk.  Enumeration walks all ``2^free`` node subsets; at 16 free
-#: nodes that is ~13 ms and 0.5 MiB per array (docs/PERFORMANCE.md).
+#: nodes that is ~13 ms and 0.5 MiB per segment (docs/PERFORMANCE.md).
 MAX_CERTIFICATE_FREE_NODES = 16
 
-#: Guard on the family itself: the certificate table costs about a
-#: nanosecond per (configuration, cut), so past this many
-#: inclusion-minimal crossing sets the max-flow Gray walk is used instead.
-#: At 1024 cuts the table is still ~10x faster than the Gray walk on
+#: Guard on the family itself: past this many inclusion-minimal crossing
+#: sets the max-flow Gray walk is used instead.  Set when the kernel
+#: filled a ``2^m`` table at about a nanosecond per (configuration, cut):
+#: at 1024 cuts that table was still ~10x faster than the Gray walk on
 #: 14- and 20-link sides (docs/PERFORMANCE.md, "Cut certificates").
 MAX_CERTIFICATE_CUTS = 1024
 
@@ -90,8 +84,8 @@ MAX_CERTIFICATE_CUTS = 1024
 #: over the :data:`MAX_CERTIFICATE_CUTS` guard.
 _MAX_CANDIDATE_CUTS = 2048
 
-#: Table entries per lattice block (``configurations x cuts``): a few
-#: hundred KiB of ``uint8`` per live table, so peak memory stays flat.
+#: Capacity entries per evaluation block (``nodes x bounds x cuts``), so
+#: peak memory stays flat however wide the frontier grows.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -258,31 +252,6 @@ def side_cut_family(
     )
 
 
-def _table_dtype(demand: int) -> type[np.unsignedinteger]:
-    """Narrowest unsigned dtype holding ``2 * demand`` (a clipped sum plus
-    one clipped weight, before the next clip)."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        if 2 * demand <= np.iinfo(dtype).max:
-            return dtype
-    return np.uint64
-
-
-def _doubling_table(weights: np.ndarray, cap: np.unsignedinteger) -> np.ndarray:
-    """Clipped alive capacity per (cut, configuration) of ``len(weights)`` links.
-
-    Column ``c`` is ``min(cap, Σ_{i alive in c} weights[i])``, built dead
-    half first exactly like the configuration-probability table.  Cuts
-    are rows, so the per-pattern ``min`` reduces across rows.
-    """
-    table = np.zeros((weights.shape[1], 1 << len(weights)), dtype=weights.dtype)
-    for i, row in enumerate(weights):
-        dead = table[:, : 1 << i]
-        alive = table[:, 1 << i : 2 << i]
-        np.add(dead, row[:, None], out=alive)
-        np.minimum(alive, cap, out=alive)
-    return table
-
-
 def _threshold_lookup(need: Sequence[int]) -> tuple[list[int], list[int]]:
     """Per-pattern ``(thresholds, bits)`` for one column of ``need``.
 
@@ -315,7 +284,7 @@ class _Lookup:
 
 
 def _pattern_groups(
-    family: CutFamily, assignments: Sequence[Sequence[int]], demand: int
+    family: CutFamily, assignments: Sequence[Sequence[int]], demand: int, words: int
 ) -> tuple[np.ndarray, np.ndarray, _Lookup | None]:
     """The cuts some assignment needs capacity from, grouped by pattern.
 
@@ -324,7 +293,9 @@ def _pattern_groups(
     Cuts sharing one port-crossing pattern share one offset per
     assignment.  A pattern no assignment needs anything from (e.g. every
     port crosses) is satisfied by every configuration and left out;
-    ``lookup`` is ``None`` when every pattern is.
+    ``lookup`` is ``None`` when every pattern is.  The assignments fill
+    ``words`` mask words of ``len(assignments) // words`` bits in turn:
+    ``lookup.bits`` is ``(thresholds, words)``, or flat for one word.
     """
     by_pattern: dict[tuple[bool, ...], list[int]] = {}
     for cut, pattern in enumerate(family.port_crossing.T.tolist()):
@@ -347,6 +318,10 @@ def _pattern_groups(
     bounds = np.cumsum([0] + [len(g) for g in groups])
     if not groups:
         return order, bounds, None
+    if words > 1:
+        width = len(loads) // words
+        low = (1 << width) - 1
+        bits = [[(b >> (width * w)) & low for w in range(words)] for b in bits]
     index = np.arange(len(groups), dtype=np.int64)[:, None]
     lookup = _Lookup(
         thresholds=np.array(thresholds, dtype=np.int64),
@@ -364,66 +339,28 @@ def _realized(cheapest: np.ndarray, lookup: _Lookup) -> np.ndarray:
     return np.bitwise_and.reduce(lookup.bits[index], axis=0)
 
 
-def certificate_masks(
-    family: CutFamily, assignments: Sequence[Sequence[int]], demand: int
-) -> np.ndarray:
-    """Realization masks of one side from its cut family.
-
-    Returns the ``uint64`` array of length ``2^{num_links}`` whose entry
-    ``c`` has bit ``j`` set iff configuration ``c`` realizes
-    ``assignments[j]`` — the same array the Gray-walk fallback packs.
-    """
-    num_links = family.link_weights.shape[0]
-    check_enumerable(num_links)
-    size = 1 << num_links
-    full = np.uint64((1 << len(assignments)) - 1)
-    masks = np.full(size, full, dtype=np.uint64)
-    if not len(assignments):
-        return masks
-
-    dtype = _table_dtype(demand)
-    cap = dtype(demand)
-    order, bounds, lookup = _pattern_groups(family, assignments, demand)
-    if lookup is None:
-        return masks
-
-    weights = np.minimum(family.link_weights[:, order], demand).astype(dtype)
-    low_bits = num_links
-    while low_bits > 0 and (len(order) << low_bits) > _BLOCK_ENTRIES:
-        low_bits -= 1
-    low = _doubling_table(weights[:low_bits], cap)
-    high = _doubling_table(weights[low_bits:], cap)
-    block = 1 << low_bits
-    for start in range(0, size, block):
-        h = start >> low_bits
-        alive = np.add(low, high[:, h : h + 1])
-        np.minimum(alive, cap, out=alive)
-        cheapest = np.minimum.reduceat(alive, bounds[:-1], axis=0)
-        masks[start : start + block] = _realized(cheapest, lookup)
-    return masks
-
-
 def certificate_cover(
     family: CutFamily,
     assignments: Sequence[Sequence[int]],
     demand: int,
     capacities: Sequence[int],
+    words: int,
 ) -> np.ndarray:
-    """The cube cover (:mod:`repro.core.cover`) of one side from its cut family.
+    """The cube cover (:mod:`repro.core.cover`) of one segment from its cut family.
 
-    Every mask :func:`~repro.core.cover.factor_cover` asks for is
-    :func:`certificate_masks`' threshold lookup on clipped cut
-    capacities: a node's own ``lo`` and ``hi``, and the same with one
-    link's weights added to ``lo`` or taken off ``hi`` for each link.
-    ``capacities`` are the side's link capacities (the tie-break of the
-    branching rule).  Expanding the cover reproduces
-    :func:`certificate_masks` bit for bit.
+    Every mask :func:`~repro.core.cover.factor_cover` asks for is a
+    threshold lookup on clipped cut capacities: a node's own ``lo`` and
+    ``hi``, and the same with one link's weights added to ``lo`` or
+    taken off ``hi`` for each link.  ``capacities`` are the segment's
+    link capacities (the tie-break of the branching rule).  The
+    assignments fill ``words`` mask words in turn (a relation cover's
+    in-assignment rows; a side has one word).
     """
     num_links = family.link_weights.shape[0]
-    full = np.uint64((1 << len(assignments)) - 1)
-    order, bounds, lookup = _pattern_groups(family, assignments, demand)
+    full = (1 << (len(assignments) // words)) - 1
+    order, bounds, lookup = _pattern_groups(family, assignments, demand, words)
     if lookup is None:
-        return np.array([[0, 0, full]], dtype=np.uint64)
+        return np.array([[0, 0, *[full] * words]], dtype=np.uint64)
     weights = np.minimum(family.link_weights[:, order], demand)
     starts = bounds[:-1]
     block = max(1, _BLOCK_ENTRIES // ((2 + 2 * num_links) * len(order)))
@@ -437,7 +374,7 @@ def certificate_cover(
             )
             np.minimum(every, demand, out=every)
             cheapest = np.minimum.reduceat(every.reshape(-1, len(order)), starts, axis=1)
-            parts.append(_realized(cheapest.T, lookup).reshape(len(node), -1))
+            parts.append(_realized(cheapest.T, lookup).reshape(len(node), -1, words))
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     return factor_cover(num_links, capacities, evaluate, weights, demand)

@@ -22,9 +22,10 @@ assignments still completable from ``s``?"):
 * a middle segment maps ``R`` through its per-configuration relation
   ``M_c ⊆ A_j × A_{j+1}``: the new set is
   ``{b : ∃ a ∈ R, (a, b) ∈ M_c}``.  ``(a, b) ∈ M_c`` is the §III-C
-  realization question with two virtual terminals, answered for every
-  configuration by :func:`repro.core.arrays.build_segment_relation`;
-  the map runs once per distinct relation, not once per configuration;
+  realization question with two virtual terminals; the segment's
+  relation cover (:func:`repro.core.arrays.build_relation_cover`) gives
+  every distinct relation and its weight, and the map runs once per
+  distinct relation, not once per configuration;
 * the sink segment closes the chain:
   ``R(G) = Σ_R dist[R] · P(realized sink set intersects R)``, the
   Eq. 3 pair sum of :mod:`repro.core.accumulate` over the nonzero
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.accumulate import joint_rows
-from repro.core.arrays import build_segment_relation, build_side_cover
+from repro.core.arrays import build_relation_cover, build_side_cover
 from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.bottleneck import pattern_probabilities
 from repro.core.demand import FlowDemand
@@ -51,7 +52,7 @@ from repro.exceptions import DecompositionError
 from repro.graph.connectivity import connected_components
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SubnetworkView, check_forward_cut, induced_subnetwork
-from repro.probability.enumeration import check_enumerable, configuration_probabilities
+from repro.probability.enumeration import check_enumerable
 
 __all__ = ["chain_reliability", "ChainStructure", "analyze_chain"]
 
@@ -229,28 +230,26 @@ def _cross_cut(
 
 def _through_segment(
     dist: np.ndarray,
-    relation: np.ndarray,
-    probabilities: np.ndarray,
+    relations: np.ndarray,
+    weights: np.ndarray,
     q_out: int,
 ) -> np.ndarray:
     """Push the subset distribution through a middle segment.
 
-    ``relation[a, c]`` is the out-mask in-assignment ``a`` reaches under
-    configuration ``c`` (:func:`repro.core.arrays.build_segment_relation`).
-    Configurations sharing one relation are grouped and their
-    probabilities summed first; each distinct relation then maps every
-    in-state ``R`` to ``⋃_{a ∈ R} relation[a]`` once, by doubling over
-    the in-assignments.
+    Row ``r`` of ``relations`` is one distinct relation of the segment
+    (:attr:`repro.core.cover.SideCover.distinct` of its relation cover):
+    word ``a`` is the out-mask in-assignment ``a`` reaches, and
+    ``weights[r]`` the probability of that relation.  Each relation maps
+    every in-state ``R`` to ``⋃_{a ∈ R} relations[r, a]`` once, by
+    doubling over the in-assignments.
     """
-    q_in = relation.shape[0]
+    q_in = relations.shape[1]
     check_enumerable(max(q_in, q_out))
-    distinct, inverse = np.unique(relation.T, axis=0, return_inverse=True)
-    weights = np.bincount(inverse.ravel(), weights=probabilities, minlength=len(distinct))
     states = np.flatnonzero(dist)
     new = np.zeros(1 << q_out, dtype=np.float64)
     block = max(1, _IMAGE_ENTRIES >> q_in)
-    for start in range(0, len(distinct), block):
-        rows = distinct[start : start + block]
+    for start in range(0, len(relations), block):
+        rows = relations[start : start + block]
         # image[r, R] = union of rows[r, a] over the in-assignments a in R.
         image = np.zeros((len(rows), 1 << q_in), dtype=np.uint64)
         for a in range(q_in):
@@ -273,10 +272,10 @@ def chain_reliability(
 
     The two end segments are §III-C side covers
     (:func:`repro.core.arrays.build_side_cover`) and every middle
-    segment is a realization relation over its two port sets
-    (:func:`repro.core.arrays.build_segment_relation`), a ``2^m`` table.
-    All of them are settled by the cut-certificate kernel inside its
-    guards (no max-flow solves) and by the pruned Gray walk past them.
+    segment is a relation cover over its two port sets
+    (:func:`repro.core.arrays.build_relation_cover`).  All of them are
+    settled by the cut-certificate kernel inside its guards (no max-flow
+    solves) and by the pruned Gray walk past them.
     """
     demand.validate_against(net)
     structure = analyze_chain(net, demand.source, demand.sink, cuts)
@@ -326,7 +325,7 @@ def chain_reliability(
     # Middle segments and their trailing cuts.
     for j in range(1, r):
         segment = structure.segments[j]
-        relation, calls = build_segment_relation(
+        relation = build_relation_cover(  # repro: noqa[RR110] each middle is its own segment
             segment,
             in_ports=structure.in_ports[j - 1],
             out_ports=structure.out_ports[j],
@@ -334,12 +333,13 @@ def chain_reliability(
             out_assignments=assignment_sets[j],
             demand=demand.rate,
         )
-        flow_calls += calls
-        configurations += relation.shape[1]
+        flow_calls += relation.flow_calls
+        configurations += 1 << relation.num_links
+        weights = relation.weights(_failure_row(segment))[0]
         dist = _through_segment(
             dist,
-            relation,
-            configuration_probabilities(segment.network),
+            relation.distinct.reshape(len(weights), relation.words),
+            weights,
             len(assignment_sets[j]),
         )
         dist = _cross_cut(

@@ -29,6 +29,13 @@ probability is ``Π(1 − p)`` over its alive links times ``Π p`` over its
 dead ones, multiplied in link order; a mask's weight sums its cubes.
 Every row is computed on its own, so a row's weights do not depend on
 the batch it rides in.
+
+A chain middle segment (:mod:`repro.core.chain`) is covered the same
+way, with a wider mask: its **relation cover** holds ``W`` ``uint64``
+words per cube, one per in-assignment ``a``, and bit ``b`` of word ``a``
+says the cube's configurations absorb ``a`` at the in-ports while
+emitting out-assignment ``b``.  A side is the one-word case, and its
+cube array stays ``(n, 3)``.
 """
 
 from __future__ import annotations
@@ -62,13 +69,15 @@ class SideCover:
     Attributes
     ----------
     cubes:
-        Read-only ``uint64`` array ``(n, 3)``: ``alive``, ``dead`` and
-        ``mask`` of each cube (bit ``i`` of ``alive`` / ``dead`` is side
-        link ``i``; bit ``j`` of ``mask`` is assignment ``j``).
+        Read-only ``uint64`` array ``(n, 2 + W)``: ``alive``, ``dead``
+        and the ``W`` mask words of each cube (bit ``i`` of ``alive`` /
+        ``dead`` is side link ``i``; bit ``j`` of a word is assignment
+        ``j``).  A side has ``W = 1``; a relation cover one word per
+        in-assignment.
     num_links:
         ``m`` — the side's link count.
     num_assignments:
-        ``|D|`` — how many bits of each mask are meaningful.
+        ``|D|`` — how many bits of each mask word are meaningful.
     flow_calls:
         Max-flow solves spent building the cover (0 on a cache hit).
     """
@@ -78,9 +87,17 @@ class SideCover:
     num_assignments: int
     flow_calls: int = 0
 
+    @property
+    def words(self) -> int:
+        """``W`` — mask words per cube (1 for a side)."""
+        return self.cubes.shape[1] - 2
+
     @cached_property
     def _grouping(self) -> tuple[np.ndarray, np.ndarray]:
-        distinct, inverse = np.unique(self.cubes[:, 2], return_inverse=True)
+        if self.words == 1:
+            distinct, inverse = np.unique(self.cubes[:, 2], return_inverse=True)
+        else:
+            distinct, inverse = np.unique(self.cubes[:, 2:], axis=0, return_inverse=True)
         return distinct, inverse.reshape(-1)
 
     @cached_property
@@ -97,7 +114,8 @@ class SideCover:
 
     @property
     def distinct(self) -> np.ndarray:
-        """The distinct realization masks (ascending)."""
+        """The distinct realization masks (ascending); ``(k, W)`` rows of
+        words when ``W > 1``."""
         return self._grouping[0]
 
     def cube_probabilities(self, failure_rows: np.ndarray) -> np.ndarray:
@@ -131,13 +149,14 @@ class SideCover:
         return folded.reshape(rows, size)
 
     def expand(self) -> np.ndarray:
-        """The ``2^m`` mask array the cover describes (tests and oracles)."""
+        """The ``2^m`` mask array the cover describes (tests and oracles);
+        ``(2^m, W)`` when ``W > 1``."""
         check_enumerable(self.num_links)
         configurations = np.arange(1 << self.num_links, dtype=np.uint64)
-        masks = np.zeros(len(configurations), dtype=np.uint64)
-        for alive, dead, mask in self.cubes.tolist():
-            masks[(configurations & np.uint64(alive | dead)) == np.uint64(alive)] = mask
-        return masks
+        masks = np.zeros((len(configurations), self.words), dtype=np.uint64)
+        for alive, dead, *words in self.cubes.tolist():
+            masks[(configurations & np.uint64(alive | dead)) == np.uint64(alive)] = words
+        return masks[:, 0] if self.words == 1 else masks
 
 
 def factor_cover(
@@ -147,7 +166,7 @@ def factor_cover(
     link_weights: np.ndarray,
     cap: int,
 ) -> np.ndarray:
-    """The ``(n, 3)`` cube array of one side, by factoring on masks.
+    """The ``(n, 2 + W)`` cube array of one segment, by factoring on masks.
 
     A frontier is ``links``, ``(nodes, 2)`` ``uint64`` (each node's
     ``alive`` and ``dead`` link masks), and ``caps``, ``(nodes, 2,
@@ -156,15 +175,15 @@ def factor_cover(
     not ``dead`` (``hi``).  Columns of ``link_weights`` (``(num_links,
     cuts)``, each entry at most ``cap``) are the cuts; with no columns
     ``caps`` is empty and ``evaluate`` reads the link masks alone.
-    ``evaluate`` returns ``(nodes, 2 + 2 * num_links)`` masks: each
-    node's lowest and highest mask, then its lowest masks with each
+    ``evaluate`` returns ``(nodes, 2 + 2 * num_links, W)`` mask words:
+    each node's lowest and highest mask, then its lowest masks with each
     link revived, then its highest masks with each link killed.  The
     alive child adds the branch link's weights to ``lo``, the dead
     child takes them off ``hi``.
 
     The branch of a node is the undecided link that settles the most
-    assignment bits: those its revival adds to the lowest mask plus
-    those its death takes from the highest.  Ties go to the larger
+    assignment bits, over all ``W`` words: those its revival adds to the
+    lowest mask plus those its death takes from the highest.  Ties go to the larger
     capacity, then to the lower index.  The rule reads masks only, never
     the cuts, so every kernel that knows the masks factors a side into
     the very same cubes in the very same order.
@@ -184,9 +203,9 @@ def factor_cover(
     while stack:
         links, caps = stack.pop()
         masks = evaluate(links, caps)
-        done = masks[:, 0] == masks[:, 1]
+        done = (masks[:, 0] == masks[:, 1]).all(axis=1)
         if done.any():
-            found.append(np.concatenate([links[done], masks[done, :1]], axis=1))
+            found.append(np.concatenate([links[done], masks[done, 0]], axis=1))
             open_ = ~done
             links, caps, masks = links[open_], caps[open_], masks[open_]
             if not len(links):
@@ -195,8 +214,8 @@ def factor_cover(
         # plus those its death takes from the highest (each move only
         # grows or only shrinks a mask, so both are popcounts of an xor),
         # then the tie-break; decided links never win.
-        moved = masks[:, 2:].reshape(-1, 2, m) ^ masks[:, :2, None]
-        settled = np.bitwise_count(moved).sum(axis=1, dtype=np.int64)
+        moved = masks[:, 2:].reshape(len(masks), 2, m, -1) ^ masks[:, :2, None]
+        settled = np.bitwise_count(moved).sum(axis=(1, 3), dtype=np.int64)
         settled *= m
         settled += preference
         settled[((links[:, :1] | links[:, 1:]) & link_bits) != 0] = -1
@@ -219,9 +238,10 @@ def factor_cover(
 
 
 def table_cover(masks: np.ndarray, capacities: Sequence[int]) -> np.ndarray:
-    """The cube array of a side whose ``2^m`` realization table is known.
+    """The cube array of a segment whose ``2^m`` realization table is known.
 
-    Every bound is one table lookup at the configuration it names.
+    ``masks`` is ``(2^m, W)``; every bound is one table lookup at the
+    configuration it names.
     """
     table = np.asarray(masks, dtype=np.uint64)
     num_links = len(capacities)

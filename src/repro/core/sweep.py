@@ -18,7 +18,7 @@ This module holds:
     terminal, ports, and the assignment list (the demand is its
     component sum) — and deliberately **excludes** failure
     probabilities: a cover is ground truth ("max-flow ≥ d" per
-    configuration, pinned against the explicit array).
+    configuration, pinned against a max-flow oracle in the tests).
 
 :func:`cached_side_cover`
     The one dispatch to the side-cover builder

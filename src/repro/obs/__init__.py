@@ -37,7 +37,6 @@ from repro.obs.export import format_tree, phase_summary, trace_to_dict, trace_to
 from repro.obs.ledger import RUN_SCHEMA, RunDiff, RunLedger, diff_records, make_run_record
 from repro.obs.progress import ProgressTicker, ProgressUpdate, progress_ticker
 from repro.obs.recorder import (
-    ARRAY_ENTRIES_BUILT,
     ASSIGNMENTS_ENUMERATED,
     CONFIGURATIONS_ENUMERATED,
     FLOW_SOLVES,
@@ -66,7 +65,6 @@ from repro.obs.sink import JsonlSink, read_events
 from repro.obs.telemetry import EVENTS_SCHEMA, TelemetryRecorder, telemetry_session
 
 __all__ = [
-    "ARRAY_ENTRIES_BUILT",
     "ASSIGNMENTS_ENUMERATED",
     "CONFIGURATIONS_ENUMERATED",
     "EVENTS_SCHEMA",

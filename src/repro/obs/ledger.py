@@ -102,7 +102,6 @@ def make_run_record(
     value: Any = None,
     flow_calls: int | None = None,
     solver: str | None = None,
-    meta: Mapping[str, Any] | None = None,
     interval: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble one schema-versioned run record (not yet persisted).

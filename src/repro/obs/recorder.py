@@ -39,7 +39,6 @@ __all__ = [
     "ARRAY_CACHE_MISSES",
     "ARRAY_CACHE_WRITE_ERRORS",
     "ASSIGNMENTS_ENUMERATED",
-    "ARRAY_ENTRIES_BUILT",
     "CERTIFICATE_CUTS",
     "COVER_CUBES_BUILT",
     "CUT_PROBES",
@@ -88,12 +87,6 @@ FLOW_SOLVES = "flow_solves"
 CONFIGURATIONS_ENUMERATED = "configurations_enumerated"
 #: Assignment tuples produced by the §III-B enumeration.
 ASSIGNMENTS_ENUMERATED = "assignments_enumerated"
-#: Realization-array entries evaluated: ``|D| * 2^{m_side}`` per
-#: explicit side array (``build_side_array``) and ``|A_in| * |A_out| *
-#: 2^{m}`` per chain middle-segment relation, before pruning.  The
-#: bottleneck, sweep, batch and serve paths build side covers instead
-#: (``cover_cubes_built``), so there it counts only middle segments.
-ARRAY_ENTRIES_BUILT = "array_entries_built"
 #: Monte-Carlo samples drawn.
 MC_SAMPLES = "mc_samples"
 #: Flow-crossing repairs performed by the incremental engine
@@ -117,9 +110,9 @@ ARRAY_CACHE_BYTES = "array_cache_bytes"
 #: (``repro.core.certificate``) built, summed per side.  A certificate
 #: build spends no max-flow solve: it adds nothing to ``flow_solves``.
 CERTIFICATE_CUTS = "certificate_cuts"
-#: Cubes in the side covers (``repro.core.cover``) built for the
-#: bottleneck, sweep, batch, serve and chain end-segment paths, summed
-#: per side; a cache hit builds none.
+#: Cubes in the covers (``repro.core.cover``) built for the bottleneck,
+#: sweep, batch, serve and chain paths, summed per side and per chain
+#: middle segment (a relation cover); a cache hit builds none.
 COVER_CUBES_BUILT = "cover_cubes_built"
 #: s-t connectivity probes (one breadth-first search of ``G - R`` per
 #: distinct removed link set ``R``) spent by one
@@ -170,7 +163,6 @@ KNOWN_COUNTERS = frozenset(
         FLOW_SOLVES,
         CONFIGURATIONS_ENUMERATED,
         ASSIGNMENTS_ENUMERATED,
-        ARRAY_ENTRIES_BUILT,
         MC_SAMPLES,
         FLOW_REPAIRS,
         AUGMENTING_PATHS_SAVED,

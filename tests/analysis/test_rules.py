@@ -134,7 +134,8 @@ def test_rr110_counts_and_messages():
     # bad_rebuild_per_point (for), bad_while_rebuild (while),
     # bad_comprehension_rebuild (listcomp).
     assert len(findings) == 3
-    assert all("build_side_array()" in f.message for f in findings)
+    assert sum("build_side_cover()" in f.message for f in findings) == 2
+    assert sum("build_relation_cover()" in f.message for f in findings) == 1
     assert all("cached_side_cover" in f.message for f in findings)
 
 
@@ -185,7 +186,7 @@ def test_rr110_scoped_to_core(tmp_path):
 
     source = (
         "def f(split, points):\n"
-        "    return [build_side_array(split) for _ in points]\n"
+        "    return [build_side_cover(split) for _ in points]\n"
     )
     outside = analyze_source(source, str(tmp_path / "repro" / "p2p" / "mod.py"))
     assert not [f for f in outside if f.code == "RR110"]
@@ -199,7 +200,7 @@ def test_rr110_ignores_straight_line_builds(tmp_path):
 
     source = (
         "def f(split):\n"
-        "    source = build_side_array(split.source_side)\n"
+        "    source = build_side_cover(split.source_side)\n"
         "    for x in range(3):\n"
         "        use(source, x)\n"
         "    return source\n"

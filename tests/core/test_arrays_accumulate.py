@@ -1,6 +1,6 @@
-"""Unit tests for the §III-C realization arrays and §IV ACCUMULATION —
-including Example 2 (array semantics), Example 6 / Table I (the worked
-accumulation) and the Fig. 5 configurations."""
+"""Unit tests for the §III-C side covers and §IV ACCUMULATION —
+including Example 2 (realization semantics), Example 6 / Table I (the
+worked accumulation) and the Fig. 5 configurations."""
 
 import sys
 
@@ -8,19 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.accumulate import (
-    accumulate,
-    distinct_masks,
-    distinct_weights,
-    joint_rows,
-)
-from repro.core.arrays import RealizationArray, build_side_array, build_side_cover
+from repro.core.accumulate import joint_rows
+from repro.core.arrays import build_relation_cover, build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.exceptions import SolverError
 from repro.graph.builders import fujita_fig4
 from repro.graph.transforms import split_on_cut
 from repro.probability.bitset import mask_from_indices
-from tests.reference_accumulate import inclusion_exclusion
+from tests.reference_accumulate import group_side, inclusion_exclusion
 from tests.reference_arrays import reference_side_masks
 
 
@@ -40,17 +35,26 @@ def fig4_source_request():
     )
 
 
-def fig4_source_array():
+def fig4_source_masks():
     side, request = fig4_source_request()
-    return request["assignments"], build_side_array(side, **request)
+    return request["assignments"], build_side_cover(side, **request).expand()
 
 
-class TestBuildSideArray:
+def realized(masks, configuration):
+    """Assignment indices one configuration realizes."""
+    mask = int(masks[configuration])
+    return {j for j in range(mask.bit_length()) if (mask >> j) & 1}
+
+
+class TestBuildSideCover:
     def test_dimensions(self):
-        assignments, array = fig4_source_array()
-        assert len(array.masks) == 2**4
-        assert array.num_assignments == 3
-        assert array.probabilities.sum() == pytest.approx(1.0)
+        side, request = fig4_source_request()
+        cover = build_side_cover(side, **request)
+        assert cover.num_links == 4 and cover.words == 1
+        assert cover.num_assignments == 3
+        assert len(cover.expand()) == 2**4
+        row = np.asarray([side.network.failure_probabilities()])
+        assert cover.weights(row).sum() == pytest.approx(1.0)
 
     def test_fig5_configurations(self):
         """The three Fig. 5 failure configurations of G_s.
@@ -58,25 +62,25 @@ class TestBuildSideArray:
         Source side links (side-local order): e3, e4, e5, e6.
         Assignment order: [(0,2), (1,1), (2,0)].
         """
-        assignments, array = fig4_source_array()
+        assignments, masks = fig4_source_masks()
         j = {a: i for i, a in enumerate(assignments)}
         all_alive = 0b1111
-        assert set(array.realized_indices(all_alive)) == {j[(0, 2)], j[(1, 1)], j[(2, 0)]}
+        assert realized(masks, all_alive) == {j[(0, 2)], j[(1, 1)], j[(2, 0)]}
         no_e4 = 0b1101  # kill side link 1 (= e4)
-        assert set(array.realized_indices(no_e4)) == {j[(0, 2)], j[(1, 1)]}
+        assert realized(masks, no_e4) == {j[(0, 2)], j[(1, 1)]}
         no_e4_e6 = 0b0101  # kill e4 and e6
-        assert set(array.realized_indices(no_e4_e6)) == {j[(1, 1)]}
+        assert realized(masks, no_e4_e6) == {j[(1, 1)]}
 
     def test_empty_configuration_realizes_nothing(self):
-        _, array = fig4_source_array()
-        assert array.realized_indices(0) == []
+        _, masks = fig4_source_masks()
+        assert realized(masks, 0) == set()
 
     def test_monotone_in_alive_set(self):
-        _, array = fig4_source_array()
+        _, masks = fig4_source_masks()
         for mask in range(16):
             for b in range(4):
                 sup = mask | (1 << b)
-                assert int(array.masks[mask]) & ~int(array.masks[sup]) == 0
+                assert int(masks[mask]) & ~int(masks[sup]) == 0
 
     @pytest.mark.parametrize("walk", [False, True])
     def test_matches_reference(self, walk, monkeypatch):
@@ -85,14 +89,14 @@ class TestBuildSideArray:
         if walk:
             monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         side, request = fig4_source_request()
-        built = build_side_array(side, **request)
+        built = build_side_cover(side, **request)
         assert (built.flow_calls > 0) is walk
-        assert np.array_equal(built.masks, reference_side_masks(side, **request))
+        assert np.array_equal(built.expand(), reference_side_masks(side, **request))
 
     def test_sink_side(self):
         net, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
-        array = build_side_array(
+        cover = build_side_cover(
             split.sink_side,
             role="sink",
             terminal="t",
@@ -101,7 +105,7 @@ class TestBuildSideArray:
             demand=2,
         )
         # all alive: every assignment deliverable (Fig. 4 design)
-        assert set(array.realized_indices((1 << 3) - 1)) == {0, 1, 2}
+        assert realized(cover.expand(), (1 << 3) - 1) == {0, 1, 2}
 
     @pytest.mark.parametrize("role", ["source", "sink"])
     @pytest.mark.parametrize("walk", [False, True])
@@ -121,26 +125,21 @@ class TestBuildSideArray:
             ports=split.source_ports if role == "source" else split.sink_ports,
             demand=2,
         )
-        full = build_side_array(side, assignments=assignments, **kwargs)
+        full = build_side_cover(side, assignments=assignments, **kwargs).expand()
         for subset in ([0], [2], [2, 0], [1, 2]):
-            part = build_side_array(
+            part = build_side_cover(
                 side, assignments=[assignments[j] for j in subset], **kwargs
-            )
+            ).expand()
             for local, j in enumerate(subset):
                 np.testing.assert_array_equal(
-                    (part.masks >> np.uint64(local)) & np.uint64(1),
-                    (full.masks >> np.uint64(j)) & np.uint64(1),
+                    (part >> np.uint64(local)) & np.uint64(1),
+                    (full >> np.uint64(j)) & np.uint64(1),
                 )
-
-    def test_realizes_accessor(self):
-        _, array = fig4_source_array()
-        assert array.realizes(0b1111, 0)
-        assert not array.realizes(0, 0)
 
     def test_role_validation(self):
         net, split = fig4_split()
         with pytest.raises(SolverError):
-            build_side_array(
+            build_side_cover(
                 split.source_side,
                 role="middle",
                 terminal="s",
@@ -152,7 +151,7 @@ class TestBuildSideArray:
     def test_arity_validation(self):
         net, split = fig4_split()
         with pytest.raises(SolverError):
-            build_side_array(
+            build_side_cover(
                 split.source_side,
                 role="source",
                 terminal="s",
@@ -164,7 +163,7 @@ class TestBuildSideArray:
     def test_sum_validation(self):
         net, split = fig4_split()
         with pytest.raises(SolverError):
-            build_side_array(
+            build_side_cover(
                 split.source_side,
                 role="source",
                 terminal="s",
@@ -176,7 +175,7 @@ class TestBuildSideArray:
     def test_unknown_port(self):
         net, split = fig4_split()
         with pytest.raises(SolverError):
-            build_side_array(
+            build_side_cover(
                 split.source_side,
                 role="source",
                 terminal="s",
@@ -212,8 +211,7 @@ class TestSingleBuildPath:
         assert result.flow_calls == 0
         assert rec.counter_total(obs.FLOW_SOLVES) == 0
         assert rec.counter_total(CERTIFICATE_CUTS) > 0
-        # The split builds two side covers, never a 2^m array.
-        assert rec.counter_total(obs.ARRAY_ENTRIES_BUILT) == 0
+        # The split builds two side covers, fewer cubes than configurations.
         assert 2 <= rec.counter_total(COVER_CUBES_BUILT) < 2**4 + 2**3
 
     def test_flow_calls_partition_exactly_through_obs(self, monkeypatch):
@@ -239,15 +237,14 @@ class TestSingleBuildPath:
     @pytest.mark.parametrize(
         "entry_point",
         [
-            "build_side_array",
             "build_side_cover",
+            "build_relation_cover",
             "cached_side_cover",
             "bottleneck_reliability",
             "compute_reliability_sweep",
             "evaluate_batch",
             "chain_reliability",
             "compute_reliability-bottleneck",
-            "accumulate",
         ],
     )
     def test_no_entry_point_takes_removed_options(self, entry_point, option):
@@ -271,13 +268,18 @@ class TestSingleBuildPath:
             demand=2,
         )
         demand = FlowDemand("s", "t", 2)
-        array = toy_array([0b1], [1.0], 1)
         calls = {
-            "build_side_array": lambda **kw: build_side_array(
-                split.source_side, **side_kwargs, **kw
-            ),
             "build_side_cover": lambda **kw: build_side_cover(
                 split.source_side, **side_kwargs, **kw
+            ),
+            "build_relation_cover": lambda **kw: build_relation_cover(
+                split.source_side,
+                in_ports=split.source_ports,
+                out_ports=split.source_ports,
+                in_assignments=side_kwargs["assignments"],
+                out_assignments=side_kwargs["assignments"],
+                demand=2,
+                **kw,
             ),
             "cached_side_cover": lambda **kw: cached_side_cover(
                 split.source_side, **side_kwargs, **kw
@@ -295,58 +297,9 @@ class TestSingleBuildPath:
             "compute_reliability-bottleneck": lambda **kw: compute_reliability(
                 net, demand=demand, method="bottleneck", **kw
             ),
-            "accumulate": lambda **kw: accumulate(array, array, [0], **kw),
         }
         with pytest.raises(TypeError, match=option):
             calls[entry_point](**{option: 2})
-
-
-def toy_array(masks, probs, num_assignments):
-    return RealizationArray(
-        masks=np.asarray(masks, dtype=np.uint64),
-        probabilities=np.asarray(probs, dtype=np.float64),
-        num_assignments=num_assignments,
-        flow_calls=0,
-    )
-
-
-class TestDistinctMasks:
-    def test_grouping(self):
-        masks = np.array([0b101, 0b011, 0b101, 0b000], dtype=np.uint64)
-        distinct, inverse = distinct_masks(masks)
-        assert distinct.tolist() == [0b000, 0b011, 0b101]
-        assert distinct[inverse].tolist() == masks.tolist()
-
-    def test_weights_sum_per_distinct_mask(self):
-        _, inverse = distinct_masks(np.array([0b1, 0b10, 0b1], dtype=np.uint64))
-        rows = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
-        weights = distinct_weights(inverse, rows, 2)
-        assert weights.tolist() == [[0.7, 0.3], [0.9, 0.1]]
-
-    def test_inverse_rebuilds_the_masks(self):
-        rng = np.random.default_rng(3)
-        masks = rng.integers(0, 8, 64).astype(np.uint64)
-        masks[5] = 1 << 40
-        distinct, inverse = distinct_masks(masks)
-        assert distinct.dtype == np.uint64
-        assert distinct.tolist() == sorted(set(masks.tolist()))
-        assert np.array_equal(distinct[inverse], masks)
-
-    def test_empty_side(self):
-        distinct, inverse = distinct_masks(np.zeros(0, dtype=np.uint64))
-        assert len(distinct) == 0 and len(inverse) == 0
-
-    def test_single_configuration(self):
-        distinct, inverse = distinct_masks(np.array([1 << 62], dtype=np.uint64))
-        assert distinct.tolist() == [1 << 62]
-        assert inverse.tolist() == [0]
-
-    def test_unrealized_masks_get_zero_weight_rows(self):
-        # A row with zero probability on a configuration still lists its
-        # mask; the weight is exactly zero, not dropped.
-        _, inverse = distinct_masks(np.array([0b1, 0b10], dtype=np.uint64))
-        weights = distinct_weights(inverse, np.array([[1.0, 0.0]]), 2)
-        assert weights.tolist() == [[1.0, 0.0]]
 
 
 def _pair_sum(s_masks, ps, t_masks, pt, within):
@@ -360,15 +313,17 @@ def _pair_sum(s_masks, ps, t_masks, pt, within):
 
 
 def _joint(s_masks, s_rows, t_masks, t_rows, within):
-    ms, inverse_s = distinct_masks(np.asarray(s_masks, dtype=np.uint64))
-    mt, inverse_t = distinct_masks(np.asarray(t_masks, dtype=np.uint64))
-    return joint_rows(
-        ms,
-        distinct_weights(inverse_s, np.atleast_2d(s_rows), len(ms)),
-        mt,
-        distinct_weights(inverse_t, np.atleast_2d(t_rows), len(mt)),
-        within,
-    )
+    return joint_rows(*group_side(s_masks, s_rows), *group_side(t_masks, t_rows), within)
+
+
+def toy_side(masks, probs):
+    """A side given configuration by configuration: masks and probabilities."""
+    return np.asarray(masks, dtype=np.uint64), np.asarray(probs, dtype=np.float64)
+
+
+def accumulate(source, sink, indices):
+    """``r_{E'}`` of the class ``indices`` between two toy sides."""
+    return float(_joint(*source, *sink, mask_from_indices(indices))[0])
 
 
 def _random_side(rng, configurations, q, rows=1):
@@ -478,10 +433,10 @@ class TestExample6TableI:
     S_MASKS = [0b01, 0b10, 0b11, 0b10]
     T_MASKS = [0b11, 0b10, 0b01, 0b00]
 
-    def arrays(self, ps, pt):
+    def sides(self, ps, pt):
         return (
-            toy_array(self.S_MASKS, ps, 2),
-            toy_array(self.T_MASKS, pt, 2),
+            toy_side(self.S_MASKS, ps),
+            toy_side(self.T_MASKS, pt),
         )
 
     def expected(self, ps, pt):
@@ -493,14 +448,14 @@ class TestExample6TableI:
     def test_uniform_weights(self):
         ps = [0.25] * 4
         pt = [0.25] * 4
-        source, sink = self.arrays(ps, pt)
+        source, sink = self.sides(ps, pt)
         value = accumulate(source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
 
     def test_skewed_weights(self):
         ps = [0.1, 0.2, 0.3, 0.4]
         pt = [0.4, 0.3, 0.2, 0.1]
-        source, sink = self.arrays(ps, pt)
+        source, sink = self.sides(ps, pt)
         value = accumulate(source, sink, [0, 1])
         assert value == pytest.approx(self.expected(ps, pt))
 
@@ -524,13 +479,13 @@ class TestExample6TableI:
     def test_every_class_of_table_i(self, indices, p_class):
         ps = [0.1, 0.2, 0.3, 0.4]
         pt = [0.4, 0.3, 0.2, 0.1]
-        source, sink = self.arrays(ps, pt)
+        source, sink = self.sides(ps, pt)
         assert accumulate(source, sink, indices) == pytest.approx(p_class(ps, pt))
 
     def test_single_assignment_class(self):
         ps = [0.1, 0.2, 0.3, 0.4]
         pt = [0.4, 0.3, 0.2, 0.1]
-        source, sink = self.arrays(ps, pt)
+        source, sink = self.sides(ps, pt)
         # class {b1}: P_s(b1) * P_t(b1)
         value = accumulate(source, sink, [0])
         assert value == pytest.approx((0.1 + 0.3) * (0.4 + 0.2))
@@ -547,14 +502,14 @@ class TestAccumulateGeneral:
             pt /= pt.sum()
             s_masks = rng.integers(0, 1 << q, n_s)
             t_masks = rng.integers(0, 1 << q, n_t)
-            source = toy_array(s_masks, ps, q)
-            sink = toy_array(t_masks, pt, q)
+            source = toy_side(s_masks, ps)
+            sink = toy_side(t_masks, pt)
             expected = inclusion_exclusion(s_masks, ps, t_masks, pt, range(q))
             assert accumulate(source, sink, [0, 1, 2, 3]) == pytest.approx(expected)
 
     def test_empty_class_is_zero(self):
-        source = toy_array([0b1], [1.0], 1)
-        sink = toy_array([0b1], [1.0], 1)
+        source = toy_side([0b1], [1.0])
+        sink = toy_side([0b1], [1.0])
         assert accumulate(source, sink, []) == 0.0
 
     def test_bruteforce_cross_check(self):
@@ -566,8 +521,8 @@ class TestAccumulateGeneral:
         pt /= pt.sum()
         s_masks = rng.integers(0, 1 << q, n_s)
         t_masks = rng.integers(0, 1 << q, n_t)
-        source = toy_array(s_masks, ps, q)
-        sink = toy_array(t_masks, pt, q)
+        source = toy_side(s_masks, ps)
+        sink = toy_side(t_masks, pt)
         expected = sum(
             ps[i] * pt[j]
             for i in range(n_s)
@@ -576,34 +531,22 @@ class TestAccumulateGeneral:
         )
         assert accumulate(source, sink, [0, 1, 2]) == pytest.approx(expected)
 
-    def test_mismatched_arrays_rejected(self):
-        source = toy_array([0], [1.0], 1)
-        sink = toy_array([0], [1.0], 2)
-        with pytest.raises(ValueError):
-            accumulate(source, sink, [0])
-
-    def test_out_of_range_index_rejected(self):
-        source = toy_array([0], [1.0], 1)
-        sink = toy_array([0], [1.0], 1)
-        with pytest.raises(ValueError):
-            accumulate(source, sink, [3])
-
 
 class TestLargeClasses:
     def test_large_class_value(self):
         # no 2^q table is built, so q = 25 is a plain pair sum
-        source = toy_array([0b1, 0b10], [0.5, 0.5], 40)
-        sink = toy_array([0b1, 0b11], [0.5, 0.5], 40)
+        source = toy_side([0b1, 0b10], [0.5, 0.5])
+        sink = toy_side([0b1, 0b11], [0.5, 0.5])
         assert accumulate(source, sink, list(range(25))) == pytest.approx(0.75)
 
     def test_top_assignment_bit(self):
         top = 1 << 62
-        source = toy_array([top, 0b1], [0.5, 0.5], 63)
-        sink = toy_array([top | 0b10, 0b10], [0.25, 0.75], 63)
+        source = toy_side([top, 0b1], [0.5, 0.5])
+        sink = toy_side([top | 0b10, 0b10], [0.25, 0.75])
         assert accumulate(source, sink, range(63)) == pytest.approx(0.125)
         assert accumulate(source, sink, range(62)) == 0.0
 
     def test_classes_past_twelve_assignments(self):
-        source = toy_array([0b1], [1.0], 40)
-        sink = toy_array([0b1], [1.0], 40)
+        source = toy_side([0b1], [1.0])
+        sink = toy_side([0b1], [1.0])
         assert accumulate(source, sink, list(range(15))) == pytest.approx(1.0)

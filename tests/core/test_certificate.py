@@ -1,6 +1,6 @@
 """The cut-certificate kernel and the §III-C kernel-choice rule.
 
-``build_side_array`` builds with the certificate kernel unless the
+``build_side_cover`` builds with the certificate kernel unless the
 side's bond family is over a guard (free nodes or cut count); then it
 runs the pruned Gray walk.  No option chooses: each guard is pinned by
 one test here, and both kernels are checked against the reference
@@ -11,14 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.arrays import build_side_array
+from repro.core.arrays import build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
-from repro.core.certificate import (
-    MAX_CERTIFICATE_FREE_NODES,
-    certificate_masks,
-    side_cut_family,
-)
+from repro.core.certificate import MAX_CERTIFICATE_FREE_NODES, side_cut_family
 from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
@@ -28,7 +24,7 @@ from repro.graph.cuts import find_bottleneck
 from repro.graph.network import FlowNetwork
 from repro.graph.transforms import SubnetworkView
 from repro.obs import record
-from repro.obs.recorder import ARRAY_ENTRIES_BUILT, CERTIFICATE_CUTS, FLOW_SOLVES
+from repro.obs.recorder import CERTIFICATE_CUTS, COVER_CUBES_BUILT, FLOW_SOLVES
 from tests.reference_arrays import reference_side_masks
 
 DEMAND = FlowDemand("s", "t", 2)
@@ -70,32 +66,30 @@ class TestKernelChoice:
     def test_default_builds_without_solves(self):
         side, request = _fig4_request()
         with record() as recorder:
-            built = build_side_array(side, **request)
+            built = build_side_cover(side, **request)
         assert built.flow_calls == 0
-        assert np.array_equal(built.masks, reference_side_masks(side, **request))
+        assert np.array_equal(built.expand(), reference_side_masks(side, **request))
         totals = recorder.counter_totals()
         assert totals[CERTIFICATE_CUTS] > 0
         assert FLOW_SOLVES not in totals
-        assert totals[ARRAY_ENTRIES_BUILT] == len(request["assignments"]) << (
-            side.network.num_links
-        )
+        assert totals[COVER_CUBES_BUILT] == len(built.cubes)
 
     def test_free_node_guard_falls_back_to_max_flow(self):
         side, request = _wide_side()
         assert side_cut_family(side.network, "s", None, (), ["x"]) is None
-        built = build_side_array(side, **request)
+        built = build_side_cover(side, **request)
         assert built.flow_calls > 0
-        assert np.array_equal(built.masks, reference_side_masks(side, **request))
+        assert np.array_equal(built.expand(), reference_side_masks(side, **request))
 
     def test_cut_count_guard_falls_back_to_max_flow(self, monkeypatch):
         side, request = _fig4_request()
         family = side_cut_family(side.network, "s", None, (), request["ports"])
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", family.size - 1)
-        built = build_side_array(side, **request)
+        built = build_side_cover(side, **request)
         assert built.flow_calls > 0
-        assert np.array_equal(built.masks, reference_side_masks(side, **request))
+        assert np.array_equal(built.expand(), reference_side_masks(side, **request))
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", family.size)
-        assert build_side_array(side, **request).flow_calls == 0
+        assert build_side_cover(side, **request).flow_calls == 0
 
     def test_bottleneck_reliability_kernel_follows_the_guard(self, monkeypatch):
         net = fujita_fig4(failure_probability=0.1)
@@ -137,18 +131,17 @@ class TestCertificateKernel:
     def test_unknown_port_is_rejected_like_the_solver_path(self):
         side, request = _fig4_request()
         with pytest.raises(SolverError, match="not inside this side"):
-            build_side_array(side, **{**request, "ports": ["nowhere"] * 2})
+            build_side_cover(side, **{**request, "ports": ["nowhere"] * 2})
 
     def test_no_assignments_gives_empty_masks(self):
         side, request = _fig4_request()
-        family = side_cut_family(side.network, "s", None, (), request["ports"])
-        masks = certificate_masks(family, [], 2)
-        assert masks.shape == (1 << side.network.num_links,) and not masks.any()
+        cover = build_side_cover(side, **{**request, "assignments": []})
+        assert cover.cubes.tolist() == [[0, 0, 0]]
+        assert not cover.expand().any()
 
-    def test_blocks_tile_the_lattice(self, monkeypatch):
+    def test_evaluation_blocks_do_not_change_the_cover(self, monkeypatch):
         side, request = _fig4_request()
-        family = side_cut_family(side.network, "s", None, (), request["ports"])
-        whole = certificate_masks(family, request["assignments"], 2)
+        whole = build_side_cover(side, **request)
         monkeypatch.setattr(certificate, "_BLOCK_ENTRIES", 4)
-        blocked = certificate_masks(family, request["assignments"], 2)
-        assert np.array_equal(whole, blocked)
+        blocked = build_side_cover(side, **request)
+        assert np.array_equal(whole.cubes, blocked.cubes)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.arrays import build_segment_relation
+from repro.core.arrays import build_relation_cover
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.chain import _cross_cut, analyze_chain, chain_reliability
@@ -105,6 +105,17 @@ class TestChainReliability:
             naive_reliability(net, demand).value, abs=1e-10
         )
 
+    def test_three_link_cuts_at_demand_three(self):
+        """Ten assignments an interface: 100 (in, out) loads a middle,
+        more than one mask word holds."""
+        net = chained_network([3, 9, 3], cut_sizes=3, demand=3, seed=0)
+        demand = FlowDemand("s", "t", 3)
+        chain = chain_reliability(net, demand, net._chain_cut_indices)
+        assert chain.details["interface_sizes"] == [10, 10]
+        assert chain.value == pytest.approx(
+            naive_reliability(net, demand).value, abs=1e-12
+        )
+
     def test_undersized_cut_gives_zero(self):
         net = series_chain(2, capacity=1)
         result = chain_reliability(net, FlowDemand("s", "t", 2), [[0], [1]])
@@ -159,7 +170,7 @@ class TestChainGuards:
             chain_reliability(net, demand, net._chain_cut_indices)
 
 
-class TestSegmentRelation:
+class TestRelationCover:
     def _request(self):
         net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=7)
         structure = analyze_chain(net, "s", "t", net._chain_cut_indices)
@@ -173,22 +184,37 @@ class TestSegmentRelation:
 
     def test_all_alive_realizes_every_pair(self):
         segment, request = self._request()
-        relation, flow_calls = build_segment_relation(segment, **request)
-        assert flow_calls == 0
-        assert relation.shape == (3, 1 << segment.network.num_links)
-        assert (relation[:, -1] == 0b111).all()
-        assert (relation[:, 0] == 0).all()
+        relation = build_relation_cover(segment, **request)
+        assert relation.flow_calls == 0
+        assert relation.words == 3 and relation.num_assignments == 3
+        masks = relation.expand()
+        assert masks.shape == (1 << segment.network.num_links, 3)
+        assert (masks[-1] == 0b111).all()
+        assert (masks[0] == 0).all()
+
+    def test_distinct_relations_weigh_to_one(self):
+        segment, request = self._request()
+        relation = build_relation_cover(segment, **request)
+        row = np.asarray([segment.network.failure_probabilities()])
+        weights = relation.weights(row)
+        assert relation.distinct.shape == (weights.shape[1], 3)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("side", ["in_assignments", "out_assignments"])
     def test_loads_must_sum_to_demand(self, side):
         segment, request = self._request()
         with pytest.raises(SolverError, match="does not sum to demand"):
-            build_segment_relation(segment, **{**request, side: [(1, 0)]})
+            build_relation_cover(segment, **{**request, side: [(1, 0)]})
+
+    def test_no_in_assignments_is_rejected(self):
+        segment, request = self._request()
+        with pytest.raises(SolverError, match="at least one in-assignment"):
+            build_relation_cover(segment, **{**request, "in_assignments": []})
 
     def test_unknown_port_is_rejected(self):
         segment, request = self._request()
         with pytest.raises(SolverError, match="not inside this side"):
-            build_segment_relation(segment, **{**request, "out_ports": ("nowhere", "o1_1")})
+            build_relation_cover(segment, **{**request, "out_ports": ("nowhere", "o1_1")})
 
 
 class TestCrossCut:

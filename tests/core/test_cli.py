@@ -36,6 +36,19 @@ class TestParser:
             )
 
 
+    @pytest.mark.parametrize("command", ["compute", "profile"])
+    def test_chain_is_not_a_cli_method(self, command, net_file, capsys):
+        """chain needs an ordered cut sequence the command line cannot
+        pass: argparse refuses it (exit 2), while the API keeps it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, net_file, "-s", "s", "-t", "t", "-d", "2", "--method", "chain"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'chain'" in capsys.readouterr().err
+        assert compute_reliability(
+            fujita_fig4(), "s", "t", 2, method="chain", cuts=[[0, 1]]
+        ).value == pytest.approx(0.8426357910, abs=1e-10)
+
+
 class TestCommands:
     def test_describe(self, net_file, capsys):
         assert main(["describe", net_file]) == 0

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import certificate, sweep
 from repro.core.api import compute_reliability
-from repro.core.arrays import build_side_array, build_side_cover
+from repro.core.arrays import build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
@@ -29,6 +29,7 @@ from repro.graph.builders import fujita_fig4, parallel_links
 from repro.graph.transforms import split_on_cut
 from repro.obs.recorder import ARRAY_CACHE_WRITE_ERRORS, SPLIT_CACHE_HITS, record
 from repro.probability.enumeration import configuration_probabilities
+from tests.reference_arrays import reference_side_masks
 
 DEMAND = FlowDemand("s", "t", 2)
 
@@ -433,8 +434,9 @@ class TestCachedSideCover:
         dispatched = cached_side_cover(split.source_side, **kwargs)
         assert np.array_equal(direct.cubes, dispatched.cubes)
         assert direct.flow_calls == dispatched.flow_calls
-        array = build_side_array(split.source_side, **kwargs)
-        assert np.array_equal(dispatched.expand(), array.masks)
+        assert np.array_equal(
+            dispatched.expand(), reference_side_masks(split.source_side, **kwargs)
+        )
 
     def test_cold_then_warm_bit_identity(self):
         _, split = fig4_split()

@@ -7,8 +7,8 @@ reproduce the paper" tests.
 
 import pytest
 
-from repro.core.accumulate import accumulate
-from repro.core.arrays import RealizationArray, build_side_array
+from repro.core.accumulate import joint_rows
+from repro.core.arrays import build_side_cover
 from repro.core.assignments import classify_by_support, enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability, pattern_probability
 from repro.core.bridge import bridge_reliability
@@ -17,7 +17,9 @@ from repro.core.naive import naive_reliability
 from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4
 from repro.graph.cuts import find_bottleneck
 from repro.graph.transforms import split_on_cut
+from repro.probability.bitset import mask_from_indices
 from repro.probability.enumeration import configuration_probabilities
+from tests.reference_accumulate import group_side
 
 import numpy as np
 
@@ -110,18 +112,18 @@ class TestFig4Fig5Example3:
         assert set(self.assignments) == {(2, 0), (1, 1), (0, 2)}
 
     def test_fig5_realized_sets(self):
-        array = build_side_array(
+        masks = build_side_cover(
             self.split.source_side,
             role="source",
             terminal="s",
             ports=self.split.source_ports,
             assignments=self.assignments,
             demand=2,
-        )
-        j = {a: i for i, a in enumerate(self.assignments)}
+        ).expand()
 
-        def realized(mask):
-            return {self.assignments[i] for i in array.realized_indices(mask)}
+        def realized(configuration):
+            mask = int(masks[configuration])
+            return {a for i, a in enumerate(self.assignments) if (mask >> i) & 1}
 
         # Fig. 5(a): realizes (1,1) and (0,2)
         assert realized(0b1101) == {(1, 1), (0, 2)}
@@ -134,14 +136,16 @@ class TestFig4Fig5Example3:
         """§IV's point: the Eq. (1)-style product of side reliabilities
         over-counts for k >= 2, because a configuration pair only
         delivers when both sides realize a *common* assignment."""
-        build = lambda role, terminal, ports, side: build_side_array(  # noqa: E731
-            side, role=role, terminal=terminal, ports=ports,
-            assignments=self.assignments, demand=2,
-        )
-        src = build("source", "s", self.split.source_ports, self.split.source_side)
-        snk = build("sink", "t", self.split.sink_ports, self.split.sink_side)
-        p_s_any = float(src.probabilities[src.masks != 0].sum())
-        p_t_any = float(snk.probabilities[snk.masks != 0].sum())
+        def p_any(role, terminal, ports, side):
+            cover = build_side_cover(
+                side, role=role, terminal=terminal, ports=ports,
+                assignments=self.assignments, demand=2,
+            )
+            weights = cover.weights(np.asarray([side.network.failure_probabilities()]))[0]
+            return float(weights[cover.distinct != 0].sum())
+
+        p_s_any = p_any("source", "s", self.split.source_ports, self.split.source_side)
+        p_t_any = p_any("sink", "t", self.split.sink_ports, self.split.sink_side)
         cut_alive = pattern_probability(self.net, (0, 1), 0b11)
         naive_product = p_s_any * cut_alive * p_t_any
         exact = naive_reliability(self.net, self.demand).value
@@ -166,13 +170,12 @@ class TestExample6TableIEndToEnd:
         s_masks = np.array([0b01, 0b10, 0b11, 0b10], dtype=np.uint64)
         t_masks = np.array([0b11, 0b10, 0b01, 0b00], dtype=np.uint64)
         quarter = np.full(4, 0.25)
-        source = RealizationArray(s_masks, quarter, 2, 0)
-        sink = RealizationArray(t_masks, quarter, 2, 0)
         p_b1 = (0.25 + 0.25) * (0.25 + 0.25)
         p_b2 = (0.25 * 3) * (0.25 * 2)
         p_b1b2 = 0.25 * 0.25
         expected = p_b1 + p_b2 - p_b1b2
-        assert accumulate(source, sink, [0, 1]) == pytest.approx(expected)
+        value = joint_rows(*group_side(s_masks, quarter), *group_side(t_masks, quarter), 0b11)
+        assert value[0] == pytest.approx(expected)
 
 
 class TestEquation2And3:
@@ -189,17 +192,21 @@ class TestEquation2And3:
         demand = FlowDemand("s", "t", 2)
         split = split_on_cut(net, "s", "t", [0, 1])
         assignments = enumerate_assignments([2, 2], 2)
-        src = build_side_array(
-            split.source_side, role="source", terminal="s",
-            ports=split.source_ports, assignments=assignments, demand=2,
-        )
-        snk = build_side_array(
-            split.sink_side, role="sink", terminal="t",
-            ports=split.sink_ports, assignments=assignments, demand=2,
-        )
+        sides = []
+        for role, terminal, ports, side in (
+            ("source", "s", split.source_ports, split.source_side),
+            ("sink", "t", split.sink_ports, split.sink_side),
+        ):
+            cover = build_side_cover(
+                side, role=role, terminal=terminal, ports=ports,
+                assignments=assignments, demand=2,
+            )
+            row = np.asarray([side.network.failure_probabilities()])
+            sides += [cover.distinct, cover.weights(row)]
         classes = classify_by_support(assignments, 2)
         total = sum(
-            pattern_probability(net, (0, 1), w) * accumulate(src, snk, classes[w])
+            pattern_probability(net, (0, 1), w)
+            * joint_rows(*sides, mask_from_indices(classes[w]))[0]
             for w in range(4)
             if classes[w]
         )

@@ -15,7 +15,7 @@ def _record(**overrides):
         input_fingerprint="abc123",
         params={"method": "bottleneck", "rate": 2},
         seconds=1.0,
-        counters={"flow_solves": 69, "array_entries_built": 120},
+        counters={"flow_solves": 69, "cover_cubes_built": 120},
         phases=[{"name": "engine.build", "seconds": 0.8}],
         value=0.8426,
         flow_calls=69,
@@ -49,6 +49,12 @@ class TestMakeRunRecord:
     def test_unknown_status_rejected(self):
         with pytest.raises(ReproValueError):
             _record(status="exploded")
+
+    def test_meta_is_not_a_parameter(self):
+        """A record has no ``meta`` field, so the argument is refused
+        rather than dropped."""
+        with pytest.raises(TypeError, match="meta"):
+            _record(meta={"note": "x"})
 
 
 class TestRunLedger:
@@ -114,7 +120,7 @@ class TestDiffRecords:
 
     def test_injected_double_flow_solves_is_a_regression(self):
         base = _record()
-        other = _record(counters={"flow_solves": 138, "array_entries_built": 120})
+        other = _record(counters={"flow_solves": 138, "cover_cubes_built": 120})
         diff = diff_records(base, other)
         assert not diff.ok
         [reg] = diff.counter_regressions
@@ -123,20 +129,20 @@ class TestDiffRecords:
 
     def test_growth_within_tolerance_is_not_flagged(self):
         base = _record()
-        other = _record(counters={"flow_solves": 80, "array_entries_built": 120})
+        other = _record(counters={"flow_solves": 80, "cover_cubes_built": 120})
         assert diff_records(base, other, tolerance=1.25).ok  # 80/69 < 1.25
 
     def test_counter_appearing_from_zero_is_a_regression(self):
         base = _record()
         other = _record(
-            counters={"flow_solves": 69, "array_entries_built": 120, "flow_repairs": 5}
+            counters={"flow_solves": 69, "cover_cubes_built": 120, "flow_repairs": 5}
         )
         diff = diff_records(base, other)
         assert [r["name"] for r in diff.counter_regressions] == ["flow_repairs"]
 
     def test_shrinking_counter_is_an_improvement_not_fatal(self):
         base = _record()
-        other = _record(counters={"flow_solves": 10, "array_entries_built": 120})
+        other = _record(counters={"flow_solves": 10, "cover_cubes_built": 120})
         diff = diff_records(base, other)
         assert diff.ok
         assert [i["name"] for i in diff.counter_improvements] == ["flow_solves"]

@@ -155,7 +155,8 @@ class TestCounters:
         assert obs.FLOW_SOLVES in obs.KNOWN_COUNTERS
         assert obs.CONFIGURATIONS_ENUMERATED in obs.KNOWN_COUNTERS
         assert obs.ASSIGNMENTS_ENUMERATED in obs.KNOWN_COUNTERS
-        assert obs.ARRAY_ENTRIES_BUILT in obs.KNOWN_COUNTERS
+        assert "cover_cubes_built" in obs.KNOWN_COUNTERS
+        assert "array_entries_built" not in obs.KNOWN_COUNTERS
         assert obs.MC_SAMPLES in obs.KNOWN_COUNTERS
 
     def test_known_span_and_ticker_catalogues(self):

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accumulate import distinct_masks, distinct_weights, joint_rows
-from tests.reference_accumulate import inclusion_exclusion
+from repro.core.accumulate import joint_rows
+from tests.reference_accumulate import group_side, inclusion_exclusion
 
 
 def _probability_rows(rng, rows, size):
@@ -30,14 +30,8 @@ def _side(rng, configurations, q, rows):
 
 
 def _kernel(source_masks, source_rows, sink_masks, sink_rows, within):
-    ms, inverse_s = distinct_masks(source_masks)
-    mt, inverse_t = distinct_masks(sink_masks)
     return joint_rows(
-        ms,
-        distinct_weights(inverse_s, source_rows, len(ms)),
-        mt,
-        distinct_weights(inverse_t, sink_rows, len(mt)),
-        within,
+        *group_side(source_masks, source_rows), *group_side(sink_masks, sink_rows), within
     )
 
 
@@ -132,15 +126,3 @@ class TestRowIndependence:
                 source_masks, source_rows[s : s + 1], sink_masks, sink_rows[s : s + 1], within
             )
             assert alone[0] == batch[s]
-
-
-class TestDistinctMasks:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=seeds, n=st.integers(1, 200), bits=st.integers(1, 63))
-    def test_sorted_distinct_and_inverse(self, seed, n, bits):
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 1 << bits, n, dtype=np.uint64)
-        distinct, inverse = distinct_masks(masks)
-        assert distinct.dtype == np.uint64
-        assert distinct.tolist() == sorted(set(masks.tolist()))
-        assert np.array_equal(distinct[inverse], masks)

@@ -7,9 +7,10 @@ solve.  These tests pin it bit-for-bit against the reference oracle
 assignment) on generated sides covering every shape the side builder
 accepts: directed, undirected and mixed links; parallel and antiparallel
 links; self-loops and zero-capacity links; repeated ports and a port
-equal to the terminal; both roles; and demands past 255, where the table
-widens from ``uint8``.  A side over a guard falls back to the Gray-walk
-kernel and must agree too.
+equal to the terminal; both roles; and demands past 255, where the fast
+oracle's table (``tests/reference_certificate.py``) widens from
+``uint8``.  Both the side cover and that fast oracle are pinned; a side
+over a guard falls back to the Gray-walk kernel and must agree too.
 """
 
 import numpy as np
@@ -18,11 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import certificate
-from repro.core.arrays import build_side_array
-from repro.core.certificate import certificate_masks, side_cut_family
+from repro.core.arrays import build_side_cover
+from repro.core.certificate import side_cut_family
 from repro.graph.network import FlowNetwork
 from repro.graph.transforms import SubnetworkView
 from tests.reference_arrays import reference_side_masks
+from tests.reference_certificate import certificate_masks
 
 
 def _compositions(total, parts):
@@ -92,9 +94,9 @@ class TestCertificateMatchesReference:
     @given(drawn=sides())
     def test_default_builder_is_solver_free_and_identical(self, drawn):
         side, request = drawn
-        built = build_side_array(side, **request)
+        built = build_side_cover(side, **request)
         assert built.flow_calls == 0
-        assert np.array_equal(built.masks, reference_side_masks(side, **request))
+        assert np.array_equal(built.expand(), reference_side_masks(side, **request))
 
     @settings(max_examples=40, deadline=None)
     @given(drawn=sides(orientation=st.just("mixed")))
@@ -102,8 +104,8 @@ class TestCertificateMatchesReference:
         side, request = drawn
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-            fallback = build_side_array(side, **request)
-        assert np.array_equal(fallback.masks, reference_side_masks(side, **request))
+            fallback = build_side_cover(side, **request)
+        assert np.array_equal(fallback.expand(), reference_side_masks(side, **request))
 
 
 def test_demand_past_255_widens_the_table():
@@ -122,7 +124,11 @@ def test_demand_past_255_widens_the_table():
         assignments=[(300, 100), (400, 0), (200, 200), (0, 400)],
         demand=400,
     )
-    built = build_side_array(side, **request)
+    built = build_side_cover(side, **request)
     assert built.flow_calls == 0
-    assert built.masks.any()
-    assert np.array_equal(built.masks, reference_side_masks(side, **request))
+    expected = reference_side_masks(side, **request)
+    assert expected.any()
+    assert np.array_equal(built.expand(), expected)
+    family = side_cut_family(net, "s", None, (), ["x", "b"])
+    masks = certificate_masks(family, request["assignments"], request["demand"])
+    assert np.array_equal(masks, expected)

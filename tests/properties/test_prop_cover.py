@@ -6,9 +6,10 @@ pin, over generated sides of every shape the side builder accepts
 (``tests/properties/test_prop_certificate.py``'s strategy) and over
 bottlenecked networks with k = 1-3 cut links and demands 1-3:
 
-* expanding the cover reproduces :func:`certificate_masks` bit for bit;
-* with the certificate guards monkeypatched low, it reproduces the
-  Gray-walk table bit for bit, cube for cube the same cover;
+* expanding the cover reproduces the fast certificate oracle
+  (``tests/reference_certificate.py``) bit for bit;
+* with the certificate guards monkeypatched low, the Gray-walk kernel
+  gives the same masks, cube for cube the same cover;
 * the cubes are pairwise disjoint and their sizes sum to ``2^m``;
 * the weights of each row sum to 1, and a row's weights are ``==``
   whether it is weighed alone or in a batch.
@@ -20,13 +21,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import certificate
-from repro.core.arrays import build_side_array, build_side_cover
+from repro.core.arrays import build_side_cover
 from repro.core.assignments import enumerate_assignments
-from repro.core.certificate import certificate_masks, side_cut_family
+from repro.core.certificate import side_cut_family
 from repro.core.cover import is_partition
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network
+from repro.probability.enumeration import configuration_probabilities
 from tests.properties.test_prop_certificate import sides
+from tests.reference_arrays import reference_side_masks
+from tests.reference_certificate import certificate_masks
 
 
 @st.composite
@@ -92,10 +96,13 @@ class TestExpansion:
         certified = build_side_cover(side, **request)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-            walked = build_side_array(side, **request)
             cover = build_side_cover(side, **request)
-        assert np.array_equal(cover.expand(), walked.masks)
-        assert cover.flow_calls == walked.flow_calls
+        family = side_cut_family(side.network, *_segment(request))
+        if family is None:
+            expected = reference_side_masks(side, **request)
+        else:
+            expected = certificate_masks(family, request["assignments"], request["demand"])
+        assert np.array_equal(cover.expand(), expected)
         # The branching reads masks only: both kernels give one cover.
         assert np.array_equal(cover.cubes, certified.cubes)
 
@@ -145,10 +152,11 @@ class TestWeights:
     def test_weights_equal_the_configuration_sum(self, drawn):
         side, request = drawn
         cover = build_side_cover(side, **request)
-        array = build_side_array(side, **request)
+        masks = cover.expand()
+        probabilities = configuration_probabilities(side.network)
         weights = cover.weights(
             np.asarray([side.network.failure_probabilities()], dtype=np.float64)
         )[0]
         for mask, weight in zip(cover.distinct.tolist(), weights.tolist()):
-            expected = float(array.probabilities[array.masks == mask].sum())
+            expected = float(probabilities[masks == mask].sum())
             assert weight == pytest.approx(expected, rel=1e-12, abs=1e-15)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.arrays import build_side_array
+from repro.core.arrays import build_side_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
@@ -84,10 +84,10 @@ class TestSideArrayBitIdentity:
                 role=role, terminal=terminal, ports=ports,
                 assignments=assignments, demand=2,
             )
-            walked = build_side_array(side, **request)
+            walked = build_side_cover(side, **request)
             assert walked.flow_calls > 0
             np.testing.assert_array_equal(
-                walked.masks, reference_side_masks(side, **request)
+                walked.expand(), reference_side_masks(side, **request)
             )
 
 

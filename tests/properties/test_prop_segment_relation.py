@@ -1,13 +1,15 @@
-"""Property: chain middle-segment relations equal the reference oracle.
+"""Property: chain middle-segment relation covers equal the reference oracle.
 
 A chain middle segment asks the §III-C realization question with two
 virtual terminals: does the alive segment absorb exactly ``a`` at its
 in-ports while emitting exactly ``b`` at its out-ports?
-``build_segment_relation`` answers it with the same builder as the end
-sides, so both kernels — the cut certificate and, past its guard, the
-Gray walk — are pinned bit for bit against the segment oracle of
-``tests/reference_arrays.py`` (one cold max-flow per configuration and
-load ``(a, b)``) over generated chains, demands 1–3 and cut sizes 1–3.
+``build_relation_cover`` answers it with the same builder as the end
+sides, one mask word per in-assignment, so both kernels — the cut
+certificate and, past its guard, the Gray walk — are pinned bit for bit
+against the segment oracle of ``tests/reference_arrays.py`` (one cold
+max-flow per configuration and load ``(a, b)``) over generated chains,
+demands 1–3 and cut sizes 1–3, and give the same cubes.  At cut size 3
+and demand 3 a middle has 10 x 10 loads, more than one word holds.
 """
 
 from functools import lru_cache
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import certificate
-from repro.core.arrays import build_segment_relation
+from repro.core.arrays import build_relation_cover
 from repro.core.assignments import enumerate_assignments
 from repro.core.chain import analyze_chain
 from repro.graph.generators import chained_network
@@ -50,7 +52,7 @@ def _middle(seed, demand, cut):
 @lru_cache(maxsize=None)
 def _reference(seed, demand, cut):
     segment, request = _middle(seed, demand, cut)
-    return np.stack(
+    return np.column_stack(
         [
             reference_segment_masks(
                 segment,
@@ -74,11 +76,24 @@ def test_relation_matches_reference(seed, demand, cut, kernel, monkeypatch):
     segment, request = _middle(seed, demand, cut)
     if kernel == "walk":
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-    relation, flow_calls = build_segment_relation(segment, **request)
-    assert relation.dtype == np.uint64
-    assert relation.shape == (
-        len(request["in_assignments"]),
-        1 << segment.network.num_links,
-    )
-    assert (flow_calls == 0) == (kernel == "certificate")
-    assert np.array_equal(relation, _reference(seed, demand, cut))
+    relation = build_relation_cover(segment, **request)
+    assert relation.cubes.dtype == np.uint64
+    assert relation.words == len(request["in_assignments"])
+    assert relation.num_assignments == len(request["out_assignments"])
+    assert (relation.flow_calls == 0) == (kernel == "certificate")
+    expanded = relation.expand().reshape(1 << segment.network.num_links, -1)
+    assert np.array_equal(expanded, _reference(seed, demand, cut))
+
+
+@pytest.mark.parametrize("cut", CUT_SIZES)
+@pytest.mark.parametrize("demand", DEMANDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_both_kernels_give_one_cover(seed, demand, cut, monkeypatch):
+    """The branching reads masks only, so the walk's table factors into
+    the certificate's cubes, in the same order."""
+    segment, request = _middle(seed, demand, cut)
+    certified = build_relation_cover(segment, **request)
+    monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
+    walked = build_relation_cover(segment, **request)
+    assert walked.flow_calls > 0
+    assert np.array_equal(walked.cubes, certified.cubes)

@@ -9,6 +9,10 @@ where ``P_side(X)`` is the probability that the side's realized set
 contains ``X``.  This evaluates it directly, one subset at a time, so it
 is only usable for small classes; the kernel of
 ``repro.core.accumulate`` must agree with it.
+
+:func:`group_side` turns one side given configuration by configuration
+(a mask and a probability per configuration) into the distinct masks
+and their weights the kernel takes, as a side cover does for real sides.
 """
 
 from __future__ import annotations
@@ -40,3 +44,15 @@ def inclusion_exclusion(
         p_t = sink_probabilities[(sink_masks & subset) == subset].sum()
         table[local] = p_s * p_t
     return union_probability_from_intersections(table)
+
+
+def group_side(masks: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct masks of one side (ascending) and their ``(rows, k)``
+    weights: ``rows`` holds one probability per configuration, a row per
+    point (a single row may be 1-D)."""
+    distinct, inverse = np.unique(np.asarray(masks, dtype=np.uint64), return_inverse=True)
+    table = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    weights = np.stack(
+        [np.bincount(inverse.reshape(-1), weights=row, minlength=len(distinct)) for row in table]
+    )
+    return distinct, weights
