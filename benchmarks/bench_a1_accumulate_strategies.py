@@ -165,7 +165,8 @@ def synthetic_side(num_assignments, side_bits, seed, distinct):
 
 
 def chain_closing(dist, sink, q):
-    """Chain's closing step: ``Σ_R dist[R] · P(sink meets R)``."""
+    """Chain's closing pair sum for its last cut's widest class (every
+    cut link alive): ``Σ_R dist[R] · P(sink meets R)``."""
     states = np.flatnonzero(dist)
     return joint_rows(
         states.astype(np.uint64), dist[states][None, :], *group_side(*sink), (1 << q) - 1

@@ -16,7 +16,7 @@ from repro.core.assignments import (
 from repro.core.bottleneck import bottleneck_reliability, pattern_probability
 from repro.core.bounds import cut_upper_bound, reliability_bounds, route_lower_bound
 from repro.core.bridge import bridge_reliability
-from repro.core.chain import ChainStructure, analyze_chain, chain_reliability
+from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.factoring import factoring_reliability
 from repro.core.feasibility import FeasibilityOracle
@@ -75,8 +75,6 @@ __all__ = [
     "bottleneck_reliability",
     "pattern_probability",
     "chain_reliability",
-    "analyze_chain",
-    "ChainStructure",
     "factoring_reliability",
     "montecarlo_reliability",
     "wilson_interval",

@@ -29,9 +29,9 @@ Every caller runs :func:`joint_rows` on two sides' distinct masks and
 their weights, read from the sides' cube covers
 (:class:`repro.core.cover.SideCover`: ``distinct`` and ``weights``): the
 pointwise :func:`repro.core.bottleneck.bottleneck_reliability`, the
-sweep, batch and serve paths (all through
-:func:`repro.core.sweep.split_reliability`) and chain's closing, so no
-caller holds a ``2^m`` array.  :func:`joint_rows` gives ``r[s]`` for one
+sweep, batch and serve paths and chain's last cut (all through
+:func:`repro.core.sweep.split_reliability`), so no caller holds a
+``2^m`` array.  :func:`joint_rows` gives ``r[s]`` for one
 class (``within``), regrouped by the class's bits; each row's pair
 products are summed on their own over a hit matrix built once per call
 (in blocks under a fixed entry cap), so a row's value does not depend

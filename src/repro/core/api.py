@@ -235,7 +235,7 @@ def _dispatch(
     if method == "chain":
         cuts: Sequence[Sequence[int]] | None = options.pop("cuts", None)
         if cuts is None:
-            raise ReproError("method='chain' requires cuts=[[...], ...]")
+            raise ReproValueError("method='chain' requires cuts=[[...], ...]")
         return chain_reliability(net, demand, cuts, **options)
     if method in REMOVED_METHODS:
         raise ReproValueError(removed_method_message(method))

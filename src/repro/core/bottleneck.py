@@ -22,7 +22,11 @@ network with a set of α-bottleneck links in
 Steps 2–4 are one pipeline, :func:`repro.core.sweep.split_reliability`,
 which evaluates Eq. 2/3 for a whole grid of failure vectors over one
 pair of covers; ``bottleneck_reliability`` is its one-row call and a
-probability sweep its many-row call.
+probability sweep its many-row call.  The split of step 1 is the
+one-cut case of :func:`repro.graph.transforms.split_on_cuts`, and the
+same pipeline runs the multi-cut chain
+(:func:`repro.core.chain.chain_reliability`), so a one-cut chain is
+this algorithm bit for bit.
 
 Model note: the assignment machinery routes every sub-stream *forward*
 across the cut.  For directed cut links (all the library's generators)

@@ -28,16 +28,23 @@ This module holds:
     its kernel.
 
 :func:`split_reliability`
-    The paper's algorithm on a resolved split (:func:`bottleneck_split`)
-    for a ``(points x links)`` failure grid: §III-B assignments, both
-    side covers (once, through :func:`cached_side_cover`), then Eq. 2
-    and Eq. 3 per row — each cover weighs its distinct masks under the
-    row (:meth:`repro.core.cover.SideCover.weights`) and each supported
-    class is one pair sum of :mod:`repro.core.accumulate`.
-    :func:`repro.core.bottleneck.bottleneck_reliability` is its one-row
-    call (:func:`point_reliability`); :func:`compute_reliability_sweep`
-    is its many-row call, so every sweep point is bit-identical to a
-    fresh pointwise call (a property suite enforces value and
+    The one Eq. 2/3 pipeline, on a resolved split
+    (:class:`repro.graph.transforms.SideSplit`, from
+    :func:`bottleneck_split` or the chain's cut list) for a
+    ``(points x links)`` failure grid: §III-B assignments per cut, both
+    side covers (once, through :func:`cached_side_cover`) and, on a
+    chain, each middle segment's relation cover, then Eq. 2 and Eq. 3
+    per row — each cover weighs its distinct masks under the row
+    (:meth:`repro.core.cover.SideCover.weights`) and each supported
+    class of the last cut is one pair sum of
+    :mod:`repro.core.accumulate`.  On a chain the source masks are first
+    carried across every middle (:func:`_cross_cut`,
+    :func:`_through_segment`), row by row.
+    :func:`repro.core.bottleneck.bottleneck_reliability` and
+    :func:`repro.core.chain.chain_reliability` are its one-row calls
+    (:func:`point_reliability`); :func:`compute_reliability_sweep` is
+    its many-row call on one cut, so every sweep point is bit-identical
+    to a fresh pointwise call (a property suite enforces value and
     ``details`` equality).
 """
 
@@ -55,8 +62,16 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.accumulate import joint_rows
-from repro.core.arrays import _validate_side_request, build_side_cover
-from repro.core.assignments import classify_by_support, enumerate_assignments
+from repro.core.arrays import (
+    _validate_side_request,
+    build_relation_cover,
+    build_side_cover,
+)
+from repro.core.assignments import (
+    classify_by_support,
+    enumerate_assignments,
+    support_mask,
+)
 from repro.core.cover import SideCover, is_partition
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
@@ -107,6 +122,9 @@ _SPLIT_BYTES_PER_LINK = 320
 #: Grid batches are sized so ``batch_points * cubes`` cube probabilities
 #: (and ``batch_points * 2^k`` Eq. 2 entries) stay below this budget.
 _MAX_GRID_ENTRIES = 1 << 22
+
+#: Entries of one block of ``_through_segment``'s state-image table.
+_IMAGE_ENTRIES = 1 << 18
 
 
 def side_fingerprint(
@@ -392,8 +410,7 @@ class ArrayCache:
     def put_split(self, key: str, split: SideSplit) -> None:
         """Memoize one found cut search (memory only, never on disk)."""
         self._splits[key] = split
-        links = len(split.cut) + len(split.source_side.link_map) + len(split.sink_side.link_map)
-        self._touch(key, _SPLIT_BYTES_PER_LINK * links)
+        self._touch(key, _SPLIT_BYTES_PER_LINK * split.num_links)
 
     def _publish(self, path: Path, cubes: np.ndarray) -> None:
         """Write one entry file through this writer's own temp file.
@@ -648,6 +665,71 @@ def bottleneck_split(
         return verify_bottleneck(net, demand.source, demand.sink, cut)
 
 
+def _cross_cut(
+    dist: np.ndarray,
+    patterns: np.ndarray,
+    assignments: Sequence[Sequence[int]],
+) -> np.ndarray:
+    """Mix a chain's subset distribution over a cut's survival patterns.
+
+    ``dist[R]`` is the probability that exactly the assignment set
+    ``R`` is completable from the source; ``patterns`` is the cut's
+    Eq. (2) row.  Each pattern keeps the assignments it supports.
+    """
+    q = len(assignments)
+    check_enumerable(q)
+    supports = [support_mask(a) for a in assignments]
+    states = np.flatnonzero(dist)
+    new = np.zeros_like(dist)
+    for pattern, p in enumerate(patterns.tolist()):  # repro: noqa[RR109] mask intersection per pattern, no solver state to carry
+        if p == 0.0:
+            continue
+        allowed = 0
+        for j, s in enumerate(supports):
+            if s & ~pattern == 0:
+                allowed |= 1 << j
+        # R -> R ∩ allowed for every state R.
+        new += np.bincount(
+            states & allowed, weights=dist[states] * p, minlength=len(dist)
+        )
+    return new
+
+
+def _through_segment(
+    dist: np.ndarray,
+    relations: np.ndarray,
+    weights: np.ndarray,
+    q_out: int,
+) -> np.ndarray:
+    """Push a chain's subset distribution through a middle segment.
+
+    Row ``r`` of ``relations`` is one distinct relation of the segment
+    (:attr:`repro.core.cover.SideCover.distinct` of its relation cover):
+    word ``a`` is the out-mask in-assignment ``a`` reaches, and
+    ``weights[r]`` the probability of that relation.  Each relation maps
+    every in-state ``R`` to ``⋃_{a ∈ R} relations[r, a]`` once, by
+    doubling over the in-assignments.
+    """
+    q_in = relations.shape[1]
+    check_enumerable(max(q_in, q_out))
+    states = np.flatnonzero(dist)
+    new = np.zeros(1 << q_out, dtype=np.float64)
+    block = max(1, _IMAGE_ENTRIES >> q_in)
+    for start in range(0, len(relations), block):
+        rows = relations[start : start + block]
+        # image[r, R] = union of rows[r, a] over the in-assignments a in R.
+        image = np.zeros((len(rows), 1 << q_in), dtype=np.uint64)
+        for a in range(q_in):
+            np.bitwise_or(image[:, : 1 << a], rows[:, a : a + 1], out=image[:, 1 << a : 2 << a])
+        mass = weights[start : start + block, None] * dist[states]
+        new += np.bincount(
+            image[:, states].ravel().astype(np.intp),
+            weights=mass.ravel(),
+            minlength=1 << q_out,
+        )
+    return new
+
+
 def split_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
@@ -658,18 +740,28 @@ def split_reliability(
 ) -> tuple[list[ReliabilityResult], int]:
     """The paper's §III-B/§III-C/§IV-B pipeline on a resolved split.
 
-    Builds the assignment set and both side covers once, then
-    evaluates Eq. 2 and Eq. 3 for every row of the ``(points, links)``
-    ``failure_grid``.  Returns one result per row (each with
-    ``flow_calls=0``) and the max-flow solves the cover builds spent.
+    Builds each cut's assignment set, both side covers and every middle
+    segment's relation cover once, then evaluates every row of the
+    ``(points, links)`` ``failure_grid``.  On a one-cut split the source
+    cover's distinct masks meet the sink cover's in one Eq. 3 pair sum
+    per supported class of the cut, for a batch of rows at once.  On a
+    chain, each row first carries the source cover's masks across every
+    middle (:func:`_cross_cut`, then :func:`_through_segment`) into a
+    distribution over assignment sets of the last cut, whose nonzero
+    states the same per-class pair sums close; each row is computed on
+    its own.  Returns one result per row (each with ``flow_calls=0``)
+    and the max-flow solves the cover builds spent.
     """
     num_points = failure_grid.shape[0]
     cut_links = split.cut
     k = len(cut_links)
-    capacities = [net.link(i).capacity for i in cut_links]
     with span("bottleneck.assignments", k=k, demand=demand.rate):
-        assignments = enumerate_assignments(capacities, demand.rate)
-        count(ASSIGNMENTS_ENUMERATED, len(assignments))
+        assignment_sets = [
+            enumerate_assignments([net.link(i).capacity for i in cut], demand.rate)
+            for cut in split.cuts
+        ]
+        count(ASSIGNMENTS_ENUMERATED, sum(map(len, assignment_sets)))
+    assignments = assignment_sets[-1]
     source_columns = list(split.source_side.link_map)
     sink_columns = list(split.sink_side.link_map)
     base_details = {
@@ -679,8 +771,8 @@ def split_reliability(
         "source_side_links": len(source_columns),
         "sink_side_links": len(sink_columns),
     }
-    if not assignments:
-        # The cut cannot carry the demand even fully alive (the k = 1
+    if not all(assignment_sets):
+        # A cut cannot carry the demand even fully alive (the k = 1
         # case of this is the paper's "c(e') < d => trivially zero").
         zeros = [
             ReliabilityResult(
@@ -699,7 +791,7 @@ def split_reliability(
             role=role,
             terminal=demand.source if source else demand.sink,
             ports=split.source_ports if source else split.sink_ports,
-            assignments=assignments,
+            assignments=assignment_sets[0] if source else assignments,
             demand=demand.rate,
             cache=cache,
         )
@@ -707,9 +799,20 @@ def split_reliability(
     with span(
         "bottleneck.source_array",
         links=len(source_columns),
-        assignments=len(assignments),
+        assignments=len(assignment_sets[0]),
     ):
         source_cover = side_cover("source")
+    relations = [
+        build_relation_cover(  # repro: noqa[RR110] each middle is its own segment
+            split.segments[j],
+            in_ports=split.in_ports[j - 1],
+            out_ports=split.out_ports[j],
+            in_assignments=assignment_sets[j - 1],
+            out_assignments=assignment_sets[j],
+            demand=demand.rate,
+        )
+        for j in range(1, len(split.cuts))
+    ]
     with span(
         "bottleneck.sink_array",
         links=len(sink_columns),
@@ -728,9 +831,27 @@ def split_reliability(
     for pattern, supported in classify_by_support(assignments, k).items():
         if supported:
             by_class.setdefault(supported, []).append(pattern)
-    configurations = (1 << len(source_columns)) + (1 << len(sink_columns))
-    ms, mt = source_cover.distinct, sink_cover.distinct
-    widest = max(len(source_cover.cubes), len(sink_cover.cubes), 1 << k)
+    mt = sink_cover.distinct
+
+    def close(
+        ms: np.ndarray, ws: np.ndarray, wt: np.ndarray, pattern_rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's Eq. 3 pattern terms and its count of live classes."""
+        terms = np.zeros((len(pattern_rows), 1 << k), dtype=np.float64)
+        used = np.zeros(len(pattern_rows), dtype=np.int64)
+        for supported, patterns in by_class.items():
+            p_patterns = pattern_rows[:, patterns]
+            live = (p_patterns != 0.0).any(axis=1)
+            if not live.any():
+                continue
+            r = joint_rows(ms, ws, mt, wt, mask_from_indices(supported))
+            terms[:, patterns] = p_patterns * r[:, None]
+            used += live
+        return terms, used
+
+    configurations = sum(1 << len(segment.link_map) for segment in split.segments)
+    covers = [source_cover, *relations, sink_cover]
+    widest = max(*(len(cover.cubes) for cover in covers), 1 << k)
     batch = max(1, _MAX_GRID_ENTRIES // widest)
     results: list[ReliabilityResult] = []
     with span("bottleneck.accumulate", points=num_points, patterns=1 << k):
@@ -739,16 +860,36 @@ def split_reliability(
             ws = source_cover.weights(rows[:, source_columns])
             wt = sink_cover.weights(rows[:, sink_columns])
             pattern_rows = probability_grid(rows[:, list(cut_links)])  # Eq. (2)
-            terms = np.zeros((len(rows), 1 << k), dtype=np.float64)
-            used = np.zeros(len(rows), dtype=np.int64)
-            for supported, patterns in by_class.items():
-                p_patterns = pattern_rows[:, patterns]
-                live = (p_patterns != 0.0).any(axis=1)
-                if not live.any():
-                    continue
-                r = joint_rows(ms, ws, mt, wt, mask_from_indices(supported))
-                terms[:, patterns] = p_patterns * r[:, None]
-                used += live
+            if not relations:
+                terms, used = close(source_cover.distinct, ws, wt, pattern_rows)
+            else:
+                crossings = [
+                    (
+                        probability_grid(rows[:, list(cut)]),
+                        relation.distinct.reshape(-1, relation.words),
+                        relation.weights(rows[:, list(segment.link_map)]),
+                    )
+                    for cut, segment, relation in zip(
+                        split.cuts, split.segments[1:], relations
+                    )
+                ]
+                terms = np.zeros((len(rows), 1 << k), dtype=np.float64)
+                used = np.zeros(len(rows), dtype=np.int64)
+                for i in range(len(rows)):
+                    dist = np.zeros(1 << len(assignment_sets[0]), dtype=np.float64)
+                    dist[source_cover.distinct.astype(np.intp)] = ws[i]
+                    for j, (cut_rows, relation, weights) in enumerate(crossings):
+                        dist = _cross_cut(dist, cut_rows[i], assignment_sets[j])
+                        dist = _through_segment(
+                            dist, relation, weights[i], len(assignment_sets[j + 1])
+                        )
+                    states = np.flatnonzero(dist)
+                    terms[i : i + 1], used[i : i + 1] = close(
+                        states.astype(np.uint64),
+                        dist[states][None, :],
+                        wt[i : i + 1],
+                        pattern_rows[i : i + 1],
+                    )
             for row_terms, classes_used in zip(terms.tolist(), used.tolist()):
                 results.append(
                     ReliabilityResult(
@@ -758,7 +899,7 @@ def split_reliability(
                         details={**base_details, "distinct_classes": classes_used},
                     )
                 )
-    return results, source_cover.flow_calls + sink_cover.flow_calls
+    return results, sum(cover.flow_calls for cover in covers)
 
 
 def point_reliability(

@@ -52,6 +52,7 @@ from repro.graph.transforms import (
     alive_subnetwork,
     induced_subnetwork,
     split_on_cut,
+    split_on_cuts,
 )
 from repro.graph.validation import validate_network, validate_terminals
 
@@ -99,6 +100,7 @@ __all__ = [
     "alive_subnetwork",
     "induced_subnetwork",
     "split_on_cut",
+    "split_on_cuts",
     # io
     "from_dict",
     "to_dict",

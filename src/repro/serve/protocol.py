@@ -39,7 +39,8 @@ Errors are per-line, never connection-fatal except ``oversized``:
 ``compute-error`` (the engine refused the query) and ``internal`` (the
 engine failed unexpectedly; the daemon logs the traceback and keeps
 serving).  A query naming a removed method gets a ``bad-request`` that
-says why it was removed and where its table is.
+says why it was removed and where its table is; so does ``chain``,
+whose ordered cut sequence a query cannot carry.
 """
 
 from __future__ import annotations
@@ -202,6 +203,11 @@ def decode_query(line: bytes) -> Query:
     method = data.get("method")
     if isinstance(method, str) and method in REMOVED_METHODS:
         raise ProtocolError(ERROR_BAD_REQUEST, removed_method_message(method))
+    if method == "chain":
+        raise ProtocolError(
+            ERROR_BAD_REQUEST,
+            "method 'chain' needs an ordered cut sequence, which a query cannot carry",
+        )
     if method is not None and method not in available_methods():
         raise ProtocolError(
             ERROR_BAD_REQUEST,

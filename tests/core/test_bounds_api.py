@@ -137,7 +137,7 @@ class TestComputeReliability:
         assert isinstance(result, EstimateResult)
 
     def test_chain_requires_cuts(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproValueError, match="requires cuts"):
             compute_reliability(fujita_fig4(), "s", "t", 2, method="chain")
 
     def test_unknown_method(self):

@@ -6,68 +6,36 @@ import pytest
 from repro.core import certificate
 from repro.core.arrays import build_relation_cover
 from repro.core.bottleneck import bottleneck_reliability
-from repro.core.assignments import enumerate_assignments, support_mask
-from repro.core.chain import _cross_cut, analyze_chain, chain_reliability
+from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
 from repro.exceptions import DecompositionError, SolverError
 from repro.graph.builders import fujita_fig2_bridge, fujita_fig4, series_chain
-from repro.graph.generators import chained_network
-from repro.graph.network import FlowNetwork
+from repro.graph.generators import bottlenecked_network, chained_network
+from repro.graph.transforms import split_on_cuts
 
 
-class TestAnalyzeChain:
-    def test_single_cut(self):
-        structure = analyze_chain(fujita_fig4(), "s", "t", [[0, 1]])
-        assert structure.num_segments == 2
-        assert structure.out_ports == [("x1", "x2")]
-        assert structure.in_ports == [("y1", "y2")]
-
-    def test_series_chain_cuts(self):
-        net = series_chain(3)
-        structure = analyze_chain(net, "s", "t", [[0], [1], [2]])
-        assert structure.num_segments == 4
-        assert structure.largest_segment_links == 0
-
-    def test_generated_chain(self):
-        net = chained_network([4, 4, 4], cut_sizes=2, demand=1, seed=0)
-        structure = analyze_chain(net, "s", "t", net._chain_cut_indices)
-        assert structure.num_segments == 3
-
-    def test_overlapping_cuts_rejected(self):
-        with pytest.raises(DecompositionError):
-            analyze_chain(series_chain(3), "s", "t", [[0], [0]])
-
-    def test_wrong_order_rejected(self):
-        net = series_chain(3)
-        with pytest.raises(DecompositionError):
-            analyze_chain(net, "s", "t", [[1], [0]])
-
-    def test_non_separating_rejected(self):
-        net = fujita_fig4()
-        with pytest.raises(DecompositionError):
-            analyze_chain(net, "s", "t", [[0]])
-
-    def test_backwards_cut_link_rejected(self):
-        net = FlowNetwork()
-        net.add_link("s", "a", 1)
-        net.add_link("b", "a", 1)  # backwards across the cut
-        net.add_link("b", "t", 1)
-        with pytest.raises(DecompositionError):
-            analyze_chain(net, "s", "t", [[1]])
-
-    def test_empty_cut_list_rejected(self):
-        with pytest.raises(DecompositionError):
-            analyze_chain(series_chain(2), "s", "t", [])
+def _one_cut_fixtures():
+    yield pytest.param(fujita_fig4(), [0, 1], id="fig4")
+    yield pytest.param(fujita_fig2_bridge(), [8], id="fig2")
+    for seed in range(4):
+        net = bottlenecked_network(
+            source_side_links=12, sink_side_links=12, demand=2, seed=seed
+        )
+        yield pytest.param(net, [0, 1], id=f"bottlenecked-{seed}")
 
 
 class TestChainReliability:
-    def test_single_cut_equals_bottleneck(self):
-        net = fujita_fig4()
+    @pytest.mark.parametrize("net, cut", list(_one_cut_fixtures()))
+    def test_single_cut_equals_bottleneck(self, net, cut):
+        """A one-cut chain is the paper's split: the same pipeline, so
+        the same bits."""
         demand = FlowDemand("s", "t", 2)
-        chain = chain_reliability(net, demand, [[0, 1]])
-        bneck = bottleneck_reliability(net, demand, cut=[0, 1])
-        assert chain.value == pytest.approx(bneck.value, abs=1e-12)
+        chain = chain_reliability(net, demand, [cut])
+        bneck = bottleneck_reliability(net, demand, cut=cut)
+        assert chain.value.hex() == bneck.value.hex()
+        assert chain.flow_calls == bneck.flow_calls
+        assert chain.details["num_cuts"] == 1
 
     def test_bridge_chain(self):
         net = fujita_fig2_bridge()
@@ -160,23 +128,30 @@ class TestChainReliability:
 
 class TestChainGuards:
     def test_interface_assignment_budget(self):
-        from repro.exceptions import DecompositionError, SolverError
-        from repro.graph.generators import chained_network
-
         # d=4 over 4-link cuts: |A| = C(7,3) = 35 > the DP budget of 16
+        net = chained_network([8, 16, 8], cut_sizes=4, demand=4, seed=0)
+        demand = FlowDemand("s", "t", 4)
+        with pytest.raises(DecompositionError, match="35 assignments"):
+            chain_reliability(net, demand, net._chain_cut_indices)
+
+    def test_one_cut_has_no_subset_vector_to_bound(self):
+        """One cut is closed by per-class pair sums, never a dense subset
+        vector, so 35 assignments run as the paper's split does."""
         net = chained_network([8, 8], cut_sizes=4, demand=4, seed=0)
         demand = FlowDemand("s", "t", 4)
-        with pytest.raises(DecompositionError):
-            chain_reliability(net, demand, net._chain_cut_indices)
+        chain = chain_reliability(net, demand, net._chain_cut_indices)
+        bneck = bottleneck_reliability(net, demand, cut=net._chain_cut_indices[0])
+        assert chain.details["interface_sizes"] == [35]
+        assert chain.value.hex() == bneck.value.hex()
 
 
 class TestRelationCover:
     def _request(self):
         net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=7)
-        structure = analyze_chain(net, "s", "t", net._chain_cut_indices)
-        return structure.segments[1], dict(
-            in_ports=structure.in_ports[0],
-            out_ports=structure.out_ports[1],
+        split = split_on_cuts(net, "s", "t", net._chain_cut_indices)
+        return split.segments[1], dict(
+            in_ports=split.in_ports[0],
+            out_ports=split.out_ports[1],
             in_assignments=[(2, 0), (1, 1), (0, 2)],
             out_assignments=[(2, 0), (1, 1), (0, 2)],
             demand=2,
@@ -215,45 +190,3 @@ class TestRelationCover:
         segment, request = self._request()
         with pytest.raises(SolverError, match="not inside this side"):
             build_relation_cover(segment, **{**request, "out_ports": ("nowhere", "o1_1")})
-
-
-class TestCrossCut:
-    """The per-pattern bincount mixes the subset distribution exactly as
-    the per-state redistribution ``new[R & allowed] += dist[R] · p``."""
-
-    @staticmethod
-    def _reference(dist, patterns, assignments):
-        supports = [support_mask(a) for a in assignments]
-        new = np.zeros_like(dist)
-        for pattern, p in enumerate(patterns):
-            allowed = sum(
-                1 << j for j, support in enumerate(supports) if support & ~pattern == 0
-            )
-            for state, value in enumerate(dist):
-                new[state & allowed] += value * p
-        return new
-
-    @staticmethod
-    def _inputs(seed, capacities, demand):
-        rng = np.random.default_rng(seed)
-        assignments = enumerate_assignments(capacities, demand)
-        dist = rng.random(1 << len(assignments))
-        dist[rng.random(len(dist)) < 0.3] = 0.0
-        dist /= dist.sum()
-        patterns = rng.random(1 << len(capacities))
-        patterns[0] = 0.0
-        return dist, patterns / patterns.sum(), assignments
-
-    @pytest.mark.parametrize(
-        "seed, capacities, demand",
-        [(0, [1, 1], 1), (1, [2, 2], 2), (2, [2, 1, 1], 2), (3, [3, 2, 2], 3)],
-    )
-    def test_matches_per_state_redistribution(self, seed, capacities, demand):
-        dist, patterns, assignments = self._inputs(seed, capacities, demand)
-        got = _cross_cut(dist, patterns, assignments)
-        expected = self._reference(dist, patterns, assignments)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
-
-    def test_mass_is_conserved(self):
-        dist, patterns, assignments = self._inputs(5, [2, 2, 1], 2)
-        assert _cross_cut(dist, patterns, assignments).sum() == pytest.approx(1.0)

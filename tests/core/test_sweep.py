@@ -13,7 +13,7 @@ import pytest
 from repro.core import certificate, sweep
 from repro.core.api import compute_reliability
 from repro.core.arrays import build_side_cover
-from repro.core.assignments import enumerate_assignments
+from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import (
@@ -26,7 +26,8 @@ from repro.core.sweep import (
 )
 from repro.exceptions import DecompositionError, ReproValueError
 from repro.graph.builders import fujita_fig4, parallel_links
-from repro.graph.transforms import split_on_cut
+from repro.graph.generators import chained_network
+from repro.graph.transforms import split_on_cut, split_on_cuts
 from repro.obs.recorder import ARRAY_CACHE_WRITE_ERRORS, SPLIT_CACHE_HITS, record
 from repro.probability.enumeration import configuration_probabilities
 from tests.reference_arrays import reference_side_masks
@@ -771,3 +772,63 @@ class TestSplitMemo:
 
         monkeypatch.setattr(sweep, "network_fingerprint", forbidden)
         assert 0.0 < call(fujita_fig4()) < 1.0
+
+
+class TestChainSplit:
+    """The pipeline on a multi-cut split: the chain DP, row by row."""
+
+    def test_rows_are_computed_on_their_own(self):
+        net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=1)
+        split = split_on_cuts(net, "s", "t", net._chain_cut_indices)
+        assert len(split.segments) == 3
+        grid = SweepSpec.availability([0.7, 0.9, 0.99]).failure_matrix(net)
+        rows, flow_calls = sweep.split_reliability(net, DEMAND, split, grid, cache=None)
+        assert flow_calls == 0
+        for i, row in enumerate(rows):
+            (alone,), _ = sweep.split_reliability(
+                net, DEMAND, split, grid[i : i + 1], cache=None
+            )
+            assert row.value.hex() == alone.value.hex()
+            assert row.details == alone.details
+
+
+class TestCrossCut:
+    """The per-pattern bincount mixes the subset distribution exactly as
+    the per-state redistribution ``new[R & allowed] += dist[R] · p``."""
+
+    @staticmethod
+    def _reference(dist, patterns, assignments):
+        supports = [support_mask(a) for a in assignments]
+        new = np.zeros_like(dist)
+        for pattern, p in enumerate(patterns):
+            allowed = sum(
+                1 << j for j, support in enumerate(supports) if support & ~pattern == 0
+            )
+            for state, value in enumerate(dist):
+                new[state & allowed] += value * p
+        return new
+
+    @staticmethod
+    def _inputs(seed, capacities, demand):
+        rng = np.random.default_rng(seed)
+        assignments = enumerate_assignments(capacities, demand)
+        dist = rng.random(1 << len(assignments))
+        dist[rng.random(len(dist)) < 0.3] = 0.0
+        dist /= dist.sum()
+        patterns = rng.random(1 << len(capacities))
+        patterns[0] = 0.0
+        return dist, patterns / patterns.sum(), assignments
+
+    @pytest.mark.parametrize(
+        "seed, capacities, demand",
+        [(0, [1, 1], 1), (1, [2, 2], 2), (2, [2, 1, 1], 2), (3, [3, 2, 2], 3)],
+    )
+    def test_matches_per_state_redistribution(self, seed, capacities, demand):
+        dist, patterns, assignments = self._inputs(seed, capacities, demand)
+        got = sweep._cross_cut(dist, patterns, assignments)
+        expected = self._reference(dist, patterns, assignments)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    def test_mass_is_conserved(self):
+        dist, patterns, assignments = self._inputs(5, [2, 2, 1], 2)
+        assert sweep._cross_cut(dist, patterns, assignments).sum() == pytest.approx(1.0)

@@ -3,12 +3,14 @@
 import pytest
 
 from repro.exceptions import DecompositionError
-from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4
+from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4, series_chain
+from repro.graph.generators import chained_network
 from repro.graph.network import FlowNetwork
 from repro.graph.transforms import (
     alive_subnetwork,
     induced_subnetwork,
     split_on_cut,
+    split_on_cuts,
 )
 
 
@@ -120,3 +122,62 @@ class TestSplitOnCut:
         # joining the two sides
         with pytest.raises(DecompositionError):
             split_on_cut(net, "s", "t", [8, 0])
+
+
+class TestSplitOnCuts:
+    """The one validator on ordered cut sequences: a chain of ``r`` cuts
+    is a split of ``r + 1`` segments."""
+
+    def test_single_cut(self):
+        split = split_on_cuts(fujita_fig4(), "s", "t", [[0, 1]])
+        assert len(split.segments) == 2
+        assert split.out_ports == (("x1", "x2"),)
+        assert split.in_ports == (("y1", "y2"),)
+        assert split == split_on_cut(fujita_fig4(), "s", "t", [0, 1])
+
+    def test_series_chain_cuts(self):
+        net = series_chain(3)
+        split = split_on_cuts(net, "s", "t", [[0], [1], [2]])
+        assert len(split.segments) == 4
+        assert max(len(seg.link_map) for seg in split.segments) == 0
+
+    def test_generated_chain(self):
+        net = chained_network([4, 4, 4], cut_sizes=2, demand=1, seed=0)
+        split = split_on_cuts(net, "s", "t", net._chain_cut_indices)
+        assert len(split.segments) == 3
+        assert split.cuts == tuple(map(tuple, net._chain_cut_indices))
+        assert split.cut == split.cuts[-1]
+        assert split.source_ports == split.out_ports[0]
+        assert split.sink_ports == split.in_ports[-1]
+        assert split.num_links == net.num_links
+        assert split.alpha == 4 / net.num_links
+
+    def test_overlapping_cuts_rejected(self):
+        with pytest.raises(DecompositionError):
+            split_on_cuts(series_chain(3), "s", "t", [[0], [0]])
+
+    def test_wrong_order_rejected(self):
+        net = series_chain(3)
+        with pytest.raises(DecompositionError):
+            split_on_cuts(net, "s", "t", [[1], [0]])
+
+    def test_non_separating_rejected(self):
+        net = fujita_fig4()
+        with pytest.raises(DecompositionError):
+            split_on_cuts(net, "s", "t", [[0]])
+
+    def test_backwards_cut_link_rejected(self):
+        net = FlowNetwork()
+        net.add_link("s", "a", 1)
+        net.add_link("b", "a", 1)  # backwards across the cut
+        net.add_link("b", "t", 1)
+        with pytest.raises(DecompositionError):
+            split_on_cuts(net, "s", "t", [[1]])
+
+    def test_empty_cut_list_rejected(self):
+        with pytest.raises(DecompositionError):
+            split_on_cuts(series_chain(2), "s", "t", [])
+
+    def test_empty_cut_rejected(self):
+        with pytest.raises(DecompositionError, match="at least one link"):
+            split_on_cuts(series_chain(2), "s", "t", [[0], []])

@@ -20,8 +20,8 @@ import pytest
 from repro.core import certificate
 from repro.core.arrays import build_relation_cover
 from repro.core.assignments import enumerate_assignments
-from repro.core.chain import analyze_chain
 from repro.graph.generators import chained_network
+from repro.graph.transforms import split_on_cuts
 from tests.reference_arrays import reference_segment_masks
 
 SEEDS = range(3)
@@ -34,11 +34,11 @@ def _middle(seed, demand, cut):
     net = chained_network(
         [cut, max(cut * cut, 4), cut], cut_sizes=cut, demand=demand, seed=seed
     )
-    structure = analyze_chain(net, "s", "t", net._chain_cut_indices)
-    in_cut, out_cut = structure.cuts
-    return structure.segments[1], dict(
-        in_ports=structure.in_ports[0],
-        out_ports=structure.out_ports[1],
+    split = split_on_cuts(net, "s", "t", net._chain_cut_indices)
+    in_cut, out_cut = split.cuts
+    return split.segments[1], dict(
+        in_ports=split.in_ports[0],
+        out_ports=split.out_ports[1],
         in_assignments=enumerate_assignments(
             [net.link(i).capacity for i in in_cut], demand
         ),

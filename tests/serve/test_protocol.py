@@ -129,6 +129,13 @@ class TestDecodeErrors:
         assert REMOVED_POINTER in message
         assert "unknown method" not in message
 
+    def test_chain_is_a_bad_request(self):
+        """A query cannot carry cuts, so ``chain`` is refused at decode,
+        not failed as a ``compute-error`` later."""
+        with pytest.raises(ProtocolError, match="cut sequence") as excinfo:
+            decode_query(_encode(_query_payload(method="chain")))
+        assert excinfo.value.code == ERROR_BAD_REQUEST
+
     def test_unhashable_method_is_a_bad_request(self):
         assert self._code(_encode(_query_payload(method=["auto"]))) == ERROR_BAD_REQUEST
 
