@@ -3,19 +3,20 @@
 Cold enumeration re-derives the whole flow at every lattice entry; the
 incremental engine (``repro.flow.incremental``) repairs the previous
 entry's flow across the one-link Gray step instead.  The honest metric
-is **augmenting-path work** — the ``solver.<name>.paths`` counter, i.e.
+is **augmenting-path work** — the ``solver.dinic.paths`` counter, i.e.
 how many augmenting paths the solver actually traced — not solver
 invocations, because repairs are many tiny solves (``flow_calls`` can
 grow while the path work collapses).
 
-The library has no cold switch (the solver decides: Dinic repairs), so
-the cold rows come from :func:`_cold_popcount_naive` below — a cold
+Naive has no cold switch (its Gray walk always repairs), so the cold
+rows come from :func:`_cold_popcount_naive` below — a cold
 Dinic oracle scanned most-alive first, the order naive used before its
 Gray walk.  Every row is asserted value-identical to the cold baseline
 (``==`` on the float, not approx) before it is reported; the committed
 snapshot lives in ``benchmarks/BENCH_incremental.json`` (its bottleneck
 rows are history: the bottleneck pipeline no longer takes
-``incremental=``, ``prune=`` or ``solver=``) and the acceptance bar
+``incremental=`` or ``prune=``, and ``solver=`` is gone everywhere) and
+the acceptance bar
 (>= 2x path-work reduction on fig4) is asserted here so a regression
 fails the bench, not just the JSON diff.
 """

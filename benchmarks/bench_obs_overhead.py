@@ -29,7 +29,7 @@ def _call_volume(net, demand):
         result = naive_reliability(net, demand)
     spans = sum(1 for _ in rec.root.iter_spans()) - 1  # minus the root
     # Counter events: one per oracle solve (flow_solves), two per
-    # residual solve (solver.<name>.solves + .seconds), one per
+    # residual solve (solver.dinic.solves + .seconds), one per
     # probability table.  Read the event multiplicities off the totals.
     totals = rec.counter_totals()
     solver_events = 2 * sum(

@@ -21,7 +21,7 @@ Subpackages
     The :class:`FlowNetwork` structure, builders/generators,
     connectivity, cut enumeration and bottleneck discovery.
 ``repro.flow``
-    From-scratch max-flow solvers (Dinic default), min-cut extraction
+    A from-scratch Dinic max-flow solver, min-cut extraction
     and flow decomposition into unit-rate sub-streams.
 ``repro.probability``
     Failure-configuration enumeration, subset-lattice transforms,

@@ -1,7 +1,7 @@
 """RR107 / RR111 — instrumentation discipline rules.
 
 RR107: every duration the repository reports — bench tables, trace
-spans, per-solver solve times — must come from the one sanctioned
+spans, solver solve times — must come from the one sanctioned
 clock, :func:`repro.obs.wallclock`, and ideally through the
 :class:`repro.obs.Recorder` span machinery.  A stray
 ``time.perf_counter()`` (or ``time.time()``) call measures something no
@@ -16,11 +16,10 @@ the obs catalogues (``KNOWN_SPANS`` / ``KNOWN_COUNTERS`` /
 ``.format()`` calls.  A dynamically built name is an open vocabulary:
 the live metrics endpoint, the run ledger diff and the docs tables can
 no longer enumerate what a trace may contain, and one typo'd family
-silently forks a counter.  Legitimate dynamic families (the per-solver
-``solver.<name>.*`` counters) are formatted **once** at class
-construction and passed as a bound attribute, which this rule
-deliberately lets through (a plain name/attribute argument is assumed
-catalogued at its definition site).
+silently forks a counter.  A plain name or attribute argument is let
+through, assumed catalogued at its definition site: the solver's
+``solver.dinic.*`` counters, like every other family, are literal
+constants in :mod:`repro.obs.recorder` passed by name.
 """
 
 from __future__ import annotations
@@ -205,8 +204,8 @@ class UncataloguedMetricName(Rule):
                     node,
                     self.code,
                     f"{entry}() name built with {how}; metric names must be "
-                    "string literals from the obs catalogue (format dynamic "
-                    "families once at construction and pass the bound name)",
+                    "string literals from the obs catalogue (or a constant "
+                    "bound to one)",
                 )
                 continue
             catalogue = _METRIC_CALLS[entry]

@@ -52,7 +52,6 @@ from repro.core.demand import FlowDemand
 from repro.core.distribution import flow_value_distribution
 from repro.core.sweep import ArrayCache, SweepSpec, compute_reliability_sweep
 from repro.exceptions import ReproError, ReproValueError
-from repro.flow import DEFAULT_SOLVER
 from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4
 from repro.graph.generators import bottlenecked_network
 from repro.graph.io import dumps as network_to_json
@@ -358,12 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--rate", "-d", type=int, default=None, help="warm-demand rate d"
     )
-    serve.add_argument(
-        "--solver",
-        default=None,
-        help="max-flow solver for queries with a non-coalescible method "
-        f"(default: {DEFAULT_SOLVER}); bottleneck side covers ignore it",
-    )
     _add_telemetry_flags(serve)
 
     runs = sub.add_parser("runs", help="inspect and compare the run ledger")
@@ -619,7 +612,6 @@ class _ObsSession:
             ],
             value=self._value,
             flow_calls=self._flow_calls,
-            solver=DEFAULT_SOLVER,
             interval=self._interval,
         )
         run_id = RunLedger(self.args.ledger_dir).append(run_record)
@@ -938,7 +930,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache=cache,
-        solver=args.solver,
     )
     session = _ObsSession(
         args,
@@ -948,7 +939,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "host": args.host,
                 "cache_dir": args.cache_dir,
                 "cache_max_bytes": args.cache_max_bytes,
-                "solver": args.solver,
                 "warm": sorted(args.warm),
             }
         },
@@ -1202,9 +1192,10 @@ _COMMANDS = {
 _NEVER_BEAT_SERIAL = (
     'never beat the serial path; see docs/PERFORMANCE.md "Removed build paths"'
 )
-_SOLVER_DECIDES = (
-    "the solver decides flow repair (warm when it supports warm starts, "
-    'cold otherwise); see docs/PERFORMANCE.md "Incremental repair"'
+_ENGINE_DECIDES = (
+    "the engine decides flow repair (the Gray walks and the rare-event "
+    'estimator repair, the others solve cold); see docs/PERFORMANCE.md '
+    '"Incremental repair"'
 )
 
 _NEVER_WON = f"won no measured row; {REMOVED_POINTER}"
@@ -1217,8 +1208,12 @@ _REMOVED = {
     "--block-bits": f"the bit-plane block kernel {_NEVER_BEAT_SERIAL}",
     "--shard": f"the sharded share-nothing sweep {_NEVER_BEAT_SERIAL}",
     "naive-parallel": f"the process-pool naive scan {_NEVER_BEAT_SERIAL}",
-    "--incremental": _SOLVER_DECIDES,
-    "--no-incremental": _SOLVER_DECIDES,
+    "--incremental": _ENGINE_DECIDES,
+    "--no-incremental": _ENGINE_DECIDES,
+    "--solver": (
+        "Dinic is the only max-flow solver; see docs/PERFORMANCE.md "
+        '"Removed solvers"'
+    ),
     **{name: f"{reason}; {REMOVED_POINTER}" for name, reason in REMOVED_METHODS.items()},
     "--levels": f"fixed-effort multilevel splitting {_NEVER_WON}",
     "--variant": (

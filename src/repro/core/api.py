@@ -46,7 +46,6 @@ __all__ = [
     "COALESCIBLE_METHODS",
     "REMOVED_METHODS",
     "REMOVED_POINTER",
-    "SOLVER_METHODS",
     "available_methods",
     "compute_reliability",
     "dispatch_query",
@@ -60,10 +59,6 @@ __all__ = [
 #: probability phase, which is what :func:`repro.core.sweep.plan_batch`
 #: exploits.  ``None`` (no explicit method) coalesces as ``"auto"``.
 COALESCIBLE_METHODS = frozenset({"auto", "bottleneck"})
-#: Methods whose engine takes ``solver=``: the max-flow engines and the
-#: estimators built on them.  Every other engine raises ``TypeError``
-#: for it, so the serving daemon forwards its solver only to these.
-SOLVER_METHODS = frozenset({"auto", "naive", "factoring", "montecarlo", "rare"})
 #: Where a removed engine's error points: the tables that removed it.
 REMOVED_POINTER = 'see docs/PERFORMANCE.md "Removed engines"'
 
@@ -84,7 +79,7 @@ _AUTO_ESTIMATE_MAX_LINKS = 63
 #: Options ``method="auto"`` accepts; it forwards each to the engines
 #: of the dispatch that take it and rejects everything else rather than
 #: dropping it.
-_AUTO_OPTIONS = frozenset({"solver", "cache", "max_cut_size", "seed", "num_samples"})
+_AUTO_OPTIONS = frozenset({"cache", "max_cut_size", "seed", "num_samples"})
 #: Deleted engines, by their former method name, each with the reason
 #: its table gave (the CLI's ``--method`` pointers and the serving
 #: daemon's ``bad-request`` are built from this table too).
@@ -133,20 +128,20 @@ def compute_reliability(
     The demand is given either as a :class:`FlowDemand` via ``demand=``
     or as the positional triple ``source, sink, rate``.
 
-    ``options`` are forwarded to the chosen algorithm (e.g. ``solver=``
-    for the max-flow engines, ``cut=``, ``num_samples=``, ``cuts=`` for
-    chain, ``cache=`` an :class:`repro.core.sweep.ArrayCache` for
-    realization-array reuse); an engine that does not take an option
-    raises ``TypeError``.  ``method="auto"`` accepts only ``solver=``,
-    ``cache=``, ``max_cut_size=``, ``seed=`` and ``num_samples=`` and
-    raises :class:`ReproValueError` for any other option.  It forwards
-    ``cache=`` to the bottleneck engine and its cut-search memo,
-    ``max_cut_size=`` to the cut
-    search, ``solver=`` to the naive, rare-event and factoring
-    fallbacks, and ``seed=`` and ``num_samples=`` to the rare-event
-    tier.  Flow repair is the solver's call, never an option: the naive
-    and rare-event engines repair whenever the solver supports warm
-    starts.
+    ``options`` are forwarded to the chosen algorithm (e.g. ``cut=``,
+    ``num_samples=``, ``cuts=`` for chain, ``cache=`` an
+    :class:`repro.core.sweep.ArrayCache` for realization-array reuse);
+    an engine that does not take an option raises ``TypeError``.
+    ``method="auto"`` accepts only ``cache=``, ``max_cut_size=``,
+    ``seed=`` and ``num_samples=`` and raises :class:`ReproValueError`
+    for any other option.  It forwards ``cache=`` to the bottleneck
+    engine and its cut-search memo, ``max_cut_size=`` to the cut
+    search, and ``seed=`` and ``num_samples=`` to the rare-event tier.
+    Every engine solves max flow with Dinic, and flow repair is never an
+    option: the naive and rare-event engines always repair.
+
+    A missing or doubled demand and an unknown ``method`` raise
+    :class:`ReproValueError`.
 
     Examples
     --------
@@ -157,12 +152,12 @@ def compute_reliability(
     """
     if demand is None:
         if source is None or sink is None or rate is None:
-            raise ReproError(
+            raise ReproValueError(
                 "provide either demand= or the (source, sink, rate) triple"
             )
         demand = FlowDemand(source, sink, rate)
     elif (source, sink, rate) != (None, None, None):
-        raise ReproError("pass demand= or the positional triple, not both")
+        raise ReproValueError("pass demand= or the positional triple, not both")
     demand.validate_against(net)
 
     result = _dispatch(net, demand, method, options)
@@ -240,7 +235,7 @@ def _dispatch(
     if method in REMOVED_METHODS:
         raise ReproValueError(removed_method_message(method))
     if method != "auto":
-        raise ReproError(
+        raise ReproValueError(
             f"unknown method {method!r}; available: {available_methods()}"
         )
 
@@ -251,7 +246,6 @@ def _dispatch(
             f"method='auto' does not accept option(s) {', '.join(unknown)}; "
             f"accepted: {', '.join(sorted(_AUTO_OPTIONS))}"
         )
-    solver = options.get("solver")
     cache = options.get("cache")
     try:
         split = bottleneck_split(
@@ -269,7 +263,7 @@ def _dispatch(
             except DecompositionError:
                 pass
     if net.num_links <= _AUTO_NAIVE_BITS:
-        return naive_reliability(net, demand, solver=solver)
+        return naive_reliability(net, demand)
     if _AUTO_ESTIMATE_LINKS < net.num_links <= _AUTO_ESTIMATE_MAX_LINKS:
         # No enumerable bottleneck split and a state space past every
         # exact engine's guard: estimate instead of grinding factoring
@@ -280,8 +274,7 @@ def _dispatch(
         return rare_reliability(
             net,
             demand,
-            solver=solver,
             seed=options.get("seed", 0),
             num_samples=options.get("num_samples"),
         )
-    return factoring_reliability(net, demand, solver=solver)
+    return factoring_reliability(net, demand)

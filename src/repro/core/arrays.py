@@ -39,7 +39,6 @@ from repro.core.certificate import certificate_cover, side_cut_family
 from repro.core.cover import SideCover, table_cover
 from repro.core.latticewalk import gray_walk_table
 from repro.exceptions import SolverError
-from repro.flow.base import get_solver
 from repro.flow.incremental import IncrementalMaxFlow, plan_gray_order
 from repro.flow.residual import ResidualTemplate, build_template
 from repro.graph.network import FlowNetwork, Node
@@ -244,7 +243,6 @@ def _gray_walk_masks(
     template, port_names, s_idx, t_idx = _segment_template(
         net, source, sink, in_ports, out_ports, demand
     )
-    solver = get_solver(None)
     m = net.num_links
     check_enumerable(m)
     size = 1 << m
@@ -253,7 +251,6 @@ def _gray_walk_masks(
         template,
         s_idx,
         t_idx,
-        solver=solver,
         limit=demand,
         alive=0,
         virtual_capacities={name: 0 for name in port_names},
@@ -272,7 +269,7 @@ def _gray_walk_masks(
                 engine.retarget(caps)
                 order = plan_gray_order(
                     template, s_idx, t_idx, m,
-                    solver=solver, limit=demand or None, virtual_capacities=caps,
+                    limit=demand or None, virtual_capacities=caps,
                 )
                 gray_walk_table(
                     realized[:, j],

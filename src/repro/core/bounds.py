@@ -26,7 +26,7 @@ from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.summation import prob_fsum
 from repro.exceptions import ReproError
-from repro.flow.base import MaxFlowSolver, get_solver, max_flow
+from repro.flow.base import max_flow
 from repro.flow.mincut import min_cut_links
 from repro.graph.cuts import minimal_st_cuts, minimum_cardinality_cut
 from repro.graph.network import FlowNetwork
@@ -94,7 +94,6 @@ def route_lower_bound(
     demand: FlowDemand,
     *,
     max_families: int = 4,
-    solver: str | MaxFlowSolver | None = None,
 ) -> float:
     """Inclusion–exclusion over greedily-collected route families.
 
@@ -108,17 +107,15 @@ def route_lower_bound(
     if max_families < 1:
         raise ReproError("need at least one route family")
     with span("bounds.route_lower", max_families=max_families):
-        return _route_lower_bound(net, demand, max_families, solver)
+        return _route_lower_bound(net, demand, max_families)
 
 
 def _route_lower_bound(
     net: FlowNetwork,
     demand: FlowDemand,
     max_families: int,
-    solver: str | MaxFlowSolver | None,
 ) -> float:
-    engine = get_solver(solver)
-    oracle = FeasibilityOracle(net, demand.source, demand.sink, demand.rate, solver=engine)
+    oracle = FeasibilityOracle(net, demand.source, demand.sink, demand.rate)
     all_links = (1 << net.num_links) - 1
     forbidden = 0
     families: list[int] = []
@@ -173,10 +170,9 @@ def reliability_bounds(
     *,
     max_cut_size: int = 3,
     max_families: int = 4,
-    solver: str | MaxFlowSolver | None = None,
 ) -> tuple[float, float]:
     """``(lower, upper)`` bracket on the reliability."""
-    lower = route_lower_bound(net, demand, max_families=max_families, solver=solver)
+    lower = route_lower_bound(net, demand, max_families=max_families)
     upper = cut_upper_bound(net, demand, max_cut_size=max_cut_size)
     if lower > upper + 1e-9:
         raise ReproError(

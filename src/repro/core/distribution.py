@@ -24,7 +24,6 @@ from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.summation import prob_fsum
 from repro.exceptions import EstimationError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.generators import as_rng
 from repro.graph.network import FlowNetwork, Node
 from repro.probability.bitset import popcount_array
@@ -84,8 +83,6 @@ def flow_value_distribution(
     net: FlowNetwork,
     source: Node,
     sink: Node,
-    *,
-    solver: str | MaxFlowSolver | None = None,
 ) -> FlowValueDistribution:
     """Exact PMF of the surviving max-flow value.
 
@@ -97,7 +94,7 @@ def flow_value_distribution(
     """
     m = net.num_links
     check_enumerable(m, limit=22)
-    oracle = FeasibilityOracle(net, source, sink, 0, solver=solver)
+    oracle = FeasibilityOracle(net, source, sink, 0)
     size = 1 << m
     values = np.zeros(size, dtype=np.int64)
     counts = popcount_array(m)
@@ -138,7 +135,6 @@ def sampled_flow_value_distribution(
     *,
     num_samples: int = 10_000,
     seed: int | np.random.Generator | None = 0,
-    solver: str | MaxFlowSolver | None = None,
 ) -> FlowValueDistribution:
     """Monte-Carlo PMF of the surviving max-flow value.
 
@@ -148,7 +144,7 @@ def sampled_flow_value_distribution(
     if num_samples < 1:
         raise EstimationError("num_samples must be positive")
     rng = as_rng(seed)
-    oracle = FeasibilityOracle(net, source, sink, 0, solver=solver)
+    oracle = FeasibilityOracle(net, source, sink, 0)
     masks = sample_alive_masks(net, num_samples, rng=rng)
     cache: dict[int, int] = {}
     tally: dict[int, int] = {}

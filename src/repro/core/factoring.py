@@ -28,7 +28,6 @@ from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.result import ReliabilityResult
 from repro.exceptions import IntractableError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork
 
 __all__ = ["factoring_reliability"]
@@ -41,7 +40,6 @@ def factoring_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
     *,
-    solver: str | MaxFlowSolver | None = None,
     use_flow_heuristic: bool = True,
 ) -> ReliabilityResult:
     """Exact reliability by conditioning with feasibility short-circuits.
@@ -58,7 +56,7 @@ def factoring_reliability(
             required=m,
             limit=MAX_FACTORING_LINKS,
         )
-    oracle = FeasibilityOracle(net, demand.source, demand.sink, demand.rate, solver=solver)
+    oracle = FeasibilityOracle(net, demand.source, demand.sink, demand.rate)
     probabilities = net.failure_probabilities()
     # Links that never fail are decided alive up front — branching on
     # them would double the tree for a zero-probability branch.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.exceptions import SolverError
-from repro.flow.base import MaxFlowSolver, get_solver
+from repro.flow.dinic import DinicSolver
 from repro.flow.incremental import IncrementalMaxFlow
 from repro.flow.residual import ResidualGraph, build_template
 from repro.graph.network import FlowNetwork, Node
@@ -31,16 +31,13 @@ class FeasibilityOracle:
     ----------
     net, source, sink, demand:
         The fixed problem; only the alive set varies per query.
-    solver:
-        Registry name or instance; default Dinic.
     incremental:
-        Repair flow when the solver can: route :meth:`feasible` queries
-        through a long-lived
+        Repair flow: route :meth:`feasible` queries through a long-lived
         :class:`~repro.flow.incremental.IncrementalMaxFlow` that repairs
         the previous flow instead of cold-solving; exact for any query
         sequence, cheapest when consecutive alive sets are Gray-adjacent.
-        A solver without the warm-start contract (push–relabel) solves
-        cold instead.
+        The enumeration walks (naive, rare, multisink) pass ``True``;
+        the cold default serves callers whose queries jump around.
 
     Attributes
     ----------
@@ -48,7 +45,7 @@ class FeasibilityOracle:
         Number of max-flow solves performed so far (in incremental mode,
         solver invocations by the repair engine — augments and repairs).
     incremental:
-        Whether queries actually repair flow (``False`` when cold).
+        Whether queries repair flow (``False`` when cold).
     """
 
     def __init__(
@@ -58,7 +55,6 @@ class FeasibilityOracle:
         sink: Node,
         demand: int,
         *,
-        solver: str | MaxFlowSolver | None = None,
         incremental: bool = False,
     ) -> None:
         if demand < 0:
@@ -69,7 +65,7 @@ class FeasibilityOracle:
         self.source = source
         self.sink = sink
         self.demand = int(demand)
-        self.solver = get_solver(solver)
+        self.solver = DinicSolver()
         self.template = build_template(net)
         try:
             self._s = self.template.node_index[source]
@@ -84,16 +80,11 @@ class FeasibilityOracle:
         ]
         self._capacity = [link.capacity for link in net.links()]
         self.calls = 0
-        self.incremental = bool(incremental) and self.solver.supports_incremental
+        self.incremental = bool(incremental)
         self._engine: IncrementalMaxFlow | None = None
         if self.incremental and self.demand > 0:
             self._engine = IncrementalMaxFlow(
-                self.template,
-                self._s,
-                self._t,
-                solver=self.solver,
-                limit=self.demand,
-                alive=0,
+                self.template, self._s, self._t, limit=self.demand, alive=0
             )
 
     @property
@@ -151,27 +142,27 @@ class FeasibilityOracle:
           tie): each carries every dead link leaving its shore, and the
           fewer links a cut has, the more failure orders it settles.
 
-        Costs exactly what :meth:`feasible` costs plus a scan of the
-        solver state, read from the repair engine's residual when
-        incremental and from the template's otherwise (push–relabel
-        leaves a genuine max-flow state).  Each certificate is checked
-        against the queried alive set before it is returned: a support
-        must be alive, each shore must keep source and sink apart, each
-        cut's alive capacity must fall short of the demand.  A solver
-        state that fails a check raises
-        :class:`~repro.exceptions.SolverError`.
+        Needs an incremental oracle (a cold one raises
+        :class:`~repro.exceptions.SolverError`).  Costs exactly what
+        :meth:`feasible` costs plus a scan of the repair engine's
+        residual state.  Each certificate is checked against the queried
+        alive set before it is returned: a support must be alive, each
+        shore must keep source and sink apart, each cut's alive capacity
+        must fall short of the demand.  A solver state that fails a
+        check raises :class:`~repro.exceptions.SolverError`.
         """
         if self.demand == 0:
             return True, ()
-        if self._engine is not None:
-            feasible = self.feasible(alive)
-            graph, link_flow = self._engine.graph, self._engine.link_flow
-        else:
-            feasible = self.flow_value(alive, limit=self.demand) >= self.demand
-            graph, link_flow = self.template.graph, self.template.link_flow
+        engine = self._engine
+        if engine is None:
+            raise SolverError("certify needs an oracle built with incremental=True")
+        feasible = self.feasible(alive)
+        graph = engine.graph
         links = self.net.links()
         if feasible:
-            support = tuple(link.index for link in links if link_flow(link.index) != 0)
+            support = tuple(
+                link.index for link in links if engine.link_flow(link.index) != 0
+            )
             if any(not (alive >> i) & 1 for i in support):
                 raise SolverError("flow support uses a dead link")
             return True, support

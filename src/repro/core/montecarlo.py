@@ -20,7 +20,6 @@ from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.result import EstimateResult
 from repro.exceptions import EstimationError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.generators import as_rng
 from repro.graph.network import FlowNetwork
 from repro.obs.progress import progress_ticker
@@ -81,7 +80,6 @@ def montecarlo_reliability(
     num_samples: int = 10_000,
     confidence: float = 0.95,
     seed: int | None = 0,
-    solver: str | MaxFlowSolver | None = None,
     batch_size: int = 4096,
 ) -> EstimateResult:
     """Estimate the reliability from ``num_samples`` random configurations.
@@ -95,7 +93,7 @@ def montecarlo_reliability(
     if batch_size < 1:
         raise EstimationError("batch_size must be positive")
     rng = as_rng(seed)
-    oracle = FeasibilityOracle(net, demand.source, demand.sink, demand.rate, solver=solver)
+    oracle = FeasibilityOracle(net, demand.source, demand.sink, demand.rate)
     cache: dict[int, bool] = {}
     hits = 0
     drawn = 0

@@ -30,7 +30,6 @@ from repro.core.naive import _lattice_table
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
 from repro.exceptions import DemandError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork, Node
 from repro.probability.enumeration import configuration_probabilities
 
@@ -76,8 +75,6 @@ def broadcast_reliability(
     source: Node,
     sinks: Sequence[Node],
     rate: int,
-    *,
-    solver: str | MaxFlowSolver | None = None,
 ) -> ReliabilityResult:
     """P(every subscriber receives the full rate simultaneously).
 
@@ -94,9 +91,7 @@ def broadcast_reliability(
     m = net.num_links
     aug = _augmented(net, sinks, rate)
     target = rate * len(sinks)
-    oracle = FeasibilityOracle(
-        aug, source, _SUPER_SINK, target, solver=solver, incremental=True
-    )
+    oracle = FeasibilityOracle(aug, source, _SUPER_SINK, target, incremental=True)
     details = {"subscribers": list(sinks), "rate": rate}
     # Feasibility is monotone in the alive set: when the all-alive net
     # misses the target, every configuration does.
@@ -154,16 +149,15 @@ def coverage_curve(
     rate: int,
     *,
     method: str = "auto",
-    solver: str | MaxFlowSolver | None = None,
 ) -> CoverageReport:
     """Individual reliability per subscriber plus the broadcast value."""
     individual = []
     for sink in sinks:
         result = compute_reliability(
-            net, demand=FlowDemand(source, sink, rate), method=method, solver=solver
+            net, demand=FlowDemand(source, sink, rate), method=method
         )
         individual.append(float(result.value))
-    broadcast = broadcast_reliability(net, source, sinks, rate, solver=solver)
+    broadcast = broadcast_reliability(net, source, sinks, rate)
     return CoverageReport(
         subscribers=tuple(sinks),
         individual=tuple(individual),
@@ -176,8 +170,6 @@ def coverage_distribution(
     source: Node,
     sinks: Sequence[Node],
     rate: int,
-    *,
-    solver: str | MaxFlowSolver | None = None,
 ) -> tuple[float, ...]:
     """Exact PMF of the number of *individually servable* subscribers.
 
@@ -196,7 +188,7 @@ def coverage_distribution(
     _check_subscribers(net, source, sinks, rate)
     served = np.column_stack([
         _lattice_table(
-            FeasibilityOracle(net, source, sink, rate, solver=solver, incremental=True),
+            FeasibilityOracle(net, source, sink, rate, incremental=True),
             net.num_links,
             prune=True,
         )

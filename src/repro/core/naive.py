@@ -11,18 +11,17 @@ Three refinements:
   (:func:`repro.probability.configuration_probabilities`) instead of a
   per-configuration product;
 * the lattice is walked in Gray-code order
-  (:func:`repro.core.latticewalk.gray_walk_table`), and whenever the
-  solver honours the warm-start contract a long-lived
+  (:func:`repro.core.latticewalk.gray_walk_table`), and a long-lived
   :class:`repro.flow.incremental.IncrementalMaxFlow` *repairs* the
   previous configuration's flow across each one-link step instead of
-  cold-solving (push–relabel solves cold);
+  cold-solving;
 * *monotone pruning* (ablated in benchmark A3): s-t flow feasibility is
   monotone in the alive set, so a visited infeasible one-link superset
   dooms a configuration and a visited feasible one-link subset blesses
   it, skipping the max-flow call entirely.
 
-The table is bit-identical whatever the solver or pruning — only the
-solve accounting changes.  :func:`_lattice_table` is the one filler of
+The table is bit-identical with or without repair or pruning — only
+the solve accounting changes.  :func:`_lattice_table` is the one filler of
 every ``2^m`` boolean feasibility table (:mod:`repro.core.multisink`
 uses it too).
 """
@@ -35,7 +34,6 @@ from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.core.latticewalk import gray_walk_table
 from repro.core.result import ReliabilityResult
-from repro.flow.base import MaxFlowSolver
 from repro.flow.incremental import plan_gray_order
 from repro.graph.network import FlowNetwork
 from repro.obs.progress import progress_ticker
@@ -54,7 +52,6 @@ def feasibility_table(
     net: FlowNetwork,
     demand: FlowDemand,
     *,
-    solver: str | MaxFlowSolver | None = None,
     prune: bool = True,
 ) -> tuple[np.ndarray, FeasibilityOracle]:
     """Boolean feasibility of every configuration, plus the oracle used.
@@ -67,7 +64,7 @@ def feasibility_table(
     demand.validate_against(net)
     m = net.num_links
     oracle = FeasibilityOracle(
-        net, demand.source, demand.sink, demand.rate, solver=solver, incremental=True
+        net, demand.source, demand.sink, demand.rate, incremental=True
     )
     with span("naive.enumerate", links=m, prune=bool(prune)):
         table = _lattice_table(oracle, m, prune=prune)
@@ -91,8 +88,7 @@ def _lattice_table(
     size = 1 << m
     table = np.zeros(size, dtype=bool)
     order = plan_gray_order(
-        oracle.template, oracle._s, oracle._t, m,
-        solver=oracle.solver, limit=oracle.demand or None,
+        oracle.template, oracle._s, oracle._t, m, limit=oracle.demand or None
     )
     with span("incremental.walk", kernel="naive", links=m):
         with progress_ticker("naive.configurations", total=size) as ticker:
@@ -117,7 +113,6 @@ def naive_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
     *,
-    solver: str | MaxFlowSolver | None = None,
     prune: bool = True,
 ) -> ReliabilityResult:
     """Exact reliability by full configuration enumeration.
@@ -126,16 +121,13 @@ def naive_reliability(
     ----------
     net, demand:
         The problem instance.
-    solver:
-        Max-flow solver (registry name or instance).
     prune:
         Enable monotone pruning (identical result, fewer solves).
 
-    The solver decides flow repair: with a warm-start solver
-    ``flow_calls`` counts the repair engine's solver invocations and
-    ``details["incremental"]`` is true; push–relabel solves cold.
+    Flow is always repaired across the walk: ``flow_calls`` counts the
+    repair engine's solver invocations.
     """
-    table, oracle = feasibility_table(net, demand, solver=solver, prune=prune)
+    table, oracle = feasibility_table(net, demand, prune=prune)
     with span("naive.accumulate"):
         probabilities = configuration_probabilities(net)
         value = float(probabilities[table].sum())

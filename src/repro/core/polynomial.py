@@ -27,7 +27,6 @@ import numpy as np
 from repro.core.demand import FlowDemand
 from repro.core.naive import feasibility_table
 from repro.exceptions import EstimationError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork
 from repro.probability.bitset import popcount_array
 
@@ -104,8 +103,6 @@ class ReliabilityPolynomial:
 def reliability_polynomial(
     net: FlowNetwork,
     demand: FlowDemand,
-    *,
-    solver: str | MaxFlowSolver | None = None,
 ) -> ReliabilityPolynomial:
     """Compute the coefficient counts by one feasibility enumeration.
 
@@ -113,7 +110,7 @@ def reliability_polynomial(
     the polynomial is a function of the shared ``p`` supplied at
     evaluation time.  Subject to the naive method's size budget.
     """
-    table, oracle = feasibility_table(net, demand, solver=solver)
+    table, oracle = feasibility_table(net, demand)
     m = net.num_links
     counts = np.zeros(m + 1, dtype=np.int64)
     popcounts = popcount_array(m)

@@ -48,9 +48,8 @@ Vectorization contract: all inner loops are array-at-a-time numpy —
 permutation batches are drawn as ``argsort`` of exponential matrices of
 shape ``(batch, m)``, spectrum conditioning and chunk certificate
 checks are batched, and scalar Python only touches the orders the
-certificates leave open.  The solver decides the path: the estimator repairs flow
-when the solver honours the warm-start contract and solves cold
-otherwise (push–relabel); there is no option to choose.
+certificates leave open.  The oracle always repairs flow between
+queries; there is no option to choose.
 Lint rule RR114 enforces the no-scalar-draws discipline on this module.
 
 Replayability: every estimate derives its random streams from one root
@@ -80,7 +79,6 @@ from repro.core.montecarlo import z_quantile
 from repro.core.result import EstimateResult
 from repro.core.summation import KahanSum, fsum
 from repro.exceptions import EstimationError, ReproValueError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork
 from repro.obs.progress import progress_ticker
 from repro.obs.recorder import (
@@ -479,7 +477,6 @@ def destruction_spectrum(
     *,
     num_permutations: int = 1000,
     seed: int | np.random.SeedSequence | None = 0,
-    solver: str | MaxFlowSolver | None = None,
     batch_size: int = 2048,
 ) -> DestructionSpectrum:
     """Sample the destruction spectrum (critical-number distribution).
@@ -493,7 +490,9 @@ def destruction_spectrum(
     _require_estimable(m, num_permutations, batch_size)
     streams, _ = spawn_streams(seed)
     rng = streams["spectrum.permutations"]
-    oracle = _make_oracle(net, demand, solver)
+    oracle = FeasibilityOracle(
+        net, demand.source, demand.sink, demand.rate, incremental=True
+    )
     certificates = _Certificates(net, demand.rate)
     counts = np.zeros(m + 2, dtype=np.int64)
     queries = 0
@@ -534,14 +533,6 @@ def _require_estimable(m: int, num_samples: int, batch_size: int) -> None:
         raise EstimationError("batch_size must be positive")
 
 
-def _make_oracle(
-    net: FlowNetwork, demand: FlowDemand, solver: str | MaxFlowSolver | None
-) -> FeasibilityOracle:
-    return FeasibilityOracle(
-        net, demand.source, demand.sink, demand.rate, solver=solver, incremental=True
-    )
-
-
 def rare_reliability(
     net: FlowNetwork,
     demand: FlowDemand,
@@ -551,7 +542,6 @@ def rare_reliability(
     target_relative_error: float | None = None,
     confidence: float = 0.95,
     seed: int | np.random.SeedSequence | None = 0,
-    solver: str | MaxFlowSolver | None = None,
     batch_size: int = 2048,
 ) -> EstimateResult:
     """Permutation/conditional Monte-Carlo estimate of the reliability
@@ -593,7 +583,9 @@ def rare_reliability(
     probs = validate_probabilities(net.failure_probabilities())
     streams, entropy = spawn_streams(seed)
     rng = streams["spectrum.permutations"]
-    oracle = _make_oracle(net, demand, solver)
+    oracle = FeasibilityOracle(
+        net, demand.source, demand.sink, demand.rate, incremental=True
+    )
     full_mask = (1 << m) - 1
 
     if not oracle.feasible(full_mask):

@@ -98,12 +98,10 @@ from repro.probability.enumeration import check_enumerable, probability_grid
 __all__ = [
     "ArrayCache",
     "BatchPlan",
-    "BatchResult",
     "SweepSpec",
     "SweepResult",
     "cached_side_cover",
     "compute_reliability_sweep",
-    "evaluate_batch",
     "network_fingerprint",
     "plan_batch",
     "probability_grid",
@@ -1021,23 +1019,6 @@ class BatchPlan:
     key: str
 
 
-@dataclass(frozen=True)
-class BatchResult:
-    """An evaluated batch, scattered back to submission order."""
-
-    #: One result per submitted query, aligned with the input sequence.
-    results: tuple[ReliabilityResult, ...]
-    #: Max-flow solves spent by the whole batch (0 on a warm cache).
-    flow_calls: int
-    #: The merged plans, in first-appearance order.
-    plans: tuple[BatchPlan, ...]
-    #: Solves spent per plan (aligned with ``plans``).
-    plan_flow_calls: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-
 def _batch_key(net: FlowNetwork, demand: FlowDemand) -> str:
     return "|".join(
         (
@@ -1094,49 +1075,3 @@ def plan_batch(
                 )
             )
     return plans
-
-
-def evaluate_batch(
-    queries: Sequence[tuple[FlowNetwork, FlowDemand]],
-    *,
-    cut: Sequence[int] | None = None,
-    max_cut_size: int = 3,
-    cache: ArrayCache | None = None,
-) -> BatchResult:
-    """Answer every query through the merged plans of :func:`plan_batch`.
-
-    One :func:`compute_reliability_sweep` runs per plan against the
-    shared ``cache``; results are scattered back to submission order,
-    each bit-identical to a fresh :func:`bottleneck_reliability` call on
-    the member's own network (the sweep engine's pinned property).  A
-    plan that cannot decompose raises — callers needing per-query
-    isolation (the serving planner) run plans individually.
-    """
-    plans = plan_batch(queries)
-    the_cache = cache if cache is not None else ArrayCache()
-    scattered: list[ReliabilityResult | None] = [None] * len(queries)
-    plan_flow_calls: list[int] = []
-    total = 0
-    with span("sweep.batch", queries=len(queries), plans=len(plans)):
-        for plan in plans:
-            swept = compute_reliability_sweep(
-                plan.net,
-                plan.demand,
-                sweep=plan.spec,
-                cut=cut,
-                max_cut_size=max_cut_size,
-                cache=the_cache,
-            )
-            plan_flow_calls.append(swept.flow_calls)
-            total += swept.flow_calls
-            for position, result in zip(plan.indices, swept.results):
-                scattered[position] = result
-    results = tuple(r for r in scattered if r is not None)
-    if len(results) != len(queries):  # pragma: no cover - plan_batch covers all
-        raise ReproValueError("batch planning failed to cover every query")
-    return BatchResult(
-        results=results,
-        flow_calls=total,
-        plans=tuple(plans),
-        plan_flow_calls=tuple(plan_flow_calls),
-    )

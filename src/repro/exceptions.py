@@ -66,7 +66,8 @@ class DecompositionError(ReproError):
 
 
 class SolverError(ReproError):
-    """A max-flow solver was misused or an unknown solver was requested."""
+    """A max-flow solve was misused (bad terminals or limit) or a flow
+    repair or certificate failed its check."""
 
 
 class IntractableError(ReproError):

@@ -1,27 +1,11 @@
-"""Max-flow substrate: solvers, residual machinery, cuts, decomposition.
+"""Max-flow substrate: the Dinic solver, residual machinery, cuts,
+decomposition."""
 
-Import this package (not the individual solver modules) — importing it
-registers every solver with the registry in :mod:`repro.flow.base`.
-"""
-
-from repro.flow.base import (
-    DEFAULT_SOLVER,
-    MaxFlowResult,
-    MaxFlowSolver,
-    available_solvers,
-    get_solver,
-    is_feasible,
-    max_flow,
-    max_flow_value,
-    register_solver,
-)
-from repro.flow.capacity_scaling import CapacityScalingSolver
+from repro.flow.base import is_feasible, max_flow, max_flow_value
 from repro.flow.decomposition import SubStream, decompose
-from repro.flow.dinic import DinicSolver
-from repro.flow.edmonds_karp import EdmondsKarpSolver
+from repro.flow.dinic import DinicSolver, MaxFlowResult
 from repro.flow.incremental import IncrementalMaxFlow
 from repro.flow.mincut import min_cut_capacity, min_cut_links, minimum_cut
-from repro.flow.push_relabel import PushRelabelSolver
 from repro.flow.residual import (
     INFINITE_CAPACITY,
     ResidualGraph,
@@ -30,19 +14,11 @@ from repro.flow.residual import (
 )
 
 __all__ = [
-    "DEFAULT_SOLVER",
     "MaxFlowResult",
-    "MaxFlowSolver",
-    "available_solvers",
-    "get_solver",
     "is_feasible",
     "max_flow",
     "max_flow_value",
-    "register_solver",
     "DinicSolver",
-    "EdmondsKarpSolver",
-    "PushRelabelSolver",
-    "CapacityScalingSolver",
     "IncrementalMaxFlow",
     "SubStream",
     "decompose",

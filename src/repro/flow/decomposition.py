@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import SolverError
-from repro.flow.base import MaxFlowResult
+from repro.flow.dinic import MaxFlowResult
 from repro.graph.network import FlowNetwork, Node
 
 __all__ = ["SubStream", "decompose"]
@@ -45,7 +45,7 @@ def decompose(net: FlowNetwork, result: MaxFlowResult) -> list[SubStream]:
     place and the walk resumes, so termination is guaranteed.
 
     Raises :class:`SolverError` if the recorded flows are inconsistent
-    (cannot happen for results produced by the library's solvers).
+    (cannot happen for results produced by the library's solver).
     """
     # remaining[link] = units of flow still to route; orientation[link]
     # tells which direction an undirected link was used.

@@ -33,13 +33,11 @@ configured "design" capacity of every arc and reads the value as the net
 design-minus-residual outflow at the source, which stays correct under
 arbitrary repair traffic through the terminals.
 
-The engine requires a solver honouring the warm-start contract of
-:meth:`repro.flow.base.MaxFlowSolver.solve_residual` (return only the
-delta pushed; stop *in-state* at ``limit``).  All augmenting-path
-solvers qualify; push–relabel does not and is rejected.  Nothing
-chooses the engine but the solver: the oracle
+The engine leans on the warm-start contract of
+:meth:`repro.flow.dinic.DinicSolver.solve_residual` (return only the
+delta pushed; stop *in-state* at ``limit``).  The oracle
 (:class:`repro.core.feasibility.FeasibilityOracle`) repairs flow
-whenever ``solver.supports_incremental`` holds and solves cold
+through it when built with ``incremental=True`` and solves cold
 otherwise.
 """
 
@@ -48,7 +46,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.exceptions import SolverError
-from repro.flow.base import MaxFlowSolver, get_solver
+from repro.flow.dinic import DinicSolver
 from repro.flow.residual import ResidualGraph, ResidualTemplate
 
 __all__ = ["IncrementalMaxFlow", "plan_gray_order"]
@@ -60,7 +58,6 @@ def plan_gray_order(
     sink: int,
     n_bits: int,
     *,
-    solver: str | MaxFlowSolver | None = None,
     limit: int | None = None,
     virtual_capacities: Mapping[str, int] | None = None,
 ) -> list[int]:
@@ -73,16 +70,15 @@ def plan_gray_order(
     they are parked at the high (rarely flipped) positions.  A pure
     heuristic: any permutation keeps the walk exact, this one just makes
     repairs rare.  Walk bit ``i`` is template link ``i``.  The planning
-    solve bypasses the solver registry
-    accounting — it is not part of any kernel's cost model.
+    solve bypasses the solver accounting — it is not part of any
+    kernel's cost model.
     """
     if n_bits == 0:
         return []
     scratch = template.configure(
         alive=None, virtual_capacities=virtual_capacities, graph=template.graph.copy()
     )
-    engine = get_solver(solver)
-    engine.solve_residual(scratch, source, sink, limit=limit)
+    DinicSolver().solve_residual(scratch, source, sink, limit=limit)
     cap = scratch.cap
     used = []
     for bit in range(n_bits):
@@ -112,8 +108,6 @@ class IncrementalMaxFlow:
         solves unchanged.
     source, sink:
         Integer node ids (``template.node_index`` values).
-    solver:
-        Registry name or instance; must support the warm-start contract.
     limit:
         The feasibility short-circuit: the flow is never grown past this
         value (``None`` = true max flow).  The engines pass the demand.
@@ -146,7 +140,6 @@ class IncrementalMaxFlow:
         source: int,
         sink: int,
         *,
-        solver: str | MaxFlowSolver | None = None,
         limit: int | None = None,
         alive: int = 0,
         virtual_capacities: Mapping[str, int] | None = None,
@@ -156,11 +149,7 @@ class IncrementalMaxFlow:
         if limit is not None and limit < 0:
             raise SolverError("limit must be non-negative")
         self.template = template
-        self.solver = get_solver(solver)
-        if not self.solver.supports_incremental:
-            raise SolverError(
-                f"solver {self.solver.name!r} does not support incremental repair"
-            )
+        self.solver = DinicSolver()
         self.source = source
         self.sink = sink
         self.limit = limit

@@ -2,7 +2,7 @@
 
 By max-flow/min-cut duality the nodes residual-reachable from the
 source after a max-flow run form the source side of a minimum cut.
-:class:`~repro.flow.base.MaxFlowResult` records that node set; the
+:class:`~repro.flow.dinic.MaxFlowResult` records that node set; the
 functions here turn it into link sets and capacities against the
 original network.
 """
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.flow.base import MaxFlowResult, max_flow
+from repro.flow.base import max_flow
+from repro.flow.dinic import MaxFlowResult
 from repro.graph.network import FlowNetwork, Node
 
 __all__ = ["min_cut_links", "min_cut_capacity", "minimum_cut"]
@@ -49,14 +50,13 @@ def minimum_cut(
     sink: Node,
     *,
     alive: int | Iterable[int] | None = None,
-    solver: str | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Compute ``(capacity, crossing link indices)`` of a minimum s-t cut.
 
     Runs a full (unlimited) max flow; by duality the returned capacity
     equals the max-flow value.
     """
-    result = max_flow(net, source, sink, alive=alive, solver=solver)
+    result = max_flow(net, source, sink, alive=alive)
     links = min_cut_links(net, result)
     if alive is not None:
         if isinstance(alive, int):

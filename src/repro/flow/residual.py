@@ -1,4 +1,4 @@
-"""Residual-graph core shared by all max-flow solvers.
+"""Residual-graph core of the max-flow solver and the repair engine.
 
 A :class:`ResidualGraph` is a compact integer-indexed arc structure:
 arcs are stored in pairs (arc ``2i`` and its reverse ``2i + 1``), so a
@@ -41,7 +41,7 @@ class ResidualGraph:
     head:
         ``head[a]`` is the node arc ``a`` points to.
     cap:
-        Current residual capacity per arc (mutated by solvers).
+        Current residual capacity per arc (mutated by the solver).
     adj:
         ``adj[v]`` lists the arc ids leaving ``v``.
     """

@@ -101,7 +101,6 @@ def make_run_record(
     phases: list[Mapping[str, Any]] | None = None,
     value: Any = None,
     flow_calls: int | None = None,
-    solver: str | None = None,
     interval: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Assemble one schema-versioned run record (not yet persisted).
@@ -115,9 +114,6 @@ def make_run_record(
     """
     if status not in ("completed", "interrupted", "failed"):
         raise ReproValueError(f"unknown run status {status!r}")
-    env = env_fingerprint()
-    if solver is not None:
-        env["solver"] = solver
     record: dict[str, Any] = {
         "schema": RUN_SCHEMA,
         "command": command,
@@ -129,7 +125,7 @@ def make_run_record(
         "phases": [dict(p) for p in phases or []],
         "value": value,
         "flow_calls": flow_calls,
-        "env": env,
+        "env": env_fingerprint(),
         "unix": time.time(),
     }
     if interval is not None:
@@ -324,7 +320,7 @@ def diff_records(
         if b == o:
             continue
         if name.endswith(".seconds"):
-            # Time-valued counters (solver.<name>.seconds) are machine
+            # Time-valued counters (solver.dinic.seconds) are machine
             # noise like any wallclock: advisory, with the same
             # absolute-delta guard as phase timings.
             if o - b >= min_seconds and (b == 0.0 or o / b > tolerance):

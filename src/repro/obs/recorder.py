@@ -52,6 +52,9 @@ __all__ = [
     "AUGMENTING_PATHS_SAVED",
     "MC_SAMPLES",
     "SAMPLES_VECTORIZED",
+    "SOLVER_DINIC_PATHS",
+    "SOLVER_DINIC_SECONDS",
+    "SOLVER_DINIC_SOLVES",
     "SPECTRUM_CERTIFIED",
     "SPECTRUM_SOLVES",
     "KNOWN_COUNTERS",
@@ -79,8 +82,15 @@ wallclock = time.perf_counter
 #: Max-flow solves that enter ``ReliabilityResult.flow_calls`` — the
 #: paper's cost measure.  Incremented by the feasibility oracle and the
 #: realization-array build (NOT by auxiliary solves such as cut search,
-#: which appear under ``solver.<name>.solves`` instead).
+#: which appear under ``solver.dinic.solves`` instead).
 FLOW_SOLVES = "flow_solves"
+#: Every residual solve :class:`repro.flow.dinic.DinicSolver` runs,
+#: auxiliary ones included, with the wall time they took and the
+#: augmenting paths they found — the honest measure of augmenting work
+#: that incremental repair saves.
+SOLVER_DINIC_SOLVES = "solver.dinic.solves"
+SOLVER_DINIC_SECONDS = "solver.dinic.seconds"
+SOLVER_DINIC_PATHS = "solver.dinic.paths"
 #: Failure configurations whose probability was materialised
 #: (``2^m`` per probability-table build), a side cover's cube counting
 #: as one each time the cover is weighed (``repro.core.cover``).
@@ -161,6 +171,9 @@ SAMPLES_VECTORIZED = "samples_vectorized"
 KNOWN_COUNTERS = frozenset(
     {
         FLOW_SOLVES,
+        SOLVER_DINIC_SOLVES,
+        SOLVER_DINIC_SECONDS,
+        SOLVER_DINIC_PATHS,
         CONFIGURATIONS_ENUMERATED,
         ASSIGNMENTS_ENUMERATED,
         MC_SAMPLES,
@@ -189,9 +202,7 @@ KNOWN_COUNTERS = frozenset(
 #: rule RR111 rejects ``span()`` calls whose name literal is not listed
 #: here (and any dynamically built name), so the vocabulary that
 #: ``repro profile`` trees, the live metrics endpoint, and the run
-#: ledger agree on stays closed.  Per-solver dynamic families
-#: (``solver.<name>.*``) are counters, not spans, and are precomputed
-#: once at solver construction — see ``repro.flow.base``.
+#: ledger agree on stays closed.
 KNOWN_SPANS = frozenset(
     {
         "bench.call",
@@ -212,7 +223,6 @@ KNOWN_SPANS = frozenset(
         "serve.query",
         "serve.warm",
         "sweep.array_cache",
-        "sweep.batch",
         "sweep.plan",
         "sweep.run",
     }

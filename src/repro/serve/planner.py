@@ -18,11 +18,6 @@ or a topology the sweep engine refuses (no admissible bottleneck cut,
 intractable sides) — fall back per point to
 :func:`repro.core.api.dispatch_query`, the same dispatch chain as the
 CLI, so served values stay pinned to the pointwise path either way.
-
-The server's ``solver`` reaches only the fallbacks of non-coalescible
-methods whose engine takes one: the bottleneck pipeline (``bridge``
-included) and the frontier sweeps pick their own kernels from the
-input, so a named solver never changes how they compute.
 """
 
 from __future__ import annotations
@@ -30,10 +25,9 @@ from __future__ import annotations
 import traceback
 from typing import Any, Sequence
 
-from repro.core.api import SOLVER_METHODS, dispatch_query, is_coalescible
+from repro.core.api import dispatch_query, is_coalescible
 from repro.core.sweep import ArrayCache, compute_reliability_sweep, plan_batch
 from repro.exceptions import ReproError
-from repro.flow.base import MaxFlowSolver
 from repro.obs.recorder import (
     SERVE_COALESCED,
     SERVE_QUERIES,
@@ -53,25 +47,20 @@ __all__ = ["answer_queries"]
 
 
 def _fallback_values(
-    query: Query, solver: str | MaxFlowSolver | None, cache: ArrayCache | None
+    query: Query, cache: ArrayCache | None
 ) -> tuple[list[float], int, bool]:
     """Answer one query point-by-point through the API dispatch chain.
 
     A coalescible query (``auto``/``bottleneck`` on a plan the sweep
-    refused) gets the shared ``cache``; a method whose engine takes a
-    solver (:data:`repro.core.api.SOLVER_METHODS`) gets ``solver``; any
-    other (``bridge``, ``frontier``, ...) gets neither.  Returns the values, the solves spent and whether every
+    refused) gets the shared ``cache``; any other method gets no
+    option.  Returns the values, the solves spent and whether every
     point was answered from cached side covers alone.
     """
     assert query.net is not None and query.demand is not None and query.spec is not None
     values: list[float] = []
     flow_calls = 0
     warm = is_coalescible(query.method)
-    options: dict[str, Any] = {}
-    if warm:
-        options["cache"] = cache
-    elif query.method in SOLVER_METHODS:
-        options["solver"] = solver
+    options: dict[str, Any] = {"cache": cache} if warm else {}
     with span("serve.query", method=query.method or "auto", points=len(query.spec)):
         for index in range(len(query.spec)):
             point_net = query.spec.point_network(query.net, index)
@@ -92,7 +81,6 @@ def answer_queries(
     queries: Sequence[Query],
     *,
     cache: ArrayCache,
-    solver: str | MaxFlowSolver | None = None,
 ) -> list[dict[str, Any]]:
     """Answer one round of ``op="query"`` queries, preserving order.
 
@@ -177,7 +165,7 @@ def answer_queries(
         for qi in fallback:
             query = queries[qi]
             try:
-                values, flow_calls, warm = _fallback_values(query, solver, cache)
+                values, flow_calls, warm = _fallback_values(query, cache)
             except ReproError as exc:
                 payloads[qi] = error_payload(ERROR_COMPUTE, str(exc), query.qid)
                 continue

@@ -35,7 +35,6 @@ from typing import Any
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache, SweepSpec, compute_reliability_sweep
 from repro.exceptions import ReproError, ReproValueError
-from repro.flow.base import MaxFlowSolver
 from repro.graph.network import FlowNetwork
 from repro.obs.recorder import span, wallclock
 from repro.serve.planner import answer_queries
@@ -82,10 +81,6 @@ class ReliabilityServer:
         The shared :class:`ArrayCache` (a fresh in-memory one when
         omitted).  Give it a directory + ``max_bytes`` for a persistent
         bounded tier.
-    solver:
-        Max-flow solver for queries with a non-coalescible method
-        (naive, factoring, ...); the bottleneck pipeline picks its own
-        kernels and never sees it.
     max_line_bytes:
         Per-line request cap; beyond it the connection gets an
         ``oversized`` error and is closed.
@@ -97,14 +92,12 @@ class ReliabilityServer:
         host: str = "127.0.0.1",
         port: int = 0,
         cache: ArrayCache | None = None,
-        solver: str | MaxFlowSolver | None = None,
         max_line_bytes: int = MAX_LINE_BYTES,
         backlog: int = 128,
     ) -> None:
         if max_line_bytes <= 0:
             raise ReproValueError("max_line_bytes must be positive")
         self.cache = cache if cache is not None else ArrayCache()
-        self.solver = solver
         self.max_line_bytes = max_line_bytes
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -328,9 +321,7 @@ class ReliabilityServer:
                 compute.append((conn, query))
         if not compute:
             return
-        payloads = answer_queries(
-            [query for _, query in compute], cache=self.cache, solver=self.solver
-        )
+        payloads = answer_queries([query for _, query in compute], cache=self.cache)
         for (conn, _), payload in zip(compute, payloads):
             self._send(conn, payload)
             self.queries_served += 1

@@ -242,7 +242,6 @@ class TestSingleBuildPath:
             "cached_side_cover",
             "bottleneck_reliability",
             "compute_reliability_sweep",
-            "evaluate_batch",
             "chain_reliability",
             "compute_reliability-bottleneck",
         ],
@@ -256,7 +255,6 @@ class TestSingleBuildPath:
             SweepSpec,
             cached_side_cover,
             compute_reliability_sweep,
-            evaluate_batch,
         )
 
         net, split = fig4_split()
@@ -290,7 +288,6 @@ class TestSingleBuildPath:
             "compute_reliability_sweep": lambda **kw: compute_reliability_sweep(
                 net, demand, sweep=SweepSpec.availability([0.9]), **kw
             ),
-            "evaluate_batch": lambda **kw: evaluate_batch([(net, demand)], **kw),
             "chain_reliability": lambda **kw: chain_reliability(
                 net, demand, [[0, 1]], **kw
             ),

@@ -144,6 +144,23 @@ class TestComputeReliability:
         with pytest.raises(ReproError):
             compute_reliability(diamond(), "s", "t", 1, method="magic")
 
+    def test_unknown_method_is_a_value_error(self):
+        with pytest.raises(ReproValueError, match="unknown method 'magic'"):
+            compute_reliability(diamond(), "s", "t", 1, method="magic")
+
+    def test_missing_demand_is_a_value_error(self):
+        with pytest.raises(ReproValueError, match="provide either demand="):
+            compute_reliability(diamond(), "s", "t")
+
+    def test_doubled_demand_is_a_value_error(self):
+        with pytest.raises(ReproValueError, match="not both"):
+            compute_reliability(diamond(), "s", demand=FlowDemand("s", "t", 1))
+
+    @pytest.mark.parametrize("method", ["naive", "factoring", "montecarlo", "rare"])
+    def test_explicit_engines_take_no_solver(self, method):
+        with pytest.raises(TypeError, match="solver"):
+            compute_reliability(fujita_fig4(), "s", "t", 2, method=method, solver="dinic")
+
     @pytest.mark.parametrize(
         "method, options",
         [("series-parallel", {}), ("minpaths", {}), ("rare", {"variant": "splitting"})],
@@ -225,7 +242,9 @@ class TestComputeReliability:
                 fujita_fig4(), "s", "t", 2, strategy="bogus", prune="x", cut=[0]
             )
 
-    @pytest.mark.parametrize("option", ["workers", "block_bits", "screen", "incremental"])
+    @pytest.mark.parametrize(
+        "option", ["workers", "block_bits", "screen", "incremental", "solver"]
+    )
     def test_auto_rejects_removed_build_options(self, option):
         with pytest.raises(ReproValueError, match=option):
             compute_reliability(fujita_fig4(), "s", "t", 2, **{option: 2})
@@ -236,7 +255,6 @@ class TestComputeReliability:
             "s",
             "t",
             2,
-            solver="dinic",
             cache=None,
             max_cut_size=2,
             seed=0,

@@ -395,21 +395,17 @@ class TestObservability:
         assert any(child.name == "rare.spectrum" for child in rec.root.children)
 
     def test_flow_calls_match_oracle_accounting(self, fig4_net):
-        demand = FlowDemand("s", "t", 2)
-        est = rare_reliability(
-            fig4_net, demand, num_samples=400, seed=0, solver="push_relabel"
-        )
-        # Cold oracle (push_relabel has no warm starts): one solve per
-        # critical-point query, +1 for the feasible-at-full-capacity
-        # pre-check.  (A repairing oracle counts repair-engine solver
-        # invocations instead, which can exceed or undercut the query
-        # count.)
-        assert est.details["flow_calls"] == est.details["spectrum_solves"] + 1
+        from repro.obs import record
 
-    @pytest.mark.parametrize("solver", ["dinic", "push_relabel"])
-    def test_certified_and_queried_orders_sum_to_drawn(
-        self, fig4_net, monkeypatch, solver
-    ):
+        demand = FlowDemand("s", "t", 2)
+        with record() as rec:
+            est = rare_reliability(fig4_net, demand, num_samples=400, seed=0)
+        # The repairing oracle counts repair-engine solver invocations,
+        # which can exceed or undercut the query count; every one of them
+        # is a flow_solves count.
+        assert est.details["flow_calls"] == rec.counter_totals()["flow_solves"]
+
+    def test_certified_and_queried_orders_sum_to_drawn(self, fig4_net, monkeypatch):
         from repro.core import rare
         from repro.core.feasibility import FeasibilityOracle
         from repro.obs import record
@@ -434,8 +430,7 @@ class TestObservability:
         monkeypatch.setattr(FeasibilityOracle, "certify", counting_certify)
         with record() as rec:
             est = rare_reliability(
-                fig4_net, demand, num_samples=1500, seed=4, batch_size=512,
-                solver=solver,
+                fig4_net, demand, num_samples=1500, seed=4, batch_size=512
             )
         totals = rec.counter_totals()
         assert totals["spectrum_certified"] == est.details["spectrum_certified"]

@@ -16,7 +16,7 @@ from repro.core.bottleneck import bottleneck_reliability
 from repro.core.chain import chain_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import naive_reliability
-from repro.core.sweep import SweepSpec, compute_reliability_sweep, evaluate_batch
+from repro.core.sweep import SweepSpec, compute_reliability_sweep
 from repro.exceptions import ReproValueError
 from repro.graph.generators import bottlenecked_network, random_network
 from repro.graph.network import FlowNetwork
@@ -132,11 +132,6 @@ class TestGivenCutsRefused:
                 sweep=SweepSpec.availability([0.9, 0.99]),
                 cut=[0, 1, 2],
             )
-
-    def test_evaluate_batch(self):
-        net = three_cut_net(0)
-        with pytest.raises(ReproValueError, match="model note"):
-            evaluate_batch([(net, FlowDemand("s", "t", 2))], cut=[0, 1, 2])
 
     def test_chain(self):
         with pytest.raises(ReproValueError, match="model note"):

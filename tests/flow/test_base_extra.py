@@ -1,46 +1,18 @@
-"""Additional tests for repro.flow.base: registry contracts, template
+"""Additional tests for repro.flow.base and the Dinic solver: template
 reuse and infinite-capacity arcs."""
 
-import pytest
-
-from repro.exceptions import SolverError
-from repro.flow.base import (
-    MaxFlowSolver,
-    get_solver,
-    max_flow,
-    register_solver,
-)
+from repro.flow.base import max_flow
+from repro.flow.dinic import DinicSolver
 from repro.flow.residual import INFINITE_CAPACITY, build_template
 from repro.graph.builders import diamond, two_paths
 from repro.graph.network import FlowNetwork
-
-
-class TestRegistryContracts:
-    def test_register_rejects_non_solver(self):
-        with pytest.raises(SolverError):
-
-            @register_solver("bogus")
-            class NotASolver:
-                pass
-
-    def test_custom_solver_registration(self):
-        @register_solver("copycat-dinic")
-        class CopycatSolver(MaxFlowSolver):
-            def solve_residual(self, graph, source, sink, limit=None):
-                return get_solver("dinic").solve_residual(graph, source, sink, limit)
-
-        value = max_flow(diamond(), "s", "t", solver="copycat-dinic").value
-        assert value == 2
-
-    def test_solver_name_attribute_set(self):
-        assert get_solver("edmonds_karp").name == "edmonds_karp"
 
 
 class TestTemplateReuse:
     def test_repeated_solves_on_one_template(self):
         net = two_paths(2, 1)
         template = build_template(net)
-        solver = get_solver()
+        solver = DinicSolver()
         values = []
         for alive in (None, 0b0011, 0b1100, 0b0000):
             values.append(
@@ -51,7 +23,7 @@ class TestTemplateReuse:
     def test_template_state_does_not_leak(self):
         net = diamond()
         template = build_template(net)
-        solver = get_solver()
+        solver = DinicSolver()
         first = solver.max_flow(net, "s", "t", template=template).value
         second = solver.max_flow(net, "s", "t", template=template).value
         assert first == second == 2
@@ -59,7 +31,7 @@ class TestTemplateReuse:
     def test_interleaved_limits(self):
         net = two_paths(2, 1)
         template = build_template(net)
-        solver = get_solver()
+        solver = DinicSolver()
         limited = solver.max_flow(net, "s", "t", limit=1, template=template).value
         full = solver.max_flow(net, "s", "t", template=template).value
         assert (limited, full) == (1, 3)

@@ -2,7 +2,7 @@
 
 Ground truth throughout is the cold solve: for any alive mask the
 engine's :meth:`goto` must report exactly the value a fresh
-``template.configure`` + ``solver.solve`` reports.  The walks exercise
+``template.configure`` + ``DinicSolver.solve`` reports.  The walks exercise
 both the one-bit Gray steps the kernels use and arbitrary multi-bit
 jumps (worst case for the repair logic).
 """
@@ -14,19 +14,17 @@ import pytest
 from repro.core.demand import FlowDemand
 from repro.core.feasibility import FeasibilityOracle
 from repro.exceptions import SolverError
-from repro.flow.base import get_solver
+from repro.flow.dinic import DinicSolver
 from repro.flow.incremental import IncrementalMaxFlow, plan_gray_order
 from repro.flow.residual import build_template
 from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4
 from repro.graph.generators import bottlenecked_network
 from repro.probability.bitset import gray_lattice
 
-SOLVER = "dinic"
-
 
 def _cold_value(template, mask, s, t, limit, caps=None):
     graph = template.configure(alive=mask, virtual_capacities=caps)
-    return get_solver(SOLVER).solve(graph, s, t, limit=limit)
+    return DinicSolver().solve(graph, s, t, limit=limit)
 
 
 def _template_for(net):
@@ -47,7 +45,7 @@ class TestGotoAgainstColdSolves:
     def test_full_gray_walk(self, name, net, demand, limit):
         limit = demand if limit == "demand" else None
         template, s, t = _template_for(net)
-        engine = IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=limit)
+        engine = IncrementalMaxFlow(template, s, t, limit=limit)
         m = net.num_links
         for mask in gray_lattice(m):
             got = engine.goto(mask)
@@ -58,7 +56,7 @@ class TestGotoAgainstColdSolves:
     @pytest.mark.parametrize("name,net,demand", NETWORKS)
     def test_random_jumps(self, name, net, demand):
         template, s, t = _template_for(net)
-        engine = IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=demand)
+        engine = IncrementalMaxFlow(template, s, t, limit=demand)
         rng = random.Random(17)
         m = net.num_links
         for _ in range(200):
@@ -71,7 +69,7 @@ class TestGotoAgainstColdSolves:
             source_side_links=4, sink_side_links=3, num_bottlenecks=2, demand=2, seed=seed
         )
         template, s, t = _template_for(net)
-        engine = IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=2)
+        engine = IncrementalMaxFlow(template, s, t, limit=2)
         rng = random.Random(seed)
         for _ in range(150):
             mask = rng.randrange(1 << net.num_links)
@@ -83,7 +81,7 @@ class TestDeltaOperations:
         net = fujita_fig4()
         template, s, t = _template_for(net)
         full = (1 << net.num_links) - 1
-        engine = IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=2, alive=full)
+        engine = IncrementalMaxFlow(template, s, t, limit=2, alive=full)
         value = engine.flow_value()
         calls = engine.solver_calls
         engine.kill(0)
@@ -99,7 +97,7 @@ class TestDeltaOperations:
         net = fujita_fig4()
         template, s, t = _template_for(net)
         full = (1 << net.num_links) - 1
-        engine = IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=2, alive=full)
+        engine = IncrementalMaxFlow(template, s, t, limit=2, alive=full)
         engine.flow_value()
         idle = [i for i in range(net.num_links) if engine.link_flow(i) == 0]
         assert idle, "fixture should leave some link unused at demand 2"
@@ -111,7 +109,7 @@ class TestDeltaOperations:
     def test_counters_accrue(self):
         net = fujita_fig4()
         template, s, t = _template_for(net)
-        engine = IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=2)
+        engine = IncrementalMaxFlow(template, s, t, limit=2)
         for mask in gray_lattice(net.num_links):
             engine.goto(mask)
         assert engine.solver_calls > 0
@@ -128,7 +126,7 @@ class TestDeltaOperations:
         template.add_virtual_arc("p1", template.node_index["y1"], virt, 2)
         full = (1 << net.num_links) - 1
         engine = IncrementalMaxFlow(
-            template, s, virt, solver=SOLVER, limit=2,
+            template, s, virt, limit=2,
             alive=full, virtual_capacities={"p0": 0, "p1": 0},
         )
         rng = random.Random(5)
@@ -145,7 +143,7 @@ class TestDeltaOperations:
         template.add_virtual_arc("p0", template.node_index["t"], template.node_index["__virt__"], 1)
         engine = IncrementalMaxFlow(
             template, template.node_index["s"], template.node_index["__virt__"],
-            solver=SOLVER, limit=1,
+            limit=1,
         )
         with pytest.raises(SolverError):
             engine.retarget({"nope": 1})
@@ -157,29 +155,18 @@ class TestValidation:
     def test_source_equals_sink_rejected(self):
         template, s, _ = _template_for(diamond())
         with pytest.raises(SolverError):
-            IncrementalMaxFlow(template, s, s, solver=SOLVER)
+            IncrementalMaxFlow(template, s, s)
 
     def test_negative_limit_rejected(self):
         template, s, t = _template_for(diamond())
         with pytest.raises(SolverError):
-            IncrementalMaxFlow(template, s, t, solver=SOLVER, limit=-1)
+            IncrementalMaxFlow(template, s, t, limit=-1)
 
-    def test_push_relabel_rejected(self):
-        template, s, t = _template_for(diamond())
-        with pytest.raises(SolverError):
-            IncrementalMaxFlow(template, s, t, solver="push_relabel")
-
-    @pytest.mark.parametrize(
-        "solver, warm",
-        [("dinic", True), ("edmonds_karp", True), ("capacity_scaling", True),
-         ("push_relabel", False)],
-    )
-    def test_oracle_repairs_when_solver_can(self, solver, warm):
+    def test_oracle_repairs_only_when_incremental(self):
         net = diamond()
-        oracle = FeasibilityOracle(net, "s", "t", 1, solver=solver, incremental=True)
-        assert oracle.incremental is warm
-        assert (oracle.engine is not None) is warm
-        cold = FeasibilityOracle(net, "s", "t", 1, solver=solver)
+        oracle = FeasibilityOracle(net, "s", "t", 1, incremental=True)
+        assert oracle.incremental is True and oracle.engine is not None
+        cold = FeasibilityOracle(net, "s", "t", 1)
         assert cold.incremental is False and cold.engine is None
 
 
@@ -187,17 +174,17 @@ class TestPlanGrayOrder:
     def test_returns_a_permutation(self):
         net = fujita_fig4()
         template, s, t = _template_for(net)
-        order = plan_gray_order(template, s, t, net.num_links, solver=SOLVER, limit=2)
+        order = plan_gray_order(template, s, t, net.num_links, limit=2)
         assert sorted(order) == list(range(net.num_links))
 
     def test_flow_carrying_links_parked_high(self):
         net = fujita_fig4()
         template, s, t = _template_for(net)
-        order = plan_gray_order(template, s, t, net.num_links, solver=SOLVER, limit=None)
+        order = plan_gray_order(template, s, t, net.num_links, limit=None)
         # A true max flow on fig4 uses some links; the walk must place at
         # least one zero-flow link before every flow-carrying one.
         graph = template.configure(alive=None, graph=template.graph.copy())
-        get_solver(SOLVER).solve_residual(graph, s, t, limit=None)
+        DinicSolver().solve_residual(graph, s, t, limit=None)
         flows = {}
         for link in template.link_indices():
             total = 0
@@ -218,4 +205,4 @@ class TestPlanGrayOrder:
 
     def test_zero_bits(self):
         template, s, t = _template_for(diamond())
-        assert plan_gray_order(template, s, t, 0, solver=SOLVER) == []
+        assert plan_gray_order(template, s, t, 0) == []

@@ -1,18 +1,18 @@
-"""Solver stress cases: the structures each algorithm finds hardest."""
+"""Solver stress cases: the structures augmenting-path algorithms find
+hardest, along every route to the solver (``tests/flow/routes.py``)."""
 
 import pytest
 
-from repro.flow.base import max_flow_value
+from repro.flow.base import max_flow
 from repro.graph.generators import layered_network
 from repro.graph.network import FlowNetwork
-
-SOLVERS = ("dinic", "edmonds_karp", "push_relabel", "capacity_scaling")
+from tests.flow.routes import ROUTES, route_max_flow
+from tests.flow.test_solvers import networkx_max_flow
 
 
 def big_capacity_trap() -> FlowNetwork:
     """The classic 2-path network where naive augmenting paths zig-zag
-    through the cross edge C times (C large) — capacity scaling's home
-    turf."""
+    through the cross edge C times (C large)."""
     net = FlowNetwork()
     c = 10_000
     net.add_link("s", "a", c)
@@ -24,8 +24,7 @@ def big_capacity_trap() -> FlowNetwork:
 
 
 def gap_trigger() -> FlowNetwork:
-    """A dead-end chamber that push-relabel must drain back — exercises
-    the gap heuristic."""
+    """A dead-end chamber the level graph must prune."""
     net = FlowNetwork()
     net.add_link("s", "a", 5)
     net.add_link("a", "dead1", 5)
@@ -45,35 +44,35 @@ def long_zigzag(depth: int) -> FlowNetwork:
     return net
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("route", ROUTES)
 class TestStressShapes:
-    def test_big_capacity_trap(self, solver):
-        assert max_flow_value(big_capacity_trap(), "s", "t", solver=solver) == 20_000
+    def test_big_capacity_trap(self, route):
+        assert route_max_flow(route, big_capacity_trap(), "s", "t") == 20_000
 
-    def test_gap_trigger(self, solver):
-        assert max_flow_value(gap_trigger(), "s", "t", solver=solver) == 1
+    def test_gap_trigger(self, route):
+        assert route_max_flow(route, gap_trigger(), "s", "t") == 1
 
-    def test_long_chain(self, solver):
-        assert max_flow_value(long_zigzag(40), "s", "t", solver=solver) == 2
+    def test_long_chain(self, route):
+        assert route_max_flow(route, long_zigzag(40), "s", "t") == 2
 
-    def test_dense_layered(self, solver):
+    def test_dense_layered(self, route):
         net = layered_network([5, 6, 5], seed=3, max_capacity=7)
-        reference = max_flow_value(net, "s", "t", solver="dinic")
-        assert max_flow_value(net, "s", "t", solver=solver) == reference
+        assert route_max_flow(route, net, "s", "t") == networkx_max_flow(net, "s", "t")
 
-    def test_zero_probability_structures_are_irrelevant(self, solver):
+    def test_zero_probability_structures_are_irrelevant(self, route):
         # failure probabilities never affect max flow
         net = big_capacity_trap().with_failure_probabilities(
             [0.9, 0.1, 0.5, 0.3, 0.7]
         )
-        assert max_flow_value(net, "s", "t", solver=solver) == 20_000
+        assert route_max_flow(route, net, "s", "t") == 20_000
 
 
 class TestLimitsOnStressShapes:
-    @pytest.mark.parametrize("solver", ("dinic", "edmonds_karp", "capacity_scaling"))
-    def test_limit_caps_work_on_trap(self, solver):
-        from repro.flow.base import max_flow
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_limit_caps_work_on_trap(self, route):
+        assert route_max_flow(route, big_capacity_trap(), "s", "t", limit=5) == 5
 
-        result = max_flow(big_capacity_trap(), "s", "t", limit=5, solver=solver)
+    def test_limited_result_on_trap_is_flagged(self):
+        result = max_flow(big_capacity_trap(), "s", "t", limit=5)
         assert result.value == 5
         assert result.limited

@@ -1,26 +1,23 @@
-"""CLI integration: the solver decides flow repair, and validation
+"""CLI integration: the engine decides flow repair, and validation
 precedes ``load()``.
 
 ``compute``, ``estimate`` and ``profile`` have no repair toggle: the
-naive and rare-event walks repair flow whenever the solver supports
-warm starts (the default Dinic does) and solve cold otherwise.  The
-removed ``--incremental`` / ``--no-incremental`` flags exit 2 with a
-pointer (``tests/integration/test_cli_removed.py``).  A cold run is
-reached here by monkeypatching the default solver's
-``supports_incremental`` off — exactly the switch the oracle reads.
+naive and rare-event walks always repair flow.  The removed
+``--incremental`` / ``--no-incremental`` flags exit 2 with a pointer
+(``tests/integration/test_cli_removed.py``).  A cold naive run is
+reached here by building every oracle with ``incremental=False``.
 
 The validation-ordering tests pin that a bad command line is rejected
 *before* the network file is touched, so the error is the command-line
 error even when the file does not exist.
 """
 
-import json
 import re
 
 import pytest
 
 from repro.cli import main
-from repro.flow.dinic import DinicSolver
+from repro.core.feasibility import FeasibilityOracle
 from repro.graph.builders import fujita_fig4
 from repro.graph.io import save
 
@@ -34,10 +31,19 @@ def net_file(tmp_path):
     return str(path)
 
 
+def _force_cold(monkeypatch):
+    """Build every oracle as ``FeasibilityOracle(..., incremental=False)``."""
+    init = FeasibilityOracle.__init__
+
+    def cold_init(self, *args, incremental=False, **kwargs):
+        init(self, *args, incremental=False, **kwargs)
+
+    monkeypatch.setattr(FeasibilityOracle, "__init__", cold_init)
+
+
 @pytest.fixture
-def cold_dinic(monkeypatch):
-    """Make the default solver look warm-start-incapable."""
-    monkeypatch.setattr(DinicSolver, "supports_incremental", False)
+def cold_oracle(monkeypatch):
+    _force_cold(monkeypatch)
 
 
 class TestComputeIncremental:
@@ -60,29 +66,11 @@ class TestComputeIncremental:
             ) == 0
             out = capsys.readouterr().out
             assert _FIG4_RELIABILITY in out
-            return int(re.search(r"solver\.\w+\.paths = (\d+)", out).group(1))
+            return int(re.search(r"solver\.dinic\.paths = (\d+)", out).group(1))
 
         warm = paths()
-        monkeypatch.setattr(DinicSolver, "supports_incremental", False)
+        _force_cold(monkeypatch)
         assert warm < paths()
-
-
-class TestEstimateIncremental:
-    def test_estimate_identical_warm_or_cold(self, net_file, capsys, monkeypatch):
-        """Repair changes the solver work, never the estimate."""
-
-        def estimate():
-            assert main(
-                ["estimate", net_file, "-s", "s", "-t", "t", "-d", "2",
-                 "--budget", "500", "--seed", "0", "--json", "--no-ledger"]
-            ) == 0
-            return json.loads(capsys.readouterr().out)
-
-        warm = estimate()
-        monkeypatch.setattr(DinicSolver, "supports_incremental", False)
-        cold = estimate()
-        assert warm["reliability"] == cold["reliability"]
-        assert warm["interval"] == cold["interval"]
 
 
 class TestValidationPrecedesLoad:
@@ -120,7 +108,7 @@ class TestProfileIncremental:
         counted = int(re.search(r"flow_solves = (\d+)", out).group(1))
         assert counted == flow_calls
 
-    def test_cold_solver_reports_no_repairs(self, net_file, capsys, cold_dinic):
+    def test_cold_oracle_reports_no_repairs(self, net_file, capsys, cold_oracle):
         assert main(
             ["profile", net_file, "-s", "s", "-t", "t", "-d", "2", "--method", "naive"]
         ) == 0

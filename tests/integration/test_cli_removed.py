@@ -3,9 +3,10 @@
 ``--workers``, ``--block-bits``, ``--shard`` and ``--method
 naive-parallel`` selected array builders that never beat the serial
 build; ``--incremental`` / ``--no-incremental`` toggled flow repair,
-which the solver now decides; ``repro serve --coalesce-window`` held
-every round open for a fixed wait, where the daemon now answers what
-is ready at once.  ``--method series-parallel`` / ``minpaths`` /
+which each engine now decides; ``repro serve --solver`` named a max-flow
+solver, and Dinic is now the only one; ``repro serve --coalesce-window``
+held every round open for a fixed wait, where the daemon now answers
+what is ready at once.  ``--method series-parallel`` / ``minpaths`` /
 ``montecarlo-stratified`` and ``repro estimate --levels`` /
 ``--variant`` named engines that won no measured row (multilevel
 splitting was the only other rare-event variant).  Each exits 2 with one line naming the removal, its
@@ -67,7 +68,7 @@ def test_repair_toggle_exits_2_with_pointer(argv, flag, capsys):
     assert captured.out == ""
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert f"{flag} was removed: the solver decides flow repair" in lines[0]
+    assert f"{flag} was removed: the engine decides flow repair" in lines[0]
     assert 'docs/PERFORMANCE.md "Incremental repair"' in lines[0]
     assert "never beat the serial path" not in lines[0]
 
@@ -87,6 +88,23 @@ def test_coalesce_window_exits_2_with_pointer(argv, capsys):
     assert len(lines) == 1
     assert "--coalesce-window was removed" in lines[0]
     assert 'docs/SERVING.md "Coalescing"' in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--port", "0", "--solver", "dinic"],
+        ["serve", "--solver=push_relabel"],
+    ],
+)
+def test_serve_solver_exits_2_with_pointer(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "--solver was removed: Dinic is the only max-flow solver" in lines[0]
+    assert 'docs/PERFORMANCE.md "Removed solvers"' in lines[0]
 
 
 _ESTIMATE = ["estimate", "net.json", *_DEMAND, "--seed", "0"]

@@ -80,7 +80,7 @@ class TestSweepCommand:
     def test_kernel_flags_are_gone(self, net_file, capsys, flag):
         assert run_sweep(net_file, "--availability", "0.9", flag) == 2
         err = capsys.readouterr().err
-        assert f"{flag} was removed: the solver decides flow repair" in err
+        assert f"{flag} was removed: the engine decides flow repair" in err
         assert 'docs/PERFORMANCE.md "Incremental repair"' in err
 
 

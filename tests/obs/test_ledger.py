@@ -19,7 +19,6 @@ def _record(**overrides):
         phases=[{"name": "engine.build", "seconds": 0.8}],
         value=0.8426,
         flow_calls=69,
-        solver="dinic",
     )
     base.update(overrides)
     return make_run_record(**base)
@@ -40,7 +39,7 @@ class TestMakeRunRecord:
         rec = _record()
         assert rec["schema"] == RUN_SCHEMA
         assert rec["status"] == "completed"
-        assert rec["env"]["solver"] == "dinic"
+        assert rec["env"] == env_fingerprint()
         assert isinstance(rec["unix"], float)
 
     def test_interrupted_status_allowed(self):
@@ -148,7 +147,7 @@ class TestDiffRecords:
         assert [i["name"] for i in diff.counter_improvements] == ["flow_solves"]
 
     def test_time_valued_counters_are_latency_not_work(self):
-        # solver.<name>.seconds counters carry wallclock, which differs
+        # solver.dinic.seconds counters carry wallclock, which differs
         # between two "identical" runs under machine load; they must
         # never trip the hard counter gate, only the advisory one.
         base = _record(counters={"flow_solves": 69, "solver.dinic.seconds": 0.001})

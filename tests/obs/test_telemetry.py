@@ -221,7 +221,7 @@ class TestTelemetrySession:
         traced_totals = rec.counter_totals()
         assert traced.value == bare.value
 
-        def program(totals):  # solver.<name>.seconds is wall time
+        def program(totals):  # solver.dinic.seconds is wall time
             return {k: v for k, v in totals.items() if not k.startswith("solver.")}
 
         assert program(traced_totals) == program(bare_totals)

@@ -9,8 +9,8 @@ them.  These tests reach the walk through the guard (a monkeypatched
 ``MAX_CERTIFICATE_CUTS``), never through an option, and pin the
 contract that makes the choice a pure performance matter: for every
 seed, role and demand rate both kernels' covers expand to the masks of
-the reference oracle (``tests/reference_arrays.py``, itself
-cross-checked across every registered solver), the
+the reference oracle (``tests/reference_arrays.py``, one cold Dinic
+solve per entry, itself cross-checked against networkx max flows), the
 reliability value and result ``details`` (modulo the accounting keys)
 are bit-identical across kernels — and a disk cache filled by either
 kernel serves the other with zero max-flow solves.
@@ -19,6 +19,7 @@ kernel serves the other with zero max-flow solves.
 from contextlib import contextmanager
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,9 +46,6 @@ SEEDS = [0, 7, 23]
 MASK_SEEDS = range(8)
 
 KERNELS = ["certificate", "gray-walk"]
-
-#: Solvers the reference oracle cold-solves with.
-ORACLE_SOLVERS = ["dinic", "edmonds_karp", "capacity_scaling", "push_relabel"]
 
 #: details keys that describe *how the solves were accounted*, not what
 #: was computed.
@@ -92,6 +90,56 @@ def _side_request(split, role):
     return split.sink_side, dict(role="sink", terminal="t", ports=split.sink_ports)
 
 
+def _networkx_side_masks(side, *, role, terminal, ports, assignments, demand):
+    """The reference masks recomputed with networkx max flows: one flow
+    network per (configuration, assignment), the assignment's loads as
+    port arcs to (``G_s``) or from (``G_t``) a virtual terminal."""
+    net = side.network
+    masks = np.zeros(1 << net.num_links, dtype=np.uint64)
+    for config in range(len(masks)):
+        for j, loads in enumerate(assignments):
+            g = nx.DiGraph()
+            g.add_nodes_from(net.nodes())
+            g.add_nodes_from(["__in__", "__out__"])
+
+            def arc(u, v, capacity):
+                if g.has_edge(u, v):
+                    g[u][v]["capacity"] += capacity
+                else:
+                    g.add_edge(u, v, capacity=capacity)
+
+            for link in net.links():
+                if not config >> link.index & 1 or link.tail == link.head:
+                    continue
+                arc(link.tail, link.head, link.capacity)
+                if not link.directed:
+                    arc(link.head, link.tail, link.capacity)
+            if role == "source":
+                for port, load in zip(ports, loads):
+                    arc(port, "__out__", int(load))
+                s, t = terminal, "__out__"
+            else:
+                for port, load in zip(ports, loads):
+                    arc("__in__", port, int(load))
+                s, t = "__in__", terminal
+            if nx.maximum_flow_value(g, s, t) >= demand:
+                masks[config] |= np.uint64(1) << np.uint64(j)
+    return masks
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("role", ["source", "sink"])
+    @pytest.mark.parametrize("rate", [1, 2, 3])
+    def test_reference_agrees_with_networkx(self, seed, role, rate):
+        split, assignments = _split(_instance(seed), rate)
+        side, request = _side_request(split, role)
+        kwargs = dict(assignments=assignments, demand=rate, **request)
+        assert np.array_equal(
+            reference_side_masks(side, **kwargs), _networkx_side_masks(side, **kwargs)
+        )
+
+
 class TestSideMasksAcrossKernels:
     @pytest.mark.parametrize("seed", MASK_SEEDS)
     @pytest.mark.parametrize("role", ["source", "sink"])
@@ -115,18 +163,6 @@ class TestSideMasksAcrossKernels:
             assert built.flow_calls == 0
         else:
             assert built.flow_calls > 0
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("role", ["source", "sink"])
-    @pytest.mark.parametrize("oracle_solver", ORACLE_SOLVERS)
-    def test_reference_agrees_across_solvers(self, seed, role, oracle_solver):
-        split, assignments = _split(_instance(seed))
-        side, request = _side_request(split, role)
-        built = build_side_cover(side, assignments=assignments, demand=2, **request)
-        reference = reference_side_masks(
-            side, assignments=assignments, demand=2, solver=oracle_solver, **request
-        )
-        assert np.array_equal(built.expand(), reference)
 
     @settings(max_examples=12, deadline=None)
     @given(

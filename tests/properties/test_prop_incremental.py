@@ -1,11 +1,9 @@
 """Property: the incremental Gray-walk kernels are bit-identical.
 
-The solver decides whether naive's Gray walk repairs flow: warm-start
-solvers repair, push–relabel solves cold.  These tests prove the choice
-invisible: feasibility tables and values are the *same bits* with the
-repair engine (Dinic) as with cold solves (push–relabel).  The §III-C
-side arrays walk with the default solver; their Gray walk is the
-fallback past the cut-certificate guards, reached here through a
+Naive's Gray walk always repairs flow.  These tests prove the repair
+invisible: feasibility tables and values are the *same bits* as one
+cold oracle query per mask (``tests/reference_tables.py``).  The §III-C
+side arrays' Gray walk is the fallback past the cut-certificate guards, reached here through a
 monkeypatched guard and checked against the reference oracle
 (``tests/reference_arrays.py``) and the certificate kernel.  Not
 approximately: ``==`` on floats and arrays.
@@ -20,10 +18,12 @@ from repro.core.assignments import enumerate_assignments
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.naive import feasibility_table, naive_reliability
+from repro.probability.enumeration import configuration_probabilities
 from repro.graph.builders import fujita_fig4
 from repro.graph.cuts import find_bottleneck
 from repro.graph.generators import bottlenecked_network
 from tests.reference_arrays import reference_side_masks
+from tests.reference_tables import reference_feasibility_table
 
 SEEDS = [0, 1, 7, 23, 101]
 
@@ -51,19 +51,18 @@ class TestNaiveTableBitIdentity:
             source_side_links=4, sink_side_links=3, num_bottlenecks=2, demand=2, seed=seed
         )
         demand = FlowDemand("s", "t", 2)
-        cold, _ = feasibility_table(net, demand, solver="push_relabel", prune=prune)
-        warm, _ = feasibility_table(net, demand, solver="dinic", prune=prune)
-        np.testing.assert_array_equal(cold, warm)
+        warm, oracle = feasibility_table(net, demand, prune=prune)
+        assert oracle.incremental
+        np.testing.assert_array_equal(warm, reference_feasibility_table(net, demand))
 
     @pytest.mark.parametrize("prune", [True, False])
     def test_fig4_value_identical(self, prune):
         net = fujita_fig4()
         demand = FlowDemand("s", "t", 2)
-        cold = naive_reliability(net, demand, solver="push_relabel", prune=prune)
-        warm = naive_reliability(net, demand, solver="dinic", prune=prune)
-        assert warm.value == cold.value
+        warm = naive_reliability(net, demand, prune=prune)
+        cold = reference_feasibility_table(net, demand)
+        assert warm.value == float(configuration_probabilities(net)[cold].sum())
         assert warm.details["incremental"] is True
-        assert cold.details["incremental"] is False
 
 
 @pytest.fixture

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow.base import get_solver, max_flow, max_flow_value
+from repro.flow.base import max_flow, max_flow_value
 from repro.flow.decomposition import decompose
 from repro.flow.mincut import min_cut_capacity
 from tests.conftest import small_networks
+from tests.flow.routes import ROUTES, route_max_flow
 
 
 def networkx_value(net, source="s", sink="t"):
@@ -29,18 +30,18 @@ def networkx_value(net, source="s", sink="t"):
 
 
 class TestSolverProperties:
+    @pytest.mark.parametrize("route", ROUTES)
     @settings(max_examples=60, deadline=None)
     @given(small_networks())
-    def test_all_solvers_agree_with_networkx(self, net):
-        expected = networkx_value(net)
-        for name in ("dinic", "edmonds_karp", "push_relabel", "capacity_scaling"):
-            assert max_flow_value(net, "s", "t", solver=name) == expected, name
+    def test_dinic_agrees_with_networkx(self, route, net):
+        assert route_max_flow(route, net, "s", "t") == networkx_value(net)
 
+    @pytest.mark.parametrize("route", ROUTES)
     @settings(max_examples=40, deadline=None)
     @given(small_networks(), st.integers(0, 6))
-    def test_limit_is_min_of_limit_and_flow(self, net, limit):
-        true_value = max_flow_value(net, "s", "t")
-        limited = max_flow(net, "s", "t", limit=limit).value
+    def test_limit_is_min_of_limit_and_flow(self, route, net, limit):
+        true_value = networkx_value(net)
+        limited = route_max_flow(route, net, "s", "t", limit=limit)
         assert limited == min(limit, true_value)
 
     @settings(max_examples=40, deadline=None)

@@ -3,12 +3,13 @@
 ``repro.core.rare`` settles each sampled failure order's critical number
 from learned supports and cuts, querying the oracle only where they
 leave the order open.  Over random nets with directed, undirected,
-parallel and self-loop links, demands 1-3, every solver and small
+parallel and self-loop links, demands 1-3 and small
 batches (so certificates learned in one batch settle rows of the next),
 the numbers must equal the one-kill-at-a-time walk of
 ``tests/reference_spectrum.py`` row for row, and no order may spend more
-queries than the walk's ``min(B, m)``.  A certificate store capped at 2
-per kind must give the same numbers.
+queries than the walk's ``min(B, m)``.  The walk runs on a cold oracle
+or a repairing one (``walk``): either way it is the reference.  A
+certificate store capped at 2 per kind must give the same numbers.
 
 The bookkeeping itself is pinned against the earlier all-numpy one kept
 in ``tests/reference_spectrum.py``: under the same ``certify`` both must
@@ -39,8 +40,8 @@ from repro.graph.network import FlowNetwork
 from tests import reference_spectrum
 from tests.reference_spectrum import critical_numbers
 
-SOLVERS = ["dinic", "edmonds_karp", "capacity_scaling", "push_relabel"]
-
+#: The reference walk's oracle: one cold solve per query, or repaired flow.
+WALKS = ["cold", "warm"]
 
 @st.composite
 def nets(draw, max_nodes=6, max_links=12, capacities=st.integers(0, 3)):
@@ -61,13 +62,13 @@ def nets(draw, max_nodes=6, max_links=12, capacities=st.integers(0, 3)):
     return net
 
 
-def _walk_and_settle(net, rate, solver, seed, batch_size, num_permutations):
+def _walk_and_settle(net, rate, seed, batch_size, num_permutations, walk):
     """Per batch: the walk's criticals and queries, and the settled
     criticals and per-row queries from one store shared across batches."""
     m = net.num_links
     rng = spawn_streams(seed)[0]["spectrum.permutations"]
-    walk_oracle = FeasibilityOracle(net, "s", "t", rate, solver=solver, incremental=True)
-    oracle = FeasibilityOracle(net, "s", "t", rate, solver=solver, incremental=True)
+    walk_oracle = FeasibilityOracle(net, "s", "t", rate, incremental=walk == "warm")
+    oracle = FeasibilityOracle(net, "s", "t", rate, incremental=True)
     store = _Certificates(net, rate)
     batches = []
     drawn = 0
@@ -81,9 +82,9 @@ def _walk_and_settle(net, rate, solver, seed, batch_size, num_permutations):
     return batches
 
 
-def _check(net, rate, solver, seed, batch_size, num_permutations=24):
+def _check(net, rate, seed, batch_size, num_permutations=24, walk="cold"):
     m = net.num_links
-    batches = _walk_and_settle(net, rate, solver, seed, batch_size, num_permutations)
+    batches = _walk_and_settle(net, rate, seed, batch_size, num_permutations, walk)
     walked = np.concatenate([b[0] for b in batches])
     settled = np.concatenate([b[2] for b in batches])
     row_queries = np.concatenate([b[3] for b in batches])
@@ -98,7 +99,6 @@ def _check(net, rate, solver, seed, batch_size, num_permutations=24):
         FlowDemand("s", "t", rate),
         num_permutations=num_permutations,
         seed=seed,
-        solver=solver,
         batch_size=batch_size,
     )
     np.testing.assert_array_equal(spectrum.counts, np.bincount(walked, minlength=m + 2))
@@ -110,61 +110,64 @@ def _check(net, rate, solver, seed, batch_size, num_permutations=24):
 @given(
     net=nets(),
     rate=st.integers(1, 3),
-    solver=st.sampled_from(SOLVERS),
     seed=st.integers(0, 2**16),
     batch_size=st.integers(1, 7),
+    walk=st.sampled_from(WALKS),
 )
-def test_settled_equals_walk(net, rate, solver, seed, batch_size):
-    _check(net, rate, solver, seed, batch_size)
+def test_settled_equals_walk(net, rate, seed, batch_size, walk):
+    _check(net, rate, seed, batch_size, walk=walk)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     net=nets(),
     rate=st.integers(1, 3),
-    solver=st.sampled_from(SOLVERS),
     seed=st.integers(0, 2**16),
     batch_size=st.integers(1, 7),
+    walk=st.sampled_from(WALKS),
 )
-def test_full_store_stays_exact(net, rate, solver, seed, batch_size):
+def test_full_store_stays_exact(net, rate, seed, batch_size, walk):
     """Past the cap, rows settle by queries alone, with the same values."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 2)
-        _check(net, rate, solver, seed, batch_size)
+        _check(net, rate, seed, batch_size, walk=walk)
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_fig4_orders_equal_walk(solver):
-    _check(fujita_fig4(), 2, solver, seed=3, batch_size=64, num_permutations=400)
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_fig4_orders_equal_walk(seed, walk):
+    _check(fujita_fig4(), 2, seed=seed, batch_size=64, num_permutations=400, walk=walk)
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_all_alive_infeasible_gives_one(solver):
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("batch_size", [1, 8])
+def test_all_alive_infeasible_gives_one(batch_size, walk):
     """``destruction_spectrum`` has no all-alive pre-check: the first
     kill is already infeasible, so every critical number is 1."""
     net = parallel_links(2, capacity=1, failure_probability=0.1)
     spectrum = destruction_spectrum(
-        net, FlowDemand("s", "t", 3), num_permutations=50, seed=1, solver=solver
+        net, FlowDemand("s", "t", 3), num_permutations=50, seed=1
     )
     assert spectrum.counts[1] == 50
     assert spectrum.queries <= 50
-    _check(net, 3, solver, seed=1, batch_size=8)
+    _check(net, 3, seed=1, batch_size=batch_size, walk=walk)
 
 
-@pytest.mark.parametrize("solver", SOLVERS)
-def test_zero_demand_never_fails(solver):
+@pytest.mark.parametrize("walk", WALKS)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_zero_demand_never_fails(seed, walk):
     """A zero demand is feasible with every link dead: ``B = m + 1``,
     settled by the empty support after one query."""
     net = fujita_fig4()
     m = net.num_links
-    orders = sample_failure_orders(m, 40, np.random.default_rng(0))
+    orders = sample_failure_orders(m, 40, np.random.default_rng(seed))
     walked, walk_queries = critical_numbers(
-        FeasibilityOracle(net, "s", "t", 0, solver=solver, incremental=True),
+        FeasibilityOracle(net, "s", "t", 0, incremental=walk == "warm"),
         orders,
         (1 << m) - 1,
     )
     settled, row_queries = _critical_numbers(
-        FeasibilityOracle(net, "s", "t", 0, solver=solver, incremental=True),
+        FeasibilityOracle(net, "s", "t", 0, incremental=True),
         orders,
         _Certificates(net, 0),
     )
@@ -178,7 +181,6 @@ def test_zero_demand_never_fails(solver):
 @given(
     net=nets(capacities=st.integers(1, 3)),
     rate=st.integers(2, 3),
-    solver=st.sampled_from(SOLVERS),
     seed=st.integers(0, 2**16),
     batch_size=st.integers(1, 12),
     chunk_rows=st.integers(1, 4),
@@ -186,14 +188,14 @@ def test_zero_demand_never_fails(solver):
     capped=st.booleans(),
 )
 def test_bookkeeping_equals_reference(
-    net, rate, solver, seed, batch_size, chunk_rows, block_entries, capped
+    net, rate, seed, batch_size, chunk_rows, block_entries, capped
 ):
     """Same critical numbers and per-row queries as the all-numpy
     bookkeeping, batch after batch over one store per side."""
     m = net.num_links
     rng = spawn_streams(seed)[0]["spectrum.permutations"]
-    reference_oracle = FeasibilityOracle(net, "s", "t", rate, solver=solver, incremental=True)
-    oracle = FeasibilityOracle(net, "s", "t", rate, solver=solver, incremental=True)
+    reference_oracle = FeasibilityOracle(net, "s", "t", rate, incremental=True)
+    oracle = FeasibilityOracle(net, "s", "t", rate, incremental=True)
     with pytest.MonkeyPatch.context() as patch:
         for module in (rare, reference_spectrum):
             patch.setattr(module, "_CHUNK_ROWS", chunk_rows)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.flow.base import get_solver
+from repro.flow.dinic import DinicSolver
 from repro.flow.residual import build_template
 from repro.graph.network import Node
 from repro.graph.transforms import SubnetworkView
@@ -37,7 +37,6 @@ def reference_segment_masks(
     out_ports: Sequence[Node],
     loads: Sequence[Sequence[int]],
     demand: int,
-    solver: str = "dinic",
 ) -> np.ndarray:
     """``uint64`` masks over the segment lattice: bit ``j`` of entry ``i``
     is set iff configuration ``i`` (bit ``l`` = segment link ``l`` alive)
@@ -52,7 +51,7 @@ def reference_segment_masks(
     for l, arc in enumerate(arcs):
         template.add_virtual_arc(f"port{l}", *arc, demand)
         names.append(f"port{l}")
-    engine = get_solver(solver)
+    engine = DinicSolver()
     masks = np.zeros(1 << net.num_links, dtype=np.uint64)
     for config in range(len(masks)):
         for j, load in enumerate(loads):
@@ -71,7 +70,6 @@ def reference_side_masks(
     ports: Sequence[Node],
     assignments: Sequence[Sequence[int]],
     demand: int,
-    solver: str = "dinic",
 ) -> np.ndarray:
     """The oracle for ``G_s`` (``role="source"``: ``terminal -> ports``)
     or ``G_t`` (``role="sink"``: ``ports -> terminal``)."""
@@ -80,5 +78,5 @@ def reference_side_masks(
     else:
         segment = dict(source=None, sink=terminal, in_ports=ports, out_ports=())
     return reference_segment_masks(
-        side, **segment, loads=assignments, demand=demand, solver=solver
+        side, **segment, loads=assignments, demand=demand
     )

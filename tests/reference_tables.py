@@ -4,7 +4,7 @@ The definition of a ``2^m`` feasibility table, computed the slow way:
 one cold :meth:`~repro.core.feasibility.FeasibilityOracle.feasible`
 query per mask, in mask order, with no walk, no pruning and no flow
 repair.  ``repro.core.naive.feasibility_table`` must reproduce it bit
-for bit, whatever the solver or pruning.
+for bit, with or without pruning.
 """
 
 from __future__ import annotations

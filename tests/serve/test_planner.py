@@ -4,12 +4,7 @@ import json
 
 import pytest
 
-from repro.core.api import (
-    COALESCIBLE_METHODS,
-    SOLVER_METHODS,
-    available_methods,
-    compute_reliability,
-)
+from repro.core.api import compute_reliability
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.core.sweep import ArrayCache, network_fingerprint, plan_batch
@@ -126,36 +121,13 @@ class TestAnswerQueries:
         assert payloads[0]["batch"]["queries"] == 2
         assert payloads[1]["batch"]["queries"] == 1
 
-
-class TestSolverReachesOnlyNonCoalescibleFallbacks:
-    def test_named_solver_leaves_cold_bottleneck_columns_solver_free(self):
-        """A server solver used to swap the cut-certificate kernel for
-        max-flow on every cold bottleneck column (69 solves on fig4)."""
-        [named] = answer_queries([_query()], cache=ArrayCache(), solver="dinic")
-        [default] = answer_queries([_query()], cache=ArrayCache())
-        assert named["ok"] and not named["warm"]
-        assert named["flow_calls"] == 0
-        assert named["points"] == default["points"]
-
-    def test_non_coalescible_method_gets_the_solver(self):
-        [payload] = answer_queries(
-            [_query(net=diamond(), method="naive", rate=1)],
-            cache=ArrayCache(),
-            solver="no-such-solver",
-        )
-        assert not payload["ok"]
-        assert "no-such-solver" in payload["error"]["message"]
-
-    def test_refused_plan_falls_back_without_the_solver(self):
+    def test_refused_plan_falls_back_pointwise(self):
         """``auto`` on a topology with no bottleneck cut leaves the sweep
-        and is answered pointwise, still without the server solver."""
+        and is answered pointwise."""
         net = parallel_links(5)
-        [payload] = answer_queries(
-            [_query(net=net, rate=2)], cache=ArrayCache(), solver="no-such-solver"
-        )
+        [payload] = answer_queries([_query(net=net, rate=2)], cache=ArrayCache())
         assert payload["ok"]
         assert payload["batch"]["queries"] == 1
-
 
 
 def _undirected_diamond() -> FlowNetwork:
@@ -165,21 +137,11 @@ def _undirected_diamond() -> FlowNetwork:
     return net
 
 
-#: Served methods whose engine takes no ``solver=`` (``chain`` also
-#: needs ``cuts=``, which the protocol cannot carry).
-_SOLVER_FREE = sorted(
-    set(available_methods()) - SOLVER_METHODS - COALESCIBLE_METHODS - {"chain"}
-)
-
-
 class TestSolverFreeEngines:
-    def test_every_served_method_is_classified(self):
-        assert _SOLVER_FREE == ["bridge", "frontier", "frontier-directed"]
-
-    @pytest.mark.parametrize("method", _SOLVER_FREE)
-    def test_answered_without_the_server_solver(self, method):
-        """These engines raise ``TypeError`` for ``solver=``; the fallback
-        must not hand them the server's, or the round dies with it."""
+    @pytest.mark.parametrize("method", ["bridge", "frontier", "frontier-directed"])
+    def test_answered_pointwise(self, method):
+        """These engines raise ``TypeError`` for any option the fallback
+        might add; a served query must still get its answer."""
         if method == "frontier":
             net, rate = _undirected_diamond(), 1
         else:
@@ -187,7 +149,6 @@ class TestSolverFreeEngines:
         [payload] = answer_queries(
             [_query(net=net, method=method, rate=rate)],
             cache=ArrayCache(),
-            solver="dinic",
         )
         assert payload["ok"], payload
         expected = compute_reliability(net, "s", "t", rate, method=method)

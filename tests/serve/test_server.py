@@ -118,7 +118,8 @@ class TestQueries:
         )
 
     def test_bridge_query_is_answered_and_the_daemon_lives_on(self, threaded_server):
-        """``bridge`` takes no ``solver=``: the fallback must not pass it one."""
+        """``bridge`` takes no fallback option: the query must still be
+        answered and the daemon keep serving."""
         net = fujita_fig2_bridge()
         with ReliabilityClient("127.0.0.1", threaded_server.port) as client:
             reply = client.query(net, "s", "t", 2, method="bridge", qid=1)
