@@ -25,17 +25,18 @@ The sum has no ``2^q`` table, so any class the uint64 packing can hold
 (up to 63 assignments) runs the same kernel.  A property suite pins it
 to the signed sum (:func:`repro.probability.union_probability_from_intersections`).
 
-Every caller runs :func:`joint_rows` on two sides' distinct masks and
-their weights, read from the sides' cube covers
-(:class:`repro.core.cover.SideCover`: ``distinct`` and ``weights``): the
-pointwise :func:`repro.core.bottleneck.bottleneck_reliability`, the
-sweep, batch and serve paths and chain's last cut (all through
-:func:`repro.core.sweep.split_reliability`), so no caller holds a
-``2^m`` array.  :func:`joint_rows` gives ``r[s]`` for one
-class (``within``), regrouped by the class's bits; each row's pair
-products are summed on their own over a hit matrix built once per call
-(in blocks under a fixed entry cap), so a row's value does not depend
-on which batch it rides in.
+Every caller reads the two sides' distinct masks and their weights
+from the sides' cube covers (:class:`repro.core.cover.SideCover`:
+``distinct`` and ``weights``), so no caller holds a ``2^m`` array.  The
+one Eq. 3 pipeline, :func:`repro.core.sweep.split_reliability` (behind
+the pointwise :func:`repro.core.bottleneck.bottleneck_reliability`, the
+sweep, batch and serve paths and chain's last cut), regroups each
+side's masks by a class's bits (:func:`regroup`) once per class and
+call, then sums the pairs (:func:`grouped_joint_rows`);
+:func:`joint_rows` is both steps for one class (``within``).  Each row's
+pair products are summed on their own over a hit matrix built once per
+call (in blocks under a fixed entry cap), so a row's value does not
+depend on which batch it rides in.
 """
 
 from __future__ import annotations
@@ -43,50 +44,56 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["joint_rows"]
+__all__ = ["grouped_joint_rows", "joint_rows", "regroup"]
 
 #: Largest hit matrix :func:`joint_rows` holds at once (entries).
 _HIT_ENTRIES = 1 << 18
 
 
-def _restrict(
-    masks: np.ndarray, weights: np.ndarray, within: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Regroup distinct masks by their part inside ``within``.
+def regroup(masks: np.ndarray, within: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group distinct masks by their part inside ``within``.
 
-    Returns the distinct restricted masks and the ``(rows, size)``
-    weights folded onto them: one weighted ``np.bincount`` whose bins
-    are disjoint per row and filled in mask order, so a row's folded
-    weights do not depend on the other rows.
+    Returns the distinct restricted masks (ascending) and each input
+    mask's group.  It reads masks only, never weights, so a caller that
+    meets the same masks under many weight rows (a chain's sink side,
+    row after row) regroups them once per class.
     """
     restricted, inverse = np.unique(masks & np.uint64(within), return_inverse=True)
+    return restricted, inverse.reshape(-1)
+
+
+def _fold(grouping: tuple[np.ndarray, np.ndarray], weights: np.ndarray) -> np.ndarray:
+    """The ``(rows, groups)`` weights folded onto a :func:`regroup`.
+
+    One weighted ``np.bincount`` whose bins are disjoint per row and
+    filled in mask order, so a row's folded weights do not depend on
+    the other rows.
+    """
+    restricted, inverse = grouping
     rows, size = weights.shape[0], len(restricted)
-    bins = np.arange(rows)[:, None] * size + inverse.reshape(-1)
+    bins = np.arange(rows)[:, None] * size + inverse
     folded = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=rows * size)
-    return restricted, folded.reshape(rows, size)
+    return folded.reshape(rows, size)
 
 
-def joint_rows(
-    source_masks: np.ndarray,
+def grouped_joint_rows(
+    source: tuple[np.ndarray, np.ndarray],
     source_weights: np.ndarray,
-    sink_masks: np.ndarray,
+    sink: tuple[np.ndarray, np.ndarray],
     sink_weights: np.ndarray,
-    within: int,
 ) -> np.ndarray:
-    """``r[s] = Σ_ij ws[s,i] · wt[s,j] · [ms_i & mt_j & within ≠ 0]``.
+    """:func:`joint_rows` on both sides' masks already regrouped by the
+    class (:func:`regroup`).
 
-    Both sides are first regrouped by their masks' part inside the
-    class (:func:`_restrict`), so a small class costs at most
-    ``2^|class|`` masks a side however many full masks there are.  The
-    hit matrix is then built in blocks of source masks of at most
+    The hit matrix is built in blocks of source masks of at most
     :data:`_HIT_ENTRIES` entries; the blocks depend only on the masks,
     never on the rows.  Within a block every row's pair products are
     summed on their own (a per-row reduction over one contiguous row,
     the rows taken a bounded slab at a time), so a row's value is the
     same in any batch.
     """
-    ms, ws = _restrict(source_masks, source_weights, within)
-    mt, wt = _restrict(sink_masks, sink_weights, within)
+    ms, ws = source[0], _fold(source, source_weights)
+    mt, wt = sink[0], _fold(sink, sink_weights)
     rows = ws.shape[0]
     out = np.zeros(rows, dtype=np.float64)
     block = max(1, _HIT_ENTRIES // len(mt))
@@ -100,3 +107,25 @@ def joint_rows(
             pairs *= hit
             out[first:last] += pairs.reshape(len(pairs), -1).sum(axis=1)
     return out
+
+
+def joint_rows(
+    source_masks: np.ndarray,
+    source_weights: np.ndarray,
+    sink_masks: np.ndarray,
+    sink_weights: np.ndarray,
+    within: int,
+) -> np.ndarray:
+    """``r[s] = Σ_ij ws[s,i] · wt[s,j] · [ms_i & mt_j & within ≠ 0]``.
+
+    Both sides are first regrouped by their masks' part inside the
+    class (:func:`regroup`), so a small class costs at most
+    ``2^|class|`` masks a side however many full masks there are; then
+    :func:`grouped_joint_rows` sums the pairs.
+    """
+    return grouped_joint_rows(
+        regroup(source_masks, within),
+        source_weights,
+        regroup(sink_masks, within),
+        sink_weights,
+    )

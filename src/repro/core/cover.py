@@ -98,7 +98,7 @@ class SideCover:
             distinct, inverse = np.unique(self.cubes[:, 2], return_inverse=True)
         else:
             distinct, inverse = np.unique(self.cubes[:, 2:], axis=0, return_inverse=True)
-        return distinct, inverse.reshape(-1)
+        return _frozen(distinct), _frozen(inverse.reshape(-1))
 
     @cached_property
     def _decided(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -109,8 +109,21 @@ class SideCover:
             up = np.flatnonzero(self.cubes[:, 0] & bit)
             down = np.flatnonzero(self.cubes[:, 1] & bit)
             if len(up) or len(down):
-                decided.append((i, up, down))
+                decided.append((i, _frozen(up), _frozen(down)))
         return decided
+
+    @cached_property
+    def nbytes(self) -> int:
+        """Resident bytes: the cubes plus the arrays derived from them
+        (derived here, once; every derived array is read-only like the
+        cubes, since a cached cover serves every later hit)."""
+        distinct, inverse = self._grouping
+        return int(
+            self.cubes.nbytes
+            + distinct.nbytes
+            + inverse.nbytes
+            + sum(up.nbytes + down.nbytes for _, up, down in self._decided)
+        )
 
     @property
     def distinct(self) -> np.ndarray:
@@ -157,6 +170,11 @@ class SideCover:
         for alive, dead, *words in self.cubes.tolist():
             masks[(configurations & np.uint64(alive | dead)) == np.uint64(alive)] = words
         return masks[:, 0] if self.words == 1 else masks
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def factor_cover(

@@ -188,14 +188,25 @@ def sample_failure_orders(
 
     Drawn array-at-a-time: one exponential matrix, one ``argsort`` —
     the classic construction (i.i.d. exponential clocks; sorting the
-    clocks yields a uniform permutation of the links).
+    clocks yields a uniform permutation of the links).  The default
+    sort is not stable, so the rows whose clocks hold an exact tie are
+    put in link order within each run of equal clocks: every order is
+    the stable sort's.
     """
     if num_links < 1:
         raise EstimationError("need at least one link to order")
     if batch < 1:
         raise EstimationError("batch must be positive")
     clocks = rng.standard_exponential((batch, num_links))
-    return np.argsort(clocks, axis=1, kind="stable")
+    orders = np.argsort(clocks, axis=1)
+    clocks.sort(axis=1)
+    tied = (clocks[:, 1:] == clocks[:, :-1]).any(axis=1)
+    if tied.any():
+        links = orders[tied]
+        orders[tied] = np.take_along_axis(
+            links, np.lexsort((links, clocks[tied])), axis=1
+        )
+    return orders
 
 
 #: Failure orders settled together: the chunk's certificate checks are

@@ -42,10 +42,12 @@ This module holds:
     :func:`_through_segment`), row by row.
     :func:`repro.core.bottleneck.bottleneck_reliability` and
     :func:`repro.core.chain.chain_reliability` are its one-row calls
-    (:func:`point_reliability`); :func:`compute_reliability_sweep` is
-    its many-row call on one cut, so every sweep point is bit-identical
-    to a fresh pointwise call (a property suite enforces value and
-    ``details`` equality).
+    (:func:`point_reliability`); :func:`grid_reliability` is its
+    many-row call on one cut search, behind both
+    :func:`compute_reliability_sweep` and the served plans of
+    :func:`plan_batch`, so every sweep point and every served point is
+    bit-identical to a fresh pointwise call (property suites enforce
+    value and ``details`` equality).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import uuid
 from dataclasses import dataclass, replace
@@ -61,7 +64,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.accumulate import joint_rows
+from repro.core.accumulate import grouped_joint_rows, regroup
 from repro.core.arrays import (
     _validate_side_request,
     build_relation_cover,
@@ -102,6 +105,7 @@ __all__ = [
     "SweepResult",
     "cached_side_cover",
     "compute_reliability_sweep",
+    "grid_reliability",
     "network_fingerprint",
     "plan_batch",
     "probability_grid",
@@ -161,8 +165,7 @@ def network_fingerprint(net: FlowNetwork) -> str:
     order.  Failure probabilities are deliberately excluded — two
     networks with the same fingerprint share every side cover,
     which is exactly the merge test :func:`plan_batch` groups queries
-    by (a probability difference is expressible as an ``overrides``
-    sweep point on either network).
+    by (their failure grids stack into one).
     """
     payload = {
         "v": _FINGERPRINT_VERSION,
@@ -188,10 +191,14 @@ def _cover_key(side_digest: str, assignments: Sequence[Sequence[int]]) -> str:
 class ArrayCache:
     """Content-addressed store of §III-C side covers.
 
-    An entry is one side's cube array (:class:`repro.core.cover.SideCover`
-    ``cubes``, an ``(n, 3)`` ``uint64`` array); with a ``directory``
-    every stored entry is also written as a ``.npy`` file named by its
-    key, so later processes (or a second CLI run) start warm.  Disk
+    An entry is one side's :class:`repro.core.cover.SideCover`.  The
+    memory tier keeps the cover object itself, so every hit returns the
+    *same* object and the arrays it derives from its cubes (distinct
+    masks, cube groups, per-link cube lists) are computed once per
+    process, not once per query.  With a ``directory`` every stored
+    entry's cube array (``(n, 3)`` ``uint64``) is also written as a
+    ``.npy`` file named by its key, so later processes (or a second CLI
+    run) start warm.  Disk
     writes are atomic (a per-write temp file + ``os.replace``), and a
     failed one leaves the entry in memory.  A disk entry that is not a
     partition of the side's lattice (:func:`repro.core.cover.is_partition`)
@@ -202,8 +209,9 @@ class ArrayCache:
     expands to the same ground-truth masks; the kernel is not part of
     the key.
 
-    ``max_bytes`` bounds the resident bytes of tracked entries (array
-    payload; on-disk entries by file size).  When a :meth:`put` or
+    ``max_bytes`` bounds the resident bytes of tracked entries (a
+    cover's cubes and derived arrays, :attr:`SideCover.nbytes`; on-disk
+    entries not yet read by file size).  When a :meth:`put` or
     :meth:`get` pushes the total past the bound, least-recently-used
     keys are evicted — dropped from memory *and* unlinked from the disk
     tier — until the total fits again.  The just-touched key is never
@@ -227,7 +235,7 @@ class ArrayCache:
     ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ReproValueError("max_bytes must be a positive byte count")
-        self._memory: dict[str, np.ndarray] = {}
+        self._memory: dict[str, SideCover] = {}
         self._splits: dict[str, SideSplit] = {}
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
@@ -333,7 +341,7 @@ class ArrayCache:
         assert self.directory is not None
         return self.directory / f"{key}.npy"
 
-    def _load(self, key: str, num_links: int, num_assignments: int) -> np.ndarray | None:
+    def _load(self, key: str, num_links: int, num_assignments: int) -> SideCover | None:
         """The disk-tier cover of ``key``; a damaged file is a miss.
 
         A truncated or edited file could still parse as an array, so
@@ -356,47 +364,57 @@ class ArrayCache:
             self._total_bytes -= self._sizes.pop(key, 0)
             return None
         cubes.setflags(write=False)
-        self._memory[key] = cubes
-        return cubes
+        cover = SideCover(cubes=cubes, num_links=num_links, num_assignments=num_assignments)
+        self._memory[key] = cover
+        return cover
 
-    def get(self, key: str, num_links: int, num_assignments: int) -> np.ndarray | None:
-        """The cube array stored under ``key``, or None.
+    def get(self, key: str, num_links: int, num_assignments: int) -> SideCover | None:
+        """The cover stored under ``key``, or None.
 
         ``num_links`` and ``num_assignments`` are the side's dimensions,
-        against which a disk entry is checked.  The returned array is
-        **read-only** (``writeable=False``): it is shared by every later
-        hit, so an in-place store must fail loudly instead of silently
-        poisoning the next sweep point.  Callers that need a private
-        writable array take a ``.copy()`` — the invariant lint rule
-        RR202 checks statically.
+        against which a disk entry is checked.  A memory hit returns the
+        stored object itself, whose cubes and derived arrays are
+        **read-only** (``writeable=False``): they are shared by every
+        later hit, so an in-place store must fail loudly instead of
+        silently poisoning the next sweep point.  Callers that need a
+        private writable array take a ``.copy()`` — the invariant lint
+        rule RR202 checks statically.
         """
-        cubes = self._memory.get(key)
-        if cubes is None and self.directory is not None:
-            cubes = self._load(key, num_links, num_assignments)
-        if cubes is None:
+        cover = self._memory.get(key)
+        if cover is None and self.directory is not None:
+            cover = self._load(key, num_links, num_assignments)
+        if cover is None:
             self.misses += 1
             count(ARRAY_CACHE_MISSES, 1)
             return None
         self.hits += 1
-        self.bytes_read += int(cubes.nbytes)
+        self.bytes_read += int(cover.cubes.nbytes)
         count(ARRAY_CACHE_HITS, 1)
-        count(ARRAY_CACHE_BYTES, int(cubes.nbytes))
-        self._touch(key, int(cubes.nbytes))
-        return cubes
+        count(ARRAY_CACHE_BYTES, int(cover.cubes.nbytes))
+        self._touch(key, cover.nbytes)
+        return cover
 
-    def put(self, key: str, cubes: np.ndarray) -> None:
-        """Store one cube array under ``key`` (memory + optional disk)."""
-        stored = np.array(cubes, dtype=np.uint64).reshape(-1, 3)
-        stored.setflags(write=False)
+    def put(self, key: str, cover: SideCover) -> SideCover:
+        """Store one side cover under ``key`` (memory + optional disk).
+
+        The stored entry is a private read-only copy of the cubes with
+        no solves charged (a hit spends none); it is returned.
+        """
+        cubes = np.array(cover.cubes, dtype=np.uint64).reshape(-1, 3)
+        cubes.setflags(write=False)
+        stored = SideCover(
+            cubes=cubes, num_links=cover.num_links, num_assignments=cover.num_assignments
+        )
         self._memory[key] = stored
         self.stores += 1
-        self.bytes_written += int(stored.nbytes)
-        count(ARRAY_CACHE_BYTES, int(stored.nbytes))
+        self.bytes_written += int(cubes.nbytes)
+        count(ARRAY_CACHE_BYTES, int(cubes.nbytes))
         if self.directory is not None:
             path = self._path(key)
             if not path.is_file():
-                self._publish(path, stored)
-        self._touch(key, int(stored.nbytes))
+                self._publish(path, cubes)
+        self._touch(key, stored.nbytes)
+        return stored
 
     def get_split(self, key: str) -> SideSplit | None:
         """The cut search memoized under ``key``, or None."""
@@ -440,13 +458,16 @@ def cached_side_cover(
     assignments: Sequence[Sequence[int]],
     demand: int,
     cache: ArrayCache | None = None,
+    digest: str | None = None,
 ) -> SideCover:
     """§III-C side cover, looked up in ``cache`` and built on a miss.
 
     One entry per side and assignment list: a hit returns the stored
-    cubes with ``flow_calls`` 0; a miss goes through
-    :func:`~repro.core.arrays.build_side_cover` and stores its cubes.
-    With ``cache=None`` this is exactly ``build_side_cover``.
+    cover (the same object every time) with ``flow_calls`` 0; a miss
+    goes through :func:`~repro.core.arrays.build_side_cover` and stores
+    its cubes.  ``digest`` is the side's :func:`side_fingerprint` when
+    the caller already holds it (a memoized split carries both).  With
+    ``cache=None`` this is exactly ``build_side_cover``.
     """
     build = dict(
         role=role, terminal=terminal, ports=ports, assignments=assignments, demand=demand
@@ -457,19 +478,20 @@ def cached_side_cover(
     _validate_side_request(
         net, role=role, assignments=assignments, ports=ports, demand=demand
     )
-    digest = side_fingerprint(net, role=role, terminal=terminal, ports=ports)
+    if digest is None:
+        digest = side_fingerprint(net, role=role, terminal=terminal, ports=ports)
     key = _cover_key(digest, assignments)
     with span(
         "sweep.array_cache", role=role, links=net.num_links, assignments=len(assignments)
     ):
-        cubes = cache.get(key, net.num_links, len(assignments))
-        if cubes is not None:
-            return SideCover(
-                cubes=cubes, num_links=net.num_links, num_assignments=len(assignments)
-            )
+        cover = cache.get(key, net.num_links, len(assignments))
+        if cover is not None:
+            return cover
         cover = build_side_cover(side, **build)
-        cache.put(key, cover.cubes)
-    return cover
+        stored = cache.put(key, cover)
+    # A solve-free build is the stored cover itself, whose derived
+    # arrays every later hit then reuses.
+    return cover if cover.flow_calls else stored
 
 
 # -- the sweep specification ----------------------------------------------
@@ -511,8 +533,8 @@ class SweepSpec:
         if not points:
             raise ReproValueError("sweep needs at least one point")
         for f in points:
-            if f < 0.0:
-                raise ReproValueError(f"failure scale factor {f} is negative")
+            if not 0.0 <= f < math.inf:
+                raise ReproValueError(f"failure scale factor {f} is negative or not finite")
         return cls(kind="failure-scale", values=points)
 
     @classmethod
@@ -610,15 +632,9 @@ class SweepResult:
         return iter(self.results)
 
 
-def _split_key(net: FlowNetwork, demand: FlowDemand, max_cut_size: int) -> str:
+def _split_key(fingerprint: str, demand: FlowDemand, max_cut_size: int) -> str:
     return "|".join(
-        (
-            "split",
-            network_fingerprint(net),
-            repr(demand.source),
-            repr(demand.sink),
-            str(int(max_cut_size)),
-        )
+        ("split", fingerprint, repr(demand.source), repr(demand.sink), str(int(max_cut_size)))
     )
 
 
@@ -629,6 +645,7 @@ def bottleneck_split(
     max_cut_size: int,
     *,
     cache: ArrayCache | None = None,
+    fingerprint: str | None = None,
 ) -> SideSplit:
     """The bottleneck cut search: discover the best admissible cut of
     size up to ``max_cut_size``, or verify the given one.
@@ -636,14 +653,17 @@ def bottleneck_split(
     Admissibility is structural (it never reads the demand rate or the
     failure probabilities), so one search serves every sweep point —
     and, through ``cache``, every later call on the same topology and
-    terminals: a found split is memoized under the network fingerprint,
-    the terminals and ``max_cut_size``, and a memo hit opens no
-    ``bottleneck.cut_search`` span.  A given ``cut`` and a failed
-    search bypass the memo.
+    terminals: a found split is memoized under the network fingerprint
+    (``fingerprint`` when the caller already holds it), the terminals
+    and ``max_cut_size``, together with its two sides' digests, and a
+    memo hit opens no ``bottleneck.cut_search`` span.  A given ``cut``
+    and a failed search bypass the memo.
     """
     key = None
     if cut is None and cache is not None:
-        key = _split_key(net, demand, max_cut_size)
+        if fingerprint is None:
+            fingerprint = network_fingerprint(net)
+        key = _split_key(fingerprint, demand, max_cut_size)
         memo = cache.get_split(key)
         if memo is not None:
             count(SPLIT_CACHE_HITS, 1)
@@ -658,6 +678,21 @@ def bottleneck_split(
                     f"no admissible bottleneck cut of size <= {max_cut_size} found"
                 )
             if cache is not None and key is not None:
+                digests = (
+                    side_fingerprint(
+                        split.source_side.network,
+                        role="source",
+                        terminal=demand.source,
+                        ports=split.source_ports,
+                    ),
+                    side_fingerprint(
+                        split.sink_side.network,
+                        role="sink",
+                        terminal=demand.sink,
+                        ports=split.sink_ports,
+                    ),
+                )
+                split = replace(split, side_digests=digests)
                 cache.put_split(key, split)
             return split
         return verify_bottleneck(net, demand.source, demand.sink, cut)
@@ -792,6 +827,7 @@ def split_reliability(
             assignments=assignment_sets[0] if source else assignments,
             demand=demand.rate,
             cache=cache,
+            digest=None if split.side_digests is None else split.side_digests[0 if source else 1],
         )
 
     with span(
@@ -829,7 +865,11 @@ def split_reliability(
     for pattern, supported in classify_by_support(assignments, k).items():
         if supported:
             by_class.setdefault(supported, []).append(pattern)
-    mt = sink_cover.distinct
+    # The sink masks meet every row unchanged: regroup them once per class.
+    classes: list[tuple[list[int], int, tuple[np.ndarray, np.ndarray]]] = []
+    for supported, patterns in by_class.items():
+        within = mask_from_indices(supported)
+        classes.append((patterns, within, regroup(sink_cover.distinct, within)))
 
     def close(
         ms: np.ndarray, ws: np.ndarray, wt: np.ndarray, pattern_rows: np.ndarray
@@ -837,12 +877,12 @@ def split_reliability(
         """Each row's Eq. 3 pattern terms and its count of live classes."""
         terms = np.zeros((len(pattern_rows), 1 << k), dtype=np.float64)
         used = np.zeros(len(pattern_rows), dtype=np.int64)
-        for supported, patterns in by_class.items():
+        for patterns, within, sink in classes:
             p_patterns = pattern_rows[:, patterns]
             live = (p_patterns != 0.0).any(axis=1)
             if not live.any():
                 continue
-            r = joint_rows(ms, ws, mt, wt, mask_from_indices(supported))
+            r = grouped_joint_rows(regroup(ms, within), ws, sink, wt)
             terms[:, patterns] = p_patterns * r[:, None]
             used += live
         return terms, used
@@ -928,6 +968,39 @@ def point_reliability(
     return replace(result, flow_calls=flow_calls)
 
 
+def grid_reliability(
+    net: FlowNetwork,
+    demand: FlowDemand,
+    failure_grid: np.ndarray,
+    *,
+    cut: Sequence[int] | None = None,
+    max_cut_size: int = 3,
+    cache: ArrayCache | None = None,
+    fingerprint: str | None = None,
+) -> tuple[list[ReliabilityResult], int, dict[str, int]]:
+    """Reliability at every row of a ``(points, links)`` failure grid.
+
+    One cut search (:func:`bottleneck_split`, memoized in ``cache``
+    under ``fingerprint`` when the caller already holds the network's),
+    then :func:`split_reliability` over the whole grid, its covers read
+    through ``cache`` (a private in-memory :class:`ArrayCache` when none
+    is given).  This is the probability-kind body of
+    :func:`compute_reliability_sweep` and all of a served
+    :class:`BatchPlan`.  Returns one result per row, the solves the
+    cover builds spent and the cache's :meth:`ArrayCache.stats` delta.
+    """
+    the_cache = cache if cache is not None else ArrayCache()
+    before = the_cache.stats()
+    split = bottleneck_split(
+        net, demand, cut, max_cut_size, cache=cache, fingerprint=fingerprint
+    )
+    results, flow_calls = split_reliability(
+        net, demand, split, failure_grid, cache=the_cache
+    )
+    after = the_cache.stats()
+    return results, flow_calls, {key: after[key] - before[key] for key in after}
+
+
 def compute_reliability_sweep(
     net: FlowNetwork,
     demand: FlowDemand,
@@ -944,12 +1017,13 @@ def compute_reliability_sweep(
     assignment set and both side covers are then computed once
     (through ``cache``; a private in-memory :class:`ArrayCache` is used
     when none is given) and Eq. 2 / Eq. 3 are evaluated for the whole
-    failure grid by :func:`split_reliability`, the pipeline
-    :func:`bottleneck_reliability` runs on one row.  Every point's value
-    and ``details`` are bit-identical to a fresh
-    :func:`bottleneck_reliability` call on :meth:`SweepSpec.point_network`
-    — only the solve accounting differs (the per-point ``flow_calls`` is
-    0; this call's total is reported on the :class:`SweepResult`).
+    failure grid by :func:`grid_reliability`, whose
+    :func:`split_reliability` :func:`bottleneck_reliability` runs on one
+    row.  Every point's value and ``details`` are bit-identical to a
+    fresh :func:`bottleneck_reliability` call on
+    :meth:`SweepSpec.point_network` — only the solve accounting differs
+    (the per-point ``flow_calls`` is 0; this call's total is reported on
+    the :class:`SweepResult`).
 
     Demand sweeps run the one-point pipeline per rate with the shared
     cache, so a rate seen before is not built again.
@@ -960,11 +1034,15 @@ def compute_reliability_sweep(
     demand.validate_against(net)
     # The probability kinds validate their grid before any search.
     failure_grid = sweep.failure_matrix(net) if sweep.kind != "demand" else None
-    the_cache = cache if cache is not None else ArrayCache()
-    before = the_cache.stats()
     with span("sweep.run", kind=sweep.kind, points=len(sweep)):
-        split = bottleneck_split(net, demand, cut, max_cut_size, cache=cache)
-        if failure_grid is None:
+        if failure_grid is not None:
+            points, flow_calls, cache_stats = grid_reliability(
+                net, demand, failure_grid, cut=cut, max_cut_size=max_cut_size, cache=cache
+            )
+        else:
+            the_cache = cache if cache is not None else ArrayCache()
+            before = the_cache.stats()
+            split = bottleneck_split(net, demand, cut, max_cut_size, cache=cache)
             points = [
                 point_reliability(
                     net,
@@ -975,21 +1053,14 @@ def compute_reliability_sweep(
                 for rate in sweep.values
             ]
             flow_calls = sum(point.flow_calls for point in points)
-        else:
-            points, flow_calls = split_reliability(
-                net,
-                demand,
-                split,
-                failure_grid,
-                cache=the_cache,
-            )
-    after = the_cache.stats()
+            after = the_cache.stats()
+            cache_stats = {key: after[key] - before[key] for key in after}
     return SweepResult(
         kind=sweep.kind,
         xs=sweep.values,
         results=tuple(points),
         flow_calls=flow_calls,
-        cache_stats={key: after[key] - before[key] for key in after},
+        cache_stats=cache_stats,
     )
 
 
@@ -998,80 +1069,67 @@ def compute_reliability_sweep(
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """One merged sweep covering several submitted query points.
+    """One merged failure grid covering several submitted queries.
 
-    ``net`` is the first member's network; every member is expressed as
-    one ``overrides`` sweep point carrying its *full* failure vector, so
-    :meth:`SweepSpec.point_network` reconstructs each member's network
-    exactly (the topologies are fingerprint-identical by construction).
+    Every member shares the topology fingerprint, terminals and rate,
+    so one cut search and one pair of side covers serve them all; the
+    members' failure grids are stacked into one, and ``rows[j]`` is the
+    row range of member ``indices[j]``.
     """
 
-    #: Base network of the group (first member's).
+    #: Network of the group's first member (only its topology is read).
     net: FlowNetwork
     #: Shared demand (same source, sink and rate for every member).
     demand: FlowDemand
-    #: ``kind="overrides"`` spec with one point per member, in
-    #: ``indices`` order.
-    spec: SweepSpec
+    #: ``(points, links)`` failure grid: the members' grids, stacked.
+    failure_grid: np.ndarray
     #: Positions of the members in the submitted query sequence.
     indices: tuple[int, ...]
-    #: The merge key: topology fingerprint + terminals + rate.
-    key: str
-
-
-def _batch_key(net: FlowNetwork, demand: FlowDemand) -> str:
-    return "|".join(
-        (
-            network_fingerprint(net),
-            repr(demand.source),
-            repr(demand.sink),
-            str(int(demand.rate)),
-        )
-    )
+    #: ``(start, stop)`` rows of ``failure_grid`` per member.
+    rows: tuple[tuple[int, int], ...]
+    #: The members' shared topology fingerprint.
+    fingerprint: str
 
 
 def plan_batch(
-    queries: Sequence[tuple[FlowNetwork, FlowDemand]],
+    queries: Sequence[tuple[FlowNetwork, FlowDemand, np.ndarray]],
 ) -> list[BatchPlan]:
-    """Merge query points into per-topology sweep plans.
+    """Merge queries into per-topology failure-grid plans.
 
-    Queries sharing a topology fingerprint, terminals and demand rate
-    collapse into **one** plan — one cut search, one cached cover
-    build, one vectorized Eq. 2/3 grid — no matter how their failure
-    probabilities differ: each member becomes one ``overrides`` sweep
-    point carrying its full failure vector.  This is the serving
-    daemon's coalescing mechanism, exposed as a plain function so the
-    merge is unit-testable without sockets.
+    Each query is ``(net, demand, failure_grid)``, its grid from
+    :meth:`SweepSpec.failure_matrix`.  Queries sharing a topology
+    fingerprint (one :func:`network_fingerprint` per query), terminals
+    and demand rate collapse into **one** plan — one cut search, one
+    cached cover build, one vectorized Eq. 2/3 grid — no matter how
+    their failure probabilities differ.  This is the serving daemon's
+    coalescing mechanism, exposed as a plain function so the merge is
+    unit-testable without sockets.
 
     Plans appear in first-appearance order; ``BatchPlan.indices`` maps
-    each plan's sweep points back to positions in ``queries``.
+    each plan's members back to positions in ``queries``.
     """
     if not queries:
         return []
     with span("sweep.plan", queries=len(queries)):
-        groups: dict[str, list[int]] = {}
-        for index, (net, demand) in enumerate(queries):
-            demand.validate_against(net)
-            groups.setdefault(_batch_key(net, demand), []).append(index)
+        groups: dict[tuple[str, str, str, int], list[int]] = {}
+        fingerprints: list[str] = []
+        for index, (net, demand, _) in enumerate(queries):
+            fingerprints.append(network_fingerprint(net))
+            key = (fingerprints[-1], repr(demand.source), repr(demand.sink), demand.rate)
+            groups.setdefault(key, []).append(index)
         plans: list[BatchPlan] = []
-        for key, indices in groups.items():
-            base_net, base_demand = queries[indices[0]]
-            rows: list[dict[int, float]] = []
-            for index in indices:
-                member_net, _ = queries[index]
-                rows.append(
-                    {
-                        i: float(p)
-                        for i, p in enumerate(member_net.failure_probabilities())
-                    }
-                )
+        for indices in groups.values():
+            grids = [queries[index][2] for index in indices]
+            stops = np.cumsum([len(grid) for grid in grids]).tolist()
+            net, demand, _ = queries[indices[0]]
             plans.append(
                 BatchPlan(
-                    net=base_net,
-                    demand=base_demand,
-                    spec=SweepSpec.overrides(rows),
+                    net=net,
+                    demand=demand,
+                    failure_grid=grids[0] if len(grids) == 1 else np.concatenate(grids),
                     indices=tuple(indices),
-                    key=key,
+                    rows=tuple(zip([0, *stops[:-1]], stops)),
+                    fingerprint=fingerprints[indices[0]],
                 )
             )
     return plans

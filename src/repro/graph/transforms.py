@@ -14,7 +14,7 @@ chain of ``r`` cuts is the same type with ``r + 1`` segments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.exceptions import DecompositionError, ReproValueError
@@ -101,12 +101,18 @@ class SideSplit:
         ``out_ports[j][i]`` / ``in_ports[j][i]`` are the endpoints of
         cut ``j``'s ``i``-th link in segment ``j`` / ``j + 1`` (the
         paper's ``x_i`` / ``y_i`` for the one cut).
+    side_digests:
+        The source and sink sides' cache digests
+        (:func:`repro.core.sweep.side_fingerprint`), set on a split a
+        cache memoizes so no later query re-serializes the sides;
+        ``None`` otherwise.
     """
 
     cuts: tuple[tuple[int, ...], ...]
     segments: tuple[SubnetworkView, ...]
     out_ports: tuple[tuple[Node, ...], ...]
     in_ports: tuple[tuple[Node, ...], ...]
+    side_digests: tuple[str, str] | None = field(default=None, compare=False)
 
     @property
     def cut(self) -> tuple[int, ...]:

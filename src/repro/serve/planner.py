@@ -1,17 +1,21 @@
-"""The query planner: coalesce a round of queries into sweep batches.
+"""The query planner: coalesce a round of queries into failure grids.
 
-Every query expands to its sweep points (one ``(network, demand)`` pair
-per point), the whole round is merged by
-:func:`repro.core.sweep.plan_batch` — queries sharing a topology
-fingerprint, terminals and rate collapse into **one** plan: one cut
-search (none once the shared cache memoizes the topology's split), one
-cached cover build, one vectorized Eq. 2/3 grid — and each
-plan runs as a single :func:`repro.core.sweep.compute_reliability_sweep`
-against the shared :class:`~repro.core.sweep.ArrayCache`.  A plan that
-misses no cached side cover is *warm*: that is what the ``warm`` response
-flag and the ``serve_warm_hits`` counter report.  Both read the cache
-misses of the answering plan, not its solve count — a cold cover built
-by the cut-certificate kernel spends no max-flow solve either.
+Every batchable query brings one ``(network, demand, failure grid)``,
+its grid from :meth:`repro.core.sweep.SweepSpec.failure_matrix` (built
+inside the query's own guard, so a query whose grid is invalid gets a
+``compute-error`` and its siblings their answers).  The round is merged
+by :func:`repro.core.sweep.plan_batch` — queries sharing a topology
+fingerprint, terminals and rate collapse into **one** plan with their
+grids stacked: one cut search (none once the shared cache memoizes the
+topology's split), one cached cover build, one vectorized Eq. 2/3
+grid — and each plan runs as a single
+:func:`repro.core.sweep.grid_reliability` against the shared
+:class:`~repro.core.sweep.ArrayCache`, each member reading its own row
+range.  No per-point network is built.  A plan that misses no cached
+side cover is *warm*: that is what the ``warm`` response flag and the
+``serve_warm_hits`` counter report.  Both read the cache misses of the
+answering plan, not its solve count — a cold cover built by the
+cut-certificate kernel spends no max-flow solve either.
 
 Queries that cannot ride a batch — an explicit non-bottleneck method,
 or a topology the sweep engine refuses (no admissible bottleneck cut,
@@ -25,9 +29,13 @@ from __future__ import annotations
 import traceback
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.core.api import dispatch_query, is_coalescible
-from repro.core.sweep import ArrayCache, compute_reliability_sweep, plan_batch
+from repro.core.demand import FlowDemand
+from repro.core.sweep import ArrayCache, grid_reliability, plan_batch
 from repro.exceptions import ReproError
+from repro.graph.network import FlowNetwork
 from repro.obs.recorder import (
     SERVE_COALESCED,
     SERVE_QUERIES,
@@ -77,6 +85,16 @@ def _fallback_values(
     return values, flow_calls, warm
 
 
+def _failed(query: Query, exc: Exception) -> dict[str, Any]:
+    """The error reply of one query whose computation raised ``exc``:
+    ``compute-error`` for a :class:`~repro.exceptions.ReproError`,
+    ``internal`` (traceback on stderr) for anything else."""
+    if isinstance(exc, ReproError):
+        return error_payload(ERROR_COMPUTE, str(exc), query.qid)
+    traceback.print_exc()
+    return error_payload(ERROR_INTERNAL, f"{type(exc).__name__}: {exc}", query.qid)
+
+
 def answer_queries(
     queries: Sequence[Query],
     *,
@@ -87,16 +105,18 @@ def answer_queries(
     Returns one response payload per query (success,
     ``compute-error`` for a :class:`~repro.exceptions.ReproError` or
     ``internal`` for any other exception, whose traceback goes to
-    stderr); protocol-level errors never reach this function.  A
-    failing merged plan, whatever it raises, degrades to per-query
-    fallback instead of failing its batch siblings.
+    stderr); protocol-level errors never reach this function, and it
+    never raises for one query's sake.  A query whose failure grid
+    cannot be built fails alone; a failing merged plan, whatever it
+    raises, degrades to per-query fallback instead of failing its batch
+    siblings.
     """
     count(SERVE_QUERIES, len(queries))
     payloads: list[dict[str, Any] | None] = [None] * len(queries)
 
-    # -- split: batchable queries expand into flat sweep points ------------
-    flat_points = []  # (net, demand) per point, across batchable queries
-    point_owner: list[int] = []  # flat point -> query index
+    # -- split: batchable queries bring their failure grids ----------------
+    batched: list[tuple[FlowNetwork, FlowDemand, np.ndarray]] = []
+    owner: list[int] = []  # batched entry -> query index
     fallback: list[int] = []
     for qi, query in enumerate(queries):
         assert query.spec is not None and query.net is not None
@@ -104,24 +124,25 @@ def answer_queries(
         if not is_coalescible(query.method):
             fallback.append(qi)
             continue
-        for pi in range(len(query.spec)):
-            flat_points.append((query.spec.point_network(query.net, pi), query.demand))
-            point_owner.append(qi)
+        try:
+            grid = query.spec.failure_matrix(query.net)
+        except Exception as exc:  # one bad query must not end the round
+            payloads[qi] = _failed(query, exc)
+            continue
+        batched.append((query.net, query.demand, grid))
+        owner.append(qi)
 
-    with span("serve.batch", queries=len(queries), points=len(flat_points)):
-        plans = plan_batch(flat_points)
-        point_values: dict[int, float] = {}
-        query_flow_calls: dict[int, int] = {}
-        query_warm: dict[int, bool] = {}
-        query_batch: dict[int, tuple[int, int]] = {}
-        for plan in plans:
-            members = sorted({point_owner[i] for i in plan.indices})
+    points = sum(len(grid) for _, _, grid in batched)
+    with span("serve.batch", queries=len(queries), points=points):
+        for plan in plan_batch(batched):
+            members = [owner[i] for i in plan.indices]
             try:
-                swept = compute_reliability_sweep(
+                results, flow_calls, cache_stats = grid_reliability(
                     plan.net,
                     plan.demand,
-                    sweep=plan.spec,
+                    plan.failure_grid,
                     cache=cache,
+                    fingerprint=plan.fingerprint,
                 )
             except Exception:
                 # The whole plan is un-sweepable (no admissible cut,
@@ -129,50 +150,29 @@ def answer_queries(
                 # individually without poisoning the rest of the round.
                 fallback.extend(members)
                 continue
-            for position, result in zip(plan.indices, swept.results):
-                point_values[position] = result.value
             if len(members) > 1:
                 count(SERVE_COALESCED, len(members) - 1)
-            for qi in members:
-                query_flow_calls[qi] = swept.flow_calls
-                query_warm[qi] = swept.cache_stats["misses"] == 0
-                query_batch[qi] = (len(members), len(plan.indices))
-
-        # -- scatter batch answers back per query -------------------------
-        flat_index = 0
-        for qi, query in enumerate(queries):
-            assert query.spec is not None
-            if not is_coalescible(query.method):
-                continue
-            indices = range(flat_index, flat_index + len(query.spec))
-            flat_index += len(query.spec)
-            if qi in fallback:
-                continue
-            if query_warm[qi]:
-                count(SERVE_WARM_HITS, 1)
-            batch_queries, batch_points = query_batch[qi]
-            payloads[qi] = response_payload(
-                query,
-                [point_values[i] for i in indices],
-                flow_calls=query_flow_calls[qi],
-                warm=query_warm[qi],
-                batch_queries=batch_queries,
-                batch_points=batch_points,
-                method="bottleneck",
-            )
+            warm = cache_stats["misses"] == 0
+            for qi, (start, stop) in zip(members, plan.rows):
+                if warm:
+                    count(SERVE_WARM_HITS, 1)
+                payloads[qi] = response_payload(
+                    queries[qi],
+                    [result.value for result in results[start:stop]],
+                    flow_calls=flow_calls,
+                    warm=warm,
+                    batch_queries=len(members),
+                    batch_points=len(results),
+                    method="bottleneck",
+                )
 
         # -- the pointwise back door --------------------------------------
         for qi in fallback:
             query = queries[qi]
             try:
                 values, flow_calls, warm = _fallback_values(query, cache)
-            except ReproError as exc:
-                payloads[qi] = error_payload(ERROR_COMPUTE, str(exc), query.qid)
-                continue
             except Exception as exc:  # one bad query must not end the daemon
-                traceback.print_exc()
-                message = f"{type(exc).__name__}: {exc}"
-                payloads[qi] = error_payload(ERROR_INTERNAL, message, query.qid)
+                payloads[qi] = _failed(query, exc)
                 continue
             if warm:
                 count(SERVE_WARM_HITS, 1)

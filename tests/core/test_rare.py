@@ -99,6 +99,31 @@ class TestFailureOrders:
         for row in np.sort(orders, axis=1):
             assert np.array_equal(row, expected)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tied_clocks_order_as_the_stable_sort(self, seed):
+        """Clocks on a coarse grid tie in some rows and not in others;
+        every order must equal the stable argsort's."""
+
+        class CoarseClocks:
+            def __init__(self):
+                self.clocks = None
+
+            def standard_exponential(self, shape):
+                self.clocks = np.random.default_rng(seed).integers(0, 24, shape) / 4.0
+                return self.clocks.copy()
+
+        rng = CoarseClocks()
+        orders = sample_failure_orders(5, 300, rng)
+        ranked = np.sort(rng.clocks, axis=1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1)
+        assert tied.any() and not tied.all()
+        assert np.array_equal(orders, np.argsort(rng.clocks, axis=1, kind="stable"))
+
+    def test_untied_clocks_order_as_before(self):
+        orders = sample_failure_orders(30, 2048, np.random.default_rng(5))
+        clocks = np.random.default_rng(5).standard_exponential((2048, 30))
+        assert np.array_equal(orders, np.argsort(clocks, axis=1, kind="stable"))
+
     def test_rejects_degenerate_inputs(self):
         rng = np.random.default_rng(0)
         with pytest.raises(EstimationError):

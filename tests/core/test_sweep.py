@@ -15,6 +15,7 @@ from repro.core.api import compute_reliability
 from repro.core.arrays import build_side_cover
 from repro.core.assignments import enumerate_assignments, support_mask
 from repro.core.bottleneck import bottleneck_reliability
+from repro.core.cover import SideCover
 from repro.core.demand import FlowDemand
 from repro.core.sweep import (
     ArrayCache,
@@ -26,7 +27,7 @@ from repro.core.sweep import (
 )
 from repro.exceptions import DecompositionError, ReproValueError
 from repro.graph.builders import fujita_fig4, parallel_links
-from repro.graph.generators import chained_network
+from repro.graph.generators import bottlenecked_network, chained_network
 from repro.graph.transforms import split_on_cut, split_on_cuts
 from repro.obs.recorder import ARRAY_CACHE_WRITE_ERRORS, SPLIT_CACHE_HITS, record
 from repro.probability.enumeration import configuration_probabilities
@@ -93,9 +94,9 @@ class TestSideFingerprint:
         )
 
 
-def _cover(cubes: int = 2, phase: int = 0) -> np.ndarray:
+def _cover(cubes: int = 2, phase: int = 0) -> SideCover:
     """A valid cover entry: ``cubes`` cubes partitioning ``cubes - 1``
-    links (``24 * cubes`` bytes), masks over two assignments.
+    links (``24 * cubes`` bytes of cubes), masks over two assignments.
 
     Cube ``j`` is "links below ``j`` dead, link ``j`` alive"; the last
     cube has every link dead.
@@ -103,12 +104,20 @@ def _cover(cubes: int = 2, phase: int = 0) -> np.ndarray:
     links = cubes - 1
     rows = [[1 << j, (1 << j) - 1, (j + phase) % 4] for j in range(links)]
     rows.append([0, (1 << links) - 1, phase % 4])
-    return np.array(rows, dtype=np.uint64)
+    return SideCover(
+        cubes=np.array(rows, dtype=np.uint64), num_links=links, num_assignments=2
+    )
+
+
+#: Resident bytes of a two-cube :func:`_cover` (any phase): its 48 bytes
+#: of cubes plus the arrays derived from them.
+TWO_CUBES = _cover().nbytes
 
 
 def _get(cache, key, cubes=2):
-    """``cache.get`` with the dimensions of a :func:`_cover` entry."""
-    return cache.get(key, cubes - 1, 2)
+    """The cubes ``cache.get`` returns for a :func:`_cover` entry, or None."""
+    cover = cache.get(key, cubes - 1, 2)
+    return None if cover is None else cover.cubes
 
 
 class TestArrayCache:
@@ -119,7 +128,7 @@ class TestArrayCache:
         assert len(cache) == 1
         got = _get(cache, "k", 3)
         assert got is not None and got.dtype == np.uint64
-        assert np.array_equal(got, cover)
+        assert np.array_equal(got, cover.cubes)
 
     def test_miss_counts(self):
         cache = ArrayCache()
@@ -136,7 +145,7 @@ class TestArrayCache:
         second = ArrayCache(tmp_path)
         assert len(second) == 0
         got = _get(second, "k", 5)
-        assert got is not None and np.array_equal(got, cover)
+        assert got is not None and np.array_equal(got, cover.cubes)
         assert second.stats()["hits"] == 1 and second.bytes_read > 0
 
     def test_disk_files_are_content_addressed(self, tmp_path):
@@ -156,7 +165,7 @@ class TestArrayCache:
             got[0, 2] = 0
         again = _get(cache, "k", 3)
         assert again is not None
-        assert np.array_equal(again, _cover(3))
+        assert np.array_equal(again, _cover(3).cubes)
 
     def test_warm_disk_hit_is_read_only(self, tmp_path):
         cover = _cover(4)
@@ -167,11 +176,11 @@ class TestArrayCache:
         with pytest.raises(ValueError, match="read-only"):
             got[:2] = 0
         again = _get(warm, "k", 4)
-        assert again is not None and np.array_equal(again, cover)
+        assert again is not None and np.array_equal(again, cover.cubes)
 
 
 class TestArrayCacheBound:
-    """Every entry here is a two-cube cover: 48 bytes."""
+    """Every entry here is a two-cube cover of ``TWO_CUBES`` resident bytes."""
 
     def test_max_bytes_must_be_positive(self):
         with pytest.raises(ReproValueError):
@@ -187,20 +196,20 @@ class TestArrayCacheBound:
         assert cache.total_bytes == 0  # accounting only runs when bounded
 
     def test_lru_eviction_prefers_least_recently_used(self):
-        cache = ArrayCache(max_bytes=96)
+        cache = ArrayCache(max_bytes=2 * TWO_CUBES)
         cache.put("a", _cover())
         cache.put("b", _cover(2, 1))
         assert _get(cache, "a") is not None  # a becomes most recent
-        cache.put("c", _cover(2, 2))  # 144 bytes tracked: evict b, not a
+        cache.put("c", _cover(2, 2))  # three entries tracked: evict b, not a
         assert _get(cache, "b") is None
         assert _get(cache, "a") is not None
         assert _get(cache, "c") is not None
         stats = cache.stats()
-        assert stats["evictions"] == 1 and stats["evicted_bytes"] == 48
-        assert cache.total_bytes <= 96
+        assert stats["evictions"] == 1 and stats["evicted_bytes"] == TWO_CUBES
+        assert cache.total_bytes <= 2 * TWO_CUBES
 
     def test_eviction_unlinks_the_disk_file(self, tmp_path):
-        cache = ArrayCache(tmp_path, max_bytes=96)
+        cache = ArrayCache(tmp_path, max_bytes=2 * TWO_CUBES)
         cache.put("a", _cover())
         cache.put("b", _cover(2, 1))
         cache.put("c", _cover(2, 2))
@@ -220,6 +229,33 @@ class TestArrayCacheBound:
         assert (tmp_path / "new.npy").is_file()
         assert bounded.stats()["evictions"] == 1
 
+    def test_bound_holds_once_derived_arrays_exist(self):
+        """Served covers carry their derived arrays; the bound counts
+        them, and eviction drops them with the cubes."""
+        nets = [
+            bottlenecked_network(
+                source_side_links=5, sink_side_links=4, num_bottlenecks=2, demand=2, seed=seed
+            )
+            for seed in (0, 1, 7)
+        ]
+        unbounded = ArrayCache()
+        for net in nets:
+            bottleneck_reliability(net, DEMAND, cache=unbounded)
+        covers = list(unbounded._memory.values())
+        assert all(cover.nbytes > cover.cubes.nbytes for cover in covers)
+        bound = sum(cover.nbytes for cover in covers) // 2
+        cache = ArrayCache(max_bytes=bound)
+        for net in nets * 2:
+            value = bottleneck_reliability(net, DEMAND, cache=cache).value
+            assert value == bottleneck_reliability(net, DEMAND).value
+            assert cache.total_bytes <= bound
+        resident = sum(cover.nbytes for cover in cache._memory.values())
+        splits = sum(
+            size for key, size in cache._sizes.items() if key not in cache._memory
+        )
+        assert cache.total_bytes == resident + splits
+        assert cache.stats()["evictions"] > 0
+
     def test_single_oversized_column_still_serves(self):
         # The just-touched key is protected: an entry larger than the
         # bound degrades the cache to one entry, it never thrashes it.
@@ -229,7 +265,7 @@ class TestArrayCacheBound:
         assert cache.stats()["evictions"] == 0
 
     def test_evicted_key_rebuilds_on_demand(self, tmp_path):
-        cache = ArrayCache(tmp_path, max_bytes=48)
+        cache = ArrayCache(tmp_path, max_bytes=TWO_CUBES)
         cache.put("a", _cover())
         cache.put("b", _cover(2, 1))  # evicts a
         assert _get(cache, "a") is None
@@ -304,7 +340,7 @@ class TestArrayCacheFaults:
         assert first.write_errors == 0 and second.write_errors == 0
         assert not list(tmp_path.glob("*.tmp"))
         got = _get(ArrayCache(tmp_path), "k", 5)
-        assert got is not None and np.array_equal(got, cover)
+        assert got is not None and np.array_equal(got, cover.cubes)
 
     def test_failed_disk_write_serves_from_memory(self, tmp_path, monkeypatch):
         def full_disk(handle, array):
@@ -350,7 +386,7 @@ class TestArrayCacheFaults:
         cache = ArrayCache(tmp_path)
         cache.put("k", cover)
         assert cache.write_errors == 1
-        assert np.array_equal(_get(cache, "k", 5), cover)
+        assert np.array_equal(_get(cache, "k", 5), cover.cubes)
         assert not list(tmp_path.iterdir())
         assert _get(ArrayCache(tmp_path), "k", 5) is None
 
@@ -372,7 +408,7 @@ class TestArrayCacheFaults:
         assert [path.name for path in tmp_path.iterdir()] == ["b.npy"]
         # Another cache on the directory publishes the failed key later.
         ArrayCache(tmp_path).put("a", _cover(2, 1))
-        assert np.array_equal(_get(ArrayCache(tmp_path), "a"), _cover(2, 1))
+        assert np.array_equal(_get(ArrayCache(tmp_path), "a"), _cover(2, 1).cubes)
 
     def test_damaged_entry_this_writer_cannot_remove_is_a_miss(
         self, tmp_path, monkeypatch
@@ -388,7 +424,7 @@ class TestArrayCacheFaults:
         cache = ArrayCache(tmp_path)
         assert _get(cache, "k") is None
         cache.put("k", _cover())
-        assert np.array_equal(_get(cache, "k"), _cover())
+        assert np.array_equal(_get(cache, "k"), _cover().cubes)
 
     def test_memory_only_cache_counts_no_write_errors(self, monkeypatch):
         def full_disk(handle, array):
@@ -398,14 +434,14 @@ class TestArrayCacheFaults:
         cache = ArrayCache()
         cache.put("k", _cover())
         assert cache.stats()["write_errors"] == 0
-        assert np.array_equal(_get(cache, "k"), _cover())
+        assert np.array_equal(_get(cache, "k"), _cover().cubes)
 
     @pytest.mark.parametrize("column", [0, 1], ids=["alive", "dead"])
     def test_flipped_link_bit_is_a_miss(self, tmp_path, column):
         # One flipped alive/dead bit makes two cubes overlap (or leaves
         # configurations uncovered): the entry is no partition, so it
         # is unlinked and rebuilt, never served.
-        cover = _cover(4).copy()
+        cover = _cover(4).cubes.copy()
         cover[0, column] ^= np.uint64(0b10)
         np.save(tmp_path / "k.npy", cover)
         cache = ArrayCache(tmp_path)
@@ -438,6 +474,27 @@ class TestCachedSideCover:
         assert np.array_equal(
             dispatched.expand(), reference_side_masks(split.source_side, **kwargs)
         )
+
+    def test_warm_hit_is_the_stored_cover_and_derives_nothing(self, monkeypatch):
+        """Every hit returns the same object: its distinct masks, groups
+        and per-link cube lists are derived once per process."""
+        _, split = fig4_split()
+        kwargs = source_kwargs(split, enumerate_assignments([2, 2], 2))
+        cache = ArrayCache()
+        cached_side_cover(split.source_side, cache=cache, **kwargs)
+        first = cached_side_cover(split.source_side, cache=cache, **kwargs)
+        first.weights(np.full((1, first.num_links), 0.1))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm hit re-derived its masks")
+
+        monkeypatch.setattr(np, "unique", forbidden)
+        monkeypatch.setattr(np, "flatnonzero", forbidden)
+        second = cached_side_cover(split.source_side, cache=cache, **kwargs)
+        assert second is first
+        second.weights(np.full((2, second.num_links), 0.2))
+        for array in (*second._grouping, *(a for _, *ab in second._decided for a in ab)):
+            assert not array.flags.writeable
 
     def test_cold_then_warm_bit_identity(self):
         _, split = fig4_split()
@@ -680,6 +737,30 @@ class TestSplitMemo:
         fresh = compute_reliability_sweep(second, DEMAND, sweep=spec)
         assert swept.values == fresh.values
         assert [r.details for r in swept] == [r.details for r in fresh]
+
+    def test_memoized_split_carries_its_side_digests(self, monkeypatch):
+        cache = ArrayCache()
+        net = fujita_fig4(failure_probability=0.1)
+        bottleneck_reliability(net, DEMAND, cache=cache)
+        [split] = cache._splits.values()
+        assert split.side_digests == (
+            side_fingerprint(
+                split.source_side.network,
+                role="source",
+                terminal="s",
+                ports=split.source_ports,
+            ),
+            side_fingerprint(
+                split.sink_side.network, role="sink", terminal="t", ports=split.sink_ports
+            ),
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a memoized split's side was re-serialized")
+
+        monkeypatch.setattr(sweep, "side_fingerprint", forbidden)
+        again = bottleneck_reliability(net, DEMAND, cache=cache)
+        assert again.details["array_cache"]["misses"] == 0
 
     def test_auto_with_a_cache_searches_once(self):
         net = fujita_fig4(failure_probability=0.1)

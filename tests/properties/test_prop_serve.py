@@ -11,15 +11,19 @@ encoding invariant the protocol promises.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
+from repro.core.naive import naive_reliability
 from repro.core.sweep import ArrayCache
+from repro.exceptions import ReproValueError
 from repro.graph.builders import fujita_fig4
 from repro.graph.generators import bottlenecked_network
 from repro.graph.io import to_dict
 from repro.serve.planner import answer_queries
-from repro.serve.protocol import QUERY_SCHEMA, decode_query, encode_line
+from repro.serve.protocol import ERROR_COMPUTE, QUERY_SCHEMA, decode_query, encode_line
 
 SEEDS = [0, 1, 7, 23]
 
@@ -113,3 +117,73 @@ class TestCoalescingInvariants:
         assert warm[0]["points"] == cold[0]["points"]
         # ...and two warm rounds are byte-identical end to end.
         assert encode_line(warm[0]) == encode_line(again[0])
+
+
+_TOPOLOGIES = [fujita_fig4(), _instance(0), _instance(1)]
+
+_axes = st.one_of(
+    st.builds(
+        lambda v: {"availability": v},
+        st.lists(st.floats(0.5, 1.0, exclude_min=True), min_size=1, max_size=4),
+    ),
+    st.builds(
+        lambda v: {"failure_scale": v},
+        st.lists(st.floats(0.0, 12.0), min_size=1, max_size=3),
+    ),
+    st.builds(
+        lambda v: {"overrides": v},
+        st.lists(
+            st.dictionaries(st.integers(0, 8).map(str), st.floats(0.0, 0.9), max_size=3),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    st.just({}),
+)
+
+_round = st.lists(
+    st.tuples(
+        st.integers(0, len(_TOPOLOGIES) - 1),
+        st.sampled_from([1, 2]),
+        _axes,
+        st.sampled_from([None, None, None, "naive"]),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+class TestMixedRounds:
+    @settings(max_examples=30, deadline=None)
+    @given(members=_round)
+    def test_every_query_matches_its_pointwise_answer_by_hex(self, members):
+        """Mixed axes, repeated topologies, two rates and a
+        non-coalescible method in one round: each query's values equal
+        a pointwise call on its point networks, bit for bit, cold and
+        warm; a query whose grid is invalid fails alone."""
+        queries = []
+        for qid, (topology, rate, axis, method) in enumerate(members):
+            extra = dict(axis, rate=rate)
+            if method is not None:
+                extra["method"] = method
+            queries.append(_query(_TOPOLOGIES[topology], qid=qid, **extra))
+        cache = ArrayCache()
+        cold = answer_queries(queries, cache=cache)
+        warm = answer_queries(queries, cache=cache)
+        assert [p.get("points") for p in warm] == [p.get("points") for p in cold]
+        for query, payload in zip(queries, cold):
+            assert payload["id"] == query.qid
+            try:
+                query.spec.failure_matrix(query.net)
+            except ReproValueError:
+                assert payload["error"]["code"] == ERROR_COMPUTE
+                continue
+            expected = []
+            for index in range(len(query.spec)):
+                point = query.spec.point_network(query.net, index)
+                if query.method == "naive":
+                    value = naive_reliability(point, query.demand).value
+                else:
+                    value = bottleneck_reliability(point, query.demand).value
+                expected.append(value.hex())
+            assert [p["reliability"].hex() for p in payload["points"]] == expected

@@ -2,19 +2,21 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.core import sweep
 from repro.core.api import compute_reliability
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
-from repro.core.sweep import ArrayCache, network_fingerprint, plan_batch
+from repro.core.sweep import ArrayCache, SweepSpec, network_fingerprint, plan_batch
 from repro.graph.builders import diamond, fujita_fig2_bridge, fujita_fig4, parallel_links
 from repro.graph.network import FlowNetwork
 from repro.graph.io import to_dict
 from repro.obs import record
 from repro.obs.recorder import SERVE_WARM_HITS
 from repro.serve.planner import answer_queries
-from repro.serve.protocol import ERROR_INTERNAL, QUERY_SCHEMA, decode_query
+from repro.serve.protocol import ERROR_COMPUTE, ERROR_INTERNAL, QUERY_SCHEMA, decode_query
 
 
 def _query(net=None, qid=None, **extra):
@@ -32,29 +34,53 @@ def _query(net=None, qid=None, **extra):
     return decode_query(json.dumps(payload).encode("utf-8"))
 
 
+def _member(net, rate=2, spec=None):
+    """One ``plan_batch`` entry: ``(net, demand, failure grid)``."""
+    spec = spec if spec is not None else SweepSpec.overrides([{}])
+    return net, FlowDemand("s", "t", rate), spec.failure_matrix(net)
+
+
 class TestPlanBatch:
     def test_same_topology_merges_to_one_plan(self):
         net = fujita_fig4()
-        demand = FlowDemand("s", "t", 2)
-        plans = plan_batch([(net, demand)] * 4)
+        plans = plan_batch([_member(net)] * 4)
         assert len(plans) == 1
         assert plans[0].indices == (0, 1, 2, 3)
-        assert len(plans[0].spec) == 4
+        assert plans[0].failure_grid.shape == (4, net.num_links)
+        assert plans[0].rows == ((0, 1), (1, 2), (2, 3), (3, 4))
 
     def test_probability_changes_share_a_fingerprint(self):
         net = fujita_fig4()
         shifted = net.with_failure_probabilities({0: 0.5})
         assert network_fingerprint(net) == network_fingerprint(shifted)
-        demand = FlowDemand("s", "t", 2)
-        plans = plan_batch([(net, demand), (shifted, demand)])
+        plans = plan_batch([_member(net), _member(shifted)])
         assert len(plans) == 1
+        assert plans[0].fingerprint == network_fingerprint(net)
 
     def test_different_rates_split_plans(self):
         net = fujita_fig4()
-        plans = plan_batch(
-            [(net, FlowDemand("s", "t", 2)), (net, FlowDemand("s", "t", 3))]
-        )
+        plans = plan_batch([_member(net, rate=2), _member(net, rate=3)])
         assert len(plans) == 2
+
+    def test_member_grids_stack_in_order(self):
+        net = fujita_fig4()
+        grid = _member(net, spec=SweepSpec.availability([0.9, 0.95, 0.99]))
+        scale = _member(net, spec=SweepSpec.failure_scale([0.5]))
+        [plan] = plan_batch([grid, scale])
+        assert plan.rows == ((0, 3), (3, 4))
+        assert np.array_equal(plan.failure_grid, np.concatenate([grid[2], scale[2]]))
+
+    def test_one_fingerprint_per_query(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return fingerprint(net)
+
+        fingerprint = sweep.network_fingerprint
+        monkeypatch.setattr(sweep, "network_fingerprint", counting)
+        plan_batch([_member(fujita_fig4()), _member(diamond()), _member(fujita_fig4())])
+        assert len(calls) == 3
 
 
 class TestAnswerQueries:
@@ -197,7 +223,7 @@ class TestUnexpectedFailures:
     def test_failing_plan_falls_back_per_query(self, monkeypatch):
         import repro.serve.planner as planner
 
-        monkeypatch.setattr(planner, "compute_reliability_sweep", _engine_bug)
+        monkeypatch.setattr(planner, "grid_reliability", _engine_bug)
         net = fujita_fig4()
         payloads = answer_queries(
             [_query(net=net, qid=1), _query(net=net, qid=2, availability=0.95)],
@@ -212,3 +238,99 @@ class TestUnexpectedFailures:
                 net.with_failure_probabilities([1 - 0.95] * net.num_links), "s", "t", 2
             ).value
         )
+
+
+class TestBadQueries:
+    """A query whose failure grid cannot be built fails alone."""
+
+    def test_overscaled_query_gets_compute_error_and_siblings_answers(self):
+        net = fujita_fig4()
+        bad, sibling, other = answer_queries(
+            [
+                _query(net=net, qid="bad", failure_scale=[50.0]),
+                _query(net=net, qid="sibling", failure_scale=[0.5]),
+                _query(net=diamond(), qid="other"),
+            ],
+            cache=ArrayCache(),
+        )
+        assert bad["ok"] is False and bad["id"] == "bad"
+        assert bad["error"]["code"] == ERROR_COMPUTE
+        assert "pushes a link failure probability" in bad["error"]["message"]
+        demand = FlowDemand("s", "t", 2)
+        scaled = SweepSpec.failure_scale([0.5]).point_network(net, 0)
+        assert sibling["ok"] and sibling["points"][0]["reliability"] == (
+            bottleneck_reliability(scaled, demand).value
+        )
+        assert sibling["batch"] == {"queries": 1, "points": 1}
+        assert other["ok"]
+
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            {"failure_scale": [50.0]},
+            {"failure_scale": [0.5, 50.0]},
+            {"overrides": [{"99": 0.5}]},
+        ],
+        ids=["overscaled", "second-point-overscaled", "bad-link"],
+    )
+    def test_never_raises(self, axis):
+        net = fujita_fig4()
+        payloads = answer_queries(
+            [_query(net=net, qid=1, **axis), _query(net=net, qid=2)],
+            cache=ArrayCache(),
+        )
+        assert [p["id"] for p in payloads] == [1, 2]
+        assert payloads[0]["ok"] is False
+        assert payloads[0]["error"]["code"] == ERROR_COMPUTE
+        assert payloads[1]["ok"]
+
+    def test_unexpected_grid_failure_answers_internal(self, monkeypatch, capsys):
+        broken = _query(qid="broken", failure_scale=[0.5])
+        failure_matrix = SweepSpec.failure_matrix
+
+        def buggy(spec, net):
+            return _engine_bug() if spec is broken.spec else failure_matrix(spec, net)
+
+        monkeypatch.setattr(SweepSpec, "failure_matrix", buggy)
+        payloads = answer_queries([broken, _query(qid="fine")], cache=ArrayCache())
+        assert payloads[0]["error"] == {
+            "code": ERROR_INTERNAL,
+            "message": "RuntimeError: engine bug",
+        }
+        assert payloads[1]["ok"]
+        assert "RuntimeError: engine bug" in capsys.readouterr().err
+
+
+class TestWarmRoundCost:
+    def test_no_networks_one_fingerprint_per_query_no_side_digests(self, monkeypatch):
+        """A warm round builds no ``FlowNetwork`` after decode, fingerprints
+        each query's topology once and never re-serializes a side."""
+        cache = ArrayCache()
+        nets = [fujita_fig4(), diamond()]
+        answer_queries([_query(net=net) for net in nets], cache=cache)
+        queries = [
+            _query(net=nets[0], availability=[0.9, 0.95]),
+            _query(net=nets[1], failure_scale=[0.5, 2.0]),
+            _query(net=nets[0], overrides=[{"0": 0.2}]),
+        ]
+        calls = {"networks": 0, "fingerprints": 0, "side_digests": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            FlowNetwork, "__init__", counted("networks", FlowNetwork.__init__)
+        )
+        monkeypatch.setattr(
+            sweep, "network_fingerprint", counted("fingerprints", sweep.network_fingerprint)
+        )
+        monkeypatch.setattr(
+            sweep, "side_fingerprint", counted("side_digests", sweep.side_fingerprint)
+        )
+        payloads = answer_queries(queries, cache=cache)
+        assert all(p["ok"] and p["warm"] for p in payloads)
+        assert calls == {"networks": 0, "fingerprints": 3, "side_digests": 0}

@@ -149,6 +149,13 @@ class TestDecodeErrors:
             == ERROR_BAD_REQUEST
         )
 
+    @pytest.mark.parametrize("factor", [b"NaN", b"Infinity", b"-1.0"])
+    def test_non_finite_or_negative_scale_is_a_bad_request(self, factor):
+        """JSON parsing admits ``NaN`` and ``Infinity``; ``inf * 0`` is a
+        NaN failure probability, so neither factor reaches the planner."""
+        raw = _encode(_query_payload(failure_scale=[9.5])).replace(b"9.5", factor)
+        assert self._code(raw) == ERROR_BAD_REQUEST
+
 
 class TestEncoding:
     def test_encode_line_is_canonical(self):

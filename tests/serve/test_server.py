@@ -24,6 +24,7 @@ from repro.graph.io import to_dict
 from repro.serve.client import ReliabilityClient
 from repro.serve.protocol import (
     ERROR_BAD_REQUEST,
+    ERROR_COMPUTE,
     ERROR_INTERNAL,
     QUERY_SCHEMA,
     encode_line,
@@ -192,7 +193,7 @@ class TestQueries:
         second.close()
 
 
-def _query_line(qid):
+def _query_line(qid, **axis):
     return encode_line(
         {
             "schema": QUERY_SCHEMA,
@@ -202,7 +203,7 @@ def _query_line(qid):
             "source": "s",
             "sink": "t",
             "rate": 2,
-            "availability": [0.9],
+            **(axis or {"availability": [0.9]}),
         }
     )
 
@@ -231,6 +232,26 @@ class TestNaturalBatching:
         assert [r["id"] for r in replies] == [0, 1]
         assert all(r["ok"] and r["batch"]["queries"] == 2 for r in replies)
         assert replies[0]["points"] == replies[1]["points"]
+
+    def test_bad_query_fails_alone_and_the_connection_lives_on(self):
+        """A failure grid that cannot be built (``50 * 0.1 >= 1``) gets a
+        ``compute-error``; its round sibling and the next query on the
+        same connection are answered."""
+        with ReliabilityServer() as server:
+            [sock] = self._connected(server, 1)
+            sock.sendall(_query_line("bad", failure_scale=[50.0]) + _query_line("sibling"))
+            assert server.step(timeout=1.0) == 2
+            buffer = bytearray()
+            bad, sibling = _recv_line(sock, buffer), _recv_line(sock, buffer)
+            sock.sendall(_query_line("next"))
+            assert server.step(timeout=1.0) == 1
+            after = _recv_line(sock, buffer)
+            sock.close()
+        assert bad["id"] == "bad" and bad["ok"] is False
+        assert bad["error"]["code"] == ERROR_COMPUTE
+        assert sibling["id"] == "sibling" and sibling["ok"]
+        assert after["id"] == "next" and after["ok"]
+        assert after["points"] == sibling["points"]
 
     def test_only_the_first_select_of_a_round_waits(self, monkeypatch):
         timeouts = []
