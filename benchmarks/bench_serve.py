@@ -1,6 +1,6 @@
-"""S2 — serving: warm zero-solve throughput and burst amortization.
+"""S2 — serving: warm zero-solve throughput, burst amortization, pipelined bursts.
 
-Two acceptance bars from the serving tier:
+Three acceptance bars from the serving tier:
 
 * **Warm throughput** — a daemon whose :class:`ArrayCache` already
   holds the §III-C realization columns for a topology must answer
@@ -15,13 +15,23 @@ Two acceptance bars from the serving tier:
   batch and one array build, while each CLI process pays interpreter
   start-up plus a full cold decomposition.
 
-Both bars are asserted here, so a regression fails the bench rather
+* **Pipelined bursts** — 16 warm queries written back to back over two
+  connections (the benchmark suite's serve-mix burst shape) must be
+  answered in less than the 40 ms delayed-ACK timer: a daemon whose
+  replies wait on Nagle's algorithm for the client's delayed ACK
+  (RFC 896, RFC 1122 4.2.3.2) takes longer than that per burst.
+
+All bars are asserted here, so a regression fails the bench rather
 than just drifting the committed ``benchmarks/BENCH_serve.json``.
 """
 
+import json
+import socket
+import statistics
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +40,22 @@ from repro.bench.harness import time_call
 from repro.core.bottleneck import bottleneck_reliability
 from repro.core.demand import FlowDemand
 from repro.graph.builders import fujita_fig4
-from repro.graph.io import save
+from repro.graph.generators import bottlenecked_network
+from repro.graph.io import save, to_dict
 from repro.serve.client import ReliabilityClient
+from repro.serve.protocol import QUERY_SCHEMA, encode_line
 from repro.serve.server import ReliabilityServer
 
 DEMAND = FlowDemand("s", "t", 2)
 GRID = [float(v) for v in np.linspace(0.7, 0.99, 33)]
 ROUND_QUERIES = 16
 BURST_CLIENTS = 32
+#: S2c: queries per burst, connections they are spread over, bursts timed.
+PIPELINED = 16
+CONNECTIONS = 2
+BURSTS = 40
+#: Linux's delayed-ACK timer: the stall a Nagle-bound reply waits out.
+DELAYED_ACK_MS = 40.0
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -183,4 +201,98 @@ def test_s2_burst_vs_cold_cli(benchmark, show, tmp_path):
             ],
         ],
         title="S2b: 32-client burst, daemon vs cold CLI",
+    )
+
+
+def _recv_reply(sock, buffer):
+    while b"\n" not in buffer:
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("daemon closed a connection")
+        buffer.extend(chunk)
+    newline = buffer.find(b"\n")
+    line = bytes(buffer[:newline])
+    del buffer[: newline + 1]
+    return json.loads(line)
+
+
+def test_s2c_pipelined_bursts(benchmark, show):
+    """Warm bursts over plain client sockets, each query its own
+    ``send`` (as the suite's load generator writes them)."""
+    nets = [fujita_fig4()] + [
+        bottlenecked_network(
+            source_side_links=7, sink_side_links=8, num_bottlenecks=2, seed=seed
+        )
+        for seed in range(5)
+    ]
+    payloads = [to_dict(net) for net in nets]
+    rng = np.random.default_rng(0)
+    bursts = []
+    for b in range(BURSTS):
+        burst = []
+        for j in range(PIPELINED):
+            availability = rng.uniform(0.8, 0.999, int(rng.integers(1, 9)))
+            burst.append(
+                encode_line(
+                    {
+                        "schema": QUERY_SCHEMA,
+                        "op": "query",
+                        "id": b * PIPELINED + j,
+                        "network": payloads[int(rng.integers(len(nets)))],
+                        "source": "s",
+                        "sink": "t",
+                        "rate": 2,
+                        "availability": [float(a) for a in availability],
+                    }
+                )
+            )
+        bursts.append(burst)
+
+    server = ReliabilityServer()
+    for net in nets:
+        server.warm(net, DEMAND)
+    thread = _serving(server)
+    socks = [
+        socket.create_connection(("127.0.0.1", server.port), timeout=30)
+        for _ in range(CONNECTIONS)
+    ]
+    buffers = [bytearray() for _ in socks]
+
+    def run_bursts():
+        took, replies = [], []
+        for burst in bursts:
+            start = time.perf_counter()
+            for j, line in enumerate(burst):
+                socks[j % CONNECTIONS].sendall(line)
+            for j in range(PIPELINED):
+                conn = j % CONNECTIONS
+                replies.append(_recv_reply(socks[conn], buffers[conn]))
+            took.append(time.perf_counter() - start)
+        return took, replies
+
+    try:
+        took, replies = benchmark.pedantic(run_bursts, rounds=1, iterations=1)
+    finally:
+        for sock in socks:
+            sock.close()
+        server.request_shutdown()
+        thread.join(timeout=10)
+
+    assert all(r["ok"] and r["warm"] and r["flow_calls"] == 0 for r in replies)
+    ms = sorted(t * 1e3 for t in took)
+    median = statistics.median(ms)
+    assert median < DELAYED_ACK_MS, f"burst {median:.1f} ms >= the delayed-ACK timer"
+
+    show(
+        ["workload", "bursts", "median ms/burst", "p90 ms/burst", "rounds"],
+        [
+            [
+                f"{PIPELINED} warm queries over {CONNECTIONS} connections",
+                BURSTS,
+                f"{median:.2f}",
+                f"{ms[int(0.9 * (len(ms) - 1))]:.2f}",
+                server.rounds,
+            ]
+        ],
+        title="S2c: pipelined warm bursts (fig4 + five 15-link nets)",
     )

@@ -341,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="BYTES",
-        help="bound the array cache: least-recently-used side covers are "
-        "evicted (memory + disk) once tracked bytes exceed BYTES",
+        help="bound the array cache: least-recently-used entries are "
+        "evicted (memory + disk) once their resident bytes exceed BYTES "
+        "(default: 1 MiB without --cache-dir, unbounded with it)",
     )
     serve.add_argument(
         "--warm",
@@ -856,15 +857,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ReproValueError(f"cannot parse --rates list {args.rates!r}") from exc
         spec = SweepSpec.demand_rates(rates)
-    if args.cache_max_bytes is not None and args.cache_dir is None:
-        raise ReproValueError("--cache-max-bytes requires --cache-dir")
     net = load(args.network)
     if overrides:
         net = net.with_failure_probabilities(overrides)
     demand = FlowDemand(args.source, args.sink, args.rate)
     cache = (
         ArrayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
-        if args.cache_dir is not None
+        if args.cache_dir is not None or args.cache_max_bytes is not None
         else None
     )
     session = _ObsSession(
@@ -916,14 +915,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import ReliabilityServer  # local: daemon-only path
+    from repro.serve.server import (  # local: daemon-only path
+        DEFAULT_CACHE_BYTES,
+        ReliabilityServer,
+    )
 
-    if args.cache_max_bytes is not None and args.cache_dir is None:
-        raise ReproValueError("--cache-max-bytes requires --cache-dir")
     if args.warm and (args.source is None or args.sink is None or args.rate is None):
         raise ReproValueError("--warm requires --source/--sink/--rate")
     warm_nets = [load(path) for path in args.warm]
-    cache = ArrayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
+    # A memory-only daemon is bounded by default; a disk tier keeps
+    # every entry unless given a bound.
+    max_bytes = args.cache_max_bytes
+    if max_bytes is None and args.cache_dir is None:
+        max_bytes = DEFAULT_CACHE_BYTES
+    cache = ArrayCache(args.cache_dir, max_bytes=max_bytes)
     # Bind before the session opens so the bound (possibly ephemeral)
     # port rides the telemetry ``start`` event and the ledger params.
     server = ReliabilityServer(
@@ -946,7 +951,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "host": server.host,
             "port": server.port,
             "cache_dir": args.cache_dir,
-            "cache_max_bytes": args.cache_max_bytes,
+            "cache_max_bytes": max_bytes,
             "warm": len(args.warm) or None,
         },
     )

@@ -40,16 +40,18 @@ cube array stays ``(n, 3)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.core.accumulate import regroup
 from repro.obs.recorder import CONFIGURATIONS_ENUMERATED, count
 from repro.probability.enumeration import check_enumerable
 
-__all__ = ["SideCover", "factor_cover", "is_partition", "table_cover"]
+__all__ = ["SideCover", "factor_cover", "is_partition", "resident_bytes", "table_cover"]
 
 #: Frontier nodes expanded per step (a fixed count, so the cube order
 #: never depends on how a kernel sizes its own arrays).
@@ -86,6 +88,10 @@ class SideCover:
     num_links: int
     num_assignments: int
     flow_calls: int = 0
+    #: :meth:`regrouped` per class mask, with its resident bytes.
+    _regroupings: dict[int, tuple[tuple[np.ndarray, np.ndarray], int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def words(self) -> int:
@@ -113,17 +119,30 @@ class SideCover:
         return decided
 
     @cached_property
+    def _resident(self) -> int:
+        derived = resident_bytes(self.cubes, self._grouping, self._decided)
+        return derived + sys.getsizeof(self) + sys.getsizeof(self._regroupings)
+
+    @property
     def nbytes(self) -> int:
-        """Resident bytes: the cubes plus the arrays derived from them
-        (derived here, once; every derived array is read-only like the
-        cubes, since a cached cover serves every later hit)."""
-        distinct, inverse = self._grouping
-        return int(
-            self.cubes.nbytes
-            + distinct.nbytes
-            + inverse.nbytes
-            + sum(up.nbytes + down.nbytes for _, up, down in self._decided)
-        )
+        """Resident bytes (:func:`resident_bytes`): the cubes and every
+        array derived from them, with the objects that hold them.  The
+        grouping and the per-link cube lists are derived here, once, and
+        each :meth:`regrouped` class adds its own; every derived array
+        is read-only like the cubes, since a cached cover serves every
+        later hit."""
+        return self._resident + sum(size for _, size in self._regroupings.values())
+
+    def regrouped(self, within: int) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct masks grouped by their bits inside ``within``
+        (:func:`repro.core.accumulate.regroup`), derived once per class
+        and read-only."""
+        memo = self._regroupings.get(within)
+        if memo is None:
+            restricted, inverse = regroup(self.distinct, within)
+            grouping = (_frozen(restricted), _frozen(inverse))
+            memo = self._regroupings[within] = (grouping, resident_bytes(grouping))
+        return memo[0]
 
     @property
     def distinct(self) -> np.ndarray:
@@ -175,6 +194,42 @@ class SideCover:
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+def resident_bytes(*objects: object) -> int:
+    """Bytes the ``objects`` hold in memory, each reachable object once.
+
+    Follows arrays to the buffers their views keep alive, containers to
+    their items and dataclass instances to their fields (read by name,
+    so no instance ``__dict__`` is materialized); every object counts
+    its ``sys.getsizeof``.  ``None``, booleans and small
+    integers are shared singletons and count nothing.  This is what a
+    cache entry costs the process, which is what a byte bound on the
+    cache means.
+    """
+    seen: set[int] = set()
+    total = 0
+    stack = list(objects)
+    while stack:
+        obj = stack.pop()
+        kind = type(obj)
+        if kind is bool or obj is None or (kind is int and -5 <= obj <= 256):  # type: ignore[operator]
+            continue
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if kind is tuple or kind is list or kind is set or kind is frozenset:
+            stack.extend(obj)  # type: ignore[call-overload]
+        elif kind is dict:
+            stack.extend(obj.keys())  # type: ignore[attr-defined]
+            stack.extend(obj.values())  # type: ignore[attr-defined]
+        elif kind is np.ndarray:
+            if obj.base is not None:  # type: ignore[attr-defined]
+                stack.append(obj.base)  # type: ignore[attr-defined]
+        elif hasattr(kind, "__dataclass_fields__"):
+            stack.extend(getattr(obj, name) for name in kind.__dataclass_fields__)
+    return total
 
 
 def factor_cover(

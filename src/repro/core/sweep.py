@@ -59,8 +59,9 @@ import math
 import os
 import uuid
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from repro.core.assignments import (
     enumerate_assignments,
     support_mask,
 )
-from repro.core.cover import SideCover, is_partition
+from repro.core.cover import SideCover, is_partition, resident_bytes
 from repro.core.demand import FlowDemand
 from repro.core.result import ReliabilityResult
 from repro.core.summation import prob_fsum
@@ -115,11 +116,6 @@ __all__ = [
 #: Bump when the fingerprint payload or the cache entry layout changes
 #: (invalidates disk caches).
 _FINGERPRINT_VERSION = 2
-
-#: Accounted bytes per link of a memoized cut search (its two side
-#: networks and link maps): tracemalloc measures about 6.4 KB for a
-#: split of a 20-link net.
-_SPLIT_BYTES_PER_LINK = 320
 
 #: Grid batches are sized so ``batch_points * cubes`` cube probabilities
 #: (and ``batch_points * 2^k`` Eq. 2 entries) stay below this budget.
@@ -210,8 +206,9 @@ class ArrayCache:
     the key.
 
     ``max_bytes`` bounds the resident bytes of tracked entries (a
-    cover's cubes and derived arrays, :attr:`SideCover.nbytes`; on-disk
-    entries not yet read by file size).  When a :meth:`put` or
+    cover's cubes, derived arrays and per-class regroupings,
+    :attr:`SideCover.nbytes`; on-disk entries not yet read by file
+    size).  When a :meth:`put` or
     :meth:`get` pushes the total past the bound, least-recently-used
     keys are evicted — dropped from memory *and* unlinked from the disk
     tier — until the total fits again.  The just-touched key is never
@@ -221,10 +218,11 @@ class ArrayCache:
 
     The cache also memoizes found cut searches (:meth:`get_split` /
     :meth:`put_split`, filled by :func:`bottleneck_split`).  A memo
-    entry lives in memory only, is accounted at
-    ``_SPLIT_BYTES_PER_LINK`` per link under the same LRU bound, and is
-    not a cover: ``len()``, :meth:`stats` and the eviction counters
-    count covers only.
+    entry lives in memory only, is accounted at its resident bytes (its
+    key, side networks, link maps and digests;
+    :func:`repro.core.cover.resident_bytes`) under the same LRU bound,
+    and is not a cover: ``len()``, :meth:`stats` and the eviction
+    counters count covers only.
     """
 
     def __init__(
@@ -298,13 +296,19 @@ class ArrayCache:
             self._total_bytes += size
         self._enforce_bound(protect=None)
 
-    def _touch(self, key: str, size: int) -> None:
-        """Record ``key`` as most recently used (and its accounted size)."""
+    def _touch(self, key: str, entry: SideCover | SideSplit) -> None:
+        """Record ``key`` as most recently used, at its entry's resident
+        bytes: a cover's current :attr:`SideCover.nbytes`, a split's
+        measured once.  An unbounded cache measures nothing."""
         if self.max_bytes is None:
             return
         previous = self._sizes.pop(key, None)
         if previous is not None:
             self._total_bytes -= previous
+        if isinstance(entry, SideCover):
+            size = entry.nbytes
+        else:
+            size = resident_bytes(key, entry) if previous is None else previous
         self._sizes[key] = size
         self._total_bytes += size
         self._enforce_bound(protect=key)
@@ -368,11 +372,20 @@ class ArrayCache:
         self._memory[key] = cover
         return cover
 
-    def get(self, key: str, num_links: int, num_assignments: int) -> SideCover | None:
+    def get(
+        self,
+        key: str,
+        num_links: int,
+        num_assignments: int,
+        *,
+        classes: Sequence[int] = (),
+    ) -> SideCover | None:
         """The cover stored under ``key``, or None.
 
         ``num_links`` and ``num_assignments`` are the side's dimensions,
-        against which a disk entry is checked.  A memory hit returns the
+        against which a disk entry is checked; the cover's
+        :meth:`~SideCover.regrouped` arrays of ``classes`` are derived
+        before it is accounted.  A memory hit returns the
         stored object itself, whose cubes and derived arrays are
         **read-only** (``writeable=False``): they are shared by every
         later hit, so an in-place store must fail loudly instead of
@@ -391,16 +404,21 @@ class ArrayCache:
         self.bytes_read += int(cover.cubes.nbytes)
         count(ARRAY_CACHE_HITS, 1)
         count(ARRAY_CACHE_BYTES, int(cover.cubes.nbytes))
-        self._touch(key, cover.nbytes)
+        for within in classes:
+            cover.regrouped(within)
+        self._touch(key, cover)
         return cover
 
-    def put(self, key: str, cover: SideCover) -> SideCover:
+    def put(
+        self, key: str, cover: SideCover, *, classes: Sequence[int] = ()
+    ) -> SideCover:
         """Store one side cover under ``key`` (memory + optional disk).
 
         The stored entry is a private read-only copy of the cubes with
-        no solves charged (a hit spends none); it is returned.
+        no solves charged (a hit spends none), its regroupings of
+        ``classes`` derived and accounted; it is returned.
         """
-        cubes = np.array(cover.cubes, dtype=np.uint64).reshape(-1, 3)
+        cubes = np.array(np.reshape(cover.cubes, (-1, 3)), dtype=np.uint64)
         cubes.setflags(write=False)
         stored = SideCover(
             cubes=cubes, num_links=cover.num_links, num_assignments=cover.num_assignments
@@ -413,20 +431,22 @@ class ArrayCache:
             path = self._path(key)
             if not path.is_file():
                 self._publish(path, cubes)
-        self._touch(key, stored.nbytes)
+        for within in classes:
+            stored.regrouped(within)
+        self._touch(key, stored)
         return stored
 
     def get_split(self, key: str) -> SideSplit | None:
         """The cut search memoized under ``key``, or None."""
         split = self._splits.get(key)
         if split is not None:
-            self._touch(key, self._sizes.get(key, 0))
+            self._touch(key, split)
         return split
 
     def put_split(self, key: str, split: SideSplit) -> None:
         """Memoize one found cut search (memory only, never on disk)."""
         self._splits[key] = split
-        self._touch(key, _SPLIT_BYTES_PER_LINK * split.num_links)
+        self._touch(key, split)
 
     def _publish(self, path: Path, cubes: np.ndarray) -> None:
         """Write one entry file through this writer's own temp file.
@@ -459,6 +479,7 @@ def cached_side_cover(
     demand: int,
     cache: ArrayCache | None = None,
     digest: str | None = None,
+    classes: Sequence[int] = (),
 ) -> SideCover:
     """§III-C side cover, looked up in ``cache`` and built on a miss.
 
@@ -466,8 +487,11 @@ def cached_side_cover(
     cover (the same object every time) with ``flow_calls`` 0; a miss
     goes through :func:`~repro.core.arrays.build_side_cover` and stores
     its cubes.  ``digest`` is the side's :func:`side_fingerprint` when
-    the caller already holds it (a memoized split carries both).  With
-    ``cache=None`` this is exactly ``build_side_cover``.
+    the caller already holds it (a memoized split carries both).
+    ``classes`` are the class masks Eq. 3 will regroup the cover by
+    (:meth:`SideCover.regrouped`): the cache derives and accounts them
+    with the entry.  With ``cache=None`` this is exactly
+    ``build_side_cover``.
     """
     build = dict(
         role=role, terminal=terminal, ports=ports, assignments=assignments, demand=demand
@@ -484,11 +508,11 @@ def cached_side_cover(
     with span(
         "sweep.array_cache", role=role, links=net.num_links, assignments=len(assignments)
     ):
-        cover = cache.get(key, net.num_links, len(assignments))
+        cover = cache.get(key, net.num_links, len(assignments), classes=classes)
         if cover is not None:
             return cover
         cover = build_side_cover(side, **build)
-        stored = cache.put(key, cover)
+        stored = cache.put(key, cover, classes=classes)
     # A solve-free build is the stored cover itself, whose derived
     # arrays every later hit then reuses.
     return cover if cover.flow_calls else stored
@@ -817,6 +841,24 @@ def split_reliability(
         ]
         return zeros, 0
 
+    # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
+    # depends only on the supported class, so the patterns sharing a
+    # class share one accumulation per batch of rows; each cover weighs
+    # its distinct realization masks once per batch and is regrouped by
+    # each class once for its life in the cache.
+    check_enumerable(k)
+    by_class: dict[tuple[int, ...], list[int]] = {}
+    for pattern, supported in classify_by_support(assignments, k).items():
+        if supported:
+            by_class.setdefault(supported, []).append(pattern)
+    classes = [
+        (patterns, mask_from_indices(supported)) for supported, patterns in by_class.items()
+    ]
+    withins = [within for _, within in classes]
+    # A chain's source masks reach the last cut as per-row distributions,
+    # which are not covers; only a one-cut source cover meets the classes.
+    one_cut = len(split.cuts) == 1
+
     def side_cover(role: str) -> SideCover:
         source = role == "source"
         return cached_side_cover(
@@ -828,6 +870,7 @@ def split_reliability(
             demand=demand.rate,
             cache=cache,
             digest=None if split.side_digests is None else split.side_digests[0 if source else 1],
+            classes=withins if one_cut or not source else (),
         )
 
     with span(
@@ -854,35 +897,25 @@ def split_reliability(
     ):
         sink_cover = side_cover("sink")
 
-    # Eq. (3): sum over the 2^k bottleneck survival patterns.  r_{E'}
-    # depends only on the supported class, so the patterns sharing a
-    # class share one accumulation per batch of rows; each cover weighs
-    # its distinct realization masks once per batch.  A row's value is
-    # the exactly rounded sum of its pattern terms, so terms of
-    # probability 0 (and the order of the terms) leave it unchanged.
-    check_enumerable(k)
-    by_class: dict[tuple[int, ...], list[int]] = {}
-    for pattern, supported in classify_by_support(assignments, k).items():
-        if supported:
-            by_class.setdefault(supported, []).append(pattern)
-    # The sink masks meet every row unchanged: regroup them once per class.
-    classes: list[tuple[list[int], int, tuple[np.ndarray, np.ndarray]]] = []
-    for supported, patterns in by_class.items():
-        within = mask_from_indices(supported)
-        classes.append((patterns, within, regroup(sink_cover.distinct, within)))
-
+    # A row's value is the exactly rounded sum of its pattern terms, so
+    # terms of probability 0 (and the order of the terms) leave it
+    # unchanged.
     def close(
-        ms: np.ndarray, ws: np.ndarray, wt: np.ndarray, pattern_rows: np.ndarray
+        source: Callable[[int], tuple[np.ndarray, np.ndarray]],
+        ws: np.ndarray,
+        wt: np.ndarray,
+        pattern_rows: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Each row's Eq. 3 pattern terms and its count of live classes."""
+        """Each row's Eq. 3 pattern terms and its count of live classes,
+        the source masks regrouped by ``source(within)``."""
         terms = np.zeros((len(pattern_rows), 1 << k), dtype=np.float64)
         used = np.zeros(len(pattern_rows), dtype=np.int64)
-        for patterns, within, sink in classes:
+        for patterns, within in classes:
             p_patterns = pattern_rows[:, patterns]
             live = (p_patterns != 0.0).any(axis=1)
             if not live.any():
                 continue
-            r = grouped_joint_rows(regroup(ms, within), ws, sink, wt)
+            r = grouped_joint_rows(source(within), ws, sink_cover.regrouped(within), wt)
             terms[:, patterns] = p_patterns * r[:, None]
             used += live
         return terms, used
@@ -899,7 +932,7 @@ def split_reliability(
             wt = sink_cover.weights(rows[:, sink_columns])
             pattern_rows = probability_grid(rows[:, list(cut_links)])  # Eq. (2)
             if not relations:
-                terms, used = close(source_cover.distinct, ws, wt, pattern_rows)
+                terms, used = close(source_cover.regrouped, ws, wt, pattern_rows)
             else:
                 crossings = [
                     (
@@ -923,7 +956,7 @@ def split_reliability(
                         )
                     states = np.flatnonzero(dist)
                     terms[i : i + 1], used[i : i + 1] = close(
-                        states.astype(np.uint64),
+                        partial(regroup, states.astype(np.uint64)),
                         dist[states][None, :],
                         wt[i : i + 1],
                         pattern_rows[i : i + 1],

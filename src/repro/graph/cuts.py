@@ -12,9 +12,10 @@ finds such sets:
   for shortest-path length ``L``: a few dozen for the constant ``k`` the
   paper assumes);
 * :func:`minimum_cardinality_cut` — one smallest cut via unit-capacity
-  max-flow (Menger), used to seed / lower-bound the search;
+  max-flow (Menger), a candidate only when the enumeration was capped;
 * :func:`find_bottleneck` — picks the admissible cut minimising the
-  achieved α.
+  achieved α, scoring candidates from the components the enumeration
+  already found and splitting only the winner.
 
 Separation is *undirected*: the paper's components are connected
 components of the link-removal graph, independent of link direction.
@@ -89,15 +90,13 @@ def _component(
 
 def _joins_both_sides(
     net: FlowNetwork,
-    adj: dict[Node, list[tuple[Node, int]]],
     s_comp: set[Node],
-    sink: Node,
+    t_comp: set[Node],
     cut: AbstractSet[int],
 ) -> bool:
     """Minimality of a disconnecting ``cut``: every cut link has one end
     in the source component and the other in the sink component of
     ``G - cut`` — restoring any one link reconnects the terminals."""
-    t_comp = _component(adj, sink, cut)
     for index in cut:
         if not 0 <= index < net.num_links:
             return False
@@ -139,7 +138,9 @@ def is_minimal_cut(
         return False
     adj = _undirected_adjacency(net, None)
     path, s_comp = _shortest_path(adj, source, sink, cut_set)
-    return path is None and _joins_both_sides(net, adj, s_comp, sink, cut_set)
+    return path is None and _joins_both_sides(
+        net, s_comp, _component(adj, sink, cut_set), cut_set
+    )
 
 
 def bridges_between(net: FlowNetwork, source: Node, sink: Node) -> list[int]:
@@ -233,8 +234,27 @@ def minimal_st_cuts(
     if max_size < 1 or limit == 0:
         return []
     _check_terminals(net, source, sink)
-    adj = _undirected_adjacency(net, None)
-    found: list[tuple[int, ...]] = []
+    found = [
+        cut
+        for cut, _, _ in _minimal_cuts(_undirected_adjacency(net, None), net, source, sink, max_size)
+    ]
+    return found if limit is None else found[:limit]
+
+
+#: A minimal cut with the source and sink components of ``G - cut``.
+_Cut = tuple[tuple[int, ...], set[Node], set[Node]]
+
+
+def _minimal_cuts(
+    adj: dict[Node, list[tuple[Node, int]]],
+    net: FlowNetwork,
+    source: Node,
+    sink: Node,
+    max_size: int,
+) -> list[_Cut]:
+    """The search of :func:`minimal_st_cuts`, each cut with the two
+    terminal components its probes found; sorted by size, then links."""
+    found: list[_Cut] = []
     empty: frozenset[int] = frozenset()
     visited = {empty}
     stack = [empty]
@@ -242,8 +262,10 @@ def minimal_st_cuts(
         removed = stack.pop()
         path, s_comp = _shortest_path(adj, source, sink, removed)
         if path is None:
-            if removed and _joins_both_sides(net, adj, s_comp, sink, removed):
-                found.append(tuple(sorted(removed)))
+            if removed:
+                t_comp = _component(adj, sink, removed)
+                if _joins_both_sides(net, s_comp, t_comp, removed):
+                    found.append((tuple(sorted(removed)), s_comp, t_comp))
         elif len(removed) < max_size:
             for index in path:
                 grown = removed | {index}
@@ -251,8 +273,14 @@ def minimal_st_cuts(
                     visited.add(grown)
                     stack.append(grown)
     count(CUT_PROBES, len(visited))
-    found.sort(key=lambda cut: (len(cut), cut))
-    return found if limit is None else found[:limit]
+    found.sort(key=lambda entry: (len(entry[0]), entry[0]))
+    return found
+
+
+def _inside(net: FlowNetwork, nodes: set[Node]) -> int:
+    """Links with both endpoints in ``nodes``: the size of the side
+    :func:`split_on_cut` induces on a terminal component."""
+    return sum(link.tail in nodes and link.head in nodes for link in net.links())
 
 
 def verify_bottleneck(
@@ -281,13 +309,17 @@ def find_bottleneck(
 ) -> SideSplit | None:
     """Find the admissible bottleneck cut with the best (smallest) α.
 
-    Strategy: collect bridge cuts (size 1), the minimum-cardinality cut,
-    and every minimal cut up to ``max_size`` (capped at
-    ``max_candidates``); keep the candidates whose split satisfies the
-    two-component condition and the forward assignment model
-    (:func:`~repro.graph.transforms.check_forward_cut`); return the one
-    minimising ``max(|E_s|, |E_t|)``, breaking ties towards fewer cut
-    links.
+    Strategy: every minimal cut up to ``max_size`` (:func:`minimal_st_cuts`,
+    capped at ``max_candidates``) is a candidate.  Only when that cap
+    cuts the enumeration off do the bridge cuts (size 1) and the
+    minimum-cardinality cut join, ahead of the rest; otherwise the
+    enumeration already holds them.  Each candidate is scored by
+    ``max(|E_s|, |E_t|)`` — the links inside the two terminal
+    components of ``G - cut`` — then by its size, ties going to the
+    earlier candidate; candidates are split (:func:`split_on_cut`) in
+    score order, and the first split that satisfies the two-component
+    condition and the forward assignment model
+    (:func:`~repro.graph.transforms.check_forward_cut`) is returned.
     Returns ``None`` when no admissible cut of size <= ``max_size``
     exists (e.g. the terminals are adjacent through many parallel
     links).
@@ -296,34 +328,30 @@ def find_bottleneck(
         raise ReproValueError(
             f"max_candidates must be non-negative, got {max_candidates}"
         )
-    candidates: list[tuple[int, ...]] = []
-    seen: set[frozenset[int]] = set()
+    _check_terminals(net, source, sink)
+    adj = _undirected_adjacency(net, None)
+    found = _minimal_cuts(adj, net, source, sink, max_size) if max_size >= 1 else []
+    candidates = found[:max_candidates]
+    if len(found) > max_candidates:
+        extra = [[index] for index in bridges_between(net, source, sink)]
+        smallest = minimum_cardinality_cut(net, source, sink)
+        if smallest is not None:
+            extra.append(smallest)
+        front = {tuple(sorted(set(cut))): None for cut in extra if len(set(cut)) <= max_size}
+        candidates = [
+            (cut, _component(adj, source, set(cut)), _component(adj, sink, set(cut)))
+            for cut in front
+        ] + [entry for entry in candidates if entry[0] not in front]
 
-    def push(cut: Sequence[int]) -> None:
-        key = frozenset(cut)
-        if key and key not in seen and len(key) <= max_size:
-            seen.add(key)
-            candidates.append(tuple(sorted(key)))
+    def score(entry: _Cut) -> tuple[int, int]:
+        cut, s_comp, t_comp = entry
+        return max(_inside(net, s_comp), _inside(net, t_comp)), len(cut)
 
-    for index in bridges_between(net, source, sink):
-        push([index])
-    smallest = minimum_cardinality_cut(net, source, sink)
-    if smallest is not None:
-        push(smallest)
-    for cut in minimal_st_cuts(net, source, sink, max_size, limit=max_candidates):
-        push(cut)
-
-    best: SideSplit | None = None
-    best_key: tuple[int, int] | None = None
-    for cut in candidates:
+    for cut, _, _ in sorted(candidates, key=score):
         try:
-            split = split_on_cut(net, source, sink, cut)
+            return split_on_cut(net, source, sink, cut)
         except (DecompositionError, ReproValueError):
             # Not a two-component split, or a cut the assignment model
             # cannot count exactly (k >= 3 with an undirected link).
             continue
-        side = max(len(split.source_side.link_map), len(split.sink_side.link_map))
-        key = (side, len(cut))
-        if best_key is None or key < best_key:
-            best, best_key = split, key
-    return best
+    return None

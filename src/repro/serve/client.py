@@ -29,6 +29,9 @@ class ReliabilityClient:
 
     def __init__(self, host: str, port: int, *, timeout: float = 30.0) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
+        # One small line per request: send it now, not after the
+        # previous request's ACK (Nagle).
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._buffer = bytearray()
 
     # -- raw plumbing (exposed for protocol-error tests) --------------------

@@ -49,9 +49,15 @@ from repro.serve.protocol import (
     error_payload,
 )
 
-__all__ = ["ReliabilityServer"]
+__all__ = ["DEFAULT_CACHE_BYTES", "ReliabilityServer"]
 
 _RECV_CHUNK = 65536
+#: Resident bytes (:attr:`repro.core.sweep.ArrayCache.total_bytes`) of a
+#: daemon's memory tier when nothing else bounds it: about 8x the six
+#: warm 16-20-link topologies of the serve-mix benchmark (125 KB with
+#: their splits and regroupings), room for ~45 never-seen ones (~20 KB
+#: each) besides, which least-recently-used eviction drops first.
+DEFAULT_CACHE_BYTES = 1 << 20
 #: How long serve_forever keeps flushing write buffers after a
 #: ``shutdown`` op before closing anyway.
 _DRAIN_SECONDS = 5.0
@@ -78,9 +84,9 @@ class ReliabilityServer:
         Bind address; ``port=0`` picks an ephemeral port (read
         :attr:`port`).
     cache:
-        The shared :class:`ArrayCache` (a fresh in-memory one when
-        omitted).  Give it a directory + ``max_bytes`` for a persistent
-        bounded tier.
+        The shared :class:`ArrayCache` (when omitted, a fresh in-memory
+        one bounded at :data:`DEFAULT_CACHE_BYTES`).  Give it a
+        directory + ``max_bytes`` for a persistent bounded tier.
     max_line_bytes:
         Per-line request cap; beyond it the connection gets an
         ``oversized`` error and is closed.
@@ -97,7 +103,7 @@ class ReliabilityServer:
     ) -> None:
         if max_line_bytes <= 0:
             raise ReproValueError("max_line_bytes must be positive")
-        self.cache = cache if cache is not None else ArrayCache()
+        self.cache = cache if cache is not None else ArrayCache(max_bytes=DEFAULT_CACHE_BYTES)
         self.max_line_bytes = max_line_bytes
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -260,6 +266,9 @@ class ReliabilityServer:
                     return
                 raise
             sock.setblocking(False)
+            # Replies are small writes: with Nagle on, a round's second
+            # reply waits for the ACK the client delays (up to 40 ms).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             self._conns[sock] = _Connection(sock)
 
     def _read(self, conn: _Connection) -> list[tuple[_Connection, Query]]:

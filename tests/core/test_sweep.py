@@ -4,7 +4,9 @@ dispatch and the vectorized multi-point accumulation
 (`repro.core.sweep`)."""
 
 import errno
+import gc
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.sweep import (
     SweepSpec,
     cached_side_cover,
     compute_reliability_sweep,
+    grid_reliability,
     probability_grid,
     side_fingerprint,
 )
@@ -255,6 +258,38 @@ class TestArrayCacheBound:
         )
         assert cache.total_bytes == resident + splits
         assert cache.stats()["evictions"] > 0
+
+    def test_accounted_bytes_are_what_stored_topologies_hold(self):
+        """``total_bytes`` is honest: the memory tracemalloc sees the
+        cache grow by, per stored topology (its split memo, both covers
+        and their derived arrays and regroupings), is within 1.5x of it."""
+        nets = [
+            bottlenecked_network(
+                source_side_links=8, sink_side_links=9, num_bottlenecks=2, demand=2, seed=seed
+            )
+            for seed in range(42)
+            if seed != 25  # no admissible cut
+        ]
+        grids = [
+            np.asarray(net.failure_probabilities(), dtype=np.float64).reshape(1, -1)
+            for net in nets
+        ]
+        cache = ArrayCache(max_bytes=1 << 40)
+        for net, grid in zip(nets[:2], grids[:2]):  # first-call allocations
+            grid_reliability(net, DEMAND, grid, cache=cache)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before, accounted = tracemalloc.get_traced_memory()[0], cache.total_bytes
+            for net, grid in zip(nets[2:], grids[2:]):
+                grid_reliability(net, DEMAND, grid, cache=cache)
+            gc.collect()
+            traced = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        accounted = cache.total_bytes - accounted
+        assert accounted > 0
+        assert accounted / 1.5 <= traced <= 1.5 * accounted, (traced, accounted)
 
     def test_single_oversized_column_still_serves(self):
         # The just-touched key is protected: an entry larger than the

@@ -80,23 +80,39 @@ def _wait_for_port(proc, *, want_warm=False):
 
 
 class TestArgumentValidation:
-    def test_cache_max_bytes_requires_cache_dir(self, capsys):
-        assert main(["serve", "--cache-max-bytes", "1024"]) == 1
-        assert "--cache-max-bytes requires --cache-dir" in capsys.readouterr().err
+    def test_serve_cache_max_bytes_without_cache_dir(self):
+        """``--cache-max-bytes`` alone bounds the memory tier: the daemon
+        starts, answers and exits 0 on a ``shutdown`` op."""
+        proc = _spawn("--port", "0", "--cache-max-bytes", "65536", "--no-ledger")
+        try:
+            port = _wait_for_port(proc)
+            net = fujita_fig4()
+            with ReliabilityClient("127.0.0.1", port) as client:
+                reply = client.query(net, "s", "t", 2)
+                client.shutdown()
+            assert proc.wait(timeout=15) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stderr.read()
+        fresh = bottleneck_reliability(net, FlowDemand("s", "t", 2))
+        assert reply["ok"] and reply["points"][0]["reliability"] == fresh.value
 
     def test_warm_requires_demand_flags(self, net_file, capsys):
         assert main(["serve", "--warm", net_file]) == 1
         assert "--warm requires" in capsys.readouterr().err
 
-    def test_sweep_cache_max_bytes_requires_cache_dir(self, net_file, capsys):
-        code = main(
-            [
-                "sweep", net_file, "-s", "s", "-t", "t", "-d", "2",
-                "--availability", "0.9,0.95", "--cache-max-bytes", "1024",
-            ]
-        )
-        assert code == 1
-        assert "--cache-max-bytes requires --cache-dir" in capsys.readouterr().err
+    def test_sweep_cache_max_bytes_without_cache_dir(self, net_file, capsys):
+        argv = [
+            "sweep", net_file, "-s", "s", "-t", "t", "-d", "2",
+            "--availability", "0.9,0.95", "--json",
+        ]
+        assert main(argv) == 0
+        unbounded = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--cache-max-bytes", "1024"]) == 0
+        bounded = json.loads(capsys.readouterr().out)
+        assert bounded["points"] == unbounded["points"]
+        assert bounded["cache"]["evictions"] > 0
 
 
 class TestServeLifecycle:
