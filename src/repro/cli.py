@@ -915,20 +915,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import (  # local: daemon-only path
-        DEFAULT_CACHE_BYTES,
-        ReliabilityServer,
-    )
+    from repro.serve.server import ReliabilityServer  # local: daemon-only path
 
     if args.warm and (args.source is None or args.sink is None or args.rate is None):
         raise ReproValueError("--warm requires --source/--sink/--rate")
     warm_nets = [load(path) for path in args.warm]
-    # A memory-only daemon is bounded by default; a disk tier keeps
-    # every entry unless given a bound.
-    max_bytes = args.cache_max_bytes
-    if max_bytes is None and args.cache_dir is None:
-        max_bytes = DEFAULT_CACHE_BYTES
-    cache = ArrayCache(args.cache_dir, max_bytes=max_bytes)
+    # Without either flag the server's own default cache (memory-only,
+    # bounded) serves; a disk tier keeps every entry unless given a bound.
+    cache = (
+        ArrayCache(args.cache_dir, max_bytes=args.cache_max_bytes)
+        if args.cache_dir is not None or args.cache_max_bytes is not None
+        else None
+    )
     # Bind before the session opens so the bound (possibly ephemeral)
     # port rides the telemetry ``start`` event and the ledger params.
     server = ReliabilityServer(
@@ -951,7 +949,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "host": server.host,
             "port": server.port,
             "cache_dir": args.cache_dir,
-            "cache_max_bytes": max_bytes,
+            "cache_max_bytes": server.cache.max_bytes,
             "warm": len(args.warm) or None,
         },
     )

@@ -212,23 +212,25 @@ def resident_bytes(*objects: object) -> int:
     stack = list(objects)
     while stack:
         obj = stack.pop()
-        kind = type(obj)
-        if kind is bool or obj is None or (kind is int and -5 <= obj <= 256):  # type: ignore[operator]
+        if obj is None or obj is True or obj is False:
+            continue
+        if isinstance(obj, int) and -5 <= obj <= 256:
             continue
         if id(obj) in seen:
             continue
         seen.add(id(obj))
         total += sys.getsizeof(obj)
-        if kind is tuple or kind is list or kind is set or kind is frozenset:
-            stack.extend(obj)  # type: ignore[call-overload]
-        elif kind is dict:
-            stack.extend(obj.keys())  # type: ignore[attr-defined]
-            stack.extend(obj.values())  # type: ignore[attr-defined]
-        elif kind is np.ndarray:
-            if obj.base is not None:  # type: ignore[attr-defined]
-                stack.append(obj.base)  # type: ignore[attr-defined]
-        elif hasattr(kind, "__dataclass_fields__"):
-            stack.extend(getattr(obj, name) for name in kind.__dataclass_fields__)
+        if isinstance(obj, (tuple, list, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, np.ndarray):
+            if obj.base is not None:
+                stack.append(obj.base)
+        else:
+            names = getattr(type(obj), "__dataclass_fields__", ())
+            stack.extend(getattr(obj, name) for name in names)
     return total
 
 

@@ -234,10 +234,8 @@ def minimal_st_cuts(
     if max_size < 1 or limit == 0:
         return []
     _check_terminals(net, source, sink)
-    found = [
-        cut
-        for cut, _, _ in _minimal_cuts(_undirected_adjacency(net, None), net, source, sink, max_size)
-    ]
+    adj = _undirected_adjacency(net, None)
+    found = [cut for cut, _, _ in _minimal_cuts(adj, net, source, sink, max_size)]
     return found if limit is None else found[:limit]
 
 
@@ -337,7 +335,7 @@ def find_bottleneck(
         smallest = minimum_cardinality_cut(net, source, sink)
         if smallest is not None:
             extra.append(smallest)
-        front = {tuple(sorted(set(cut))): None for cut in extra if len(set(cut)) <= max_size}
+        front = dict.fromkeys(tuple(sorted(set(cut))) for cut in extra if len(cut) <= max_size)
         candidates = [
             (cut, _component(adj, source, set(cut)), _component(adj, sink, set(cut)))
             for cut in front

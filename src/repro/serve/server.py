@@ -54,8 +54,8 @@ __all__ = ["DEFAULT_CACHE_BYTES", "ReliabilityServer"]
 _RECV_CHUNK = 65536
 #: Resident bytes (:attr:`repro.core.sweep.ArrayCache.total_bytes`) of a
 #: daemon's memory tier when nothing else bounds it: about 8x the six
-#: warm 16-20-link topologies of the serve-mix benchmark (125 KB with
-#: their splits and regroupings), room for ~45 never-seen ones (~20 KB
+#: warm 16-20-link topologies of the serve-mix benchmark (~105 KB with
+#: their splits and regroupings), room for ~50 never-seen ones (~19 KB
 #: each) besides, which least-recently-used eviction drops first.
 DEFAULT_CACHE_BYTES = 1 << 20
 #: How long serve_forever keeps flushing write buffers after a

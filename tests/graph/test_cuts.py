@@ -19,8 +19,9 @@ from repro.graph.cuts import (
     minimum_cardinality_cut,
     verify_bottleneck,
 )
-from repro.graph.generators import bottlenecked_network
+from repro.graph.generators import bottlenecked_network, random_network
 from repro.graph.network import FlowNetwork
+from tests.reference_cuts import reference_find_bottleneck
 
 
 class TestIsDisconnecting:
@@ -164,6 +165,35 @@ class TestFindBottleneck:
 
     def test_none_when_no_small_cut(self):
         assert find_bottleneck(parallel_links(5), "s", "t", max_size=3) is None
+
+    @pytest.mark.parametrize("max_candidates", [0, 1, 3, 256])
+    def test_same_split_as_the_reference_search(self, max_candidates):
+        """Generated nets, every cut size bound and enumeration cap: the
+        scored search picks the reference's split (which splits every
+        candidate); a cap that cuts the enumeration off brings in the
+        bridges and the minimum-cardinality cut."""
+        nets = [fujita_fig4(), fujita_fig2_bridge()]
+        for seed in range(12):
+            nets.append(random_network(8 + seed % 6, 12 + seed % 10, seed=seed))
+            nets.append(
+                bottlenecked_network(
+                    source_side_links=4 + seed % 5,
+                    sink_side_links=3 + seed % 6,
+                    num_bottlenecks=1 + seed % 3,
+                    seed=seed,
+                )
+            )
+        for net in nets:
+            for max_size in (1, 2, 3):
+                options = {"max_size": max_size, "max_candidates": max_candidates}
+                got = find_bottleneck(net, "s", "t", **options)
+                want = reference_find_bottleneck(net, "s", "t", **options)
+                assert (got is None) == (want is None)
+                assert got is None or got.cut == want.cut
+
+    def test_capped_enumeration_falls_back_to_bridges_and_menger(self):
+        assert find_bottleneck(fujita_fig2_bridge(), "s", "t", max_candidates=0).cut == (8,)
+        assert find_bottleneck(fujita_fig4(), "s", "t", max_candidates=0).cut == (0, 1)
 
     def test_designed_bottleneck_recovered(self):
         for seed in range(3):

@@ -1,18 +1,20 @@
-"""Property tests: the path-branching cut enumerator against the
-exhaustive subset-by-subset oracle in ``tests/reference_cuts.py``."""
+"""Property tests: the path-branching cut enumerator and the bottleneck
+search against the exhaustive oracles in ``tests/reference_cuts.py``."""
 
 from itertools import combinations
 from math import comb
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import cuts
 from repro.graph.cuts import find_bottleneck, is_minimal_cut, minimal_st_cuts
 from repro.graph.network import FlowNetwork
 from repro.obs.recorder import CUT_PROBES, record
-from tests.reference_cuts import reference_is_disconnecting, reference_minimal_st_cuts
+from tests.reference_cuts import (
+    reference_find_bottleneck,
+    reference_is_disconnecting,
+    reference_minimal_st_cuts,
+)
 
 limits = st.sampled_from([None, 0, 1, 3, 256])
 
@@ -103,20 +105,17 @@ class TestMinimalStCuts:
 
 
 class TestFindBottleneck:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(multigraphs(), st.integers(1, 4), limits)
-    def test_same_split_as_with_reference(self, net, max_size, limit):
-        max_candidates = 256 if limit is None else limit
-
-        def search():
-            return find_bottleneck(
-                net, "s", "t", max_size=max_size, max_candidates=max_candidates
-            )
-
-        got = _split_view(_outcome(search))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cuts, "minimal_st_cuts", reference_minimal_st_cuts)
-            expected = _split_view(_outcome(search))
+    def test_same_split_as_the_reference_search(self, net, max_size, limit):
+        """Scoring candidates by their terminal components and splitting
+        in score order picks the split that splitting every candidate
+        picks, capped enumeration included."""
+        options = {"max_size": max_size, "max_candidates": 256 if limit is None else limit}
+        got = _split_view(_outcome(lambda: find_bottleneck(net, "s", "t", **options)))
+        expected = _split_view(
+            _outcome(lambda: reference_find_bottleneck(net, "s", "t", **options))
+        )
         assert got == expected
 
 
