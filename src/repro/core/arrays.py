@@ -22,10 +22,9 @@ their weights, so every segment is built as a disjoint cube cover
 carry one mask word per in-assignment.  Both go through one builder:
 max-flow/min-cut duality turns every mask into a ``min`` over the
 segment's bond family (:mod:`repro.core.certificate`), which needs no
-solver; a segment whose bond family is over the certificate guards
-falls back to a max-flow walk of each load's lattice in Gray-code order,
-repairing one flow across consecutive entries and pruned by
-monotonicity in the alive set, and the cover is factored on that table.
+solver; a segment whose bond family is over the certificate guards is
+factored on max-flow solves instead, one per configuration and load the
+factoring asks about (:func:`_flow_cover`), never on a ``2^m`` table.
 The branching reads masks only, so both kernels give the same cubes.
 """
 
@@ -36,24 +35,20 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.certificate import certificate_cover, side_cut_family
-from repro.core.cover import SideCover, table_cover
-from repro.core.latticewalk import gray_walk_table
+from repro.core.cover import SideCover, factor_cover
 from repro.exceptions import SolverError
-from repro.flow.incremental import IncrementalMaxFlow, plan_gray_order
+from repro.flow.dinic import DinicSolver
+from repro.flow.incremental import IncrementalMaxFlow
 from repro.flow.residual import ResidualTemplate, build_template
 from repro.graph.network import FlowNetwork, Node
 from repro.graph.transforms import SubnetworkView
-from repro.obs.progress import progress_ticker
 from repro.obs.recorder import (
     AUGMENTING_PATHS_SAVED,
     CERTIFICATE_CUTS,
     COVER_CUBES_BUILT,
-    FLOW_REPAIRS,
     FLOW_SOLVES,
     count,
-    span,
 )
-from repro.probability.bitset import pack_bitplanes
 from repro.probability.enumeration import check_enumerable
 
 __all__ = ["build_relation_cover", "build_side_cover"]
@@ -98,14 +93,16 @@ def _segment_template(
     sink: Node | None,
     in_ports: Sequence[Node],
     out_ports: Sequence[Node],
-    demand: int,
-) -> tuple[ResidualTemplate, list[str], int, int]:
-    """Residual template with one virtual port arc per port.
+    load: Sequence[int],
+) -> tuple[ResidualTemplate, int, int]:
+    """Residual template with one virtual port arc per port, capped at
+    ``load``.
 
-    Returns ``(template, port_arc_names, source_index, sink_index)``;
-    the arcs follow ``in_ports`` (from the source terminal) then
-    ``out_ports`` (into the sink terminal).  Terminals and ports are
-    already checked by :func:`~repro.core.certificate.side_cut_family`.
+    Returns ``(template, source_index, sink_index)``; the arcs follow
+    ``in_ports`` (from the source terminal) then ``out_ports`` (into the
+    sink terminal), arc ``l`` at capacity ``load[l]``.  Terminals and
+    ports are already checked by
+    :func:`~repro.core.certificate.side_cut_family`.
     """
     extra = [v for v, real in ((_VIRTUAL_IN, source), (_VIRTUAL_OUT, sink)) if real is None]
     template = build_template(net, extra_nodes=extra)
@@ -113,10 +110,9 @@ def _segment_template(
     s_idx = index[_VIRTUAL_IN if source is None else source]
     t_idx = index[_VIRTUAL_OUT if sink is None else sink]
     arcs = [(s_idx, index[p]) for p in in_ports] + [(index[p], t_idx) for p in out_ports]
-    port_names = [f"port{l}" for l in range(len(arcs))]
-    for name, arc in zip(port_names, arcs):
-        template.add_virtual_arc(name, *arc, demand)
-    return template, port_names, s_idx, t_idx
+    for arc, capacity in zip(arcs, load):
+        template.add_virtual_arc(*arc, int(capacity))
+    return template, s_idx, t_idx
 
 
 def build_side_cover(
@@ -199,7 +195,7 @@ def _segment_cover(
 
     Inside the certificate guards the cover is factored on the segment's
     cut family (:func:`~repro.core.certificate.certificate_cover`, no
-    solve); past them on the table the pruned Gray walk fills.
+    solve); past them on segment max-flows (:func:`_flow_cover`).
     """
     capacities = [link.capacity for link in net.links()]
     family = side_cut_family(net, *segment)
@@ -208,8 +204,7 @@ def _segment_cover(
         cubes = certificate_cover(family, loads, demand, capacities, words)
         flow_calls = 0
     else:
-        masks, flow_calls = _gray_walk_masks(net, *segment, loads, demand, words)
-        cubes = table_cover(masks, capacities)
+        cubes, flow_calls = _flow_cover(net, segment, loads, demand, words, capacities)
     count(COVER_CUBES_BUILT, len(cubes))
     return SideCover(
         cubes=cubes,
@@ -219,70 +214,87 @@ def _segment_cover(
     )
 
 
-def _gray_walk_masks(
+def _flow_cover(
     net: FlowNetwork,
-    source: Node | None,
-    sink: Node | None,
-    in_ports: Sequence[Node],
-    out_ports: Sequence[Node],
+    segment: tuple[Node | None, Node | None, Sequence[Node], Sequence[Node]],
     loads: Sequence[Sequence[int]],
     demand: int,
     words: int,
+    capacities: Sequence[int],
 ) -> tuple[np.ndarray, int]:
-    """The ``(2^m, words)`` mask table past the certificate guards, and
-    the solves spent.
+    """The cube array of a segment past the certificate guards, and the
+    solves spent.
 
-    With ``width = len(loads) // words``, bit ``j`` of word ``w`` of
-    entry ``c`` is set iff configuration ``c`` carries ``demand`` units
-    with port arc ``l`` capped at component ``l`` of load
-    ``w * width + j`` (the in-ports, then the out-ports).  One repairable flow walks every entry: each load switch
-    is a :meth:`~repro.flow.incremental.IncrementalMaxFlow.retarget`
-    (only the port arcs move) and each column is filled by the shared
-    pruned Gray walk, so consecutive solves repair a one-link delta.
+    Bit ``j`` of a configuration's mask (word ``j // width``, bit
+    ``j % width`` with ``width = len(loads) // words``) is set iff the
+    alive links carry ``demand`` units with port arc ``l`` capped at
+    component ``l`` of ``loads[j]`` (the in-ports, then the out-ports).
+    :func:`~repro.core.cover.factor_cover` names the configurations;
+    each mask is solved once per build.  Masks are monotone in the alive
+    set, so a node's lowest mask solves only the bits of its highest,
+    and a link's move only the bits between the two.
+
+    Each load keeps one flow
+    (:class:`~repro.flow.incremental.IncrementalMaxFlow`) and carries it
+    to the next configuration when the jump kills no link it uses: the
+    jump then costs at most one augmenting solve.  Any other jump is one
+    cold solve, since repairing it could cost several.  So a bit costs
+    at most one solve, and a build never spends more than the
+    ``|D| * 2^m`` of the paper's table.
     """
-    template, port_names, s_idx, t_idx = _segment_template(
-        net, source, sink, in_ports, out_ports, demand
-    )
+    engines = [
+        IncrementalMaxFlow(*_segment_template(net, *segment, load), limit=demand)
+        for load in loads
+    ]
+    solver = DinicSolver()
+    cold = 0
     m = net.num_links
-    check_enumerable(m)
-    size = 1 << m
-    realized = np.zeros((size, len(loads)), dtype=bool)
-    engine = IncrementalMaxFlow(
-        template,
-        s_idx,
-        t_idx,
-        limit=demand,
-        alive=0,
-        virtual_capacities={name: 0 for name in port_names},
-    )
-    # A literal ticker label per segment kind (RR111 closes the label vocabulary).
-    if source is not None:
-        role, ticker_label = "source", "arrays.source"
-    elif sink is not None:
-        role, ticker_label = "sink", "arrays.sink"
-    else:
-        role, ticker_label = "middle", "arrays.middle"
-    with progress_ticker(ticker_label, total=len(loads) * size) as ticker:
-        with span("incremental.walk", kernel="arrays", role=role, links=m):
-            for j, load in enumerate(loads):
-                caps = {name: int(a) for name, a in zip(port_names, load)}
-                engine.retarget(caps)
-                order = plan_gray_order(
-                    template, s_idx, t_idx, m,
-                    limit=demand or None, virtual_capacities=caps,
-                )
-                gray_walk_table(
-                    realized[:, j],
-                    m,
-                    lambda mask: engine.goto(mask) >= demand,
-                    order=order,
-                    tick=ticker.tick,
-                )
-    count(FLOW_SOLVES, engine.solver_calls)
-    if engine.repairs:
-        count(FLOW_REPAIRS, engine.repairs)
-    if engine.paths_saved:
-        count(AUGMENTING_PATHS_SAVED, engine.paths_saved)
+    every, full = (1 << m) - 1, (1 << len(loads)) - 1
     width = len(loads) // words
-    packed = pack_bitplanes(realized.reshape(size * words, width)).reshape(size, words)
-    return packed, engine.solver_calls
+    low = (1 << width) - 1
+    shifts = range(0, len(loads), width)
+    memo: dict[int, int] = {}
+
+    def carries(engine: IncrementalMaxFlow, alive: int) -> bool:
+        nonlocal cold
+        gone = engine.alive & ~alive
+        if not any(engine.link_flow(i) for i in range(m) if gone >> i & 1):
+            return engine.goto(alive) >= demand
+        cold += 1
+        graph = engine.template.configure(alive=alive)
+        return solver.solve(graph, engine.source, engine.sink, limit=demand) >= demand
+
+    def realized(alive: int, lowest: int, highest: int) -> int:
+        """The mask of ``alive``, known to lie between ``lowest`` and ``highest``."""
+        mask = memo.get(alive)
+        if mask is None:
+            mask, bits = lowest, highest & ~lowest
+            while bits:
+                bit = bits & -bits
+                if carries(engines[bit.bit_length() - 1], alive):
+                    mask |= bit
+                bits ^= bit
+            memo[alive] = mask
+        return mask
+
+    def evaluate(links: np.ndarray, caps: np.ndarray) -> np.ndarray:
+        rows = []
+        for alive, dead in links.tolist():
+            up = every & ~dead
+            hi = realized(up, 0, full)
+            lo = realized(alive, 0, hi)
+            row = [lo, hi] + [lo] * m + [hi] * m
+            for i in range(m):
+                if not (alive | dead) >> i & 1:
+                    row[2 + i] = realized(alive | 1 << i, lo, hi)
+                    row[2 + m + i] = realized(up & ~(1 << i), lo, hi)
+            rows.append([[mask >> shift & low for shift in shifts] for mask in row])
+        return np.array(rows, dtype=np.uint64)
+
+    cubes = factor_cover(m, capacities, evaluate, np.zeros((m, 0), dtype=np.int64), 0)
+    solves = cold + sum(engine.solver_calls for engine in engines)
+    count(FLOW_SOLVES, solves)
+    saved = sum(engine.paths_saved for engine in engines)
+    if saved:
+        count(AUGMENTING_PATHS_SAVED, saved)
+    return cubes, solves

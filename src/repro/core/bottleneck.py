@@ -12,8 +12,9 @@ network with a set of α-bottleneck links in
    ``|D| · 2^{|E_side|}``-entry arrays) as cube covers
    (:mod:`repro.core.arrays`), settled by the solver-free
    cut-certificate kernel (:mod:`repro.core.certificate`) or, for a
-   side past its guards, by a pruned Gray walk of side-local max-flow
-   solves — the side decides, no option does;
+   side past its guards, by side-local max-flow solves at the
+   configurations the factoring names — the side decides, no option
+   does;
 4. for each of the ``2^k`` bottleneck survival patterns ``E'``, weigh
    the ACCUMULATION result over the supported class by the pattern
    probability ``p_{E'}`` (Eq. 2) and sum (Eq. 3, one pair sum of

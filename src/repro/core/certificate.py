@@ -43,8 +43,8 @@ and load (``tests/properties/test_prop_certificate.py`` and
 oracle); ``flow_calls`` is 0.  :mod:`repro.core.arrays` covers every
 segment — both sides of the split and every chain middle — with this
 kernel unless its bond family is over one of the two guards below; only
-then does it run the pruned max-flow Gray walk.  No caller option
-chooses between them.
+then does it factor on segment max-flows.  No caller option chooses
+between them.
 """
 
 from __future__ import annotations
@@ -67,16 +67,18 @@ __all__ = [
 ]
 
 #: Guard on the bond enumeration: a side with more non-terminal nodes
-#: than this (nodes no arc touches excluded) falls back to the max-flow
-#: Gray walk.  Enumeration walks all ``2^free`` node subsets; at 16 free
-#: nodes that is ~13 ms and 0.5 MiB per segment (docs/PERFORMANCE.md).
+#: than this (nodes no arc touches excluded) is factored on segment
+#: max-flows instead.  Enumeration walks all ``2^free`` node subsets; at
+#: 16 free nodes that is ~13 ms and 0.5 MiB per segment, and the
+#: certificate still beat the max-flow fallback on 11 of 12 measured
+#: sides (docs/PERFORMANCE.md, "Kernel choice").
 MAX_CERTIFICATE_FREE_NODES = 16
 
 #: Guard on the family itself: past this many inclusion-minimal crossing
-#: sets the max-flow Gray walk is used instead.  Set when the kernel
-#: filled a ``2^m`` table at about a nanosecond per (configuration, cut):
-#: at 1024 cuts that table was still ~10x faster than the Gray walk on
-#: 14- and 20-link sides (docs/PERFORMANCE.md, "Cut certificates").
+#: sets the segment is factored on max-flows instead.  Every factoring
+#: node scans the whole family, so its cost grows with the cut count
+#: while a solve's does not; set for the retired ``2^m`` capacity table
+#: and not re-measured since (docs/PERFORMANCE.md, "Kernel choice").
 MAX_CERTIFICATE_CUTS = 1024
 
 #: Canonical cuts the inclusion-minimal filter compares pairwise at most

@@ -73,7 +73,7 @@ def chain_reliability(
     (:func:`repro.core.sweep.point_reliability`).  The two end segments
     are §III-C side covers and every middle segment is a relation cover
     over its two port sets, all settled by the cut-certificate kernel
-    inside its guards (no max-flow solves) and by the pruned Gray walk
+    inside its guards (no max-flow solves) and by segment max-flows
     past them.
     """
     demand.validate_against(net)

@@ -18,9 +18,10 @@ node realizes that mask and the node is one cube.  Otherwise it
 branches on the undecided link that settles the most mask bits.  The
 frontier is expanded breadth first as numpy arrays, a bounded chunk at
 a time.  The masks come from the caller: the cut family's clipped
-capacities (:func:`repro.core.certificate.certificate_cover`) or a
-realization table (:func:`table_cover`).  The branching reads masks
-only, so both give the same cover, cube for cube.
+capacities (:func:`repro.core.certificate.certificate_cover`) or, past
+the certificate guards, one max-flow per configuration and load
+(:mod:`repro.core.arrays`).  The branching reads masks only, so both
+give the same cover, cube for cube.
 
 Eq. 3 needs two things from a side, and :class:`SideCover` gives both:
 its distinct masks (:attr:`SideCover.distinct`) and each mask's weight
@@ -51,7 +52,7 @@ from repro.core.accumulate import regroup
 from repro.obs.recorder import CONFIGURATIONS_ENUMERATED, count
 from repro.probability.enumeration import check_enumerable
 
-__all__ = ["SideCover", "factor_cover", "is_partition", "resident_bytes", "table_cover"]
+__all__ = ["SideCover", "factor_cover", "is_partition", "resident_bytes"]
 
 #: Frontier nodes expanded per step (a fixed count, so the cube order
 #: never depends on how a kernel sizes its own arrays).
@@ -252,9 +253,10 @@ def factor_cover(
     ``caps`` is empty and ``evaluate`` reads the link masks alone.
     ``evaluate`` returns ``(nodes, 2 + 2 * num_links, W)`` mask words:
     each node's lowest and highest mask, then its lowest masks with each
-    link revived, then its highest masks with each link killed.  The
-    alive child adds the branch link's weights to ``lo``, the dead
-    child takes them off ``hi``.
+    link revived, then its highest masks with each link killed (entries
+    of links the node already decides are never read).  The alive child
+    adds the branch link's weights to ``lo``, the dead child takes them
+    off ``hi``.
 
     The branch of a node is the undecided link that settles the most
     assignment bits, over all ``W`` words: those its revival adds to the
@@ -310,29 +312,6 @@ def factor_cover(
     cubes = np.concatenate(found).astype(np.uint64)
     cubes.setflags(write=False)
     return cubes
-
-
-def table_cover(masks: np.ndarray, capacities: Sequence[int]) -> np.ndarray:
-    """The cube array of a segment whose ``2^m`` realization table is known.
-
-    ``masks`` is ``(2^m, W)``; every bound is one table lookup at the
-    configuration it names.
-    """
-    table = np.asarray(masks, dtype=np.uint64)
-    num_links = len(capacities)
-    every = np.uint64((1 << num_links) - 1)
-    link_bits = np.left_shift(np.uint64(1), np.arange(num_links, dtype=np.uint64))
-
-    def evaluate(links: np.ndarray, caps: np.ndarray) -> np.ndarray:
-        alive, up = links[:, :1], every & ~links[:, 1:]
-        configurations = np.concatenate(
-            [alive, up, alive | link_bits, up & ~link_bits], axis=1
-        )
-        return table[configurations.astype(np.intp)]
-
-    return factor_cover(
-        num_links, capacities, evaluate, np.zeros((num_links, 0), dtype=np.int64), 0
-    )
 
 
 def is_partition(cubes: np.ndarray, num_links: int, num_assignments: int) -> bool:

@@ -2,9 +2,9 @@
 
 Every max-flow enumeration answers the same shape of question: a
 monotone boolean per mask of a ``2^m`` lattice, where evaluating a mask
-costs a max-flow solve.  The :mod:`repro.core.arrays` fallback builder
-walks here, and so does every boolean feasibility table (naive,
-broadcast, coverage) through :mod:`repro.core.naive`'s one filler.  Walking the lattice in Gray-code order
+costs a max-flow solve.  Every boolean feasibility table (naive,
+broadcast, coverage) walks here through :mod:`repro.core.naive`'s one
+filler.  Walking the lattice in Gray-code order
 (:func:`repro.probability.gray_lattice`) makes consecutive masks differ
 in one link, which is what lets an incremental engine repair the
 previous flow instead of cold-solving — and it unlocks a *two-sided*

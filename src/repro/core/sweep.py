@@ -138,19 +138,9 @@ def side_fingerprint(
     canonicalised via ``repr`` (str/int/tuple labels all have
     deterministic reprs).
     """
-    payload = {
-        "v": _FINGERPRINT_VERSION,
-        "role": role,
-        "terminal": repr(terminal),
-        "ports": [repr(p) for p in ports],
-        "nodes": [repr(n) for n in net.nodes()],
-        "links": [
-            [repr(link.tail), repr(link.head), int(link.capacity), bool(link.directed)]
-            for link in net.links()
-        ],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(
+        net, role=role, terminal=repr(terminal), ports=[repr(p) for p in ports]
+    )
 
 
 def network_fingerprint(net: FlowNetwork) -> str:
@@ -163,6 +153,11 @@ def network_fingerprint(net: FlowNetwork) -> str:
     which is exactly the merge test :func:`plan_batch` groups queries
     by (their failure grids stack into one).
     """
+    return _digest(net)
+
+
+def _digest(net: FlowNetwork, **extra: object) -> str:
+    """SHA-256 of the canonical JSON of ``net``'s topology plus ``extra``."""
     payload = {
         "v": _FINGERPRINT_VERSION,
         "nodes": [repr(n) for n in net.nodes()],
@@ -170,6 +165,7 @@ def network_fingerprint(net: FlowNetwork) -> str:
             [repr(link.tail), repr(link.head), int(link.capacity), bool(link.directed)]
             for link in net.links()
         ],
+        **extra,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -201,7 +197,7 @@ class ArrayCache:
     is a miss.
 
     The cache is safe to share across both build kernels — the cut
-    certificate and its Gray-walk fallback — because every cover
+    certificate and its max-flow fallback — because every cover
     expands to the same ground-truth masks; the kernel is not part of
     the key.
 

@@ -1,9 +1,11 @@
 """Incremental max-flow with flow repair (the Gray-walk engine).
 
-The enumeration kernels ask the same residual network the same question
-``2^m`` times, with consecutive configurations differing in exactly one
-link once the lattice is walked in Gray-code order
-(:func:`repro.probability.gray_lattice`).  Cold solving throws the
+Naive's feasibility tables ask the same residual network the same
+question ``2^m`` times, with consecutive configurations differing in
+exactly one link once the lattice is walked in Gray-code order
+(:func:`repro.probability.gray_lattice`); the rare tier's oracle and the
+§III-C covers past the certificate guards jump between configurations
+instead (:meth:`IncrementalMaxFlow.goto`).  Cold solving throws the
 previous flow away at every step; :class:`IncrementalMaxFlow` keeps it
 and *repairs* it instead:
 
@@ -14,10 +16,7 @@ and *repairs* it instead:
   rerouting it around the gap in the residual graph, with any
   unrouteable remainder pushed back to the terminals (the cancellation
   half of the path/cycle decomposition that
-  :func:`repro.flow.decomposition.decompose` materialises in full);
-* :meth:`retarget` — switching the assignment ``a ∈ D`` on the same
-  alive set only moves virtual port-arc capacities, so only the flow
-  those arcs carry is touched.
+  :func:`repro.flow.decomposition.decompose` materialises in full).
 
 Why the repair is exact.  After a kill the remaining arcs form a valid
 flow except at the dead link's endpoints: ``u`` absorbs ``x`` units it
@@ -43,8 +42,6 @@ otherwise.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.exceptions import SolverError
 from repro.flow.dinic import DinicSolver
 from repro.flow.residual import ResidualGraph, ResidualTemplate
@@ -59,7 +56,6 @@ def plan_gray_order(
     n_bits: int,
     *,
     limit: int | None = None,
-    virtual_capacities: Mapping[str, int] | None = None,
 ) -> list[int]:
     """Choose the bit order for a Gray walk driven by flow repair.
 
@@ -75,9 +71,7 @@ def plan_gray_order(
     """
     if n_bits == 0:
         return []
-    scratch = template.configure(
-        alive=None, virtual_capacities=virtual_capacities, graph=template.graph.copy()
-    )
+    scratch = template.configure(alive=None, graph=template.graph.copy())
     DinicSolver().solve_residual(scratch, source, sink, limit=limit)
     cap = scratch.cap
     used = []
@@ -112,10 +106,8 @@ class IncrementalMaxFlow:
         The feasibility short-circuit: the flow is never grown past this
         value (``None`` = true max flow).  The engines pass the demand.
     alive:
-        Initial alive-link bitmask (default: everything dead).
-    virtual_capacities:
-        Initial named virtual-arc capacities (as for
-        :meth:`ResidualTemplate.configure`).
+        Initial alive-link bitmask (default: everything dead).  Virtual
+        arcs keep the template's design capacities.
 
     The constructor performs **no** solve; augmentation is lazy, so a
     batch of deltas (one :meth:`goto`) costs at most one augmenting
@@ -142,7 +134,6 @@ class IncrementalMaxFlow:
         *,
         limit: int | None = None,
         alive: int = 0,
-        virtual_capacities: Mapping[str, int] | None = None,
     ) -> None:
         if source == sink:
             raise SolverError("source and sink must differ")
@@ -154,7 +145,7 @@ class IncrementalMaxFlow:
         self.sink = sink
         self.limit = limit
         self.graph: ResidualGraph = template.configure(
-            alive=alive, virtual_capacities=virtual_capacities, graph=template.graph.copy()
+            alive=alive, graph=template.graph.copy()
         )
         # Snapshot of the configured capacities = the zero-flow state;
         # the flow on any arc is design - cap, and the flow *value* is
@@ -255,37 +246,6 @@ class IncrementalMaxFlow:
             self._design[a] = record.capacity
             self._design[a ^ 1] = 0 if record.directed else record.capacity
         self._dirty = True
-
-    def retarget(self, virtual_capacities: Mapping[str, int]) -> None:
-        """Move named virtual-arc capacities (assignment switch).
-
-        Growing an arc frees residual capacity in place; shrinking one
-        below the flow it carries repairs exactly the overflow, like a
-        partial kill.  Only the named arcs are touched.
-        """
-        cap = self.graph.cap
-        head = self.graph.head
-        for name, raw in virtual_capacities.items():
-            new_cap = int(raw)
-            if new_cap < 0:
-                raise SolverError(f"virtual capacity for {name!r} must be >= 0")
-            try:
-                a = self.template.virtual_arcs[name]
-            except KeyError as exc:
-                raise SolverError(f"unknown virtual arc {name!r}") from exc
-            if new_cap == self._design[a]:
-                continue
-            flow = cap[a ^ 1]  # virtual arcs are directed with 0 reverse design
-            if new_cap >= flow:
-                cap[a] = new_cap - flow
-                self._design[a] = new_cap
-            else:
-                overflow = flow - new_cap
-                cap[a] = 0
-                cap[a ^ 1] = new_cap
-                self._design[a] = new_cap
-                self._repair(head[a ^ 1], head[a], overflow)
-            self._dirty = True
 
     def goto(self, alive: int) -> int:
         """Jump to an arbitrary alive bitmask and return the flow value.

@@ -8,8 +8,8 @@ solver augments along arc ``a`` by decreasing ``cap[a]`` and increasing
 :class:`ResidualTemplate`.
 
 The reliability algorithms solve *many thousands* of max-flow instances
-that differ only in which links are alive and what the virtual terminal
-capacities are.  :class:`ResidualTemplate` therefore builds the arc
+that differ only in which links are alive.  :class:`ResidualTemplate`
+therefore builds the arc
 structure **once** and lets each instance be configured by a cheap
 capacity reset (:meth:`ResidualTemplate.configure`), avoiding any
 per-instance graph construction.
@@ -18,7 +18,7 @@ per-instance graph construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.exceptions import SolverError
 from repro.graph.network import FlowNetwork, Node
@@ -124,8 +124,9 @@ class _ArcRecord:
 class ResidualTemplate:
     """A reusable residual structure for one network (plus virtual arcs).
 
-    Build once with :func:`build_template`; then for every failure
-    configuration / assignment call :meth:`configure` and hand
+    Build once with :func:`build_template` (one template per set of
+    virtual-arc capacities); then for every failure configuration call
+    :meth:`configure` and hand
     :attr:`graph` to a solver.  ``configure`` rewrites every arc
     capacity in one pass, so no state leaks between instances.
 
@@ -137,7 +138,6 @@ class ResidualTemplate:
     graph: ResidualGraph
     node_index: dict[Node, int]
     records: list[_ArcRecord] = field(default_factory=list)
-    virtual_arcs: dict[str, int] = field(default_factory=dict)
     _arcs_by_link: dict[int, list[int]] = field(default_factory=dict)
 
     def add_network_links(self, net: FlowNetwork) -> None:
@@ -154,17 +154,15 @@ class ResidualTemplate:
             )
             self._arcs_by_link.setdefault(link.index, []).append(arc)
 
-    def add_virtual_arc(self, name: str, u: int, v: int, capacity: int) -> int:
-        """Add a named virtual arc (e.g. super-source feeders)."""
+    def add_virtual_arc(self, u: int, v: int, capacity: int) -> int:
+        """Add a virtual arc (e.g. a super-source feeder); returns its id."""
         arc = self.graph.add_arc_pair(u, v, capacity, 0)
         self.records.append(_ArcRecord(arc=arc, link_index=None, capacity=capacity, directed=True))
-        self.virtual_arcs[name] = arc
         return arc
 
     def configure(
         self,
         alive: int | Iterable[int] | None = None,
-        virtual_capacities: Mapping[str, int] | None = None,
         *,
         graph: ResidualGraph | None = None,
     ) -> ResidualGraph:
@@ -177,9 +175,7 @@ class ResidualTemplate:
             is a bitmask over link indices (bit ``i`` set = link ``i``
             alive); any other iterable is a collection of alive link
             indices.  Dead links get capacity 0 in both directions.
-        virtual_capacities:
-            New capacities for named virtual arcs; unnamed virtual arcs
-            keep their design capacity.
+            Virtual arcs get their design capacity.
         graph:
             Write the capacities into this graph instead of the shared
             :attr:`graph` — must be a :meth:`ResidualGraph.copy` of it
@@ -207,14 +203,6 @@ class ResidualTemplate:
                 continue
             cap[a] = record.capacity
             cap[a ^ 1] = record.capacity if (record.link_index is not None and not record.directed) else 0
-        if virtual_capacities:
-            for name, value in virtual_capacities.items():
-                try:
-                    arc = self.virtual_arcs[name]
-                except KeyError as exc:
-                    raise SolverError(f"unknown virtual arc {name!r}") from exc
-                cap[arc] = value
-                cap[arc ^ 1] = 0
         return target
 
     def link_arcs(self, link_index: int) -> list[_ArcRecord]:

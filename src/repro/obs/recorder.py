@@ -234,9 +234,6 @@ KNOWN_SPANS = frozenset(
 #: gauge vocabulary too (also enforced by RR111).
 KNOWN_TICKER_LABELS = frozenset(
     {
-        "arrays.middle",
-        "arrays.sink",
-        "arrays.source",
         "montecarlo.samples",
         "naive.configurations",
         "rare.permutations",

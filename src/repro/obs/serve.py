@@ -24,7 +24,8 @@ Routes
 
 Counter/gauge names are sanitised for Prometheus by mapping every
 non-``[a-zA-Z0-9_]`` character to ``_`` (so ``array_cache_hits`` stays
-itself and ``arrays.source.rate`` becomes ``arrays_source_rate``).
+itself and ``naive.configurations.rate`` becomes
+``naive_configurations_rate``).
 """
 
 from __future__ import annotations

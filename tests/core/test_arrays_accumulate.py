@@ -82,15 +82,15 @@ class TestBuildSideCover:
                 sup = mask | (1 << b)
                 assert int(masks[mask]) & ~int(masks[sup]) == 0
 
-    @pytest.mark.parametrize("walk", [False, True])
-    def test_matches_reference(self, walk, monkeypatch):
-        """Both kernels — the certificate and, past the cut guard, the
-        pruned Gray walk — give the reference oracle's masks."""
-        if walk:
+    @pytest.mark.parametrize("max_flow", [False, True])
+    def test_matches_reference(self, max_flow, monkeypatch):
+        """Both kernels — the certificate and, past the cut guard,
+        segment max-flows — give the reference oracle's masks."""
+        if max_flow:
             monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         side, request = fig4_source_request()
         built = build_side_cover(side, **request)
-        assert (built.flow_calls > 0) is walk
+        assert (built.flow_calls > 0) is max_flow
         assert np.array_equal(built.expand(), reference_side_masks(side, **request))
 
     def test_sink_side(self):
@@ -108,13 +108,13 @@ class TestBuildSideCover:
         assert realized(cover.expand(), (1 << 3) - 1) == {0, 1, 2}
 
     @pytest.mark.parametrize("role", ["source", "sink"])
-    @pytest.mark.parametrize("walk", [False, True])
-    def test_assignment_subset_matches_full_build(self, role, walk, monkeypatch):
+    @pytest.mark.parametrize("max_flow", [False, True])
+    def test_assignment_subset_matches_full_build(self, role, max_flow, monkeypatch):
         """Columns are independent: building any subset of the
         assignments yields exactly those columns of a full build, on the
-        certificate kernel and on the Gray-walk fallback alike (the
+        certificate kernel and on the max-flow fallback alike (the
         cache's miss-only builds rely on it)."""
-        if walk:
+        if max_flow:
             monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         _net, split = fig4_split()
         assignments = enumerate_assignments([2, 2], 2)
@@ -188,15 +188,15 @@ class TestBuildSideCover:
 class TestSingleBuildPath:
     """Every §III-C caller reaches the arrays through one dispatch."""
 
-    def test_pinned_walk_flow_calls(self, monkeypatch):
-        """Past the cut guard the pruned Gray walk spends 69 solves on
-        fig4 (the certificate kernel 0), and reports no engine block."""
+    def test_pinned_max_flow_calls(self, monkeypatch):
+        """Past the cut guard segment max-flows spend 56 solves on fig4
+        (the certificate kernel 0), and report no engine block."""
         from repro.core.bottleneck import bottleneck_reliability
         from repro.core.demand import FlowDemand
 
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         result = bottleneck_reliability(fujita_fig4(), FlowDemand("s", "t", 2))
-        assert result.flow_calls == 69
+        assert result.flow_calls == 56
         assert "engine" not in result.details
         assert f"{result.value:.10f}" == "0.8426357910"
 

@@ -2,7 +2,7 @@
 
 ``build_side_cover`` builds with the certificate kernel unless the
 side's bond family is over a guard (free nodes or cut count); then it
-runs the pruned Gray walk.  No option chooses: each guard is pinned by
+factors on segment max-flows.  No option chooses: each guard is pinned by
 one test here, and both kernels are checked against the reference
 oracle in ``tests/reference_arrays.py``.
 """
@@ -96,10 +96,10 @@ class TestKernelChoice:
         default = bottleneck_reliability(net, DEMAND)
         assert default.flow_calls == 0
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-        walked = bottleneck_reliability(net, DEMAND)
-        assert walked.flow_calls > 0
-        assert walked.value == default.value
-        assert walked.details == default.details
+        solved = bottleneck_reliability(net, DEMAND)
+        assert solved.flow_calls > 0
+        assert solved.value == default.value
+        assert solved.details == default.details
 
     def test_details_name_no_kernel_or_strategy(self):
         details = bottleneck_reliability(fujita_fig4(), DEMAND).details

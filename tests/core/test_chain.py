@@ -107,15 +107,15 @@ class TestChainReliability:
         )
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_walk_fallback_matches_naive(self, seed, monkeypatch):
+    def test_max_flow_fallback_matches_naive(self, seed, monkeypatch):
         net = chained_network([4, 5, 4], cut_sizes=2, demand=2, seed=seed)
         demand = FlowDemand("s", "t", 2)
         default = chain_reliability(net, demand, net._chain_cut_indices)
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-        walked = chain_reliability(net, demand, net._chain_cut_indices)
-        assert walked.flow_calls > 0
-        assert walked.value == pytest.approx(default.value, abs=1e-12)
-        assert walked.value == pytest.approx(
+        solved = chain_reliability(net, demand, net._chain_cut_indices)
+        assert solved.flow_calls > 0
+        assert solved.value == pytest.approx(default.value, abs=1e-12)
+        assert solved.value == pytest.approx(
             naive_reliability(net, demand).value, abs=1e-10
         )
 

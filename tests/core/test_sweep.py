@@ -25,6 +25,7 @@ from repro.core.sweep import (
     cached_side_cover,
     compute_reliability_sweep,
     grid_reliability,
+    network_fingerprint,
     probability_grid,
     side_fingerprint,
 )
@@ -55,6 +56,20 @@ def source_kwargs(split, assignments):
 
 
 class TestSideFingerprint:
+    def test_fig4_digests_are_pinned(self):
+        """Disk caches written by earlier versions stay valid: fig4's
+        digests are byte-identical to the ones they were keyed by."""
+        net, split = fig4_split()
+        assert network_fingerprint(net) == (
+            "ac992765ea87b7da1ec3d552eee97d768a103213900ff35cf844743521deb04a"
+        )
+        assert side_fingerprint(
+            split.source_side.network, role="source", terminal="s", ports=split.source_ports
+        ) == "41a1601a673199bfe035a9be7f0b549f805280a9037052191d91d7bb3c8ff269"
+        assert side_fingerprint(
+            split.sink_side.network, role="sink", terminal="t", ports=split.sink_ports
+        ) == "699c7a9bfaff29ffdf437944aaf911bf0fbe46a7b3a18eb5135eb155f4a32087"
+
     def test_excludes_failure_probabilities(self):
         _, lossy = fig4_split(failure_probability=0.3)
         _, robust = fig4_split(failure_probability=0.01)

@@ -43,11 +43,11 @@ class TestInfiniteCapacity:
         net.add_link("s", "m", 1000, 0.0)
         net.add_link("m", "t", 1000, 0.0)
         template = build_template(net, extra_nodes=["virt"])
-        template.add_virtual_arc(
-            "boost", template.node_index["s"], template.node_index["virt"], INFINITE_CAPACITY
+        arc = template.add_virtual_arc(
+            template.node_index["s"], template.node_index["virt"], INFINITE_CAPACITY
         )
         graph = template.configure()
-        assert graph.cap[template.virtual_arcs["boost"]] == INFINITE_CAPACITY
+        assert graph.cap[arc] == INFINITE_CAPACITY
 
     def test_infinite_capacity_magnitude(self):
         # large enough to never bind, small enough to sum safely

@@ -22,8 +22,8 @@ from repro.graph.generators import bottlenecked_network
 from repro.probability.bitset import gray_lattice
 
 
-def _cold_value(template, mask, s, t, limit, caps=None):
-    graph = template.configure(alive=mask, virtual_capacities=caps)
+def _cold_value(template, mask, s, t, limit):
+    graph = template.configure(alive=mask)
     return DinicSolver().solve(graph, s, t, limit=limit)
 
 
@@ -115,40 +115,6 @@ class TestDeltaOperations:
         assert engine.solver_calls > 0
         assert engine.repairs > 0
         assert engine.paths_saved > 0
-
-    def test_retarget_matches_cold(self):
-        net = fujita_fig4()
-        template = build_template(net, extra_nodes=["__virt__"])
-        s = template.node_index["s"]
-        virt = template.node_index["__virt__"]
-        # Two virtual drain arcs mimic the §III-C port arcs.
-        template.add_virtual_arc("p0", template.node_index["t"], virt, 2)
-        template.add_virtual_arc("p1", template.node_index["y1"], virt, 2)
-        full = (1 << net.num_links) - 1
-        engine = IncrementalMaxFlow(
-            template, s, virt, limit=2,
-            alive=full, virtual_capacities={"p0": 0, "p1": 0},
-        )
-        rng = random.Random(5)
-        for _ in range(60):
-            caps = {"p0": rng.randrange(3), "p1": rng.randrange(3)}
-            mask = rng.randrange(1 << net.num_links)
-            engine.retarget(caps)
-            got = engine.goto(mask)
-            assert got == _cold_value(template, mask, s, virt, 2, caps=caps)
-
-    def test_retarget_rejects_bad_input(self):
-        net = diamond()
-        template = build_template(net, extra_nodes=["__virt__"])
-        template.add_virtual_arc("p0", template.node_index["t"], template.node_index["__virt__"], 1)
-        engine = IncrementalMaxFlow(
-            template, template.node_index["s"], template.node_index["__virt__"],
-            limit=1,
-        )
-        with pytest.raises(SolverError):
-            engine.retarget({"nope": 1})
-        with pytest.raises(SolverError):
-            engine.retarget({"p0": -1})
 
 
 class TestValidation:

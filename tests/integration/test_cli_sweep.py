@@ -95,7 +95,7 @@ class TestSweepKernels:
     def test_disk_cache_serves_other_kernel(
         self, net_file, tmp_path, capsys, monkeypatch, axis
     ):
-        """Columns the Gray-walk fallback (a side past the certificate
+        """Columns the max-flow fallback (a side past the certificate
         guard) wrote serve a certificate-kernel run with zero solves."""
         cache_dir = str(tmp_path / "arrays")
         args = (*self.AXES[axis], "--cache-dir", cache_dir, "--json")

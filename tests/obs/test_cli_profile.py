@@ -7,7 +7,7 @@ exactly — for both exact kernels.  The bottleneck arrays come from the
 solver-free cut-certificate kernel and spend no solves, so the
 bottleneck solve-accounting tests push fig4's sides past the
 certificate guard (a monkeypatched ``MAX_CERTIFICATE_CUTS``) onto the
-Gray-walk fallback.
+max-flow fallback.
 """
 
 import json

@@ -164,7 +164,7 @@ class TestCounters:
         assert "bottleneck.source_array" in obs.KNOWN_SPANS
         assert "bottleneck.accumulate" in obs.KNOWN_SPANS
         assert "engine.chunk" not in obs.KNOWN_SPANS
-        assert "arrays.source" in obs.KNOWN_TICKER_LABELS
+        assert "arrays.source" not in obs.KNOWN_TICKER_LABELS
         assert "naive.configurations" in obs.KNOWN_TICKER_LABELS
 
 

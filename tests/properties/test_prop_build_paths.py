@@ -4,8 +4,8 @@ Every side comes out of one builder over one kernel choice: the side
 cover every Eq. 3 caller reads (:func:`repro.core.sweep.cached_side_cover`,
 which without a cache is :func:`repro.core.arrays.build_side_cover`).
 The side picks the kernel:
-the cut-certificate kernel inside its guards, the pruned Gray walk past
-them.  These tests reach the walk through the guard (a monkeypatched
+the cut-certificate kernel inside its guards, segment max-flows past
+them.  These tests reach the max-flow kernel through the guard (a monkeypatched
 ``MAX_CERTIFICATE_CUTS``), never through an option, and pin the
 contract that makes the choice a pure performance matter: for every
 seed, role and demand rate both kernels' covers expand to the masks of
@@ -45,7 +45,7 @@ SEEDS = [0, 7, 23]
 #: The wider instance set the mask properties run over.
 MASK_SEEDS = range(8)
 
-KERNELS = ["certificate", "gray-walk"]
+KERNELS = ["certificate", "max-flow"]
 
 #: details keys that describe *how the solves were accounted*, not what
 #: was computed.
@@ -56,7 +56,7 @@ ACCOUNTING_KEYS = ("array_cache", "obs")
 def _kernel(name):
     """Select a kernel the only way there is: through the guard."""
     with pytest.MonkeyPatch.context() as patch:
-        if name == "gray-walk":
+        if name == "max-flow":
             patch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         yield
 
@@ -210,12 +210,12 @@ class TestValueAcrossKernels:
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
         default = bottleneck_reliability(net, demand)
-        with _kernel("gray-walk"):
-            walked = bottleneck_reliability(net, demand)
-        assert default.flow_calls == 0 and walked.flow_calls > 0
-        assert walked.value == default.value
-        assert walked.configurations == default.configurations
-        assert _scrub(walked.details) == _scrub(default.details)
+        with _kernel("max-flow"):
+            solved = bottleneck_reliability(net, demand)
+        assert default.flow_calls == 0 and solved.flow_calls > 0
+        assert solved.value == default.value
+        assert solved.configurations == default.configurations
+        assert _scrub(solved.details) == _scrub(default.details)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("kernel", KERNELS)

@@ -10,7 +10,7 @@ links; self-loops and zero-capacity links; repeated ports and a port
 equal to the terminal; both roles; and demands past 255, where the fast
 oracle's table (``tests/reference_certificate.py``) widens from
 ``uint8``.  Both the side cover and that fast oracle are pinned; a side
-over a guard falls back to the Gray-walk kernel and must agree too.
+over a guard falls back to the max-flow kernel and must agree too.
 """
 
 import numpy as np

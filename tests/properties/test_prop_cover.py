@@ -8,7 +8,7 @@ bottlenecked networks with k = 1-3 cut links and demands 1-3:
 
 * expanding the cover reproduces the fast certificate oracle
   (``tests/reference_certificate.py``) bit for bit;
-* with the certificate guards monkeypatched low, the Gray-walk kernel
+* with the certificate guards monkeypatched low, the max-flow kernel
   gives the same masks, cube for cube the same cover;
 * the cubes are pairwise disjoint and their sizes sum to ``2^m``;
 * the weights of each row sum to 1, and a row's weights are ``==``
@@ -91,7 +91,7 @@ class TestExpansion:
 
     @settings(max_examples=60, deadline=None)
     @given(drawn=ANY_SIDE)
-    def test_reproduces_the_gray_walk_table(self, drawn):
+    def test_reproduces_the_max_flow_masks(self, drawn):
         side, request = drawn
         certified = build_side_cover(side, **request)
         with pytest.MonkeyPatch.context() as patch:

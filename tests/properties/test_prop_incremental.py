@@ -1,9 +1,10 @@
-"""Property: the incremental Gray-walk kernels are bit-identical.
+"""Property: the flow-carrying kernels are bit-identical.
 
 Naive's Gray walk always repairs flow.  These tests prove the repair
 invisible: feasibility tables and values are the *same bits* as one
 cold oracle query per mask (``tests/reference_tables.py``).  The §III-C
-side arrays' Gray walk is the fallback past the cut-certificate guards, reached here through a
+side covers past the cut-certificate guards carry one flow per load
+from configuration to configuration; they are reached here through a
 monkeypatched guard and checked against the reference oracle
 (``tests/reference_arrays.py``) and the certificate kernel.  Not
 approximately: ``==`` on floats and arrays.
@@ -66,14 +67,14 @@ class TestNaiveTableBitIdentity:
 
 
 @pytest.fixture
-def gray_walk(monkeypatch):
-    """Push every side past the cut-count guard onto the Gray walk."""
+def max_flow(monkeypatch):
+    """Push every side past the cut-count guard onto segment max-flows."""
     monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
 
 
 class TestSideArrayBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_walk_masks_match_reference(self, seed, gray_walk):
+    def test_max_flow_masks_match_reference(self, seed, max_flow):
         _, split, assignments = _instance(seed)
         for role, side, terminal, ports in (
             ("source", split.source_side, "s", split.source_ports),
@@ -83,10 +84,10 @@ class TestSideArrayBitIdentity:
                 role=role, terminal=terminal, ports=ports,
                 assignments=assignments, demand=2,
             )
-            walked = build_side_cover(side, **request)
-            assert walked.flow_calls > 0
+            solved = build_side_cover(side, **request)
+            assert solved.flow_calls > 0
             np.testing.assert_array_equal(
-                walked.expand(), reference_side_masks(side, **request)
+                solved.expand(), reference_side_masks(side, **request)
             )
 
 
@@ -97,23 +98,23 @@ class TestReliabilityValueBitIdentity:
         demand = FlowDemand("s", "t", 2)
         default = bottleneck_reliability(net, demand, cut=split.cut)
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-        walked = bottleneck_reliability(net, demand, cut=split.cut)
-        assert walked.flow_calls > 0
-        assert walked.value == default.value
+        solved = bottleneck_reliability(net, demand, cut=split.cut)
+        assert solved.flow_calls > 0
+        assert solved.value == default.value
 
-    @pytest.mark.parametrize("walk", [False, True])
-    def test_fig4_pinned_value(self, walk, monkeypatch):
-        if walk:
+    @pytest.mark.parametrize("max_flow", [False, True])
+    def test_fig4_pinned_value(self, max_flow, monkeypatch):
+        if max_flow:
             monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = fujita_fig4()
         result = bottleneck_reliability(net, FlowDemand("s", "t", 2))
-        assert (result.flow_calls > 0) is walk
+        assert (result.flow_calls > 0) is max_flow
         assert f"{result.value:.10f}" == "0.8426357910"
 
 
 class TestObsPartition:
-    def test_flow_solves_still_partition_flow_calls(self, gray_walk):
-        """The Gray-walk fallback reports its solver invocations as
+    def test_flow_solves_still_partition_flow_calls(self, max_flow):
+        """The max-flow fallback reports its solver invocations as
         FLOW_SOLVES, so the recorder total must still equal the result's
         ``flow_calls`` exactly."""
         from repro.obs import Recorder, record

@@ -5,7 +5,7 @@ virtual terminals: does the alive segment absorb exactly ``a`` at its
 in-ports while emitting exactly ``b`` at its out-ports?
 ``build_relation_cover`` answers it with the same builder as the end
 sides, one mask word per in-assignment, so both kernels — the cut
-certificate and, past its guard, the Gray walk — are pinned bit for bit
+certificate and, past its guard, segment max-flows — are pinned bit for bit
 against the segment oracle of ``tests/reference_arrays.py`` (one cold
 max-flow per configuration and load ``(a, b)``) over generated chains,
 demands 1–3 and cut sizes 1–3, and give the same cubes.  At cut size 3
@@ -68,13 +68,13 @@ def _reference(seed, demand, cut):
     )
 
 
-@pytest.mark.parametrize("kernel", ["certificate", "walk"])
+@pytest.mark.parametrize("kernel", ["certificate", "max-flow"])
 @pytest.mark.parametrize("cut", CUT_SIZES)
 @pytest.mark.parametrize("demand", DEMANDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_relation_matches_reference(seed, demand, cut, kernel, monkeypatch):
     segment, request = _middle(seed, demand, cut)
-    if kernel == "walk":
+    if kernel == "max-flow":
         monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
     relation = build_relation_cover(segment, **request)
     assert relation.cubes.dtype == np.uint64
@@ -89,11 +89,11 @@ def test_relation_matches_reference(seed, demand, cut, kernel, monkeypatch):
 @pytest.mark.parametrize("demand", DEMANDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_both_kernels_give_one_cover(seed, demand, cut, monkeypatch):
-    """The branching reads masks only, so the walk's table factors into
+    """The branching reads masks only, so the max-flow masks factor into
     the certificate's cubes, in the same order."""
     segment, request = _middle(seed, demand, cut)
     certified = build_relation_cover(segment, **request)
     monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
-    walked = build_relation_cover(segment, **request)
-    assert walked.flow_calls > 0
-    assert np.array_equal(walked.cubes, certified.cubes)
+    solved = build_relation_cover(segment, **request)
+    assert solved.flow_calls > 0
+    assert np.array_equal(solved.cubes, certified.cubes)

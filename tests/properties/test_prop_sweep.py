@@ -4,7 +4,7 @@ The sweep exists purely as a performance layer — one §III-C array build
 serving a whole grid of Eq. 2 / Eq. 3 evaluations.  These tests pin the
 contract that makes the cache key sound: for every sweep point, for
 every combination of cache state (cold/warm) and build kernel
-(certificate, or the Gray walk past a monkeypatched guard),
+(certificate, or segment max-flows past a monkeypatched guard),
 ``compute_reliability_sweep`` must reproduce a fresh
 :func:`bottleneck_reliability` call on the point network *bit for bit* — ``==`` on the float value and ``==`` on ``details`` (modulo the
 solve-accounting keys, which legitimately differ when no solves run).
@@ -53,9 +53,9 @@ def assert_point_identical(swept, net, demand, spec):
 
 class TestSweepPointwiseBitIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("walk", [False, True])
-    def test_availability_grid(self, seed, walk, monkeypatch):
-        if walk:
+    @pytest.mark.parametrize("max_flow", [False, True])
+    def test_availability_grid(self, seed, max_flow, monkeypatch):
+        if max_flow:
             monkeypatch.setattr(certificate, "MAX_CERTIFICATE_CUTS", 0)
         net = _instance(seed)
         demand = FlowDemand("s", "t", 2)
@@ -63,7 +63,7 @@ class TestSweepPointwiseBitIdentity:
         cache = ArrayCache()
         cold = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
         warm = compute_reliability_sweep(net, demand, sweep=spec, cache=cache)
-        assert (cold.flow_calls > 0) is walk
+        assert (cold.flow_calls > 0) is max_flow
         for swept in (cold, warm):
             assert_point_identical(swept, net, demand, spec)
         assert warm.flow_calls == 0

@@ -2,7 +2,8 @@
 
 This is the definition of a realization column, computed the slow way:
 one cold max-flow per (configuration, load), with no pruning, no flow
-repair and no cut certificate.  A *segment* has an optional real source
+repair and no cut certificate; each load has its own residual template,
+its port arcs built at that load's capacities.  A *segment* has an optional real source
 terminal feeding its in-ports and an optional real sink terminal fed by
 its out-ports; a missing terminal is a virtual node.  Configuration
 ``i`` realizes load ``j`` iff the alive links of ``i`` plus one virtual
@@ -37,28 +38,30 @@ def reference_segment_masks(
     out_ports: Sequence[Node],
     loads: Sequence[Sequence[int]],
     demand: int,
+    configurations: Sequence[int] | None = None,
 ) -> np.ndarray:
     """``uint64`` masks over the segment lattice: bit ``j`` of entry ``i``
     is set iff configuration ``i`` (bit ``l`` = segment link ``l`` alive)
-    realizes ``loads[j]``."""
+    realizes ``loads[j]``.  With ``configurations`` entry ``i`` is the
+    mask of ``configurations[i]`` instead (spot checks of sides too
+    large to enumerate)."""
     net = segment.network
-    template = build_template(net, extra_nodes=[_VIRTUAL_IN, _VIRTUAL_OUT])
-    index = template.node_index
-    s = index[_VIRTUAL_IN if source is None else source]
-    t = index[_VIRTUAL_OUT if sink is None else sink]
-    arcs = [(s, index[p]) for p in in_ports] + [(index[p], t) for p in out_ports]
-    names = []
-    for l, arc in enumerate(arcs):
-        template.add_virtual_arc(f"port{l}", *arc, demand)
-        names.append(f"port{l}")
+    if configurations is None:
+        configurations = range(1 << net.num_links)
     engine = DinicSolver()
-    masks = np.zeros(1 << net.num_links, dtype=np.uint64)
-    for config in range(len(masks)):
-        for j, load in enumerate(loads):
-            caps = {name: int(a) for name, a in zip(names, load)}
-            graph = template.configure(alive=config, virtual_capacities=caps)
+    masks = np.zeros(len(configurations), dtype=np.uint64)
+    for j, load in enumerate(loads):
+        template = build_template(net, extra_nodes=[_VIRTUAL_IN, _VIRTUAL_OUT])
+        index = template.node_index
+        s = index[_VIRTUAL_IN if source is None else source]
+        t = index[_VIRTUAL_OUT if sink is None else sink]
+        arcs = [(s, index[p]) for p in in_ports] + [(index[p], t) for p in out_ports]
+        for arc, capacity in zip(arcs, load):
+            template.add_virtual_arc(*arc, int(capacity))
+        for i, config in enumerate(configurations):
+            graph = template.configure(alive=int(config))
             if engine.solve(graph, s, t) >= demand:
-                masks[config] |= np.uint64(1) << np.uint64(j)
+                masks[i] |= np.uint64(1) << np.uint64(j)
     return masks
 
 
@@ -70,6 +73,7 @@ def reference_side_masks(
     ports: Sequence[Node],
     assignments: Sequence[Sequence[int]],
     demand: int,
+    configurations: Sequence[int] | None = None,
 ) -> np.ndarray:
     """The oracle for ``G_s`` (``role="source"``: ``terminal -> ports``)
     or ``G_t`` (``role="sink"``: ``ports -> terminal``)."""
@@ -78,5 +82,5 @@ def reference_side_masks(
     else:
         segment = dict(source=None, sink=terminal, in_ports=ports, out_ports=())
     return reference_segment_masks(
-        side, **segment, loads=assignments, demand=demand
+        side, **segment, loads=assignments, demand=demand, configurations=configurations
     )
